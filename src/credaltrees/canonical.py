@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlp
-from .choice import ChoiceFunction
+from .choice import ChoiceFunction, _maximal
 from .errors import InstanceInvalid, ZeroProbabilityCondition
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
@@ -451,7 +451,13 @@ def _chosen_classes(ev: _EventData, kind: str, classes: tuple[int, ...]) -> froz
             k = len(ev.sums)
             ones = [Fraction(1)] * k
             ordered = sorted(cs)
-            for c in ordered:
+            # As in choice.choose_e_admissible: only maxima can be hull
+            # E-admissible, and only their constraints bind.
+            maxima = [
+                ordered[i]
+                for i in _maximal([[row[c] for c in ordered] for row in ev.sums])
+            ]
+            for c in maxima:
                 if c in out:
                     continue
                 rows = [
@@ -459,7 +465,7 @@ def _chosen_classes(ev: _EventData, kind: str, classes: tuple[int, ...]) -> froz
                         [ev.sums[m][c] - ev.sums[m][d] for m in range(k)],
                         Fraction(0),
                     )
-                    for d in ordered
+                    for d in maxima
                     if d != c
                 ]
                 if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
@@ -521,13 +527,16 @@ class _Checker:
     def _combo_stats_b(self, ev: _EventData, combos: list[tuple[int, ...]], kind: str):
         """Per combo, as class bitmasks hoisted out of the pair loop.
 
-        Value kinds get (classes, best value, argmax classes); set-valued
-        kinds get (classes, chosen classes within the combo alone).
+        Value kinds get (classes, rank of the best value, argmax classes),
+        ranking the classes' values densely so that the pair loop compares
+        ints instead of Fractions; set-valued kinds get (classes, chosen
+        classes within the combo alone).
         """
         cls_of = ev.cls_of
         stats = []
         if kind in _VALUE_KINDS:
-            vals = ev.value(kind)
+            rank = {v: r for r, v in enumerate(sorted(set(ev.value(kind))))}
+            vals = [rank[v] for v in ev.value(kind)]
             for combo in combos:
                 cids = _dedup(cls_of[i] for i in combo)
                 top = max(vals[c] for c in cids)

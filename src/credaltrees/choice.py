@@ -143,6 +143,39 @@ def choose_gamma_maximax(
     return _argmax(xs, values)
 
 
+def _undominated(
+    rows: Sequence, dominates: Callable, key: Callable
+) -> list[int]:
+    """Indices of the rows no other row dominates, ascending.
+
+    *dominates* must be a strict partial order and *key* must strictly
+    increase along it.  Scanning the rows by falling key, a row is kept
+    unless a row kept before it dominates it: every dominated row has an
+    undominated dominator, and that dominator comes first.
+    """
+    keys = [key(r) for r in rows]
+    maxima: list[int] = []
+    for j in sorted(range(len(rows)), key=keys.__getitem__, reverse=True):
+        if not any(dominates(rows[m], rows[j]) for m in maxima):
+            maxima.append(j)
+    return sorted(maxima)
+
+
+def _member_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
+    """Does every member strictly prefer y to x?  Rows hold member sums."""
+    return all(a > c for a, c in zip(y, x))
+
+
+def _pointwise_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
+    """Is y everywhere at least x and somewhere strictly more?"""
+    return y != x and all(a >= c for a, c in zip(y, x))
+
+
+def _maximal(sums: list[list[Fraction]]) -> list[int]:
+    """Indices of the options no other option dominates memberwise."""
+    return _undominated(list(zip(*sums)), _member_dominates, lambda r: r[0])
+
+
 def choose_maximality(
     xs: Sequence[Gamble], model: UncertaintyModel, b: Event
 ) -> tuple[Gamble, ...]:
@@ -153,18 +186,7 @@ def choose_maximality(
     """
     _guard(xs, b)
     model = _credal(model, "maximality")
-    sums = _member_sums(model, xs, b)
-    k = len(sums)
-
-    def dominated(j: int) -> bool:
-        return any(
-            all(sums[i][jj] > sums[i][j] for i in range(k))
-            for jj in range(len(xs))
-            if jj != j
-        )
-
-    out = tuple(x for j, x in enumerate(xs) if not dominated(j))
-    return out
+    return tuple(xs[j] for j in _maximal(_member_sums(model, xs, b)))
 
 
 def choose_e_admissible(
@@ -189,13 +211,16 @@ def choose_e_admissible(
         top = max(sums[i])
         winners.update(j for j, v in enumerate(sums[i]) if v == top)
     if hull:
+        # A dominated option is never a best response to a mixture, and its
+        # constraint is implied by its dominator's: only maxima matter.
+        maxima = _maximal(sums)
         ones = [Fraction(1)] * k
-        for j in range(len(xs)):
+        for j in maxima:
             if j in winners:
                 continue
             rows = [
                 ([sums[i][j] - sums[i][jj] for i in range(k)], Fraction(0))
-                for jj in range(len(xs))
+                for jj in maxima
                 if jj != j
             ]
             if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
@@ -233,15 +258,7 @@ def choose_pointwise_dominance(
     """
     _guard(xs, b)
     rows = [x.values_on(b) for x in xs]
-
-    def dominated(j: int) -> bool:
-        return any(
-            all(a >= c for a, c in zip(rows[jj], rows[j])) and rows[jj] != rows[j]
-            for jj in range(len(xs))
-            if jj != j
-        )
-
-    return tuple(x for j, x in enumerate(xs) if not dominated(j))
+    return tuple(xs[j] for j in _undominated(rows, _pointwise_dominates, sum))
 
 
 def choose_imprecise_utility(

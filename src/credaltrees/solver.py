@@ -132,11 +132,18 @@ def _verdict_at(
     restricted = restrict_solution(full, node_id)
     if not restricted:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
-    sub = subtree_at(tree, node_id)
-    try:
-        local = normal_form_solution(sub, choice, model).strategies
-    except ZeroProbabilityCondition as exc:
-        return PerfectnessVerdict(node_id, Outcome.ERROR, restricted, (), str(exc))
+    if node_id == tree.root.node_id:
+        # The root's local problem is the full problem.
+        local = full.strategies
+    else:
+        try:
+            local = normal_form_solution(
+                subtree_at(tree, node_id), choice, model
+            ).strategies
+        except ZeroProbabilityCondition as exc:
+            return PerfectnessVerdict(
+                node_id, Outcome.ERROR, restricted, (), str(exc)
+            )
     outcome = Outcome.HOLD if set(restricted) == set(local) else Outcome.FAIL
     return PerfectnessVerdict(node_id, outcome, restricted, local)
 

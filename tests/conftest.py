@@ -5,15 +5,19 @@ re-model without cross-talk.  Node ids and arc labels match the shipped
 problem files (N1, N2, d1, A1, ...) so failures read naturally.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from credaltrees import (
     CredalModel,
     CredalSet,
     DecisionTree,
     FactoredModel,
+    Gamble,
     JointModel,
     MassFunction,
     PossibilitySpace,
@@ -391,6 +395,104 @@ def build_gamma_failure():
         sp, {"a1b1": F(2, 5), "a1b2": F(1, 10), "a2b1": F(2, 5), "a2b2": F(1, 10)}
     )
     return tree, CredalModel(CredalSet((p1, p2)))
+
+
+# --- alternating decision(3)/chance(2) trees ------------------------------------
+
+
+def build_alternating(seed):
+    """Decision nodes with three arcs alternate with chance nodes that halve
+    the event, over five levels and eight atoms; integer leaf rewards in
+    [-10, 20].
+
+    The tree has 172 nodes and 2187 strategies.  Returns the tree and a
+    credal model of three random positive mass functions; cubed weights
+    spread them apart, so that the set-valued rules disagree.
+    """
+    rng = random.Random(seed)
+    sp = PossibilitySpace(tuple(f"w{i}" for i in range(8)))
+    ids = iter(range(10**6))
+
+    def build(atoms, level):
+        node_id = f"n{next(ids)}"
+        if level == 5:
+            return leaf(node_id, rng.randint(-10, 20))
+        if level % 2 == 0:
+            return decision(
+                node_id, [(f"a{k}", build(atoms, level + 1)) for k in range(3)]
+            )
+        half = sorted(rng.sample(atoms, len(atoms) // 2))
+        rest = [a for a in atoms if a not in half]
+        return chance(
+            node_id,
+            [(sp.event(part), build(part, level + 1)) for part in (half, rest)],
+        )
+
+    tree = validate_tree(DecisionTree(sp, build(list(sp.atoms), 0)))
+
+    def member():
+        weights = [rng.randint(1, 10) ** 3 for _ in sp.atoms]
+        total = sum(weights)
+        return MassFunction.from_mapping(
+            sp, {a: F(w, total) for a, w in zip(sp.atoms, weights)}
+        )
+
+    return tree, CredalModel(CredalSet(tuple(member() for _ in range(3))))
+
+
+# --- option pools for the dominance rules ---------------------------------------
+
+
+@st.composite
+def dominance_pools(draw):
+    """Small option sets full of duplicates and ties, with a conditioning event.
+
+    The distinct gambles come either from a narrow grid, where equal row
+    sums and equal member sums (the sort keys of the dominance kernel) are
+    common, or from near a concave front over the first two atoms, where
+    many options are undominated and hull E-admissibility needs its LP.
+    Reversed copies tie with their originals in row sum on the whole space;
+    every distinct gamble appears at least once, some of them repeatedly.
+    """
+    atoms = tuple(f"w{i}" for i in range(draw(st.integers(2, 4))))
+    sp = PossibilitySpace(atoms)
+    front = draw(st.booleans())
+    spread = 9 if front else 3
+
+    def member():
+        weights = [draw(st.integers(1, spread)) for _ in atoms]
+        total = sum(weights)
+        return MassFunction.from_mapping(
+            sp, {a: F(w, total) for a, w in zip(atoms, weights)}
+        )
+
+    n_members = draw(st.integers(2 if front else 1, 3))
+    credal = CredalSet(tuple(member() for _ in range(n_members)))
+    if front:
+        r = draw(st.integers(4, 9))
+        rest = st.tuples(*[st.integers(-1, 1) for _ in atoms[2:]])
+        rows = [
+            (x, math.isqrt(r * r - x * x) - draw(st.integers(0, 1)), *draw(rest))
+            for x in draw(st.sets(st.integers(0, r), min_size=3, max_size=7))
+        ]
+    else:
+        rows = draw(
+            st.lists(
+                st.tuples(*[st.integers(-2, 2) for _ in atoms]),
+                min_size=2,
+                max_size=6,
+            )
+        )
+    rows += [row[::-1] for row in rows[: draw(st.integers(0, len(rows)))]]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    pool = [
+        Gamble.from_mapping(sp.omega(), dict(zip(atoms, map(F, row))))
+        for row in draw(st.permutations(rows))
+    ]
+    # The front lies over the first two atoms, so conditioning keeps them.
+    keep = set(atoms[:2]) if front else set()
+    b = sp.event(keep | draw(st.sets(st.sampled_from(atoms), min_size=1)))
+    return credal, pool, b
 
 
 # --- fixtures ------------------------------------------------------------------

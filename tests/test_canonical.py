@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credaltrees import (
     CanonicalInstanceA,
@@ -22,7 +24,9 @@ from credaltrees import (
     product_credal,
 )
 
-from conftest import build_maximin_failure
+from credaltrees.canonical import _Checker, _chosen_classes
+
+from conftest import build_maximin_failure, dominance_pools
 
 
 def g(sp, *values):
@@ -267,3 +271,47 @@ def test_scan_skips_zero_mass_splits():
     # splits that give either side zero mass cannot be conditioned on and are skipped
     assert report.instances_skipped > 0
     assert report.passed
+
+
+_SET_KINDS = (
+    "maximality",
+    "pointwise_dominance",
+    "interval_dominance",
+    "e_admissible",
+    "e_admissible_hull",
+)
+
+
+@pytest.mark.parametrize("kind", _SET_KINDS)
+@given(pools=dominance_pools(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scan_class_choices_match_the_choice_rules(kind, pools, data):
+    # The scan keeps its own copy of the set-valued rules over distinct
+    # classes; on any subset of the classes it must keep what the rule keeps.
+    credal, pool, b = pools
+    cf = ChoiceFunction(kind)
+    model = CredalModel(credal)
+    ev = _Checker(cf, model, b.space, pool, CanonicalLimits()).event_data(b)
+    every = range(len(ev.reps))
+    classes = tuple(
+        data.draw(
+            st.one_of(
+                st.just(every),
+                st.sets(st.sampled_from(every), min_size=1).map(sorted),
+            )
+        )
+    )
+    kept = {ev.rows[c] for c in _chosen_classes(ev, kind, classes)}
+    options = [pool[ev.reps[c]] for c in classes]
+    assert kept == {x.values_on(b) for x in cf.choose(options, model, b)}
+
+
+def test_scan_hull_constraints_include_undominated_non_winners(w2):
+    # The configuration of the matching test in test_choice.py: z is
+    # maximal and beats both member winners under some mixtures, but y
+    # beats it under each of those.
+    sp, credal = w2
+    pool = [g(sp, 41, 73), g(sp, -50, 150), g(sp, 60, 60), g(sp, 150, -50)]
+    cf = ChoiceFunction("e_admissible_hull")
+    ev = _Checker(cf, credal, sp, pool, CanonicalLimits()).event_data(sp.omega())
+    assert _chosen_classes(ev, cf.kind, (0, 1, 2, 3)) == {1, 2, 3}

@@ -19,7 +19,11 @@ from credaltrees import (
     choose_by_preorder,
     choose_e_admissible,
     choose_maximality,
+    choose_pointwise_dominance,
+    ratlp,
 )
+
+from conftest import dominance_pools
 
 
 @pytest.fixture
@@ -291,3 +295,86 @@ def test_value_kinds_distribute_over_unions(data, kind):
     whole = set(cf.choose(pool, model, om))
     merged = set(cf.choose(list(cf.choose(s, model, om)) + list(cf.choose(t, model, om)), model, om))
     assert whole == merged
+
+
+# --- differential tests against all-pairs references ----------------------------
+
+
+def _sums(credal, xs, b):
+    return [
+        [sum((p.mass(a) * x[a] for a in b.ordered), Fraction(0)) for x in xs]
+        for p in credal.members
+    ]
+
+
+def reference_maximality(credal, xs, b):
+    s = _sums(credal, xs, b)
+    return tuple(
+        x
+        for j, x in enumerate(xs)
+        if not any(all(r[jj] > r[j] for r in s) for jj in range(len(xs)))
+    )
+
+
+def reference_pointwise(xs, b):
+    rows = [x.values_on(b) for x in xs]
+    return tuple(
+        x
+        for j, x in enumerate(xs)
+        if not any(
+            rows[jj] != rows[j] and all(u >= v for u, v in zip(rows[jj], rows[j]))
+            for jj in range(len(xs))
+        )
+    )
+
+
+def reference_hull(credal, xs, b):
+    """Member winners, then one LP per other option with a row per option."""
+    s = _sums(credal, xs, b)
+    k = len(s)
+    out = []
+    for j, x in enumerate(xs):
+        if any(r[j] == max(r) for r in s) or ratlp.feasible(
+            k,
+            eqs=[([1] * k, 1)],
+            ges=[([r[j] - r[jj] for r in s], 0) for jj in range(len(xs))],
+        ):
+            out.append(x)
+    return tuple(out)
+
+
+@given(dominance_pools())
+@settings(max_examples=200, deadline=None)
+def test_maximality_matches_the_all_pairs_reference(data):
+    credal, pool, b = data
+    got = choose_maximality(pool, CredalModel(credal), b)
+    assert got == reference_maximality(credal, pool, b)
+
+
+@given(dominance_pools())
+@settings(max_examples=200, deadline=None)
+def test_pointwise_dominance_matches_the_all_pairs_reference(data):
+    credal, pool, b = data
+    got = choose_pointwise_dominance(pool, None, b)
+    assert got == reference_pointwise(pool, b)
+
+
+@given(dominance_pools())
+@settings(max_examples=150, deadline=None)
+def test_hull_e_admissibility_matches_the_unpruned_lp(data):
+    credal, pool, b = data
+    got = choose_e_admissible(pool, CredalModel(credal), b, hull=True)
+    assert got == reference_hull(credal, pool, b)
+
+
+def test_hull_constraints_include_undominated_non_winners(w2):
+    # Member sums (p1, p2): w1 (100, 0) and w0 (0, 100) are the member
+    # winners; y (60, 60) wins under the even mixture.  z (65, 49) beats both
+    # winners for mixtures near the middle, but y beats it wherever it does,
+    # so z is maximal without being hull E-admissible.
+    sp, p1, p2 = w2
+    credal = CredalModel(CredalSet((p1, p2)))
+    w1, w0, y, z = g(sp, -50, 150), g(sp, 150, -50), g(sp, 60, 60), g(sp, 41, 73)
+    pool = [z, w1, y, w0]
+    assert choose_maximality(pool, credal, sp.omega()) == (z, w1, y, w0)
+    assert choose_e_admissible(pool, credal, sp.omega(), hull=True) == (w1, y, w0)

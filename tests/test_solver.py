@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import credaltrees.solver as solver_module
 from credaltrees import (
     ChoiceFunction,
     DecisionNode,
@@ -27,6 +28,7 @@ from credaltrees import (
 )
 
 from conftest import (
+    build_alternating,
     build_eadm_failure,
     build_eadm_success,
     build_eu1,
@@ -285,3 +287,67 @@ def test_conditioned_solving_restricts_the_comparison(eu1):
     e2 = tree.space.event(["e2"])
     sol2 = normal_form_solution(tree, EU, model, e2)
     assert [kept(s) for s in sol2.strategies] == [{"N": "to_N1", "N1": "d2"}]
+
+
+@pytest.mark.parametrize(
+    "build, choice",
+    [
+        (build_eu1, EU),
+        (build_eu2, EU),
+        (build_eadm_failure, ChoiceFunction("e_admissible")),
+        (build_gamma_failure, ChoiceFunction("gamma_maximin")),
+        (build_imprecise_utility, ChoiceFunction("imprecise_utility")),
+    ],
+)
+def test_check_solves_the_full_tree_once_and_each_reached_node_once(
+    monkeypatch, build, choice
+):
+    tree, model = build()
+    real = solver_module.normal_form_solution
+    solved = []
+
+    def counting(t, *args, **kwargs):
+        solved.append(t.root.node_id)
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "normal_form_solution", counting)
+    verdicts = check_subtree_perfect(tree, choice, model)
+    root_id = tree.root.node_id
+    posed = [
+        v.node_id
+        for v in verdicts
+        if v.outcome is not Outcome.VACUOUS_HOLD and v.node_id != root_id
+    ]
+    assert solved == [root_id] + posed
+
+    root = verdicts[0]
+    assert root.node_id == root_id
+    assert root.outcome is Outcome.HOLD
+    full = real(tree, choice, model)
+    assert root.restricted_solution == root.local_solution == full.strategies
+
+    solved.clear()
+    alone = check_subtree_perfect_at(tree, choice, model, root_id)
+    assert solved == [root_id]
+    assert alone.outcome is root.outcome
+    assert alone.restricted_solution == root.restricted_solution
+    assert alone.local_solution == root.local_solution
+
+
+def test_hull_e_admissibility_solves_and_checks_the_five_level_tree():
+    # Seed 23 separates the three rules, and its solve and check both need
+    # hull LPs, feasible and infeasible ones.
+    tree, model = build_alternating(seed=23)
+    assert len(enumerate_strategies(tree)) == 2187
+    solutions = {
+        kind: set(normal_form_solution(tree, ChoiceFunction(kind), model).strategies)
+        for kind in ("e_admissible", "e_admissible_hull", "maximality")
+    }
+    assert (
+        solutions["e_admissible"]
+        < solutions["e_admissible_hull"]
+        < solutions["maximality"]
+    )
+    verdicts = check_subtree_perfect(tree, ChoiceFunction("e_admissible_hull"), model)
+    assert [v.node_id for v in verdicts] == list(tree.node_ids())
+    assert verdicts[0].outcome is Outcome.HOLD

@@ -95,6 +95,7 @@ from .trees import (
     gamble_of,
     leaf,
     path_event,
+    strategy_table,
     subtree_at,
     validate_tree,
 )

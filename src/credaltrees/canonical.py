@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlp
-from .choice import ChoiceFunction, _maximal
+from .choice import ChoiceFunction, _dot_rows, _maximal
 from .errors import InstanceInvalid, ZeroProbabilityCondition
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
@@ -325,18 +325,10 @@ class _EventData:
                     self.zero_mass = True
                 self.mass.append(pb)
             if not self.zero_mass:
-                atoms = event.ordered
-                for p in members:
-                    weights = [p.mass(a) for a in atoms]
-                    self.sums.append(
-                        [
-                            sum(
-                                (w * v for w, v in zip(weights, row)),
-                                Fraction(0),
-                            )
-                            for row in self.rows
-                        ]
-                    )
+                self.sums = _dot_rows(
+                    [[p.mass(a) for a in event.ordered] for p in members],
+                    self.rows,
+                )
         self.mins = [min(row) for row in self.rows]
         self._val: dict[str, list[Fraction]] = {}
         self._dom: Optional[list[frozenset]] = None
@@ -627,15 +619,15 @@ class _Checker:
             return row
         ev1, ev2 = block["e1"], block["e2"]
         k = range(len(ev1.mass))
-        pick = min if kind != "gamma_maximax" else max
-        c2 = pick(ev2.sums[m][zc] / ev2.mass[m] for m in k)
+        pick, side = (max, 1) if kind == "gamma_maximax" else (min, 0)
+        c1s = ev1.bounds()[side]
+        c2 = ev2.bounds()[side][zc]
         row = []
-        for ci in range(len(ev1.reps)):
+        for ci, c1 in enumerate(c1s):
             full = pick(
                 (ev1.sums[m][ci] + ev2.sums[m][zc]) / (ev1.mass[m] + ev2.mass[m])
                 for m in k
             )
-            c1 = pick(ev1.sums[m][ci] / ev1.mass[m] for m in k)
             staged = pick(
                 (c1 * ev1.mass[m] + c2 * ev2.mass[m]) / (ev1.mass[m] + ev2.mass[m])
                 for m in k

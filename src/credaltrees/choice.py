@@ -8,6 +8,8 @@ their values on the conditioning event.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -70,24 +72,47 @@ def _credal(model: UncertaintyModel, who: str) -> CredalModel:
     return model
 
 
+def _dot_rows(
+    weights: Sequence[Sequence[Fraction]], rows: Sequence[Sequence[Fraction]]
+) -> list[list[Fraction]]:
+    """out[i][j] = sum(w * v for w, v in zip(weights[i], rows[j])), exactly.
+
+    The values, and each weight vector, are scaled to integers over a common
+    denominator, so an entry costs one integer dot product and one Fraction
+    instead of a Fraction product and sum per term.
+    """
+    dv = math.lcm(*{v.denominator for row in rows for v in row})
+    scaled = [[v.numerator * (dv // v.denominator) for v in row] for row in rows]
+    out = []
+    for w in weights:
+        dw = math.lcm(*{x.denominator for x in w})
+        iw = [x.numerator * (dw // x.denominator) for x in w]
+        d = dv * dw
+        out.append([Fraction(sum(map(operator.mul, iw, r)), d) for r in scaled])
+    return out
+
+
+def _values_on(xs: Sequence[Gamble], b: Event) -> list[tuple[Fraction, ...]]:
+    """Each option's values on b; those on b itself need no lookup per atom."""
+    return [x.values if x.scope == b else x.values_on(b) for x in xs]
+
+
 def _member_sums(
-    model: CredalModel, xs: Sequence[Gamble], b: Event
+    model: CredalModel, xs: Sequence[Gamble], b: Event, conditional: bool = False
 ) -> list[list[Fraction]]:
     """sums[i][j] = sum over b of member_i's mass times xs[j]; exact and
-    unnormalised, with a zero-probability guard per member."""
-    out = []
+    unnormalised unless *conditional*, which divides by member_i's
+    probability of b; with a zero-probability guard per member."""
+    weights = []
     for p in model.credal.members:
-        if p.prob(b) == 0:
+        pb = p.prob(b)
+        if pb == 0:
             raise ZeroProbabilityCondition(
                 f"a credal member gives the conditioning event {b!r} probability zero"
             )
-        out.append(
-            [
-                sum((p.mass(a) * x[a] for a in b.ordered), Fraction(0))
-                for x in xs
-            ]
-        )
-    return out
+        masses = [p.mass(a) for a in b.ordered]
+        weights.append([m / pb for m in masses] if conditional else masses)
+    return _dot_rows(weights, _values_on(xs, b))
 
 
 def choose_eu(
@@ -95,9 +120,18 @@ def choose_eu(
 ) -> tuple[Gamble, ...]:
     """All options of maximal conditional expected utility."""
     _guard(xs, b)
-    if not isinstance(model, (JointModel, FactoredModel)):
+    if isinstance(model, JointModel):
+        p = model.p
+        if p.prob(b) == 0:
+            raise ZeroProbabilityCondition(
+                f"conditioning event {b!r} has probability zero"
+            )
+        # Unnormalised sums have the argmax of the conditional expectations.
+        values = _dot_rows([[p.mass(a) for a in b.ordered]], _values_on(xs, b))[0]
+    elif isinstance(model, FactoredModel):
+        values = [precise_gamble_value(model, x, b) for x in xs]
+    else:
         raise ModeUnsupported("expected utility needs a joint or factored model")
-    values = [precise_gamble_value(model, x, b) for x in xs]
     return _argmax(xs, values)
 
 
@@ -109,7 +143,7 @@ def choose_maximin(
     No probabilities are involved; any model passed in is ignored.
     """
     _guard(xs, b)
-    values = [min(x.values_on(b)) for x in xs]
+    values = [min(v) for v in _values_on(xs, b)]
     return _argmax(xs, values)
 
 
@@ -119,12 +153,7 @@ def choose_gamma_maximin(
     """All options of maximal lower expectation."""
     _guard(xs, b)
     model = _credal(model, "gamma_maximin")
-    sums = _member_sums(model, xs, b)
-    pbs = [p.prob(b) for p in model.credal.members]
-    values = [
-        min(sums[i][j] / pbs[i] for i in range(len(pbs)))
-        for j in range(len(xs))
-    ]
+    values = [min(e) for e in zip(*_member_sums(model, xs, b, conditional=True))]
     return _argmax(xs, values)
 
 
@@ -134,12 +163,7 @@ def choose_gamma_maximax(
     """All options of maximal upper expectation."""
     _guard(xs, b)
     model = _credal(model, "gamma_maximax")
-    sums = _member_sums(model, xs, b)
-    pbs = [p.prob(b) for p in model.credal.members]
-    values = [
-        max(sums[i][j] / pbs[i] for i in range(len(pbs)))
-        for j in range(len(xs))
-    ]
+    values = [max(e) for e in zip(*_member_sums(model, xs, b, conditional=True))]
     return _argmax(xs, values)
 
 
@@ -234,18 +258,9 @@ def choose_interval_dominance(
     """All options whose upper expectation reaches the best lower expectation."""
     _guard(xs, b)
     model = _credal(model, "interval_dominance")
-    sums = _member_sums(model, xs, b)
-    pbs = [p.prob(b) for p in model.credal.members]
-    lowers = [
-        min(sums[i][j] / pbs[i] for i in range(len(pbs)))
-        for j in range(len(xs))
-    ]
-    uppers = [
-        max(sums[i][j] / pbs[i] for i in range(len(pbs)))
-        for j in range(len(xs))
-    ]
-    threshold = max(lowers)
-    return tuple(x for j, x in enumerate(xs) if uppers[j] >= threshold)
+    expectations = list(zip(*_member_sums(model, xs, b, conditional=True)))
+    threshold = max(min(e) for e in expectations)
+    return tuple(x for x, e in zip(xs, expectations) if max(e) >= threshold)
 
 
 def choose_pointwise_dominance(
@@ -257,7 +272,7 @@ def choose_pointwise_dominance(
     somewhere strictly more.
     """
     _guard(xs, b)
-    rows = [x.values_on(b) for x in xs]
+    rows = _values_on(xs, b)
     return tuple(xs[j] for j in _undominated(rows, _pointwise_dominates, sum))
 
 

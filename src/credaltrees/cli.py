@@ -530,6 +530,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, CredalTreeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        # Every traversal is recursive, so a deep enough input ends here
+        # rather than in exit 1, which means "not subtree perfect".
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ Reports are plain data and render identically for identical configs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -35,9 +36,7 @@ from .trees import (
     PossibilitySpace,
     chance,
     decision,
-    enumerate_strategies,
-    gamble_of,
-    subtree_at,
+    strategy_table,
     validate_tree,
 )
 from .uncertainty import (
@@ -373,10 +372,6 @@ def _parents(tree: DecisionTree) -> dict[str, Optional[str]]:
     return out
 
 
-def _sub_gambles(tree: DecisionTree, node_id: str) -> list[Gamble]:
-    return [gamble_of(s) for s in enumerate_strategies(subtree_at(tree, node_id))]
-
-
 def harvest(
     tree: DecisionTree, failing_node: str, pool_cap: int = 24, event_cap: int = 10
 ) -> tuple[tuple[Gamble, ...], tuple[Event, ...], bool]:
@@ -396,29 +391,30 @@ def harvest(
         on_path.add(cur)
         cur = parents[cur]
 
+    table = strategy_table(tree)
     ordered: list[Gamble] = []
     seen: set[tuple] = set()
 
-    def add(g: Gamble) -> None:
-        key = (g.scope, g.values)
-        if key not in seen:
-            seen.add(key)
-            ordered.append(g)
+    def add(node_id: str) -> None:
+        """Add the gambles of the strategies of the subtree at *node_id*."""
+        scope = tree.scope_of(node_id)
+        for _, values in table[node_id]:
+            key = (scope, values)
+            if key not in seen:
+                seen.add(key)
+                ordered.append(Gamble(scope, values))
 
-    for g in _sub_gambles(tree, failing_node):
-        add(g)
+    add(failing_node)
     cur = parents[failing_node]
     while cur is not None:
         node = tree.find(cur)
         if isinstance(node, DecisionNode):
             for arc in node.arcs:
                 if arc.child.node_id not in on_path:
-                    for g in _sub_gambles(tree, arc.child.node_id):
-                        add(g)
+                    add(arc.child.node_id)
         cur = parents[cur]
     for nid in tree.node_ids():
-        for g in _sub_gambles(tree, nid):
-            add(g)
+        add(nid)
 
     truncated = len(ordered) > pool_cap
     pool = tuple(ordered[:pool_cap])
@@ -572,17 +568,7 @@ def fuzz_equivalence(
     first, reporting the instance it finds.
     """
     if model_sampler is not None:
-        cfg = FuzzConfig(
-            seed=cfg.seed,
-            tree_count=cfg.tree_count,
-            max_depth=cfg.max_depth,
-            max_branching=cfg.max_branching,
-            omega_size=cfg.omega_size,
-            reward_low=cfg.reward_low,
-            reward_high=cfg.reward_high,
-            model_sampler=model_sampler,
-            max_strategies=cfg.max_strategies,
-        )
+        cfg = dataclasses.replace(cfg, model_sampler=model_sampler)
     records = []
     inconsistent = []
     for index in range(cfg.tree_count):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .choice import ChoiceFunction
-from .errors import UnknownNode, ZeroProbabilityCondition
+from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
 from .trees import (
     ChanceNode,
     DecisionArc,
@@ -25,9 +25,12 @@ from .trees import (
     GambleLeaf,
     Leaf,
     Node,
+    Row,
     Strategy,
+    # Unused here, but perfbench/spans.py wraps these two module attributes.
     enumerate_strategies,
     gamble_of,
+    strategy_table,
     subtree_at,
 )
 from .uncertainty import (
@@ -54,25 +57,48 @@ def normal_form_solution(
     choice: ChoiceFunction,
     model: Optional[UncertaintyModel],
     b: Optional[Event] = None,
+    *,
+    table: Optional[dict[str, list[Row]]] = None,
 ) -> NormalFormSolution:
-    """Solve *tree* in normal form, conditional on *b* (root scope by default)."""
-    if b is None:
-        b = tree.root_scope
-    strategies = enumerate_strategies(tree)
-    gambles = [gamble_of(s) for s in strategies]
+    """Solve *tree* in normal form, conditional on *b* (root scope by default).
 
+    *table* may be the `strategy_table` of a tree that contains this tree's
+    root at this tree's root scope, as every subtree of a checked tree
+    does; it saves enumerating the strategies again and never changes the
+    result.
+    """
+    scope = tree.root_scope
+    if b is None:
+        b = scope
+    if table is None:
+        table = strategy_table(tree)
+    rows = table[tree.root.node_id]
+    if rows and b != scope:
+        if not b <= scope:
+            raise ScopeMismatch("event is not contained in the gamble's scope")
+        at = {a: i for i, a in enumerate(scope.ordered)}
+        positions = [at[a] for a in b.ordered]
+    else:
+        positions = None
+
+    # One gamble per distinct value tuple on b, each on the whole scope.
+    # Hashing a key hashes every Fraction in it, so each key is hashed once.
+    classes: dict[tuple, int] = {}
     distinct: list[Gamble] = []
-    keys: dict[tuple, int] = {}
-    for g in gambles:
-        key = g.values_on(b)
-        if key not in keys:
-            keys[key] = len(distinct)
-            distinct.append(g)
+    class_of: list[int] = []
+    for _, values in rows:
+        key = values if positions is None else tuple(values[i] for i in positions)
+        c = classes.setdefault(key, len(distinct))
+        if c == len(distinct):
+            distinct.append(Gamble(scope, values))
+        class_of.append(c)
 
     chosen = choice.choose(distinct, model, b)
-    chosen_keys = {g.values_on(b) for g in chosen}
+    chosen_classes = {classes.get(g.values_on(b)) for g in chosen}
     kept = tuple(
-        s for s, g in zip(strategies, gambles) if g.values_on(b) in chosen_keys
+        Strategy(tree.space, v, scope)
+        for (v, _), c in zip(rows, class_of)
+        if c in chosen_classes
     )
     return NormalFormSolution(tree, kept, b, choice)
 
@@ -128,6 +154,7 @@ def _verdict_at(
     model: Optional[UncertaintyModel],
     full: NormalFormSolution,
     node_id: str,
+    table: dict[str, list[Row]],
 ) -> PerfectnessVerdict:
     restricted = restrict_solution(full, node_id)
     if not restricted:
@@ -138,7 +165,7 @@ def _verdict_at(
     else:
         try:
             local = normal_form_solution(
-                subtree_at(tree, node_id), choice, model
+                subtree_at(tree, node_id), choice, model, table=table
             ).strategies
         except ZeroProbabilityCondition as exc:
             return PerfectnessVerdict(
@@ -157,8 +184,9 @@ def check_subtree_perfect_at(
     """Compare the full solution restricted to *node_id* with the local solution."""
     if not tree.contains(node_id):
         raise UnknownNode(f"no node with id {node_id!r}")
-    full = normal_form_solution(tree, choice, model)
-    return _verdict_at(tree, choice, model, full, node_id)
+    table = strategy_table(tree)
+    full = normal_form_solution(tree, choice, model, table=table)
+    return _verdict_at(tree, choice, model, full, node_id, table)
 
 
 def check_subtree_perfect(
@@ -166,10 +194,16 @@ def check_subtree_perfect(
     choice: ChoiceFunction,
     model: Optional[UncertaintyModel],
 ) -> tuple[PerfectnessVerdict, ...]:
-    """One verdict per node, in preorder; the full solution is computed once."""
-    full = normal_form_solution(tree, choice, model)
+    """One verdict per node, in preorder.
+
+    The strategy table is built once and shared by every local solve, and
+    the full solution is computed once.
+    """
+    table = strategy_table(tree)
+    full = normal_form_solution(tree, choice, model, table=table)
     return tuple(
-        _verdict_at(tree, choice, model, full, nid) for nid in tree.node_ids()
+        _verdict_at(tree, choice, model, full, nid, table)
+        for nid in tree.node_ids()
     )
 
 

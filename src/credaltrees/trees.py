@@ -8,6 +8,7 @@ hashable so strategies can be compared and deduplicated structurally.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -471,39 +472,114 @@ def subtree_at(tree: DecisionTree, node_id: str) -> DecisionTree:
     return type(tree)(tree.space, tree.find(node_id), tree.scope_of(node_id))
 
 
+#: one strategy variant of a node's subtree with the rewards it induces on
+#: the node's scope, in the scope's atom order
+Row = tuple[Node, tuple[Reward, ...]]
+
+
+def strategy_table(tree: DecisionTree) -> dict[str, list[Row]]:
+    """Every node's strategy variants with the values they induce, in one pass.
+
+    ``table[node_id]`` lists the variants of the subtree at *node_id* in
+    `enumerate_strategies` order, each paired with the values of `gamble_of`
+    on the matching strategy of ``subtree_at(tree, node_id)``.  The pass is
+    bottom-up: a leaf gives one row, a decision node concatenates its
+    children's rows, and a chance node takes the product of its children's
+    rows and merges their value tuples.  Raises what `gamble_of` raises on
+    some strategy of the tree.
+    """
+    table: dict[str, list[Row]] = {}
+    _build_rows(tree.root, tree.root_scope, table)
+    return table
+
+
+def _build_rows(
+    node: Node, scope: Event, table: dict[str, list[Row]]
+) -> tuple[list[Row], frozenset]:
+    """Fill in the rows of *node* and below; return them and the reward kinds
+    occurring in them.  (A module function: a recursive closure would tie
+    the table into a reference cycle and keep it alive until a full
+    garbage collection.)"""
+    if isinstance(node, (Leaf, GambleLeaf)):
+        if isinstance(node, Leaf):
+            values = (node.reward,) * len(scope)
+        else:
+            values = tuple(node.gamble[a] for a in scope.ordered)
+        rows = [(node, values)]
+        kinds = frozenset(map(_reward_kind, set(values)))
+    elif isinstance(node, DecisionNode):
+        rows, kinds = [], frozenset()
+        for arc in node.arcs:
+            child_rows, child_kinds = _build_rows(arc.child, scope, table)
+            kinds |= child_kinds
+            rows.extend(
+                (DecisionNode(node.node_id, (DecisionArc(arc.label, v),)), values)
+                for v, values in child_rows
+            )
+    elif isinstance(node, ChanceNode):
+        scopes = [scope & arc.event for arc in node.arcs]
+        children, kinds = [], frozenset()
+        for arc, child_scope in zip(node.arcs, scopes):
+            child_rows, child_kinds = _build_rows(arc.child, child_scope, table)
+            kinds |= child_kinds
+            # one arc object per child row, shared by every combination
+            children.append([(ChanceArc(arc.event, v), vs) for v, vs in child_rows])
+        rows = []
+        if all(children):
+            merge = _merge_plan(scope, scopes)
+            for combo in itertools.product(*children):
+                values = tuple(itertools.chain.from_iterable(c[1] for c in combo))
+                if merge is not None:
+                    values = merge(values)
+                # only a product can put both kinds into one row
+                if len(kinds) > 1 and len(set(map(_reward_kind, values))) > 1:
+                    raise MixedRewardKinds("a gamble cannot mix numbers and labels")
+                rows.append(
+                    (ChanceNode(node.node_id, tuple(c[0] for c in combo)), values)
+                )
+    else:
+        raise TypeError(f"unknown node type {type(node).__name__}")
+    table[node.node_id] = rows
+    return rows, kinds
+
+
+def _merge_plan(scope: Event, scopes: list[Event]):
+    """How a chance node's values come from its children's concatenated ones.
+
+    Each atom of *scope* is read from the last arc whose scope holds it, as
+    `gamble_of` assigns them; None means the concatenation is already in
+    the scope's atom order.
+    """
+    position: dict[str, int] = {}
+    start = 0
+    for child_scope in scopes:
+        for p, a in enumerate(child_scope.ordered):
+            position[a] = start + p
+        start += len(child_scope)
+    missing = [a for a in scope.ordered if a not in position]
+    if missing:
+        raise ScopeMismatch(
+            f"strategy leaves atoms {missing} without a reward; was the tree validated?"
+        )
+    plan = [position[a] for a in scope.ordered]
+    if plan == list(range(start)):
+        return None
+    if len(plan) == 1:
+        return lambda values, p=plan[0]: (values[p],)
+    return operator.itemgetter(*plan)
+
+
 def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
     """All strategies of *tree*, in canonical order.
 
     The order is lexicographic in the indices of the kept decision arcs,
     walking the tree depth first.  Decision nodes sitting below an arc that
     a strategy does not keep are simply absent from it, which is what makes
-    the enumeration free of duplicates.
+    the enumeration free of duplicates.  Raises what `gamble_of` raises on
+    some strategy, because the strategies come from `strategy_table`.
     """
-
-    def variants(node: Node) -> list[Node]:
-        if isinstance(node, (Leaf, GambleLeaf)):
-            return [node]
-        if isinstance(node, DecisionNode):
-            out: list[Node] = []
-            for arc in node.arcs:
-                for child in variants(arc.child):
-                    out.append(DecisionNode(node.node_id, (DecisionArc(arc.label, child),)))
-            return out
-        if isinstance(node, ChanceNode):
-            choices = [variants(arc.child) for arc in node.arcs]
-            out = []
-            for combo in itertools.product(*choices):
-                arcs = tuple(
-                    ChanceArc(arc.event, child)
-                    for arc, child in zip(node.arcs, combo)
-                )
-                out.append(ChanceNode(node.node_id, arcs))
-            return out
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    return tuple(
-        Strategy(tree.space, v, tree.root_scope) for v in variants(tree.root)
-    )
+    rows = strategy_table(tree)[tree.root.node_id]
+    return tuple(Strategy(tree.space, v, tree.root_scope) for v, _ in rows)
 
 
 def gamble_of(strategy: DecisionTree) -> Gamble:

@@ -32,11 +32,11 @@ from .trees import (
     Leaf,
     Node,
     PossibilitySpace,
+    Row,
     Strategy,
     as_rational,
-    enumerate_strategies,
     gamble_of,
-    subtree_at,
+    strategy_table,
 )
 
 
@@ -217,6 +217,10 @@ class TreeFactoredAssessment:
     arc_probs: Mapping[str, tuple[Fraction, ...]]
     _gamble_cache: dict = field(default_factory=dict, repr=False)
 
+    @cached_property
+    def _strategy_table(self) -> dict[str, list[Row]]:
+        return strategy_table(self.tree)
+
     def __post_init__(self) -> None:
         for node, _ in self.tree.nodes():
             if isinstance(node, ChanceNode):
@@ -316,6 +320,8 @@ def _factored_gamble_value(
     gamble is valued by finding the strategies of the subtrees rooted at
     nodes whose path event is *b* that induce the same gamble on *b*; their
     factored expectations must agree, and that common value is returned.
+    The candidates are the rows of the assessment's strategy table, built
+    once per assessment.
     """
     key = (x.scope, x.values, b)
     if key in a._gamble_cache:
@@ -327,10 +333,9 @@ def _factored_gamble_value(
     for node, scope in a.tree.nodes():
         if scope != b:
             continue
-        sub = subtree_at(a.tree, node.node_id)
-        for s in enumerate_strategies(sub):
-            g = gamble_of(s)
-            if g.values_on(b) == target:
+        for v, values in a._strategy_table[node.node_id]:
+            if values == target:
+                s = Strategy(a.tree.space, v, scope)
                 found.append((node.node_id, factored_expectation(a, s)))
     if not found:
         raise UnrepresentableGamble(

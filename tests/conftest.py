@@ -5,6 +5,7 @@ re-model without cross-talk.  Node ids and arc labels match the shipped
 problem files (N1, N2, d1, A1, ...) so failures read naturally.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,19 +14,27 @@ import pytest
 from hypothesis import strategies as st
 
 from credaltrees import (
+    ChanceArc,
+    ChanceNode,
     CredalModel,
     CredalSet,
+    DecisionArc,
+    DecisionNode,
     DecisionTree,
     FactoredModel,
     Gamble,
+    GambleLeaf,
     JointModel,
+    Leaf,
     MassFunction,
     PossibilitySpace,
+    Strategy,
     TreeFactoredAssessment,
     UtilityFunctionSet,
     UtilityModel,
     chance,
     decision,
+    gamble_of,
     leaf,
     validate_tree,
 )
@@ -493,6 +502,58 @@ def dominance_pools(draw):
     keep = set(atoms[:2]) if front else set()
     b = sp.event(keep | draw(st.sets(st.sampled_from(atoms), min_size=1)))
     return credal, pool, b
+
+
+# --- references for the strategy table ------------------------------------------
+
+
+def reference_strategies(tree):
+    """The strategies of *tree* from the recursive enumerator that
+    `strategy_table` replaced: depth first, last chance arc varying fastest."""
+
+    def variants(node):
+        if isinstance(node, (Leaf, GambleLeaf)):
+            return [node]
+        if isinstance(node, DecisionNode):
+            return [
+                DecisionNode(node.node_id, (DecisionArc(arc.label, child),))
+                for arc in node.arcs
+                for child in variants(arc.child)
+            ]
+        return [
+            ChanceNode(
+                node.node_id,
+                tuple(ChanceArc(arc.event, c) for arc, c in zip(node.arcs, combo)),
+            )
+            for combo in itertools.product(*(variants(a.child) for a in node.arcs))
+        ]
+
+    return [Strategy(tree.space, v, tree.root_scope) for v in variants(tree.root)]
+
+
+def reference_solution(tree, choice, model, b=None):
+    """The normal form solution by enumeration, `gamble_of` and dedup on b."""
+    b = tree.root_scope if b is None else b
+    strategies = reference_strategies(tree)
+    gambles = [gamble_of(s) for s in strategies]
+    distinct = {}
+    for g in gambles:
+        distinct.setdefault(g.values_on(b), g)
+    chosen = {g.values_on(b) for g in choice.choose(list(distinct.values()), model, b)}
+    return tuple(s for s, g in zip(strategies, gambles) if g.values_on(b) in chosen)
+
+
+def example_problems():
+    """(name, tree, model) for every worked example; model None if it has none."""
+    out = []
+    for build in (build_eu1, build_eu2, build_eu3, build_imprecise_utility,
+                  build_eadm_success, build_eadm_failure, build_maximin_failure,
+                  build_gamma_failure):
+        tree, model = build()
+        out.append((build.__name__[6:], tree, model))
+    out.append(("lake", build_lake(), None))
+    out.append(("alternating", *build_alternating(seed=23)))
+    return out
 
 
 # --- fixtures ------------------------------------------------------------------

@@ -16,12 +16,14 @@ from credaltrees import (
     PossibilitySpace,
     UtilityModel,
     UtilityFunctionSet,
+    ZeroProbabilityCondition,
     choose_by_preorder,
     choose_e_admissible,
     choose_maximality,
     choose_pointwise_dominance,
     ratlp,
 )
+from credaltrees.choice import _dot_rows, choose_eu
 
 from conftest import dominance_pools
 
@@ -378,3 +380,39 @@ def test_hull_constraints_include_undominated_non_winners(w2):
     pool = [z, w1, y, w0]
     assert choose_maximality(pool, credal, sp.omega()) == (z, w1, y, w0)
     assert choose_e_admissible(pool, credal, sp.omega(), hull=True) == (w1, y, w0)
+
+
+# --- the exact integer kernel -----------------------------------------------------
+
+values = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+masses = st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=40))
+
+
+@st.composite
+def weights_and_rows(draw):
+    # One atom is a one-atom event; masses may be zero and need not sum to 1.
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.lists(masses, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=6))
+    return weights, rows
+
+
+@given(weights_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_dot_rows_matches_fraction_sums(data):
+    weights, rows = data
+    got = _dot_rows(weights, rows)
+    assert got == [
+        [sum((w * v for w, v in zip(ws, row)), Fraction(0)) for row in rows]
+        for ws in weights
+    ]
+    assert all(type(x) is Fraction for sums in got for x in sums)
+
+
+def test_eu_under_a_joint_model_keeps_its_zero_probability_message():
+    sp = PossibilitySpace(("w1", "w2"))
+    p = MassFunction.from_mapping(sp, {"w1": 1, "w2": 0})
+    with pytest.raises(
+        ZeroProbabilityCondition, match=r"conditioning event .* has probability zero"
+    ):
+        choose_eu([g(sp, 1, 2)], JointModel(p), sp.event(["w2"]))

@@ -306,3 +306,26 @@ def test_fuzz_expected_utility_is_quiet(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "failing trees: 0" in out
+
+
+@pytest.mark.parametrize("depth", [300, 600])
+def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
+    # 300 levels overflow the recursive traversals, 600 the JSON decoder.
+    node = '{"id": "L", "kind": "leaf", "reward": 1}'
+    for i in range(depth):
+        stop = '{"id": "S%d", "kind": "leaf", "reward": 0}' % i
+        node = (
+            '{"id": "D%d", "kind": "decision", "arcs": [{"label": "go", "child": %s},'
+            ' {"label": "stop", "child": %s}]}' % (i, node, stop)
+        )
+    tree = tmp_path / "chain.tree.json"
+    tree.write_text('{"atoms": ["a"], "tree": %s}' % node)
+    model = tmp_path / "chain.model.json"
+    model.write_text('{"mode": "joint", "mass": {"a": "1"}}')
+    code = run(
+        ["check", "--tree", str(tree), "--model", str(model), "--choice", "maximin"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -1,18 +1,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import credaltrees.solver as solver_module
 from credaltrees import (
+    KINDS,
     ChoiceFunction,
+    CredalTreeError,
     DecisionNode,
     DecisionTree,
+    Gamble,
+    GambleLeaf,
     JointModel,
     MassFunction,
+    MixedRewardKinds,
     Outcome,
     PossibilitySpace,
+    ScopeMismatch,
     all_hold,
     backward_induct_eu,
+    chance,
     check_subtree_perfect,
     check_subtree_perfect_at,
     decision,
@@ -23,9 +32,11 @@ from credaltrees import (
     lower_expectation,
     normal_form_solution,
     restrict_solution,
+    strategy_table,
     subtree_at,
     validate_tree,
 )
+from credaltrees.fuzz import FuzzConfig, gen_random_tree
 
 from conftest import (
     build_alternating,
@@ -38,6 +49,9 @@ from conftest import (
     build_gamma_failure,
     build_imprecise_utility,
     build_maximin_failure,
+    example_problems,
+    reference_solution,
+    reference_strategies,
 )
 
 
@@ -351,3 +365,116 @@ def test_hull_e_admissibility_solves_and_checks_the_five_level_tree():
     verdicts = check_subtree_perfect(tree, ChoiceFunction("e_admissible_hull"), model)
     assert [v.node_id for v in verdicts] == list(tree.node_ids())
     assert verdicts[0].outcome is Outcome.HOLD
+
+
+# --- the table-driven solver against the enumerating reference -------------------
+
+RULES = tuple(kind for kind in KINDS if kind != "by_preorder")
+
+
+def solved(solve):
+    """What a solve returns, or the type of the error it raises."""
+    try:
+        return solve()
+    except (CredalTreeError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_solves_match(tree, model, b, kinds=RULES, table=None):
+    """Every rule solves *tree* as the reference does, with and without a
+    table (by default its own), or fails with the same error type; returns
+    how many solved."""
+    table = strategy_table(tree) if table is None else table
+    supported = 0
+    for kind in kinds:
+        choice = ChoiceFunction(kind)
+        expected = solved(lambda: reference_solution(tree, choice, model, b))
+        plain = solved(lambda: normal_form_solution(tree, choice, model, b).strategies)
+        shared = solved(
+            lambda: normal_form_solution(tree, choice, model, b, table=table).strategies
+        )
+        assert plain == shared == expected, kind
+        supported += isinstance(expected, tuple)
+    return supported
+
+
+def inner_event(tree, draw):
+    """An event strictly inside the root scope: a node's scope or any subset."""
+    scopes = [s for _, s in tree.nodes() if s != tree.root_scope]
+    atoms = tree.root_scope.ordered
+    subset = tree.space.event(
+        draw(st.sets(st.sampled_from(atoms), min_size=1, max_size=len(atoms) - 1))
+    )
+    return draw(st.sampled_from(scopes + [subset]))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_normal_form_solution_matches_the_reference_on_random_trees(seed, sampler, data):
+    cfg = FuzzConfig(seed=seed, tree_count=1, model_sampler=sampler, max_strategies=24)
+    tree, model = gen_random_tree(cfg, 0)
+    assert assert_solves_match(tree, model, None) > 0
+    assert_solves_match(tree, model, inner_event(tree, data.draw))
+    # Local solves read the rows of the whole tree's table.
+    table = strategy_table(tree)
+    kind = data.draw(st.sampled_from(RULES))
+    for nid in tree.node_ids():
+        assert_solves_match(subtree_at(tree, nid), model, None, (kind,), table)
+
+
+SMALL_EXAMPLES = [p for p in example_problems() if p[0] != "alternating"]
+
+
+@pytest.mark.parametrize(
+    "tree, model", [p[1:] for p in SMALL_EXAMPLES], ids=[p[0] for p in SMALL_EXAMPLES]
+)
+def test_normal_form_solution_matches_the_reference_on_the_examples(tree, model):
+    assert assert_solves_match(tree, model, None) > 0
+    inner = [s for _, s in tree.nodes() if s != tree.root_scope]
+    if inner:
+        assert_solves_match(tree, model, inner[-1])
+    table = strategy_table(tree)
+    for nid in tree.node_ids():
+        assert_solves_match(subtree_at(tree, nid), model, None, table=table)
+
+
+def unvalidated_tree(case):
+    sp = PossibilitySpace(("a", "b"))
+    a, b = sp.event(["a"]), sp.event(["b"])
+    if case == "uncovered atom":
+        root = decision("N", [("x", leaf("L1", 1)), ("y", chance("C", [(a, leaf("L2", 2))]))])
+    elif case == "gamble leaf misses an atom":
+        root = decision("N", [("x", leaf("L1", 1)), ("y", GambleLeaf("G", Gamble.constant(a, 2)))])
+    elif case == "strategy mixes kinds":
+        inner = decision("D", [("x", leaf("L1", "low")), ("y", leaf("L2", 1))])
+        root = chance("N", [(a, inner), (b, leaf("L3", 2))])
+    else:  # kinds differ between strategies, none mixes them
+        root = decision("N", [("x", leaf("L1", "low")), ("y", leaf("L2", 1))])
+    return DecisionTree(sp, root)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("uncovered atom", ScopeMismatch),
+        ("gamble leaf misses an atom", ScopeMismatch),
+        ("strategy mixes kinds", MixedRewardKinds),
+        ("kinds differ between strategies", ValueError),
+    ],
+)
+def test_unvalidated_trees_fail_as_gamble_of_does(case, error):
+    tree = unvalidated_tree(case)
+    gambles = solved(lambda: [gamble_of(s) for s in reference_strategies(tree)])
+    if error is ValueError:
+        # Every strategy has a gamble; maximin then refuses the labels.
+        assert isinstance(gambles, list)
+    else:
+        assert gambles is error
+        assert solved(lambda: strategy_table(tree)) is error
+    maximin = ChoiceFunction("maximin")
+    assert solved(lambda: reference_solution(tree, maximin, None)) is error
+    assert solved(lambda: normal_form_solution(tree, maximin, None)) is error

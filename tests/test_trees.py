@@ -23,11 +23,13 @@ from credaltrees import (
     gamble_of,
     leaf,
     path_event,
+    strategy_table,
     subtree_at,
     validate_tree,
 )
+from credaltrees.fuzz import FuzzConfig, gen_random_tree
 
-from conftest import build_eu1, build_lake
+from conftest import build_eu1, build_lake, example_problems, reference_strategies
 
 
 def test_space_event_algebra():
@@ -238,3 +240,58 @@ def test_strategy_count_multiplies_over_arcs(tree):
         return 1
 
     assert len(enumerate_strategies(tree)) == count(tree.root)
+
+
+# --- the strategy table against the recursive enumerator ------------------------
+
+
+def assert_table_matches_the_reference(tree):
+    table = strategy_table(tree)
+    assert set(table) == set(tree.node_ids())
+    for nid in tree.node_ids():
+        reference = reference_strategies(subtree_at(tree, nid))
+        assert table[nid] == [(s.root, gamble_of(s).values) for s in reference]
+    assert enumerate_strategies(tree) == tuple(reference_strategies(tree))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
+    st.integers(2, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_strategy_table_matches_the_reference_on_random_trees(seed, sampler, depth):
+    cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=depth, model_sampler=sampler)
+    tree, _ = gen_random_tree(cfg, 0)
+    assert_table_matches_the_reference(tree)
+
+
+@given(small_trees())
+@settings(max_examples=40, deadline=None)
+def test_strategy_table_matches_the_reference_on_small_trees(tree):
+    assert_table_matches_the_reference(tree)
+
+
+@pytest.mark.parametrize(
+    "tree", [p[1] for p in example_problems()], ids=[p[0] for p in example_problems()]
+)
+def test_strategy_table_matches_the_reference_on_the_examples(tree):
+    assert_table_matches_the_reference(tree)
+
+
+def test_strategy_table_reads_overlapping_arcs_like_gamble_of():
+    # Unvalidated: both arcs cover "b"; gamble_of keeps the later arc's reward.
+    sp = PossibilitySpace(("a", "b", "c"))
+    root = chance(
+        "N",
+        [
+            (sp.event(["b", "c"]), decision("D", [("x", leaf("L1", 1)), ("y", leaf("L2", 2))])),
+            (sp.event(["a", "b"]), leaf("L3", 3)),
+        ],
+    )
+    tree = DecisionTree(sp, root)
+    rows = strategy_table(tree)["N"]
+    assert [values for _, values in rows] == [
+        gamble_of(s).values for s in reference_strategies(tree)
+    ]
+    assert [values for _, values in rows] == [(Fraction(3), Fraction(3), Fraction(1)), (Fraction(3), Fraction(3), Fraction(2))]

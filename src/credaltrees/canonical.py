@@ -14,22 +14,21 @@ reports the first instance on which the full-tree solution restricted to
 the inner decision node disagrees with the locally computed solution.  It
 is a falsifier, not a prover: a pass means no counterexample in the pool.
 
-The per-kind evaluators mirror the normal form pipeline algebraically so
-millions of instances stay affordable; a deterministic sample of instances
-and every reported counterexample are re-run through the actual tree
-pipeline, and any disagreement raises immediately.
+So that millions of instances stay affordable, the scan applies the choice
+rules of ``choice`` to per-event tables of the distinct pool gambles instead
+of building trees, and settles whole blocks of instances at once where the
+algebra decides them.  A deterministic sample of instances, bulk-settled
+ones included, and every reported counterexample are re-run through the
+actual tree pipeline, and any disagreement raises immediately.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import ratlp
-from .choice import ChoiceFunction, _dot_rows, _maximal
+from .choice import MODEL_FREE, RULES, ChoiceFunction, OptionTable
 from .errors import InstanceInvalid, ZeroProbabilityCondition
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
@@ -162,10 +161,10 @@ def make_canonical_b(inst: CanonicalInstanceB) -> DecisionTree:
 class CanonicalLimits:
     """Bounds on the instance enumeration.
 
-    ``max_instances`` of None means exhaustive; otherwise the enumeration is
-    thinned deterministically, by a fixed stride over the whole instance
-    space or, with ``sample_mode="prefix"``, by taking the first instances
-    in order (useful when the pool and events are ordered by relevance).
+    ``max_instances`` of None means exhaustive; otherwise the scan stops
+    after the first ``max_instances`` instances in plan order (shapes in
+    the given order, then events, then options), which suits pools and
+    events ordered by relevance.
     ``require_marginal_extension`` skips shape (a) instances on which the
     model's lower expectation fails the two-stage decomposition identity;
     that is the hypothesis under which the one-value rules are expected to
@@ -178,7 +177,6 @@ class CanonicalLimits:
     events_a: Optional[tuple[Event, ...]] = None
     events_b: Optional[tuple[Event, ...]] = None
     max_instances: Optional[int] = None
-    sample_mode: str = "stride"
     verify_sample: int = 24
     require_marginal_extension: bool = False
 
@@ -186,10 +184,10 @@ class CanonicalLimits:
         for s in self.shapes:
             if s not in ("a", "b"):
                 raise ValueError(f"unknown shape {s!r}")
-        if self.sample_mode not in ("stride", "prefix"):
-            raise ValueError(f"unknown sample mode {self.sample_mode!r}")
         if self.max_xs < 1 or self.max_ys < 1:
             raise ValueError("option count bounds must be at least 1")
+        if self.max_instances is not None and self.max_instances < 1:
+            raise ValueError("the instance budget must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +245,10 @@ def _instance_json(inst) -> dict:
 
 # --- reference evaluation through the tree pipeline ---------------------------
 
+_PASS = ("pass", ())
+_SKIP = ("skip", ())
+_FAIL_N1 = ("fail", ("N1",))
+
 
 def _pipeline_verdict(
     choice: ChoiceFunction, model: Optional[UncertaintyModel], inst
@@ -260,19 +262,15 @@ def _pipeline_verdict(
     try:
         verdicts = check_subtree_perfect(tree, choice, model)
     except ZeroProbabilityCondition:
-        return "skip", ()
+        return _SKIP
     if any(v.outcome is Outcome.ERROR for v in verdicts):
-        return "skip", ()
+        return _SKIP
     fails = tuple(v.node_id for v in verdicts if v.outcome is Outcome.FAIL)
-    return ("fail", fails) if fails else ("pass", ())
+    return ("fail", fails) if fails else _PASS
 
 
 # --- fast evaluation ----------------------------------------------------------
 
-_VALUE_KINDS = ("eu", "maximin", "gamma_maximin", "gamma_maximax")
-_SET_KINDS = ("maximality", "e_admissible", "e_admissible_hull",
-              "interval_dominance", "pointwise_dominance")
-_FAST_KINDS = _VALUE_KINDS + _SET_KINDS
 # kinds whose shape (a) comparison is unchanged by the gamble shared on the
 # complement side: expectation shifts cancel from argmax (eu) and from the
 # pairwise differences the set-valued rules compare
@@ -292,20 +290,20 @@ def all_events(space: PossibilitySpace) -> tuple[Event, ...]:
 
 
 class _EventData:
-    """Pool gambles deduplicated and preprocessed on one event."""
+    """Pool gambles deduplicated into classes on one event, and their table.
+
+    ``table`` is None when some model member gives the event mass zero.
+    """
 
     def __init__(self, checker: "_Checker", event: Event):
-        self.event = event
-        pool = checker.pool
-        self.elig = tuple(
-            i for i in range(len(pool)) if event <= pool[i].scope
-        )
         self.cls_of: dict[int, int] = {}
         self.reps: list[int] = []
         self.rows: list[tuple] = []
         seen: dict[tuple, int] = {}
-        for i in self.elig:
-            row = pool[i].values_on(event)
+        for i, g in enumerate(checker.pool):
+            if not event <= g.scope:
+                continue
+            row = g.values_on(event)
             cid = seen.get(row)
             if cid is None:
                 cid = len(self.reps)
@@ -313,166 +311,62 @@ class _EventData:
                 self.reps.append(i)
                 self.rows.append(row)
             self.cls_of[i] = cid
+        try:
+            self.table: Optional[OptionTable] = OptionTable.on(
+                event, self.rows, checker.members
+            )
+        except ZeroProbabilityCondition:
+            self.table = None
 
-        members = checker.members
-        self.zero_mass = False
-        self.mass: list[Fraction] = []
-        self.sums: list[list[Fraction]] = []
-        if members is not None:
-            for p in members:
-                pb = p.prob(event)
-                if pb == 0:
-                    self.zero_mass = True
-                self.mass.append(pb)
-            if not self.zero_mass:
-                self.sums = _dot_rows(
-                    [[p.mass(a) for a in event.ordered] for p in members],
-                    self.rows,
-                )
-        self.mins = [min(row) for row in self.rows]
-        self._val: dict[str, list[Fraction]] = {}
-        self._dom: Optional[list[frozenset]] = None
-        self._pdom: Optional[list[frozenset]] = None
-        self._rank: Optional[list[list[int]]] = None
-        self._lo: Optional[list[Fraction]] = None
-        self._up: Optional[list[Fraction]] = None
-
-    def value(self, kind: str) -> list[Fraction]:
-        vals = self._val.get(kind)
-        if vals is None:
-            k = range(len(self.mass))
-            if kind == "eu":
-                vals = list(self.sums[0])
-            elif kind == "maximin":
-                vals = list(self.mins)
-            elif kind == "gamma_maximin":
-                vals = [
-                    min(self.sums[m][c] / self.mass[m] for m in k)
-                    for c in range(len(self.reps))
-                ]
-            elif kind == "gamma_maximax":
-                vals = [
-                    max(self.sums[m][c] / self.mass[m] for m in k)
-                    for c in range(len(self.reps))
-                ]
-            else:
-                raise ValueError(f"{kind!r} is not a one-value kind")
-            self._val[kind] = vals
-        return vals
-
-    def dom(self) -> list[frozenset]:
-        """dom()[c] is the set of classes c strictly dominates memberwise."""
-        if self._dom is None:
-            n = len(self.reps)
-            k = range(len(self.sums))
-            self._dom = [
-                frozenset(
-                    d
-                    for d in range(n)
-                    if d != c
-                    and all(self.sums[m][c] > self.sums[m][d] for m in k)
-                )
-                for c in range(n)
-            ]
-        return self._dom
-
-    def pdom(self) -> list[frozenset]:
-        if self._pdom is None:
-            n = len(self.reps)
-            self._pdom = [
-                frozenset(
-                    d
-                    for d in range(n)
-                    if d != c
-                    and all(a >= b for a, b in zip(self.rows[c], self.rows[d]))
-                    and self.rows[c] != self.rows[d]
-                )
-                for c in range(n)
-            ]
-        return self._pdom
-
-    def rank(self) -> list[list[int]]:
-        """Dense per-member ranks of the class sums, 0 best; ties share."""
-        if self._rank is None:
-            out = []
-            for sums in self.sums:
-                order = sorted(set(sums), reverse=True)
-                pos = {v: r for r, v in enumerate(order)}
-                out.append([pos[v] for v in sums])
-            self._rank = out
-        return self._rank
-
-    def bounds(self) -> tuple[list[Fraction], list[Fraction]]:
-        if self._lo is None:
-            k = range(len(self.mass))
-            self._lo = [
-                min(self.sums[m][c] / self.mass[m] for m in k)
-                for c in range(len(self.reps))
-            ]
-            self._up = [
-                max(self.sums[m][c] / self.mass[m] for m in k)
-                for c in range(len(self.reps))
-            ]
-        return self._lo, self._up
+    def classes(self, combo: Sequence[int]) -> tuple[int, ...]:
+        """The distinct classes of the pool gambles in *combo*, ascending."""
+        return tuple(sorted({self.cls_of[i] for i in combo}))
 
 
-def _chosen_classes(ev: _EventData, kind: str, classes: tuple[int, ...]) -> frozenset:
-    """The classes a set-valued rule keeps out of *classes* on ev's event."""
-    cs = set(classes)
-    if kind == "maximality":
-        dom = ev.dom()
-        return frozenset(
-            c for c in cs if not any(c in dom[d] for d in cs if d != c)
-        )
-    if kind == "pointwise_dominance":
-        dom = ev.pdom()
-        return frozenset(
-            c for c in cs if not any(c in dom[d] for d in cs if d != c)
-        )
-    if kind == "interval_dominance":
-        lo, up = ev.bounds()
-        thr = max(lo[c] for c in cs)
-        return frozenset(c for c in cs if up[c] >= thr)
-    if kind in ("e_admissible", "e_admissible_hull"):
-        rank = ev.rank()
-        out = set()
-        for r in rank:
-            best = min(r[c] for c in cs)
-            out.update(c for c in cs if r[c] == best)
-        if kind == "e_admissible_hull":
-            k = len(ev.sums)
-            ones = [Fraction(1)] * k
-            ordered = sorted(cs)
-            # As in choice.choose_e_admissible: only maxima can be hull
-            # E-admissible, and only their constraints bind.
-            maxima = [
-                ordered[i]
-                for i in _maximal([[row[c] for c in ordered] for row in ev.sums])
-            ]
-            for c in maxima:
-                if c in out:
-                    continue
-                rows = [
-                    (
-                        [ev.sums[m][c] - ev.sums[m][d] for m in range(k)],
-                        Fraction(0),
-                    )
-                    for d in maxima
-                    if d != c
-                ]
-                if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
-                    out.add(c)
-        return frozenset(out)
-    raise ValueError(f"{kind!r} is not a set-valued kind")
+def _chosen_classes(ev: _EventData, kind: str, classes: Sequence[int]) -> frozenset:
+    """The classes rule *kind* keeps out of *classes* on ev's event."""
+    return frozenset(RULES[kind](ev.table, classes))
 
 
-def _dedup(seq) -> tuple:
-    return tuple(dict.fromkeys(seq))
+def _composite(ev1: _EventData, ev2: _EventData, zc: int) -> OptionTable:
+    """The table, on e1 | e2, of every e1 class followed by e2 class zc."""
+    t1, t2 = ev1.table, ev2.table
+    z = ev2.rows[zc]
+    return OptionTable(
+        [row + z for row in ev1.rows],
+        [w1 + w2 for w1, w2 in zip(t1.weights, t2.weights)],
+        [m1 + m2 for m1, m2 in zip(t1.mass, t2.mass)],
+    )
+
+
+def _mask(classes) -> int:
+    out = 0
+    for c in classes:
+        out |= 1 << c
+    return out
 
 
 def _mask_classes(mask: int) -> tuple[int, ...]:
     """Class ids packed in a bitmask, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _pairs(nx: int, ny: int, unordered: bool):
+    """A block's (row, column) pairs in plan order."""
+    for ci in range(nx):
+        for cj in range(ci if unordered else 0, ny):
+            yield ci, cj
+
+
+def _pair_at(k: int, ny: int, unordered: bool) -> tuple[int, int]:
+    """The k-th pair of ``_pairs``, without walking the pairs before it."""
+    if not unordered:
+        return divmod(k, ny)
+    ci = 0
+    while k >= ny - ci:
+        k -= ny - ci
+        ci += 1
+    return ci, ci + k
 
 
 class _Checker:
@@ -494,16 +388,19 @@ class _Checker:
         for g in self.pool:
             if g.scope.space != space:
                 raise ValueError("pool gambles live in a different space")
-        if isinstance(model, JointModel):
-            self.members: Optional[list[MassFunction]] = [model.p]
+        # the members the rule reads: none for a model-free rule, so that no
+        # event of zero mass under an unused model is skipped
+        self.members: Optional[Sequence[MassFunction]] = None
+        if choice.kind in MODEL_FREE:
+            self.members = ()
+        elif isinstance(model, JointModel):
+            self.members = (model.p,)
         elif isinstance(model, CredalModel):
-            self.members = list(model.credal.members)
-        else:
-            self.members = None
+            self.members = model.credal.members
         self.fast = (
-            choice.kind in _FAST_KINDS
+            choice.kind in RULES
             and all(g.is_numeric for g in self.pool)
-            and (self.members is not None or choice.kind in ("maximin", "pointwise_dominance"))
+            and self.members is not None
         )
         self._events: dict[Event, _EventData] = {}
 
@@ -514,99 +411,96 @@ class _Checker:
             self._events[event] = ev
         return ev
 
-    # -- shape (b) ---------------------------------------------------------
+    # -- judges: (ci, cj) -> verdict, or a whole block settled in bulk --------
 
-    def _combo_stats_b(self, ev: _EventData, combos: list[tuple[int, ...]], kind: str):
-        """Per combo, as class bitmasks hoisted out of the pair loop.
+    def _judge_b(self, b: Event, xcombos, ycombos, unordered: bool):
+        """Shape (b): the rule over the union of both offers against each alone.
 
-        Value kinds get (classes, rank of the best value, argmax classes),
-        ranking the classes' values densely so that the pair loop compares
-        ints instead of Fractions; set-valued kinds get (classes, chosen
-        classes within the combo alone).
+        A one-value rule keeps either all of argmax(X) or nothing of X from
+        X | Y, so the whole block passes.
         """
-        cls_of = ev.cls_of
-        stats = []
-        if kind in _VALUE_KINDS:
-            rank = {v: r for r, v in enumerate(sorted(set(ev.value(kind))))}
-            vals = [rank[v] for v in ev.value(kind)]
+        ev = self.event_data(b)
+        if ev.table is None:
+            return "skip"
+        if self.choice.is_value_based:
+            return "pass"
+        kind = self.choice.kind
+
+        def stats(combos):
+            # per combo: its classes, and the classes the rule keeps of them
+            out = []
             for combo in combos:
-                cids = _dedup(cls_of[i] for i in combo)
-                top = max(vals[c] for c in cids)
-                mask = arg = 0
-                for c in cids:
-                    mask |= 1 << c
-                    if vals[c] == top:
-                        arg |= 1 << c
-                stats.append((mask, top, arg))
-        else:
-            for combo in combos:
-                cids = _dedup(cls_of[i] for i in combo)
-                mask = 0
-                for c in cids:
-                    mask |= 1 << c
-                ch = _chosen_classes(ev, kind, cids)
-                cm = 0
-                for c in ch:
-                    cm |= 1 << c
-                stats.append((mask, cm))
-        return stats
+                cids = ev.classes(combo)
+                out.append((_mask(cids), _mask(_chosen_classes(ev, kind, cids))))
+            return out
 
-    def _chosen_mask(self, ev: _EventData, kind: str, union: int, cache: dict) -> int:
-        """Chosen-class mask over a union of combos, memoized per union."""
-        cs = cache.get(union)
-        if cs is None:
-            cs = 0
-            for c in _chosen_classes(ev, kind, _mask_classes(union)):
-                cs |= 1 << c
-            cache[union] = cs
-        return cs
+        xstats = stats(xcombos)
+        ystats = xstats if unordered else stats(ycombos)
+        chosen: dict[int, int] = {}  # union of classes -> kept classes
 
-    def _verdict_b_fast(
-        self, ev: _EventData, kind: str, sx, sy, ucache: dict
-    ) -> tuple[str, tuple[str, ...]]:
-        if kind in _VALUE_KINDS:
-            mx, vx, ax = sx
-            my, vy, ay = sy
-            if vx > vy:
-                cs = ax
-            elif vy > vx:
-                cs = ay
-            else:
-                cs = ax | ay
-        else:
-            mx, ax = sx
-            my, ay = sy
-            cs = self._chosen_mask(ev, kind, mx | my, ucache)
-        fails = []
-        rx = cs & mx
-        if rx and rx != ax:
-            fails.append("N1")
-        ry = cs & my
-        if ry and ry != ay:
-            fails.append("N2")
-        return ("fail", tuple(fails)) if fails else ("pass", ())
+        def judge(ci: int, cj: int):
+            mx, ax = xstats[ci]
+            my, ay = ystats[cj]
+            union = mx | my
+            cs = chosen.get(union)
+            if cs is None:
+                cs = _mask(_chosen_classes(ev, kind, _mask_classes(union)))
+                chosen[union] = cs
+            rx = cs & mx
+            ry = cs & my
+            fails = ()
+            if rx and rx != ax:
+                fails = ("N1",)
+            if ry and ry != ay:
+                fails += ("N2",)
+            return ("fail", fails) if fails else _PASS
 
-    # -- shape (a) ---------------------------------------------------------
+        return judge
 
-    def _block_a(self, a: Event, b: Event):
-        """Preprocessed state shared by all instances at one (A, B)."""
-        e1 = a & b
-        e2 = a.complement() & b
-        ev1 = self.event_data(e1)
-        ev2 = self.event_data(e2)
-        if self.members is not None and (ev1.zero_mass or ev2.zero_mass):
-            return None
-        return {
-            "a": a,
-            "b": b,
-            "e1": ev1,
-            "e2": ev2,
-            "me": {},
-            "col": {},
-            "icol": {},
-        }
+    def _judge_a(self, a: Event, b: Event, combos, eligz):
+        """Shape (a): the rule on the composite gambles against xs alone.
 
-    def _me_row(self, block, kind: str, zc: int) -> list:
+        For the kinds whose comparison the shared z cancels from, the whole
+        block passes, unless the marginal extension filter must look at
+        each instance.
+        """
+        ev1 = self.event_data(a & b)
+        ev2 = self.event_data(a.complement() & b)
+        if ev1.table is None or ev2.table is None:
+            return "skip"
+        kind = self.choice.kind
+        filtered = self.limits.require_marginal_extension and bool(self.members)
+        cancels = kind in _SHARED_Z_CANCELS
+        if cancels and not filtered:
+            return "pass"
+        rule = RULES[kind]
+        cids = [ev1.classes(combo) for combo in combos]
+        local = [None if cancels else rule(ev1.table, c) for c in cids]
+        zcs = [ev2.cls_of[zi] for zi in eligz]
+        composites: dict[int, OptionTable] = {}
+        me_rows: dict[int, list[bool]] = {}
+
+        def judge(ci: int, zj: int):
+            zc = zcs[zj]
+            full = composites.get(zc)
+            if full is None:
+                full = composites[zc] = _composite(ev1, ev2, zc)
+            c = cids[ci]
+            if filtered:
+                me = me_rows.get(zc)
+                if me is None:
+                    me = me_rows[zc] = self._me_row(ev1, ev2, full, zc)
+                if not all(me[x] for x in c):
+                    return _SKIP
+            if cancels or rule(full, c) == local[ci]:
+                return _PASS
+            return _FAIL_N1
+
+        return judge
+
+    def _me_row(
+        self, ev1: _EventData, ev2: _EventData, full: OptionTable, zc: int
+    ) -> list[bool]:
         """Two-stage decomposition verdicts for every class against z-class zc.
 
         Entry c is True when the conditional lower (or upper, for the
@@ -614,161 +508,18 @@ class _Checker:
         the two-valued gamble built from the stagewise envelope values;
         tested exactly.
         """
-        row = block["me"].get(zc)
-        if row is not None:
-            return row
-        ev1, ev2 = block["e1"], block["e2"]
-        k = range(len(ev1.mass))
-        pick, side = (max, 1) if kind == "gamma_maximax" else (min, 0)
-        c1s = ev1.bounds()[side]
-        c2 = ev2.bounds()[side][zc]
-        row = []
-        for ci, c1 in enumerate(c1s):
-            full = pick(
-                (ev1.sums[m][ci] + ev2.sums[m][zc]) / (ev1.mass[m] + ev2.mass[m])
-                for m in k
-            )
-            staged = pick(
-                (c1 * ev1.mass[m] + c2 * ev2.mass[m]) / (ev1.mass[m] + ev2.mass[m])
-                for m in k
-            )
-            row.append(full == staged)
-        block["me"][zc] = row
-        return row
-
-    def _gamma_column(self, block, kind: str, zc: int) -> list:
-        """Composite gamma values for every class against z-class zc."""
-        col = block["col"].get(zc)
-        if col is None:
-            ev1, ev2 = block["e1"], block["e2"]
-            k = range(len(ev1.mass))
-            pick = min if kind == "gamma_maximin" else max
-            col = [
-                pick(
-                    (ev1.sums[m][c] + ev2.sums[m][zc])
-                    / (ev1.mass[m] + ev2.mass[m])
-                    for m in k
-                )
-                for c in range(len(ev1.reps))
-            ]
-            block["col"][zc] = col
-        return col
-
-    def _interval_column(self, block, zc: int) -> tuple[list, list]:
-        """Composite expectation bounds for every class against z-class zc."""
-        col = block["icol"].get(zc)
-        if col is None:
-            ev1, ev2 = block["e1"], block["e2"]
-            k = range(len(ev1.mass))
-            los, ups = [], []
-            for c in range(len(ev1.reps)):
-                vals = [
-                    (ev1.sums[m][c] + ev2.sums[m][zc])
-                    / (ev1.mass[m] + ev2.mass[m])
-                    for m in k
-                ]
-                los.append(min(vals))
-                ups.append(max(vals))
-            col = (los, ups)
-            block["icol"][zc] = col
-        return col
-
-    def _combo_stats_a(self, block, kind: str, combos: list[tuple[int, ...]]):
-        """Per combo: (classes, local argmax/threshold data), z-independent.
-
-        For eu and the set-valued kinds the shared z cancels from the
-        comparison exactly, so the full and local solutions coincide by
-        algebra and only the class list is kept (the sampled pipeline
-        runs still guard that shortcut).  The other kinds carry the local
-        argmax as a bitmask for the per-instance comparison.
-        """
-        ev1 = block["e1"]
-        cls_of = ev1.cls_of
-        stats = []
-        if kind in ("gamma_maximin", "gamma_maximax", "maximin"):
-            lv = ev1.mins if kind == "maximin" else ev1.value(kind)
-            for combo in combos:
-                cids = _dedup(cls_of[i] for i in combo)
-                topl = max(lv[c] for c in cids)
-                lmask = 0
-                for c in cids:
-                    if lv[c] == topl:
-                        lmask |= 1 << c
-                stats.append((cids, lmask))
-        elif kind == "interval_dominance":
-            lo1, up1 = ev1.bounds()
-            for combo in combos:
-                cids = _dedup(cls_of[i] for i in combo)
-                thr = max(lo1[c] for c in cids)
-                lmask = 0
-                for c in cids:
-                    if up1[c] >= thr:
-                        lmask |= 1 << c
-                stats.append((cids, lmask))
+        t1, t2 = ev1.table, ev2.table
+        if self.choice.kind == "gamma_maximax":
+            pick, side = max, "upper"
         else:
-            for combo in combos:
-                stats.append((_dedup(cls_of[i] for i in combo), 0))
-        return stats
-
-    def _eval_a(self, block, kind: str, stat, zc: int):
-        """Verdict for one shape (a) instance from hoisted per-combo data."""
-        cids, lmask = stat
-        if self.limits.require_marginal_extension and self.members is not None:
-            me = self._me_row(block, kind, zc)
-            if any(not me[c] for c in cids):
-                return "skip", ()
-        if kind in ("gamma_maximin", "gamma_maximax"):
-            col = self._gamma_column(block, kind, zc)
-            best = None
-            fmask = 0
-            for c in cids:
-                v = col[c]
-                if best is None or v > best:
-                    best = v
-                    fmask = 1 << c
-                elif v == best:
-                    fmask |= 1 << c
-        elif kind == "maximin":
-            mins1 = block["e1"].mins
-            mz = block["e2"].mins[zc]
-            best = None
-            fmask = 0
-            for c in cids:
-                v = mins1[c]
-                if v > mz:
-                    v = mz
-                if best is None or v > best:
-                    best = v
-                    fmask = 1 << c
-                elif v == best:
-                    fmask |= 1 << c
-        elif kind == "interval_dominance":
-            los, ups = self._interval_column(block, zc)
-            thr = max(los[c] for c in cids)
-            fmask = 0
-            for c in cids:
-                if ups[c] >= thr:
-                    fmask |= 1 << c
-        else:
-            # eu: the shared z shifts every option's expectation equally;
-            # set-valued kinds: comparisons depend on pairwise differences
-            # and the shared z cancels from them, so full equals local.
-            return "pass", ()
-        return ("pass", ()) if fmask == lmask else ("fail", ("N1",))
-
-    # -- instance reconstruction and verification ---------------------------
-
-    def _instance_b(self, b: Event, cx, cy) -> CanonicalInstanceB:
-        return CanonicalInstanceB(
-            tuple(self.pool[i] for i in cx),
-            tuple(self.pool[i] for i in cy),
-            b,
-        )
-
-    def _instance_a(self, a: Event, b: Event, combo, zi) -> CanonicalInstanceA:
-        return CanonicalInstanceA(
-            a, tuple(self.pool[i] for i in combo), self.pool[zi], b
-        )
+            pick, side = min, "lower"
+        c2 = getattr(t2, side)[zc]
+        masses = list(zip(t1.mass, t2.mass))
+        return [
+            composite
+            == pick((c1 * m1 + c2 * m2) / (m1 + m2) for m1, m2 in masses)
+            for c1, composite in zip(getattr(t1, side), getattr(full, side))
+        ]
 
     def _verify(self, inst, fast: tuple[str, tuple[str, ...]]) -> None:
         ref = _pipeline_verdict(self.choice, self.model, inst)
@@ -788,7 +539,13 @@ class _Checker:
         ]
 
     def _plan(self) -> tuple[list, int]:
-        """Blocks of instances, in deterministic order, plus the total count."""
+        """Blocks of instances, in deterministic order, plus the total count.
+
+        A block is (shape, A or None, B, rows, columns, unordered, size): its
+        instances are the (row, column) pairs of ``_pairs``.  Shape (b) rows
+        and columns are combos of pool indices; shape (a) rows are combos
+        and columns single pool indices, the z gamble.
+        """
         lim = self.limits
         events = all_events(self.space)
         bs = lim.events_b if lim.events_b is not None else events
@@ -817,7 +574,7 @@ class _Checker:
                     else:
                         n = len(xcombos) * len(ycombos)
                     if n:
-                        blocks.append(("b", b, xcombos, ycombos, unordered, n))
+                        blocks.append(("b", None, b, xcombos, ycombos, unordered, n))
                         total += n
             else:
                 for a in as_:
@@ -841,334 +598,92 @@ class _Checker:
                         combos = self._combos(eligx, lim.max_xs)
                         n = len(combos) * len(eligz)
                         if n:
-                            blocks.append(("a", (a, b), combos, eligz, n))
+                            blocks.append(("a", a, b, combos, eligz, False, n))
                             total += n
         return blocks, total
 
+    def _block(self, shape: str, a, b: Event, rows, cols, unordered: bool):
+        """(judge, build) for one block.
+
+        build(ci, cj) makes the instance; judge(ci, cj) gives its verdict,
+        or judge is "skip" or "pass" when the whole block is settled at once.
+        """
+        pool = self.pool
+        if shape == "b":
+
+            def build(ci: int, cj: int):
+                return CanonicalInstanceB(
+                    tuple(pool[i] for i in rows[ci]),
+                    tuple(pool[i] for i in cols[cj]),
+                    b,
+                )
+
+        else:
+
+            def build(ci: int, zj: int):
+                return CanonicalInstanceA(
+                    a, tuple(pool[i] for i in rows[ci]), pool[cols[zj]], b
+                )
+
+        if not self.fast:
+            return (
+                lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj))
+            ), build
+        if shape == "b":
+            return self._judge_b(b, rows, cols, unordered), build
+        return self._judge_a(a, b, rows, cols), build
+
     def run(self) -> CanonicalReport:
-        # The scan visits millions of instances, so the inner loops below
-        # are written flat: plain counters, bitmask verdicts, and arithmetic
-        # selection of the sampled indices instead of per-instance closures.
         lim = self.limits
         blocks, total = self._plan()
         kind = self.choice.kind
-
-        budget = lim.max_instances
-        stride = 1
-        if budget is not None and budget > 0 and total > budget:
-            stride = -(-total // budget)  # ceil
-        prefix = lim.sample_mode == "prefix"
-        if prefix:
-            planned = total if budget is None else min(total, budget)
-        else:
-            planned = -(-total // stride) if total else 0
-        vstride = max(1, planned // max(1, lim.verify_sample))
-        # selection is contiguous-from-the-start unless a stride thins it
-        contiguous = budget is None or prefix or stride == 1
+        budget = total if lim.max_instances is None else min(total, lim.max_instances)
+        # fast verdicts are re-run through the pipeline at this cadence, and
+        # every fast counterexample before it is reported
+        vstride = max(1, budget // max(1, lim.verify_sample))
 
         examined = skipped = verified = 0
         next_verify = 1  # examined-counts at which a pipeline check runs
         failure = None
-        base = 0  # global index of the current block's first instance
+        base = 0  # plan index of the current block's first instance
 
-        for block in blocks:
-            n = block[-1]
-            if contiguous:
-                if budget is not None and prefix and base >= budget:
-                    break
-                sel_count = n
-                if budget is not None and prefix:
-                    sel_count = min(n, budget - base)
-                sel_from = base
-            else:
-                sel_from = base + (-base) % stride
-                end = base + n
-                sel_count = (
-                    (end - 1 - sel_from) // stride + 1 if sel_from < end else 0
-                )
-            if sel_count == 0:
-                base += n
-                continue
-
-            if block[0] == "b":
-                _, b, xcombos, ycombos, unordered, _n = block
-                ny = len(ycombos)
-                if not self.fast:
-                    bound = sel_count if contiguous else n
-                    k = 0
-                    done = False
-                    for ci in range(len(xcombos)):
-                        if done:
-                            break
-                        for cj in range(ci if unordered else 0, ny):
-                            if k >= bound:
-                                done = True
-                                break
-                            g = base + k
-                            k += 1
-                            if not contiguous and g % stride:
-                                continue
-                            inst = self._instance_b(b, xcombos[ci], ycombos[cj])
-                            verdict = _pipeline_verdict(
-                                self.choice, self.model, inst
-                            )
-                            if verdict[0] == "skip":
-                                skipped += 1
-                                continue
-                            examined += 1
-                            if verdict[0] == "fail":
-                                failure = ("b", inst, verdict[1])
-                                done = True
-                                break
-                else:
-                    ev = self.event_data(b)
-                    if self.members is not None and ev.zero_mass:
-                        skipped += sel_count
-                        base += n
-                        continue
-                    xstats = self._combo_stats_b(ev, xcombos, kind)
-                    ystats = (
-                        xstats
-                        if unordered
-                        else self._combo_stats_b(ev, ycombos, kind)
-                    )
-                    ucache: dict = {}
-                    if contiguous and kind in _VALUE_KINDS:
-                        k = 0
-                        done = False
-                        for ci in range(len(xcombos)):
-                            if done or k >= sel_count:
-                                break
-                            mx, vx, ax = xstats[ci]
-                            for cj in range(ci if unordered else 0, ny):
-                                if k >= sel_count:
-                                    done = True
-                                    break
-                                k += 1
-                                my, vy, ay = ystats[cj]
-                                if vx > vy:
-                                    cs = ax
-                                elif vy > vx:
-                                    cs = ay
-                                else:
-                                    cs = ax | ay
-                                rx = cs & mx
-                                ry = cs & my
-                                if (rx and rx != ax) or (ry and ry != ay):
-                                    fails = []
-                                    if rx and rx != ax:
-                                        fails.append("N1")
-                                    if ry and ry != ay:
-                                        fails.append("N2")
-                                    inst = self._instance_b(
-                                        b, xcombos[ci], ycombos[cj]
-                                    )
-                                    examined += 1
-                                    self._verify(inst, ("fail", tuple(fails)))
-                                    verified += 1
-                                    failure = ("b", inst, tuple(fails))
-                                    done = True
-                                    break
-                                examined += 1
-                                if examined == next_verify:
-                                    next_verify += vstride
-                                    inst = self._instance_b(
-                                        b, xcombos[ci], ycombos[cj]
-                                    )
-                                    self._verify(inst, ("pass", ()))
-                                    verified += 1
-                    elif contiguous:
-                        k = 0
-                        done = False
-                        for ci in range(len(xcombos)):
-                            if done or k >= sel_count:
-                                break
-                            mx, ax = xstats[ci]
-                            for cj in range(ci if unordered else 0, ny):
-                                if k >= sel_count:
-                                    done = True
-                                    break
-                                k += 1
-                                my, ay = ystats[cj]
-                                cs = self._chosen_mask(ev, kind, mx | my, ucache)
-                                rx = cs & mx
-                                ry = cs & my
-                                if (rx and rx != ax) or (ry and ry != ay):
-                                    fails = []
-                                    if rx and rx != ax:
-                                        fails.append("N1")
-                                    if ry and ry != ay:
-                                        fails.append("N2")
-                                    inst = self._instance_b(
-                                        b, xcombos[ci], ycombos[cj]
-                                    )
-                                    examined += 1
-                                    self._verify(inst, ("fail", tuple(fails)))
-                                    verified += 1
-                                    failure = ("b", inst, tuple(fails))
-                                    done = True
-                                    break
-                                examined += 1
-                                if examined == next_verify:
-                                    next_verify += vstride
-                                    inst = self._instance_b(
-                                        b, xcombos[ci], ycombos[cj]
-                                    )
-                                    self._verify(inst, ("pass", ()))
-                                    verified += 1
-                    else:
-                        # thinned by stride: map each selected global index
-                        # back to its (row, column) pair
-                        if unordered:
-                            offs = [0] * (len(xcombos) + 1)
-                            for ci in range(len(xcombos)):
-                                offs[ci + 1] = offs[ci] + (ny - ci)
-                        for g in range(sel_from, base + n, stride):
-                            k = g - base
-                            if unordered:
-                                ci = bisect.bisect_right(offs, k) - 1
-                                cj = ci + (k - offs[ci])
-                            else:
-                                ci, cj = divmod(k, ny)
-                            verdict = self._verdict_b_fast(
-                                ev, kind, xstats[ci], ystats[cj], ucache
-                            )
-                            examined += 1
-                            if verdict[0] == "fail":
-                                inst = self._instance_b(
-                                    b, xcombos[ci], ycombos[cj]
-                                )
-                                self._verify(inst, verdict)
-                                verified += 1
-                                failure = ("b", inst, verdict[1])
-                                break
-                            if examined == next_verify:
-                                next_verify += vstride
-                                inst = self._instance_b(
-                                    b, xcombos[ci], ycombos[cj]
-                                )
-                                self._verify(inst, ("pass", ()))
-                                verified += 1
-            else:
-                _, (a, b), combos, eligz, _n = block
-                nz = len(eligz)
-                if not self.fast:
-                    bound = sel_count if contiguous else n
-                    k = 0
-                    done = False
-                    for ci in range(len(combos)):
-                        if done:
-                            break
-                        for zj in range(nz):
-                            if k >= bound:
-                                done = True
-                                break
-                            g = base + k
-                            k += 1
-                            if not contiguous and g % stride:
-                                continue
-                            inst = self._instance_a(a, b, combos[ci], eligz[zj])
-                            verdict = _pipeline_verdict(
-                                self.choice, self.model, inst
-                            )
-                            if verdict[0] == "skip":
-                                skipped += 1
-                                continue
-                            examined += 1
-                            if verdict[0] == "fail":
-                                failure = ("a", inst, verdict[1])
-                                done = True
-                                break
-                else:
-                    blk = self._block_a(a, b)
-                    if blk is None:
-                        skipped += sel_count
-                        base += n
-                        continue
-                    filtered = (
-                        lim.require_marginal_extension and self.members is not None
-                    )
-                    if contiguous and not filtered and kind in _SHARED_Z_CANCELS:
-                        # every instance passes by the shared-z cancellation;
-                        # count in bulk, keeping the verification cadence
-                        prev = examined
-                        examined += sel_count
-                        while next_verify <= examined:
-                            k = next_verify - prev - 1
-                            inst = self._instance_a(
-                                a, b, combos[k // nz], eligz[k % nz]
-                            )
-                            self._verify(inst, ("pass", ()))
-                            verified += 1
-                            next_verify += vstride
-                    else:
-                        stats = self._combo_stats_a(blk, kind, combos)
-                        cls2 = blk["e2"].cls_of
-                        zcs = [cls2[zi] for zi in eligz]
-                        if contiguous:
-                            k = 0
-                            done = False
-                            for ci in range(len(combos)):
-                                if done or k >= sel_count:
-                                    break
-                                stat = stats[ci]
-                                for zj in range(nz):
-                                    if k >= sel_count:
-                                        done = True
-                                        break
-                                    k += 1
-                                    verdict = self._eval_a(
-                                        blk, kind, stat, zcs[zj]
-                                    )
-                                    if verdict[0] == "skip":
-                                        skipped += 1
-                                        continue
-                                    examined += 1
-                                    if verdict[0] == "fail":
-                                        inst = self._instance_a(
-                                            a, b, combos[ci], eligz[zj]
-                                        )
-                                        self._verify(inst, verdict)
-                                        verified += 1
-                                        failure = ("a", inst, verdict[1])
-                                        done = True
-                                        break
-                                    if examined == next_verify:
-                                        next_verify += vstride
-                                        inst = self._instance_a(
-                                            a, b, combos[ci], eligz[zj]
-                                        )
-                                        self._verify(inst, ("pass", ()))
-                                        verified += 1
-                        else:
-                            for g in range(sel_from, base + n, stride):
-                                k = g - base
-                                ci, zj = divmod(k, nz)
-                                verdict = self._eval_a(
-                                    blk, kind, stats[ci], zcs[zj]
-                                )
-                                if verdict[0] == "skip":
-                                    skipped += 1
-                                    continue
-                                examined += 1
-                                if verdict[0] == "fail":
-                                    inst = self._instance_a(
-                                        a, b, combos[ci], eligz[zj]
-                                    )
-                                    self._verify(inst, verdict)
-                                    verified += 1
-                                    failure = ("a", inst, verdict[1])
-                                    break
-                                if examined == next_verify:
-                                    next_verify += vstride
-                                    inst = self._instance_a(
-                                        a, b, combos[ci], eligz[zj]
-                                    )
-                                    self._verify(inst, ("pass", ()))
-                                    verified += 1
-            base += n
-            if failure:
+        for shape, a, b, rows, cols, unordered, n in blocks:
+            if base >= budget:
                 break
+            count = min(n, budget - base)
+            base += n
+            judge, build = self._block(shape, a, b, rows, cols, unordered)
+            if judge == "skip":
+                skipped += count
+            elif judge == "pass":
+                start = examined
+                examined += count
+                while next_verify <= examined:
+                    ci, cj = _pair_at(next_verify - start - 1, len(cols), unordered)
+                    self._verify(build(ci, cj), _PASS)
+                    verified += 1
+                    next_verify += vstride
+            else:
+                for ci, cj in itertools.islice(
+                    _pairs(len(rows), len(cols), unordered), count
+                ):
+                    verdict = judge(ci, cj)
+                    if verdict[0] == "skip":
+                        skipped += 1
+                        continue
+                    examined += 1
+                    if verdict[0] == "fail":
+                        failure = (shape, build(ci, cj), verdict[1])
+                        if self.fast:
+                            self._verify(failure[1], verdict)
+                            verified += 1
+                        break
+                    if self.fast and examined == next_verify:
+                        next_verify += vstride
+                        self._verify(build(ci, cj), verdict)
+                        verified += 1
+                if failure:
+                    break
 
         if failure:
             shape, inst, nodes = failure

@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from . import ratlp
@@ -26,6 +27,7 @@ from .uncertainty import (
     CredalModel,
     FactoredModel,
     JointModel,
+    MassFunction,
     UncertaintyModel,
     UtilityModel,
     expectation,
@@ -61,25 +63,24 @@ def _guard(xs: Sequence[Gamble], b: Event, numeric: bool = True) -> None:
             raise ValueError("this choice function needs numeric gambles")
 
 
-def _argmax(xs: Sequence[Gamble], values: Sequence[Fraction]) -> tuple[Gamble, ...]:
-    top = max(values)
-    return tuple(x for x, v in zip(xs, values) if v == top)
-
-
-def _credal(model: UncertaintyModel, who: str) -> CredalModel:
+def _members(model: UncertaintyModel, who: str) -> tuple[MassFunction, ...]:
     if not isinstance(model, CredalModel):
         raise ModeUnsupported(f"{who} needs a credal model")
-    return model
+    return model.credal.members
 
 
 def _dot_rows(
-    weights: Sequence[Sequence[Fraction]], rows: Sequence[Sequence[Fraction]]
+    weights: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[Fraction]],
+    normalise: bool = False,
 ) -> list[list[Fraction]]:
-    """out[i][j] = sum(w * v for w, v in zip(weights[i], rows[j])), exactly.
+    """out[i][j] = sum(w * v for w, v in zip(weights[i], rows[j])), exactly,
+    divided by sum(weights[i]) if *normalise*.
 
     The values, and each weight vector, are scaled to integers over a common
     denominator, so an entry costs one integer dot product and one Fraction
-    instead of a Fraction product and sum per term.
+    instead of a Fraction product and sum per term; normalising only
+    changes that Fraction's denominator.
     """
     dv = math.lcm(*{v.denominator for row in rows for v in row})
     scaled = [[v.numerator * (dv // v.denominator) for v in row] for row in rows]
@@ -87,7 +88,7 @@ def _dot_rows(
     for w in weights:
         dw = math.lcm(*{x.denominator for x in w})
         iw = [x.numerator * (dw // x.denominator) for x in w]
-        d = dv * dw
+        d = dv * (sum(iw) if normalise else dw)
         out.append([Fraction(sum(map(operator.mul, iw, r)), d) for r in scaled])
     return out
 
@@ -97,74 +98,92 @@ def _values_on(xs: Sequence[Gamble], b: Event) -> list[tuple[Fraction, ...]]:
     return [x.values if x.scope == b else x.values_on(b) for x in xs]
 
 
-def _member_sums(
-    model: CredalModel, xs: Sequence[Gamble], b: Event, conditional: bool = False
-) -> list[list[Fraction]]:
-    """sums[i][j] = sum over b of member_i's mass times xs[j]; exact and
-    unnormalised unless *conditional*, which divides by member_i's
-    probability of b; with a zero-probability guard per member."""
-    weights = []
-    for p in model.credal.members:
-        pb = p.prob(b)
-        if pb == 0:
+# --- the option table and the rules over it -----------------------------------
+
+
+class OptionTable:
+    """The options of one choice, compared on one conditioning event b.
+
+    ``rows[j]`` holds option j's values on b.  Under a model, ``weights[m]``
+    holds member m's atom masses on b (in ``b.ordered``) and ``mass[m]`` its
+    probability of b; a model-free table has neither.  Everything the rules
+    read beyond that (member sums, envelopes, row minima) is computed on
+    first use and kept.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[Sequence[Fraction]],
+        weights: Sequence[Sequence[Fraction]] = (),
+        mass: Sequence[Fraction] = (),
+    ):
+        self.rows = rows
+        self.weights = weights
+        self.mass = mass
+
+    @classmethod
+    def on(
+        cls,
+        b: Event,
+        rows: Sequence[Sequence[Fraction]],
+        members: Sequence[MassFunction] = (),
+    ) -> "OptionTable":
+        """The table of *rows* on b under *members*.
+
+        Conditioning needs every member to give b positive probability; if
+        any gives it zero, the rule as a whole is undefined and this raises
+        ``ZeroProbabilityCondition``, whether or not other members give b
+        positive probability.
+        """
+        mass = [p.prob(b) for p in members]
+        if any(m == 0 for m in mass):
+            if all(m == 0 for m in mass):
+                raise ZeroProbabilityCondition(
+                    f"conditioning event {b!r} has probability zero"
+                )
             raise ZeroProbabilityCondition(
                 f"a credal member gives the conditioning event {b!r} probability zero"
             )
-        masses = [p.mass(a) for a in b.ordered]
-        weights.append([m / pb for m in masses] if conditional else masses)
-    return _dot_rows(weights, _values_on(xs, b))
+        return cls(rows, [[p.mass(a) for a in b.ordered] for p in members], mass)
+
+    @cached_property
+    def sums(self) -> list[list[Fraction]]:
+        """sums[m][j]: member m's unnormalised sum of option j over b."""
+        return _dot_rows(self.weights, self.rows)
+
+    @cached_property
+    def columns(self) -> list[tuple[Fraction, ...]]:
+        """columns[j]: option j's member sums, one per member."""
+        return list(zip(*self.sums))
+
+    @cached_property
+    def _conditional(self) -> list[tuple[Fraction, ...]]:
+        """Option j's conditional expectation under each member, by j."""
+        return list(zip(*_dot_rows(self.weights, self.rows, normalise=True)))
+
+    @cached_property
+    def lower(self) -> list[Fraction]:
+        """Each option's lower conditional expectation given b."""
+        return [min(e) for e in self._conditional]
+
+    @cached_property
+    def upper(self) -> list[Fraction]:
+        """Each option's upper conditional expectation given b."""
+        return [max(e) for e in self._conditional]
+
+    @cached_property
+    def mins(self) -> list[Fraction]:
+        """Each option's worst value on b."""
+        return [min(r) for r in self.rows]
 
 
-def choose_eu(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options of maximal conditional expected utility."""
-    _guard(xs, b)
-    if isinstance(model, JointModel):
-        p = model.p
-        if p.prob(b) == 0:
-            raise ZeroProbabilityCondition(
-                f"conditioning event {b!r} has probability zero"
-            )
-        # Unnormalised sums have the argmax of the conditional expectations.
-        values = _dot_rows([[p.mass(a) for a in b.ordered]], _values_on(xs, b))[0]
-    elif isinstance(model, FactoredModel):
-        values = [precise_gamble_value(model, x, b) for x in xs]
-    else:
-        raise ModeUnsupported("expected utility needs a joint or factored model")
-    return _argmax(xs, values)
+# Every rule takes a table and option indices, and returns the indices it
+# keeps, in the given order.
 
 
-def choose_maximin(
-    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
-) -> tuple[Gamble, ...]:
-    """All options whose worst outcome on the conditioning event is maximal.
-
-    No probabilities are involved; any model passed in is ignored.
-    """
-    _guard(xs, b)
-    values = [min(v) for v in _values_on(xs, b)]
-    return _argmax(xs, values)
-
-
-def choose_gamma_maximin(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options of maximal lower expectation."""
-    _guard(xs, b)
-    model = _credal(model, "gamma_maximin")
-    values = [min(e) for e in zip(*_member_sums(model, xs, b, conditional=True))]
-    return _argmax(xs, values)
-
-
-def choose_gamma_maximax(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options of maximal upper expectation."""
-    _guard(xs, b)
-    model = _credal(model, "gamma_maximax")
-    values = [max(e) for e in zip(*_member_sums(model, xs, b, conditional=True))]
-    return _argmax(xs, values)
+def _argmax(values: Sequence[Fraction], idx: Sequence[int]) -> list[int]:
+    top = max(values[j] for j in idx)
+    return [j for j in idx if values[j] == top]
 
 
 def _undominated(
@@ -195,9 +214,141 @@ def _pointwise_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
     return y != x and all(a >= c for a, c in zip(y, x))
 
 
-def _maximal(sums: list[list[Fraction]]) -> list[int]:
-    """Indices of the options no other option dominates memberwise."""
-    return _undominated(list(zip(*sums)), _member_dominates, lambda r: r[0])
+def _eu_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    # Unnormalised sums have the argmax of the conditional expectations.
+    return _argmax(t.sums[0], idx)
+
+
+def _maximin_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    return _argmax(t.mins, idx)
+
+
+def _gamma_maximin_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    return _argmax(t.lower, idx)
+
+
+def _gamma_maximax_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    return _argmax(t.upper, idx)
+
+
+def _maximality_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    cols = t.columns
+    kept = _undominated(
+        [cols[j] for j in idx], _member_dominates, operator.itemgetter(0)
+    )
+    return [idx[p] for p in kept]
+
+
+def _pointwise_dominance_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    rows = t.rows
+    kept = _undominated([rows[j] for j in idx], _pointwise_dominates, sum)
+    return [idx[p] for p in kept]
+
+
+def _interval_dominance_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    lower, upper = t.lower, t.upper
+    threshold = max(lower[j] for j in idx)
+    return [j for j in idx if upper[j] >= threshold]
+
+
+def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
+    sums = t.sums
+    winners: set[int] = set()
+    for s in sums:
+        top = max(s[j] for j in idx)
+        winners.update(j for j in idx if s[j] == top)
+    if hull:
+        # A dominated option is never a best response to a mixture, and its
+        # constraint is implied by its dominator's: only maxima matter.
+        maxima = _maximality_rule(t, idx)
+        k = len(sums)
+        ones = [Fraction(1)] * k
+        for j in maxima:
+            if j in winners:
+                continue
+            rows = [
+                ([s[j] - s[jj] for s in sums], Fraction(0))
+                for jj in maxima
+                if jj != j
+            ]
+            if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
+                winners.add(j)
+    return [j for j in idx if j in winners]
+
+
+def _e_admissible_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    return _e_admissible(t, idx, hull=False)
+
+
+def _e_admissible_hull_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
+    return _e_admissible(t, idx, hull=True)
+
+
+# The numeric rules by kind; the canonical scan evaluates these on its own
+# tables.  The model-free ones read only the rows.
+MODEL_FREE = ("maximin", "pointwise_dominance")
+RULES = {
+    "eu": _eu_rule,
+    "maximin": _maximin_rule,
+    "gamma_maximin": _gamma_maximin_rule,
+    "gamma_maximax": _gamma_maximax_rule,
+    "maximality": _maximality_rule,
+    "e_admissible": _e_admissible_rule,
+    "e_admissible_hull": _e_admissible_hull_rule,
+    "interval_dominance": _interval_dominance_rule,
+    "pointwise_dominance": _pointwise_dominance_rule,
+}
+
+
+def _choose(
+    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event, kind: str
+) -> tuple[Gamble, ...]:
+    """Guard, table, rule: the kept options in their original order."""
+    _guard(xs, b)
+    members = () if kind in MODEL_FREE else _members(model, kind)
+    table = OptionTable.on(b, _values_on(xs, b), members)
+    return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
+
+
+def choose_eu(
+    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
+) -> tuple[Gamble, ...]:
+    """All options of maximal conditional expected utility."""
+    _guard(xs, b)
+    if isinstance(model, JointModel):
+        table = OptionTable.on(b, _values_on(xs, b), (model.p,))
+    elif isinstance(model, FactoredModel):
+        # A factored model values each option directly: its conditional
+        # expectations are the sums of one member of unit mass.
+        table = OptionTable(None)
+        table.sums = [[precise_gamble_value(model, x, b) for x in xs]]
+    else:
+        raise ModeUnsupported("expected utility needs a joint or factored model")
+    return tuple(xs[j] for j in _eu_rule(table, range(len(xs))))
+
+
+def choose_maximin(
+    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
+) -> tuple[Gamble, ...]:
+    """All options whose worst outcome on the conditioning event is maximal.
+
+    No probabilities are involved; any model passed in is ignored.
+    """
+    return _choose(xs, model, b, "maximin")
+
+
+def choose_gamma_maximin(
+    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
+) -> tuple[Gamble, ...]:
+    """All options of maximal lower expectation."""
+    return _choose(xs, model, b, "gamma_maximin")
+
+
+def choose_gamma_maximax(
+    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
+) -> tuple[Gamble, ...]:
+    """All options of maximal upper expectation."""
+    return _choose(xs, model, b, "gamma_maximax")
 
 
 def choose_maximality(
@@ -208,9 +359,7 @@ def choose_maximality(
     y dominates x when the lower expectation of y - x given b is strictly
     positive, i.e. when every member of the credal set strictly prefers y.
     """
-    _guard(xs, b)
-    model = _credal(model, "maximality")
-    return tuple(xs[j] for j in _maximal(_member_sums(model, xs, b)))
+    return _choose(xs, model, b, "maximality")
 
 
 def choose_e_admissible(
@@ -225,42 +374,14 @@ def choose_e_admissible(
     which is what conditioning a mixture on b actually does; on the whole
     space the weights are all 1 and the two readings coincide.
     """
-    _guard(xs, b)
-    model = _credal(model, "e_admissible")
-    sums = _member_sums(model, xs, b)
-    k = len(sums)
-
-    winners: set[int] = set()
-    for i in range(k):
-        top = max(sums[i])
-        winners.update(j for j, v in enumerate(sums[i]) if v == top)
-    if hull:
-        # A dominated option is never a best response to a mixture, and its
-        # constraint is implied by its dominator's: only maxima matter.
-        maxima = _maximal(sums)
-        ones = [Fraction(1)] * k
-        for j in maxima:
-            if j in winners:
-                continue
-            rows = [
-                ([sums[i][j] - sums[i][jj] for i in range(k)], Fraction(0))
-                for jj in maxima
-                if jj != j
-            ]
-            if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
-                winners.add(j)
-    return tuple(x for j, x in enumerate(xs) if j in winners)
+    return _choose(xs, model, b, "e_admissible_hull" if hull else "e_admissible")
 
 
 def choose_interval_dominance(
     xs: Sequence[Gamble], model: UncertaintyModel, b: Event
 ) -> tuple[Gamble, ...]:
     """All options whose upper expectation reaches the best lower expectation."""
-    _guard(xs, b)
-    model = _credal(model, "interval_dominance")
-    expectations = list(zip(*_member_sums(model, xs, b, conditional=True)))
-    threshold = max(min(e) for e in expectations)
-    return tuple(x for x, e in zip(xs, expectations) if max(e) >= threshold)
+    return _choose(xs, model, b, "interval_dominance")
 
 
 def choose_pointwise_dominance(
@@ -271,9 +392,7 @@ def choose_pointwise_dominance(
     Model-free: y dominates x when y is everywhere at least x on b and
     somewhere strictly more.
     """
-    _guard(xs, b)
-    rows = _values_on(xs, b)
-    return tuple(xs[j] for j in _undominated(rows, _pointwise_dominates, sum))
+    return _choose(xs, model, b, "pointwise_dominance")
 
 
 def choose_imprecise_utility(
@@ -317,6 +436,20 @@ def choose_imprecise_utility(
         top = max(values)
         winners.update(j for j, v in enumerate(values) if v == top)
     return tuple(x for j, x in enumerate(xs) if j in winners)
+
+
+_CHOOSERS = {
+    "eu": choose_eu,
+    "maximin": choose_maximin,
+    "gamma_maximin": choose_gamma_maximin,
+    "gamma_maximax": choose_gamma_maximax,
+    "maximality": choose_maximality,
+    "e_admissible": choose_e_admissible,
+    "e_admissible_hull": partial(choose_e_admissible, hull=True),
+    "interval_dominance": choose_interval_dominance,
+    "pointwise_dominance": choose_pointwise_dominance,
+    "imprecise_utility": choose_imprecise_utility,
+}
 
 
 Preorder = Callable[[Gamble, Gamble, Optional[UncertaintyModel], Event], bool]
@@ -375,29 +508,9 @@ class ChoiceFunction:
     def choose(
         self, xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
     ) -> tuple[Gamble, ...]:
-        if self.kind == "eu":
-            return choose_eu(xs, model, b)
-        if self.kind == "maximin":
-            return choose_maximin(xs, model, b)
-        if self.kind == "gamma_maximin":
-            return choose_gamma_maximin(xs, model, b)
-        if self.kind == "gamma_maximax":
-            return choose_gamma_maximax(xs, model, b)
-        if self.kind == "maximality":
-            return choose_maximality(xs, model, b)
-        if self.kind == "e_admissible":
-            return choose_e_admissible(xs, model, b)
-        if self.kind == "e_admissible_hull":
-            return choose_e_admissible(xs, model, b, hull=True)
-        if self.kind == "interval_dominance":
-            return choose_interval_dominance(xs, model, b)
-        if self.kind == "pointwise_dominance":
-            return choose_pointwise_dominance(xs, model, b)
-        if self.kind == "imprecise_utility":
-            return choose_imprecise_utility(xs, model, b)
         if self.kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
-        raise ValueError(f"unknown choice kind {self.kind!r}")
+        return _CHOOSERS[self.kind](xs, model, b)
 
     @property
     def is_value_based(self) -> bool:

@@ -424,7 +424,6 @@ def _cmd_canonical(args) -> int:
         events_a=events,
         events_b=events,
         max_instances=args.max_instances,
-        sample_mode="prefix",
         require_marginal_extension=args.marginal_extension,
     )
     report = check_canonical(choice, model, tree.space, pool, limits)

@@ -588,7 +588,6 @@ def fuzz_equivalence(
             events_a=events,
             events_b=events,
             max_instances=reduction_budget,
-            sample_mode="prefix",
             verify_sample=4,
         )
         report = check_canonical(choice, model, tree.space, pool, limits)

@@ -24,7 +24,8 @@ from credaltrees import (
     product_credal,
 )
 
-from credaltrees.canonical import _Checker, _chosen_classes
+from credaltrees.canonical import _Checker, _chosen_classes, _pair_at, _pairs
+from credaltrees.choice import RULES
 
 from conftest import build_maximin_failure, dominance_pools
 
@@ -219,7 +220,7 @@ def test_gamma_passes_shape_a_under_a_product_model():
 def test_reports_are_deterministic(w2):
     sp, model = w2
     pool = [g(sp, 1, 0), g(sp, 0, 1), g(sp, 2, -1)]
-    limits = CanonicalLimits(max_instances=50, sample_mode="stride")
+    limits = CanonicalLimits(max_instances=50)
     one = check_canonical(ChoiceFunction("maximality"), model, sp, pool, limits)
     two = check_canonical(ChoiceFunction("maximality"), model, sp, pool, limits)
     assert one.to_json_dict() == two.to_json_dict()
@@ -228,22 +229,16 @@ def test_reports_are_deterministic(w2):
 def test_budget_caps_the_examined_instances(w2):
     sp, model = w2
     pool = [g(sp, i, 7 - i) for i in range(8)]
-    limits = CanonicalLimits(max_instances=40, sample_mode="prefix", shapes=("b",))
+    limits = CanonicalLimits(max_instances=40, shapes=("b",))
     report = check_canonical(ChoiceFunction("e_admissible"), model, sp, pool, limits)
     assert report.instances_examined <= 40
     assert report.instances_total > 40
 
 
-def test_stride_and_prefix_sample_the_same_population(w2):
-    sp, model = w2
-    pool = [g(sp, i, 5 - i) for i in range(6)]
-    totals = []
-    for mode in ("prefix", "stride"):
-        limits = CanonicalLimits(max_instances=30, sample_mode=mode, shapes=("b",))
-        report = check_canonical(ChoiceFunction("interval_dominance"), model, sp, pool, limits)
-        totals.append(report.instances_total)
-        assert report.instances_examined <= 30
-    assert totals[0] == totals[1]
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_must_be_positive(budget):
+    with pytest.raises(ValueError, match="budget"):
+        CanonicalLimits(max_instances=budget)
 
 
 def test_report_serialization_round_trip(w2):
@@ -273,6 +268,88 @@ def test_scan_skips_zero_mass_splits():
     assert report.passed
 
 
+def test_model_free_rules_ignore_zero_mass_members():
+    # Maximin never reads the model, so a member giving a2 mass zero must not
+    # make the scan skip the splits that expose the worst-case failure.
+    sp = PossibilitySpace(("a1", "a2"))
+    pool = [g(sp, 2, 0), g(sp, 1, 0), g(sp, 0, 0)]
+    half = MassFunction.from_mapping(sp, {"a1": Fraction(1, 2), "a2": Fraction(1, 2)})
+    only_a1 = MassFunction.from_mapping(sp, {"a1": 1, "a2": 0})
+    limits = CanonicalLimits(shapes=("a",))
+    free = check_canonical(ChoiceFunction("maximin"), None, sp, pool, limits)
+    for model in (CredalModel(CredalSet((half, only_a1))), JointModel(only_a1)):
+        report = check_canonical(ChoiceFunction("maximin"), model, sp, pool, limits)
+        assert not report.passed
+        assert report.failing_nodes == ("N1",)
+        assert report.instances_skipped == 0
+        assert report.to_json_dict() == free.to_json_dict()
+
+
+@st.composite
+def scan_problems(draw):
+    """A 2- or 3-atom space, a credal set of two or three members that
+    leave some atoms without mass in a third of the draws, and three or
+    four small integer gambles."""
+    atoms = tuple(f"w{i}" for i in range(draw(st.sampled_from((2, 3, 3)))))
+    sp = PossibilitySpace(atoms)
+    least = draw(st.sampled_from((0, 1, 1)))
+
+    def member():
+        weights = draw(
+            st.lists(st.integers(least, 9), min_size=len(atoms), max_size=len(atoms))
+            .filter(any)
+        )
+        total = sum(weights)
+        return MassFunction.from_mapping(
+            sp, {a: Fraction(w, total) for a, w in zip(atoms, weights)}
+        )
+
+    credal = CredalSet(tuple(member() for _ in range(draw(st.integers(2, 3)))))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(-4, 8) for _ in atoms]), min_size=3, max_size=4
+        )
+    )
+    return sp, credal, [g(sp, *row) for row in rows]
+
+
+def test_bulk_verification_indexes_the_pairs_in_plan_order():
+    # A block settled in bulk verifies its k-th instance by index alone.
+    for nx in range(1, 6):
+        for ny in range(1, 7):
+            for unordered in (False, True) if nx == ny else (False,):
+                pairs = list(_pairs(nx, ny, unordered))
+                assert pairs == [_pair_at(k, ny, unordered) for k in range(len(pairs))]
+
+
+@pytest.mark.parametrize("kind", RULES)
+@given(
+    problem=scan_problems(),
+    shape=st.sampled_from(("a", "b")),
+    marginal_extension=st.booleans(),
+)
+@settings(max_examples=10, deadline=None)
+def test_scan_agrees_with_the_pipeline_on_every_instance(
+    kind, problem, shape, marginal_extension
+):
+    # With a verification sample at least as large as the instance count,
+    # every instance the scan examines, whether judged one by one or passed
+    # with its whole block, is also run through check_subtree_perfect, and
+    # the scan raises on the first disagreement.
+    sp, credal, pool = problem
+    model = JointModel(credal.members[0]) if kind == "eu" else CredalModel(credal)
+    limits = CanonicalLimits(
+        max_xs=2,
+        max_ys=2,
+        shapes=(shape,),
+        require_marginal_extension=marginal_extension,
+        verify_sample=10**9,
+    )
+    report = check_canonical(ChoiceFunction(kind), model, sp, pool, limits)
+    assert report.instances_verified == report.instances_examined
+    assert report.instances_examined + report.instances_skipped <= report.instances_total
+
+
 _SET_KINDS = (
     "maximality",
     "pointwise_dominance",
@@ -286,7 +363,7 @@ _SET_KINDS = (
 @given(pools=dominance_pools(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_scan_class_choices_match_the_choice_rules(kind, pools, data):
-    # The scan keeps its own copy of the set-valued rules over distinct
+    # The scan applies the rules to its own per-event tables of distinct
     # classes; on any subset of the classes it must keep what the rule keeps.
     credal, pool, b = pools
     cf = ChoiceFunction(kind)

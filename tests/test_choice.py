@@ -407,6 +407,11 @@ def test_dot_rows_matches_fraction_sums(data):
         for ws in weights
     ]
     assert all(type(x) is Fraction for sums in got for x in sums)
+    positive = [ws for ws in weights if sum(ws)]
+    assert _dot_rows(positive, rows, normalise=True) == [
+        [sum((w * v for w, v in zip(ws, row)), Fraction(0)) / sum(ws) for row in rows]
+        for ws in positive
+    ]
 
 
 def test_eu_under_a_joint_model_keeps_its_zero_probability_message():
@@ -416,3 +421,42 @@ def test_eu_under_a_joint_model_keeps_its_zero_probability_message():
         ZeroProbabilityCondition, match=r"conditioning event .* has probability zero"
     ):
         choose_eu([g(sp, 1, 2)], JointModel(p), sp.event(["w2"]))
+
+
+# --- partial zero mass --------------------------------------------------------------
+
+_CREDAL_KINDS = (
+    "gamma_maximin",
+    "gamma_maximax",
+    "maximality",
+    "e_admissible",
+    "e_admissible_hull",
+    "interval_dominance",
+)
+
+
+@pytest.mark.parametrize("kind", _CREDAL_KINDS)
+def test_credal_rules_raise_when_some_member_gives_the_event_zero_mass(w2, kind):
+    # One member gives {w2} mass 3/4, the other 0: the event cannot be
+    # conditioned on under the whole set, so the rule is undefined there.
+    sp, p1, _ = w2
+    p0 = MassFunction.from_mapping(sp, {"w1": 1, "w2": 0})
+    model = CredalModel(CredalSet((p1, p0)))
+    with pytest.raises(
+        ZeroProbabilityCondition, match="a credal member gives the conditioning event"
+    ):
+        ChoiceFunction(kind).choose([g(sp, 1, 2), g(sp, 0, 3)], model, sp.event(["w2"]))
+    # when no member gives the event mass, the message says so for the set
+    with pytest.raises(ZeroProbabilityCondition, match="has probability zero"):
+        ChoiceFunction(kind).choose(
+            [g(sp, 1, 2)], CredalModel(CredalSet((p0,))), sp.event(["w2"])
+        )
+
+
+@pytest.mark.parametrize("kind", ("maximin", "pointwise_dominance"))
+def test_model_free_rules_ignore_zero_mass_members(w2, kind):
+    sp, p1, _ = w2
+    p0 = MassFunction.from_mapping(sp, {"w1": 1, "w2": 0})
+    model = CredalModel(CredalSet((p1, p0)))
+    x, y = g(sp, 1, 2), g(sp, 0, 3)
+    assert ChoiceFunction(kind).choose([x, y], model, sp.event(["w2"])) == (y,)

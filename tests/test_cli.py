@@ -271,6 +271,22 @@ def test_canonical_finds_the_worst_case_failure(capsys):
     assert doc["command"] == "canonical"
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_canonical_rejects_an_empty_instance_budget(capsys, budget):
+    code = run(
+        [
+            "canonical",
+            "--tree", str(PROBLEMS / "maximin-failure.tree.json"),
+            "--model", str(PROBLEMS / "maximin-failure.model.json"),
+            "--choice", "maximin",
+            "--max-instances", budget,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_canonical_passes_for_expected_utility(capsys):
     code = run(
         [

@@ -168,7 +168,8 @@ class CanonicalLimits:
     ``require_marginal_extension`` skips shape (a) instances on which the
     model's lower expectation fails the two-stage decomposition identity;
     that is the hypothesis under which the one-value rules are expected to
-    be subtree perfect.
+    be subtree perfect.  Rules that never read the model (maximin and
+    pointwise dominance) are not filtered.
     """
 
     max_xs: int = 4

@@ -276,14 +276,6 @@ def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
     return [j for j in idx if j in winners]
 
 
-def _e_admissible_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
-    return _e_admissible(t, idx, hull=False)
-
-
-def _e_admissible_hull_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
-    return _e_admissible(t, idx, hull=True)
-
-
 # The numeric rules by kind; the canonical scan evaluates these on its own
 # tables.  The model-free ones read only the rows.
 MODEL_FREE = ("maximin", "pointwise_dominance")
@@ -293,8 +285,8 @@ RULES = {
     "gamma_maximin": _gamma_maximin_rule,
     "gamma_maximax": _gamma_maximax_rule,
     "maximality": _maximality_rule,
-    "e_admissible": _e_admissible_rule,
-    "e_admissible_hull": _e_admissible_hull_rule,
+    "e_admissible": partial(_e_admissible, hull=False),
+    "e_admissible_hull": partial(_e_admissible, hull=True),
     "interval_dominance": _interval_dominance_rule,
     "pointwise_dominance": _pointwise_dominance_rule,
 }
@@ -315,16 +307,15 @@ def choose_eu(
 ) -> tuple[Gamble, ...]:
     """All options of maximal conditional expected utility."""
     _guard(xs, b)
+    idx = range(len(xs))
     if isinstance(model, JointModel):
-        table = OptionTable.on(b, _values_on(xs, b), (model.p,))
+        kept = _eu_rule(OptionTable.on(b, _values_on(xs, b), (model.p,)), idx)
     elif isinstance(model, FactoredModel):
-        # A factored model values each option directly: its conditional
-        # expectations are the sums of one member of unit mass.
-        table = OptionTable(None)
-        table.sums = [[precise_gamble_value(model, x, b) for x in xs]]
+        # a factored model values each option on the tree's assessment
+        kept = _argmax([precise_gamble_value(model, x, b) for x in xs], idx)
     else:
         raise ModeUnsupported("expected utility needs a joint or factored model")
-    return tuple(xs[j] for j in _eu_rule(table, range(len(xs))))
+    return tuple(xs[j] for j in kept)
 
 
 def choose_maximin(

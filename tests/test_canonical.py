@@ -24,6 +24,7 @@ from credaltrees import (
     product_credal,
 )
 
+from credaltrees import canonical
 from credaltrees.canonical import _Checker, _chosen_classes, _pair_at, _pairs
 from credaltrees.choice import RULES
 
@@ -320,6 +321,27 @@ def test_bulk_verification_indexes_the_pairs_in_plan_order():
             for unordered in (False, True) if nx == ny else (False,):
                 pairs = list(_pairs(nx, ny, unordered))
                 assert pairs == [_pair_at(k, ny, unordered) for k in range(len(pairs))]
+
+
+def test_bulk_passes_verify_each_instance_once(monkeypatch, w2):
+    # Under eu both shapes are settled in bulk; with a verification sample
+    # above the instance count, every instance is verified exactly once.
+    sp, _ = w2
+    p = MassFunction.from_mapping(sp, {"w1": Fraction(2, 5), "w2": Fraction(3, 5)})
+    pool = [g(sp, 1, 0), g(sp, 0, 1), g(sp, 2, -1)]
+    verified = []
+    pipeline = canonical._pipeline_verdict
+
+    def spy(choice, model, inst):
+        verified.append(repr(inst))
+        return pipeline(choice, model, inst)
+
+    monkeypatch.setattr(canonical, "_pipeline_verdict", spy)
+    limits = CanonicalLimits(max_xs=2, max_ys=2, verify_sample=10**9)
+    report = check_canonical(ChoiceFunction("eu"), JointModel(p), sp, pool, limits)
+    assert report.passed
+    assert report.instances_verified == report.instances_total == len(verified)
+    assert len(set(verified)) == len(verified)
 
 
 @pytest.mark.parametrize("kind", RULES)

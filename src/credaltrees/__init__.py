@@ -36,6 +36,7 @@ from .choice import (
 from .dot import export_dot
 from .errors import (
     CredalTreeError,
+    DuplicateArcLabel,
     DuplicateNodeId,
     EmptyInput,
     EmptyScope,
@@ -89,10 +90,13 @@ from .trees import (
     Strategy,
     as_rational,
     chance,
+    count_strategies,
     decision,
     difference_on,
     enumerate_strategies,
     gamble_of,
+    kept_arcs,
+    kept_children,
     leaf,
     path_event,
     strategy_table,

@@ -32,7 +32,6 @@ from .formats import (
 )
 from .fuzz import FuzzConfig, fuzz_equivalence, harvest
 from .solver import (
-    NormalFormSolution,
     Outcome,
     PerfectnessVerdict,
     check_subtree_perfect,
@@ -48,7 +47,10 @@ from .trees import (
     Node,
     Strategy,
     enumerate_strategies,
+    # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
+    kept_arcs,
+    strategy_table,
     subtree_at,
     validate_tree,
 )
@@ -232,15 +234,6 @@ def _emit(args, text: str) -> None:
 # --- rendering -----------------------------------------------------------------
 
 
-def kept_arcs(strategy: Strategy) -> dict[str, str]:
-    """Kept arc label per decision node, the portable form of a strategy."""
-    out = {}
-    for node, _ in strategy.nodes():
-        if isinstance(node, DecisionNode):
-            out[node.node_id] = node.arcs[0].label
-    return out
-
-
 def render_strategy(tree: DecisionTree, strategy: Strategy) -> str:
     """One-line rendering of a strategy against its tree; deleted arcs keep
     their label with a ∥ suffix and their subtree is not expanded."""
@@ -269,19 +262,24 @@ def render_strategy(tree: DecisionTree, strategy: Strategy) -> str:
     return walk(tree.root)
 
 
-def _strategy_json(tree: DecisionTree, strategy: Strategy, index: int) -> dict:
-    return {
-        "index": index,
-        "kept": kept_arcs(strategy),
-        "gamble": {a: render_reward(v) for a, v in gamble_of(strategy).items()},
-    }
-
-
-def _solution_strategies(
-    tree: DecisionTree, solution: NormalFormSolution
-) -> list[tuple[int, Strategy]]:
-    everything = enumerate_strategies(tree)
-    return [(everything.index(s), s) for s in solution.strategies]
+def _emit_strategies(args, tree: DecisionTree, doc: dict, header: str, listed) -> None:
+    """Emit *listed* strategies, each given as (enumeration index, strategy,
+    values on the root scope), under *doc* or *header*."""
+    if args.format == "structured":
+        atoms = tree.root_scope.ordered
+        doc["count"] = len(listed)
+        doc["strategies"] = [
+            {
+                "index": i,
+                "kept": kept_arcs(s),
+                "gamble": {a: render_reward(v) for a, v in zip(atoms, values)},
+            }
+            for i, s, values in listed
+        ]
+        _emit(args, dumps_structured(doc))
+    else:
+        lines = [header] + [f"{i}: {render_strategy(tree, s)}" for i, s, _ in listed]
+        _emit(args, "\n".join(lines) + "\n")
 
 
 def _verdict_json(v: PerfectnessVerdict, tree: DecisionTree) -> dict:
@@ -324,21 +322,13 @@ def _exit_of(verdicts) -> int:
 def _cmd_strategies(args) -> int:
     problem = _load_problem(args)
     tree = problem.tree
-    all_strats = enumerate_strategies(tree)
-    if args.format == "structured":
-        doc = {
-            "command": "strategies",
-            "count": len(all_strats),
-            "strategies": [
-                _strategy_json(tree, s, i) for i, s in enumerate(all_strats)
-            ],
-        }
-        _emit(args, dumps_structured(doc))
-    else:
-        lines = [f"{len(all_strats)} strategies"]
-        for i, s in enumerate(all_strats):
-            lines.append(f"{i}: {render_strategy(tree, s)}")
-        _emit(args, "\n".join(lines) + "\n")
+    rows = strategy_table(tree)[tree.root.node_id]
+    listed = [
+        (i, Strategy(tree.space, v, tree.root_scope), values)
+        for i, (v, values) in enumerate(rows)
+    ]
+    doc = {"command": "strategies"}
+    _emit_strategies(args, tree, doc, f"{len(rows)} strategies", listed)
     return 0
 
 
@@ -348,24 +338,20 @@ def _cmd_solve(args) -> int:
     model = _load_model(args, problem)
     choice = _choice_of(args)
     b = _condition_of(args, problem)
-    solution = normal_form_solution(tree, choice, model, b)
-    chosen = _solution_strategies(tree, solution)
-    total = len(enumerate_strategies(tree))
-    if args.format == "structured":
-        doc = {
-            "command": "solve",
-            "choice": choice.kind,
-            "condition": list(solution.conditioning.ordered),
-            "total_strategies": total,
-            "count": len(chosen),
-            "strategies": [_strategy_json(tree, s, i) for i, s in chosen],
-        }
-        _emit(args, dumps_structured(doc))
-    else:
-        lines = [f"chosen {len(chosen)} of {total} strategies ({choice.kind})"]
-        for i, s in chosen:
-            lines.append(f"{i}: {render_strategy(tree, s)}")
-        _emit(args, "\n".join(lines) + "\n")
+    table = strategy_table(tree)
+    rows = table[tree.root.node_id]
+    solution = normal_form_solution(tree, choice, model, b, table=table)
+    listed = [
+        (i, s, rows[i][1]) for i, s in zip(solution.indices, solution.strategies)
+    ]
+    doc = {
+        "command": "solve",
+        "choice": choice.kind,
+        "condition": list(solution.conditioning.ordered),
+        "total_strategies": len(rows),
+    }
+    header = f"chosen {len(listed)} of {len(rows)} strategies ({choice.kind})"
+    _emit_strategies(args, tree, doc, header, listed)
     return 0
 
 

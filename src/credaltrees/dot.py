@@ -12,6 +12,7 @@ from .trees import (
     Leaf,
     Node,
     Strategy,
+    kept_arcs,
 )
 
 
@@ -43,11 +44,7 @@ def export_dot(tree: DecisionTree, strategy: Optional[Strategy] = None) -> str:
     dashed, so the kept plan stands out against the full tree.  The
     strategy must use the same node ids as the tree.
     """
-    kept: dict[str, str] = {}
-    if strategy is not None:
-        for node, _ in strategy.nodes():
-            if isinstance(node, DecisionNode):
-                kept[node.node_id] = node.arcs[0].label
+    kept = {} if strategy is None else kept_arcs(strategy)
 
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 

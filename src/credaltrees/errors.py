@@ -15,6 +15,10 @@ class DuplicateNodeId(CredalTreeError):
     """Two nodes in the same tree carry the same identifier."""
 
 
+class DuplicateArcLabel(CredalTreeError):
+    """Two arcs of one decision node carry the same label."""
+
+
 class UnknownNode(CredalTreeError):
     """A node identifier does not occur in the tree it was looked up in."""
 

@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .canonical import CanonicalLimits, CanonicalReport, check_canonical
 from .choice import ChoiceFunction
@@ -35,6 +35,7 @@ from .trees import (
     Node,
     PossibilitySpace,
     chance,
+    count_strategies,
     decision,
     strategy_table,
     validate_tree,
@@ -117,33 +118,6 @@ def _composition(rng: random.Random, n: int, total: int = 100) -> tuple[Fraction
     )
 
 
-def _count_strategies(node: Node) -> int:
-    if isinstance(node, DecisionNode):
-        return sum(_count_strategies(a.child) for a in node.arcs)
-    if isinstance(node, ChanceNode):
-        out = 1
-        for a in node.arcs:
-            out *= _count_strategies(a.child)
-        return out
-    return 1
-
-
-def _has_decision(node: Node) -> bool:
-    if isinstance(node, DecisionNode):
-        return True
-    if isinstance(node, ChanceNode):
-        return any(_has_decision(a.child) for a in node.arcs)
-    return False
-
-
-def _has_chance(node: Node) -> bool:
-    if isinstance(node, ChanceNode):
-        return True
-    if isinstance(node, DecisionNode):
-        return any(_has_chance(a.child) for a in node.arcs)
-    return False
-
-
 def _split_atoms(rng: random.Random, atoms: list[str], cells: int) -> list[list[str]]:
     """Partition *atoms* into *cells* nonempty parts, deterministically."""
     shuffled = rng.sample(atoms, len(atoms))
@@ -158,6 +132,9 @@ def _split_atoms(rng: random.Random, atoms: list[str], cells: int) -> list[list[
 
 
 class _TreeSampler:
+    #: weight of a chance node against 1 for a leaf and 3 for a decision
+    chance_weight = 3
+
     def __init__(
         self,
         cfg: FuzzConfig,
@@ -187,16 +164,30 @@ class _TreeSampler:
             )
         return Leaf(nid, self.reward())
 
+    def splitter(self, atoms: list[str]) -> Optional[Callable[[], list[list[str]]]]:
+        """How a chance node over *atoms* splits them: a function that draws
+        the parts, or None if a chance node cannot sit here."""
+        if len(atoms) < 2:
+            return None
+
+        def split() -> list[list[str]]:
+            cells = self.rng.randint(2, min(len(atoms), self.cfg.max_branching))
+            return _split_atoms(self.rng, atoms, cells)
+
+        return split
+
     def build(self, atoms: list[str], depth: int) -> Node:
         rng = self.rng
         kinds = ["leaf"]
         weights = [1]
+        split = None
         if depth < self.cfg.max_depth:
             kinds.append("decision")
             weights.append(3)
-            if len(atoms) >= 2:
+            split = self.splitter(atoms)
+            if split is not None:
                 kinds.append("chance")
-                weights.append(3)
+                weights.append(self.chance_weight)
         kind = rng.choices(kinds, weights)[0]
         if kind == "leaf":
             return self.make_leaf(atoms)
@@ -210,19 +201,19 @@ class _TreeSampler:
                     for i in range(arity)
                 ],
             )
-        cells = rng.randint(2, min(len(atoms), self.cfg.max_branching))
-        parts = _split_atoms(rng, atoms, cells)
         return chance(
             nid,
             [
                 (self.space.event(part), self.build(part, depth + 1))
-                for part in parts
+                for part in split()
             ],
         )
 
 
 class _HierarchicalSampler(_TreeSampler):
     """Chance nodes follow a fixed laminar refinement of the space."""
+
+    chance_weight = 4
 
     def __init__(
         self,
@@ -244,38 +235,9 @@ class _HierarchicalSampler(_TreeSampler):
         for p in parts:
             self._laminate(p)
 
-    def build(self, atoms: list[str], depth: int) -> Node:
-        rng = self.rng
-        key = frozenset(atoms)
-        kinds = ["leaf"]
-        weights = [1]
-        if depth < self.cfg.max_depth:
-            kinds.append("decision")
-            weights.append(3)
-            if key in self.children:
-                kinds.append("chance")
-                weights.append(4)
-        kind = rng.choices(kinds, weights)[0]
-        if kind == "leaf":
-            return self.make_leaf(atoms)
-        nid = self.next_id()
-        if kind == "decision":
-            arity = rng.randint(2, self.cfg.max_branching)
-            return decision(
-                nid,
-                [
-                    (f"d{i + 1}", self.build(atoms, depth + 1))
-                    for i in range(arity)
-                ],
-            )
-        parts = self.children[key]
-        return chance(
-            nid,
-            [
-                (self.space.event(part), self.build(part, depth + 1))
-                for part in parts
-            ],
-        )
+    def splitter(self, atoms: list[str]) -> Optional[Callable[[], list[list[str]]]]:
+        parts = self.children.get(frozenset(atoms))
+        return None if parts is None else lambda: parts
 
     def credal_model(self, k: int) -> CredalModel:
         """All chain-rule combinations of k weight vectors per laminar split."""
@@ -321,14 +283,15 @@ def gen_random_tree(
             sampler: _TreeSampler = _HierarchicalSampler(cfg, rng, space, gamble_leaves)
         else:
             sampler = _TreeSampler(cfg, rng, space, gamble_leaves)
-        root = sampler.build(list(space.atoms), 0)
-        if not _has_decision(root):
+        raw = DecisionTree(space, sampler.build(list(space.atoms), 0))
+        kinds = {type(node) for node, _ in raw.nodes()}
+        if DecisionNode not in kinds:
             continue
-        if name == "hierarchical" and not _has_chance(root):
+        if name == "hierarchical" and ChanceNode not in kinds:
             continue
-        if _count_strategies(root) > cfg.max_strategies:
+        if count_strategies(raw) > cfg.max_strategies:
             continue
-        tree = validate_tree(DecisionTree(space, root))
+        tree = validate_tree(raw)
         if name == "joint":
             model: UncertaintyModel = JointModel(
                 MassFunction(space, _composition(rng, len(space)))
@@ -361,14 +324,9 @@ def gen_random_tree(
 
 def _parents(tree: DecisionTree) -> dict[str, Optional[str]]:
     out: dict[str, Optional[str]] = {tree.root.node_id: None}
-
-    def walk(node: Node) -> None:
-        if isinstance(node, (DecisionNode, ChanceNode)):
-            for arc in node.arcs:
-                out[arc.child.node_id] = node.node_id
-                walk(arc.child)
-
-    walk(tree.root)
+    for node, _ in tree.nodes():
+        for arc in getattr(node, "arcs", ()):
+            out[arc.child.node_id] = node.node_id
     return out
 
 
@@ -538,17 +496,15 @@ class FuzzReport:
 
 def _nested_decision(tree: DecisionTree) -> bool:
     """Is some decision node strictly below another decision node's arc?"""
-
-    def walk(node: Node, below_decision_arc: bool) -> bool:
-        if isinstance(node, DecisionNode):
-            if below_decision_arc:
-                return True
-            return any(walk(a.child, True) for a in node.arcs)
-        if isinstance(node, ChanceNode):
-            return any(walk(a.child, below_decision_arc) for a in node.arcs)
-        return False
-
-    return walk(tree.root, False)
+    parents = _parents(tree)
+    decisions = {n.node_id for n, _ in tree.nodes() if isinstance(n, DecisionNode)}
+    for nid in decisions:
+        up = parents[nid]
+        while up is not None and up not in decisions:
+            up = parents[up]
+        if up is not None:
+            return True
+    return False
 
 
 def fuzz_equivalence(
@@ -576,7 +532,7 @@ def fuzz_equivalence(
         verdicts = check_subtree_perfect(tree, choice, model)
         fails = tuple(v.node_id for v in verdicts if v.outcome is Outcome.FAIL)
         errors = tuple(v.node_id for v in verdicts if v.outcome is Outcome.ERROR)
-        strategies = _count_strategies(tree.root)
+        strategies = count_strategies(tree)
         if not fails:
             records.append(
                 TreeRecord(index, len(tree.node_ids()), strategies, fails, errors)

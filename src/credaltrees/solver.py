@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .choice import ChoiceFunction
-from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
+from .errors import (
+    MissingArcProbability,
+    ModeUnsupported,
+    ScopeMismatch,
+    UnknownNode,
+    ZeroProbabilityCondition,
+)
 from .trees import (
+    ChanceArc,
     ChanceNode,
     DecisionArc,
     DecisionNode,
@@ -27,9 +34,10 @@ from .trees import (
     Node,
     Row,
     Strategy,
-    # Unused here, but perfbench/spans.py wraps these two module attributes.
     enumerate_strategies,
+    # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
+    kept_children,
     strategy_table,
     subtree_at,
 )
@@ -38,18 +46,22 @@ from .uncertainty import (
     JointModel,
     UncertaintyModel,
     expectation,
-    factored_expectation,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class NormalFormSolution:
-    """The strategies a choice function keeps, with the data that produced them."""
+    """The strategies a choice function keeps, with the data that produced them.
+
+    ``indices[k]`` is the position of ``strategies[k]`` in
+    `enumerate_strategies` order of the solved tree.
+    """
 
     tree_ref: DecisionTree
     strategies: tuple[Strategy, ...]
     conditioning: Event
     choice: ChoiceFunction
+    indices: tuple[int, ...]
 
 
 def normal_form_solution(
@@ -95,12 +107,9 @@ def normal_form_solution(
 
     chosen = choice.choose(distinct, model, b)
     chosen_classes = {classes.get(g.values_on(b)) for g in chosen}
-    kept = tuple(
-        Strategy(tree.space, v, scope)
-        for (v, _), c in zip(rows, class_of)
-        if c in chosen_classes
-    )
-    return NormalFormSolution(tree, kept, b, choice)
+    indices = tuple(i for i, c in enumerate(class_of) if c in chosen_classes)
+    kept = tuple(Strategy(tree.space, rows[i][0], scope) for i in indices)
+    return NormalFormSolution(tree, kept, b, choice, indices)
 
 
 def restrict_solution(
@@ -108,16 +117,25 @@ def restrict_solution(
 ) -> tuple[Strategy, ...]:
     """The distinct subtrees at *node_id* of the solution's strategies.
 
-    Strategies that do not reach the node contribute nothing; structurally
-    equal restrictions are reported once, in order of first appearance.
+    Strategies that do not reach the node contribute nothing; restrictions
+    that keep the same arcs are reported once, in order of first appearance.
     """
+    return tuple(_restrictions(sol, node_id).values())
+
+
+def _restrictions(
+    sol: NormalFormSolution, node_id: str
+) -> dict[tuple[str, ...], Strategy]:
+    """`restrict_solution`, keyed by `kept_children`."""
     if not sol.tree_ref.contains(node_id):
         raise UnknownNode(f"no node with id {node_id!r}")
-    seen: dict[Strategy, None] = {}
+    seen: dict[tuple[str, ...], Strategy] = {}
     for s in sol.strategies:
         if s.contains(node_id):
-            seen.setdefault(subtree_at(s, node_id), None)
-    return tuple(seen)
+            key = kept_children(s.find(node_id))
+            if key not in seen:
+                seen[key] = subtree_at(s, node_id)
+    return seen
 
 
 class Outcome(str, enum.Enum):
@@ -156,7 +174,8 @@ def _verdict_at(
     node_id: str,
     table: dict[str, list[Row]],
 ) -> PerfectnessVerdict:
-    restricted = restrict_solution(full, node_id)
+    keyed = _restrictions(full, node_id)
+    restricted = tuple(keyed.values())
     if not restricted:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
     if node_id == tree.root.node_id:
@@ -171,7 +190,8 @@ def _verdict_at(
             return PerfectnessVerdict(
                 node_id, Outcome.ERROR, restricted, (), str(exc)
             )
-    outcome = Outcome.HOLD if set(restricted) == set(local) else Outcome.FAIL
+    same = keyed.keys() == {kept_children(s.root) for s in local}
+    outcome = Outcome.HOLD if same else Outcome.FAIL
     return PerfectnessVerdict(node_id, outcome, restricted, local)
 
 
@@ -224,9 +244,10 @@ def backward_induct_eu(
     """All expected-utility optimal strategies, found by backward induction.
 
     At chance nodes values are averaged with the model's conditional arc
-    probabilities, at decision nodes every value-maximising arc is kept, and
-    the kept arcs are recombined into strategies.  For expected utility this
-    agrees with the normal form solution.
+    probabilities, and at decision nodes every value-maximising arc is kept;
+    the strategies of the tree pruned that way are returned, in
+    `enumerate_strategies` order.  For expected utility this agrees with the
+    normal form solution.
     """
     if isinstance(model, JointModel):
         def arc_weights(node: ChanceNode, scope: Event) -> list:
@@ -244,8 +265,6 @@ def backward_induct_eu(
         def arc_weights(node: ChanceNode, scope: Event) -> list:
             probs = model.assessment.arc_probs.get(node.node_id)
             if probs is None or len(probs) != len(node.arcs):
-                from .errors import MissingArcProbability
-
                 raise MissingArcProbability(
                     f"no usable arc probabilities for {node.node_id!r}"
                 )
@@ -255,69 +274,34 @@ def backward_induct_eu(
             return g.constant_value_on(scope)
 
     else:
-        from .errors import ModeUnsupported
-
         raise ModeUnsupported("backward induction needs a joint or factored model")
 
-    kept_arcs: dict[str, tuple[int, ...]] = {}
-
-    def value(node: Node, scope: Event):
+    def prune(node: Node, scope: Event) -> tuple[object, Node]:
+        """The node's value, and the node keeping only maximising decision arcs."""
         if isinstance(node, Leaf):
-            return node.reward
+            return node.reward, node
         if isinstance(node, GambleLeaf):
-            return leaf_value(node.gamble, scope)
+            return leaf_value(node.gamble, scope), node
         if isinstance(node, ChanceNode):
             weights = arc_weights(node, scope)
             total = 0
+            arcs = []
             for w, arc in zip(weights, node.arcs):
                 child_scope = scope & arc.event
                 if child_scope.is_empty:
                     raise ZeroProbabilityCondition(
                         f"arc of {node.node_id!r} has empty scope"
                     )
-                total += w * value(arc.child, child_scope)
-            return total
+                v, child = prune(arc.child, child_scope)
+                total += w * v
+                arcs.append(ChanceArc(arc.event, child))
+            return total, ChanceNode(node.node_id, tuple(arcs))
         if isinstance(node, DecisionNode):
-            vals = [value(arc.child, scope) for arc in node.arcs]
-            top = max(vals)
-            kept_arcs[node.node_id] = tuple(
-                i for i, v in enumerate(vals) if v == top
-            )
-            return top
+            pruned = [(*prune(arc.child, scope), arc.label) for arc in node.arcs]
+            top = max(v for v, _, _ in pruned)
+            arcs = tuple(DecisionArc(l, c) for v, c, l in pruned if v == top)
+            return top, DecisionNode(node.node_id, arcs)
         raise TypeError(f"unknown node type {type(node).__name__}")
 
-    value(tree.root, tree.root_scope)
-
-    def variants(node: Node) -> list[Node]:
-        if isinstance(node, (Leaf, GambleLeaf)):
-            return [node]
-        if isinstance(node, DecisionNode):
-            out: list[Node] = []
-            for i in kept_arcs[node.node_id]:
-                arc = node.arcs[i]
-                for child in variants(arc.child):
-                    out.append(
-                        DecisionNode(node.node_id, (DecisionArc(arc.label, child),))
-                    )
-            return out
-        if isinstance(node, ChanceNode):
-            import itertools
-
-            choices = [variants(arc.child) for arc in node.arcs]
-            out = []
-            for combo in itertools.product(*choices):
-                out.append(
-                    ChanceNode(
-                        node.node_id,
-                        tuple(
-                            arc.__class__(arc.event, child)
-                            for arc, child in zip(node.arcs, combo)
-                        ),
-                    )
-                )
-            return out
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    return tuple(
-        Strategy(tree.space, v, tree.root_scope) for v in variants(tree.root)
-    )
+    _, root = prune(tree.root, tree.root_scope)
+    return enumerate_strategies(DecisionTree(tree.space, root, tree.root_scope))

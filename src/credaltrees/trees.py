@@ -1,13 +1,15 @@
 """Finite possibility spaces, events, gambles and sequential decision trees.
 
 Everything is exact: numeric rewards are `fractions.Fraction`, events are
-subsets of a finite possibility space, and all structures are frozen and
-hashable so strategies can be compared and deduplicated structurally.
+subsets of a finite possibility space, and all structures are frozen.
+Strategies are listed by `strategy_table` and told apart by the arcs they
+keep (`kept_children`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
+    DuplicateArcLabel,
     DuplicateNodeId,
     EmptyScope,
     IncompletePartition,
@@ -382,8 +385,9 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
     an error (`EmptyScope`); in ``auto_prune`` mode such arcs are deleted and
     the partition invariant is re-checked on what remains.  Either way the
     arcs kept at a chance node must partition the node's scope, node ids must
-    be unique, gamble leaves must carry their node's scope, and the whole
-    tree must stick to a single reward kind.
+    be unique, the arc labels of a decision node must be distinct (they name
+    the kept arc in `kept_arcs`), gamble leaves must carry their node's
+    scope, and the whole tree must stick to a single reward kind.
     """
     if mode not in ("reject", "auto_prune"):
         raise ValueError(f"unknown validation mode {mode!r}")
@@ -412,6 +416,12 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
             if not node.arcs:
                 raise IncompletePartition(
                     f"decision node {node.node_id!r} has no arcs"
+                )
+            labels = [a.label for a in node.arcs]
+            if len(set(labels)) != len(labels):
+                twice = next(l for l in labels if labels.count(l) > 1)
+                raise DuplicateArcLabel(
+                    f"decision node {node.node_id!r} has two arcs labelled {twice!r}"
                 )
             return DecisionNode(
                 node.node_id,
@@ -580,6 +590,47 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
     """
     rows = strategy_table(tree)[tree.root.node_id]
     return tuple(Strategy(tree.space, v, tree.root_scope) for v, _ in rows)
+
+
+def count_strategies(tree: DecisionTree) -> int:
+    """``len(enumerate_strategies(tree))``, without enumerating."""
+    return _count(tree.root)
+
+
+def _count(node: Node) -> int:
+    if isinstance(node, DecisionNode):
+        return sum(_count(a.child) for a in node.arcs)
+    if isinstance(node, ChanceNode):
+        return math.prod(_count(a.child) for a in node.arcs)
+    return 1
+
+
+def _kept_decisions(node: Node) -> Iterator[DecisionNode]:
+    """The decision nodes of a strategy at and below *node*, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DecisionNode):
+            yield node
+        if isinstance(node, (DecisionNode, ChanceNode)):
+            stack.extend(arc.child for arc in reversed(node.arcs))
+
+
+def kept_arcs(strategy: DecisionTree) -> dict[str, str]:
+    """Kept arc label per decision node, in preorder: the portable form of a
+    strategy."""
+    return {n.node_id: n.arcs[0].label for n in _kept_decisions(strategy.root)}
+
+
+def kept_children(node: Node) -> tuple[str, ...]:
+    """The ids of the children kept by the decision nodes of a strategy at
+    and below *node*, in preorder.
+
+    Among the strategies of one tree, or of one of its subtrees, equal keys
+    mean equal strategies, because node ids are unique in a tree; unlike the
+    structural equality of the nodes, the key is cheap to hash and compare.
+    """
+    return tuple(n.arcs[0].child.node_id for n in _kept_decisions(node))
 
 
 def gamble_of(strategy: DecisionTree) -> Gamble:

@@ -36,6 +36,7 @@ from credaltrees import (
     decision,
     gamble_of,
     leaf,
+    subtree_at,
     validate_tree,
 )
 
@@ -541,6 +542,16 @@ def reference_solution(tree, choice, model, b=None):
         distinct.setdefault(g.values_on(b), g)
     chosen = {g.values_on(b) for g in choice.choose(list(distinct.values()), model, b)}
     return tuple(s for s, g in zip(strategies, gambles) if g.values_on(b) in chosen)
+
+
+def reference_restriction(strategies, node_id):
+    """The distinct subtrees at *node_id* of *strategies*, deduplicated by
+    structural equality of the nodes, in order of first appearance."""
+    seen = {}
+    for s in strategies:
+        if s.contains(node_id):
+            seen.setdefault(subtree_at(s, node_id), None)
+    return tuple(seen)
 
 
 def example_problems():

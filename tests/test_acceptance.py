@@ -27,11 +27,11 @@ from credaltrees.solver import (
     normal_form_solution,
 )
 from credaltrees.trees import (
-    DecisionNode,
     Gamble,
     PossibilitySpace,
     enumerate_strategies,
     gamble_of,
+    kept_arcs,
     subtree_at,
 )
 from credaltrees.uncertainty import (
@@ -48,21 +48,6 @@ from credaltrees.uncertainty import (
 
 def F(n, d=1):
     return Fraction(n, d)
-
-
-def kept_arcs(strategy):
-    out = {}
-
-    def walk(node):
-        if isinstance(node, DecisionNode):
-            out[node.node_id] = node.arcs[0].label
-            walk(node.arcs[0].child)
-        elif hasattr(node, "arcs"):
-            for arc in node.arcs:
-                walk(arc.child)
-
-    walk(strategy.root)
-    return out
 
 
 def verdict_map(tree, choice, model):
@@ -246,8 +231,8 @@ def test_10_eu_is_subtree_perfect_on_300_random_trees():
             tree, model = gen_random_tree(cfg, index)
             verdicts = check_subtree_perfect(tree, eu, model)
             assert all_hold(verdicts), f"seed {cfg.seed} index {index}"
-            induced = set(backward_induct_eu(tree, model))
-            normal = set(normal_form_solution(tree, eu, model).strategies)
+            induced = backward_induct_eu(tree, model)
+            normal = normal_form_solution(tree, eu, model).strategies
             assert induced == normal, f"seed {cfg.seed} index {index}"
             checked += 1
     assert checked == 300

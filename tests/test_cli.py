@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from credaltrees import (
+    ChoiceFunction,
+    enumerate_strategies,
+    gamble_of,
+    kept_arcs,
+    normal_form_solution,
+    validate_tree,
+)
 from credaltrees.cli import run
+from credaltrees.formats import load_json, parse_model, parse_problem, render_reward
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 MANIFEST = json.loads((PROBLEMS / "manifest.json").read_text())["problems"]
@@ -136,6 +145,51 @@ def test_condition_accepts_named_events_and_atom_lists(capsys):
     assert by_name["condition"] == ["e2"]
     # conditioned on the second outcome the constant-1 plan wins
     assert by_name["strategies"][0]["kept"] == {"N": "to_N1", "N1": "d2"}
+
+
+@pytest.mark.parametrize(
+    "choice, condition",
+    [("e-admissible", None), ("maximin", "A1"), ("maximin", "A2")],
+)
+def test_solve_lists_each_strategy_at_its_enumeration_index(capsys, choice, condition):
+    tree_file = PROBLEMS / "eadmissible-success.tree.json"
+    model_file = PROBLEMS / "eadmissible-success.model.json"
+    problem = parse_problem(load_json(tree_file.read_text()))
+    tree = validate_tree(problem.tree)
+    model = parse_model(load_json(model_file.read_text()), tree.space, tree)
+    b = None if condition is None else problem.events[condition]
+    everything = enumerate_strategies(tree)
+    solution = normal_form_solution(tree, ChoiceFunction(choice.replace("-", "_")), model, b)
+    assert solution.indices == tuple(everything.index(s) for s in solution.strategies)
+
+    argv = ["solve", "--tree", str(tree_file), "--model", str(model_file),
+            "--choice", choice, "--format", "structured"]
+    assert run(argv + ([] if condition is None else ["--condition", condition])) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["total_strategies"] == len(everything)
+    assert [e["index"] for e in doc["strategies"]] == list(solution.indices)
+    assert len(solution.indices) > 1
+    for entry in doc["strategies"]:
+        strategy = everything[entry["index"]]
+        assert entry["kept"] == kept_arcs(strategy)
+        assert entry["gamble"] == {
+            a: render_reward(v) for a, v in gamble_of(strategy).items()
+        }
+
+
+def test_exit_two_on_duplicate_decision_arc_labels(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "maximin-failure.tree.json").read_text())
+    for arc in doc["tree"]["arcs"][0]["child"]["arcs"]:
+        arc["label"] = "two"
+    tree = tmp_path / "twins.tree.json"
+    tree.write_text(json.dumps(doc))
+    for command in ("strategies", "export-dot"):
+        code = run([command, "--tree", str(tree), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "'N2'" in captured.err and "'two'" in captured.err
 
 
 def test_prune_rescues_an_impossible_chance_arc(tmp_path, capsys):
@@ -324,9 +378,8 @@ def test_fuzz_expected_utility_is_quiet(capsys):
     assert "failing trees: 0" in out
 
 
-@pytest.mark.parametrize("depth", [300, 600])
-def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
-    # 300 levels overflow the recursive traversals, 600 the JSON decoder.
+def chain_check(tmp_path, depth):
+    """argv of `check` on a *depth*-long chain of go/stop decisions."""
     node = '{"id": "L", "kind": "leaf", "reward": 1}'
     for i in range(depth):
         stop = '{"id": "S%d", "kind": "leaf", "reward": 0}' % i
@@ -338,9 +391,23 @@ def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
     tree.write_text('{"atoms": ["a"], "tree": %s}' % node)
     model = tmp_path / "chain.model.json"
     model.write_text('{"mode": "joint", "mass": {"a": "1"}}')
-    code = run(
-        ["check", "--tree", str(tree), "--model", str(model), "--choice", "maximin"]
-    )
+    return ["check", "--tree", str(tree), "--model", str(model), "--choice", "maximin"]
+
+
+def test_a_300_deep_chain_is_checked(tmp_path, capsys):
+    # Strategies are compared by their kept arcs, so no comparison recurses
+    # through the chain; going all the way is the one maximin strategy.
+    code = run(chain_check(tmp_path, 300))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("subtree perfect: yes\n")
+    assert "D299: hold" in out and "D0: hold" in out
+
+
+@pytest.mark.parametrize("depth", [600])
+def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
+    # 600 levels overflow the JSON decoder.
+    code = run(chain_check(tmp_path, depth))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1

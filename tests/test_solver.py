@@ -8,6 +8,7 @@ import credaltrees.solver as solver_module
 from credaltrees import (
     KINDS,
     ChoiceFunction,
+    ChanceNode,
     CredalTreeError,
     DecisionNode,
     DecisionTree,
@@ -19,6 +20,8 @@ from credaltrees import (
     Outcome,
     PossibilitySpace,
     ScopeMismatch,
+    Strategy,
+    ZeroProbabilityCondition,
     all_hold,
     backward_induct_eu,
     chance,
@@ -28,6 +31,7 @@ from credaltrees import (
     enumerate_strategies,
     expectation,
     gamble_of,
+    kept_arcs,
     leaf,
     lower_expectation,
     normal_form_solution,
@@ -50,17 +54,10 @@ from conftest import (
     build_imprecise_utility,
     build_maximin_failure,
     example_problems,
+    reference_restriction,
     reference_solution,
     reference_strategies,
 )
-
-
-def kept(strategy):
-    return {
-        n.node_id: n.arcs[0].label
-        for n, _ in strategy.nodes()
-        if isinstance(n, DecisionNode)
-    }
 
 
 EU = ChoiceFunction("eu")
@@ -75,7 +72,7 @@ def test_precise_root_choice_values_and_solution(eu1):
     values = sorted(expectation(model.p, gamble_of(s), tree.root_scope) for s in strats)
     assert values == [Fraction(1), Fraction(6, 5), Fraction(9, 5), Fraction(2)]
     sol = normal_form_solution(tree, EU, model)
-    assert [kept(s) for s in sol.strategies] == [{"N": "to_N2", "N2": "d2"}]
+    assert [kept_arcs(s) for s in sol.strategies] == [{"N": "to_N2", "N2": "d2"}]
 
 
 def test_precise_root_choice_is_subtree_perfect(eu1):
@@ -105,13 +102,13 @@ def test_chance_root_example_holds_with_matching_local_values(eu2):
 def test_zero_probability_branch_breaks_perfectness(eu3):
     tree, model = eu3
     sol = normal_form_solution(tree, EU, model)
-    assert [kept(s) for s in sol.strategies] == [{"N1": "d1"}, {"N1": "d2"}]
+    assert [kept_arcs(s) for s in sol.strategies] == [{"N1": "d1"}, {"N1": "d2"}]
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, EU, model)}
     v = verdicts["N1"]
     assert v.outcome is Outcome.FAIL
     # the witness: the restriction keeps the d2 path, the local solution does not
-    assert [kept(s) for s in v.restricted_solution] == [{"N1": "d1"}, {"N1": "d2"}]
-    assert [kept(s) for s in v.local_solution] == [{"N1": "d1"}]
+    assert [kept_arcs(s) for s in v.restricted_solution] == [{"N1": "d1"}, {"N1": "d2"}]
+    assert [kept_arcs(s) for s in v.local_solution] == [{"N1": "d1"}]
     assert not all_hold(verdicts.values())
 
 
@@ -122,13 +119,13 @@ def test_imprecise_utility_nested_choice_fails(imprecise_utility_problem):
     tree, model = imprecise_utility_problem
     cf = ChoiceFunction("imprecise_utility")
     sol = normal_form_solution(tree, cf, model)
-    assert [kept(s) for s in sol.strategies] == [
+    assert [kept_arcs(s) for s in sol.strategies] == [
         {"N1": "down", "N2": "r1"},
         {"N1": "r3"},
     ]
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, cf, model)}
     assert verdicts["N2"].outcome is Outcome.FAIL
-    assert [kept(s) for s in verdicts["N2"].local_solution] == [
+    assert [kept_arcs(s) for s in verdicts["N2"].local_solution] == [
         {"N2": "r1"},
         {"N2": "r2"},
     ]
@@ -155,13 +152,13 @@ def test_undominated_choice_under_a_partial_order_fails_nested():
 
     cf = ChoiceFunction("by_preorder", preorder=undominated)
     sol = normal_form_solution(tree, cf, None)
-    assert [kept(s) for s in sol.strategies] == [
+    assert [kept_arcs(s) for s in sol.strategies] == [
         {"N1": "down", "N2": "x1"},
         {"N1": "x3"},
     ]
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, cf, None)}
     assert verdicts["N2"].outcome is Outcome.FAIL
-    assert [kept(s) for s in verdicts["N2"].local_solution] == [
+    assert [kept_arcs(s) for s in verdicts["N2"].local_solution] == [
         {"N2": "x1"},
         {"N2": "x2"},
     ]
@@ -175,7 +172,7 @@ def test_e_admissible_mirrored_tree_is_subtree_perfect(eadm_success):
     cf = ChoiceFunction("e_admissible")
     sol = normal_form_solution(tree, cf, model)
     assert len(enumerate_strategies(tree)) == 4
-    assert [kept(s) for s in sol.strategies] == [
+    assert [kept_arcs(s) for s in sol.strategies] == [
         {"N1": "gamble", "N2": "safe"},
         {"N1": "safe", "N2": "gamble"},
     ]
@@ -193,21 +190,21 @@ def test_e_admissible_nested_decision_fails(eadm_failure):
     risky = next(
         gamble_of(s)
         for s in enumerate_strategies(tree)
-        if kept(s).get("N2") == "risky"
+        if kept_arcs(s).get("N2") == "risky"
     )
     members = model.credal.members
     values = sorted(expectation(p, risky, tree.root_scope) for p in members)
     assert values == [Fraction(-3), Fraction(3)]
     sol = normal_form_solution(tree, cf, model)
-    assert [kept(s) for s in sol.strategies] == [
+    assert [kept_arcs(s) for s in sol.strategies] == [
         {"N1": "down", "N2": "risky"},
         {"N1": "two"},
     ]
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, cf, model)}
     v = verdicts["N2"]
     assert v.outcome is Outcome.FAIL
-    assert [kept(s) for s in v.restricted_solution] == [{"N2": "risky"}]
-    assert [kept(s) for s in v.local_solution] == [{"N2": "risky"}, {"N2": "one"}]
+    assert [kept_arcs(s) for s in v.restricted_solution] == [{"N2": "risky"}]
+    assert [kept_arcs(s) for s in v.local_solution] == [{"N2": "risky"}, {"N2": "one"}]
 
 
 # --- worst-case and lower-envelope rules break below chance nodes ------------------
@@ -221,8 +218,8 @@ def test_maximin_fails_below_a_chance_node(maximin_failure):
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, cf, None)}
     v = verdicts["N2"]
     assert v.outcome is Outcome.FAIL
-    assert [kept(s) for s in v.local_solution] == [{"N2": "two"}]
-    assert [kept(s) for s in v.restricted_solution] == [
+    assert [kept_arcs(s) for s in v.local_solution] == [{"N2": "two"}]
+    assert [kept_arcs(s) for s in v.restricted_solution] == [
         {"N2": "two"},
         {"N2": "one"},
     ]
@@ -238,7 +235,7 @@ def test_lower_envelope_preference_reverses_in_the_subtree(gamma_failure):
     )
     assert lowers == [Fraction(-1, 5), Fraction(1, 2)]
     sol = normal_form_solution(tree, cf, model)
-    assert [kept(s) for s in sol.strategies] == [{"N1": "gamble"}]
+    assert [kept_arcs(s) for s in sol.strategies] == [{"N1": "gamble"}]
 
     sub = subtree_at(tree, "N1")
     sub_lowers = sorted(
@@ -247,7 +244,7 @@ def test_lower_envelope_preference_reverses_in_the_subtree(gamma_failure):
     )
     assert sub_lowers == [Fraction(-2, 5), Fraction(0)]
     local = normal_form_solution(sub, cf, model)
-    assert [kept(s) for s in local.strategies] == [{"N1": "safe"}]
+    assert [kept_arcs(s) for s in local.strategies] == [{"N1": "safe"}]
 
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, cf, model)}
     assert verdicts["N1"].outcome is Outcome.FAIL
@@ -266,7 +263,7 @@ def test_single_node_check_matches_the_full_scan(eu3):
 def test_restriction_drops_strategies_that_avoid_the_node(eu1):
     tree, model = eu1
     sol = normal_form_solution(tree, EU, model)
-    assert [kept(s) for s in restrict_solution(sol, "N2")] == [{"N2": "d2"}]
+    assert [kept_arcs(s) for s in restrict_solution(sol, "N2")] == [{"N2": "d2"}]
     assert restrict_solution(sol, "N1") == ()
 
 
@@ -288,7 +285,7 @@ def test_zero_mass_branch_under_a_joint_model_reports_error():
 def test_backward_induction_agrees_with_the_normal_form(eu1, eu2):
     for tree, model in (eu1, eu2):
         nf = normal_form_solution(tree, EU, model)
-        assert set(backward_induct_eu(tree, model)) == set(nf.strategies)
+        assert backward_induct_eu(tree, model) == nf.strategies
 
 
 def test_conditioned_solving_restricts_the_comparison(eu1):
@@ -297,10 +294,10 @@ def test_conditioned_solving_restricts_the_comparison(eu1):
     sol = normal_form_solution(tree, EU, model, e1)
     assert sol.conditioning.ordered == ("e1",)
     # given e1 the best gamble pays 4
-    assert [kept(s) for s in sol.strategies] == [{"N": "to_N2", "N2": "d2"}]
+    assert [kept_arcs(s) for s in sol.strategies] == [{"N": "to_N2", "N2": "d2"}]
     e2 = tree.space.event(["e2"])
     sol2 = normal_form_solution(tree, EU, model, e2)
-    assert [kept(s) for s in sol2.strategies] == [{"N": "to_N1", "N1": "d2"}]
+    assert [kept_arcs(s) for s in sol2.strategies] == [{"N": "to_N1", "N1": "d2"}]
 
 
 @pytest.mark.parametrize(
@@ -478,3 +475,105 @@ def test_unvalidated_trees_fail_as_gamble_of_does(case, error):
     maximin = ChoiceFunction("maximin")
     assert solved(lambda: reference_solution(tree, maximin, None)) is error
     assert solved(lambda: normal_form_solution(tree, maximin, None)) is error
+
+
+# --- strategies compared by their kept arcs ---------------------------------------
+
+
+def portable(strategies):
+    return [list(kept_arcs(s).items()) for s in strategies]
+
+
+def reference_verdict(tree, choice, model, full, node_id):
+    """(outcome, restriction, local solution) with strategies compared by
+    structural equality of their nodes, the way the check compared them
+    before kept arcs."""
+    restricted = reference_restriction(full, node_id)
+    if not restricted:
+        return Outcome.VACUOUS_HOLD, (), ()
+    if node_id == tree.root.node_id:
+        local = full
+    else:
+        try:
+            local = reference_solution(subtree_at(tree, node_id), choice, model)
+        except ZeroProbabilityCondition:
+            return Outcome.ERROR, restricted, ()
+    same = set(restricted) == set(local)
+    return (Outcome.HOLD if same else Outcome.FAIL), restricted, local
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
+    st.sampled_from(("eu", "maximin", "gamma_maximin", "maximality", "e_admissible")),
+)
+@settings(max_examples=40, deadline=None)
+def test_verdicts_match_a_structural_reference_on_random_trees(seed, sampler, kind):
+    cfg = FuzzConfig(seed=seed, tree_count=1, model_sampler=sampler, max_strategies=24)
+    tree, model = gen_random_tree(cfg, 0)
+    choice = ChoiceFunction(kind)
+    full = solved(lambda: reference_solution(tree, choice, model))
+    verdicts = solved(lambda: check_subtree_perfect(tree, choice, model))
+    if not isinstance(full, tuple):
+        assert verdicts is full
+        return
+    assert [v.node_id for v in verdicts] == list(tree.node_ids())
+    for v in verdicts:
+        outcome, restricted, local = reference_verdict(
+            tree, choice, model, full, v.node_id
+        )
+        assert v.outcome is outcome, v.node_id
+        assert portable(v.restricted_solution) == portable(restricted), v.node_id
+        assert portable(v.local_solution) == portable(local), v.node_id
+
+
+def test_check_neither_hashes_nor_compares_nodes(monkeypatch):
+    problems = [p[1:] for p in SMALL_EXAMPLES if p[2] is not None]
+    for sampler in ("credal:2", "hierarchical:2"):
+        cfg = FuzzConfig(seed=5, tree_count=6, model_sampler=sampler)
+        problems += [gen_random_tree(cfg, i) for i in range(cfg.tree_count)]
+    runs = [
+        (tree, ChoiceFunction(kind), model)
+        for tree, model in problems
+        for kind in ("maximin", "eu", "maximality", "imprecise_utility")
+    ]
+    expected = [solved(lambda: check_subtree_perfect(*run)) for run in runs]
+    calls = []
+
+    def refuse(self, *_):
+        calls.append(type(self).__name__)
+        raise AssertionError("strategies are compared by their kept arcs")
+
+    for cls in (Strategy, DecisionNode, ChanceNode):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    verdicts = [solved(lambda: check_subtree_perfect(*run)) for run in runs]
+    monkeypatch.undo()
+    assert calls == []
+    checked = 0
+    for got, want in zip(verdicts, expected):
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert [(v.node_id, v.outcome) for v in got] == [
+            (v.node_id, v.outcome) for v in want
+        ]
+        checked += 1
+    assert checked >= len(problems)
+
+
+@pytest.mark.parametrize(
+    "tree, model", [p[1:] for p in SMALL_EXAMPLES], ids=[p[0] for p in SMALL_EXAMPLES]
+)
+def test_solution_indices_are_enumeration_positions(tree, model):
+    everything = enumerate_strategies(tree)
+    events = [None] + [s for _, s in tree.nodes() if s != tree.root_scope]
+    solutions = 0
+    for b in events:
+        for kind in RULES:
+            sol = solved(lambda: normal_form_solution(tree, ChoiceFunction(kind), model, b))
+            if isinstance(sol, type):
+                continue
+            assert sol.indices == tuple(everything.index(s) for s in sol.strategies)
+            solutions += 1
+    assert solutions

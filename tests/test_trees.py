@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from credaltrees import (
     DecisionNode,
     DecisionTree,
+    DuplicateArcLabel,
     DuplicateNodeId,
     EmptyScope,
     Gamble,
@@ -17,10 +18,13 @@ from credaltrees import (
     Strategy,
     UnknownNode,
     chance,
+    count_strategies,
     decision,
     difference_on,
     enumerate_strategies,
     gamble_of,
+    kept_arcs,
+    kept_children,
     leaf,
     path_event,
     strategy_table,
@@ -96,6 +100,19 @@ def test_validate_rejects_duplicate_node_ids():
         validate_tree(DecisionTree(sp, root))
 
 
+def test_validate_rejects_duplicate_decision_arc_labels():
+    sp = PossibilitySpace(("a", "b"))
+    inner = decision("D", [("two", leaf("L1", 1)), ("two", leaf("L2", 2))])
+    root = chance("N", [(sp.event(["a"]), inner), (sp.event(["b"]), leaf("L3", 3))])
+    with pytest.raises(DuplicateArcLabel, match="'D'.*'two'"):
+        validate_tree(DecisionTree(sp, root))
+    # The kept children still tell the two strategies apart.
+    first, second = enumerate_strategies(DecisionTree(sp, root))
+    assert kept_arcs(first) == kept_arcs(second) == {"D": "two"}
+    assert kept_children(first.root) == ("L1",)
+    assert kept_children(second.root) == ("L2",)
+
+
 def test_validate_rejects_incomplete_chance_partition():
     sp = PossibilitySpace(("a", "b"))
     root = chance("N", [(sp.event(["a"]), leaf("L", 1))])
@@ -134,12 +151,7 @@ def test_enumerate_counts_and_order():
     # lexicographic over kept arc indices: to_N1/d1, to_N1/d2, to_N2/d1, to_N2/d2
     first = strats[0]
     assert isinstance(first, Strategy)
-    kept = {
-        n.node_id: n.arcs[0].label
-        for n, _ in first.nodes()
-        if isinstance(n, DecisionNode)
-    }
-    assert kept == {"N": "to_N1", "N1": "d1"}
+    assert kept_arcs(first) == {"N": "to_N1", "N1": "d1"}
     assert enumerate_strategies(tree) == strats
 
 
@@ -229,17 +241,7 @@ def test_every_strategy_gamble_is_total(tree):
 @given(small_trees())
 @settings(max_examples=60, deadline=None)
 def test_strategy_count_multiplies_over_arcs(tree):
-    def count(node, reachable=True):
-        if isinstance(node, DecisionNode):
-            return sum(count(a.child) for a in node.arcs)
-        if hasattr(node, "arcs"):
-            total = 1
-            for a in node.arcs:
-                total *= count(a.child)
-            return total
-        return 1
-
-    assert len(enumerate_strategies(tree)) == count(tree.root)
+    assert count_strategies(tree) == len(enumerate_strategies(tree))
 
 
 # --- the strategy table against the recursive enumerator ------------------------

@@ -30,8 +30,8 @@ from .uncertainty import (
     MassFunction,
     UncertaintyModel,
     UtilityModel,
-    expectation,
     precise_gamble_value,
+    utility_values,
 )
 
 KINDS = (
@@ -393,8 +393,9 @@ def choose_imprecise_utility(
 
     The options carry reward labels; each utility function turns them into
     numeric gambles, which are compared by conditional expectation under
-    the model's chance part, or directly when there is none (in which case
-    the relabelled options must be constant on the conditioning event).
+    the model's chance part (joint or factored), or directly when there is
+    none (in which case the relabelled options must be constant on the
+    conditioning event).
     """
     _guard(xs, b, numeric=False)
     if not isinstance(model, UtilityModel):
@@ -404,28 +405,8 @@ def choose_imprecise_utility(
             raise ValueError("imprecise_utility expects label gambles")
 
     winners: set[int] = set()
-    for i in range(len(model.utilities.functions)):
-        numeric = [model.utilities.apply(i, x) for x in xs]
-        if model.chance is None:
-            values = []
-            for g in numeric:
-                vals = set(g.values_on(b))
-                if len(vals) != 1:
-                    raise ModeUnsupported(
-                        "a utility model without a chance part can only"
-                        " compare options that are constant on the"
-                        " conditioning event"
-                    )
-                values.append(vals.pop())
-        elif isinstance(model.chance, JointModel):
-            values = [expectation(model.chance.p, g, b) for g in numeric]
-        else:
-            raise ModeUnsupported(
-                "imprecise_utility supports a joint chance part here; value"
-                " factored assessments at the strategy level instead"
-            )
-        top = max(values)
-        winners.update(j for j, v in enumerate(values) if v == top)
+    for values in zip(*(utility_values(model, x, b) for x in xs)):
+        winners.update(_argmax(values, range(len(xs))))
     return tuple(x for j, x in enumerate(xs) if j in winners)
 
 

@@ -225,8 +225,11 @@ def parse_problem(doc) -> ParsedProblem:
     if len(set(atoms)) != len(atoms):
         raise FileFormatError("problem: atoms must be distinct")
     space = PossibilitySpace(atoms)
+    events = doc.get("events") or {}
+    if not isinstance(events, dict):
+        raise FileFormatError("problem: events must map names to atom lists")
     named: dict[str, Event] = {}
-    for name, value in (doc.get("events") or {}).items():
+    for name, value in events.items():
         if not isinstance(value, list):
             raise FileFormatError(f"event {name!r}: named events are atom lists")
         named[name] = event_from(value, space, {}, f"event {name!r}")

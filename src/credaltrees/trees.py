@@ -495,8 +495,9 @@ def strategy_table(tree: DecisionTree) -> dict[str, list[Row]]:
     on the matching strategy of ``subtree_at(tree, node_id)``.  The pass is
     bottom-up: a leaf gives one row, a decision node concatenates its
     children's rows, and a chance node takes the product of its children's
-    rows and merges their value tuples.  Raises what `gamble_of` raises on
-    some strategy of the tree.
+    rows and merges their value tuples; the keys are in post-order, every
+    child before its parent.  Raises what `gamble_of` raises on some
+    strategy of the tree.
     """
     table: dict[str, list[Row]] = {}
     _build_rows(tree.root, tree.root_scope, table)

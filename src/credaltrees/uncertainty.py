@@ -6,10 +6,11 @@ expectation operators for each.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     InconsistentAssessment,
@@ -30,13 +31,14 @@ from .trees import (
     Gamble,
     GambleLeaf,
     Leaf,
-    Node,
     PossibilitySpace,
+    Reward,
     Row,
     Strategy,
     as_rational,
     gamble_of,
     strategy_table,
+    subtree_at,
 )
 
 
@@ -215,11 +217,6 @@ class TreeFactoredAssessment:
 
     tree: DecisionTree
     arc_probs: Mapping[str, tuple[Fraction, ...]]
-    _gamble_cache: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def _strategy_table(self) -> dict[str, list[Row]]:
-        return strategy_table(self.tree)
 
     def __post_init__(self) -> None:
         for node, _ in self.tree.nodes():
@@ -263,94 +260,102 @@ class TreeFactoredAssessment:
             {nid: tuple(as_rational(v) for v in row) for nid, row in table.items()},
         )
 
+    @cached_property
+    def _index(self) -> RowIndex:
+        return _row_index(self, _numeric)
 
-def factored_expectation(
-    a: TreeFactoredAssessment, s: DecisionTree, node_id: Optional[str] = None
-) -> Fraction:
-    """The expected reward of strategy *s* rooted at *node_id*.
 
-    Works by backward recursion over the strategy using the assessment's
-    arc probabilities, so it never divides and is immune to conditioning
-    events of probability zero.
+#: a reward's value in each column of the rows
+RewardMap = Callable[[Reward], tuple[Fraction, ...]]
+
+#: (node scope, row values) -> {row value: ids of the nodes with such a row}
+RowIndex = dict[tuple[Event, tuple[Reward, ...]], dict[tuple[Fraction, ...], set[str]]]
+
+
+def _numeric(reward: Reward) -> tuple[Fraction, ...]:
+    """The reward map of expected utility: a number is its own value."""
+    if not isinstance(reward, Fraction):
+        raise ValueError("factored expectation needs numeric rewards")
+    return (reward,)
+
+
+def _row_values(
+    a: TreeFactoredAssessment, table: dict[str, list[Row]], reward_map: RewardMap
+) -> dict[str, list[tuple[Fraction, ...]]]:
+    """``out[node_id][k]`` values ``table[node_id][k]``, where *table* is the
+    assessed tree's `strategy_table` and its post-order lets one pass meet
+    every child before its parent.  A leaf gives its reward through
+    *reward_map* (a gamble leaf must be constant), a decision row its
+    child's value, and a chance row the arc-probability-weighted sum of its
+    children's values, in the table's product order.  Nothing is divided,
+    so conditioning events of probability zero do no harm.
     """
-    node = s.root if node_id is None else s.find(node_id)
-
-    def value(node: Node) -> Fraction:
+    out: dict[str, list[tuple[Fraction, ...]]] = {}
+    for nid in table:
+        node = a.tree.find(nid)
         if isinstance(node, Leaf):
-            if not isinstance(node.reward, Fraction):
-                raise ValueError("factored expectation needs numeric rewards")
-            return node.reward
-        if isinstance(node, GambleLeaf):
-            v = node.gamble.constant_value_on(node.gamble.scope)
-            if not isinstance(v, Fraction):
-                raise ValueError("factored expectation needs numeric rewards")
-            return v
-        if isinstance(node, DecisionNode):
-            if len(node.arcs) != 1:
-                raise ValueError(
-                    f"decision node {node.node_id!r} keeps {len(node.arcs)} arcs;"
-                    " factored expectation needs a strategy"
+            out[nid] = [reward_map(node.reward)]
+        elif isinstance(node, GambleLeaf):
+            out[nid] = [reward_map(node.gamble.constant_value_on(node.gamble.scope))]
+        elif isinstance(node, DecisionNode):
+            out[nid] = [v for arc in node.arcs for v in out[arc.child.node_id]]
+        else:
+            probs = a.arc_probs[nid]
+            combos = itertools.product(*(out[arc.child.node_id] for arc in node.arcs))
+            out[nid] = [
+                tuple(
+                    sum(map(operator.mul, probs, column), Fraction(0))
+                    for column in zip(*combo)
                 )
-            return value(node.arcs[0].child)
-        if isinstance(node, ChanceNode):
-            probs = a.arc_probs.get(node.node_id)
-            if probs is None:
-                raise MissingArcProbability(
-                    f"no arc probabilities for chance node {node.node_id!r}"
-                )
-            if len(probs) != len(node.arcs):
-                raise MissingArcProbability(
-                    f"arc probabilities at {node.node_id!r} do not match its arcs"
-                )
-            return sum(
-                (p * value(arc.child) for p, arc in zip(probs, node.arcs)),
-                Fraction(0),
-            )
-        raise TypeError(f"unknown node type {type(node).__name__}")
+                for combo in combos
+            ]
+    return out
 
-    return value(node)
+
+def _row_index(a: TreeFactoredAssessment, reward_map: RewardMap) -> RowIndex:
+    table = strategy_table(a.tree)
+    index: RowIndex = {}
+    for nid, values in _row_values(a, table, reward_map).items():
+        scope = a.tree.scope_of(nid)
+        for (_, row), value in zip(table[nid], values):
+            index.setdefault((scope, row), {}).setdefault(value, set()).add(nid)
+    return index
 
 
 def _factored_gamble_value(
-    a: TreeFactoredAssessment, x: Gamble, b: Event
-) -> Fraction:
-    """Value a gamble under a tree-factored assessment by strategy matching.
-
-    The assessment only assigns probabilities along its own tree, so a bare
-    gamble is valued by finding the strategies of the subtrees rooted at
-    nodes whose path event is *b* that induce the same gamble on *b*; their
-    factored expectations must agree, and that common value is returned.
-    The candidates are the rows of the assessment's strategy table, built
-    once per assessment.
+    index: RowIndex, x: Gamble, b: Event, node_id: Optional[str] = None
+) -> tuple[Fraction, ...]:
+    """The common value of the rows that induce *x* on *b*, at the nodes of
+    scope *b* (at *node_id* only, if given): an assessment only assigns
+    probabilities along its own tree, so that is how it values a gamble.
     """
-    key = (x.scope, x.values, b)
-    if key in a._gamble_cache:
-        return a._gamble_cache[key]
-    if not b <= x.scope:
-        raise ScopeMismatch("conditioning event is not inside the gamble's scope")
-    target = x.values_on(b)
-    found: list[tuple[str, Fraction]] = []
-    for node, scope in a.tree.nodes():
-        if scope != b:
-            continue
-        for v, values in a._strategy_table[node.node_id]:
-            if values == target:
-                s = Strategy(a.tree.space, v, scope)
-                found.append((node.node_id, factored_expectation(a, s)))
+    found = index.get((b, x.values if x.scope == b else x.values_on(b)), {})
+    if node_id is not None:
+        found = {v: ids for v, ids in found.items() if node_id in ids}
     if not found:
         raise UnrepresentableGamble(
             f"no strategy of the assessed tree induces this gamble on {b!r}"
         )
-    values = {v for _, v in found}
-    if len(values) > 1:
-        where = sorted({nid for nid, _ in found})
+    if len(found) > 1:
+        where = sorted(set().union(*found.values()))
         raise InconsistentAssessment(
             f"the assessment values the same gamble on {b!r} differently"
             f" at nodes {where}"
         )
-    value = values.pop()
-    a._gamble_cache[key] = value
-    return value
+    return next(iter(found))
+
+
+def factored_expectation(
+    a: TreeFactoredAssessment, s: DecisionTree, node_id: Optional[str] = None
+) -> Fraction:
+    """The expected reward of strategy *s* rooted at *node_id*, read from
+    the node's rows that induce the same gamble (see `_row_values`), so it
+    never divides and is immune to conditioning events of probability zero.
+    """
+    sub = s if node_id is None else subtree_at(s, node_id)
+    return _factored_gamble_value(
+        a._index, gamble_of(sub), sub.root_scope, sub.root.node_id
+    )[0]
 
 
 # --- utility function sets ---------------------------------------------------
@@ -376,21 +381,16 @@ class UtilityFunctionSet:
             )
         )
 
-    def apply(self, index: int, gamble: Gamble) -> Gamble:
-        """Relabel a label gamble into the numeric gamble under function *index*."""
-        table = self.functions[index]
-
-        def resolve(label):
-            if not isinstance(label, str):
-                raise ValueError("utility functions apply to label gambles")
-            try:
-                return table[label]
-            except KeyError:
+    def values_of(self, label: Reward) -> tuple[Fraction, ...]:
+        """*label*'s utility under each function, in order."""
+        if not isinstance(label, str):
+            raise ValueError("utility functions apply to label rewards")
+        for i, table in enumerate(self.functions):
+            if label not in table:
                 raise UnknownLabel(
-                    f"utility function {index} has no value for label {label!r}"
-                ) from None
-
-        return gamble.map_values(resolve)
+                    f"utility function {i} has no value for label {label!r}"
+                )
+        return tuple(table[label] for table in self.functions)
 
 
 # --- model wrappers -----------------------------------------------------------
@@ -420,6 +420,11 @@ class UtilityModel:
     chance: Optional[Union[JointModel, FactoredModel]] = None
     mode: str = field(default="utilities", init=False)
 
+    @cached_property
+    def _index(self) -> RowIndex:
+        # the factored chance part's rows, one column per utility function
+        return _row_index(self.chance.assessment, self.utilities.values_of)
+
 
 UncertaintyModel = Union[JointModel, FactoredModel, CredalModel, UtilityModel]
 
@@ -431,8 +436,33 @@ def precise_gamble_value(
     if isinstance(model, JointModel):
         return expectation(model.p, x, b)
     if isinstance(model, FactoredModel):
-        return _factored_gamble_value(model.assessment, x, b)
+        return _factored_gamble_value(model.assessment._index, x, b)[0]
     raise ModeUnsupported(f"expected a joint or factored model, got {model!r}")
+
+
+def utility_values(model: UtilityModel, x: Gamble, b: Event) -> tuple[Fraction, ...]:
+    """The expected utility of label gamble *x* given *b* under each function.
+
+    Without a chance part each relabelled gamble must be constant on *b*; a
+    joint part gives conditional expectations; a factored part reads them
+    from the rows of nodes whose scope is *b*, as `precise_gamble_value`
+    does.
+    """
+    chance = model.chance
+    if isinstance(chance, FactoredModel):
+        return _factored_gamble_value(model._index, x, b)
+    # the values on b under each function, one tuple per function
+    relabelled = list(zip(*map(model.utilities.values_of, x.values_on(b))))
+    if chance is None:
+        if any(len(set(values)) > 1 for values in relabelled):
+            raise ModeUnsupported(
+                "a utility model without a chance part can only compare"
+                " options that are constant on the conditioning event"
+            )
+        return tuple(values[0] for values in relabelled)
+    if isinstance(chance, JointModel):
+        return tuple(expectation(chance.p, Gamble(b, v), b) for v in relabelled)
+    raise ModeUnsupported("the chance part of a utility model must be joint or factored")
 
 
 def utility_expectations(
@@ -440,65 +470,5 @@ def utility_expectations(
     chance: Optional[Union[JointModel, FactoredModel]],
     s: Strategy,
 ) -> tuple[Fraction, ...]:
-    """The strategy's expected utility under each candidate utility function.
-
-    With no chance component the strategy must be constant, in which case
-    the utilities of its single reward label are returned.
-    """
-    g = gamble_of(s)
-    out = []
-    for i in range(len(u.functions)):
-        numeric = u.apply(i, g)
-        if chance is None:
-            v = numeric.constant_value_on(numeric.scope)
-            if not isinstance(v, Fraction):
-                raise ValueError("utility application should yield numbers")
-            out.append(v)
-        elif isinstance(chance, JointModel):
-            out.append(expectation(chance.p, numeric, s.root_scope))
-        elif isinstance(chance, FactoredModel):
-            relabeled = _relabel_strategy(s, u, i)
-            out.append(factored_expectation(chance.assessment, relabeled))
-        else:
-            raise ModeUnsupported(
-                "the chance part of a utility model must be joint or factored"
-            )
-    return tuple(out)
-
-
-def _relabel_strategy(s: Strategy, u: UtilityFunctionSet, index: int) -> Strategy:
-    table = u.functions[index]
-
-    def resolve(label):
-        if isinstance(label, Fraction):
-            raise ValueError("utility functions apply to label rewards")
-        try:
-            return table[label]
-        except KeyError:
-            raise UnknownLabel(
-                f"utility function {index} has no value for label {label!r}"
-            ) from None
-
-    def rebuild(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(node.node_id, resolve(node.reward))
-        if isinstance(node, GambleLeaf):
-            return GambleLeaf(node.node_id, node.gamble.map_values(resolve))
-        if isinstance(node, DecisionNode):
-            return DecisionNode(
-                node.node_id,
-                tuple(
-                    node.arcs[i].__class__(node.arcs[i].label, rebuild(node.arcs[i].child))
-                    for i in range(len(node.arcs))
-                ),
-            )
-        if isinstance(node, ChanceNode):
-            return ChanceNode(
-                node.node_id,
-                tuple(
-                    arc.__class__(arc.event, rebuild(arc.child)) for arc in node.arcs
-                ),
-            )
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    return Strategy(s.space, rebuild(s.root), s.root_scope)
+    """The strategy's expected utility under each candidate utility function."""
+    return utility_values(UtilityModel(u, chance), gamble_of(s), s.root_scope)

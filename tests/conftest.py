@@ -554,6 +554,67 @@ def reference_restriction(strategies, node_id):
     return tuple(seen)
 
 
+# --- references for the factored row values -------------------------------------
+
+
+def reference_factored_expectation(a, s, node_id=None):
+    """The expected reward of strategy *s* rooted at *node_id*, by backward
+    recursion over the strategy: the recursive walker that the row values
+    of the strategy table replaced."""
+    node = s.root if node_id is None else s.find(node_id)
+
+    def value(node):
+        if isinstance(node, Leaf):
+            if not isinstance(node.reward, Fraction):
+                raise ValueError("factored expectation needs numeric rewards")
+            return node.reward
+        if isinstance(node, GambleLeaf):
+            v = node.gamble.constant_value_on(node.gamble.scope)
+            if not isinstance(v, Fraction):
+                raise ValueError("factored expectation needs numeric rewards")
+            return v
+        if isinstance(node, DecisionNode):
+            assert len(node.arcs) == 1, "a strategy keeps one arc per decision"
+            return value(node.arcs[0].child)
+        probs = a.arc_probs[node.node_id]
+        return sum(
+            (p * value(arc.child) for p, arc in zip(probs, node.arcs)), Fraction(0)
+        )
+
+    return value(node)
+
+
+def relabel(tree, fn):
+    """*tree* (or strategy) with every reward r replaced by fn(r); node ids,
+    arcs and scopes are kept."""
+
+    def rebuild(node):
+        if isinstance(node, Leaf):
+            return Leaf(node.node_id, fn(node.reward))
+        if isinstance(node, GambleLeaf):
+            return GambleLeaf(node.node_id, node.gamble.map_values(fn))
+        if isinstance(node, DecisionNode):
+            return DecisionNode(
+                node.node_id,
+                tuple(DecisionArc(a.label, rebuild(a.child)) for a in node.arcs),
+            )
+        return ChanceNode(
+            node.node_id,
+            tuple(ChanceArc(a.event, rebuild(a.child)) for a in node.arcs),
+        )
+
+    return type(tree)(tree.space, rebuild(tree.root), tree.root_scope)
+
+
+def reference_utility_expectations(u, a, s):
+    """Relabel-then-walk: the strategy's factored expected utility under each
+    function of *u*, relabelling its leaves before the recursive walk."""
+    return tuple(
+        reference_factored_expectation(a, relabel(s, table.__getitem__))
+        for table in u.functions
+    )
+
+
 def example_problems():
     """(name, tree, model) for every worked example; model None if it has none."""
     out = []

@@ -79,6 +79,17 @@ def test_exit_two_on_malformed_problem(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_two_on_events_that_are_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"atoms": ["w"], "events": [1], "tree": {"id": "L", "kind": "leaf", "reward": 0}}'
+    )
+    code = run(["strategies", "--tree", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "events" in err
+
+
 def test_exit_two_on_unknown_node(capsys):
     code = run(
         [
@@ -412,3 +423,36 @@ def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_imprecise_utility_with_a_factored_chance_part(tmp_path, capsys):
+    def labelled(nid, label):
+        return {"id": nid, "kind": "leaf", "reward": {"label": label}}
+
+    tree = tmp_path / "risky.tree.json"
+    tree.write_text(json.dumps({
+        "atoms": ["e1", "e2"],
+        "tree": {"id": "D", "kind": "decision", "arcs": [
+            {"label": "risky", "child": {"id": "C", "kind": "chance", "arcs": [
+                {"event": ["e1"], "child": labelled("L1", "r1")},
+                {"event": ["e2"], "child": labelled("L2", "r2")},
+            ]}},
+            {"label": "safe", "child": labelled("L3", "r3")},
+        ]},
+    }))
+    chance_part = {"mode": "factored", "arcs": {"C": ["1/2", "1/2"]}}
+    # u1 values the risky arc at 2 against 1, u2 at 0 against 1
+    functions = [{"r1": 4, "r2": 0, "r3": 1}, {"r1": 0, "r2": 0, "r3": 1}]
+    for used, kept in ((functions, [{"D": "risky"}, {"D": "safe"}]),
+                       (functions[:1], [{"D": "risky"}])):
+        model = tmp_path / "risky.model.json"
+        model.write_text(json.dumps(
+            {"mode": "utilities", "functions": used, "chance": chance_part}
+        ))
+        argv = ["--tree", str(tree), "--model", str(model),
+                "--choice", "imprecise-utility", "--format", "structured"]
+        assert run(["solve", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [entry["kept"] for entry in doc["strategies"]] == kept
+        assert run(["check", *argv]) == 0
+        capsys.readouterr()

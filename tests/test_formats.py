@@ -84,6 +84,12 @@ def test_parse_problem_rejects_unknown_keys_and_duplicate_atoms():
         parse_problem({"atoms": ["w1", "w1"], "tree": base["tree"]})
 
 
+def test_parse_problem_rejects_events_that_are_not_an_object():
+    doc = {"atoms": ["w1"], "events": [1], "tree": {"id": "L", "kind": "leaf", "reward": 0}}
+    with pytest.raises(FileFormatError, match="events"):
+        parse_problem(doc)
+
+
 def test_parse_problem_gamble_leaves():
     doc = load_json(
         """

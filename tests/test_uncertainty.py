@@ -5,35 +5,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credaltrees import (
+    ChoiceFunction,
     CredalSet,
+    CredalTreeError,
     DecisionTree,
     FactoredModel,
+    FuzzConfig,
     Gamble,
+    GambleLeaf,
     InconsistentAssessment,
     JointModel,
+    Leaf,
     MassFunction,
     PossibilitySpace,
+    Strategy,
     TreeFactoredAssessment,
     UnknownLabel,
     UnrepresentableGamble,
     UtilityFunctionSet,
+    UtilityModel,
     ZeroProbabilityCondition,
     chance,
+    check_subtree_perfect,
     decision,
     expectation,
     factored_expectation,
     gamble_of,
     enumerate_strategies,
+    gen_random_tree,
+    kept_arcs,
     leaf,
     lower_expectation,
+    normal_form_solution,
     precise_gamble_value,
     product_credal,
+    strategy_table,
     upper_expectation,
     utility_expectations,
     validate_tree,
 )
+from credaltrees.uncertainty import _numeric, _row_values
 
-from conftest import build_eu2, build_eu3, build_imprecise_utility
+from conftest import (
+    build_eu2,
+    build_eu3,
+    build_imprecise_utility,
+    reference_factored_expectation,
+    reference_utility_expectations,
+    relabel,
+)
 
 
 @pytest.fixture
@@ -201,6 +221,130 @@ def test_unknown_reward_label_is_an_error():
     )
     with pytest.raises(UnknownLabel):
         utility_expectations(bad, None, victim)
+
+
+# --- the row values against the per-strategy walkers ----------------------------
+
+
+def label_utilities(tree):
+    """For the tree relabelled by `str`: u1 maps the label str(r) back to r,
+    and u2 maps it to r cubed."""
+    rewards = set()
+    for node, _ in tree.nodes():
+        if isinstance(node, Leaf):
+            rewards.add(node.reward)
+        elif isinstance(node, GambleLeaf):
+            rewards.update(node.gamble.values)
+    return UtilityFunctionSet(
+        ({str(r): r for r in rewards}, {str(r): r**3 for r in rewards})
+    )
+
+
+def assert_rows_match_the_walkers(tree, a):
+    table = strategy_table(tree)
+    numeric = _row_values(a, table, _numeric)
+    labelled = relabel(tree, str)
+    la = TreeFactoredAssessment(labelled, a.arc_probs)
+    u = label_utilities(tree)
+    columns = _row_values(la, strategy_table(labelled), u.values_of)
+    for node, scope in tree.nodes():
+        nid = node.node_id
+        assert len(numeric[nid]) == len(columns[nid]) == len(table[nid])
+        for k, (variant, _) in enumerate(table[nid]):
+            s = Strategy(tree.space, variant, scope)
+            assert numeric[nid][k] == (reference_factored_expectation(a, s),)
+            assert columns[nid][k] == reference_utility_expectations(
+                u, la, relabel(s, str)
+            )
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_row_values_match_the_walkers_on_factored_fuzz_trees(seed, depth):
+    cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=depth, model_sampler="factored")
+    tree, model = gen_random_tree(cfg, 0)
+    assert_rows_match_the_walkers(tree, model.assessment)
+
+
+def test_row_values_match_the_walkers_across_a_zero_probability_arc():
+    tree, model = build_eu3()
+    assert_rows_match_the_walkers(tree, model.assessment)
+
+
+def _outcome(compute):
+    """What *compute* returns, or the type of the package error it raises."""
+    try:
+        return compute()
+    except CredalTreeError as exc:
+        return type(exc)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("joint", "factored")),
+    st.integers(2, 4),
+)
+@settings(max_examples=30, deadline=None)
+def test_imprecise_utility_keeps_what_eu_keeps_under_some_function(seed, sampler, depth):
+    cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=depth, model_sampler=sampler)
+    tree, model = gen_random_tree(cfg, 0)
+    u = label_utilities(tree)
+    labelled = relabel(tree, str)
+
+    def chance_on(t):
+        """The model's chance part on a relabelling of the tree (same ids)."""
+        if isinstance(model, JointModel):
+            return model
+        return FactoredModel(TreeFactoredAssessment(t, model.assessment.arc_probs))
+
+    eu, iu = ChoiceFunction("eu"), ChoiceFunction("imprecise_utility")
+    eu_kept = []
+    for table in u.functions:
+        t = relabel(labelled, table.__getitem__)
+        eu_kept.append(_outcome(lambda: normal_form_solution(t, eu, chance_on(t)).indices))
+    both = UtilityModel(u, chance_on(labelled))
+    iu_kept = _outcome(lambda: normal_form_solution(labelled, iu, both).indices)
+    errors = {e for e in eu_kept if not isinstance(e, tuple)}
+    if errors:
+        assert iu_kept in errors
+    else:
+        assert iu_kept == tuple(sorted(set().union(*eu_kept)))
+
+    def verdicts(t, choice, m):
+        return _outcome(
+            lambda: [
+                (v.node_id, v.outcome, [kept_arcs(s) for s in v.local_solution])
+                for v in check_subtree_perfect(t, choice, m)
+            ]
+        )
+
+    only_u1 = UtilityModel(UtilityFunctionSet(u.functions[:1]), chance_on(labelled))
+    assert verdicts(labelled, iu, only_u1) == verdicts(tree, eu, chance_on(tree))
+
+
+def test_utility_expectations_take_a_factored_chance_part():
+    sp = PossibilitySpace(("e1", "e2"))
+    root = decision(
+        "D",
+        [
+            ("risky", chance("C", [(sp.event(["e1"]), leaf("L1", "r1")),
+                                   (sp.event(["e2"]), leaf("L2", "r2"))])),
+            ("safe", leaf("L3", "r3")),
+        ],
+    )
+    tree = validate_tree(DecisionTree(sp, root))
+    chance_part = FactoredModel(
+        TreeFactoredAssessment(tree, {"C": (Fraction(1, 2), Fraction(1, 2))})
+    )
+    u = UtilityFunctionSet.from_tables(
+        [{"r1": 4, "r2": 0, "r3": 1}, {"r1": 0, "r2": 0, "r3": 1}]
+    )
+    risky, safe = enumerate_strategies(tree)
+    assert utility_expectations(u, chance_part, risky) == (Fraction(2), Fraction(0))
+    assert utility_expectations(u, chance_part, safe) == (Fraction(1), Fraction(1))
+    partial_u = UtilityFunctionSet.from_tables([{"r1": 4, "r2": 0}])
+    with pytest.raises(UnknownLabel):
+        utility_expectations(partial_u, chance_part, safe)
 
 
 def test_product_credal_combines_families():

@@ -50,6 +50,7 @@ from .errors import (
     OverlappingEvents,
     PartitionInvalid,
     ScopeMismatch,
+    TooManyStrategies,
     UnknownLabel,
     UnknownNode,
     UnrepresentableGamble,
@@ -89,6 +90,7 @@ from .trees import (
     PossibilitySpace,
     Strategy,
     as_rational,
+    bounded_strategy_count,
     chance,
     count_strategies,
     decision,

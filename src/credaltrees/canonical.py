@@ -25,7 +25,9 @@ actual tree pipeline, and any disagreement raises immediately.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .choice import MODEL_FREE, RULES, ChoiceFunction, OptionTable
@@ -39,6 +41,7 @@ from .trees import (
     PossibilitySpace,
     chance,
     decision,
+    scaled,
     validate_tree,
 )
 from .uncertainty import CredalModel, JointModel, MassFunction, UncertaintyModel
@@ -293,18 +296,21 @@ def all_events(space: PossibilitySpace) -> tuple[Event, ...]:
 class _EventData:
     """Pool gambles deduplicated into classes on one event, and their table.
 
-    ``table`` is None when some model member gives the event mass zero.
+    The rows are integers over the checker's pool-wide denominator, so the
+    rows of different events can be joined into one table.  ``table`` is
+    None when some model member gives the event mass zero.
     """
 
     def __init__(self, checker: "_Checker", event: Event):
         self.cls_of: dict[int, int] = {}
         self.reps: list[int] = []
-        self.rows: list[tuple] = []
+        self.rows: list[tuple[int, ...]] = []
         seen: dict[tuple, int] = {}
+        d = checker.denominator
         for i, g in enumerate(checker.pool):
             if not event <= g.scope:
                 continue
-            row = g.values_on(event)
+            row = tuple(scaled(v, d) for v in g.values_on(event))
             cid = seen.get(row)
             if cid is None:
                 cid = len(self.reps)
@@ -403,6 +409,10 @@ class _Checker:
             and all(g.is_numeric for g in self.pool)
             and self.members is not None
         )
+        if self.fast:
+            self.denominator = math.lcm(
+                *{v.denominator for g in self.pool for v in g.values}
+            )
         self._events: dict[Event, _EventData] = {}
 
     def event_data(self, event: Event) -> _EventData:
@@ -507,19 +517,24 @@ class _Checker:
         Entry c is True when the conditional lower (or upper, for the
         maximax rule) expectation of the composite gamble equals that of
         the two-valued gamble built from the stagewise envelope values;
-        tested exactly.
+        tested exactly, in the rows' units, since each table scales its
+        envelopes by its own factor.
         """
         t1, t2 = ev1.table, ev2.table
         if self.choice.kind == "gamma_maximax":
             pick, side = max, "upper"
         else:
             pick, side = min, "lower"
-        c2 = getattr(t2, side)[zc]
+
+        def envelope(t: OptionTable) -> list[Fraction]:
+            return [Fraction(v, t.scale) for v in getattr(t, side)]
+
+        c2 = Fraction(getattr(t2, side)[zc], t2.scale)
         masses = list(zip(t1.mass, t2.mass))
         return [
             composite
             == pick((c1 * m1 + c2 * m2) / (m1 + m2) for m1, m2 in masses)
-            for c1, composite in zip(getattr(t1, side), getattr(full, side))
+            for c1, composite in zip(envelope(t1), envelope(full))
         ]
 
     def _verify(self, inst, fast: tuple[str, tuple[str, ...]]) -> None:

@@ -3,7 +3,8 @@
 Every ``choose_*`` function takes the options in order, an uncertainty
 model and a nonempty conditioning event, and returns a nonempty subset of
 the options in their original order.  Options are compared only through
-their values on the conditioning event.
+their values on the conditioning event, which the numeric rules read as
+integers over one denominator (`OptionRows`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ScopeMismatch,
     ZeroProbabilityCondition,
 )
-from .trees import Event, Gamble
+from .trees import Event, Gamble, scaled
 from .uncertainty import (
     CredalModel,
     FactoredModel,
@@ -49,11 +50,34 @@ KINDS = (
 )
 
 
-def _guard(xs: Sequence[Gamble], b: Event, numeric: bool = True) -> None:
+class OptionRows(tuple):
+    """Options given by their values on the conditioning event, as integers.
+
+    Each row holds an option's values on b, in ``b.ordered``, all multiplied
+    by one positive factor common to every row.  The rules never need that
+    factor: each rule of `RULES` keeps the same options when every row is
+    scaled by a positive constant.  `ChoiceFunction.choose` takes these in
+    place of gambles and then returns the rows it keeps.
+    """
+
+    @classmethod
+    def of(cls, xs: Sequence[Gamble], b: Event) -> "OptionRows":
+        """Numeric gambles' values on b, scaled by the least common multiple
+        of their denominators."""
+        values = [x.values if x.scope == b else x.values_on(b) for x in xs]
+        d = math.lcm(*{v.denominator for row in values for v in row})
+        return cls(tuple(scaled(v, d) for v in row) for row in values)
+
+
+def _guard(xs: "Sequence[Gamble] | OptionRows", b: Event, numeric: bool = True) -> None:
     if not xs:
         raise EmptyInput("no options to choose from")
     if b.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
+    if isinstance(xs, OptionRows):
+        if set(map(len, xs)) != {len(b)}:
+            raise ScopeMismatch("an option row does not cover the conditioning event")
+        return
     for x in xs:
         if not b <= x.scope:
             raise ScopeMismatch(
@@ -63,39 +87,17 @@ def _guard(xs: Sequence[Gamble], b: Event, numeric: bool = True) -> None:
             raise ValueError("this choice function needs numeric gambles")
 
 
-def _members(model: UncertaintyModel, who: str) -> tuple[MassFunction, ...]:
+def _members(model: UncertaintyModel, kind: str) -> tuple[MassFunction, ...]:
+    """The mass functions rule *kind* reads: none for a model-free rule."""
+    if kind in MODEL_FREE:
+        return ()
+    if kind == "eu":
+        if not isinstance(model, JointModel):
+            raise ModeUnsupported("expected utility needs a joint or factored model")
+        return (model.p,)
     if not isinstance(model, CredalModel):
-        raise ModeUnsupported(f"{who} needs a credal model")
+        raise ModeUnsupported(f"{kind} needs a credal model")
     return model.credal.members
-
-
-def _dot_rows(
-    weights: Sequence[Sequence[Fraction]],
-    rows: Sequence[Sequence[Fraction]],
-    normalise: bool = False,
-) -> list[list[Fraction]]:
-    """out[i][j] = sum(w * v for w, v in zip(weights[i], rows[j])), exactly,
-    divided by sum(weights[i]) if *normalise*.
-
-    The values, and each weight vector, are scaled to integers over a common
-    denominator, so an entry costs one integer dot product and one Fraction
-    instead of a Fraction product and sum per term; normalising only
-    changes that Fraction's denominator.
-    """
-    dv = math.lcm(*{v.denominator for row in rows for v in row})
-    scaled = [[v.numerator * (dv // v.denominator) for v in row] for row in rows]
-    out = []
-    for w in weights:
-        dw = math.lcm(*{x.denominator for x in w})
-        iw = [x.numerator * (dw // x.denominator) for x in w]
-        d = dv * (sum(iw) if normalise else dw)
-        out.append([Fraction(sum(map(operator.mul, iw, r)), d) for r in scaled])
-    return out
-
-
-def _values_on(xs: Sequence[Gamble], b: Event) -> list[tuple[Fraction, ...]]:
-    """Each option's values on b; those on b itself need no lookup per atom."""
-    return [x.values if x.scope == b else x.values_on(b) for x in xs]
 
 
 # --- the option table and the rules over it -----------------------------------
@@ -104,16 +106,17 @@ def _values_on(xs: Sequence[Gamble], b: Event) -> list[tuple[Fraction, ...]]:
 class OptionTable:
     """The options of one choice, compared on one conditioning event b.
 
-    ``rows[j]`` holds option j's values on b.  Under a model, ``weights[m]``
-    holds member m's atom masses on b (in ``b.ordered``) and ``mass[m]`` its
-    probability of b; a model-free table has neither.  Everything the rules
-    read beyond that (member sums, envelopes, row minima) is computed on
-    first use and kept.
+    ``rows[j]`` holds option j's values on b as integers, scaled as in
+    `OptionRows`.  Under a model, ``weights[m]`` holds member m's atom
+    masses on b (in ``b.ordered``) and ``mass[m]`` its probability of b; a
+    model-free table has neither.  Everything the rules read beyond that
+    (member sums, envelopes, row minima) is computed on first use, in
+    integers, and kept.
     """
 
     def __init__(
         self,
-        rows: Sequence[Sequence[Fraction]],
+        rows: Sequence[Sequence[int]],
         weights: Sequence[Sequence[Fraction]] = (),
         mass: Sequence[Fraction] = (),
     ):
@@ -125,7 +128,7 @@ class OptionTable:
     def on(
         cls,
         b: Event,
-        rows: Sequence[Sequence[Fraction]],
+        rows: Sequence[Sequence[int]],
         members: Sequence[MassFunction] = (),
     ) -> "OptionTable":
         """The table of *rows* on b under *members*.
@@ -147,32 +150,67 @@ class OptionTable:
         return cls(rows, [[p.mass(a) for a in b.ordered] for p in members], mass)
 
     @cached_property
-    def sums(self) -> list[list[Fraction]]:
-        """sums[m][j]: member m's unnormalised sum of option j over b."""
-        return _dot_rows(self.weights, self.rows)
+    def _integer_weights(self) -> list[list[int]]:
+        """Each member's masses times the least common multiple of their
+        denominators."""
+        out = []
+        for w in self.weights:
+            d = math.lcm(*{x.denominator for x in w})
+            out.append([scaled(x, d) for x in w])
+        return out
 
     @cached_property
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    def sums(self) -> list[list[int]]:
+        """sums[m][j]: member m's unnormalised sum of option j over b, times
+        a positive factor of member m's own.
+
+        The rules compare sums only within one member, so those factors
+        never change a choice; nor do they change whether a hull LP is
+        feasible, since scaling an LP column by a positive constant keeps
+        its nonnegative solutions.
+        """
+        rows = self.rows
+        return [
+            [sum(map(operator.mul, w, r)) for r in rows] for w in self._integer_weights
+        ]
+
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
         """columns[j]: option j's member sums, one per member."""
         return list(zip(*self.sums))
 
     @cached_property
-    def _conditional(self) -> list[tuple[Fraction, ...]]:
-        """Option j's conditional expectation under each member, by j."""
-        return list(zip(*_dot_rows(self.weights, self.rows, normalise=True)))
+    def scale(self) -> int:
+        """The factor by which ``lower`` and ``upper`` exceed the
+        conditional expectations of the rows: the least common multiple of
+        the members' integer weight totals."""
+        return math.lcm(*(sum(w) for w in self._integer_weights))
 
     @cached_property
-    def lower(self) -> list[Fraction]:
-        """Each option's lower conditional expectation given b."""
+    def _conditional(self) -> list[tuple[int, ...]]:
+        """Option j's conditional expectation under each member, by j, times
+        ``scale``."""
+        s = self.scale
+        by_member = [
+            [x * (s // sum(w)) for x in sums]
+            for w, sums in zip(self._integer_weights, self.sums)
+        ]
+        return list(zip(*by_member))
+
+    @cached_property
+    def lower(self) -> list[int]:
+        """Each option's lower conditional expectation given b, times
+        ``scale``."""
         return [min(e) for e in self._conditional]
 
     @cached_property
-    def upper(self) -> list[Fraction]:
-        """Each option's upper conditional expectation given b."""
+    def upper(self) -> list[int]:
+        """Each option's upper conditional expectation given b, times
+        ``scale``."""
         return [max(e) for e in self._conditional]
 
     @cached_property
-    def mins(self) -> list[Fraction]:
+    def mins(self) -> list[int]:
         """Each option's worst value on b."""
         return [min(r) for r in self.rows]
 
@@ -293,29 +331,29 @@ RULES = {
 
 
 def _choose(
-    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event, kind: str
-) -> tuple[Gamble, ...]:
-    """Guard, table, rule: the kept options in their original order."""
+    xs: "Sequence[Gamble] | OptionRows",
+    model: Optional[UncertaintyModel],
+    b: Event,
+    kind: str,
+) -> tuple:
+    """Guard, integer rows, table, rule: the kept options in their original
+    order."""
     _guard(xs, b)
-    members = () if kind in MODEL_FREE else _members(model, kind)
-    table = OptionTable.on(b, _values_on(xs, b), members)
+    rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
+    table = OptionTable.on(b, rows, _members(model, kind))
     return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
 
 
 def choose_eu(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
+    xs: "Sequence[Gamble] | OptionRows", model: UncertaintyModel, b: Event
+) -> tuple:
     """All options of maximal conditional expected utility."""
-    _guard(xs, b)
-    idx = range(len(xs))
-    if isinstance(model, JointModel):
-        kept = _eu_rule(OptionTable.on(b, _values_on(xs, b), (model.p,)), idx)
-    elif isinstance(model, FactoredModel):
-        # a factored model values each option on the tree's assessment
-        kept = _argmax([precise_gamble_value(model, x, b) for x in xs], idx)
-    else:
-        raise ModeUnsupported("expected utility needs a joint or factored model")
-    return tuple(xs[j] for j in kept)
+    if isinstance(model, FactoredModel):
+        # a factored model values each option, a gamble, on the tree's assessment
+        _guard(xs, b)
+        values = [precise_gamble_value(model, x, b) for x in xs]
+        return tuple(xs[j] for j in _argmax(values, range(len(xs))))
+    return _choose(xs, model, b, "eu")
 
 
 def choose_maximin(
@@ -478,11 +516,28 @@ class ChoiceFunction:
             raise ValueError("by_preorder needs a comparator")
 
     def choose(
-        self, xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
-    ) -> tuple[Gamble, ...]:
+        self,
+        xs: "Sequence[Gamble] | OptionRows",
+        model: Optional[UncertaintyModel],
+        b: Event,
+    ) -> tuple:
+        """The options the rule keeps, in their order.
+
+        *xs* are gambles, or, where `takes_rows` allows, `OptionRows`.
+        """
         if self.kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
         return _CHOOSERS[self.kind](xs, model, b)
+
+    def takes_rows(self, model: Optional[UncertaintyModel]) -> bool:
+        """Can `choose` take the options as `OptionRows` under *model*?
+
+        Every rule of `RULES` can, except expected utility under a factored
+        model, which values whole gambles on the assessed tree.
+        """
+        return self.kind in RULES and not (
+            self.kind == "eu" and isinstance(model, FactoredModel)
+        )
 
     @property
     def is_value_based(self) -> bool:

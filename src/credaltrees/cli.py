@@ -4,7 +4,8 @@ Commands: ``strategies``, ``solve``, ``check``, ``check-node``, ``canonical``,
 ``fuzz`` and ``export-dot``.  Exit codes: 0 on success (or when every node
 holds), 1 when a subtree perfectness failure is found (check, check-node,
 canonical, fuzz), 2 on usage or validation errors, which are reported as a
-single diagnostic line on stderr.
+single diagnostic line on stderr, and 3 on an unexpected exception, a bug,
+reported as one ``internal error:`` line.
 
 Text mode renders each strategy against its tree: decision nodes as
 ``id[arc: subtree, other∥]`` with a ``∥`` suffix marking deleted arcs, chance
@@ -15,7 +16,9 @@ mode emits key-sorted JSON with rationals as ``"p/q"`` strings.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .canonical import CanonicalLimits, check_canonical
@@ -39,6 +42,7 @@ from .solver import (
     normal_form_solution,
 )
 from .trees import (
+    ChanceNode,
     DecisionNode,
     DecisionTree,
     Event,
@@ -46,6 +50,7 @@ from .trees import (
     Leaf,
     Node,
     Strategy,
+    bounded_strategy_count,
     enumerate_strategies,
     # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
@@ -88,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, tree=True, model=False, choice=False, condition=False):
+    def common(p, tree=True, model=False, choice=False, condition=False, bound=False):
         if tree:
             p.add_argument("--tree", required=True, help="problem file (JSON)")
             p.add_argument(
@@ -110,19 +115,26 @@ def _parser() -> argparse.ArgumentParser:
                 "--condition",
                 help="conditioning event: a name from the problem file or a comma-separated atom list",
             )
+        if bound:
+            p.add_argument(
+                "--max-strategies",
+                type=_positive,
+                metavar="N",
+                help="refuse (exit 2) a tree with more than N strategies",
+            )
         p.add_argument(
             "--format", choices=["text", "structured"], default="text"
         )
         p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("strategies", help="enumerate the strategies of a tree")
-    common(p)
+    common(p, bound=True)
 
     p = sub.add_parser("solve", help="normal form solution of a tree")
-    common(p, model=True, choice=True, condition=True)
+    common(p, model=True, choice=True, condition=True, bound=True)
 
     p = sub.add_parser("check", help="decide subtree perfectness at every node")
-    common(p, model=True, choice=True)
+    common(p, model=True, choice=True, bound=True)
 
     p = sub.add_parser("check-node", help="decide subtree perfectness at one node")
     common(p, model=True, choice=True)
@@ -178,6 +190,12 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 # --- shared loading ------------------------------------------------------------
 
 
@@ -189,15 +207,31 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_problem(args) -> ParsedProblem:
+def _load_problem(args) -> tuple[ParsedProblem, dict[str, tuple[int, ...]]]:
+    """The validated problem, and by chance node id the positions in the
+    file of the arcs ``--prune`` dropped.  With ``--max-strategies``, a tree
+    with more strategies is refused before anything enumerates them."""
     problem = parse_problem(load_json(_read(args.tree)))
     mode = "auto_prune" if getattr(args, "prune", False) else "reject"
     tree = validate_tree(problem.tree, mode=mode)
-    return ParsedProblem(tree, problem.events)
+    pruned = {}
+    if mode == "auto_prune":
+        for node, scope in tree.nodes():
+            if not isinstance(node, ChanceNode):
+                continue
+            arcs = problem.tree.find(node.node_id).arcs
+            if len(arcs) != len(node.arcs):
+                pruned[node.node_id] = tuple(
+                    i for i, arc in enumerate(arcs) if not (scope & arc.event)
+                )
+    if getattr(args, "max_strategies", None) is not None:
+        bounded_strategy_count(tree, args.max_strategies)
+    return ParsedProblem(tree, problem.events), pruned
 
 
-def _load_model(args, problem: ParsedProblem):
-    return parse_model(load_json(_read(args.model)), problem.space, problem.tree)
+def _load_model(args, problem: ParsedProblem, pruned: dict[str, tuple[int, ...]]):
+    doc = load_json(_read(args.model))
+    return parse_model(doc, problem.space, problem.tree, pruned)
 
 
 def _choice_of(args) -> ChoiceFunction:
@@ -320,11 +354,12 @@ def _exit_of(verdicts) -> int:
 
 
 def _cmd_strategies(args) -> int:
-    problem = _load_problem(args)
+    problem, _ = _load_problem(args)
     tree = problem.tree
-    rows = strategy_table(tree)[tree.root.node_id]
+    table = strategy_table(tree)
+    rows = table[tree.root.node_id]
     listed = [
-        (i, Strategy(tree.space, v, tree.root_scope), values)
+        (i, Strategy(tree.space, v, tree.root_scope), table.rewards(values))
         for i, (v, values) in enumerate(rows)
     ]
     doc = {"command": "strategies"}
@@ -333,16 +368,17 @@ def _cmd_strategies(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = _load_problem(args)
+    problem, pruned = _load_problem(args)
     tree = problem.tree
-    model = _load_model(args, problem)
+    model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     b = _condition_of(args, problem)
     table = strategy_table(tree)
     rows = table[tree.root.node_id]
     solution = normal_form_solution(tree, choice, model, b, table=table)
     listed = [
-        (i, s, rows[i][1]) for i, s in zip(solution.indices, solution.strategies)
+        (i, s, table.rewards(rows[i][1]))
+        for i, s in zip(solution.indices, solution.strategies)
     ]
     doc = {
         "command": "solve",
@@ -356,8 +392,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = _load_problem(args)
-    model = _load_model(args, problem)
+    problem, pruned = _load_problem(args)
+    model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     verdicts = check_subtree_perfect(problem.tree, choice, model)
     perfect = all(
@@ -379,8 +415,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_check_node(args) -> int:
-    problem = _load_problem(args)
-    model = _load_model(args, problem)
+    problem, pruned = _load_problem(args)
+    model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     verdict = check_subtree_perfect_at(problem.tree, choice, model, args.node)
     if args.format == "structured":
@@ -396,9 +432,9 @@ def _cmd_check_node(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    problem = _load_problem(args)
+    problem, pruned = _load_problem(args)
     tree = problem.tree
-    model = _load_model(args, problem)
+    model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     center = args.node if args.node is not None else tree.root.node_id
     pool, events, _ = harvest(tree, center)
@@ -478,7 +514,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    problem = _load_problem(args)
+    problem, _ = _load_problem(args)
     tree = problem.tree
     strategy = None
     if args.strategy is not None:
@@ -520,6 +556,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # rather than in exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A bug, not a verdict: scripts read exit 1 as "not subtree perfect".
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"internal error: {type(exc).__name__}: {exc} (at {where})", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

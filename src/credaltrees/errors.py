@@ -79,5 +79,9 @@ class InconsistentAssessment(CredalTreeError):
     """Two parts of a tree-factored assessment value the same gamble differently."""
 
 
+class TooManyStrategies(CredalTreeError):
+    """A tree has more strategies than the caller allows enumerating."""
+
+
 class FileFormatError(CredalTreeError):
     """A problem or model file does not conform to the documented schema."""

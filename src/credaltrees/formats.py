@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import CredalTreeError, FileFormatError
 from .trees import (
@@ -300,7 +300,10 @@ def _mass_table(doc, space: PossibilitySpace, where: str) -> MassFunction:
 
 
 def parse_model(
-    doc, space: PossibilitySpace, tree: Optional[DecisionTree] = None
+    doc,
+    space: PossibilitySpace,
+    tree: Optional[DecisionTree] = None,
+    pruned: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> UncertaintyModel:
     """Build the uncertainty model a model document describes.
 
@@ -308,6 +311,12 @@ def parse_model(
     mass tables); ``factored`` with ``arcs`` mapping chance node ids to
     per-arc probability lists, which needs *tree*; ``utilities`` with
     ``functions`` (label tables) and an optional nested ``chance`` model.
+
+    *pruned* gives, by chance node id, the positions in the problem file of
+    the arcs that validation pruned from *tree*.  A factored list may cover
+    every arc of the file or only the arcs kept; in the first form the
+    pruned arcs' entries must be 0, since their events miss the node's
+    scope, and are dropped.
     """
     mode = _require(doc, "mode", "model")
     if mode == "joint":
@@ -333,9 +342,20 @@ def parse_model(
         for nid, row in arcs.items():
             if not isinstance(row, list):
                 raise FileFormatError(f"model: arcs[{nid!r}] must be a list")
-            table[nid] = tuple(
+            probs = tuple(
                 rational_from(v, f"arcs[{nid!r}][{i}]") for i, v in enumerate(row)
             )
+            gone = pruned.get(nid, ()) if pruned else ()
+            if gone and len(probs) == len(tree.find(nid).arcs) + len(gone):
+                for i in gone:
+                    if probs[i] != 0:
+                        raise FileFormatError(
+                            f"model: arcs[{nid!r}][{i}] is {probs[i]}, but arc {i} of"
+                            f" chance node {nid!r} was pruned because its event"
+                            " misses the node's scope; its probability must be 0"
+                        )
+                probs = tuple(p for i, p in enumerate(probs) if i not in gone)
+            table[nid] = probs
         try:
             return FactoredModel(TreeFactoredAssessment(tree, table))
         except (ValueError, CredalTreeError) as exc:
@@ -356,7 +376,7 @@ def parse_model(
             )
         chance_model = None
         if doc.get("chance") is not None:
-            inner = parse_model(doc["chance"], space, tree)
+            inner = parse_model(doc["chance"], space, tree, pruned)
             if not isinstance(inner, (JointModel, FactoredModel)):
                 raise FileFormatError(
                     "model: the chance part of a utilities model is joint or factored"

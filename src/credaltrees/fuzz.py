@@ -360,7 +360,7 @@ def harvest(
             key = (scope, values)
             if key not in seen:
                 seen.add(key)
-                ordered.append(Gamble(scope, values))
+                ordered.append(Gamble(scope, table.rewards(values)))
 
     add(failing_node)
     cur = parents[failing_node]

@@ -1,8 +1,9 @@
 """Normal form solutions of decision trees and the subtree perfectness check.
 
 A tree is solved by listing its strategies, deduplicating the gambles they
-induce on the conditioning event, applying a choice function to the distinct
-gambles and keeping every strategy whose gamble was chosen.  Subtree
+induce on the conditioning event (integer rows of the strategy table),
+applying a choice function to the distinct ones and keeping every strategy
+whose gamble was chosen.  Subtree
 perfectness at a node compares the restriction of the full solution with the
 solution computed locally in the subtree.
 """
@@ -10,10 +11,11 @@ solution computed locally in the subtree.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .choice import ChoiceFunction
+from .choice import ChoiceFunction, OptionRows
 from .errors import (
     MissingArcProbability,
     ModeUnsupported,
@@ -32,8 +34,8 @@ from .trees import (
     GambleLeaf,
     Leaf,
     Node,
-    Row,
     Strategy,
+    StrategyTable,
     enumerate_strategies,
     # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
@@ -70,7 +72,7 @@ def normal_form_solution(
     model: Optional[UncertaintyModel],
     b: Optional[Event] = None,
     *,
-    table: Optional[dict[str, list[Row]]] = None,
+    table: Optional[StrategyTable] = None,
 ) -> NormalFormSolution:
     """Solve *tree* in normal form, conditional on *b* (root scope by default).
 
@@ -89,25 +91,29 @@ def normal_form_solution(
         if not b <= scope:
             raise ScopeMismatch("event is not contained in the gamble's scope")
         at = {a: i for i, a in enumerate(scope.ordered)}
-        positions = [at[a] for a in b.ordered]
+        pick = operator.itemgetter(*(at[a] for a in b.ordered))
+        keys = [pick(values) for _, values in rows]
+        if len(b) == 1:
+            keys = [(k,) for k in keys]
     else:
-        positions = None
+        keys = [values for _, values in rows]
 
-    # One gamble per distinct value tuple on b, each on the whole scope.
-    # Hashing a key hashes every Fraction in it, so each key is hashed once.
+    # One class per distinct row on b, numbered in order of first appearance;
+    # the rows' integers hash cheaply.
     classes: dict[tuple, int] = {}
-    distinct: list[Gamble] = []
-    class_of: list[int] = []
-    for _, values in rows:
-        key = values if positions is None else tuple(values[i] for i in positions)
-        c = classes.setdefault(key, len(distinct))
-        if c == len(distinct):
-            distinct.append(Gamble(scope, values))
-        class_of.append(c)
+    class_of = [classes.setdefault(k, len(classes)) for k in keys]
 
-    chosen = choice.choose(distinct, model, b)
-    chosen_classes = {classes.get(g.values_on(b)) for g in chosen}
-    indices = tuple(i for i, c in enumerate(class_of) if c in chosen_classes)
+    if table.numeric and choice.takes_rows(model):
+        chosen = {classes[row] for row in choice.choose(OptionRows(classes), model, b)}
+    else:
+        # Gambles on the whole scope, for the rules that value whole gambles.
+        first: dict[int, int] = {}
+        for i, c in enumerate(class_of):
+            first.setdefault(c, i)
+        distinct = [Gamble(scope, table.rewards(rows[i][1])) for i in first.values()]
+        on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
+        chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
+    indices = tuple(i for i, c in enumerate(class_of) if c in chosen)
     kept = tuple(Strategy(tree.space, rows[i][0], scope) for i in indices)
     return NormalFormSolution(tree, kept, b, choice, indices)
 
@@ -172,7 +178,7 @@ def _verdict_at(
     model: Optional[UncertaintyModel],
     full: NormalFormSolution,
     node_id: str,
-    table: dict[str, list[Row]],
+    table: StrategyTable,
 ) -> PerfectnessVerdict:
     keyed = _restrictions(full, node_id)
     restricted = tuple(keyed.values())

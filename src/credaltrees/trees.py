@@ -3,7 +3,8 @@
 Everything is exact: numeric rewards are `fractions.Fraction`, events are
 subsets of a finite possibility space, and all structures are frozen.
 Strategies are listed by `strategy_table` and told apart by the arcs they
-keep (`kept_children`).
+keep (`kept_children`); the table's rows hold numeric rewards as integers
+over one denominator per tree.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     MixedRewardKinds,
     OverlappingEvents,
     ScopeMismatch,
+    TooManyStrategies,
     UnknownNode,
 )
 
@@ -205,7 +207,7 @@ class Gamble:
 
     @property
     def is_numeric(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.values)
+        return not any(isinstance(v, str) for v in self.values)
 
     def values_on(self, event: Event) -> tuple[Reward, ...]:
         if not event <= self.scope:
@@ -227,11 +229,20 @@ class Gamble:
 
 
 def _reward_kind(value: Reward) -> str:
-    if isinstance(value, Fraction):
-        return "numeric"
     if isinstance(value, str):
         return "label"
+    # ints are the scaled rewards of strategy_table's rows
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return "numeric"
     raise TypeError(f"reward must be Fraction or str, got {type(value).__name__}")
+
+
+def scaled(value: Reward, d: int) -> "int | str":
+    """A numeric reward times *d* as an int, which *d* must allow; a label
+    as it is."""
+    if isinstance(value, str):
+        return value
+    return value.numerator * (d // value.denominator)
 
 
 def _as_reward(value: "int | str | Fraction") -> Reward:
@@ -483,39 +494,86 @@ def subtree_at(tree: DecisionTree, node_id: str) -> DecisionTree:
 
 
 #: one strategy variant of a node's subtree with the rewards it induces on
-#: the node's scope, in the scope's atom order
-Row = tuple[Node, tuple[Reward, ...]]
+#: the node's scope, in the scope's atom order; in a `StrategyTable` numeric
+#: rewards are scaled to ints
+Row = tuple[Node, tuple["Reward | int", ...]]
 
 
-def strategy_table(tree: DecisionTree) -> dict[str, list[Row]]:
+class StrategyTable(dict):
+    """`strategy_table`'s rows, by node id.
+
+    Each numeric reward in a row is an int: the reward times ``denominator``,
+    the least common multiple of the denominators of the tree's numeric
+    rewards, so rows hash and compare as exact integers.  Labels are kept as
+    they are; ``numeric`` says whether no row holds one.
+    """
+
+    def __init__(self, denominator: int):
+        super().__init__()
+        self.denominator = denominator
+        self.numeric = True
+
+    def rewards(self, values: Iterable["Reward | int"]) -> tuple[Reward, ...]:
+        """A row's values as rewards: each int over the denominator as a
+        Fraction, labels as they are."""
+        d = self.denominator
+        return tuple(v if isinstance(v, str) else Fraction(v, d) for v in values)
+
+
+def strategy_table(tree: DecisionTree) -> StrategyTable:
     """Every node's strategy variants with the values they induce, in one pass.
 
     ``table[node_id]`` lists the variants of the subtree at *node_id* in
     `enumerate_strategies` order, each paired with the values of `gamble_of`
-    on the matching strategy of ``subtree_at(tree, node_id)``.  The pass is
+    on the matching strategy of ``subtree_at(tree, node_id)``, scaled as
+    `StrategyTable` says (``table.rewards`` turns them back).  The pass is
     bottom-up: a leaf gives one row, a decision node concatenates its
     children's rows, and a chance node takes the product of its children's
     rows and merges their value tuples; the keys are in post-order, every
     child before its parent.  Raises what `gamble_of` raises on some
     strategy of the tree.
     """
-    table: dict[str, list[Row]] = {}
-    _build_rows(tree.root, tree.root_scope, table)
+    table = StrategyTable(_reward_denominator(tree.root))
+    _, kinds = _build_rows(tree.root, tree.root_scope, table)
+    table.numeric = "label" not in kinds
     return table
 
 
+def _reward_denominator(root: Node) -> int:
+    """The least common multiple of the denominators of the numeric rewards
+    at and below *root*."""
+    denominators = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (DecisionNode, ChanceNode)):
+            stack.extend(arc.child for arc in node.arcs)
+            continue
+        if isinstance(node, Leaf):
+            rewards: Iterable[Reward] = (node.reward,)
+        elif isinstance(node, GambleLeaf):
+            rewards = node.gamble.values
+        else:
+            continue  # _build_rows reports it
+        denominators.update(
+            v.denominator for v in rewards if _reward_kind(v) == "numeric"
+        )
+    return math.lcm(*denominators)
+
+
 def _build_rows(
-    node: Node, scope: Event, table: dict[str, list[Row]]
+    node: Node, scope: Event, table: StrategyTable
 ) -> tuple[list[Row], frozenset]:
     """Fill in the rows of *node* and below; return them and the reward kinds
     occurring in them.  (A module function: a recursive closure would tie
     the table into a reference cycle and keep it alive until a full
     garbage collection.)"""
     if isinstance(node, (Leaf, GambleLeaf)):
+        d = table.denominator
         if isinstance(node, Leaf):
-            values = (node.reward,) * len(scope)
+            values = (scaled(node.reward, d),) * len(scope)
         else:
-            values = tuple(node.gamble[a] for a in scope.ordered)
+            values = tuple(scaled(node.gamble[a], d) for a in scope.ordered)
         rows = [(node, values)]
         kinds = frozenset(map(_reward_kind, set(values)))
     elif isinstance(node, DecisionNode):
@@ -596,6 +654,17 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
 def count_strategies(tree: DecisionTree) -> int:
     """``len(enumerate_strategies(tree))``, without enumerating."""
     return _count(tree.root)
+
+
+def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
+    """`count_strategies`, or raise `TooManyStrategies` if it exceeds *limit*;
+    call it before building the strategy table."""
+    count = count_strategies(tree)
+    if count > limit:
+        raise TooManyStrategies(
+            f"the tree has {count} strategies, more than the limit of {limit}"
+        )
+    return count
 
 
 def _count(node: Node) -> int:

@@ -33,8 +33,8 @@ from .trees import (
     Leaf,
     PossibilitySpace,
     Reward,
-    Row,
     Strategy,
+    StrategyTable,
     as_rational,
     gamble_of,
     strategy_table,
@@ -280,7 +280,7 @@ def _numeric(reward: Reward) -> tuple[Fraction, ...]:
 
 
 def _row_values(
-    a: TreeFactoredAssessment, table: dict[str, list[Row]], reward_map: RewardMap
+    a: TreeFactoredAssessment, table: StrategyTable, reward_map: RewardMap
 ) -> dict[str, list[tuple[Fraction, ...]]]:
     """``out[node_id][k]`` values ``table[node_id][k]``, where *table* is the
     assessed tree's `strategy_table` and its post-order lets one pass meet
@@ -318,7 +318,8 @@ def _row_index(a: TreeFactoredAssessment, reward_map: RewardMap) -> RowIndex:
     for nid, values in _row_values(a, table, reward_map).items():
         scope = a.tree.scope_of(nid)
         for (_, row), value in zip(table[nid], values):
-            index.setdefault((scope, row), {}).setdefault(value, set()).add(nid)
+            key = (scope, table.rewards(row))
+            index.setdefault(key, {}).setdefault(value, set()).add(nid)
     return index
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from credaltrees import (
     choose_pointwise_dominance,
     ratlp,
 )
-from credaltrees.choice import _dot_rows, choose_eu
+from credaltrees.choice import RULES, OptionRows, OptionTable, choose_eu
+from credaltrees.trees import scaled
 
 from conftest import dominance_pools
 
@@ -369,6 +371,30 @@ def test_hull_e_admissibility_matches_the_unpruned_lp(data):
     assert got == reference_hull(credal, pool, b)
 
 
+positive_scales = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
+
+
+@given(dominance_pools(), st.integers(1, 60), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rules_are_invariant_under_positive_row_and_member_scaling(data, k, draw):
+    # What lets the solver hand every rule integer rows over a tree-wide
+    # denominator, and the table scale each member's weights on its own.
+    credal, pool, b = data
+    rows = OptionRows.of(pool, b)
+    table = OptionTable.on(b, rows, credal.members)
+    factors = [draw.draw(positive_scales, label="member factor") for _ in table.weights]
+    scaled_table = OptionTable(
+        [tuple(k * v for v in row) for row in rows],
+        [[c * w for w in ws] for c, ws in zip(factors, table.weights)],
+        [c * m for c, m in zip(factors, table.mass)],
+    )
+    every = range(len(rows))
+    some = sorted(draw.draw(st.sets(st.sampled_from(every), min_size=1), label="subset"))
+    for kind, rule in RULES.items():
+        for idx in (every, some):
+            assert rule(scaled_table, idx) == rule(table, idx), kind
+
+
 def test_hull_constraints_include_undominated_non_winners(w2):
     # Member sums (p1, p2): w1 (100, 0) and w0 (0, 100) are the member
     # winners; y (60, 60) wins under the even mixture.  z (65, 49) beats both
@@ -399,19 +425,28 @@ def weights_and_rows(draw):
 
 @given(weights_and_rows())
 @settings(max_examples=150, deadline=None)
-def test_dot_rows_matches_fraction_sums(data):
+def test_integer_sums_match_fraction_sums(data):
     weights, rows = data
-    got = _dot_rows(weights, rows)
-    assert got == [
+    d = math.lcm(*{v.denominator for row in rows for v in row})
+    int_rows = [tuple(scaled(v, d) for v in row) for row in rows]
+    exact = [
         [sum((w * v for w, v in zip(ws, row)), Fraction(0)) for row in rows]
         for ws in weights
     ]
-    assert all(type(x) is Fraction for sums in got for x in sums)
-    positive = [ws for ws in weights if sum(ws)]
-    assert _dot_rows(positive, rows, normalise=True) == [
-        [sum((w * v for w, v in zip(ws, row)), Fraction(0)) / sum(ws) for row in rows]
-        for ws in positive
+    sums = OptionTable(int_rows, weights).sums
+    assert all(type(x) is int for s in sums for x in s)
+    # each member's sums carry d and the lcm of that member's denominators
+    assert sums == [
+        [d * math.lcm(*{w.denominator for w in ws}) * e for e in member]
+        for ws, member in zip(weights, exact)
     ]
+    positive = [ws for ws in weights if sum(ws)]
+    t = OptionTable(int_rows, positive)
+    conditional = list(
+        zip(*([e / sum(ws) for e in member] for ws, member in zip(weights, exact) if sum(ws)))
+    )
+    assert [Fraction(x, d * t.scale) for x in t.lower] == [min(c) for c in conditional]
+    assert [Fraction(x, d * t.scale) for x in t.upper] == [max(c) for c in conditional]
 
 
 def test_eu_under_a_joint_model_keeps_its_zero_probability_message():

@@ -5,12 +5,14 @@ import pytest
 
 from credaltrees import (
     ChoiceFunction,
+    count_strategies,
     enumerate_strategies,
     gamble_of,
     kept_arcs,
     normal_form_solution,
     validate_tree,
 )
+import credaltrees.cli as cli_module
 from credaltrees.cli import run
 from credaltrees.formats import load_json, parse_model, parse_problem, render_reward
 
@@ -227,6 +229,89 @@ def test_prune_rescues_an_impossible_chance_arc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "1 strategies"
     assert "Lb" not in out
+
+
+PRUNABLE_FACTORED = {
+    "atoms": ["a", "b", "c"],
+    "root_scope": ["a", "c"],
+    "tree": {
+        "id": "D",
+        "kind": "decision",
+        "arcs": [
+            {"label": "bet", "child": {"id": "R", "kind": "chance", "arcs": [
+                {"event": ["a"], "child": {"id": "La", "kind": "leaf", "reward": 4}},
+                {"event": ["b"], "child": {"id": "Lb", "kind": "leaf", "reward": 9}},
+                {"event": ["c"], "child": {"id": "Lc", "kind": "leaf", "reward": 0}},
+            ]}},
+            {"label": "keep", "child": {"id": "K", "kind": "leaf", "reward": 1}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "probs", [["1/4", "0", "3/4"], ["1/4", "3/4"]], ids=["file arcs", "kept arcs"]
+)
+def test_prune_takes_factored_lists_of_either_length(tmp_path, capsys, probs):
+    # Under root scope {a, c} the "b" arc of R is pruned; a list for all three
+    # arcs of the file must give it 0, a list for the two kept arcs omits it.
+    problem = tmp_path / "prunable.json"
+    problem.write_text(json.dumps(PRUNABLE_FACTORED))
+    model = tmp_path / "factored.json"
+    model.write_text(json.dumps({"mode": "factored", "arcs": {"R": probs}}))
+    argv = ["--tree", str(problem), "--model", str(model), "--choice", "eu", "--prune"]
+    assert run(["solve", *argv, "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # bet is worth 4 * 1/4 = 1, as much as keep
+    assert [entry["kept"] for entry in doc["strategies"]] == [{"D": "bet"}, {"D": "keep"}]
+    assert run(["check", *argv]) == 0
+    capsys.readouterr()
+
+
+def test_prune_refuses_a_pruned_arc_with_positive_probability(tmp_path, capsys):
+    problem = tmp_path / "prunable.json"
+    problem.write_text(json.dumps(PRUNABLE_FACTORED))
+    model = tmp_path / "factored.json"
+    model.write_text(json.dumps({"mode": "factored", "arcs": {"R": ["1/4", "1/4", "1/2"]}}))
+    code = run(["solve", "--tree", str(problem), "--model", str(model),
+                "--choice", "eu", "--prune"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "arc 1 of chance node 'R'" in err and "must be 0" in err
+
+
+def test_max_strategies_refuses_larger_trees(capsys):
+    tree = PROBLEMS / "eu-example-1.tree.json"
+    count = count_strategies(parse_problem(load_json(tree.read_text())).tree)
+    tree = str(tree)
+    assert run(["strategies", "--tree", tree, "--max-strategies", str(count)]) == 0
+    capsys.readouterr()
+    model = str(PROBLEMS / "eu-example-1.model.json")
+    for command in ("strategies", "solve", "check"):
+        argv = [command, "--tree", tree, "--max-strategies", str(count - 1)]
+        if command != "strategies":
+            argv += ["--model", model, "--choice", "maximin"]
+        assert run(argv) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the tree has {count} strategies, more than the limit of {count - 1}\n"
+        )
+    assert run(["strategies", "--tree", tree, "--max-strategies", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "strategies", broken)
+    code = run(["strategies", "--tree", str(PROBLEMS / "eu-example-1.tree.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: KeyError: 'lost'")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_condition_accepts_comma_separated_atoms(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from credaltrees import (
     JointModel,
     MassFunction,
     MixedRewardKinds,
+    FactoredModel,
     Outcome,
     PossibilitySpace,
     ScopeMismatch,
     Strategy,
+    TreeFactoredAssessment,
     ZeroProbabilityCondition,
     all_hold,
     backward_induct_eu,
@@ -57,6 +60,7 @@ from conftest import (
     reference_restriction,
     reference_solution,
     reference_strategies,
+    relabel,
 )
 
 
@@ -577,3 +581,55 @@ def test_solution_indices_are_enumeration_positions(tree, model):
             assert sol.indices == tuple(everything.index(s) for s in sol.strategies)
             solutions += 1
     assert solutions
+
+
+# --- rewards with mixed denominators ------------------------------------------------
+
+#: offsets with pairwise different denominators, so a tree's common one exceeds 1
+OFFSETS = (Fraction(1, 3), Fraction(-5, 6), Fraction(2, 7), Fraction(3, 4), Fraction(-1, 5))
+
+
+def fractional_problem(seed, sampler):
+    """A fuzz tree whose every reward is moved by one of OFFSETS, and its model."""
+    cfg = FuzzConfig(seed=seed, tree_count=1, model_sampler=sampler, max_strategies=24)
+    tree, model = gen_random_tree(cfg, 0)
+    rng = random.Random(seed)
+    tree = relabel(tree, lambda r: r + rng.choice(OFFSETS))
+    if isinstance(model, FactoredModel):
+        model = FactoredModel(TreeFactoredAssessment(tree, model.assessment.arc_probs))
+    return tree, model
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fractional_rewards_solve_and_check_as_the_reference(seed, sampler, data):
+    tree, model = fractional_problem(seed, sampler)
+    table = strategy_table(tree)
+    assert table.denominator > 1
+    for nid in tree.node_ids():
+        assert all(type(v) is int for _, values in table[nid] for v in values)
+        reference = reference_strategies(subtree_at(tree, nid))
+        assert [(v, table.rewards(values)) for v, values in table[nid]] == [
+            (s.root, gamble_of(s).values) for s in reference
+        ]
+
+    assert assert_solves_match(tree, model, None) > 0
+    assert_solves_match(tree, model, inner_event(tree, data.draw))
+
+    choice = ChoiceFunction(data.draw(st.sampled_from(RULES)))
+    full = solved(lambda: reference_solution(tree, choice, model))
+    verdicts = solved(lambda: check_subtree_perfect(tree, choice, model))
+    if not isinstance(full, tuple):
+        assert verdicts is full
+        return
+    for v in verdicts:
+        outcome, restricted, local = reference_verdict(
+            tree, choice, model, full, v.node_id
+        )
+        assert v.outcome is outcome, v.node_id
+        assert portable(v.restricted_solution) == portable(restricted), v.node_id
+        assert portable(v.local_solution) == portable(local), v.node_id

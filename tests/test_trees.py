@@ -16,7 +16,9 @@ from credaltrees import (
     OverlappingEvents,
     PossibilitySpace,
     Strategy,
+    TooManyStrategies,
     UnknownNode,
+    bounded_strategy_count,
     chance,
     count_strategies,
     decision,
@@ -297,3 +299,19 @@ def test_strategy_table_reads_overlapping_arcs_like_gamble_of():
         gamble_of(s).values for s in reference_strategies(tree)
     ]
     assert [values for _, values in rows] == [(Fraction(3), Fraction(3), Fraction(1)), (Fraction(3), Fraction(3), Fraction(2))]
+
+
+def test_bounded_strategy_count_refuses_without_enumerating():
+    # 20 independent three-way choices: 3**20 strategies, far too many to list
+    sp = PossibilitySpace(tuple(f"w{i}" for i in range(20)))
+    root = chance(
+        "N",
+        [
+            (sp.event([a]), decision(f"D{a}", [(x, leaf(f"L{a}{x}", i)) for i, x in enumerate("xyz")]))
+            for a in sp.atoms
+        ],
+    )
+    tree = validate_tree(DecisionTree(sp, root))
+    assert bounded_strategy_count(tree, 3**20) == 3**20
+    with pytest.raises(TooManyStrategies, match=f"{3**20} strategies, more than the limit of 1000"):
+        bounded_strategy_count(tree, 1000)

@@ -101,6 +101,7 @@ from .trees import (
     kept_children,
     leaf,
     path_event,
+    strategy_at,
     strategy_table,
     subtree_at,
     validate_tree,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from . import ratlp
 from .errors import (
@@ -462,7 +463,7 @@ _CHOOSERS = {
 }
 
 
-Preorder = Callable[[Gamble, Gamble, Optional[UncertaintyModel], Event], bool]
+Preorder = Callable[[Gamble, Gamble, UncertaintyModel | None, Event], bool]
 
 
 def choose_by_preorder(

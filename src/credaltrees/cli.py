@@ -51,10 +51,12 @@ from .trees import (
     Node,
     Strategy,
     bounded_strategy_count,
+    count_strategies,
+    # Unused here, but perfbench/spans.py wraps these two module attributes.
     enumerate_strategies,
-    # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
     kept_arcs,
+    strategy_at,
     strategy_table,
     subtree_at,
     validate_tree,
@@ -359,8 +361,9 @@ def _cmd_strategies(args) -> int:
     table = strategy_table(tree)
     rows = table[tree.root.node_id]
     listed = [
-        (i, Strategy(tree.space, v, tree.root_scope), table.rewards(values))
-        for i, (v, values) in enumerate(rows)
+        (i, Strategy(tree.space, table.variant(tree.root, i), tree.root_scope),
+         table.rewards(values))
+        for i, values in enumerate(rows)
     ]
     doc = {"command": "strategies"}
     _emit_strategies(args, tree, doc, f"{len(rows)} strategies", listed)
@@ -377,7 +380,7 @@ def _cmd_solve(args) -> int:
     rows = table[tree.root.node_id]
     solution = normal_form_solution(tree, choice, model, b, table=table)
     listed = [
-        (i, s, table.rewards(rows[i][1]))
+        (i, s, table.rewards(rows[i]))
         for i, s in zip(solution.indices, solution.strategies)
     ]
     doc = {
@@ -518,13 +521,13 @@ def _cmd_export_dot(args) -> int:
     tree = problem.tree
     strategy = None
     if args.strategy is not None:
-        all_strats = enumerate_strategies(tree)
-        if not 0 <= args.strategy < len(all_strats):
+        count = count_strategies(tree)
+        if not 0 <= args.strategy < count:
             raise _UsageError(
                 f"--strategy {args.strategy} out of range; the tree has "
-                f"{len(all_strats)} strategies"
+                f"{count} strategies"
             )
-        strategy = all_strats[args.strategy]
+        strategy = strategy_at(tree, args.strategy)
     _emit(args, export_dot(tree, strategy))
     return 0
 

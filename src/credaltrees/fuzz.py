@@ -356,7 +356,7 @@ def harvest(
     def add(node_id: str) -> None:
         """Add the gambles of the strategies of the subtree at *node_id*."""
         scope = tree.scope_of(node_id)
-        for _, values in table[node_id]:
+        for values in table[node_id]:
             key = (scope, values)
             if key not in seen:
                 seen.add(key)

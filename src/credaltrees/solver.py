@@ -1,11 +1,13 @@
 """Normal form solutions of decision trees and the subtree perfectness check.
 
-A tree is solved by listing its strategies, deduplicating the gambles they
-induce on the conditioning event (integer rows of the strategy table),
-applying a choice function to the distinct ones and keeping every strategy
-whose gamble was chosen.  Subtree
-perfectness at a node compares the restriction of the full solution with the
-solution computed locally in the subtree.
+A tree is solved by reading its strategies' rows from the strategy table
+(the gambles they induce on the conditioning event, as integer rows),
+deduplicating them, applying a choice function to the distinct ones and
+keeping every strategy whose gamble was chosen.  Strategies are handled by
+their positions in the table; only the ones a solution or a verdict returns
+are decoded into nodes.  Subtree perfectness at a node compares the
+restriction of the full solution with the solution computed locally in the
+subtree, as sets of positions among the node's variants.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .choice import ChoiceFunction, OptionRows
 from .errors import (
@@ -39,7 +41,6 @@ from .trees import (
     enumerate_strategies,
     # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
-    kept_children,
     strategy_table,
     subtree_at,
 )
@@ -92,11 +93,11 @@ def normal_form_solution(
             raise ScopeMismatch("event is not contained in the gamble's scope")
         at = {a: i for i, a in enumerate(scope.ordered)}
         pick = operator.itemgetter(*(at[a] for a in b.ordered))
-        keys = [pick(values) for _, values in rows]
+        keys = [pick(values) for values in rows]
         if len(b) == 1:
             keys = [(k,) for k in keys]
     else:
-        keys = [values for _, values in rows]
+        keys = rows
 
     # One class per distinct row on b, numbered in order of first appearance;
     # the rows' integers hash cheaply.
@@ -110,11 +111,11 @@ def normal_form_solution(
         first: dict[int, int] = {}
         for i, c in enumerate(class_of):
             first.setdefault(c, i)
-        distinct = [Gamble(scope, table.rewards(rows[i][1])) for i in first.values()]
+        distinct = [Gamble(scope, table.rewards(rows[i])) for i in first.values()]
         on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
         chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
     indices = tuple(i for i, c in enumerate(class_of) if c in chosen)
-    kept = tuple(Strategy(tree.space, rows[i][0], scope) for i in indices)
+    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
     return NormalFormSolution(tree, kept, b, choice, indices)
 
 
@@ -126,22 +127,41 @@ def restrict_solution(
     Strategies that do not reach the node contribute nothing; restrictions
     that keep the same arcs are reported once, in order of first appearance.
     """
-    return tuple(_restrictions(sol, node_id).values())
-
-
-def _restrictions(
-    sol: NormalFormSolution, node_id: str
-) -> dict[tuple[str, ...], Strategy]:
-    """`restrict_solution`, keyed by `kept_children`."""
-    if not sol.tree_ref.contains(node_id):
+    tree = sol.tree_ref
+    if not tree.contains(node_id):
         raise UnknownNode(f"no node with id {node_id!r}")
-    seen: dict[tuple[str, ...], Strategy] = {}
-    for s in sol.strategies:
-        if s.contains(node_id):
-            key = kept_children(s.find(node_id))
-            if key not in seen:
-                seen[key] = subtree_at(s, node_id)
-    return seen
+    table = strategy_table(tree)
+    reached = _reached_positions(table, tree.root, sol.indices).get(node_id, {})
+    return _variants(tree, table, node_id, reached, {})
+
+
+def _reached_positions(
+    table: StrategyTable, root: Node, indices: tuple[int, ...]
+) -> dict[str, dict[int, None]]:
+    """Per node id, the positions among the node's variants that the
+    variants *indices* of *root* reach, in order of first appearance."""
+    at: dict[str, dict[int, None]] = {}
+    for i in indices:
+        for nid, k in table.reached(root, i).items():
+            at.setdefault(nid, {})[k] = None
+    return at
+
+
+def _variants(
+    tree: DecisionTree,
+    table: StrategyTable,
+    node_id: str,
+    positions: Iterable[int],
+    built: dict[int, Strategy],
+) -> tuple[Strategy, ...]:
+    """The strategies of the subtree at *node_id* at *positions*, taken from
+    *built* where it has them and decoded otherwise."""
+    node = tree.find(node_id)
+    scope = tree.scope_of(node_id)
+    return tuple(
+        built[k] if k in built else Strategy(tree.space, table.variant(node, k), scope)
+        for k in positions
+    )
 
 
 class Outcome(str, enum.Enum):
@@ -177,28 +197,32 @@ def _verdict_at(
     choice: ChoiceFunction,
     model: Optional[UncertaintyModel],
     full: NormalFormSolution,
+    reached: dict[str, dict[int, None]],
     node_id: str,
     table: StrategyTable,
 ) -> PerfectnessVerdict:
-    keyed = _restrictions(full, node_id)
-    restricted = tuple(keyed.values())
-    if not restricted:
+    """The verdict at *node_id*, where *reached* is `_reached_positions` of
+    the full solution."""
+    positions = reached.get(node_id)
+    if not positions:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
     if node_id == tree.root.node_id:
         # The root's local problem is the full problem.
-        local = full.strategies
+        local = full
     else:
         try:
             local = normal_form_solution(
                 subtree_at(tree, node_id), choice, model, table=table
-            ).strategies
+            )
         except ZeroProbabilityCondition as exc:
+            restricted = _variants(tree, table, node_id, positions, {})
             return PerfectnessVerdict(
                 node_id, Outcome.ERROR, restricted, (), str(exc)
             )
-    same = keyed.keys() == {kept_children(s.root) for s in local}
-    outcome = Outcome.HOLD if same else Outcome.FAIL
-    return PerfectnessVerdict(node_id, outcome, restricted, local)
+    built = dict(zip(local.indices, local.strategies))
+    restricted = _variants(tree, table, node_id, positions, built)
+    outcome = Outcome.HOLD if positions.keys() == built.keys() else Outcome.FAIL
+    return PerfectnessVerdict(node_id, outcome, restricted, local.strategies)
 
 
 def check_subtree_perfect_at(
@@ -212,7 +236,8 @@ def check_subtree_perfect_at(
         raise UnknownNode(f"no node with id {node_id!r}")
     table = strategy_table(tree)
     full = normal_form_solution(tree, choice, model, table=table)
-    return _verdict_at(tree, choice, model, full, node_id, table)
+    reached = _reached_positions(table, tree.root, full.indices)
+    return _verdict_at(tree, choice, model, full, reached, node_id, table)
 
 
 def check_subtree_perfect(
@@ -223,12 +248,14 @@ def check_subtree_perfect(
     """One verdict per node, in preorder.
 
     The strategy table is built once and shared by every local solve, and
-    the full solution is computed once.
+    the full solution is computed once; restricted and local solutions are
+    compared by their positions among each node's variants.
     """
     table = strategy_table(tree)
     full = normal_form_solution(tree, choice, model, table=table)
+    reached = _reached_positions(table, tree.root, full.indices)
     return tuple(
-        _verdict_at(tree, choice, model, full, nid, table)
+        _verdict_at(tree, choice, model, full, reached, nid, table)
         for nid in tree.node_ids()
     )
 

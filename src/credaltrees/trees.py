@@ -2,20 +2,20 @@
 
 Everything is exact: numeric rewards are `fractions.Fraction`, events are
 subsets of a finite possibility space, and all structures are frozen.
-Strategies are listed by `strategy_table` and told apart by the arcs they
-keep (`kept_children`); the table's rows hold numeric rewards as integers
-over one denominator per tree.
+`strategy_table` lists every node's strategy variants as rows of values,
+with numeric rewards as integers over one denominator per tree; a variant
+is addressed by its position in its node's rows and decoded into nodes only
+when a strategy is returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateArcLabel,
@@ -31,7 +31,7 @@ from .errors import (
 
 #: a reward is either an exact rational or an opaque label resolved later
 #: by a utility function.
-Reward = Union[Fraction, str]
+Reward = Fraction | str
 
 
 def as_rational(value: "int | str | Fraction") -> Fraction:
@@ -297,7 +297,10 @@ class ChanceNode:
     arcs: tuple[ChanceArc, ...]
 
 
-Node = Union[Leaf, GambleLeaf, DecisionNode, ChanceNode]
+# Module-level aliases are written with `|`: typing caches `Union[...]`, and
+# the cache would keep every class, and so every module, of a package that
+# is imported afresh alive with it.
+Node = Leaf | GambleLeaf | DecisionNode | ChanceNode
 
 
 def leaf(node_id: str, reward: "int | str | Fraction") -> Leaf:
@@ -493,14 +496,19 @@ def subtree_at(tree: DecisionTree, node_id: str) -> DecisionTree:
     return type(tree)(tree.space, tree.find(node_id), tree.scope_of(node_id))
 
 
-#: one strategy variant of a node's subtree with the rewards it induces on
-#: the node's scope, in the scope's atom order; in a `StrategyTable` numeric
-#: rewards are scaled to ints
-Row = tuple[Node, tuple["Reward | int", ...]]
+#: the rewards one strategy variant of a node induces on the node's scope, in
+#: the scope's atom order, with numeric rewards scaled to ints as
+#: `StrategyTable` says; the variant itself is identified by its position
+Row = tuple["Reward | int", ...]
 
 
 class StrategyTable(dict):
     """`strategy_table`'s rows, by node id.
+
+    ``table[node_id][k]`` is the row of variant k of the subtree at
+    *node_id*: a tuple of values, nothing else.  The variant is told by its
+    position alone, and `reached` and `variant` decode it from there only
+    when it is needed.
 
     Each numeric reward in a row is an int: the reward times ``denominator``,
     the least common multiple of the denominators of the tree's numeric
@@ -519,19 +527,34 @@ class StrategyTable(dict):
         d = self.denominator
         return tuple(v if isinstance(v, str) else Fraction(v, d) for v in values)
 
+    def _size(self, node_id: str) -> int:
+        return len(self[node_id])
+
+    def reached(self, node: Node, k: int) -> dict[str, int]:
+        """The position, in this table, of the variant that variant *k* of
+        *node* reaches at each node at and below *node*, in preorder; nodes
+        below an arc that the variant does not keep are absent."""
+        return _reached(node, k, self._size)
+
+    def variant(self, node: Node, k: int) -> Node:
+        """Variant *k* of *node*: the root node of the matching strategy."""
+        return _variant(node, self.reached(node, k), self._size)
+
 
 def strategy_table(tree: DecisionTree) -> StrategyTable:
-    """Every node's strategy variants with the values they induce, in one pass.
+    """Every node's strategy variants as rows of values, in one pass.
 
-    ``table[node_id]`` lists the variants of the subtree at *node_id* in
-    `enumerate_strategies` order, each paired with the values of `gamble_of`
+    ``table[node_id]`` holds one row per variant of the subtree at
+    *node_id*, in `enumerate_strategies` order: the values of `gamble_of`
     on the matching strategy of ``subtree_at(tree, node_id)``, scaled as
     `StrategyTable` says (``table.rewards`` turns them back).  The pass is
     bottom-up: a leaf gives one row, a decision node concatenates its
-    children's rows, and a chance node takes the product of its children's
-    rows and merges their value tuples; the keys are in post-order, every
-    child before its parent.  Raises what `gamble_of` raises on some
-    strategy of the tree.
+    children's rows, arc by arc, and a chance node takes the product of its
+    children's rows, the last arc varying fastest as in `itertools.product`,
+    and merges their value tuples; the keys are in post-order, every child
+    before its parent.  No node is built: ``table.variant`` decodes one
+    from its position.  Raises what `gamble_of` raises on some strategy of
+    the tree.
     """
     table = StrategyTable(_reward_denominator(tree.root))
     _, kinds = _build_rows(tree.root, tree.root_scope, table)
@@ -574,38 +597,34 @@ def _build_rows(
             values = (scaled(node.reward, d),) * len(scope)
         else:
             values = tuple(scaled(node.gamble[a], d) for a in scope.ordered)
-        rows = [(node, values)]
+        rows = [values]
         kinds = frozenset(map(_reward_kind, set(values)))
     elif isinstance(node, DecisionNode):
         rows, kinds = [], frozenset()
         for arc in node.arcs:
             child_rows, child_kinds = _build_rows(arc.child, scope, table)
             kinds |= child_kinds
-            rows.extend(
-                (DecisionNode(node.node_id, (DecisionArc(arc.label, v),)), values)
-                for v, values in child_rows
-            )
+            rows += child_rows
     elif isinstance(node, ChanceNode):
         scopes = [scope & arc.event for arc in node.arcs]
         children, kinds = [], frozenset()
         for arc, child_scope in zip(node.arcs, scopes):
             child_rows, child_kinds = _build_rows(arc.child, child_scope, table)
             kinds |= child_kinds
-            # one arc object per child row, shared by every combination
-            children.append([(ChanceArc(arc.event, v), vs) for v, vs in child_rows])
+            children.append(child_rows)
         rows = []
         if all(children):
             merge = _merge_plan(scope, scopes)
-            for combo in itertools.product(*children):
-                values = tuple(itertools.chain.from_iterable(c[1] for c in combo))
-                if merge is not None:
-                    values = merge(values)
-                # only a product can put both kinds into one row
-                if len(kinds) > 1 and len(set(map(_reward_kind, values))) > 1:
-                    raise MixedRewardKinds("a gamble cannot mix numbers and labels")
-                rows.append(
-                    (ChanceNode(node.node_id, tuple(c[0] for c in combo)), values)
-                )
+            rows = [()]
+            for child_rows in children:
+                rows = [r + c for r in rows for c in child_rows]
+            if merge is not None:
+                rows = list(map(merge, rows))
+            # only a product can put both kinds into one row
+            if len(kinds) > 1:
+                for values in rows:
+                    if len(set(map(_reward_kind, values))) > 1:
+                        raise MixedRewardKinds("a gamble cannot mix numbers and labels")
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
     table[node.node_id] = rows
@@ -645,15 +664,30 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
     walking the tree depth first.  Decision nodes sitting below an arc that
     a strategy does not keep are simply absent from it, which is what makes
     the enumeration free of duplicates.  Raises what `gamble_of` raises on
-    some strategy, because the strategies come from `strategy_table`.
+    some strategy, because the strategies are decoded from the positions of
+    `strategy_table`.
     """
-    rows = strategy_table(tree)[tree.root.node_id]
-    return tuple(Strategy(tree.space, v, tree.root_scope) for v, _ in rows)
+    table = strategy_table(tree)
+    return tuple(
+        Strategy(tree.space, table.variant(tree.root, k), tree.root_scope)
+        for k in range(len(table[tree.root.node_id]))
+    )
+
+
+def strategy_at(tree: DecisionTree, k: int) -> Strategy:
+    """``enumerate_strategies(tree)[k]`` for ``0 <= k < count_strategies(tree)``,
+    decoded from *k* without enumerating or valuing any strategy."""
+    counts: dict[str, int] = {}
+    count = counts.__getitem__
+    if not 0 <= k < _count(tree.root, counts):
+        raise IndexError(f"strategy {k} out of range")
+    root = _variant(tree.root, _reached(tree.root, k, count), count)
+    return Strategy(tree.space, root, tree.root_scope)
 
 
 def count_strategies(tree: DecisionTree) -> int:
     """``len(enumerate_strategies(tree))``, without enumerating."""
-    return _count(tree.root)
+    return _count(tree.root, {})
 
 
 def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
@@ -667,12 +701,68 @@ def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
     return count
 
 
-def _count(node: Node) -> int:
+def _count(node: Node, counts: dict[str, int]) -> int:
+    """The number of strategy variants of *node*, the length of its
+    `strategy_table` rows; record it in *counts* for *node* and every node
+    below."""
     if isinstance(node, DecisionNode):
-        return sum(_count(a.child) for a in node.arcs)
-    if isinstance(node, ChanceNode):
-        return math.prod(_count(a.child) for a in node.arcs)
-    return 1
+        n = sum(_count(a.child, counts) for a in node.arcs)
+    elif isinstance(node, ChanceNode):
+        n = math.prod(_count(a.child, counts) for a in node.arcs)
+    else:
+        n = 1
+    counts[node.node_id] = n
+    return n
+
+
+def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
+    """The decoder of strategy positions.
+
+    Variant *k* of *node*, where ``count(node_id)`` is the number of
+    variants of a node (its `strategy_table` rows), is found from k alone:
+    at a decision node, k falls into the range of one arc, after the
+    variants of the earlier arcs; at a chance node, k is a mixed-radix
+    number over the children's counts, the last arc's digit varying fastest.
+    Returns the position reached at every node at and below *node* that the
+    variant keeps, in preorder.
+    """
+    reached: dict[str, int] = {}
+    stack = [(node, k)]
+    while stack:
+        node, k = stack.pop()
+        reached[node.node_id] = k
+        if isinstance(node, DecisionNode):
+            for arc in node.arcs:
+                n = count(arc.child.node_id)
+                if k < n:
+                    stack.append((arc.child, k))
+                    break
+                k -= n
+        elif isinstance(node, ChanceNode):
+            # pushed last arc first, so that the first arc is visited first
+            for arc in reversed(node.arcs):
+                k, digit = divmod(k, count(arc.child.node_id))
+                stack.append((arc.child, digit))
+    return reached
+
+
+def _variant(
+    node: Node, reached: Mapping[str, int], count: Callable[[str], int]
+) -> Node:
+    """The variant of *node* that `_reached` returned *reached* for: each
+    decision node keeps the arc to its reached child.  A node with a single
+    variant is that variant, so it is returned as it is."""
+    if count(node.node_id) == 1:
+        return node
+    if isinstance(node, DecisionNode):
+        arc = next(a for a in node.arcs if a.child.node_id in reached)
+        return DecisionNode(
+            node.node_id, (DecisionArc(arc.label, _variant(arc.child, reached, count)),)
+        )
+    return ChanceNode(
+        node.node_id,
+        tuple(ChanceArc(a.event, _variant(a.child, reached, count)) for a in node.arcs),
+    )
 
 
 def _kept_decisions(node: Node) -> Iterator[DecisionNode]:

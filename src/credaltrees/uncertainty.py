@@ -317,7 +317,7 @@ def _row_index(a: TreeFactoredAssessment, reward_map: RewardMap) -> RowIndex:
     index: RowIndex = {}
     for nid, values in _row_values(a, table, reward_map).items():
         scope = a.tree.scope_of(nid)
-        for (_, row), value in zip(table[nid], values):
+        for row, value in zip(table[nid], values):
             key = (scope, table.rewards(row))
             index.setdefault(key, {}).setdefault(value, set()).add(nid)
     return index
@@ -427,7 +427,7 @@ class UtilityModel:
         return _row_index(self.chance.assessment, self.utilities.values_of)
 
 
-UncertaintyModel = Union[JointModel, FactoredModel, CredalModel, UtilityModel]
+UncertaintyModel = JointModel | FactoredModel | CredalModel | UtilityModel
 
 
 def precise_gamble_value(

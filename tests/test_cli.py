@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credaltrees import (
     ChoiceFunction,
@@ -35,6 +41,56 @@ def test_corpus_pinned_structured_outputs(entry, capsys):
     golden = (PROBLEMS / entry["golden"]).read_text()
     assert out == golden
     assert code == entry["exit_code"]
+
+
+# --- malformed documents -------------------------------------------------------
+
+#: values no slot of a problem or model document accepts
+BAD_VALUES = (None, True, False, {}, {"x": 1}, [[1]], [[]])
+
+
+def value_paths(doc, path=()):
+    """The paths to every value below the top of a JSON document."""
+    if path:
+        yield path
+    if isinstance(doc, (dict, list)):
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        for key in keys:
+            yield from value_paths(doc[key], path + (key,))
+
+
+@st.composite
+def corrupted_commands(draw):
+    """A manifest command whose tree or model has one value replaced by a
+    null, a bool, an object or a nested list."""
+    entry = draw(st.sampled_from(MANIFEST))
+    which = draw(st.sampled_from([w for w in ("tree", "model") if entry[w]]))
+    doc = json.loads((PROBLEMS / entry[which]).read_text())
+    path = draw(st.sampled_from(list(value_paths(doc))))
+    bad = copy.deepcopy(doc)
+    slot = bad
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return entry, which, bad
+
+
+@given(corrupted_commands())
+@settings(max_examples=300, deadline=None)
+def test_corrupted_documents_exit_two_with_one_error_line(case):
+    entry, which, bad = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corrupted = Path(tmp) / "corrupted.json"
+        corrupted.write_text(json.dumps(bad))
+        argv = manifest_args(entry)
+        argv[argv.index(str(PROBLEMS / entry[which]))] = str(corrupted)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv + ["--format", "structured"])
+    lines = err.getvalue().splitlines()
+    assert code == 2, err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err.getvalue()
 
 
 def test_exit_zero_when_every_node_holds(capsys):
@@ -403,6 +459,40 @@ def test_export_dot_strategy_out_of_range(capsys):
     )
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_export_dot_decodes_one_strategy_of_billions(tmp_path, capsys):
+    # 20 independent three-way choices: 3**20 strategies, far too many to list
+    atoms = [f"w{i}" for i in range(20)]
+    decisions = [
+        {"id": f"D{a}", "kind": "decision", "arcs": [
+            {"label": x, "child": {"id": f"L{a}{x}", "kind": "leaf", "reward": i}}
+            for i, x in enumerate("xyz")
+        ]}
+        for a in atoms
+    ]
+    doc = {"atoms": atoms, "tree": {"id": "N", "kind": "chance", "arcs": [
+        {"event": [a], "child": d} for a, d in zip(atoms, decisions)
+    ]}}
+    path = tmp_path / "wide.tree.json"
+    path.write_text(json.dumps(doc))
+    argv = ["export-dot", "--tree", str(path), "--strategy"]
+
+    def kept(k):
+        assert run(argv + [str(k)]) == 0
+        out = capsys.readouterr().out
+        dashed = [line for line in out.splitlines() if "style=dashed" in line]
+        assert len(dashed) == 40
+        return [x for a in atoms for x in "xyz" if f'"L{a}{x}" [label="{x}"]' in out]
+
+    # The last chance arc's choice varies fastest.
+    assert kept(3**20 - 1) == ["z"] * 20
+    assert kept(1) == ["x"] * 19 + ["y"]
+    assert kept(3**19) == ["y"] + ["x"] * 19
+    assert run(argv + [str(3**20)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --strategy {3**20} out of range; the tree has {3**20} strategies\n"
+    )
 
 
 def test_canonical_finds_the_worst_case_failure(capsys):

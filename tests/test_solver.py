@@ -566,6 +566,37 @@ def test_check_neither_hashes_nor_compares_nodes(monkeypatch):
     assert checked >= len(problems)
 
 
+def test_check_builds_nodes_only_for_the_strategies_it_returns(monkeypatch):
+    # The table's rows are values; nodes are decoded for returned strategies only.
+    cfg = FuzzConfig(seed=3, tree_count=1, max_depth=4, model_sampler="credal:2")
+    tree, model = gen_random_tree(cfg, 0)
+    built = []
+    for cls in (DecisionNode, ChanceNode):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    runs = [
+        check_subtree_perfect(tree, ChoiceFunction(kind), model)
+        for kind in ("maximin", "maximality", "interval_dominance")
+    ]
+    monkeypatch.undo()
+    returned = {
+        id(s): s
+        for verdicts in runs
+        for v in verdicts
+        for s in v.restricted_solution + v.local_solution
+    }
+    inner = sum(
+        isinstance(n, (DecisionNode, ChanceNode))
+        for s in returned.values()
+        for n, _ in s.nodes()
+    )
+    assert len(built) <= inner
+
+
 @pytest.mark.parametrize(
     "tree, model", [p[1:] for p in SMALL_EXAMPLES], ids=[p[0] for p in SMALL_EXAMPLES]
 )
@@ -611,11 +642,13 @@ def test_fractional_rewards_solve_and_check_as_the_reference(seed, sampler, data
     table = strategy_table(tree)
     assert table.denominator > 1
     for nid in tree.node_ids():
-        assert all(type(v) is int for _, values in table[nid] for v in values)
+        assert all(type(v) is int for values in table[nid] for v in values)
         reference = reference_strategies(subtree_at(tree, nid))
-        assert [(v, table.rewards(values)) for v, values in table[nid]] == [
-            (s.root, gamble_of(s).values) for s in reference
-        ]
+        node = tree.find(nid)
+        assert [
+            (table.variant(node, k), table.rewards(values))
+            for k, values in enumerate(table[nid])
+        ] == [(s.root, gamble_of(s).values) for s in reference]
 
     assert assert_solves_match(tree, model, None) > 0
     assert_solves_match(tree, model, inner_event(tree, data.draw))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from credaltrees import (
     kept_children,
     leaf,
     path_event,
+    strategy_at,
     strategy_table,
     subtree_at,
     validate_tree,
@@ -250,12 +255,32 @@ def test_strategy_count_multiplies_over_arcs(tree):
 
 
 def assert_table_matches_the_reference(tree):
+    """Row k of every node holds the gamble of strategy k of the reference
+    enumeration of its subtree, and position k decodes to that strategy: to
+    its root, and to the reference position of its restriction at every
+    node it keeps, in preorder."""
     table = strategy_table(tree)
     assert set(table) == set(tree.node_ids())
-    for nid in tree.node_ids():
-        reference = reference_strategies(subtree_at(tree, nid))
-        assert table[nid] == [(s.root, gamble_of(s).values) for s in reference]
-    assert enumerate_strategies(tree) == tuple(reference_strategies(tree))
+    references = {nid: reference_strategies(subtree_at(tree, nid)) for nid in table}
+    position = {
+        nid: {kept_children(s.root): k for k, s in enumerate(reference)}
+        for nid, reference in references.items()
+    }
+    for nid, reference in references.items():
+        node = tree.find(nid)
+        assert [table.rewards(row) for row in table[nid]] == [
+            gamble_of(s).values for s in reference
+        ]
+        for k, s in enumerate(reference):
+            assert table.variant(node, k) == s.root
+            reached = table.reached(node, k)
+            assert list(reached.items()) == [
+                (n.node_id, position[n.node_id][kept_children(n)]) for n, _ in s.nodes()
+            ]
+    assert enumerate_strategies(tree) == tuple(references[tree.root.node_id])
+    assert [strategy_at(tree, k) for k in range(count_strategies(tree))] == references[
+        tree.root.node_id
+    ]
 
 
 @given(
@@ -295,10 +320,8 @@ def test_strategy_table_reads_overlapping_arcs_like_gamble_of():
     )
     tree = DecisionTree(sp, root)
     rows = strategy_table(tree)["N"]
-    assert [values for _, values in rows] == [
-        gamble_of(s).values for s in reference_strategies(tree)
-    ]
-    assert [values for _, values in rows] == [(Fraction(3), Fraction(3), Fraction(1)), (Fraction(3), Fraction(3), Fraction(2))]
+    assert rows == [gamble_of(s).values for s in reference_strategies(tree)]
+    assert rows == [(Fraction(3), Fraction(3), Fraction(1)), (Fraction(3), Fraction(3), Fraction(2))]
 
 
 def test_bounded_strategy_count_refuses_without_enumerating():
@@ -315,3 +338,27 @@ def test_bounded_strategy_count_refuses_without_enumerating():
     assert bounded_strategy_count(tree, 3**20) == 3**20
     with pytest.raises(TooManyStrategies, match=f"{3**20} strategies, more than the limit of 1000"):
         bounded_strategy_count(tree, 1000)
+
+
+FRESH_IMPORT = """
+import gc, importlib, sys, weakref
+import credaltrees, credaltrees.cli
+old = [weakref.ref(c) for c in (
+    credaltrees.DecisionNode, credaltrees.CredalModel, credaltrees.ChoiceFunction
+)]
+for name in [m for m in sys.modules if m.split(".")[0] == "credaltrees"]:
+    del sys.modules[name]
+del credaltrees
+importlib.import_module("credaltrees.cli")
+gc.collect()
+sys.exit(sum(ref() is not None for ref in old))
+"""
+
+
+def test_a_fresh_import_lets_the_previous_one_go():
+    # Importing the package again must not keep the old copy alive, as a
+    # cached typing alias over its classes would.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-B", "-c", FRESH_IMPORT], env=env, timeout=60)
+    assert done.returncode == 0

@@ -250,8 +250,8 @@ def assert_rows_match_the_walkers(tree, a):
     for node, scope in tree.nodes():
         nid = node.node_id
         assert len(numeric[nid]) == len(columns[nid]) == len(table[nid])
-        for k, (variant, _) in enumerate(table[nid]):
-            s = Strategy(tree.space, variant, scope)
+        for k in range(len(table[nid])):
+            s = Strategy(tree.space, table.variant(node, k), scope)
             assert numeric[nid][k] == (reference_factored_expectation(a, s),)
             assert columns[nid][k] == reference_utility_expectations(
                 u, la, relabel(s, str)

@@ -325,9 +325,9 @@ class _EventData:
         except ZeroProbabilityCondition:
             self.table = None
 
-    def classes(self, combo: Sequence[int]) -> tuple[int, ...]:
-        """The distinct classes of the pool gambles in *combo*, ascending."""
-        return tuple(sorted({self.cls_of[i] for i in combo}))
+    def mask(self, combo: Sequence[int]) -> int:
+        """The classes of the pool gambles in *combo*, as a bitmask."""
+        return _mask(self.cls_of[i] for i in combo)
 
 
 def _chosen_classes(ev: _EventData, kind: str, classes: Sequence[int]) -> frozenset:
@@ -356,6 +356,73 @@ def _mask(classes) -> int:
 def _mask_classes(mask: int) -> tuple[int, ...]:
     """Class ids packed in a bitmask, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _Combos:
+    """A block's option sets, counted up front and built only when read.
+
+    The entries are the combinations of 1 to *bound* of the eligible pool
+    indices, by size and then in ``itertools.combinations`` order.  Their
+    number is a sum of binomials; iterating generates them in order, and
+    indexing unranks one entry without building those before it.
+    """
+
+    def __init__(self, elig: list[int], bound: int):
+        self.elig = elig
+        self.sizes = range(1, min(bound, len(elig)) + 1)
+        self.count = sum(math.comb(len(elig), s) for s in self.sizes)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for size in self.sizes:
+            yield from itertools.combinations(self.elig, size)
+
+    def __getitem__(self, k: int) -> tuple[int, ...]:
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        n = len(self.elig)
+        for size in self.sizes:
+            if k < math.comb(n, size):
+                break
+            k -= math.comb(n, size)
+        out = []
+        i = 0
+        for left in range(size, 0, -1):
+            # comb(n - i - 1, left - 1) of the remaining combinations take
+            # elig[i] next; step past them while k lies beyond
+            while k >= math.comb(n - i - 1, left - 1):
+                k -= math.comb(n - i - 1, left - 1)
+                i += 1
+            out.append(self.elig[i])
+            i += 1
+        return tuple(out)
+
+
+class _Memo(dict):
+    """Key -> f(key), computed at the first lookup of the key."""
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, key):
+        value = self[key] = self._f(key)
+        return value
+
+
+class _Prefix(dict):
+    """Position -> value of an iterable, read on only as far as asked."""
+
+    def __init__(self, values):
+        super().__init__()
+        self._rest = iter(values)
+
+    def __missing__(self, k: int):
+        for i in range(len(self), k + 1):
+            self[i] = next(self._rest)
+        return self[k]
 
 
 def _pairs(nx: int, ny: int, unordered: bool):
@@ -428,7 +495,9 @@ class _Checker:
         """Shape (b): the rule over the union of both offers against each alone.
 
         A one-value rule keeps either all of argmax(X) or nothing of X from
-        X | Y, so the whole block passes.
+        X | Y, so the whole block passes.  Otherwise the rule runs once per
+        class mask, an offer's or a union's, and only for the instances the
+        scan judges.
         """
         ev = self.event_data(b)
         if ev.table is None:
@@ -436,33 +505,21 @@ class _Checker:
         if self.choice.is_value_based:
             return "pass"
         kind = self.choice.kind
-
-        def stats(combos):
-            # per combo: its classes, and the classes the rule keeps of them
-            out = []
-            for combo in combos:
-                cids = ev.classes(combo)
-                out.append((_mask(cids), _mask(_chosen_classes(ev, kind, cids))))
-            return out
-
-        xstats = stats(xcombos)
-        ystats = xstats if unordered else stats(ycombos)
-        chosen: dict[int, int] = {}  # union of classes -> kept classes
+        xmasks = _Prefix(map(ev.mask, xcombos))
+        ymasks = xmasks if unordered else _Prefix(map(ev.mask, ycombos))
+        # class mask -> the classes the rule keeps of them
+        keep = _Memo(lambda m: _mask(_chosen_classes(ev, kind, _mask_classes(m))))
 
         def judge(ci: int, cj: int):
-            mx, ax = xstats[ci]
-            my, ay = ystats[cj]
-            union = mx | my
-            cs = chosen.get(union)
-            if cs is None:
-                cs = _mask(_chosen_classes(ev, kind, _mask_classes(union)))
-                chosen[union] = cs
+            mx = xmasks[ci]
+            my = ymasks[cj]
+            cs = keep[mx | my]
             rx = cs & mx
             ry = cs & my
             fails = ()
-            if rx and rx != ax:
+            if rx and rx != keep[mx]:
                 fails = ("N1",)
-            if ry and ry != ay:
+            if ry and ry != keep[my]:
                 fails += ("N2",)
             return ("fail", fails) if fails else _PASS
 
@@ -473,7 +530,8 @@ class _Checker:
 
         For the kinds whose comparison the shared z cancels from, the whole
         block passes, unless the marginal extension filter must look at
-        each instance.
+        each instance.  The local choice on xs is made once per class mask,
+        and the composite table once per z class, as the scan reaches them.
         """
         ev1 = self.event_data(a & b)
         ev2 = self.event_data(a.complement() & b)
@@ -485,25 +543,19 @@ class _Checker:
         if cancels and not filtered:
             return "pass"
         rule = RULES[kind]
-        cids = [ev1.classes(combo) for combo in combos]
-        local = [None if cancels else rule(ev1.table, c) for c in cids]
-        zcs = [ev2.cls_of[zi] for zi in eligz]
-        composites: dict[int, OptionTable] = {}
-        me_rows: dict[int, list[bool]] = {}
+        masks = _Prefix(map(ev1.mask, combos))
+        # class mask -> the rule's choice of those classes on e1 alone
+        local = _Memo(lambda m: rule(ev1.table, _mask_classes(m)))
+        composites = _Memo(lambda zc: _composite(ev1, ev2, zc))
+        me_rows = _Memo(lambda zc: self._me_row(ev1, ev2, composites[zc], zc))
 
         def judge(ci: int, zj: int):
-            zc = zcs[zj]
-            full = composites.get(zc)
-            if full is None:
-                full = composites[zc] = _composite(ev1, ev2, zc)
-            c = cids[ci]
-            if filtered:
-                me = me_rows.get(zc)
-                if me is None:
-                    me = me_rows[zc] = self._me_row(ev1, ev2, full, zc)
-                if not all(me[x] for x in c):
-                    return _SKIP
-            if cancels or rule(full, c) == local[ci]:
+            zc = ev2.cls_of[eligz[zj]]
+            mask = masks[ci]
+            c = _mask_classes(mask)
+            if filtered and not all(me_rows[zc][x] for x in c):
+                return _SKIP
+            if cancels or rule(composites[zc], c) == local[mask]:
                 return _PASS
             return _FAIL_N1
 
@@ -547,20 +599,15 @@ class _Checker:
 
     # -- the scan ------------------------------------------------------------
 
-    def _combos(self, elig: list[int], bound: int) -> list[tuple[int, ...]]:
-        return [
-            c
-            for size in range(1, min(bound, len(elig)) + 1)
-            for c in itertools.combinations(elig, size)
-        ]
-
     def _plan(self) -> tuple[list, int]:
         """Blocks of instances, in deterministic order, plus the total count.
 
         A block is (shape, A or None, B, rows, columns, unordered, size): its
         instances are the (row, column) pairs of ``_pairs``.  Shape (b) rows
-        and columns are combos of pool indices; shape (a) rows are combos
-        and columns single pool indices, the z gamble.
+        and columns are ``_Combos`` of pool indices; shape (a) rows are
+        ``_Combos`` and columns the eligible pool indices of the z gamble.
+        Only the eligible indices are gathered here; the sizes are counted
+        with binomials, and no option set is built until the scan reads it.
         """
         lim = self.limits
         events = all_events(self.space)
@@ -570,6 +617,10 @@ class _Checker:
             if lim.events_a is not None
             else tuple(e for e in events if e != self.space.omega())
         )
+
+        def eligible(e: Event) -> list[int]:
+            return [i for i, g in enumerate(self.pool) if e <= g.scope]
+
         blocks = []
         total = 0
         for shape in lim.shapes:
@@ -577,17 +628,14 @@ class _Checker:
                 for b in bs:
                     if b.is_empty:
                         continue
-                    elig = [
-                        i for i in range(len(self.pool)) if b <= self.pool[i].scope
-                    ]
-                    xcombos = self._combos(elig, lim.max_xs)
+                    elig = eligible(b)
+                    xcombos = _Combos(elig, lim.max_xs)
                     unordered = lim.max_xs == lim.max_ys
-                    ycombos = (
-                        xcombos if unordered else self._combos(elig, lim.max_ys)
-                    )
                     if unordered:
+                        ycombos = xcombos
                         n = len(xcombos) * (len(xcombos) + 1) // 2
                     else:
+                        ycombos = _Combos(elig, lim.max_ys)
                         n = len(xcombos) * len(ycombos)
                     if n:
                         blocks.append(("b", None, b, xcombos, ycombos, unordered, n))
@@ -601,17 +649,8 @@ class _Checker:
                         e2 = a.complement() & b
                         if e1.is_empty or e2.is_empty:
                             continue
-                        eligx = [
-                            i
-                            for i in range(len(self.pool))
-                            if e1 <= self.pool[i].scope
-                        ]
-                        eligz = [
-                            i
-                            for i in range(len(self.pool))
-                            if e2 <= self.pool[i].scope
-                        ]
-                        combos = self._combos(eligx, lim.max_xs)
+                        combos = _Combos(eligible(e1), lim.max_xs)
+                        eligz = eligible(e2)
                         n = len(combos) * len(eligz)
                         if n:
                             blocks.append(("a", a, b, combos, eligz, False, n))

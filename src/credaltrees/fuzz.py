@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .canonical import CanonicalLimits, CanonicalReport, check_canonical
 from .choice import ChoiceFunction
+from .errors import UnknownNode
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
     ChanceNode,
@@ -341,8 +342,11 @@ def harvest(
     everything else.  Events are the path events and their pairwise
     intersections, the failing node's own path event first.  Returns the
     pool, the events and whether either cap truncated the material.
+    Raises ``UnknownNode`` when *failing_node* is not a node of *tree*.
     """
     parents = _parents(tree)
+    if failing_node not in parents:
+        raise UnknownNode(f"no node with id {failing_node!r}")
     on_path = set()
     cur: Optional[str] = failing_node
     while cur is not None:

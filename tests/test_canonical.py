@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credaltrees import (
@@ -25,7 +26,14 @@ from credaltrees import (
 )
 
 from credaltrees import canonical
-from credaltrees.canonical import _Checker, _chosen_classes, _pair_at, _pairs
+from credaltrees.canonical import (
+    _Checker,
+    _chosen_classes,
+    _Combos,
+    _pair_at,
+    _pairs,
+    all_events,
+)
 from credaltrees.choice import RULES
 
 from conftest import build_maximin_failure, dominance_pools
@@ -234,6 +242,182 @@ def test_budget_caps_the_examined_instances(w2):
     report = check_canonical(ChoiceFunction("e_admissible"), model, sp, pool, limits)
     assert report.instances_examined <= 40
     assert report.instances_total > 40
+
+
+@pytest.mark.parametrize("shapes", [("b", "a"), ("a", "b")])
+@pytest.mark.parametrize("kind", ["interval_dominance", "e_admissible"])
+def test_a_budget_bounds_the_rule_calls(monkeypatch, kind, shapes):
+    # 24 gambles, distinct on every atom, offered up to six at a time make
+    # 190,050 option sets of distinct classes per event, and trillions of
+    # instances; a budget of 200 must bound the rule calls, the pipeline
+    # verifications' included, by the instances examined rather than by
+    # the option sets in the plan.
+    sp = PossibilitySpace(("w1", "w2", "w3", "w4"))
+    pool = [g(sp, i, 5 * i % 24, 7 * i % 24, 11 * i % 24) for i in range(24)]
+
+    def member(*weights):
+        return MassFunction.from_mapping(
+            sp, {a: Fraction(w, 10) for a, w in zip(sp.atoms, weights)}
+        )
+
+    model = CredalModel(CredalSet((member(1, 2, 3, 4), member(4, 3, 2, 1))))
+    rule = canonical.RULES[kind]
+    calls = []
+
+    def spy(table, idx):
+        calls.append(len(idx))
+        return rule(table, idx)
+
+    monkeypatch.setitem(canonical.RULES, kind, spy)
+    limits = CanonicalLimits(max_xs=6, max_ys=6, shapes=shapes, max_instances=200)
+    report = check_canonical(ChoiceFunction(kind), model, sp, pool, limits)
+    assert report.instances_total > 10**11
+    assert 0 < report.instances_examined <= 200
+    assert len(calls) <= 3 * report.instances_examined
+
+
+def test_option_sets_unrank_in_plan_order():
+    # Every entry of a block's option sets, read in order or alone, is the
+    # combination the eager enumeration by size would have put there.
+    for n in range(8):
+        elig = list(range(10, 10 + n))
+        for bound in range(1, 9):
+            eager = [
+                c
+                for size in range(1, min(bound, n) + 1)
+                for c in itertools.combinations(elig, size)
+            ]
+            combos = _Combos(elig, bound)
+            assert len(combos) == len(eager)
+            assert list(combos) == eager
+            assert [combos[k] for k in range(len(combos))] == eager
+            with pytest.raises(IndexError):
+                combos[len(eager)]
+
+
+def _enumerated_total(sp, pool, limits) -> int:
+    """The plan's instance count, with every option set built as a list."""
+
+    def combos(event, bound):
+        elig = [i for i, x in enumerate(pool) if event <= x.scope]
+        return [
+            c
+            for size in range(1, min(bound, len(elig)) + 1)
+            for c in itertools.combinations(elig, size)
+        ]
+
+    events = all_events(sp)
+    total = 0
+    for shape in limits.shapes:
+        if shape == "b":
+            for b in events:
+                xs = combos(b, limits.max_xs)
+                ys = combos(b, limits.max_ys)
+                if limits.max_xs == limits.max_ys:
+                    total += len(xs) * (len(xs) + 1) // 2
+                else:
+                    total += len(xs) * len(ys)
+        else:
+            for a in events:
+                if a == sp.omega():
+                    continue
+                for b in events:
+                    e1, e2 = a & b, a.complement() & b
+                    if not e1.is_empty and not e2.is_empty:
+                        total += len(combos(e1, limits.max_xs)) * len(combos(e2, 1))
+    return total
+
+
+@st.composite
+def scoped_pools(draw):
+    """A 2- to 4-atom space and one to eight gambles, some of them on
+    events smaller than the whole space."""
+    sp = PossibilitySpace(tuple(f"w{i}" for i in range(draw(st.integers(2, 4)))))
+    events = all_events(sp)
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        scope = draw(st.sampled_from((sp.omega(),) * len(events) + events))
+        values = draw(
+            st.lists(st.integers(-3, 3), min_size=len(scope), max_size=len(scope))
+        )
+        pool.append(Gamble.from_mapping(scope, dict(zip(scope.ordered, values))))
+    return sp, pool
+
+
+def _one_sided():
+    sp = PossibilitySpace(("w1", "w2"))
+    return sp, [Gamble.from_mapping(sp.event(["w1"]), {"w1": 1})]
+
+
+_ONE_SIDED = _one_sided()
+
+
+@pytest.mark.parametrize("shapes", [("a",), ("b",), ("b", "a")])
+@pytest.mark.parametrize("same_bounds", [True, False])
+@given(problem=scoped_pools(), bounds=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+@example(problem=_ONE_SIDED, bounds=(2, 2))
+@example(problem=_ONE_SIDED, bounds=(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_the_counted_total_equals_the_enumerated_one(
+    shapes, same_bounds, problem, bounds
+):
+    # The one-sided pool leaves the events beyond w1 without an eligible
+    # gamble, so their blocks are empty.
+    sp, pool = problem
+    max_xs, max_ys = bounds
+    if same_bounds:
+        max_ys = max_xs
+    elif max_xs == max_ys:
+        max_ys = max_xs % 4 + 1
+    limits = CanonicalLimits(
+        max_xs=max_xs, max_ys=max_ys, shapes=shapes, max_instances=1
+    )
+    report = check_canonical(ChoiceFunction("maximin"), None, sp, pool, limits)
+    assert report.instances_total == _enumerated_total(sp, pool, limits)
+
+
+def _maximin_case():
+    sp = PossibilitySpace(("a1", "a2"))
+    return "maximin", None, sp, [g(sp, 2, 0), g(sp, 1, 0), g(sp, 0, 0)]
+
+
+def _maximality_case():
+    sp = PossibilitySpace(("w1", "w2"))
+    p1 = MassFunction.from_mapping(sp, {"w1": Fraction(1, 4), "w2": Fraction(3, 4)})
+    p2 = MassFunction.from_mapping(sp, {"w1": Fraction(3, 4), "w2": Fraction(1, 4)})
+    pool = [g(sp, 1, 0), g(sp, 0, 1), g(sp, Fraction(1, 10), Fraction(11, 10))]
+    return "maximality", CredalModel(CredalSet((p1, p2))), sp, pool
+
+
+@pytest.mark.parametrize("case", [_maximin_case, _maximality_case])
+def test_every_budget_stops_where_the_exhaustive_scan_fails(case):
+    # Maximin settles its shape (b) blocks in bulk and judges shape (a)
+    # instance by instance; maximality judges shape (b) one by one.  Every
+    # budget below the failing position passes after exactly that many
+    # instances, and every budget from it on reports the same failure.
+    kind, model, sp, pool = case()
+    choice = ChoiceFunction(kind)
+    full = check_canonical(
+        choice, model, sp, pool, CanonicalLimits(shapes=("b", "a"))
+    )
+    assert not full.passed
+    failing = full.instances_examined + full.instances_skipped
+    assert failing > 1
+    for k in range(1, failing + 3):
+        limits = CanonicalLimits(shapes=("b", "a"), max_instances=k)
+        report = check_canonical(choice, model, sp, pool, limits)
+        assert report.instances_total == full.instances_total
+        if k < failing:
+            assert report.passed
+            assert report.instances_examined + report.instances_skipped == k
+        else:
+            assert (report.shape, report.instance, report.failing_nodes) == (
+                full.shape,
+                full.instance,
+                full.failing_nodes,
+            )
+            assert report.instances_examined == full.instances_examined
+            assert report.instances_skipped == full.instances_skipped
 
 
 @pytest.mark.parametrize("budget", [0, -3])

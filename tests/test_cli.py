@@ -162,6 +162,20 @@ def test_exit_two_on_unknown_node(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_canonical_exits_two_on_unknown_node(capsys):
+    code = run(
+        [
+            "canonical",
+            "--tree", str(PROBLEMS / "eu-example-1.tree.json"),
+            "--model", str(PROBLEMS / "eu-example-1.model.json"),
+            "--choice", "eu",
+            "--node", "NOPE",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: no node with id 'NOPE'\n"
+
+
 def test_exit_two_on_bad_condition(capsys):
     code = run(
         [

@@ -72,6 +72,7 @@ from .solver import (
     PerfectnessVerdict,
     all_hold,
     backward_induct_eu,
+    backward_solution,
     check_subtree_perfect,
     check_subtree_perfect_at,
     normal_form_solution,

@@ -37,6 +37,7 @@ from .fuzz import FuzzConfig, fuzz_equivalence, harvest
 from .solver import (
     Outcome,
     PerfectnessVerdict,
+    all_hold,
     check_subtree_perfect,
     check_subtree_perfect_at,
     normal_form_solution,
@@ -399,9 +400,7 @@ def _cmd_check(args) -> int:
     model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     verdicts = check_subtree_perfect(problem.tree, choice, model)
-    perfect = all(
-        v.outcome in (Outcome.HOLD, Outcome.VACUOUS_HOLD) for v in verdicts
-    )
+    perfect = all_hold(verdicts)
     if args.format == "structured":
         doc = {
             "command": "check",

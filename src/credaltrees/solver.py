@@ -15,41 +15,25 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from .choice import ChoiceFunction, OptionRows
-from .errors import (
-    MissingArcProbability,
-    ModeUnsupported,
-    ScopeMismatch,
-    UnknownNode,
-    ZeroProbabilityCondition,
-)
+from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
 from .trees import (
-    ChanceArc,
-    ChanceNode,
-    DecisionArc,
-    DecisionNode,
     DecisionTree,
     Event,
     Gamble,
-    GambleLeaf,
-    Leaf,
     Node,
     Strategy,
     StrategyTable,
+    # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
-    # Unused here, but perfbench/spans.py wraps this module attribute.
     gamble_of,
     strategy_table,
     subtree_at,
 )
-from .uncertainty import (
-    FactoredModel,
-    JointModel,
-    UncertaintyModel,
-    expectation,
-)
+from .uncertainty import UncertaintyModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +72,41 @@ def normal_form_solution(
     if table is None:
         table = strategy_table(tree)
     rows = table[tree.root.node_id]
+    indices = tuple(_chosen(choice, model, table, scope, rows, table.numeric, b))
+    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
+    return NormalFormSolution(tree, kept, b, choice, indices)
+
+
+def backward_solution(
+    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> NormalFormSolution:
+    """Solve *tree* by normal form backward induction (Huntley & Troffaes,
+    Ann. Oper. Res. 195, 2012): the strategy table is built keeping, after
+    each decision and chance node, only the rows *choice* chooses on the
+    node's scope.  Equals `normal_form_solution` wherever *choice* is
+    subtree perfect on *tree*.  A node whose scope has probability zero
+    raises `ZeroProbabilityCondition`, where `check` gives an error verdict.
+    """
+    scope = tree.root_scope
+    table = strategy_table(tree, partial(_chosen, choice, model))
+    indices = tuple(table.positions[tree.root.node_id])
+    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
+    return NormalFormSolution(tree, kept, scope, choice, indices)
+
+
+def _chosen(
+    choice: ChoiceFunction,
+    model: Optional[UncertaintyModel],
+    table: StrategyTable,
+    scope: Event,
+    rows: list,
+    numeric: bool,
+    b: Optional[Event] = None,
+) -> list[int]:
+    """The indices, in order, of the *rows* (one node's rows of *table*, on
+    *scope*) whose gambles *choice* chooses on *b* (*scope* by default);
+    rows equal on b are one option.  *numeric*: no row holds a label."""
+    b = scope if b is None else b
     if rows and b != scope:
         if not b <= scope:
             raise ScopeMismatch("event is not contained in the gamble's scope")
@@ -104,7 +123,7 @@ def normal_form_solution(
     classes: dict[tuple, int] = {}
     class_of = [classes.setdefault(k, len(classes)) for k in keys]
 
-    if table.numeric and choice.takes_rows(model):
+    if numeric and choice.takes_rows(model):
         chosen = {classes[row] for row in choice.choose(OptionRows(classes), model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
@@ -114,9 +133,7 @@ def normal_form_solution(
         distinct = [Gamble(scope, table.rewards(rows[i])) for i in first.values()]
         on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
         chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
-    indices = tuple(i for i, c in enumerate(class_of) if c in chosen)
-    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
-    return NormalFormSolution(tree, kept, b, choice, indices)
+    return [i for i, c in enumerate(class_of) if c in chosen]
 
 
 def restrict_solution(
@@ -274,67 +291,5 @@ def all_hold(verdicts: tuple[PerfectnessVerdict, ...]) -> bool:
 def backward_induct_eu(
     tree: DecisionTree, model: UncertaintyModel
 ) -> tuple[Strategy, ...]:
-    """All expected-utility optimal strategies, found by backward induction.
-
-    At chance nodes values are averaged with the model's conditional arc
-    probabilities, and at decision nodes every value-maximising arc is kept;
-    the strategies of the tree pruned that way are returned, in
-    `enumerate_strategies` order.  For expected utility this agrees with the
-    normal form solution.
-    """
-    if isinstance(model, JointModel):
-        def arc_weights(node: ChanceNode, scope: Event) -> list:
-            pb = model.p.prob(scope)
-            if pb == 0:
-                raise ZeroProbabilityCondition(
-                    f"scope {scope!r} has probability zero"
-                )
-            return [model.p.prob(scope & arc.event) / pb for arc in node.arcs]
-
-        def leaf_value(g: Gamble, scope: Event):
-            return expectation(model.p, g, scope)
-
-    elif isinstance(model, FactoredModel):
-        def arc_weights(node: ChanceNode, scope: Event) -> list:
-            probs = model.assessment.arc_probs.get(node.node_id)
-            if probs is None or len(probs) != len(node.arcs):
-                raise MissingArcProbability(
-                    f"no usable arc probabilities for {node.node_id!r}"
-                )
-            return list(probs)
-
-        def leaf_value(g: Gamble, scope: Event):
-            return g.constant_value_on(scope)
-
-    else:
-        raise ModeUnsupported("backward induction needs a joint or factored model")
-
-    def prune(node: Node, scope: Event) -> tuple[object, Node]:
-        """The node's value, and the node keeping only maximising decision arcs."""
-        if isinstance(node, Leaf):
-            return node.reward, node
-        if isinstance(node, GambleLeaf):
-            return leaf_value(node.gamble, scope), node
-        if isinstance(node, ChanceNode):
-            weights = arc_weights(node, scope)
-            total = 0
-            arcs = []
-            for w, arc in zip(weights, node.arcs):
-                child_scope = scope & arc.event
-                if child_scope.is_empty:
-                    raise ZeroProbabilityCondition(
-                        f"arc of {node.node_id!r} has empty scope"
-                    )
-                v, child = prune(arc.child, child_scope)
-                total += w * v
-                arcs.append(ChanceArc(arc.event, child))
-            return total, ChanceNode(node.node_id, tuple(arcs))
-        if isinstance(node, DecisionNode):
-            pruned = [(*prune(arc.child, scope), arc.label) for arc in node.arcs]
-            top = max(v for v, _, _ in pruned)
-            arcs = tuple(DecisionArc(l, c) for v, c, l in pruned if v == top)
-            return top, DecisionNode(node.node_id, arcs)
-        raise TypeError(f"unknown node type {type(node).__name__}")
-
-    _, root = prune(tree.root, tree.root_scope)
-    return enumerate_strategies(DecisionTree(tree.space, root, tree.root_scope))
+    """The strategies `backward_solution` keeps under expected utility."""
+    return backward_solution(tree, ChoiceFunction("eu"), model).strategies

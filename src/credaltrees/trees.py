@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Optional
 
 from .errors import (
     DuplicateArcLabel,
@@ -510,6 +511,11 @@ class StrategyTable(dict):
     position alone, and `reached` and `variant` decode it from there only
     when it is needed.
 
+    A table built with a row filter holds only the kept rows, and
+    ``positions[node_id][j]`` is the position of row j among all
+    ``counts[node_id]`` variants of the node, which `reached` and `variant`
+    decode.
+
     Each numeric reward in a row is an int: the reward times ``denominator``,
     the least common multiple of the denominators of the tree's numeric
     rewards, so rows hash and compare as exact integers.  Labels are kept as
@@ -520,6 +526,8 @@ class StrategyTable(dict):
         super().__init__()
         self.denominator = denominator
         self.numeric = True
+        self.counts: Optional[dict[str, int]] = None
+        self.positions: dict[str, list[int]] = {}
 
     def rewards(self, values: Iterable["Reward | int"]) -> tuple[Reward, ...]:
         """A row's values as rewards: each int over the denominator as a
@@ -528,7 +536,7 @@ class StrategyTable(dict):
         return tuple(v if isinstance(v, str) else Fraction(v, d) for v in values)
 
     def _size(self, node_id: str) -> int:
-        return len(self[node_id])
+        return len(self[node_id]) if self.counts is None else self.counts[node_id]
 
     def reached(self, node: Node, k: int) -> dict[str, int]:
         """The position, in this table, of the variant that variant *k* of
@@ -541,7 +549,9 @@ class StrategyTable(dict):
         return _variant(node, self.reached(node, k), self._size)
 
 
-def strategy_table(tree: DecisionTree) -> StrategyTable:
+def strategy_table(
+    tree: DecisionTree, keep: Optional[Callable[..., Sequence[int]]] = None
+) -> StrategyTable:
     """Every node's strategy variants as rows of values, in one pass.
 
     ``table[node_id]`` holds one row per variant of the subtree at
@@ -555,9 +565,17 @@ def strategy_table(tree: DecisionTree) -> StrategyTable:
     before its parent.  No node is built: ``table.variant`` decodes one
     from its position.  Raises what `gamble_of` raises on some strategy of
     the tree.
+
+    With *keep*, the pass also filters: after each decision and chance node
+    only the rows at the indices ``keep(table, scope, rows, numeric)``
+    returns, in order, stay (*numeric*: no row holds a label), so a parent's
+    rows come from its children's kept rows alone.
     """
     table = StrategyTable(_reward_denominator(tree.root))
-    _, kinds = _build_rows(tree.root, tree.root_scope, table)
+    if keep is not None:
+        table.counts = {}
+        _count(tree.root, table.counts)
+    _, kinds = _build_rows(tree.root, tree.root_scope, table, keep)
     table.numeric = "label" not in kinds
     return table
 
@@ -585,7 +603,7 @@ def _reward_denominator(root: Node) -> int:
 
 
 def _build_rows(
-    node: Node, scope: Event, table: StrategyTable
+    node: Node, scope: Event, table: StrategyTable, keep: Optional[Callable] = None
 ) -> tuple[list[Row], frozenset]:
     """Fill in the rows of *node* and below; return them and the reward kinds
     occurring in them.  (A module function: a recursive closure would tie
@@ -602,14 +620,14 @@ def _build_rows(
     elif isinstance(node, DecisionNode):
         rows, kinds = [], frozenset()
         for arc in node.arcs:
-            child_rows, child_kinds = _build_rows(arc.child, scope, table)
+            child_rows, child_kinds = _build_rows(arc.child, scope, table, keep)
             kinds |= child_kinds
             rows += child_rows
     elif isinstance(node, ChanceNode):
         scopes = [scope & arc.event for arc in node.arcs]
         children, kinds = [], frozenset()
         for arc, child_scope in zip(node.arcs, scopes):
-            child_rows, child_kinds = _build_rows(arc.child, child_scope, table)
+            child_rows, child_kinds = _build_rows(arc.child, child_scope, table, keep)
             kinds |= child_kinds
             children.append(child_rows)
         rows = []
@@ -627,6 +645,13 @@ def _build_rows(
                         raise MixedRewardKinds("a gamble cannot mix numbers and labels")
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
+    if keep is not None:
+        positions = _positions(node, table)
+        if not isinstance(node, (Leaf, GambleLeaf)):
+            kept = keep(table, scope, rows, "label" not in kinds)
+            rows = [rows[i] for i in kept]
+            positions = [positions[i] for i in kept]
+        table.positions[node.node_id] = positions
     table[node.node_id] = rows
     return rows, kinds
 
@@ -744,6 +769,24 @@ def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
                 k, digit = divmod(k, count(arc.child.node_id))
                 stack.append((arc.child, digit))
     return reached
+
+
+def _positions(node: Node, table: StrategyTable) -> list[int]:
+    """The positions among *node*'s variants of the rows `_build_rows` forms
+    from its children's kept rows in a filtered *table*: the encoding that
+    `_reached` decodes."""
+    counts, kept = table.counts, table.positions
+    out = [0]
+    if isinstance(node, DecisionNode):
+        out, offset = [], 0
+        for arc in node.arcs:
+            out += [offset + p for p in kept[arc.child.node_id]]
+            offset += counts[arc.child.node_id]
+    elif isinstance(node, ChanceNode):
+        for arc in node.arcs:
+            n = counts[arc.child.node_id]
+            out = [p * n + q for p in out for q in kept[arc.child.node_id]]
+    return out
 
 
 def _variant(

@@ -410,22 +410,23 @@ def build_gamma_failure():
 # --- alternating decision(3)/chance(2) trees ------------------------------------
 
 
-def build_alternating(seed):
+def build_alternating(seed, levels=5, atoms=8):
     """Decision nodes with three arcs alternate with chance nodes that halve
-    the event, over five levels and eight atoms; integer leaf rewards in
-    [-10, 20].
+    the event, over *levels* levels and *atoms* atoms; integer leaf rewards
+    in [-10, 20].
 
-    The tree has 172 nodes and 2187 strategies.  Returns the tree and a
-    credal model of three random positive mass functions; cubed weights
-    spread them apart, so that the set-valued rules disagree.
+    By default the tree has 172 nodes and 2187 strategies; with seven levels
+    and sixteen atoms it has 1036 nodes and 14,348,907 strategies.  Returns
+    the tree and a credal model of three random positive mass functions;
+    cubed weights spread them apart, so that the set-valued rules disagree.
     """
     rng = random.Random(seed)
-    sp = PossibilitySpace(tuple(f"w{i}" for i in range(8)))
+    sp = PossibilitySpace(tuple(f"w{i}" for i in range(atoms)))
     ids = iter(range(10**6))
 
     def build(atoms, level):
         node_id = f"n{next(ids)}"
-        if level == 5:
+        if level == levels:
             return leaf(node_id, rng.randint(-10, 20))
         if level % 2 == 0:
             return decision(

@@ -27,9 +27,11 @@ from credaltrees import (
     ZeroProbabilityCondition,
     all_hold,
     backward_induct_eu,
+    backward_solution,
     chance,
     check_subtree_perfect,
     check_subtree_perfect_at,
+    count_strategies,
     decision,
     enumerate_strategies,
     expectation,
@@ -39,6 +41,7 @@ from credaltrees import (
     lower_expectation,
     normal_form_solution,
     restrict_solution,
+    strategy_at,
     strategy_table,
     subtree_at,
     validate_tree,
@@ -290,6 +293,65 @@ def test_backward_induction_agrees_with_the_normal_form(eu1, eu2):
     for tree, model in (eu1, eu2):
         nf = normal_form_solution(tree, EU, model)
         assert backward_induct_eu(tree, model) == nf.strategies
+
+
+def test_backward_induction_raises_at_a_decision_of_probability_zero():
+    # The normal form keeps both plans at D, whose scope {w2} has probability
+    # zero; backward induction must pose the choice at D and cannot.
+    sp = PossibilitySpace(("w1", "w2"))
+    inner = decision("D", [("lo", leaf("L1", 1)), ("hi", leaf("L2", 2))])
+    root = chance("C", [(sp.event(["w1"]), leaf("L0", 0)), (sp.event(["w2"]), inner)])
+    tree = validate_tree(DecisionTree(sp, root))
+    model = JointModel(MassFunction(sp, (Fraction(1), Fraction(0))))
+    nf = normal_form_solution(tree, EU, model)
+    assert [kept_arcs(s) for s in nf.strategies] == [{"D": "lo"}, {"D": "hi"}]
+    verdicts = {v.node_id: v for v in check_subtree_perfect(tree, EU, model)}
+    assert verdicts["D"].outcome is Outcome.ERROR
+    for solve in (backward_solution, lambda t, _, m: backward_induct_eu(t, m)):
+        with pytest.raises(ZeroProbabilityCondition) as raised:
+            solve(tree, EU, model)
+        assert str(raised.value) == verdicts["D"].detail
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "factored", "hierarchical:2"])
+def test_backward_induction_equals_the_normal_form_where_the_rule_is_perfect(sampler):
+    cfg = FuzzConfig(seed=5, tree_count=30, max_depth=4, model_sampler=sampler)
+    compared = 0
+    for index in range(cfg.tree_count):
+        tree, model = gen_random_tree(cfg, index)
+        for kind in RULES:
+            choice = ChoiceFunction(kind)
+            verdicts = solved(lambda: check_subtree_perfect(tree, choice, model))
+            always = kind == "eu" and sampler in ("joint", "factored")
+            if always or (isinstance(verdicts, tuple) and all_hold(verdicts)):
+                backward = backward_solution(tree, choice, model)
+                normal = normal_form_solution(tree, choice, model)
+                assert backward.indices == normal.indices, (index, kind)
+                assert backward.strategies == normal.strategies, (index, kind)
+                compared += 1
+    assert compared >= cfg.tree_count
+
+
+def test_backward_induction_solves_the_seven_level_tree_with_few_options(monkeypatch):
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    assert len(tree.node_ids()) == 1036
+    assert count_strategies(tree) == 14_348_907
+    real = ChoiceFunction.choose
+    options = []
+
+    def counting(self, xs, *args):
+        options.append(len(xs))
+        return real(self, xs, *args)
+
+    monkeypatch.setattr(ChoiceFunction, "choose", counting)
+    joint = JointModel(model.credal.members[0])
+    for kind in ("eu", "maximality", "pointwise_dominance"):
+        sol = backward_solution(tree, ChoiceFunction(kind), joint if kind == "eu" else model)
+        assert sol.indices == tuple(sorted(set(sol.indices)))
+        assert sol.strategies == tuple(strategy_at(tree, i) for i in sol.indices)
+    # one choice per decision and chance node and rule
+    assert len(options) == 3 * 388
+    assert sum(options) < 10**4
 
 
 def test_conditioned_solving_restricts_the_comparison(eu1):

@@ -275,13 +275,6 @@ def _pipeline_verdict(
 
 # --- fast evaluation ----------------------------------------------------------
 
-# kinds whose shape (a) comparison is unchanged by the gamble shared on the
-# complement side: expectation shifts cancel from argmax (eu) and from the
-# pairwise differences the set-valued rules compare
-_SHARED_Z_CANCELS = ("eu", "maximality", "e_admissible",
-                     "e_admissible_hull", "pointwise_dominance")
-
-
 def all_events(space: PossibilitySpace) -> tuple[Event, ...]:
     """Every nonempty event, in ascending bitmask order over the atoms."""
     n = len(space.atoms)
@@ -528,10 +521,11 @@ class _Checker:
     def _judge_a(self, a: Event, b: Event, combos, eligz):
         """Shape (a): the rule on the composite gambles against xs alone.
 
-        For the kinds whose comparison the shared z cancels from, the whole
-        block passes, unless the marginal extension filter must look at
-        each instance.  The local choice on xs is made once per class mask,
-        and the composite table once per z class, as the scan reaches them.
+        For the separable kinds, whose comparison the shared z cancels
+        from, the whole block passes, unless the marginal extension filter
+        must look at each instance.  The local choice on xs is made once per
+        class mask, and the composite table once per z class, as the scan
+        reaches them.
         """
         ev1 = self.event_data(a & b)
         ev2 = self.event_data(a.complement() & b)
@@ -539,7 +533,7 @@ class _Checker:
             return "skip"
         kind = self.choice.kind
         filtered = self.limits.require_marginal_extension and bool(self.members)
-        cancels = kind in _SHARED_Z_CANCELS
+        cancels = self.choice.is_separable
         if cancels and not filtered:
             return "pass"
         rule = RULES[kind]

@@ -540,6 +540,31 @@ class ChoiceFunction:
             self.kind == "eu" and isinstance(model, FactoredModel)
         )
 
+    def members(self, model: Optional[UncertaintyModel]) -> tuple[MassFunction, ...]:
+        """The mass functions a rule of `RULES` reads under *model*: none for
+        a model-free rule.  Raises `ModeUnsupported` where the model does
+        not suit the rule."""
+        return _members(model, self.kind)
+
+    @property
+    def is_separable(self) -> bool:
+        """Does this rule split over events and over choices?
+
+        Each compares two options through the sums (or values) of their
+        difference, so a gamble both share off an event cancels from the
+        comparison, and each is path independent: dropping options it does
+        not choose leaves its choice unchanged.  Backward induction solves
+        these rules exactly (`solver.check_subtree_perfect`), and the
+        canonical scan settles their shape (a) blocks without judging them.
+        """
+        return self.kind in (
+            "eu",
+            "maximality",
+            "e_admissible",
+            "e_admissible_hull",
+            "pointwise_dominance",
+        )
+
     @property
     def is_value_based(self) -> bool:
         """Does this rule maximise a single value per option?

@@ -38,6 +38,7 @@ from .solver import (
     Outcome,
     PerfectnessVerdict,
     all_hold,
+    backward_solution,
     check_subtree_perfect,
     check_subtree_perfect_at,
     normal_form_solution,
@@ -53,7 +54,7 @@ from .trees import (
     Strategy,
     bounded_strategy_count,
     count_strategies,
-    # Unused here, but perfbench/spans.py wraps these two module attributes.
+    # Unused here, but perfbench/spans.py wraps this module attribute.
     enumerate_strategies,
     gamble_of,
     kept_arcs,
@@ -135,6 +136,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="normal form solution of a tree")
     common(p, model=True, choice=True, condition=True, bound=True)
+    p.add_argument(
+        "--method",
+        choices=["normal", "backward"],
+        default="normal",
+        help="solve every strategy in normal form (default), or by normal form "
+        "backward induction on the root scope",
+    )
 
     p = sub.add_parser("check", help="decide subtree perfectness at every node")
     common(p, model=True, choice=True, bound=True)
@@ -377,20 +385,34 @@ def _cmd_solve(args) -> int:
     model = _load_model(args, problem, pruned)
     choice = _choice_of(args)
     b = _condition_of(args, problem)
-    table = strategy_table(tree)
-    rows = table[tree.root.node_id]
-    solution = normal_form_solution(tree, choice, model, b, table=table)
-    listed = [
-        (i, s, table.rewards(rows[i]))
-        for i, s in zip(solution.indices, solution.strategies)
-    ]
+    if args.method == "backward":
+        if b is not None and b != tree.root_scope:
+            raise _UsageError(
+                "--method backward solves on the root scope only; "
+                f"--condition {args.condition!r} is a different event"
+            )
+        solution = backward_solution(tree, choice, model)
+        total = count_strategies(tree)
+        listed = [
+            (i, s, gamble_of(s).values)
+            for i, s in zip(solution.indices, solution.strategies)
+        ]
+    else:
+        table = strategy_table(tree)
+        rows = table[tree.root.node_id]
+        solution = normal_form_solution(tree, choice, model, b, table=table)
+        total = len(rows)
+        listed = [
+            (i, s, table.rewards(rows[i]))
+            for i, s in zip(solution.indices, solution.strategies)
+        ]
     doc = {
         "command": "solve",
         "choice": choice.kind,
         "condition": list(solution.conditioning.ordered),
-        "total_strategies": len(rows),
+        "total_strategies": total,
     }
-    header = f"chosen {len(listed)} of {len(rows)} strategies ({choice.kind})"
+    header = f"chosen {len(listed)} of {total} strategies ({choice.kind})"
     _emit_strategies(args, tree, doc, header, listed)
     return 0
 

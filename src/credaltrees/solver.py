@@ -7,7 +7,8 @@ keeping every strategy whose gamble was chosen.  Strategies are handled by
 their positions in the table; only the ones a solution or a verdict returns
 are decoded into nodes.  Subtree perfectness at a node compares the
 restriction of the full solution with the solution computed locally in the
-subtree, as sets of positions among the node's variants.
+subtree, as sets of positions among the node's variants.  For the separable
+rules both are read off the one table that backward induction filters.
 """
 
 from __future__ import annotations
@@ -16,14 +17,21 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .choice import ChoiceFunction, OptionRows
-from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
+from .errors import (
+    ModeUnsupported,
+    ScopeMismatch,
+    UnknownNode,
+    ZeroProbabilityCondition,
+)
 from .trees import (
     DecisionTree,
     Event,
     Gamble,
+    GambleLeaf,
+    Leaf,
     Node,
     Strategy,
     StrategyTable,
@@ -211,35 +219,129 @@ class PerfectnessVerdict:
 
 def _verdict_at(
     tree: DecisionTree,
-    choice: ChoiceFunction,
-    model: Optional[UncertaintyModel],
-    full: NormalFormSolution,
+    table: StrategyTable,
     reached: dict[str, dict[int, None]],
     node_id: str,
-    table: StrategyTable,
+    local: Callable[[str], tuple[tuple[int, ...], tuple[Strategy, ...]]],
 ) -> PerfectnessVerdict:
     """The verdict at *node_id*, where *reached* is `_reached_positions` of
-    the full solution."""
+    the full solution and ``local(node_id)`` gives the indices and
+    strategies of the node's local solution."""
     positions = reached.get(node_id)
     if not positions:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
-    if node_id == tree.root.node_id:
-        # The root's local problem is the full problem.
-        local = full
-    else:
-        try:
-            local = normal_form_solution(
-                subtree_at(tree, node_id), choice, model, table=table
-            )
-        except ZeroProbabilityCondition as exc:
-            restricted = _variants(tree, table, node_id, positions, {})
-            return PerfectnessVerdict(
-                node_id, Outcome.ERROR, restricted, (), str(exc)
-            )
-    built = dict(zip(local.indices, local.strategies))
+    try:
+        indices, strategies = local(node_id)
+    except ZeroProbabilityCondition as exc:
+        restricted = _variants(tree, table, node_id, positions, {})
+        return PerfectnessVerdict(node_id, Outcome.ERROR, restricted, (), str(exc))
+    built = dict(zip(indices, strategies))
     restricted = _variants(tree, table, node_id, positions, built)
     outcome = Outcome.HOLD if positions.keys() == built.keys() else Outcome.FAIL
-    return PerfectnessVerdict(node_id, outcome, restricted, local.strategies)
+    return PerfectnessVerdict(node_id, outcome, restricted, strategies)
+
+
+def _one_pass_verdicts(
+    tree: DecisionTree,
+    choice: ChoiceFunction,
+    model: Optional[UncertaintyModel],
+    node_ids: Iterable[str],
+) -> Optional[tuple[PerfectnessVerdict, ...]]:
+    """The verdicts at *node_ids*, all read off `backward_solution`'s
+    filtered table, or None where that table may not hold every node's
+    local normal form solution.
+
+    For a separable rule (`ChoiceFunction.is_separable`) whose members all
+    give every node's scope positive probability, the rows the filter keeps
+    at a node N are N's local normal form solution (Huntley & Troffaes,
+    Ann. Oper. Res. 195, 2012).  By induction from the leaves, which have
+    one row, N's choice lies among the rows formed from its children's
+    choices:
+
+    - At a chance node, whose arcs all have positive mass, a product row
+      with a component its arc's child did not choose is not chosen: the
+      child's better component, put in its place, gives a row that beats it
+      on the arc's event by a positive multiple and ties it elsewhere.
+    - At a decision node, whose arcs keep its scope, a row its child did not
+      choose is beaten within the child's rows, so among N's rows as well.
+
+    These rules are path independent: dropping rows they do not choose
+    leaves their choice unchanged.  So the filter, choosing among the rows
+    formed from the children's choices, makes N's choice.
+
+    The filter raises `ZeroProbabilityCondition` at a decision or chance
+    node whose scope a member gives probability zero, and the leaves are
+    checked here, since the filter never runs at them; either way, and for
+    `eu` under a factored model (which values whole gambles) and trees with
+    label rewards, the normal form decides, with its `error` verdicts.
+    """
+    if not (choice.is_separable and choice.takes_rows(model)):
+        return None
+    try:
+        members = choice.members(model)
+    except ModeUnsupported:
+        return None
+    positive = all(p.is_strictly_positive for p in members)
+    for node, scope in tree.nodes():
+        if isinstance(node, Leaf):
+            rewards: Iterable = (node.reward,)
+        elif isinstance(node, GambleLeaf):
+            rewards = node.gamble.values
+        else:
+            continue
+        if (
+            scope.is_empty
+            or not positive and any(p.prob(scope) == 0 for p in members)
+            or any(isinstance(v, str) for v in rewards)
+        ):
+            return None
+    try:
+        table = strategy_table(tree, partial(_chosen, choice, model))
+    except ZeroProbabilityCondition:
+        return None
+    positions = table.positions
+    reached = _reached_positions(table, tree.root, positions[tree.root.node_id])
+
+    def local(node_id: str) -> tuple[tuple[int, ...], tuple[Strategy, ...]]:
+        indices = tuple(positions[node_id])
+        return indices, _variants(tree, table, node_id, indices, {})
+
+    return tuple(_verdict_at(tree, table, reached, nid, local) for nid in node_ids)
+
+
+def _normal_form_verdicts(
+    tree: DecisionTree,
+    choice: ChoiceFunction,
+    model: Optional[UncertaintyModel],
+    node_ids: Iterable[str],
+) -> tuple[PerfectnessVerdict, ...]:
+    """The verdicts at *node_ids*, each node's local problem solved in normal
+    form from one unfiltered strategy table shared by every solve."""
+    table = strategy_table(tree)
+    full = normal_form_solution(tree, choice, model, table=table)
+    root_id = tree.root.node_id
+    reached = _reached_positions(table, tree.root, full.indices)
+
+    def local(node_id: str) -> tuple[tuple[int, ...], tuple[Strategy, ...]]:
+        # The root's local problem is the full problem.
+        sol = full
+        if node_id != root_id:
+            sol = normal_form_solution(subtree_at(tree, node_id), choice, model, table=table)
+        return sol.indices, sol.strategies
+
+    return tuple(_verdict_at(tree, table, reached, nid, local) for nid in node_ids)
+
+
+def _verdicts(
+    tree: DecisionTree,
+    choice: ChoiceFunction,
+    model: Optional[UncertaintyModel],
+    node_ids: tuple[str, ...],
+) -> tuple[PerfectnessVerdict, ...]:
+    one_pass = _one_pass_verdicts(tree, choice, model, node_ids)
+    if one_pass is not None:
+        return one_pass
+    return _normal_form_verdicts(tree, choice, model, node_ids)
 
 
 def check_subtree_perfect_at(
@@ -251,10 +353,7 @@ def check_subtree_perfect_at(
     """Compare the full solution restricted to *node_id* with the local solution."""
     if not tree.contains(node_id):
         raise UnknownNode(f"no node with id {node_id!r}")
-    table = strategy_table(tree)
-    full = normal_form_solution(tree, choice, model, table=table)
-    reached = _reached_positions(table, tree.root, full.indices)
-    return _verdict_at(tree, choice, model, full, reached, node_id, table)
+    return _verdicts(tree, choice, model, (node_id,))[0]
 
 
 def check_subtree_perfect(
@@ -264,17 +363,14 @@ def check_subtree_perfect(
 ) -> tuple[PerfectnessVerdict, ...]:
     """One verdict per node, in preorder.
 
-    The strategy table is built once and shared by every local solve, and
-    the full solution is computed once; restricted and local solutions are
-    compared by their positions among each node's variants.
+    Restricted and local solutions are compared by their positions among
+    each node's variants.  For the separable rules, on trees where every
+    node's scope has positive probability, every verdict is read off one
+    filtered pass, `backward_solution`'s (see `_one_pass_verdicts`).
+    Otherwise the strategy table is built once and shared by every local
+    normal form solve, and the full solution is computed once.
     """
-    table = strategy_table(tree)
-    full = normal_form_solution(tree, choice, model, table=table)
-    reached = _reached_positions(table, tree.root, full.indices)
-    return tuple(
-        _verdict_at(tree, choice, model, full, reached, nid, table)
-        for nid in tree.node_ids()
-    )
+    return _verdicts(tree, choice, model, tree.node_ids())
 
 
 def all_hold(verdicts: tuple[PerfectnessVerdict, ...]) -> bool:

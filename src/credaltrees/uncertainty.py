@@ -6,6 +6,7 @@ expectation operators for each.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,10 +73,18 @@ class MassFunction:
     def mass(self, atom: str) -> Fraction:
         return self.masses[self.space.position(atom)]
 
+    @cached_property
+    def _integers(self) -> tuple[int, tuple[int, ...]]:
+        """The least common denominator d of the masses, and each mass times d."""
+        d = math.lcm(*(m.denominator for m in self.masses))
+        return d, tuple(m.numerator * (d // m.denominator) for m in self.masses)
+
     def prob(self, event: Event) -> Fraction:
         if event.space != self.space:
             raise ValueError("event lives in a different possibility space")
-        return sum((self.mass(a) for a in event.ordered), Fraction(0))
+        d, masses = self._integers
+        position = self.space.position
+        return Fraction(sum(masses[position(a)] for a in event.ordered), d)
 
     @property
     def is_strictly_positive(self) -> bool:

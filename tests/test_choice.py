@@ -69,6 +69,13 @@ def test_value_based_flags():
         assert cf.is_value_based == (kind in value_based)
 
 
+def test_separable_flags():
+    separable = {"eu", "maximality", "e_admissible", "e_admissible_hull", "pointwise_dominance"}
+    for kind in KINDS:
+        cf = ChoiceFunction(kind, preorder=(lambda x, y: True) if kind == "by_preorder" else None)
+        assert cf.is_separable == (kind in separable)
+
+
 def test_eu_argmax_and_ties(w2):
     sp, p1, _ = w2
     model = JointModel(p1)

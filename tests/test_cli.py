@@ -260,6 +260,112 @@ def test_solve_lists_each_strategy_at_its_enumeration_index(capsys, choice, cond
         }
 
 
+def problem_argv(name, command="solve"):
+    """The manifest entry *name* as a command line, run as *command*."""
+    entry = next(e for e in MANIFEST if e["name"] == name)
+    return manifest_args({**entry, "command": command})
+
+
+@pytest.mark.parametrize(
+    "name", ["eu-example-1", "eu-example-2", "eadmissible-success", "eadm-success-subtree"]
+)
+def test_solve_method_backward_agrees_with_the_default_on_perfect_problems(capsys, name):
+    outputs = []
+    for method in ([], ["--method", "normal"], ["--method", "backward"]):
+        for fmt in ("text", "structured"):
+            assert run(problem_argv(name) + method + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0::2] == [outputs[0]] * 3
+    assert outputs[1::2] == [outputs[1]] * 3
+
+
+def test_solve_method_backward_solves_on_the_root_scope_only(capsys):
+    argv = problem_argv("eu-example-1") + ["--method", "backward", "--format", "structured"]
+    assert run(argv) == 0
+    whole = capsys.readouterr().out
+    assert run(argv + ["--condition", "e1,e2"]) == 0
+    assert capsys.readouterr().out == whole
+    assert run(argv + ["--condition", "e1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --method backward")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_solve_method_backward_exits_two_at_a_zero_probability_node(tmp_path, capsys):
+    # D's scope {w2} has probability zero: the normal form answers, backward
+    # induction cannot pose the choice at D.
+    tree = tmp_path / "zero.tree.json"
+    tree.write_text(json.dumps({"atoms": ["w1", "w2"], "tree": {
+        "id": "C", "kind": "chance", "arcs": [
+            {"event": ["w1"], "child": {"id": "L0", "kind": "leaf", "reward": 0}},
+            {"event": ["w2"], "child": {"id": "D", "kind": "decision", "arcs": [
+                {"label": "lo", "child": {"id": "L1", "kind": "leaf", "reward": 1}},
+                {"label": "hi", "child": {"id": "L2", "kind": "leaf", "reward": 2}},
+            ]}},
+        ]}}))
+    model = tmp_path / "joint.model.json"
+    model.write_text(json.dumps({"mode": "joint", "mass": {"w1": 1, "w2": 0}}))
+    argv = ["solve", "--tree", str(tree), "--model", str(model), "--choice", "eu"]
+    assert run(argv) == 0
+    assert "chosen 2 of 2 strategies" in capsys.readouterr().out
+    assert run(argv + ["--method", "backward"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "probability zero" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_solve_method_backward_counts_strategies_it_never_lists(tmp_path, capsys):
+    # 20 independent three-way choices: 3**20 strategies; the last pays most
+    atoms = [f"w{i}" for i in range(20)]
+    doc = {"atoms": atoms, "tree": {"id": "N", "kind": "chance", "arcs": [
+        {"event": [a], "child": {"id": f"D{a}", "kind": "decision", "arcs": [
+            {"label": x, "child": {"id": f"L{a}{x}", "kind": "leaf", "reward": i}}
+            for i, x in enumerate("xyz")
+        ]}}
+        for a in atoms
+    ]}}
+    tree = tmp_path / "wide.tree.json"
+    tree.write_text(json.dumps(doc))
+    model = tmp_path / "uniform.model.json"
+    model.write_text(json.dumps({"mode": "joint", "mass": {a: "1/20" for a in atoms}}))
+    argv = ["solve", "--tree", str(tree), "--model", str(model), "--choice", "eu",
+            "--method", "backward", "--format", "structured"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["total_strategies"] == 3**20
+    assert [e["index"] for e in doc["strategies"]] == [3**20 - 1]
+    assert doc["strategies"][0]["gamble"] == {a: 2 for a in atoms}
+
+
+ZERO_MASS_LEAF = {"atoms": ["w1", "w2", "w3"], "tree": {
+    "id": "D", "kind": "decision", "arcs": [
+        {"label": "stay", "child": {"id": "L0", "kind": "leaf", "reward": 0}},
+        {"label": "go", "child": {"id": "C", "kind": "chance", "arcs": [
+            {"event": ["w1"], "child": {"id": "L1", "kind": "leaf", "reward": 1}},
+            {"event": ["w2", "w3"], "child": {"id": "L2", "kind": "leaf", "reward": 1}},
+        ]}},
+    ]}}
+
+
+@pytest.mark.parametrize(
+    "choice, code", [("eu", 2), ("maximality", 2), ("pointwise-dominance", 0)]
+)
+def test_check_reports_a_leaf_of_probability_zero(tmp_path, capsys, choice, code):
+    tree = tmp_path / "leaf.tree.json"
+    tree.write_text(json.dumps(ZERO_MASS_LEAF))
+    q = {"w1": 1, "w2": 0, "w3": 0}
+    model = tmp_path / "q.model.json"
+    doc = {"mode": "credal", "members": [q]} if choice == "maximality" else {"mode": "joint", "mass": q}
+    model.write_text(json.dumps(doc))
+    argv = ["check", "--tree", str(tree), "--model", str(model), "--choice", choice]
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert ("L2: error" in out) == (code == 2)
+    assert ("L2: hold" in out) == (code == 0)
+
+
 def test_exit_two_on_duplicate_decision_arc_labels(tmp_path, capsys):
     doc = json.loads((PROBLEMS / "maximin-failure.tree.json").read_text())
     for arc in doc["tree"]["arcs"][0]["child"]["arcs"]:

@@ -10,6 +10,8 @@ from credaltrees import (
     KINDS,
     ChoiceFunction,
     ChanceNode,
+    CredalModel,
+    CredalSet,
     CredalTreeError,
     DecisionNode,
     DecisionTree,
@@ -18,6 +20,7 @@ from credaltrees import (
     JointModel,
     MassFunction,
     MixedRewardKinds,
+    ModeUnsupported,
     FactoredModel,
     Outcome,
     PossibilitySpace,
@@ -354,6 +357,116 @@ def test_backward_induction_solves_the_seven_level_tree_with_few_options(monkeyp
     assert sum(options) < 10**4
 
 
+SEPARABLE = ("eu", "maximality", "e_admissible", "e_admissible_hull", "pointwise_dominance")
+
+
+def verdict_tuples(verdicts):
+    """Verdicts in full: node, outcome, both solutions by kept arcs, detail."""
+    return tuple(
+        (
+            v.node_id,
+            v.outcome,
+            tuple(map(kept_arcs, v.restricted_solution)),
+            tuple(map(kept_arcs, v.local_solution)),
+            v.detail,
+        )
+        for v in verdicts
+    )
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_one_pass_verdicts_equal_the_normal_form_verdicts(seed):
+    one_pass = failing = 0
+    for sampler in ("joint", "credal:2", "factored", "hierarchical:2"):
+        cfg = FuzzConfig(seed=seed, tree_count=60, max_depth=4, model_sampler=sampler)
+        for index in range(cfg.tree_count):
+            tree, model = gen_random_tree(cfg, index)
+            node_ids = tree.node_ids()
+            for kind in SEPARABLE:
+                choice = ChoiceFunction(kind)
+                try:
+                    normal = solver_module._normal_form_verdicts(tree, choice, model, node_ids)
+                except ModeUnsupported:
+                    continue  # the model does not suit the rule
+                checked = check_subtree_perfect(tree, choice, model)
+                assert verdict_tuples(checked) == verdict_tuples(normal), (sampler, index, kind)
+                read = solver_module._one_pass_verdicts(tree, choice, model, node_ids)
+                if kind == "eu" and sampler == "factored":
+                    assert read is None
+                    continue
+                assert verdict_tuples(read) == verdict_tuples(normal), (sampler, index, kind)
+                one_pass += 1
+                failing += not all_hold(read)
+    assert one_pass == 660
+    assert failing >= 80
+
+
+def zero_mass_leaf_tree():
+    """D chooses between 0 and a chance node C whose arc to L2 has mass zero
+    under the member q = (1, 0, 0); C pays 1 everywhere, so D goes to C."""
+    sp = PossibilitySpace(("w1", "w2", "w3"))
+    c = chance("C", [(sp.event(["w1"]), leaf("L1", 1)), (sp.event(["w2", "w3"]), leaf("L2", 1))])
+    tree = validate_tree(DecisionTree(sp, decision("D", [("stay", leaf("L0", 0)), ("go", c)])))
+    q = MassFunction(sp, (Fraction(1), Fraction(0), Fraction(0)))
+    return tree, q
+
+
+@pytest.mark.parametrize(
+    "kind, model",
+    [("eu", JointModel), ("maximality", lambda q: CredalModel(CredalSet((q,))))],
+)
+def test_a_leaf_of_probability_zero_takes_the_normal_form_and_errs(kind, model):
+    # The filter never runs at a leaf, so the one-pass path would call L2
+    # hold; the normal form cannot pose L2's problem and says error.
+    tree, q = zero_mass_leaf_tree()
+    choice, model = ChoiceFunction(kind), model(q)
+    assert solver_module._one_pass_verdicts(tree, choice, model, tree.node_ids()) is None
+    verdicts = {v.node_id: v for v in check_subtree_perfect(tree, choice, model)}
+    assert verdicts["L2"].outcome is Outcome.ERROR
+    assert "probability zero" in verdicts["L2"].detail
+    assert verdicts["D"].outcome is Outcome.HOLD
+    assert check_subtree_perfect_at(tree, choice, model, "L2").outcome is Outcome.ERROR
+
+
+def test_a_leaf_of_probability_zero_holds_under_pointwise_dominance():
+    # pointwise dominance reads no member, so no scope is out of its reach
+    tree, q = zero_mass_leaf_tree()
+    choice, model = ChoiceFunction("pointwise_dominance"), JointModel(q)
+    read = solver_module._one_pass_verdicts(tree, choice, model, tree.node_ids())
+    verdicts = check_subtree_perfect(tree, choice, model)
+    assert verdict_tuples(read) == verdict_tuples(verdicts)
+    assert {v.node_id: v.outcome for v in verdicts}["L2"] is Outcome.HOLD
+    assert all_hold(verdicts)
+
+
+def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    assert count_strategies(tree) == 14_348_907
+    real = ChoiceFunction.choose
+    options = []
+
+    def counting(self, xs, *args):
+        options.append(len(xs))
+        return real(self, xs, *args)
+
+    monkeypatch.setattr(ChoiceFunction, "choose", counting)
+    joint = JointModel(model.credal.members[0])
+    for kind in SEPARABLE:
+        choice = ChoiceFunction(kind)
+        m = joint if kind == "eu" else model
+        options.clear()
+        verdicts = check_subtree_perfect(tree, choice, m)
+        assert len(verdicts) == 1036
+        assert verdicts[0].outcome is Outcome.HOLD
+        # one choice per decision and chance node
+        assert len(options) == 388, kind
+        assert sum(options) < 2000, kind
+        for v in verdicts:
+            if v.outcome is Outcome.FAIL:
+                alone = check_subtree_perfect_at(tree, choice, m, v.node_id)
+                assert verdict_tuples([alone]) == verdict_tuples([v])
+
+
 def test_conditioned_solving_restricts_the_comparison(eu1):
     tree, model = eu1
     e1 = tree.space.event(["e1"])
@@ -369,16 +482,15 @@ def test_conditioned_solving_restricts_the_comparison(eu1):
 @pytest.mark.parametrize(
     "build, choice",
     [
-        (build_eu1, EU),
-        (build_eu2, EU),
-        (build_eadm_failure, ChoiceFunction("e_admissible")),
         (build_gamma_failure, ChoiceFunction("gamma_maximin")),
         (build_imprecise_utility, ChoiceFunction("imprecise_utility")),
+        (build_maximin_failure, ChoiceFunction("maximin")),
     ],
 )
 def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     monkeypatch, build, choice
 ):
+    # These rules take the normal form path: one local solve per posed node.
     tree, model = build()
     real = solver_module.normal_form_solution
     solved = []
@@ -409,6 +521,52 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     assert alone.outcome is root.outcome
     assert alone.restricted_solution == root.restricted_solution
     assert alone.local_solution == root.local_solution
+
+
+@pytest.mark.parametrize(
+    "build, choice",
+    [
+        (build_eu1, EU),
+        (build_eu2, EU),
+        (build_eadm_failure, ChoiceFunction("e_admissible")),
+        (build_eadm_success, ChoiceFunction("e_admissible_hull")),
+        (build_gamma_failure, ChoiceFunction("maximality")),
+        (build_maximin_failure, ChoiceFunction("pointwise_dominance")),
+    ],
+)
+def test_check_reads_every_verdict_off_one_filtered_pass(monkeypatch, build, choice):
+    # The separable rules build one filtered table and solve nothing in
+    # normal form, for check and for check-node alike.
+    tree, model = build()
+    full = normal_form_solution(tree, choice, model)
+    real_table = solver_module.strategy_table
+    builds, solves = [], []
+
+    def table_spy(t, keep=None):
+        builds.append("filtered" if keep is not None else "unfiltered")
+        return real_table(t, keep)
+
+    def solve_spy(*args, **kwargs):
+        solves.append(args[0].root.node_id)
+        raise AssertionError("normal_form_solution called")
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    monkeypatch.setattr(solver_module, "normal_form_solution", solve_spy)
+    verdicts = check_subtree_perfect(tree, choice, model)
+    assert builds == ["filtered"] and solves == []
+
+    root = verdicts[0]
+    assert root.node_id == tree.root.node_id
+    assert root.outcome is Outcome.HOLD
+    assert root.restricted_solution == root.local_solution == full.strategies
+
+    for v in verdicts:
+        builds.clear()
+        alone = check_subtree_perfect_at(tree, choice, model, v.node_id)
+        assert builds == ["filtered"] and solves == []
+        assert alone.outcome is v.outcome
+        assert alone.restricted_solution == v.restricted_solution
+        assert alone.local_solution == v.local_solution
 
 
 def test_hull_e_admissibility_solves_and_checks_the_five_level_tree():

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .choice import MODEL_FREE, RULES, ChoiceFunction, OptionTable
-from .errors import InstanceInvalid, ZeroProbabilityCondition
+from .choice import RULES, ChoiceFunction, OptionTable
+from .errors import InstanceInvalid, ModeUnsupported, ZeroProbabilityCondition
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
     DecisionTree,
@@ -44,7 +44,7 @@ from .trees import (
     scaled,
     validate_tree,
 )
-from .uncertainty import CredalModel, JointModel, MassFunction, UncertaintyModel
+from .uncertainty import MassFunction, UncertaintyModel
 
 # --- instances ---------------------------------------------------------------
 
@@ -456,19 +456,15 @@ class _Checker:
             if g.scope.space != space:
                 raise ValueError("pool gambles live in a different space")
         # the members the rule reads: none for a model-free rule, so that no
-        # event of zero mass under an unused model is skipped
+        # event of zero mass under an unused model is skipped; None where
+        # the pipeline decides, which reports a model that does not suit
         self.members: Optional[Sequence[MassFunction]] = None
-        if choice.kind in MODEL_FREE:
-            self.members = ()
-        elif isinstance(model, JointModel):
-            self.members = (model.p,)
-        elif isinstance(model, CredalModel):
-            self.members = model.credal.members
-        self.fast = (
-            choice.kind in RULES
-            and all(g.is_numeric for g in self.pool)
-            and self.members is not None
-        )
+        if choice.takes_rows(model):
+            try:
+                self.members = choice.members(model)
+            except ModeUnsupported:
+                pass
+        self.fast = self.members is not None and all(g.is_numeric for g in self.pool)
         if self.fast:
             self.denominator = math.lcm(
                 *{v.denominator for g in self.pool for v in g.values}

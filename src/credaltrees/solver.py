@@ -17,7 +17,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .choice import ChoiceFunction, OptionRows
 from .errors import (
@@ -35,11 +35,10 @@ from .trees import (
     Node,
     Strategy,
     StrategyTable,
+    strategy_table,
     # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
     gamble_of,
-    strategy_table,
-    subtree_at,
 )
 from .uncertainty import UncertaintyModel
 
@@ -80,7 +79,7 @@ def normal_form_solution(
     if table is None:
         table = strategy_table(tree)
     rows = table[tree.root.node_id]
-    indices = tuple(_chosen(choice, model, table, scope, rows, table.numeric, b))
+    indices = tuple(_chosen(choice, model, table, scope, rows, b))
     kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
     return NormalFormSolution(tree, kept, b, choice, indices)
 
@@ -92,8 +91,10 @@ def backward_solution(
     Ann. Oper. Res. 195, 2012): the strategy table is built keeping, after
     each decision and chance node, only the rows *choice* chooses on the
     node's scope.  Equals `normal_form_solution` wherever *choice* is
-    subtree perfect on *tree*.  A node whose scope has probability zero
-    raises `ZeroProbabilityCondition`, where `check` gives an error verdict.
+    subtree perfect on *tree*.  Under a model that conditions on each
+    node's scope (joint, credal), a node whose scope has probability zero
+    raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
+    a factored model never divides an arc value, so it raises nothing there.
     """
     scope = tree.root_scope
     table = strategy_table(tree, partial(_chosen, choice, model))
@@ -108,12 +109,11 @@ def _chosen(
     table: StrategyTable,
     scope: Event,
     rows: list,
-    numeric: bool,
     b: Optional[Event] = None,
 ) -> list[int]:
     """The indices, in order, of the *rows* (one node's rows of *table*, on
     *scope*) whose gambles *choice* chooses on *b* (*scope* by default);
-    rows equal on b are one option.  *numeric*: no row holds a label."""
+    rows equal on b are one option."""
     b = scope if b is None else b
     if rows and b != scope:
         if not b <= scope:
@@ -131,7 +131,7 @@ def _chosen(
     classes: dict[tuple, int] = {}
     class_of = [classes.setdefault(k, len(classes)) for k in keys]
 
-    if numeric and choice.takes_rows(model):
+    if table.numeric and choice.takes_rows(model):
         chosen = {classes[row] for row in choice.choose(OptionRows(classes), model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
@@ -161,7 +161,7 @@ def restrict_solution(
 
 
 def _reached_positions(
-    table: StrategyTable, root: Node, indices: tuple[int, ...]
+    table: StrategyTable, root: Node, indices: Iterable[int]
 ) -> dict[str, dict[int, None]]:
     """Per node id, the positions among the node's variants that the
     variants *indices* of *root* reach, in order of first appearance."""
@@ -222,34 +222,31 @@ def _verdict_at(
     table: StrategyTable,
     reached: dict[str, dict[int, None]],
     node_id: str,
-    local: Callable[[str], tuple[tuple[int, ...], tuple[Strategy, ...]]],
+    local: Callable[[str], Sequence[int]],
 ) -> PerfectnessVerdict:
     """The verdict at *node_id*, where *reached* is `_reached_positions` of
-    the full solution and ``local(node_id)`` gives the indices and
-    strategies of the node's local solution."""
+    the full solution and ``local(node_id)`` gives the positions of the
+    node's local solution among its variants."""
     positions = reached.get(node_id)
     if not positions:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
     try:
-        indices, strategies = local(node_id)
+        indices = local(node_id)
     except ZeroProbabilityCondition as exc:
         restricted = _variants(tree, table, node_id, positions, {})
         return PerfectnessVerdict(node_id, Outcome.ERROR, restricted, (), str(exc))
+    strategies = _variants(tree, table, node_id, indices, {})
     built = dict(zip(indices, strategies))
     restricted = _variants(tree, table, node_id, positions, built)
     outcome = Outcome.HOLD if positions.keys() == built.keys() else Outcome.FAIL
     return PerfectnessVerdict(node_id, outcome, restricted, strategies)
 
 
-def _one_pass_verdicts(
-    tree: DecisionTree,
-    choice: ChoiceFunction,
-    model: Optional[UncertaintyModel],
-    node_ids: Iterable[str],
-) -> Optional[tuple[PerfectnessVerdict, ...]]:
-    """The verdicts at *node_ids*, all read off `backward_solution`'s
-    filtered table, or None where that table may not hold every node's
-    local normal form solution.
+def _filtered_table(
+    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> Optional[StrategyTable]:
+    """`backward_solution`'s filtered table, or None where it may not hold
+    every node's local normal form solution.
 
     For a separable rule (`ChoiceFunction.is_separable`) whose members all
     give every node's scope positive probability, the rows the filter keeps
@@ -296,39 +293,34 @@ def _one_pass_verdicts(
         ):
             return None
     try:
-        table = strategy_table(tree, partial(_chosen, choice, model))
+        return strategy_table(tree, partial(_chosen, choice, model))
     except ZeroProbabilityCondition:
         return None
-    positions = table.positions
-    reached = _reached_positions(table, tree.root, positions[tree.root.node_id])
-
-    def local(node_id: str) -> tuple[tuple[int, ...], tuple[Strategy, ...]]:
-        indices = tuple(positions[node_id])
-        return indices, _variants(tree, table, node_id, indices, {})
-
-    return tuple(_verdict_at(tree, table, reached, nid, local) for nid in node_ids)
 
 
-def _normal_form_verdicts(
+def _read_verdicts(
     tree: DecisionTree,
     choice: ChoiceFunction,
     model: Optional[UncertaintyModel],
     node_ids: Iterable[str],
+    table: StrategyTable,
 ) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, each node's local problem solved in normal
-    form from one unfiltered strategy table shared by every solve."""
-    table = strategy_table(tree)
-    full = normal_form_solution(tree, choice, model, table=table)
-    root_id = tree.root.node_id
-    reached = _reached_positions(table, tree.root, full.indices)
+    """The verdicts at *node_ids*, read off *table*: either `_filtered_table`,
+    whose kept positions at each node are its local solution, or the full
+    `strategy_table`, where each posed node's rows are solved in normal form
+    once, the root's giving the full solution as well."""
+    if table.counts is not None:
+        local = table.positions.__getitem__
+    else:
+        solved: dict[str, list[int]] = {}
 
-    def local(node_id: str) -> tuple[tuple[int, ...], tuple[Strategy, ...]]:
-        # The root's local problem is the full problem.
-        sol = full
-        if node_id != root_id:
-            sol = normal_form_solution(subtree_at(tree, node_id), choice, model, table=table)
-        return sol.indices, sol.strategies
+        def local(node_id: str) -> list[int]:
+            if node_id not in solved:
+                scope = tree.scope_of(node_id)
+                solved[node_id] = _chosen(choice, model, table, scope, table[node_id])
+            return solved[node_id]
 
+    reached = _reached_positions(table, tree.root, local(tree.root.node_id))
     return tuple(_verdict_at(tree, table, reached, nid, local) for nid in node_ids)
 
 
@@ -338,10 +330,10 @@ def _verdicts(
     model: Optional[UncertaintyModel],
     node_ids: tuple[str, ...],
 ) -> tuple[PerfectnessVerdict, ...]:
-    one_pass = _one_pass_verdicts(tree, choice, model, node_ids)
-    if one_pass is not None:
-        return one_pass
-    return _normal_form_verdicts(tree, choice, model, node_ids)
+    table = _filtered_table(tree, choice, model)
+    if table is None:
+        table = strategy_table(tree)
+    return _read_verdicts(tree, choice, model, node_ids, table)
 
 
 def check_subtree_perfect_at(
@@ -364,11 +356,11 @@ def check_subtree_perfect(
     """One verdict per node, in preorder.
 
     Restricted and local solutions are compared by their positions among
-    each node's variants.  For the separable rules, on trees where every
-    node's scope has positive probability, every verdict is read off one
-    filtered pass, `backward_solution`'s (see `_one_pass_verdicts`).
-    Otherwise the strategy table is built once and shared by every local
-    normal form solve, and the full solution is computed once.
+    each node's variants, and every verdict is read off one strategy table.
+    For the separable rules, on trees where every node's scope has positive
+    probability, that is the table `backward_solution` filters (see
+    `_filtered_table`).  Otherwise it is the full table, and each posed
+    node's rows are solved in normal form once.
     """
     return _verdicts(tree, choice, model, tree.node_ids())
 

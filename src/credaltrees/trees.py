@@ -345,10 +345,11 @@ class DecisionTree:
 
     def node_ids(self) -> tuple[str, ...]:
         """All node ids in preorder (root first, arcs left to right)."""
-        return tuple(node.node_id for node, _ in _walk(self.root, self.root_scope))
+        return tuple(self._index)
 
     def nodes(self) -> Iterator[tuple[Node, Event]]:
-        return _walk(self.root, self.root_scope)
+        """Every node with its scope, in preorder."""
+        return iter(self._index.values())
 
     def contains(self, node_id: str) -> bool:
         return node_id in self._index
@@ -381,13 +382,16 @@ class Strategy(DecisionTree):
 
 
 def _walk(node: Node, scope: Event) -> Iterator[tuple[Node, Event]]:
-    yield node, scope
-    if isinstance(node, DecisionNode):
-        for arc in node.arcs:
-            yield from _walk(arc.child, scope)
-    elif isinstance(node, ChanceNode):
-        for arc in node.arcs:
-            yield from _walk(arc.child, scope & arc.event)
+    """*node* and every node below it with its scope, in preorder."""
+    stack = [(node, scope)]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        # pushed last arc first, so that the first arc is visited first
+        if isinstance(node, DecisionNode):
+            stack.extend((arc.child, scope) for arc in reversed(node.arcs))
+        elif isinstance(node, ChanceNode):
+            stack.extend((arc.child, scope & arc.event) for arc in reversed(node.arcs))
 
 
 # --- operations -------------------------------------------------------------
@@ -497,12 +501,6 @@ def subtree_at(tree: DecisionTree, node_id: str) -> DecisionTree:
     return type(tree)(tree.space, tree.find(node_id), tree.scope_of(node_id))
 
 
-#: the rewards one strategy variant of a node induces on the node's scope, in
-#: the scope's atom order, with numeric rewards scaled to ints as
-#: `StrategyTable` says; the variant itself is identified by its position
-Row = tuple["Reward | int", ...]
-
-
 class StrategyTable(dict):
     """`strategy_table`'s rows, by node id.
 
@@ -519,13 +517,13 @@ class StrategyTable(dict):
     Each numeric reward in a row is an int: the reward times ``denominator``,
     the least common multiple of the denominators of the tree's numeric
     rewards, so rows hash and compare as exact integers.  Labels are kept as
-    they are; ``numeric`` says whether no row holds one.
+    they are; ``numeric`` says whether the tree holds no label.
     """
 
-    def __init__(self, denominator: int):
+    def __init__(self, denominator: int, numeric: bool):
         super().__init__()
         self.denominator = denominator
-        self.numeric = True
+        self.numeric = numeric
         self.counts: Optional[dict[str, int]] = None
         self.positions: dict[str, list[int]] = {}
 
@@ -557,103 +555,78 @@ def strategy_table(
     ``table[node_id]`` holds one row per variant of the subtree at
     *node_id*, in `enumerate_strategies` order: the values of `gamble_of`
     on the matching strategy of ``subtree_at(tree, node_id)``, scaled as
-    `StrategyTable` says (``table.rewards`` turns them back).  The pass is
-    bottom-up: a leaf gives one row, a decision node concatenates its
-    children's rows, arc by arc, and a chance node takes the product of its
-    children's rows, the last arc varying fastest as in `itertools.product`,
-    and merges their value tuples; the keys are in post-order, every child
-    before its parent.  No node is built: ``table.variant`` decodes one
-    from its position.  Raises what `gamble_of` raises on some strategy of
-    the tree.
+    `StrategyTable` says (``table.rewards`` turns them back).  The pass
+    runs over the tree's nodes in reverse preorder, which puts every child
+    before its parent, and so are the keys: a leaf gives one row, a
+    decision node concatenates its children's rows, arc by arc, and a
+    chance node takes the product of its children's rows, the last arc
+    varying fastest as in `itertools.product`, and merges their value
+    tuples.  No node is built: ``table.variant`` decodes one from its
+    position.  Raises what `gamble_of` raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
-    only the rows at the indices ``keep(table, scope, rows, numeric)``
-    returns, in order, stay (*numeric*: no row holds a label), so a parent's
-    rows come from its children's kept rows alone.
+    only the rows at the indices ``keep(table, scope, rows)`` returns, in
+    order, stay, so a parent's rows come from its children's kept rows
+    alone.
     """
-    table = StrategyTable(_reward_denominator(tree.root))
+    denominator, kinds = _reward_denominator(tree)
+    table = StrategyTable(denominator, "label" not in kinds)
     if keep is not None:
-        table.counts = {}
-        _count(tree.root, table.counts)
-    _, kinds = _build_rows(tree.root, tree.root_scope, table, keep)
-    table.numeric = "label" not in kinds
+        table.counts = _count(tree)
+    index = tree._index
+    mixed = len(kinds) > 1
+    for node, scope in reversed(index.values()):
+        if isinstance(node, Leaf):
+            rows = [(scaled(node.reward, denominator),) * len(scope)]
+        elif isinstance(node, GambleLeaf):
+            rows = [tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)]
+        elif isinstance(node, DecisionNode):
+            rows = [row for arc in node.arcs for row in table[arc.child.node_id]]
+        elif isinstance(node, ChanceNode):
+            children = [table[arc.child.node_id] for arc in node.arcs]
+            rows = []
+            if all(children):
+                merge = _merge_plan(scope, [index[a.child.node_id][1] for a in node.arcs])
+                rows = [()]
+                for child_rows in children:
+                    rows = [r + c for r in rows for c in child_rows]
+                if merge is not None:
+                    rows = list(map(merge, rows))
+                # only a product can put both kinds into one row
+                if mixed:
+                    for values in rows:
+                        if len(set(map(_reward_kind, values))) > 1:
+                            raise MixedRewardKinds("a gamble cannot mix numbers and labels")
+        else:
+            raise TypeError(f"unknown node type {type(node).__name__}")
+        if keep is not None:
+            positions = _positions(node, table)
+            if not isinstance(node, (Leaf, GambleLeaf)):
+                kept = keep(table, scope, rows)
+                rows = [rows[i] for i in kept]
+                positions = [positions[i] for i in kept]
+            table.positions[node.node_id] = positions
+        table[node.node_id] = rows
     return table
 
 
-def _reward_denominator(root: Node) -> int:
-    """The least common multiple of the denominators of the numeric rewards
-    at and below *root*."""
-    denominators = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (DecisionNode, ChanceNode)):
-            stack.extend(arc.child for arc in node.arcs)
-            continue
+def _reward_denominator(tree: DecisionTree) -> tuple[int, set[str]]:
+    """The least common multiple of the denominators of the tree's numeric
+    rewards, and the reward kinds the tree holds."""
+    denominators, kinds = set(), set()
+    for node, _ in tree.nodes():
         if isinstance(node, Leaf):
             rewards: Iterable[Reward] = (node.reward,)
         elif isinstance(node, GambleLeaf):
             rewards = node.gamble.values
         else:
-            continue  # _build_rows reports it
-        denominators.update(
-            v.denominator for v in rewards if _reward_kind(v) == "numeric"
-        )
-    return math.lcm(*denominators)
-
-
-def _build_rows(
-    node: Node, scope: Event, table: StrategyTable, keep: Optional[Callable] = None
-) -> tuple[list[Row], frozenset]:
-    """Fill in the rows of *node* and below; return them and the reward kinds
-    occurring in them.  (A module function: a recursive closure would tie
-    the table into a reference cycle and keep it alive until a full
-    garbage collection.)"""
-    if isinstance(node, (Leaf, GambleLeaf)):
-        d = table.denominator
-        if isinstance(node, Leaf):
-            values = (scaled(node.reward, d),) * len(scope)
-        else:
-            values = tuple(scaled(node.gamble[a], d) for a in scope.ordered)
-        rows = [values]
-        kinds = frozenset(map(_reward_kind, set(values)))
-    elif isinstance(node, DecisionNode):
-        rows, kinds = [], frozenset()
-        for arc in node.arcs:
-            child_rows, child_kinds = _build_rows(arc.child, scope, table, keep)
-            kinds |= child_kinds
-            rows += child_rows
-    elif isinstance(node, ChanceNode):
-        scopes = [scope & arc.event for arc in node.arcs]
-        children, kinds = [], frozenset()
-        for arc, child_scope in zip(node.arcs, scopes):
-            child_rows, child_kinds = _build_rows(arc.child, child_scope, table, keep)
-            kinds |= child_kinds
-            children.append(child_rows)
-        rows = []
-        if all(children):
-            merge = _merge_plan(scope, scopes)
-            rows = [()]
-            for child_rows in children:
-                rows = [r + c for r in rows for c in child_rows]
-            if merge is not None:
-                rows = list(map(merge, rows))
-            # only a product can put both kinds into one row
-            if len(kinds) > 1:
-                for values in rows:
-                    if len(set(map(_reward_kind, values))) > 1:
-                        raise MixedRewardKinds("a gamble cannot mix numbers and labels")
-    else:
-        raise TypeError(f"unknown node type {type(node).__name__}")
-    if keep is not None:
-        positions = _positions(node, table)
-        if not isinstance(node, (Leaf, GambleLeaf)):
-            kept = keep(table, scope, rows, "label" not in kinds)
-            rows = [rows[i] for i in kept]
-            positions = [positions[i] for i in kept]
-        table.positions[node.node_id] = positions
-    table[node.node_id] = rows
-    return rows, kinds
+            continue
+        for v in rewards:
+            kind = _reward_kind(v)
+            kinds.add(kind)
+            if kind == "numeric":
+                denominators.add(v.denominator)
+    return math.lcm(*denominators), kinds
 
 
 def _merge_plan(scope: Event, scopes: list[Event]):
@@ -702,9 +675,8 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
 def strategy_at(tree: DecisionTree, k: int) -> Strategy:
     """``enumerate_strategies(tree)[k]`` for ``0 <= k < count_strategies(tree)``,
     decoded from *k* without enumerating or valuing any strategy."""
-    counts: dict[str, int] = {}
-    count = counts.__getitem__
-    if not 0 <= k < _count(tree.root, counts):
+    count = _count(tree).__getitem__
+    if not 0 <= k < count(tree.root.node_id):
         raise IndexError(f"strategy {k} out of range")
     root = _variant(tree.root, _reached(tree.root, k, count), count)
     return Strategy(tree.space, root, tree.root_scope)
@@ -712,7 +684,7 @@ def strategy_at(tree: DecisionTree, k: int) -> Strategy:
 
 def count_strategies(tree: DecisionTree) -> int:
     """``len(enumerate_strategies(tree))``, without enumerating."""
-    return _count(tree.root, {})
+    return _count(tree)[tree.root.node_id]
 
 
 def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
@@ -726,18 +698,19 @@ def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
     return count
 
 
-def _count(node: Node, counts: dict[str, int]) -> int:
-    """The number of strategy variants of *node*, the length of its
-    `strategy_table` rows; record it in *counts* for *node* and every node
-    below."""
-    if isinstance(node, DecisionNode):
-        n = sum(_count(a.child, counts) for a in node.arcs)
-    elif isinstance(node, ChanceNode):
-        n = math.prod(_count(a.child, counts) for a in node.arcs)
-    else:
-        n = 1
-    counts[node.node_id] = n
-    return n
+def _count(tree: DecisionTree) -> dict[str, int]:
+    """The number of strategy variants of each node, the length of its
+    `strategy_table` rows, children before parents."""
+    counts: dict[str, int] = {}
+    for node, _ in reversed(tree._index.values()):
+        if isinstance(node, DecisionNode):
+            n = sum(counts[a.child.node_id] for a in node.arcs)
+        elif isinstance(node, ChanceNode):
+            n = math.prod(counts[a.child.node_id] for a in node.arcs)
+        else:
+            n = 1
+        counts[node.node_id] = n
+    return counts
 
 
 def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
@@ -772,9 +745,9 @@ def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
 
 
 def _positions(node: Node, table: StrategyTable) -> list[int]:
-    """The positions among *node*'s variants of the rows `_build_rows` forms
-    from its children's kept rows in a filtered *table*: the encoding that
-    `_reached` decodes."""
+    """The positions among *node*'s variants of the rows `strategy_table`
+    forms from its children's kept rows in a filtered *table*: the encoding
+    that `_reached` decodes."""
     counts, kept = table.counts, table.positions
     out = [0]
     if isinstance(node, DecisionNode):

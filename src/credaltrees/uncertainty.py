@@ -292,8 +292,8 @@ def _row_values(
     a: TreeFactoredAssessment, table: StrategyTable, reward_map: RewardMap
 ) -> dict[str, list[tuple[Fraction, ...]]]:
     """``out[node_id][k]`` values ``table[node_id][k]``, where *table* is the
-    assessed tree's `strategy_table` and its post-order lets one pass meet
-    every child before its parent.  A leaf gives its reward through
+    assessed tree's `strategy_table`, whose keys put every child before its
+    parent, so one pass meets every child first.  A leaf gives its reward through
     *reward_map* (a gamble leaf must be constant), a decision row its
     child's value, and a chance row the arc-probability-weighted sum of its
     children's values, in the table's product order.  Nothing is divided,

@@ -316,6 +316,22 @@ def test_solve_method_backward_exits_two_at_a_zero_probability_node(tmp_path, ca
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+def test_solve_method_backward_divides_nothing_under_a_factored_model(capsys):
+    # eu-example-3's arc weights give N1's scope probability zero, but a
+    # factored model never divides an arc value, so backward induction
+    # chooses at N1 from the values below it and exits 0.  The normal form
+    # keeps both plans, and check finds N1 not subtree perfect.
+    argv = problem_argv("eu-example-3") + ["--format", "structured"]
+    kept = {}
+    for method in ("normal", "backward"):
+        assert run(argv + ["--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        kept[method] = [s["kept"] for s in doc["strategies"]]
+    assert kept == {"normal": [{"N1": "d1"}, {"N1": "d2"}], "backward": [{"N1": "d1"}]}
+    assert run(problem_argv("eu-example-3", "check-node") + ["--node", "N1"]) == 1
+    assert "N1: fail" in capsys.readouterr().out
+
+
 def test_solve_method_backward_counts_strategies_it_never_lists(tmp_path, capsys):
     # 20 independent three-way choices: 3**20 strategies; the last pays most
     atoms = [f"w{i}" for i in range(20)]
@@ -659,6 +675,21 @@ def test_canonical_passes_for_expected_utility(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "pass" in out
+
+
+def test_canonical_exits_two_on_a_model_that_does_not_suit_the_rule(capsys):
+    code = run(
+        [
+            "canonical",
+            "--tree", str(PROBLEMS / "eu-example-2.tree.json"),
+            "--model", str(PROBLEMS / "eu-example-2.model.json"),
+            "--choice", "maximality",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: maximality needs a credal model\n"
 
 
 def test_fuzz_structured_round_trip(capsys):

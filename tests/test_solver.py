@@ -385,15 +385,18 @@ def test_one_pass_verdicts_equal_the_normal_form_verdicts(seed):
             for kind in SEPARABLE:
                 choice = ChoiceFunction(kind)
                 try:
-                    normal = solver_module._normal_form_verdicts(tree, choice, model, node_ids)
+                    normal = solver_module._read_verdicts(
+                        tree, choice, model, node_ids, strategy_table(tree)
+                    )
                 except ModeUnsupported:
                     continue  # the model does not suit the rule
                 checked = check_subtree_perfect(tree, choice, model)
                 assert verdict_tuples(checked) == verdict_tuples(normal), (sampler, index, kind)
-                read = solver_module._one_pass_verdicts(tree, choice, model, node_ids)
+                filtered = solver_module._filtered_table(tree, choice, model)
                 if kind == "eu" and sampler == "factored":
-                    assert read is None
+                    assert filtered is None
                     continue
+                read = solver_module._read_verdicts(tree, choice, model, node_ids, filtered)
                 assert verdict_tuples(read) == verdict_tuples(normal), (sampler, index, kind)
                 one_pass += 1
                 failing += not all_hold(read)
@@ -420,7 +423,7 @@ def test_a_leaf_of_probability_zero_takes_the_normal_form_and_errs(kind, model):
     # hold; the normal form cannot pose L2's problem and says error.
     tree, q = zero_mass_leaf_tree()
     choice, model = ChoiceFunction(kind), model(q)
-    assert solver_module._one_pass_verdicts(tree, choice, model, tree.node_ids()) is None
+    assert solver_module._filtered_table(tree, choice, model) is None
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, choice, model)}
     assert verdicts["L2"].outcome is Outcome.ERROR
     assert "probability zero" in verdicts["L2"].detail
@@ -432,7 +435,8 @@ def test_a_leaf_of_probability_zero_holds_under_pointwise_dominance():
     # pointwise dominance reads no member, so no scope is out of its reach
     tree, q = zero_mass_leaf_tree()
     choice, model = ChoiceFunction("pointwise_dominance"), JointModel(q)
-    read = solver_module._one_pass_verdicts(tree, choice, model, tree.node_ids())
+    filtered = solver_module._filtered_table(tree, choice, model)
+    read = solver_module._read_verdicts(tree, choice, model, tree.node_ids(), filtered)
     verdicts = check_subtree_perfect(tree, choice, model)
     assert verdict_tuples(read) == verdict_tuples(verdicts)
     assert {v.node_id: v.outcome for v in verdicts}["L2"] is Outcome.HOLD
@@ -490,34 +494,35 @@ def test_conditioned_solving_restricts_the_comparison(eu1):
 def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     monkeypatch, build, choice
 ):
-    # These rules take the normal form path: one local solve per posed node.
+    # These rules take the full table: one local solve per posed node.
     tree, model = build()
-    real = solver_module.normal_form_solution
+    real = solver_module._chosen
     solved = []
 
-    def counting(t, *args, **kwargs):
-        solved.append(t.root.node_id)
-        return real(t, *args, **kwargs)
+    def counting(choice, model, table, scope, rows, *args):
+        solved.append(rows)
+        return real(choice, model, table, scope, rows, *args)
 
-    monkeypatch.setattr(solver_module, "normal_form_solution", counting)
+    monkeypatch.setattr(solver_module, "_chosen", counting)
     verdicts = check_subtree_perfect(tree, choice, model)
+    table = strategy_table(tree)
     root_id = tree.root.node_id
     posed = [
         v.node_id
         for v in verdicts
         if v.outcome is not Outcome.VACUOUS_HOLD and v.node_id != root_id
     ]
-    assert solved == [root_id] + posed
+    assert solved == [table[nid] for nid in [root_id] + posed]
 
     root = verdicts[0]
     assert root.node_id == root_id
     assert root.outcome is Outcome.HOLD
-    full = real(tree, choice, model)
+    full = normal_form_solution(tree, choice, model)
     assert root.restricted_solution == root.local_solution == full.strategies
 
     solved.clear()
     alone = check_subtree_perfect_at(tree, choice, model, root_id)
-    assert solved == [root_id]
+    assert solved == [table[root_id]]
     assert alone.outcome is root.outcome
     assert alone.restricted_solution == root.restricted_solution
     assert alone.local_solution == root.local_solution

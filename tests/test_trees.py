@@ -340,6 +340,36 @@ def test_bounded_strategy_count_refuses_without_enumerating():
         bounded_strategy_count(tree, 1000)
 
 
+def go_stop_chain(depth):
+    """An unvalidated chain of *depth* decision nodes D0, D1, ...: each
+    stops at a leaf or goes on to the next, and the last goes on to a leaf."""
+    sp = PossibilitySpace(("w",))
+    node = leaf("end", 0)
+    for i in reversed(range(depth)):
+        node = decision(f"D{i}", [("stop", leaf(f"S{i}", i)), ("go", node)])
+    return DecisionTree(sp, node)
+
+
+def test_a_2000_deep_chain_built_through_the_api_is_walked_without_recursion():
+    tree = go_stop_chain(2000)
+    ids = tree.node_ids()
+    assert len(ids) == 4001 and ids[:3] == ("D0", "S0", "D1")
+    assert count_strategies(tree) == 2001
+    table = strategy_table(tree)
+    assert len(table["D0"]) == 2001
+    assert table["D0"][:3] == [(0,), (1,), (2,)]
+    arcs = kept_arcs(strategy_at(tree, 5))
+    assert arcs == {**{f"D{i}": "go" for i in range(5)}, "D5": "stop"}
+
+
+def test_duplicate_node_ids_raise_without_validation():
+    sp = PossibilitySpace(("w",))
+    tree = DecisionTree(sp, decision("D", [("a", leaf("L", 0)), ("b", leaf("L", 1))]))
+    for walk in (DecisionTree.node_ids, count_strategies, strategy_table, enumerate_strategies):
+        with pytest.raises(DuplicateNodeId, match="'L' occurs twice"):
+            walk(tree)
+
+
 FRESH_IMPORT = """
 import gc, importlib, sys, weakref
 import credaltrees, credaltrees.cli

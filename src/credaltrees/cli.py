@@ -22,7 +22,7 @@ import traceback
 from typing import Optional, Sequence
 
 from .canonical import CanonicalLimits, check_canonical
-from .choice import KINDS, ChoiceFunction
+from .choice import KINDS, RULES, ChoiceFunction
 from .dot import export_dot
 from .errors import CredalTreeError
 from .formats import (
@@ -54,7 +54,7 @@ from .trees import (
     Strategy,
     bounded_strategy_count,
     count_strategies,
-    # Unused here, but perfbench/spans.py wraps this module attribute.
+    # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
     gamble_of,
     kept_arcs,
@@ -65,17 +65,7 @@ from .trees import (
 )
 
 _CLI_KINDS = tuple(k for k in KINDS if k != "by_preorder")
-_FUZZABLE = (
-    "eu",
-    "maximin",
-    "gamma_maximin",
-    "gamma_maximax",
-    "maximality",
-    "e_admissible",
-    "e_admissible_hull",
-    "interval_dominance",
-    "pointwise_dominance",
-)
+_FUZZABLE = tuple(RULES)
 _DEFAULT_SAMPLER = {
     "eu": "joint",
     "maximin": "joint",
@@ -392,20 +382,10 @@ def _cmd_solve(args) -> int:
                 f"--condition {args.condition!r} is a different event"
             )
         solution = backward_solution(tree, choice, model)
-        total = count_strategies(tree)
-        listed = [
-            (i, s, gamble_of(s).values)
-            for i, s in zip(solution.indices, solution.strategies)
-        ]
     else:
-        table = strategy_table(tree)
-        rows = table[tree.root.node_id]
-        solution = normal_form_solution(tree, choice, model, b, table=table)
-        total = len(rows)
-        listed = [
-            (i, s, table.rewards(rows[i]))
-            for i, s in zip(solution.indices, solution.strategies)
-        ]
+        solution = normal_form_solution(tree, choice, model, b)
+    total = count_strategies(tree)
+    listed = list(zip(solution.indices, solution.strategies, solution.values))
     doc = {
         "command": "solve",
         "choice": choice.kind,
@@ -576,7 +556,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder, formats._node_from, validate_tree, gamble_of,
+        # The JSON decoder, formats._node_from, validate_tree,
         # strategy decoding (trees._variant) and the DOT and text renderers
         # recurse, so a deep enough input ends here rather than in exit 1,
         # which means "not subtree perfect".

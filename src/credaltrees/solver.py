@@ -33,6 +33,7 @@ from .trees import (
     GambleLeaf,
     Leaf,
     Node,
+    Reward,
     Strategy,
     StrategyTable,
     strategy_table,
@@ -48,7 +49,10 @@ class NormalFormSolution:
     """The strategies a choice function keeps, with the data that produced them.
 
     ``indices[k]`` is the position of ``strategies[k]`` in
-    `enumerate_strategies` order of the solved tree.
+    `enumerate_strategies` order of the solved tree, and ``values[k]`` the
+    values of its gamble on the tree's root scope, read from its row of
+    ``table``: the tree's `strategy_table`, or the table `backward_solution`
+    filtered.
     """
 
     tree_ref: DecisionTree
@@ -56,6 +60,8 @@ class NormalFormSolution:
     conditioning: Event
     choice: ChoiceFunction
     indices: tuple[int, ...]
+    values: tuple[tuple[Reward, ...], ...]
+    table: StrategyTable
 
 
 def normal_form_solution(
@@ -63,25 +69,13 @@ def normal_form_solution(
     choice: ChoiceFunction,
     model: Optional[UncertaintyModel],
     b: Optional[Event] = None,
-    *,
-    table: Optional[StrategyTable] = None,
 ) -> NormalFormSolution:
-    """Solve *tree* in normal form, conditional on *b* (root scope by default).
-
-    *table* may be the `strategy_table` of a tree that contains this tree's
-    root at this tree's root scope, as every subtree of a checked tree
-    does; it saves enumerating the strategies again and never changes the
-    result.
-    """
+    """Solve *tree* in normal form, conditional on *b* (root scope by default)."""
     scope = tree.root_scope
-    if b is None:
-        b = scope
-    if table is None:
-        table = strategy_table(tree)
-    rows = table[tree.root.node_id]
-    indices = tuple(_chosen(choice, model, table, scope, rows, b))
-    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
-    return NormalFormSolution(tree, kept, b, choice, indices)
+    b = scope if b is None else b
+    table = strategy_table(tree)
+    kept = _chosen(choice, model, table, scope, table[tree.root.node_id], b)
+    return _solution(tree, choice, table, kept, b)
 
 
 def backward_solution(
@@ -96,11 +90,21 @@ def backward_solution(
     raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
     a factored model never divides an arc value, so it raises nothing there.
     """
-    scope = tree.root_scope
     table = strategy_table(tree, partial(_chosen, choice, model))
-    indices = tuple(table.positions[tree.root.node_id])
-    kept = tuple(Strategy(tree.space, table.variant(tree.root, i), scope) for i in indices)
-    return NormalFormSolution(tree, kept, scope, choice, indices)
+    kept = range(len(table[tree.root.node_id]))
+    return _solution(tree, choice, table, kept, tree.root_scope)
+
+
+def _solution(
+    tree: DecisionTree, choice: ChoiceFunction, table: StrategyTable, kept: Sequence[int], b: Event
+) -> NormalFormSolution:
+    """The solution that keeps the root's rows *kept* of *table*."""
+    root = tree.root.node_id
+    at = table.positions.get(root)
+    indices = tuple(kept if at is None else (at[j] for j in kept))
+    values = tuple(table.rewards(table[root][j]) for j in kept)
+    strategies = _variants(tree, table, root, indices, {})
+    return NormalFormSolution(tree, strategies, b, choice, indices, values, table)
 
 
 def _chosen(
@@ -151,13 +155,12 @@ def restrict_solution(
 
     Strategies that do not reach the node contribute nothing; restrictions
     that keep the same arcs are reported once, in order of first appearance.
+    They are decoded from the solution's own table, so restricting a
+    `backward_solution` enumerates no strategy.
     """
     tree = sol.tree_ref
-    if not tree.contains(node_id):
-        raise UnknownNode(f"no node with id {node_id!r}")
-    table = strategy_table(tree)
-    reached = _reached_positions(table, tree.root, sol.indices).get(node_id, {})
-    return _variants(tree, table, node_id, reached, {})
+    reached = _reached_positions(sol.table, tree.root, sol.indices).get(node_id, {})
+    return _variants(tree, sol.table, node_id, reached, {})
 
 
 def _reached_positions(

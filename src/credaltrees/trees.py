@@ -817,28 +817,19 @@ def gamble_of(strategy: DecisionTree) -> Gamble:
     followed, and gamble leaves contribute their own tables.
     """
     table: dict[str, Reward] = {}
-
-    def assign(node: Node, scope: Event) -> None:
+    for node, scope in _walk(strategy.root, strategy.root_scope):
         if isinstance(node, Leaf):
-            for a in scope.ordered:
-                table[a] = node.reward
+            table.update(dict.fromkeys(scope.ordered, node.reward))
         elif isinstance(node, GambleLeaf):
-            for a in scope.ordered:
-                table[a] = node.gamble[a]
+            table.update((a, node.gamble[a]) for a in scope.ordered)
         elif isinstance(node, DecisionNode):
             if len(node.arcs) != 1:
                 raise ValueError(
                     f"decision node {node.node_id!r} keeps {len(node.arcs)} arcs;"
                     " gamble_of needs a strategy"
                 )
-            assign(node.arcs[0].child, scope)
-        elif isinstance(node, ChanceNode):
-            for arc in node.arcs:
-                assign(arc.child, scope & arc.event)
-        else:
+        elif not isinstance(node, ChanceNode):
             raise TypeError(f"unknown node type {type(node).__name__}")
-
-    assign(strategy.root, strategy.root_scope)
     missing = [a for a in strategy.root_scope.ordered if a not in table]
     if missing:
         raise ScopeMismatch(

@@ -22,11 +22,13 @@ from credaltrees import (
     MixedRewardKinds,
     ModeUnsupported,
     FactoredModel,
+    NormalFormSolution,
     Outcome,
     PossibilitySpace,
     ScopeMismatch,
     Strategy,
     TreeFactoredAssessment,
+    UnknownNode,
     ZeroProbabilityCondition,
     all_hold,
     backward_induct_eu,
@@ -275,6 +277,8 @@ def test_restriction_drops_strategies_that_avoid_the_node(eu1):
     sol = normal_form_solution(tree, EU, model)
     assert [kept_arcs(s) for s in restrict_solution(sol, "N2")] == [{"N2": "d2"}]
     assert restrict_solution(sol, "N1") == ()
+    with pytest.raises(UnknownNode, match="'nowhere'"):
+        restrict_solution(sol, "nowhere")
 
 
 def test_zero_mass_branch_under_a_joint_model_reports_error():
@@ -355,6 +359,18 @@ def test_backward_induction_solves_the_seven_level_tree_with_few_options(monkeyp
     # one choice per decision and chance node and rule
     assert len(options) == 3 * 388
     assert sum(options) < 10**4
+
+
+def test_restricting_the_seven_level_backward_solution_builds_no_table(monkeypatch):
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    sol = backward_solution(tree, ChoiceFunction("maximality"), model)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("strategy_table called")
+
+    monkeypatch.setattr(solver_module, "strategy_table", spy)
+    for nid in tree.node_ids():
+        assert restrict_solution(sol, nid) == reference_restriction(sol.strategies, nid), nid
 
 
 SEPARABLE = ("eu", "maximality", "e_admissible", "e_admissible_hull", "pointwise_dominance")
@@ -606,20 +622,15 @@ def solved(solve):
         return type(exc)
 
 
-def assert_solves_match(tree, model, b, kinds=RULES, table=None):
-    """Every rule solves *tree* as the reference does, with and without a
-    table (by default its own), or fails with the same error type; returns
-    how many solved."""
-    table = strategy_table(tree) if table is None else table
+def assert_solves_match(tree, model, b, kinds=RULES):
+    """Every rule solves *tree* as the reference does, or fails with the same
+    error type; returns how many solved."""
     supported = 0
     for kind in kinds:
         choice = ChoiceFunction(kind)
         expected = solved(lambda: reference_solution(tree, choice, model, b))
-        plain = solved(lambda: normal_form_solution(tree, choice, model, b).strategies)
-        shared = solved(
-            lambda: normal_form_solution(tree, choice, model, b, table=table).strategies
-        )
-        assert plain == shared == expected, kind
+        actual = solved(lambda: normal_form_solution(tree, choice, model, b).strategies)
+        assert actual == expected, kind
         supported += isinstance(expected, tuple)
     return supported
 
@@ -645,11 +656,33 @@ def test_normal_form_solution_matches_the_reference_on_random_trees(seed, sample
     tree, model = gen_random_tree(cfg, 0)
     assert assert_solves_match(tree, model, None) > 0
     assert_solves_match(tree, model, inner_event(tree, data.draw))
-    # Local solves read the rows of the whole tree's table.
-    table = strategy_table(tree)
     kind = data.draw(st.sampled_from(RULES))
     for nid in tree.node_ids():
-        assert_solves_match(subtree_at(tree, nid), model, None, (kind,), table)
+        assert_solves_match(subtree_at(tree, nid), model, None, (kind,))
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "factored", "hierarchical:2"])
+def test_solution_values_and_restrictions_match_its_strategies(sampler):
+    cfg = FuzzConfig(seed=11, tree_count=12, max_depth=4, model_sampler=sampler)
+    solves = {"normal": 0, "inner": 0, "backward": 0}
+    for index in range(cfg.tree_count):
+        tree, model = gen_random_tree(cfg, index)
+        inner = [s for _, s in tree.nodes() if s != tree.root_scope][-1]
+        for kind in RULES:
+            choice = ChoiceFunction(kind)
+            for method, solve in (
+                ("normal", lambda: normal_form_solution(tree, choice, model)),
+                ("inner", lambda: normal_form_solution(tree, choice, model, inner)),
+                ("backward", lambda: backward_solution(tree, choice, model)),
+            ):
+                sol = solved(solve)
+                if not isinstance(sol, NormalFormSolution):
+                    continue
+                assert sol.values == tuple(gamble_of(s).values for s in sol.strategies)
+                for nid in tree.node_ids():
+                    assert restrict_solution(sol, nid) == reference_restriction(sol.strategies, nid)
+                solves[method] += 1
+    assert min(solves.values()) >= 2 * cfg.tree_count, solves
 
 
 SMALL_EXAMPLES = [p for p in example_problems() if p[0] != "alternating"]
@@ -663,9 +696,8 @@ def test_normal_form_solution_matches_the_reference_on_the_examples(tree, model)
     inner = [s for _, s in tree.nodes() if s != tree.root_scope]
     if inner:
         assert_solves_match(tree, model, inner[-1])
-    table = strategy_table(tree)
     for nid in tree.node_ids():
-        assert_solves_match(subtree_at(tree, nid), model, None, table=table)
+        assert_solves_match(subtree_at(tree, nid), model, None)
 
 
 def unvalidated_tree(case):

@@ -19,6 +19,7 @@ from credaltrees import (
     Leaf,
     OverlappingEvents,
     PossibilitySpace,
+    ScopeMismatch,
     Strategy,
     TooManyStrategies,
     UnknownNode,
@@ -360,6 +361,29 @@ def test_a_2000_deep_chain_built_through_the_api_is_walked_without_recursion():
     assert table["D0"][:3] == [(0,), (1,), (2,)]
     arcs = kept_arcs(strategy_at(tree, 5))
     assert arcs == {**{f"D{i}": "go" for i in range(5)}, "D5": "stop"}
+
+
+def test_gamble_of_walks_a_2000_deep_strategy_without_recursion():
+    sp = PossibilitySpace(("w",))
+    node = leaf("end", 1)
+    for i in reversed(range(2000)):
+        node = decision(f"D{i}", [("go", node)])
+    assert gamble_of(Strategy(sp, node)).values == (1,)
+
+
+def test_gamble_of_reports_the_first_fault_in_preorder():
+    sp = PossibilitySpace(("a", "b"))
+    a, b = sp.event(["a"]), sp.event(["b"])
+    two = decision("D", [("x", leaf("X", 0)), ("y", leaf("Y", 1))])
+    cases = [
+        (chance("R", [(a, two), (b, object())]), ValueError),
+        (chance("R", [(a, object()), (b, two)]), TypeError),
+        (chance("R", [(a, leaf("L", 1))]), ScopeMismatch),
+    ]
+    for root, error in cases:
+        with pytest.raises(Exception) as raised:
+            gamble_of(DecisionTree(sp, root))
+        assert raised.type is error
 
 
 def test_duplicate_node_ids_raise_without_validation():

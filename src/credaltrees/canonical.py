@@ -16,16 +16,19 @@ is a falsifier, not a prover: a pass means no counterexample in the pool.
 
 So that millions of instances stay affordable, the scan applies the choice
 rules of ``choice`` to per-event tables of the distinct pool gambles instead
-of building trees, and settles whole blocks of instances at once where the
-algebra decides them.  A deterministic sample of instances, bulk-settled
+of building trees, judges the instances that share a key (their classes of
+distinct gambles) once, and settles whole blocks of instances at once where
+the algebra decides them.  A deterministic sample of instances, bulk-settled
 ones included, and every reported counterexample are re-run through the
 actual tree pipeline, and any disagreement raises immediately.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -318,9 +321,11 @@ class _EventData:
         except ZeroProbabilityCondition:
             self.table = None
 
-    def mask(self, combo: Sequence[int]) -> int:
-        """The classes of the pool gambles in *combo*, as a bitmask."""
-        return _mask(self.cls_of[i] for i in combo)
+    def masks(self, combos: "_Combos"):
+        """The class masks of *combos*' option sets, in their order."""
+        bits = [1 << self.cls_of[i] for i in combos.elig]
+        for size in combos.sizes:
+            yield from map(_or_all, itertools.combinations(bits, size))
 
 
 def _chosen_classes(ev: _EventData, kind: str, classes: Sequence[int]) -> frozenset:
@@ -337,6 +342,9 @@ def _composite(ev1: _EventData, ev2: _EventData, zc: int) -> OptionTable:
         [w1 + w2 for w1, w2 in zip(t1.weights, t2.weights)],
         [m1 + m2 for m1, m2 in zip(t1.mass, t2.mass)],
     )
+
+
+_or_all = functools.partial(functools.reduce, operator.or_)
 
 
 def _mask(classes) -> int:
@@ -405,28 +413,30 @@ class _Memo(dict):
         return value
 
 
-class _Prefix(dict):
-    """Position -> value of an iterable, read on only as far as asked."""
+class _Prefix(list):
+    """The values of an iterable, read on only as far as asked."""
 
     def __init__(self, values):
         super().__init__()
         self._rest = iter(values)
 
-    def __missing__(self, k: int):
-        for i in range(len(self), k + 1):
-            self[i] = next(self._rest)
-        return self[k]
+    def upto(self, n: int) -> "_Prefix":
+        """Self, holding at least the first *n* values (all, if fewer)."""
+        if n > len(self):
+            self.extend(itertools.islice(self._rest, n - len(self)))
+        return self
 
 
-def _pairs(nx: int, ny: int, unordered: bool):
-    """A block's (row, column) pairs in plan order."""
-    for ci in range(nx):
-        for cj in range(ci if unordered else 0, ny):
-            yield ci, cj
+#: the columns a row's first window holds; each further window is twice
+#: as wide, so a scan that fails early builds few column keys
+_WINDOW = 16
 
 
 def _pair_at(k: int, ny: int, unordered: bool) -> tuple[int, int]:
-    """The k-th pair of ``_pairs``, without walking the pairs before it."""
+    """A block's k-th (row, column) pair in plan order.
+
+    Row ci holds the columns from ci (unordered blocks) or 0 to ny.
+    """
     if not unordered:
         return divmod(k, ny)
     ci = 0
@@ -478,15 +488,16 @@ class _Checker:
             self._events[event] = ev
         return ev
 
-    # -- judges: (ci, cj) -> verdict, or a whole block settled in bulk --------
+    # -- judges: keys and a verdict per key pair, or a block settled in bulk --
 
     def _judge_b(self, b: Event, xcombos, ycombos, unordered: bool):
         """Shape (b): the rule over the union of both offers against each alone.
 
         A one-value rule keeps either all of argmax(X) or nothing of X from
-        X | Y, so the whole block passes.  Otherwise the rule runs once per
-        class mask, an offer's or a union's, and only for the instances the
-        scan judges.
+        X | Y, so the whole block passes.  Otherwise an instance's verdict
+        depends only on the class masks of its two offers, which are its row
+        and column keys, and the rule runs once per class mask, an offer's
+        or a union's, as the scan reaches them.
         """
         ev = self.event_data(b)
         if ev.table is None:
@@ -494,14 +505,12 @@ class _Checker:
         if self.choice.is_value_based:
             return "pass"
         kind = self.choice.kind
-        xmasks = _Prefix(map(ev.mask, xcombos))
-        ymasks = xmasks if unordered else _Prefix(map(ev.mask, ycombos))
+        xmasks = _Prefix(ev.masks(xcombos))
+        ymasks = xmasks if unordered else _Prefix(ev.masks(ycombos))
         # class mask -> the classes the rule keeps of them
         keep = _Memo(lambda m: _mask(_chosen_classes(ev, kind, _mask_classes(m))))
 
-        def judge(ci: int, cj: int):
-            mx = xmasks[ci]
-            my = ymasks[cj]
+        def verdict(mx: int, my: int):
             cs = keep[mx | my]
             rx = cs & mx
             ry = cs & my
@@ -512,16 +521,18 @@ class _Checker:
                 fails += ("N2",)
             return ("fail", fails) if fails else _PASS
 
-        return judge
+        return xmasks, ymasks, verdict
 
     def _judge_a(self, a: Event, b: Event, combos, eligz):
         """Shape (a): the rule on the composite gambles against xs alone.
 
         For the separable kinds, whose comparison the shared z cancels
         from, the whole block passes, unless the marginal extension filter
-        must look at each instance.  The local choice on xs is made once per
-        class mask, and the composite table once per z class, as the scan
-        reaches them.
+        must look at each instance.  Otherwise an instance's verdict depends
+        only on the class mask of xs and the class of z, which are its row
+        and column keys.  The local choice on xs is made once per class
+        mask, and the composite table once per z class, as the scan reaches
+        them.
         """
         ev1 = self.event_data(a & b)
         ev2 = self.event_data(a.complement() & b)
@@ -533,15 +544,12 @@ class _Checker:
         if cancels and not filtered:
             return "pass"
         rule = RULES[kind]
-        masks = _Prefix(map(ev1.mask, combos))
         # class mask -> the rule's choice of those classes on e1 alone
         local = _Memo(lambda m: rule(ev1.table, _mask_classes(m)))
         composites = _Memo(lambda zc: _composite(ev1, ev2, zc))
         me_rows = _Memo(lambda zc: self._me_row(ev1, ev2, composites[zc], zc))
 
-        def judge(ci: int, zj: int):
-            zc = ev2.cls_of[eligz[zj]]
-            mask = masks[ci]
+        def verdict(mask: int, zc: int):
             c = _mask_classes(mask)
             if filtered and not all(me_rows[zc][x] for x in c):
                 return _SKIP
@@ -549,7 +557,8 @@ class _Checker:
                 return _PASS
             return _FAIL_N1
 
-        return judge
+        zclasses = _Prefix(ev2.cls_of[i] for i in eligz)
+        return _Prefix(ev1.masks(combos)), zclasses, verdict
 
     def _me_row(
         self, ev1: _EventData, ev2: _EventData, full: OptionTable, zc: int
@@ -593,7 +602,9 @@ class _Checker:
         """Blocks of instances, in deterministic order, plus the total count.
 
         A block is (shape, A or None, B, rows, columns, unordered, size): its
-        instances are the (row, column) pairs of ``_pairs``.  Shape (b) rows
+        instances are the (row, column) pairs in the order of ``_pair_at``,
+        row by row, each row from its own index (unordered) or from column
+        0 on.  Shape (b) rows
         and columns are ``_Combos`` of pool indices; shape (a) rows are
         ``_Combos`` and columns the eligible pool indices of the z gamble.
         Only the eligible indices are gathered here; the sizes are counted
@@ -650,8 +661,10 @@ class _Checker:
     def _block(self, shape: str, a, b: Event, rows, cols, unordered: bool):
         """(judge, build) for one block.
 
-        build(ci, cj) makes the instance; judge(ci, cj) gives its verdict,
-        or judge is "skip" or "pass" when the whole block is settled at once.
+        build(ci, cj) makes the instance.  judge is "skip" or "pass" when
+        the whole block is settled at once, and otherwise (row keys, column
+        keys, verdict): an instance's verdict is verdict(row key, column
+        key).  The pipeline keys its instances by position.
         """
         pool = self.pool
         if shape == "b":
@@ -672,11 +685,58 @@ class _Checker:
 
         if not self.fast:
             return (
-                lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj))
+                _Prefix(range(len(rows))),
+                _Prefix(range(len(cols))),
+                lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj)),
             ), build
         if shape == "b":
             return self._judge_b(b, rows, cols, unordered), build
         return self._judge_a(a, b, rows, cols), build
+
+    @staticmethod
+    def _windows(row_keys, col_keys, verdict, ny: int, unordered: bool, count: int):
+        """A block's first *count* instances in plan order, judged by key.
+
+        Each row's columns are read in windows, the first ``_WINDOW`` wide
+        and each next one twice as wide, so column keys are built only as
+        far as the scan reaches.  In a window, the distinct column keys are
+        judged in the order of their first position, each key pair once per
+        block, up to the first key that fails: its first position is the
+        first failing instance in plan order.  Yields, per window, (row,
+        positions of the passing columns, number of skipped columns,
+        (column, verdict) of the failure or None), and stops after a
+        failure.
+        """
+        verdicts = _Memo(lambda key: verdict(*key))
+        ci = 0
+        while count:
+            lo = ci if unordered else 0
+            end = lo + min(ny - lo, count)
+            count -= end - lo
+            rk = row_keys.upto(ci + 1)[ci]
+            s, width = lo, _WINDOW
+            while s < end:
+                e = min(end, s + width)
+                seg = col_keys.upto(e)[s:e]
+                skips = set()
+                fail = None
+                for ck in dict.fromkeys(seg):
+                    v = verdicts[rk, ck]
+                    if v[0] == "fail":
+                        e = s + seg.index(ck)
+                        fail = (e, v)
+                        break
+                    if v[0] == "skip":
+                        skips.add(ck)
+                if skips:
+                    passed = [p for p, ck in enumerate(seg[: e - s], s) if ck not in skips]
+                else:
+                    passed = range(s, e)
+                yield ci, passed, e - s - len(passed), fail
+                if fail:
+                    return
+                s, width = e, 2 * width
+            ci += 1
 
     def run(self) -> CanonicalReport:
         lim = self.limits
@@ -709,24 +769,23 @@ class _Checker:
                     verified += 1
                     next_verify += vstride
             else:
-                for ci, cj in itertools.islice(
-                    _pairs(len(rows), len(cols), unordered), count
-                ):
-                    verdict = judge(ci, cj)
-                    if verdict[0] == "skip":
-                        skipped += 1
-                        continue
-                    examined += 1
-                    if verdict[0] == "fail":
+                windows = self._windows(*judge, len(cols), unordered, count)
+                for ci, passed, nskip, fail in windows:
+                    skipped += nskip
+                    start = examined
+                    examined += len(passed)
+                    # the cadence's positions strictly before a failure
+                    while self.fast and next_verify <= examined:
+                        self._verify(build(ci, passed[next_verify - start - 1]), _PASS)
+                        verified += 1
+                        next_verify += vstride
+                    if fail:
+                        cj, verdict = fail
+                        examined += 1
                         failure = (shape, build(ci, cj), verdict[1])
                         if self.fast:
                             self._verify(failure[1], verdict)
                             verified += 1
-                        break
-                    if self.fast and examined == next_verify:
-                        next_verify += vstride
-                        self._verify(build(ci, cj), verdict)
-                        verified += 1
                 if failure:
                     break
 

@@ -16,6 +16,7 @@ mode emits key-sorted JSON with rationals as ``"p/q"`` strings.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
@@ -465,9 +466,9 @@ def _cmd_canonical(args) -> int:
             report.note,
         ]
         if not report.passed:
-            inst = report.instance
             lines.append(f"shape ({report.shape}) fails at {', '.join(report.failing_nodes)}")
-            lines.append(f"instance: {inst}")
+            # the exact rationals of the structured output, on one line
+            lines.append("instance: " + json.dumps(report.to_json_dict()["instance"]))
         _emit(args, "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
@@ -556,8 +557,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder, formats._node_from, validate_tree,
-        # strategy decoding (trees._variant) and the DOT and text renderers
+        # The JSON decoder, formats._node_from, strategy decoding
+        # (trees._variant) and the DOT and text renderers
         # recurse, so a deep enough input ends here rather than in exit 1,
         # which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)

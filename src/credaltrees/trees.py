@@ -413,8 +413,12 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
 
     seen: set[str] = set()
     kinds: set[str] = set()
-
-    def visit(node: Node, scope: Event) -> Node:
+    # every node in preorder with the arcs it keeps; deep chains are
+    # walked with a stack, as in `_walk`, so that they need no recursion
+    order: list[tuple[Node, Sequence]] = []
+    stack = [(tree.root, tree.root_scope)]
+    while stack:
+        node, scope = stack.pop()
         if node.node_id in seen:
             raise DuplicateNodeId(f"node id {node.node_id!r} occurs twice")
         seen.add(node.node_id)
@@ -422,16 +426,16 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
             raise EmptyScope(f"node {node.node_id!r} has empty scope")
         if isinstance(node, Leaf):
             kinds.add(_reward_kind(node.reward))
-            return node
-        if isinstance(node, GambleLeaf):
+            order.append((node, ()))
+        elif isinstance(node, GambleLeaf):
             if node.gamble.scope != scope:
                 raise ScopeMismatch(
                     f"gamble leaf {node.node_id!r} carries scope"
                     f" {node.gamble.scope!r} but sits at scope {scope!r}"
                 )
             kinds.update(_reward_kind(v) for v in node.gamble.values)
-            return node
-        if isinstance(node, DecisionNode):
+            order.append((node, ()))
+        elif isinstance(node, DecisionNode):
             if not node.arcs:
                 raise IncompletePartition(
                     f"decision node {node.node_id!r} has no arcs"
@@ -442,11 +446,10 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
                 raise DuplicateArcLabel(
                     f"decision node {node.node_id!r} has two arcs labelled {twice!r}"
                 )
-            return DecisionNode(
-                node.node_id,
-                tuple(DecisionArc(a.label, visit(a.child, scope)) for a in node.arcs),
-            )
-        if isinstance(node, ChanceNode):
+            order.append((node, node.arcs))
+            # pushed last arc first, so that the first arc is visited first
+            stack.extend((arc.child, scope) for arc in reversed(node.arcs))
+        elif isinstance(node, ChanceNode):
             kept: list[tuple[ChanceArc, Event]] = []
             for i, arc in enumerate(node.arcs):
                 effective = arc.event & scope
@@ -472,19 +475,27 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
                 raise IncompletePartition(
                     f"chance node {node.node_id!r} leaves atoms {missing} uncovered"
                 )
-            return ChanceNode(
-                node.node_id,
-                tuple(
-                    ChanceArc(arc.event, visit(arc.child, effective))
-                    for arc, effective in kept
-                ),
-            )
-        raise TypeError(f"unknown node type {type(node).__name__}")
+            order.append((node, [arc for arc, _ in kept]))
+            stack.extend((arc.child, effective) for arc, effective in reversed(kept))
+        else:
+            raise TypeError(f"unknown node type {type(node).__name__}")
 
-    new_root = visit(tree.root, tree.root_scope)
     if len(kinds) > 1:
         raise MixedRewardKinds("tree mixes numeric rewards with reward labels")
-    return type(tree)(tree.space, new_root, tree.root_scope)
+    # rebuild in reverse preorder: a node's rebuilt children are then on top
+    # of the stack, its first arc's child topmost
+    built: list[Node] = []
+    for node, arcs in reversed(order):
+        if isinstance(node, DecisionNode):
+            node = DecisionNode(
+                node.node_id, tuple(DecisionArc(a.label, built.pop()) for a in arcs)
+            )
+        elif isinstance(node, ChanceNode):
+            node = ChanceNode(
+                node.node_id, tuple(ChanceArc(a.event, built.pop()) for a in arcs)
+            )
+        built.append(node)
+    return type(tree)(tree.space, built.pop(), tree.root_scope)
 
 
 def path_event(tree: DecisionTree, node_id: str) -> Event:

@@ -39,6 +39,7 @@ from credaltrees import (
     subtree_at,
     validate_tree,
 )
+from credaltrees import canonical
 
 
 def F(n, d=1):
@@ -613,6 +614,118 @@ def reference_utility_expectations(u, a, s):
     return tuple(
         reference_factored_expectation(a, relabel(s, table.__getitem__))
         for table in u.functions
+    )
+
+
+# --- reference for the canonical scan -------------------------------------------
+
+
+def pairs_in_plan_order(nx, ny, unordered):
+    """A canonical block's (row, column) pairs in plan order."""
+    for ci in range(nx):
+        for cj in range(ci if unordered else 0, ny):
+            yield ci, cj
+
+
+def reference_scan(choice, model, space, pool, limits=None):
+    """`check_canonical` judging instance by instance, as it did before it
+    grouped a block's instances by key.
+
+    The plan, the bulk-settled blocks and the verdict of a key pair are the
+    scan's own; each instance's keys are computed here from its option sets
+    (class masks built one combination at a time), or are its positions on
+    the pipeline path, and every instance is judged in plan order.
+    """
+    checker = canonical._Checker(
+        choice, model, space, pool, limits or canonical.CanonicalLimits()
+    )
+    lim = checker.limits
+    blocks, total = checker._plan()
+    budget = total if lim.max_instances is None else min(total, lim.max_instances)
+    vstride = max(1, budget // max(1, lim.verify_sample))
+
+    def key_of(ev, combo):
+        return canonical._mask(ev.cls_of[i] for i in combo)
+
+    def keys(shape, a, b, rows, cols):
+        """Row and column key functions of a block judged one pair at a time."""
+        if not checker.fast:
+            return (lambda ci: ci), (lambda cj: cj)
+        if shape == "b":
+            ev = checker.event_data(b)
+            xs = canonical._Prefix(key_of(ev, c) for c in rows)
+            ys = canonical._Prefix(key_of(ev, c) for c in cols)
+            return (lambda ci: xs.upto(ci + 1)[ci]), (lambda cj: ys.upto(cj + 1)[cj])
+        ev1 = checker.event_data(a & b)
+        ev2 = checker.event_data(a.complement() & b)
+        xs = canonical._Prefix(key_of(ev1, c) for c in rows)
+        return (lambda ci: xs.upto(ci + 1)[ci]), (lambda zj: ev2.cls_of[cols[zj]])
+
+    examined = skipped = verified = 0
+    next_verify = 1
+    failure = None
+    base = 0
+    for shape, a, b, rows, cols, unordered, n in blocks:
+        if base >= budget:
+            break
+        count = min(n, budget - base)
+        base += n
+        judge, build = checker._block(shape, a, b, rows, cols, unordered)
+        if judge == "skip":
+            skipped += count
+        elif judge == "pass":
+            start = examined
+            examined += count
+            while next_verify <= examined:
+                ci, cj = canonical._pair_at(next_verify - start - 1, len(cols), unordered)
+                checker._verify(build(ci, cj), canonical._PASS)
+                verified += 1
+                next_verify += vstride
+        else:
+            verdict = judge[2]
+            row_key, col_key = keys(shape, a, b, rows, cols)
+            for ci, cj in itertools.islice(
+                pairs_in_plan_order(len(rows), len(cols), unordered), count
+            ):
+                v = verdict(row_key(ci), col_key(cj))
+                if v[0] == "skip":
+                    skipped += 1
+                    continue
+                examined += 1
+                if v[0] == "fail":
+                    failure = (shape, build(ci, cj), v[1])
+                    if checker.fast:
+                        checker._verify(failure[1], v)
+                        verified += 1
+                    break
+                if checker.fast and examined == next_verify:
+                    next_verify += vstride
+                    checker._verify(build(ci, cj), v)
+                    verified += 1
+            if failure:
+                break
+
+    counts = dict(
+        kind=choice.kind,
+        instances_total=total,
+        instances_examined=examined,
+        instances_skipped=skipped,
+        instances_verified=verified,
+    )
+    if failure:
+        shape, inst, nodes = failure
+        return canonical.CanonicalReport(
+            passed=False,
+            shape=shape,
+            instance=inst,
+            failing_nodes=nodes,
+            note="counterexample confirmed by the tree pipeline",
+            **counts,
+        )
+    return canonical.CanonicalReport(
+        passed=True,
+        note="no counterexample found in the given pool within the limits",
+        **counts,
     )
 
 

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from credaltrees import (
     ChoiceFunction,
     CredalModel,
     CredalSet,
+    CredalTreeError,
+    DecisionNode,
     Gamble,
     InstanceInvalid,
     JointModel,
@@ -31,12 +35,17 @@ from credaltrees.canonical import (
     _chosen_classes,
     _Combos,
     _pair_at,
-    _pairs,
     all_events,
 )
 from credaltrees.choice import RULES
+from credaltrees.fuzz import FuzzConfig, fuzz_equivalence, gen_random_tree, harvest
 
-from conftest import build_maximin_failure, dominance_pools
+from conftest import (
+    build_maximin_failure,
+    dominance_pools,
+    pairs_in_plan_order,
+    reference_scan,
+)
 
 
 def g(sp, *values):
@@ -503,7 +512,7 @@ def test_bulk_verification_indexes_the_pairs_in_plan_order():
     for nx in range(1, 6):
         for ny in range(1, 7):
             for unordered in (False, True) if nx == ny else (False,):
-                pairs = list(_pairs(nx, ny, unordered))
+                pairs = list(pairs_in_plan_order(nx, ny, unordered))
                 assert pairs == [_pair_at(k, ny, unordered) for k in range(len(pairs))]
 
 
@@ -598,3 +607,180 @@ def test_scan_hull_constraints_include_undominated_non_winners(w2):
     cf = ChoiceFunction("e_admissible_hull")
     ev = _Checker(cf, credal, sp, pool, CanonicalLimits()).event_data(sp.omega())
     assert _chosen_classes(ev, cf.kind, (0, 1, 2, 3)) == {1, 2, 3}
+
+
+# --- the grouped scan against the per-instance reference ---------------------------
+
+
+def _fields(scan, *args):
+    """Every field of a scan's report, or the error it raised."""
+    try:
+        r = scan(*args)
+    except CredalTreeError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        r.passed,
+        r.kind,
+        r.instances_total,
+        r.instances_examined,
+        r.instances_skipped,
+        r.instances_verified,
+        r.shape,
+        r.instance,
+        r.failing_nodes,
+        r.note,
+    )
+
+
+def _harvested(sampler, seed, count):
+    """(space, model, pool, events) of fuzz trees, harvested at their first
+    decision node in preorder."""
+    cfg = FuzzConfig(seed=seed, tree_count=count, model_sampler=sampler)
+    out = []
+    for index in range(count):
+        tree, model = gen_random_tree(cfg, index)
+        center = next(n.node_id for n, _ in tree.nodes() if isinstance(n, DecisionNode))
+        pool, events, _ = harvest(tree, center)
+        out.append((tree.space, model, pool, events))
+    return out
+
+
+_SAMPLERS = ("joint", "credal:2", "factored", "hierarchical:2")
+
+
+def _limit_sets(events):
+    """The fuzz reduction's limits and variants: unequal option bounds
+    (ordered shape (b) blocks), shape (a) first, the marginal extension
+    filter, and budgets that stop inside a row's first and later windows."""
+    return (
+        CanonicalLimits(shapes=("b", "a"), events_a=events, events_b=events,
+                        max_instances=3000, verify_sample=4),
+        CanonicalLimits(max_xs=3, max_ys=2, shapes=("a", "b"), events_a=events,
+                        events_b=events, max_instances=1500, verify_sample=16),
+        CanonicalLimits(max_xs=2, shapes=("a",), events_a=events, events_b=events,
+                        max_instances=1200, verify_sample=40,
+                        require_marginal_extension=True),
+        CanonicalLimits(shapes=("b",), events_b=events, max_instances=41,
+                        verify_sample=7),
+        CanonicalLimits(max_xs=2, max_ys=3, shapes=("b", "a"), events_a=events,
+                        events_b=events, max_instances=109, verify_sample=12),
+    )
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_grouped_scan_matches_the_per_instance_reference(sampler):
+    # Every report field, on harvested pools under every rule.  The
+    # pipeline path (eu under a factored model) and rules whose model does
+    # not suit stay on small budgets: each of their instances builds trees.
+    seen = set()
+    for sp, model, pool, events in _harvested(sampler, seed=5, count=2):
+        for kind in RULES:
+            choice = ChoiceFunction(kind)
+            fast = _Checker(choice, model, sp, pool, CanonicalLimits()).fast
+            for limits in _limit_sets(events):
+                if not fast:
+                    limits = dataclasses.replace(
+                        limits, max_instances=min(limits.max_instances, 30)
+                    )
+                want = _fields(reference_scan, choice, model, sp, pool, limits)
+                got = _fields(check_canonical, choice, model, sp, pool, limits)
+                assert got == want, (kind, limits)
+                if len(want) > 2:
+                    seen.add(("fail" if not want[0] else "pass", fast))
+                    if want[4] and limits.require_marginal_extension and want[5] > 1:
+                        seen.add("skips between verifications")
+                else:
+                    seen.add("error")
+    if sampler != "factored":
+        assert {("fail", True), ("pass", True)} <= seen
+    else:
+        assert {("fail", False), ("pass", False)} & seen
+    if sampler == "credal:2":
+        assert "skips between verifications" in seen, seen
+
+
+@pytest.mark.parametrize(
+    "seed, kind, shapes, marginal_extension",
+    [
+        (3, "interval_dominance", ("b", "a"), False),  # fails at instance 31
+        (3, "maximality", ("b", "a"), False),  # fails at instance 32
+        (5, "interval_dominance", ("b", "a"), False),  # passes
+        (3, "interval_dominance", ("a", "b"), True),  # fails at instance 200
+        (3, "gamma_maximin", ("a", "b"), True),  # passes, skipping 3 in 4
+        # fails at instance 55, in a window where a higher class mask
+        # fails first
+        (7, "pointwise_dominance", ("b", "a"), False),
+    ],
+)
+def test_grouped_scan_matches_the_reference_at_every_budget(
+    seed, kind, shapes, marginal_extension
+):
+    # Budgets from 1 up cut the first row at every column, inside and at
+    # the edges of its first windows, and then later rows and blocks.
+    (sp, model, pool, events), = _harvested("credal:2", seed=seed, count=1)
+    choice = ChoiceFunction(kind)
+    budgets = [*range(1, 36), 47, 48, 49, 111, 112, 113, 199, 200, 201, 241, 1009]
+    for budget in budgets:
+        limits = CanonicalLimits(
+            shapes=shapes, events_a=events, events_b=events,
+            max_instances=budget, verify_sample=5,
+            require_marginal_extension=marginal_extension,
+        )
+        want = _fields(reference_scan, choice, model, sp, pool, limits)
+        assert _fields(check_canonical, choice, model, sp, pool, limits) == want
+
+
+@pytest.mark.parametrize("case", [_maximin_case, _maximality_case])
+def test_a_failure_on_a_verification_position_is_verified_once(case):
+    # With the stride chosen so that the failing instance's examined
+    # ordinal is also a verification position, it is verified as the
+    # counterexample only: once, after the positions before it.
+    kind, model, sp, pool = case()
+    choice = ChoiceFunction(kind)
+    full = check_canonical(choice, model, sp, pool, CanonicalLimits(shapes=("b", "a")))
+    ordinal = full.instances_examined
+    budget = full.instances_total
+    hits = [
+        v for v in range(1, budget + 1)
+        if 1 < budget // v < ordinal and (ordinal - 1) % (budget // v) == 0
+    ]
+    assert hits
+    for sample in hits[:3]:
+        limits = CanonicalLimits(shapes=("b", "a"), verify_sample=sample)
+        got = _fields(check_canonical, choice, model, sp, pool, limits)
+        assert got == _fields(reference_scan, choice, model, sp, pool, limits)
+        verified = got[5]
+        assert verified == len(range(1, ordinal, budget // sample)) + 1
+
+
+def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
+    # The fuzz reduction of seed 4's interval dominance tree passes its whole
+    # 40,000-instance budget; the grouped loop asks each block's verdict
+    # about each distinct (row key, column key) pair at most once.
+    calls = collections.Counter()
+
+    def spying(judge):
+        def wrapped(self, *args):
+            out = judge(self, *args)
+            if not isinstance(out, tuple):
+                return out
+            rows, cols, verdict = out
+            block = object()
+
+            def counted(rk, ck):
+                calls[block, rk, ck] += 1
+                return verdict(rk, ck)
+
+            return rows, cols, counted
+
+        return wrapped
+
+    monkeypatch.setattr(_Checker, "_judge_a", spying(_Checker._judge_a))
+    monkeypatch.setattr(_Checker, "_judge_b", spying(_Checker._judge_b))
+    cfg = FuzzConfig(seed=4, tree_count=1, model_sampler="credal:2")
+    report = fuzz_equivalence(ChoiceFunction("interval_dominance"), None, cfg)
+    reduction = report.records[0].reduction
+    assert reduction.passed
+    assert reduction.instances_examined == 40000
+    assert calls and max(calls.values()) == 1
+    assert len(calls) < reduction.instances_examined // 10

@@ -647,6 +647,82 @@ def test_canonical_finds_the_worst_case_failure(capsys):
     assert doc["command"] == "canonical"
 
 
+def _readme_example(command):
+    """The output the README shows for the example that runs *command*."""
+    readme = (PROBLEMS.parent / "README.md").read_text()
+    block = readme.split(f"$ credaltrees {command} ", 1)[1].split("```", 1)[0]
+    return block.split("\n", 2)[2]
+
+
+def test_canonical_text_shows_the_readme_example(capsys):
+    code = run(
+        [
+            "canonical",
+            "--tree", str(PROBLEMS / "maximin-failure.tree.json"),
+            "--model", str(PROBLEMS / "maximin-failure.model.json"),
+            "--choice", "maximin",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().out == _readme_example("canonical")
+
+
+def test_canonical_text_prints_the_instance_in_exact_rationals(tmp_path, capsys):
+    # The README example's tree with the rewards 5/2 and 1/3 under A1.
+    doc = json.loads((PROBLEMS / "maximin-failure.tree.json").read_text())
+    arcs = doc["tree"]["arcs"][0]["child"]["arcs"]
+    arcs[0]["child"]["reward"] = "5/2"
+    arcs[1]["child"]["reward"] = "1/3"
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    model = str(PROBLEMS / "maximin-failure.model.json")
+    code = run(["canonical", "--tree", str(tree), "--model", model, "--choice", "maximin"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        'instance: {"a": ["a1"], "b": ["a1", "a2"], "xs": [{"a1": "5/2", "a2": "0"},'
+        ' {"a1": "1/3", "a2": "0"}], "z": {"a1": "5/2", "a2": "0"}}'
+    )
+
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
+
+
+@pytest.mark.parametrize(
+    "name, argv, exit_code",
+    [
+        (
+            f"canonical-maximin-failure-{rule}.json",
+            [
+                "canonical",
+                "--tree", str(PROBLEMS / "maximin-failure.tree.json"),
+                "--model", str(PROBLEMS / model),
+                "--choice", rule,
+            ],
+            exit_code,
+        )
+        for rule, model, exit_code in [
+            ("maximin", "maximin-failure.model.json", 1),
+            ("interval-dominance", "eadmissible-failure.model.json", 1),
+            ("maximality", "eadmissible-failure.model.json", 0),
+        ]
+    ]
+    + [
+        (
+            "fuzz-maximality-seed11-trees60.json",
+            ["fuzz", "--choice", "maximality", "--seed", "11", "--trees", "60"],
+            1,
+        )
+    ],
+)
+def test_canonical_and_fuzz_outputs_are_pinned(capsys, name, argv, exit_code):
+    # Recorded before the scan grouped its instances by key; the grouped
+    # scan must reproduce every field, byte for byte.
+    code = run(argv + ["--format", "structured"])
+    assert capsys.readouterr().out == (EXPECTED / name).read_text()
+    assert code == exit_code
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_canonical_rejects_an_empty_instance_budget(capsys, budget):
     code = run(

@@ -15,6 +15,7 @@ from credaltrees import (
     DuplicateNodeId,
     EmptyScope,
     Gamble,
+    GambleLeaf,
     IncompletePartition,
     Leaf,
     OverlappingEvents,
@@ -361,6 +362,59 @@ def test_a_2000_deep_chain_built_through_the_api_is_walked_without_recursion():
     assert table["D0"][:3] == [(0,), (1,), (2,)]
     arcs = kept_arcs(strategy_at(tree, 5))
     assert arcs == {**{f"D{i}": "go" for i in range(5)}, "D5": "stop"}
+
+
+@pytest.mark.parametrize("mode", ["reject", "auto_prune"])
+def test_validate_tree_walks_a_2000_deep_chain_without_recursion(mode):
+    # Under auto_prune the chain hangs below a chance node whose second arc
+    # misses the root scope: that arc goes, and the chain is rebuilt whole.
+    sp = PossibilitySpace(("w", "v"))
+    w, v = sp.event(["w"]), sp.event(["v"])
+    chain = go_stop_chain(2000)
+    root = chain.root
+    if mode == "auto_prune":
+        root = chance("C", [(w, root), (v, leaf("V", 0))])
+    valid = validate_tree(DecisionTree(sp, root, w), mode)
+    assert count_strategies(valid) == 2001
+    above = ("C",) if mode == "auto_prune" else ()
+    assert valid.node_ids() == above + chain.node_ids()
+
+
+def _two_faults():
+    """(tree, error, message) for unvalidated trees holding two faults;
+    validation reports the first in preorder."""
+    sp = PossibilitySpace(("a", "b"))
+    a, b = sp.event(["a"]), sp.event(["b"])
+    twice = decision("T", [("x", leaf("X1", 0)), ("x", leaf("X2", 1))])
+    bare = DecisionNode("E", ())
+    return [
+        # a chance node's partition error comes before its children's
+        (chance("R", [(a, twice)]), IncompletePartition, "leaves atoms \\['b'\\]"),
+        # the first child's subtree before the second's
+        (decision("R", [("p", twice), ("q", bare)]), DuplicateArcLabel, "'T'"),
+        (decision("R", [("p", bare), ("q", twice)]), IncompletePartition, "'E' has no arcs"),
+        # a node id met again before the faults below its second use
+        (
+            decision("R", [("p", leaf("L", 0)), ("q", chance("L", [(a, twice)]))]),
+            DuplicateNodeId,
+            "'L' occurs twice",
+        ),
+        # mixed rewards are reported only once the walk has found nothing else
+        (decision("R", [("p", leaf("L", "win")), ("q", twice)]), DuplicateArcLabel, "'T'"),
+        (
+            chance("R", [(b, GambleLeaf("G", Gamble.from_mapping(a, {"a": 1}))), (a, twice)]),
+            ScopeMismatch,
+            "'G'",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["reject", "auto_prune"])
+def test_validate_tree_reports_the_first_fault_in_preorder(mode):
+    sp = PossibilitySpace(("a", "b"))
+    for root, error, message in _two_faults():
+        with pytest.raises(error, match=message):
+            validate_tree(DecisionTree(sp, root), mode)
 
 
 def test_gamble_of_walks_a_2000_deep_strategy_without_recursion():

@@ -59,7 +59,13 @@ class OptionRows(tuple):
     factor: each rule of `RULES` keeps the same options when every row is
     scaled by a positive constant.  `ChoiceFunction.choose` takes these in
     place of gambles and then returns the rows it keeps.
+
+    ``sums``, where set, holds ``sums[m][j]``, member m's sum of row j over
+    b with the weights `OptionTable.on` gives it, for the members the rule
+    reads; the rule then reads those and computes none.
     """
+
+    sums: Optional[list[list[int]]] = None
 
     @classmethod
     def of(cls, xs: Sequence[Gamble], b: Event) -> "OptionRows":
@@ -109,21 +115,25 @@ class OptionTable:
 
     ``rows[j]`` holds option j's values on b as integers, scaled as in
     `OptionRows`.  Under a model, ``weights[m]`` holds member m's atom
-    masses on b (in ``b.ordered``) and ``mass[m]`` its probability of b; a
-    model-free table has neither.  Everything the rules read beyond that
-    (member sums, envelopes, row minima) is computed on first use, in
-    integers, and kept.
+    masses on b (in ``b.ordered``), times a positive factor of the member's
+    own, and ``mass[m]`` its probability of b; a model-free table has
+    neither.  Everything the rules read beyond that (member sums,
+    envelopes, row minima) is computed on first use, in integers, and kept,
+    unless *sums* gives the member sums already.
     """
 
     def __init__(
         self,
         rows: Sequence[Sequence[int]],
-        weights: Sequence[Sequence[Fraction]] = (),
+        weights: Sequence[Sequence[Fraction | int]] = (),
         mass: Sequence[Fraction] = (),
+        sums: Optional[list[list[int]]] = None,
     ):
         self.rows = rows
         self.weights = weights
         self.mass = mass
+        if sums is not None:
+            self.sums = sums
 
     @classmethod
     def on(
@@ -131,15 +141,31 @@ class OptionTable:
         b: Event,
         rows: Sequence[Sequence[int]],
         members: Sequence[MassFunction] = (),
+        sums: Optional[list[list[int]]] = None,
     ) -> "OptionTable":
         """The table of *rows* on b under *members*.
+
+        Each member's weights are its masses on b times their least common
+        denominator over the whole space (`MassFunction._integers`), so
+        they are integers already; *sums*, if given, must be the rows' sums
+        with those weights.
 
         Conditioning needs every member to give b positive probability; if
         any gives it zero, the rule as a whole is undefined and this raises
         ``ZeroProbabilityCondition``, whether or not other members give b
         positive probability.
         """
-        mass = [p.prob(b) for p in members]
+        weights, mass = [], []
+        if members:
+            position = b.space.position
+            at = [position(a) for a in b.ordered]
+            for p in members:
+                if p.space is not b.space and p.space != b.space:
+                    raise ValueError("event lives in a different possibility space")
+                d, masses = p._integers
+                w = [masses[i] for i in at]
+                weights.append(w)
+                mass.append(Fraction(sum(w), d))
         if any(m == 0 for m in mass):
             if all(m == 0 for m in mass):
                 raise ZeroProbabilityCondition(
@@ -148,12 +174,14 @@ class OptionTable:
             raise ZeroProbabilityCondition(
                 f"a credal member gives the conditioning event {b!r} probability zero"
             )
-        return cls(rows, [[p.mass(a) for a in b.ordered] for p in members], mass)
+        table = cls(rows, weights, mass, sums)
+        table._integer_weights = weights
+        return table
 
     @cached_property
     def _integer_weights(self) -> list[list[int]]:
-        """Each member's masses times the least common multiple of their
-        denominators."""
+        """Each member's weights times the least common multiple of their
+        denominators (`on` gives integers, and sets these to its weights)."""
         out = []
         for w in self.weights:
             d = math.lcm(*{x.denominator for x in w})
@@ -168,7 +196,9 @@ class OptionTable:
         The rules compare sums only within one member, so those factors
         never change a choice; nor do they change whether a hull LP is
         feasible, since scaling an LP column by a positive constant keeps
-        its nonnegative solutions.
+        its nonnegative solutions.  A table given its sums (from the
+        strategy table's member-sum column, whose weights `on` uses) never
+        computes them from its rows.
         """
         rows = self.rows
         return [
@@ -181,11 +211,16 @@ class OptionTable:
         return list(zip(*self.sums))
 
     @cached_property
+    def _totals(self) -> list[int]:
+        """Each member's integer weight total on b."""
+        return [sum(w) for w in self._integer_weights]
+
+    @cached_property
     def scale(self) -> int:
         """The factor by which ``lower`` and ``upper`` exceed the
         conditional expectations of the rows: the least common multiple of
         the members' integer weight totals."""
-        return math.lcm(*(sum(w) for w in self._integer_weights))
+        return math.lcm(*self._totals)
 
     @cached_property
     def _conditional(self) -> list[tuple[int, ...]]:
@@ -193,8 +228,8 @@ class OptionTable:
         ``scale``."""
         s = self.scale
         by_member = [
-            [x * (s // sum(w)) for x in sums]
-            for w, sums in zip(self._integer_weights, self.sums)
+            [x * f for x in sums]
+            for f, sums in zip([s // t for t in self._totals], self.sums)
         ]
         return list(zip(*by_member))
 
@@ -341,7 +376,7 @@ def _choose(
     order."""
     _guard(xs, b)
     rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
-    table = OptionTable.on(b, rows, _members(model, kind))
+    table = OptionTable.on(b, rows, _members(model, kind), rows.sums)
     return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
 
 

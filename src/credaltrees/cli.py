@@ -360,9 +360,9 @@ def _cmd_strategies(args) -> int:
     tree = problem.tree
     table = strategy_table(tree)
     rows = table[tree.root.node_id]
+    decode = table.decoder(tree)
     listed = [
-        (i, Strategy(tree.space, table.variant(tree.root, i), tree.root_scope),
-         table.rewards(values))
+        (i, decode.strategy(tree.root.node_id, i), table.rewards(values))
         for i, values in enumerate(rows)
     ]
     doc = {"command": "strategies"}
@@ -558,7 +558,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except RecursionError as exc:
         # The JSON decoder, formats._node_from, strategy decoding
-        # (trees._variant) and the DOT and text renderers
+        # (trees.Decoder.node) and the DOT and text renderers
         # recurse, so a deep enough input ends here rather than in exit 1,
         # which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)

@@ -27,6 +27,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .trees import (
+    Decoder,
     DecisionTree,
     Event,
     Gamble,
@@ -41,7 +42,7 @@ from .trees import (
     enumerate_strategies,
     gamble_of,
 )
-from .uncertainty import UncertaintyModel
+from .uncertainty import MassFunction, UncertaintyModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +74,9 @@ def normal_form_solution(
     """Solve *tree* in normal form, conditional on *b* (root scope by default)."""
     scope = tree.root_scope
     b = scope if b is None else b
-    table = strategy_table(tree)
-    kept = _chosen(choice, model, table, scope, table[tree.root.node_id], b)
+    root = tree.root.node_id
+    table = strategy_table(tree, None, _column_members(choice, model) if b == scope else ())
+    kept = _chosen(choice, model, table, scope, table[root], table.sums.get(root), b)
     return _solution(tree, choice, table, kept, b)
 
 
@@ -103,8 +105,21 @@ def _solution(
     at = table.positions.get(root)
     indices = tuple(kept if at is None else (at[j] for j in kept))
     values = tuple(table.rewards(table[root][j]) for j in kept)
-    strategies = _variants(tree, table, root, indices, {})
+    strategies = table.decoder(tree).strategies(root, indices)
     return NormalFormSolution(tree, strategies, b, choice, indices, values, table)
+
+
+def _column_members(
+    choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> Sequence[MassFunction]:
+    """The mass functions whose sums *choice* reads from a row, under
+    *model*: the members of the strategy table's column for it."""
+    if not choice.takes_rows(model):
+        return ()
+    try:
+        return choice.members(model)
+    except ModeUnsupported:
+        return ()  # the rule raises it when it is asked to choose
 
 
 def _chosen(
@@ -113,11 +128,13 @@ def _chosen(
     table: StrategyTable,
     scope: Event,
     rows: list,
+    sums: Optional[list[list[int]]] = None,
     b: Optional[Event] = None,
 ) -> list[int]:
     """The indices, in order, of the *rows* (one node's rows of *table*, on
     *scope*) whose gambles *choice* chooses on *b* (*scope* by default);
-    rows equal on b are one option."""
+    rows equal on b are one option.  *sums* is the node's entry of the
+    table's member-sum column, read where b is the scope."""
     b = scope if b is None else b
     if rows and b != scope:
         if not b <= scope:
@@ -127,6 +144,7 @@ def _chosen(
         keys = [pick(values) for values in rows]
         if len(b) == 1:
             keys = [(k,) for k in keys]
+        sums = None
     else:
         keys = rows
 
@@ -134,14 +152,18 @@ def _chosen(
     # the rows' integers hash cheaply.
     classes: dict[tuple, int] = {}
     class_of = [classes.setdefault(k, len(classes)) for k in keys]
+    first: dict[int, int] = {}  # each class's first row
+    for i, c in enumerate(class_of):
+        first.setdefault(c, i)
 
     if table.numeric and choice.takes_rows(model):
-        chosen = {classes[row] for row in choice.choose(OptionRows(classes), model, b)}
+        options = OptionRows(classes)
+        if sums:
+            # rows equal on the scope have equal sums
+            options.sums = [[entry[i] for i in first.values()] for entry in sums]
+        chosen = {classes[row] for row in choice.choose(options, model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
-        first: dict[int, int] = {}
-        for i, c in enumerate(class_of):
-            first.setdefault(c, i)
         distinct = [Gamble(scope, table.rewards(rows[i])) for i in first.values()]
         on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
         chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
@@ -160,7 +182,7 @@ def restrict_solution(
     """
     tree = sol.tree_ref
     reached = _reached_positions(sol.table, tree.root, sol.indices).get(node_id, {})
-    return _variants(tree, sol.table, node_id, reached, {})
+    return sol.table.decoder(tree).strategies(node_id, reached)
 
 
 def _reached_positions(
@@ -173,23 +195,6 @@ def _reached_positions(
         for nid, k in table.reached(root, i).items():
             at.setdefault(nid, {})[k] = None
     return at
-
-
-def _variants(
-    tree: DecisionTree,
-    table: StrategyTable,
-    node_id: str,
-    positions: Iterable[int],
-    built: dict[int, Strategy],
-) -> tuple[Strategy, ...]:
-    """The strategies of the subtree at *node_id* at *positions*, taken from
-    *built* where it has them and decoded otherwise."""
-    node = tree.find(node_id)
-    scope = tree.scope_of(node_id)
-    return tuple(
-        built[k] if k in built else Strategy(tree.space, table.variant(node, k), scope)
-        for k in positions
-    )
 
 
 class Outcome(str, enum.Enum):
@@ -221,28 +226,30 @@ class PerfectnessVerdict:
 
 
 def _verdict_at(
-    tree: DecisionTree,
-    table: StrategyTable,
+    decode: Decoder,
     reached: dict[str, dict[int, None]],
     node_id: str,
     local: Callable[[str], Sequence[int]],
 ) -> PerfectnessVerdict:
     """The verdict at *node_id*, where *reached* is `_reached_positions` of
     the full solution and ``local(node_id)`` gives the positions of the
-    node's local solution among its variants."""
+    node's local solution among its variants; *decode* builds the
+    strategies the verdict returns."""
     positions = reached.get(node_id)
     if not positions:
         return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
     try:
         indices = local(node_id)
     except ZeroProbabilityCondition as exc:
-        restricted = _variants(tree, table, node_id, positions, {})
+        restricted = decode.strategies(node_id, positions)
         return PerfectnessVerdict(node_id, Outcome.ERROR, restricted, (), str(exc))
-    strategies = _variants(tree, table, node_id, indices, {})
-    built = dict(zip(indices, strategies))
-    restricted = _variants(tree, table, node_id, positions, built)
-    outcome = Outcome.HOLD if positions.keys() == built.keys() else Outcome.FAIL
-    return PerfectnessVerdict(node_id, outcome, restricted, strategies)
+    outcome = Outcome.HOLD if positions.keys() == set(indices) else Outcome.FAIL
+    return PerfectnessVerdict(
+        node_id,
+        outcome,
+        decode.strategies(node_id, positions),
+        decode.strategies(node_id, indices),
+    )
 
 
 def _filtered_table(
@@ -311,7 +318,9 @@ def _read_verdicts(
     """The verdicts at *node_ids*, read off *table*: either `_filtered_table`,
     whose kept positions at each node are its local solution, or the full
     `strategy_table`, where each posed node's rows are solved in normal form
-    once, the root's giving the full solution as well."""
+    once (from its member-sum column, where the table has one), the root's
+    giving the full solution as well.  The strategies of all verdicts come
+    from one decoder, so each is built once."""
     if table.counts is not None:
         local = table.positions.__getitem__
     else:
@@ -320,11 +329,13 @@ def _read_verdicts(
         def local(node_id: str) -> list[int]:
             if node_id not in solved:
                 scope = tree.scope_of(node_id)
-                solved[node_id] = _chosen(choice, model, table, scope, table[node_id])
+                rows, sums = table[node_id], table.sums.get(node_id)
+                solved[node_id] = _chosen(choice, model, table, scope, rows, sums)
             return solved[node_id]
 
     reached = _reached_positions(table, tree.root, local(tree.root.node_id))
-    return tuple(_verdict_at(tree, table, reached, nid, local) for nid in node_ids)
+    decode = table.decoder(tree)
+    return tuple(_verdict_at(decode, reached, nid, local) for nid in node_ids)
 
 
 def _verdicts(
@@ -335,7 +346,7 @@ def _verdicts(
 ) -> tuple[PerfectnessVerdict, ...]:
     table = _filtered_table(tree, choice, model)
     if table is None:
-        table = strategy_table(tree)
+        table = strategy_table(tree, None, _column_members(choice, model))
     return _read_verdicts(tree, choice, model, node_ids, table)
 
 

@@ -137,7 +137,7 @@ class Event:
         return iter(self.ordered)
 
     def _check_space(self, other: "Event") -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("events live in different possibility spaces")
 
     def __and__(self, other: "Event") -> "Event":
@@ -373,8 +373,8 @@ class Strategy(DecisionTree):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for node, _ in _walk(self.root, self.root_scope):
-            if isinstance(node, DecisionNode) and len(node.arcs) != 1:
+        for node in _decisions(self.root):
+            if len(node.arcs) != 1:
                 raise ValueError(
                     f"decision node {node.node_id!r} keeps {len(node.arcs)} arcs;"
                     " a strategy keeps exactly one"
@@ -517,18 +517,25 @@ class StrategyTable(dict):
 
     ``table[node_id][k]`` is the row of variant k of the subtree at
     *node_id*: a tuple of values, nothing else.  The variant is told by its
-    position alone, and `reached` and `variant` decode it from there only
+    position alone, and `reached` and `decoder` decode it from there only
     when it is needed.
 
     A table built with a row filter holds only the kept rows, and
     ``positions[node_id][j]`` is the position of row j among all
-    ``counts[node_id]`` variants of the node, which `reached` and `variant`
+    ``counts[node_id]`` variants of the node, which `reached` and `decoder`
     decode.
 
     Each numeric reward in a row is an int: the reward times ``denominator``,
     the least common multiple of the denominators of the tree's numeric
     rewards, so rows hash and compare as exact integers.  Labels are kept as
     they are; ``numeric`` says whether the tree holds no label.
+
+    A table built for mass functions (the *members* of `strategy_table`) on
+    a numeric tree has a member-sum column: ``sums[node_id][m][j]`` is
+    Σ W_m(a)·v(a) over the node's scope, where v is row j and W_m member m's
+    masses times their least common denominator (`MassFunction._integers`),
+    one integer weight per atom for the whole space.  Otherwise ``sums`` is
+    empty.
     """
 
     def __init__(self, denominator: int, numeric: bool):
@@ -537,6 +544,7 @@ class StrategyTable(dict):
         self.numeric = numeric
         self.counts: Optional[dict[str, int]] = None
         self.positions: dict[str, list[int]] = {}
+        self.sums: dict[str, list[list[int]]] = {}
 
     def rewards(self, values: Iterable["Reward | int"]) -> tuple[Reward, ...]:
         """A row's values as rewards: each int over the denominator as a
@@ -553,13 +561,16 @@ class StrategyTable(dict):
         below an arc that the variant does not keep are absent."""
         return _reached(node, k, self._size)
 
-    def variant(self, node: Node, k: int) -> Node:
-        """Variant *k* of *node*: the root node of the matching strategy."""
-        return _variant(node, self.reached(node, k), self._size)
+    def decoder(self, tree: "DecisionTree") -> "Decoder":
+        """A decoder of this table's positions of *tree*'s variants, with a
+        memo of its own."""
+        return Decoder(tree, self._size)
 
 
 def strategy_table(
-    tree: DecisionTree, keep: Optional[Callable[..., Sequence[int]]] = None
+    tree: DecisionTree,
+    keep: Optional[Callable[..., Sequence[int]]] = None,
+    members: Sequence = (),
 ) -> StrategyTable:
     """Every node's strategy variants as rows of values, in one pass.
 
@@ -572,30 +583,52 @@ def strategy_table(
     decision node concatenates its children's rows, arc by arc, and a
     chance node takes the product of its children's rows, the last arc
     varying fastest as in `itertools.product`, and merges their value
-    tuples.  No node is built: ``table.variant`` decodes one from its
+    tuples.  No node is built: ``table.decoder`` decodes one from its
     position.  Raises what `gamble_of` raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
     only the rows at the indices ``keep(table, scope, rows)`` returns, in
     order, stay, so a parent's rows come from its children's kept rows
     alone.
+
+    With *members*, mass functions on the tree's space, a numeric tree's
+    pass also fills the member-sum column ``table.sums``, from the same
+    recursion as the rows: a leaf gives Σ W_m(a)·v(a) over its scope, a
+    decision node concatenates its children's entries, a chance node adds
+    them in the product order of its rows, and a filter keeps each entry
+    with its row.  No sum is computed from a row.
     """
     denominator, kinds = _reward_denominator(tree)
     table = StrategyTable(denominator, "label" not in kinds)
     if keep is not None:
         table.counts = _count(tree)
+    weights = [p._integers[1] for p in members] if table.numeric else []
+    position = tree.space.position
+    column = table.sums
     index = tree._index
     mixed = len(kinds) > 1
     for node, scope in reversed(index.values()):
+        sums: list[list[int]] = []
         if isinstance(node, Leaf):
-            rows = [(scaled(node.reward, denominator),) * len(scope)]
+            value = scaled(node.reward, denominator)
+            rows = [(value,) * len(scope)]
+            if weights:
+                at = [position(a) for a in scope.ordered]
+                sums = [[value * sum(w[i] for i in at)] for w in weights]
         elif isinstance(node, GambleLeaf):
             rows = [tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)]
+            if weights:
+                at = [position(a) for a in scope.ordered]
+                sums = [[sum(map(operator.mul, (w[i] for i in at), rows[0]))] for w in weights]
         elif isinstance(node, DecisionNode):
             rows = [row for arc in node.arcs for row in table[arc.child.node_id]]
+            if weights:
+                entries = [column[arc.child.node_id] for arc in node.arcs]
+                sums = [[x for e in entries for x in e[m]] for m in range(len(weights))]
         elif isinstance(node, ChanceNode):
             children = [table[arc.child.node_id] for arc in node.arcs]
             rows = []
+            sums = [[] for _ in weights]
             if all(children):
                 merge = _merge_plan(scope, [index[a.child.node_id][1] for a in node.arcs])
                 rows = [()]
@@ -608,6 +641,11 @@ def strategy_table(
                     for values in rows:
                         if len(set(map(_reward_kind, values))) > 1:
                             raise MixedRewardKinds("a gamble cannot mix numbers and labels")
+                for m in range(len(weights)):
+                    entry = [0]
+                    for arc in node.arcs:
+                        entry = [x + y for x in entry for y in column[arc.child.node_id][m]]
+                    sums[m] = entry
         else:
             raise TypeError(f"unknown node type {type(node).__name__}")
         if keep is not None:
@@ -616,8 +654,11 @@ def strategy_table(
                 kept = keep(table, scope, rows)
                 rows = [rows[i] for i in kept]
                 positions = [positions[i] for i in kept]
+                sums = [[entry[i] for i in kept] for entry in sums]
             table.positions[node.node_id] = positions
         table[node.node_id] = rows
+        if weights:
+            column[node.node_id] = sums
     return table
 
 
@@ -674,13 +715,11 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
     a strategy does not keep are simply absent from it, which is what makes
     the enumeration free of duplicates.  Raises what `gamble_of` raises on
     some strategy, because the strategies are decoded from the positions of
-    `strategy_table`.
+    `strategy_table`; strategies share the nodes of their common variants.
     """
     table = strategy_table(tree)
-    return tuple(
-        Strategy(tree.space, table.variant(tree.root, k), tree.root_scope)
-        for k in range(len(table[tree.root.node_id]))
-    )
+    root = tree.root.node_id
+    return table.decoder(tree).strategies(root, range(len(table[root])))
 
 
 def strategy_at(tree: DecisionTree, k: int) -> Strategy:
@@ -689,8 +728,7 @@ def strategy_at(tree: DecisionTree, k: int) -> Strategy:
     count = _count(tree).__getitem__
     if not 0 <= k < count(tree.root.node_id):
         raise IndexError(f"strategy {k} out of range")
-    root = _variant(tree.root, _reached(tree.root, k, count), count)
-    return Strategy(tree.space, root, tree.root_scope)
+    return Decoder(tree, count).strategy(tree.root.node_id, k)
 
 
 def count_strategies(tree: DecisionTree) -> int:
@@ -773,27 +811,76 @@ def _positions(node: Node, table: StrategyTable) -> list[int]:
     return out
 
 
-def _variant(
-    node: Node, reached: Mapping[str, int], count: Callable[[str], int]
-) -> Node:
-    """The variant of *node* that `_reached` returned *reached* for: each
-    decision node keeps the arc to its reached child.  A node with a single
-    variant is that variant, so it is returned as it is."""
-    if count(node.node_id) == 1:
-        return node
-    if isinstance(node, DecisionNode):
-        arc = next(a for a in node.arcs if a.child.node_id in reached)
-        return DecisionNode(
-            node.node_id, (DecisionArc(arc.label, _variant(arc.child, reached, count)),)
-        )
-    return ChanceNode(
-        node.node_id,
-        tuple(ChanceArc(a.event, _variant(a.child, reached, count)) for a in node.arcs),
-    )
+class Decoder:
+    """Strategy positions of one tree decoded into nodes, each once.
+
+    ``count(node_id)`` is the number of variants of a node, as in
+    `_reached`.  Variant k of a node is kept in a memo under (node id, k)
+    and built from its children's memoised variants, so the variants of a
+    parent and of its children share their nodes, and each strategy is
+    built, and validated, once per decoder.  A node with a single variant
+    is that variant, so it is returned as it is.  Decoding recurses once
+    per level of the tree.
+    """
+
+    def __init__(self, tree: DecisionTree, count: Callable[[str], int]):
+        self.tree = tree
+        self._count = count
+        self._nodes: dict[tuple[str, int], Node] = {}
+        self._strategies: dict[tuple[str, int], Strategy] = {}
+
+    def node(self, node: Node, k: int) -> Node:
+        """Variant *k* of *node*: the root node of the matching strategy."""
+        count = self._count
+        if count(node.node_id) == 1:
+            return node
+        key = (node.node_id, k)
+        got = self._nodes.get(key)
+        if got is not None:
+            return got
+        if isinstance(node, DecisionNode):
+            for arc in node.arcs:
+                n = count(arc.child.node_id)
+                if k < n:
+                    break
+                k -= n
+            got = DecisionNode(node.node_id, (DecisionArc(arc.label, self.node(arc.child, k)),))
+        else:
+            digits = []
+            for arc in reversed(node.arcs):
+                k, digit = divmod(k, count(arc.child.node_id))
+                digits.append(digit)
+            got = ChanceNode(
+                node.node_id,
+                tuple(
+                    ChanceArc(a.event, self.node(a.child, d))
+                    for a, d in zip(node.arcs, reversed(digits))
+                ),
+            )
+        self._nodes[key] = got
+        return got
+
+    def strategies(self, node_id: str, positions: Iterable[int]) -> tuple[Strategy, ...]:
+        """The variants at *positions* of the subtree at *node_id*, as
+        strategies; raises `UnknownNode` for a node not in the tree."""
+        tree = self.tree
+        node, scope = tree.find(node_id), tree.scope_of(node_id)
+        memo = self._strategies
+        out = []
+        for k in positions:
+            got = memo.get((node_id, k))
+            if got is None:
+                got = memo[node_id, k] = Strategy(tree.space, self.node(node, k), scope)
+            out.append(got)
+        return tuple(out)
+
+    def strategy(self, node_id: str, k: int) -> Strategy:
+        """Variant *k* of the subtree at *node_id*, as a strategy."""
+        return self.strategies(node_id, (k,))[0]
 
 
-def _kept_decisions(node: Node) -> Iterator[DecisionNode]:
-    """The decision nodes of a strategy at and below *node*, in preorder."""
+def _decisions(node: Node) -> Iterator[DecisionNode]:
+    """The decision nodes at and below *node*, in preorder."""
     stack = [node]
     while stack:
         node = stack.pop()
@@ -806,7 +893,7 @@ def _kept_decisions(node: Node) -> Iterator[DecisionNode]:
 def kept_arcs(strategy: DecisionTree) -> dict[str, str]:
     """Kept arc label per decision node, in preorder: the portable form of a
     strategy."""
-    return {n.node_id: n.arcs[0].label for n in _kept_decisions(strategy.root)}
+    return {n.node_id: n.arcs[0].label for n in _decisions(strategy.root)}
 
 
 def kept_children(node: Node) -> tuple[str, ...]:
@@ -817,7 +904,7 @@ def kept_children(node: Node) -> tuple[str, ...]:
     mean equal strategies, because node ids are unique in a tree; unlike the
     structural equality of the nodes, the key is cheap to hash and compare.
     """
-    return tuple(n.arcs[0].child.node_id for n in _kept_decisions(node))
+    return tuple(n.arcs[0].child.node_id for n in _decisions(node))
 
 
 def gamble_of(strategy: DecisionTree) -> Gamble:

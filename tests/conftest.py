@@ -27,11 +27,13 @@ from credaltrees import (
     JointModel,
     Leaf,
     MassFunction,
+    Outcome,
     PossibilitySpace,
     Strategy,
     TreeFactoredAssessment,
     UtilityFunctionSet,
     UtilityModel,
+    ZeroProbabilityCondition,
     chance,
     decision,
     gamble_of,
@@ -554,6 +556,34 @@ def reference_restriction(strategies, node_id):
         if s.contains(node_id):
             seen.setdefault(subtree_at(s, node_id), None)
     return tuple(seen)
+
+
+def reference_verdict(tree, choice, model, full, node_id):
+    """(outcome, restriction, local solution) with strategies compared by
+    structural equality of their nodes, the way the check compared them
+    before kept arcs, each node's strategies decoded on their own."""
+    restricted = reference_restriction(full, node_id)
+    if not restricted:
+        return Outcome.VACUOUS_HOLD, (), ()
+    if node_id == tree.root.node_id:
+        local = full
+    else:
+        try:
+            local = reference_solution(subtree_at(tree, node_id), choice, model)
+        except ZeroProbabilityCondition:
+            return Outcome.ERROR, restricted, ()
+    same = set(restricted) == set(local)
+    return (Outcome.HOLD if same else Outcome.FAIL), restricted, local
+
+
+def reference_verdicts(tree, choice, model):
+    """(node id, outcome, restriction, local solution) at every node, in
+    preorder, from `reference_verdict`; raises what `reference_solution`
+    raises on the whole tree."""
+    full = reference_solution(tree, choice, model)
+    return tuple(
+        (nid, *reference_verdict(tree, choice, model, full, nid)) for nid in tree.node_ids()
+    )
 
 
 # --- references for the factored row values -------------------------------------

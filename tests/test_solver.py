@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import credaltrees.choice as choice_module
 import credaltrees.solver as solver_module
 from credaltrees import (
     KINDS,
@@ -42,6 +44,7 @@ from credaltrees import (
     expectation,
     gamble_of,
     kept_arcs,
+    kept_children,
     leaf,
     lower_expectation,
     normal_form_solution,
@@ -68,6 +71,8 @@ from conftest import (
     reference_restriction,
     reference_solution,
     reference_strategies,
+    reference_verdict,
+    reference_verdicts,
     relabel,
 )
 
@@ -745,24 +750,6 @@ def portable(strategies):
     return [list(kept_arcs(s).items()) for s in strategies]
 
 
-def reference_verdict(tree, choice, model, full, node_id):
-    """(outcome, restriction, local solution) with strategies compared by
-    structural equality of their nodes, the way the check compared them
-    before kept arcs."""
-    restricted = reference_restriction(full, node_id)
-    if not restricted:
-        return Outcome.VACUOUS_HOLD, (), ()
-    if node_id == tree.root.node_id:
-        local = full
-    else:
-        try:
-            local = reference_solution(subtree_at(tree, node_id), choice, model)
-        except ZeroProbabilityCondition:
-            return Outcome.ERROR, restricted, ()
-    same = set(restricted) == set(local)
-    return (Outcome.HOLD if same else Outcome.FAIL), restricted, local
-
-
 @given(
     st.integers(0, 10**6),
     st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
@@ -897,13 +884,14 @@ def fractional_problem(seed, sampler):
 def test_fractional_rewards_solve_and_check_as_the_reference(seed, sampler, data):
     tree, model = fractional_problem(seed, sampler)
     table = strategy_table(tree)
+    decode = table.decoder(tree)
     assert table.denominator > 1
     for nid in tree.node_ids():
         assert all(type(v) is int for values in table[nid] for v in values)
         reference = reference_strategies(subtree_at(tree, nid))
         node = tree.find(nid)
         assert [
-            (table.variant(node, k), table.rewards(values))
+            (decode.node(node, k), table.rewards(values))
             for k, values in enumerate(table[nid])
         ] == [(s.root, gamble_of(s).values) for s in reference]
 
@@ -923,3 +911,127 @@ def test_fractional_rewards_solve_and_check_as_the_reference(seed, sampler, data
         assert v.outcome is outcome, v.node_id
         assert portable(v.restricted_solution) == portable(restricted), v.node_id
         assert portable(v.local_solution) == portable(local), v.node_id
+
+
+# --- the member-sum column and the shared decoder ----------------------------------
+
+#: the rules that read the model's members, each from its sums
+MEMBER_RULES = tuple(k for k in choice_module.RULES if k not in choice_module.MODEL_FREE)
+
+
+def column_problems():
+    problems = [p for p in SMALL_EXAMPLES if p[2] is not None]
+    for sampler in ("joint", "credal:2", "factored", "hierarchical:2"):
+        cfg = FuzzConfig(seed=7, tree_count=6, max_depth=4, model_sampler=sampler)
+        problems += [(f"{sampler}-{i}", *gen_random_tree(cfg, i)) for i in range(cfg.tree_count)]
+    return problems + [("alternating-23", *build_alternating(seed=23))]
+
+
+COLUMN_PROBLEMS = column_problems()
+column_cases = pytest.mark.parametrize(
+    "tree, model", [p[1:] for p in COLUMN_PROBLEMS], ids=[p[0] for p in COLUMN_PROBLEMS]
+)
+
+
+@column_cases
+def test_the_member_sum_column_gives_each_node_the_table_of_its_rows(tree, model):
+    # At every node, the column-fed table has the sums OptionTable.on computes
+    # from the rows, the conditional envelopes of exact Fraction arithmetic,
+    # and the same choice under every rule, or raises the same zero-probability
+    # error.  The credal rules share their members, so their column.
+    kinds_of: dict = {}
+    for kind in MEMBER_RULES:
+        members = solver_module._column_members(ChoiceFunction(kind), model)
+        kinds_of.setdefault(members, []).append(kind)
+    for members, kinds in kinds_of.items():
+        table = strategy_table(tree, None, members)
+        if not (members and table.numeric):
+            assert table.sums == {}
+            continue
+        assert list(table.sums) == list(table)
+        for node, scope in tree.nodes():
+            nid = node.node_id
+            rows = table[nid]
+            distinct = list(dict.fromkeys(rows))
+            first = [rows.index(row) for row in distinct]
+            sums = [[entry[i] for i in first] for entry in table.sums[nid]]
+            assert [len(entry) for entry in table.sums[nid]] == [len(rows)] * len(members)
+            try:
+                plain = choice_module.OptionTable.on(scope, distinct, members)
+            except ZeroProbabilityCondition:
+                with pytest.raises(ZeroProbabilityCondition):
+                    choice_module.OptionTable.on(scope, distinct, members, sums)
+                continue
+            fed = choice_module.OptionTable.on(scope, distinct, members, sums)
+            assert fed.sums == plain.sums, nid
+            gambles = [Gamble(scope, table.rewards(row)) for row in distinct]
+            exact = [[expectation(p, x, scope) for p in members] for x in gambles]
+            for t in (fed, plain):
+                unit = t.scale * table.denominator
+                assert [Fraction(v, unit) for v in t.lower] == list(map(min, exact))
+                assert [Fraction(v, unit) for v in t.upper] == list(map(max, exact))
+            every = range(len(distinct))
+            for kind in kinds:
+                rule = choice_module.RULES[kind]
+                assert rule(fed, every) == rule(plain, every), (kind, nid)
+
+
+@column_cases
+def test_verdicts_read_off_the_column_equal_the_per_node_reference(tree, model):
+    for kind in MEMBER_RULES:
+        choice = ChoiceFunction(kind)
+        expected = solved(lambda: reference_verdicts(tree, choice, model))
+        verdicts = solved(lambda: check_subtree_perfect(tree, choice, model))
+        if not isinstance(expected, tuple):
+            assert verdicts is expected, kind
+            continue
+        assert [
+            (v.node_id, v.outcome, v.restricted_solution, v.local_solution)
+            for v in verdicts
+        ] == list(expected), kind
+
+
+def test_gamma_maximin_computes_no_sum_from_rows_on_a_node_scope(monkeypatch):
+    tree, model = build_alternating(seed=23)
+    choice = ChoiceFunction("gamma_maximin")
+    real = choice_module.OptionTable.sums.func
+    computed = []
+
+    def counting(self):
+        computed.append(len(self.rows))
+        return real(self)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(choice_module.OptionTable, "sums")
+    monkeypatch.setattr(choice_module.OptionTable, "sums", spy)
+    verdicts = check_subtree_perfect(tree, choice, model)
+    sol = normal_form_solution(tree, choice, model, tree.root_scope)
+    assert computed == []
+    assert sum(v.outcome is Outcome.FAIL for v in verdicts) > 0
+    # conditioning on a smaller event sums the rows on it
+    _, inner = next((n, s) for n, s in tree.nodes() if s != tree.root_scope)
+    assert normal_form_solution(tree, choice, model, inner).strategies
+    assert computed
+    assert sol.strategies == normal_form_solution(tree, choice, model).strategies
+
+
+def test_check_builds_each_strategy_it_returns_once(monkeypatch):
+    tree, model = build_alternating(seed=23)
+    real = Strategy.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Strategy, "__post_init__", counting)
+    for kind in ("gamma_maximin", "interval_dominance", "maximality", "maximin"):
+        built.clear()
+        verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
+        returned = {
+            (v.node_id, kept_children(s.root))
+            for v in verdicts
+            for s in v.restricted_solution + v.local_solution
+        }
+        assert returned
+        assert len(built) <= len(returned), kind

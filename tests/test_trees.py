@@ -1,3 +1,4 @@
+import operator
 import os
 import subprocess
 import sys
@@ -42,7 +43,13 @@ from credaltrees import (
 )
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
 
-from conftest import build_eu1, build_lake, example_problems, reference_strategies
+from conftest import (
+    build_alternating,
+    build_eu1,
+    build_lake,
+    example_problems,
+    reference_strategies,
+)
 
 
 def test_space_event_algebra():
@@ -62,6 +69,17 @@ def test_event_order_follows_the_space():
     sp = PossibilitySpace(("a", "b", "c"))
     assert sp.event(["c", "a"]).ordered == ("a", "c")
     assert sp.position("c") == 2
+
+
+def test_events_combine_over_equal_spaces_only():
+    # one space object, an equal copy of it, and a different space
+    sp = PossibilitySpace(("a", "b"))
+    A, B = sp.event(["a"]), PossibilitySpace(("a", "b")).event(["b"])
+    assert (A | B).ordered == ("a", "b") and (A & B).is_empty and A <= A | B
+    other = PossibilitySpace(("a", "c")).event(["a"])
+    for combine in (operator.and_, operator.or_, operator.le):
+        with pytest.raises(ValueError, match="different possibility spaces"):
+            combine(A, other)
 
 
 def test_event_rejects_unknown_atoms():
@@ -164,6 +182,19 @@ def test_enumerate_counts_and_order():
     assert enumerate_strategies(tree) == strats
 
 
+def test_enumerated_strategies_share_the_nodes_of_each_variant():
+    # The decoder builds each variant of each node once, from its
+    # children's variants, and every variant appears in some strategy.
+    tree, _ = build_alternating(seed=23)
+    table = strategy_table(tree)
+    objects: dict = {}
+    for s in enumerate_strategies(tree):
+        for node, _ in s.nodes():
+            objects.setdefault((node.node_id, kept_children(node)), set()).add(id(node))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) == sum(map(len, table.values()))
+
+
 def test_strategies_keep_exactly_one_arc_per_reachable_decision():
     tree = build_lake()
     strats = enumerate_strategies(tree)
@@ -262,6 +293,7 @@ def assert_table_matches_the_reference(tree):
     its root, and to the reference position of its restriction at every
     node it keeps, in preorder."""
     table = strategy_table(tree)
+    decode = table.decoder(tree)
     assert set(table) == set(tree.node_ids())
     references = {nid: reference_strategies(subtree_at(tree, nid)) for nid in table}
     position = {
@@ -274,7 +306,7 @@ def assert_table_matches_the_reference(tree):
             gamble_of(s).values for s in reference
         ]
         for k, s in enumerate(reference):
-            assert table.variant(node, k) == s.root
+            assert decode.node(node, k) == s.root
             reached = table.reached(node, k)
             assert list(reached.items()) == [
                 (n.node_id, position[n.node_id][kept_children(n)]) for n, _ in s.nodes()

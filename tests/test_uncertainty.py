@@ -18,7 +18,6 @@ from credaltrees import (
     Leaf,
     MassFunction,
     PossibilitySpace,
-    Strategy,
     TreeFactoredAssessment,
     UnknownLabel,
     UnrepresentableGamble,
@@ -242,6 +241,7 @@ def label_utilities(tree):
 
 def assert_rows_match_the_walkers(tree, a):
     table = strategy_table(tree)
+    decode = table.decoder(tree)
     numeric = _row_values(a, table, _numeric)
     labelled = relabel(tree, str)
     la = TreeFactoredAssessment(labelled, a.arc_probs)
@@ -251,7 +251,7 @@ def assert_rows_match_the_walkers(tree, a):
         nid = node.node_id
         assert len(numeric[nid]) == len(columns[nid]) == len(table[nid])
         for k in range(len(table[nid])):
-            s = Strategy(tree.space, table.variant(node, k), scope)
+            s = decode.strategy(nid, k)
             assert numeric[nid][k] == (reference_factored_expectation(a, s),)
             assert columns[nid][k] == reference_utility_expectations(
                 u, la, relabel(s, str)

@@ -8,7 +8,9 @@ their positions in the table; only the ones a solution or a verdict returns
 are decoded into nodes.  Subtree perfectness at a node compares the
 restriction of the full solution with the solution computed locally in the
 subtree, as sets of positions among the node's variants.  For the separable
-rules both are read off the one table that backward induction filters.
+rules both are read off the one table that backward induction filters; for
+maximin, Γ-maximin, Γ-maximax and interval dominance, off a table filtered
+by per-node thresholds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .choice import ChoiceFunction, OptionRows
@@ -27,6 +28,8 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .trees import (
+    ChanceNode,
+    DecisionNode,
     Decoder,
     DecisionTree,
     Event,
@@ -37,6 +40,9 @@ from .trees import (
     Reward,
     Strategy,
     StrategyTable,
+    _count,
+    _reward_denominator,
+    scaled,
     strategy_table,
     # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
@@ -92,7 +98,7 @@ def backward_solution(
     raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
     a factored model never divides an arc value, so it raises nothing there.
     """
-    table = strategy_table(tree, partial(_chosen, choice, model))
+    table = strategy_table(tree, _choice_filter(choice, model))
     kept = range(len(table[tree.root.node_id]))
     return _solution(tree, choice, table, kept, tree.root_scope)
 
@@ -168,6 +174,14 @@ def _chosen(
         on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
         chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
     return [i for i, c in enumerate(class_of) if c in chosen]
+
+
+def _choice_filter(
+    choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> Callable[..., list[int]]:
+    """Backward induction's row filter: at each node, the rows *choice*
+    chooses on the node's scope."""
+    return lambda table, node_id, scope, rows, sums: _chosen(choice, model, table, scope, rows)
 
 
 def restrict_solution(
@@ -256,7 +270,8 @@ def _filtered_table(
     tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
 ) -> Optional[StrategyTable]:
     """`backward_solution`'s filtered table, or None where it may not hold
-    every node's local normal form solution.
+    every node's local normal form solution; the first of the three tables
+    `_verdicts` tries, before `_threshold_table` and the full table.
 
     For a separable rule (`ChoiceFunction.is_separable`) whose members all
     give every node's scope positive probability, the rows the filter keeps
@@ -303,9 +318,218 @@ def _filtered_table(
         ):
             return None
     try:
-        return strategy_table(tree, partial(_chosen, choice, model))
+        return strategy_table(tree, _choice_filter(choice, model))
     except ZeroProbabilityCondition:
         return None
+
+
+#: The rules `_threshold_table` filters, each with the test a row's values
+#: (maximin) or member sums (the others) must pass against the node's
+#: thresholds: reach every one, or some one.
+_THRESHOLD_TESTS = {
+    "maximin": all,
+    "gamma_maximin": all,
+    "gamma_maximax": any,
+    "interval_dominance": any,
+}
+
+#: The threshold pass pays fixed costs per node (positions, one filter call,
+#: the threshold walks), so it takes over from the full table only where
+#: that would hold at least this many rows per node on average.
+_ROWS_PER_NODE = 16
+
+
+def _threshold_table(
+    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> Optional[StrategyTable]:
+    """A filtered table whose kept rows at every node that the full solution
+    reaches include that node's local normal form solution, under maximin,
+    Γ-maximin, Γ-maximax or interval dominance; or None where the full
+    table decides.
+
+    The filter keeps a row when its values (maximin) or its member sums
+    (the others, from the table's column) reach the node's thresholds, all
+    of them or some of them (`_THRESHOLD_TESTS`).  This is exact because
+    the thresholds are set so that:
+
+    - Each node keeps exactly its rows that pass its thresholds.  Each
+      component of a row of A that passes A's thresholds passes the ones
+      A's child inherits, and the child's own are at most those.
+    - Each row the rule keeps at a reached node N passes N's thresholds.
+
+    So the rule applied to a reached node's kept rows is its local
+    solution, and applied to the root's, the full solution.
+
+    - Maximin: every node's threshold is ``top(root)``, where ``top(N)`` is
+      N's best worst case (a leaf's least value, the max over a decision
+      node's children, the min over a chance node's).  A chance row's least
+      value is its components' least.  A reached node N has ``top(N) >=
+      top(root)``, through the component of a chosen root row.
+    - Γ-maximin, Γ-maximax, interval dominance: `_member_thresholds` gives,
+      per node N and member m, θ_m(N) = min(⌈λ_N·P_m(N)⌉, inherited), where
+      P_m(N) is member m's integer mass of N's scope and λ_N is at most N's
+      Γ-maximin value (Troffaes, IJAR 45, 2007: a Γ-maximin choice's lower
+      expectation is at least any one row's), or under Γ-maximax equals
+      N's Γ-maximax value.  A row the rule keeps at N has a member m whose
+      sum reaches λ_N·P_m(N) (every m, for Γ-maximin).  A decision child
+      inherits its parent's θ.  A chance child c of A inherits θ_m(A) −
+      (best_m(A) − best_m(c)), where best_m is a node's largest member-m
+      sum: the other components' sums add up to at most the rest of
+      best_m(A).  The Γ-maximin-best rows pass every member's threshold, so
+      interval dominance recovers N's exact Γ-maximin value from the kept
+      rows.  Building a node's local solution from its children's rows is
+      normal form backward induction's step (Huntley & Troffaes, Ann. Oper.
+      Res. 195, 2012).
+
+    Trees with label rewards or an empty scope take the full table; so do
+    the member rules where the model is not credal or a member gives some
+    leaf's scope, and so some node's, probability zero, whose `error`
+    verdicts only the full table gives.
+    """
+    test = _THRESHOLD_TESTS.get(choice.kind)
+    if test is None:
+        return None
+    denominator, kinds = _reward_denominator(tree)
+    if "label" in kinds or any(scope.is_empty for _, scope in tree.nodes()):
+        return None
+    if choice.kind == "maximin":
+        t = _best_worst_case(tree, denominator)
+        return strategy_table(
+            tree, lambda table, node_id, scope, rows, sums: [
+                j for j, row in enumerate(rows) if min(row) >= t
+            ]
+        )
+    try:
+        members = choice.members(model)
+    except ModeUnsupported:
+        return None
+    if any(p.space != tree.space for p in members):
+        return None
+    weights = [p._integers[1] for p in members]
+    thresholds = _member_thresholds(tree, denominator, weights, choice.kind == "gamma_maximax")
+    if thresholds is None:
+        return None
+
+    def keep(table: StrategyTable, node_id: str, scope: Event, rows: list, sums: list) -> list[int]:
+        theta = thresholds[node_id]
+        return [j for j, col in enumerate(zip(*sums)) if test(map(operator.ge, col, theta))]
+
+    return strategy_table(tree, keep, members)
+
+
+def _best_worst_case(tree: DecisionTree, denominator: int) -> int:
+    """The root's best worst case, scaled as in `StrategyTable`: a leaf's
+    least value, the max over a decision node's children, the min over a
+    chance node's."""
+    top: dict[str, int] = {}
+    for node, scope in reversed(tree._index.values()):
+        nid = node.node_id
+        if isinstance(node, DecisionNode):
+            top[nid] = max(top[arc.child.node_id] for arc in node.arcs)
+        elif isinstance(node, ChanceNode):
+            top[nid] = min(top[arc.child.node_id] for arc in node.arcs)
+        elif isinstance(node, Leaf):
+            top[nid] = scaled(node.reward, denominator)
+        else:
+            top[nid] = min(scaled(node.gamble[a], denominator) for a in scope.ordered)
+    return top[tree.root.node_id]
+
+
+def _member_thresholds(
+    tree: DecisionTree,
+    denominator: int,
+    weights: Sequence[Sequence[int]],
+    upper: bool,
+) -> Optional[dict[str, list[int]]]:
+    """θ_m(N) of `_threshold_table`, by decision and chance node id, for
+    integer member weights *weights* (one per atom of the space) and leaf
+    values scaled by *denominator*, with λ_N the Γ-maximax value where
+    *upper* and a lower bound on the Γ-maximin value otherwise; None if a
+    member gives some leaf's scope mass zero.
+
+    One bottom-up walk gives per node N and member m: P_m(N), N's scope's
+    mass; best_m(N), N's largest member-m sum (max over a decision node's
+    children, sum over a chance node's); and vec_m(N), the member sums of
+    one row whose member-m sum is best_m(N) (the best child's at a decision
+    node, the children's added at a chance node).  That row's lower
+    expectation, min over k of vec_m(N)[k]/P_k(N), is at most N's Γ-maximin
+    value, and λ_N is the largest over m; under Γ-maximax, λ_N is the
+    largest best_m(N)/P_m(N).  A top-down walk then sets the thresholds.
+    Ratios are compared as integer cross products.
+    """
+    index = tree._index
+    position = tree.space.position
+    members = range(len(weights))
+    mass: dict[str, list[int]] = {}
+    best: dict[str, list[int]] = {}
+    vec: dict[str, list[list[int]]] = {}
+    scope_mass: dict[frozenset, list[int]] = {}  # leaves share their scopes
+    for node, scope in reversed(index.values()):
+        nid = node.node_id
+        if isinstance(node, DecisionNode):
+            children = [arc.child.node_id for arc in node.arcs]
+            first = children[0]
+            mass[nid] = mass[first]
+            b, v = best[first][:], vec[first][:]
+            for c in children[1:]:
+                for m, x in enumerate(best[c]):
+                    if x > b[m]:
+                        b[m], v[m] = x, vec[c][m]
+            best[nid], vec[nid] = b, v
+        elif isinstance(node, ChanceNode):
+            children = [arc.child.node_id for arc in node.arcs]
+            mass[nid] = list(map(sum, zip(*[mass[c] for c in children])))
+            best[nid] = list(map(sum, zip(*[best[c] for c in children])))
+            vec[nid] = [list(map(sum, zip(*[vec[c][m] for c in children]))) for m in members]
+        else:
+            p = scope_mass.get(scope.members)
+            if p is None:
+                at = [position(a) for a in scope.ordered]
+                p = scope_mass[scope.members] = [sum(w[i] for i in at) for w in weights]
+                if 0 in p:
+                    return None
+            if isinstance(node, Leaf):
+                value = scaled(node.reward, denominator)
+                sums = [value * q for q in p]
+            else:
+                at = [position(a) for a in scope.ordered]
+                values = [scaled(node.gamble[a], denominator) for a in scope.ordered]
+                sums = [sum(map(operator.mul, (w[i] for i in at), values)) for w in weights]
+            mass[nid], best[nid], vec[nid] = p, sums, [sums] * len(weights)
+
+    thresholds: dict[str, list[int]] = {}
+    inherited: dict[str, list[int]] = {}
+    for node, _ in index.values():  # preorder: parents first
+        if not isinstance(node, (DecisionNode, ChanceNode)):
+            continue
+        nid = node.node_id
+        p, b = mass[nid], best[nid]
+        # λ_N as num/den: the largest of the candidate ratios
+        if upper:
+            candidates: Iterable[tuple[int, int]] = zip(b, p)
+        else:
+            candidates = []
+            for v in vec[nid]:
+                lo, lo_mass = v[0], p[0]
+                for x, q in zip(v, p):
+                    if x * lo_mass < lo * q:
+                        lo, lo_mass = x, q
+                candidates.append((lo, lo_mass))
+        num, den = None, 1
+        for x, q in candidates:
+            if num is None or x * den > num * q:
+                num, den = x, q
+        theta = [-(-num * q // den) for q in p]
+        if nid in inherited:
+            theta = list(map(min, theta, inherited[nid]))
+        thresholds[nid] = theta
+        for arc in node.arcs:
+            c = arc.child.node_id
+            if isinstance(node, DecisionNode):
+                inherited[c] = theta
+            else:
+                inherited[c] = [t - (x - y) for t, x, y in zip(theta, b, best[c])]
+    return thresholds
 
 
 def _read_verdicts(
@@ -315,14 +539,18 @@ def _read_verdicts(
     node_ids: Iterable[str],
     table: StrategyTable,
 ) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, read off *table*: either `_filtered_table`,
-    whose kept positions at each node are its local solution, or the full
-    `strategy_table`, where each posed node's rows are solved in normal form
-    once (from its member-sum column, where the table has one), the root's
-    giving the full solution as well.  The strategies of all verdicts come
-    from one decoder, so each is built once."""
-    if table.counts is not None:
-        local = table.positions.__getitem__
+    """The verdicts at *node_ids*, read off *table*, one of three:
+
+    - `_filtered_table`, for a separable rule: its kept positions at each
+      node are the node's local solution, and the root's the full one;
+    - `_threshold_table`: each posed node's kept rows are solved once;
+    - the full `strategy_table`: each posed node's rows are solved once.
+
+    A node's rows are solved from its member-sum column, where the table
+    has one, and the root's give the full solution.  The strategies of all
+    verdicts come from one decoder, so each is built once."""
+    if table.counts is not None and choice.is_separable:
+        local: Callable[[str], Sequence[int]] = table.positions.__getitem__
     else:
         solved: dict[str, list[int]] = {}
 
@@ -330,7 +558,9 @@ def _read_verdicts(
             if node_id not in solved:
                 scope = tree.scope_of(node_id)
                 rows, sums = table[node_id], table.sums.get(node_id)
-                solved[node_id] = _chosen(choice, model, table, scope, rows, sums)
+                kept = _chosen(choice, model, table, scope, rows, sums)
+                at = table.positions.get(node_id)
+                solved[node_id] = kept if at is None else [at[j] for j in kept]
             return solved[node_id]
 
     reached = _reached_positions(table, tree.root, local(tree.root.node_id))
@@ -344,7 +574,15 @@ def _verdicts(
     model: Optional[UncertaintyModel],
     node_ids: tuple[str, ...],
 ) -> tuple[PerfectnessVerdict, ...]:
+    """The verdicts at *node_ids*, read off the first table that serves:
+    backward induction's filtered table (`_filtered_table`), the threshold
+    filter (`_threshold_table`, where the full table would hold at least
+    `_ROWS_PER_NODE` rows per node), or the full table."""
     table = _filtered_table(tree, choice, model)
+    if table is None and choice.kind in _THRESHOLD_TESTS:
+        counts = _count(tree)
+        if sum(counts.values()) >= _ROWS_PER_NODE * len(counts):
+            table = _threshold_table(tree, choice, model)
     if table is None:
         table = strategy_table(tree, None, _column_members(choice, model))
     return _read_verdicts(tree, choice, model, node_ids, table)
@@ -370,11 +608,19 @@ def check_subtree_perfect(
     """One verdict per node, in preorder.
 
     Restricted and local solutions are compared by their positions among
-    each node's variants, and every verdict is read off one strategy table.
-    For the separable rules, on trees where every node's scope has positive
-    probability, that is the table `backward_solution` filters (see
-    `_filtered_table`).  Otherwise it is the full table, and each posed
-    node's rows are solved in normal form once.
+    each node's variants, and every verdict is read off one strategy table,
+    one of three:
+
+    - for the separable rules, on trees where every node's scope has
+      positive probability, the table `backward_solution` filters, whose
+      kept rows are each node's local solution (`_filtered_table`);
+    - for maximin, Γ-maximin, Γ-maximax and interval dominance, on trees
+      whose full table would hold at least `_ROWS_PER_NODE` rows per node,
+      a table filtered by per-node thresholds, whose kept rows hold each
+      reached node's local solution (`_threshold_table`);
+    - otherwise the full table.
+
+    Under the last two, each posed node's kept rows are solved once.
     """
     return _verdicts(tree, choice, model, tree.node_ids())
 

@@ -587,9 +587,10 @@ def strategy_table(
     position.  Raises what `gamble_of` raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
-    only the rows at the indices ``keep(table, scope, rows)`` returns, in
-    order, stay, so a parent's rows come from its children's kept rows
-    alone.
+    only the rows at the indices ``keep(table, node_id, scope, rows, sums)``
+    returns, in order, stay, so a parent's rows come from its children's
+    kept rows alone; *sums* is the node's member-sum entry (empty without
+    *members*).
 
     With *members*, mass functions on the tree's space, a numeric tree's
     pass also fills the member-sum column ``table.sums``, from the same
@@ -607,14 +608,18 @@ def strategy_table(
     column = table.sums
     index = tree._index
     mixed = len(kinds) > 1
+    masses: dict[frozenset, list[int]] = {}  # each leaf scope's, once
     for node, scope in reversed(index.values()):
         sums: list[list[int]] = []
         if isinstance(node, Leaf):
             value = scaled(node.reward, denominator)
             rows = [(value,) * len(scope)]
             if weights:
-                at = [position(a) for a in scope.ordered]
-                sums = [[value * sum(w[i] for i in at)] for w in weights]
+                mass = masses.get(scope.members)
+                if mass is None:
+                    at = [position(a) for a in scope.ordered]
+                    mass = masses[scope.members] = [sum(w[i] for i in at) for w in weights]
+                sums = [[value * q] for q in mass]
         elif isinstance(node, GambleLeaf):
             rows = [tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)]
             if weights:
@@ -651,7 +656,7 @@ def strategy_table(
         if keep is not None:
             positions = _positions(node, table)
             if not isinstance(node, (Leaf, GambleLeaf)):
-                kept = keep(table, scope, rows)
+                kept = keep(table, node.node_id, scope, rows, sums)
                 rows = [rows[i] for i in kept]
                 positions = [positions[i] for i in kept]
                 sums = [[entry[i] for i in kept] for entry in sums]
@@ -819,8 +824,8 @@ class Decoder:
     and built from its children's memoised variants, so the variants of a
     parent and of its children share their nodes, and each strategy is
     built, and validated, once per decoder.  A node with a single variant
-    is that variant, so it is returned as it is.  Decoding recurses once
-    per level of the tree.
+    is that variant, so it is returned as it is.  Decoding walks down with
+    a stack and builds bottom-up, so deep chains need no recursion.
     """
 
     def __init__(self, tree: DecisionTree, count: Callable[[str], int]):
@@ -831,34 +836,56 @@ class Decoder:
 
     def node(self, node: Node, k: int) -> Node:
         """Variant *k* of *node*: the root node of the matching strategy."""
-        count = self._count
+        count, memo = self._count, self._nodes
         if count(node.node_id) == 1:
             return node
-        key = (node.node_id, k)
-        got = self._nodes.get(key)
+        got = memo.get((node.node_id, k))
         if got is not None:
             return got
-        if isinstance(node, DecisionNode):
-            for arc in node.arcs:
-                n = count(arc.child.node_id)
-                if k < n:
-                    break
-                k -= n
-            got = DecisionNode(node.node_id, (DecisionArc(arc.label, self.node(arc.child, k)),))
-        else:
-            digits = []
-            for arc in reversed(node.arcs):
-                k, digit = divmod(k, count(arc.child.node_id))
-                digits.append(digit)
-            got = ChanceNode(
-                node.node_id,
-                tuple(
-                    ChanceArc(a.event, self.node(a.child, d))
-                    for a, d in zip(node.arcs, reversed(digits))
-                ),
-            )
-        self._nodes[key] = got
-        return got
+        # the variants still to build, each before the variants it keeps:
+        # a decision node's with its kept arc and that child's variant, a
+        # chance node's with each child's variant
+        todo: list[tuple] = []
+        stack = [(node, k)]
+        while stack:
+            at, i = stack.pop()
+            if isinstance(at, DecisionNode):
+                j = i
+                for arc in at.arcs:
+                    n = count(arc.child.node_id)
+                    if j < n:
+                        break
+                    j -= n
+                todo.append((at, i, arc, j))
+                if n != 1 and (arc.child.node_id, j) not in memo:
+                    stack.append((arc.child, j))
+            else:
+                digits = []
+                j = i
+                for arc in reversed(at.arcs):
+                    n = count(arc.child.node_id)
+                    j, digit = divmod(j, n)
+                    digits.append(digit)
+                    if n != 1 and (arc.child.node_id, digit) not in memo:
+                        stack.append((arc.child, digit))
+                digits.reverse()
+                todo.append((at, i, None, digits))
+        for at, i, arc, d in reversed(todo):
+            if arc is not None:
+                child = arc.child
+                if count(child.node_id) != 1:
+                    child = memo[child.node_id, d]
+                got = DecisionNode(at.node_id, (DecisionArc(arc.label, child),))
+            else:
+                arcs = []
+                for arc, digit in zip(at.arcs, d):
+                    child = arc.child
+                    if count(child.node_id) != 1:
+                        child = memo[child.node_id, digit]
+                    arcs.append(ChanceArc(arc.event, child))
+                got = ChanceNode(at.node_id, tuple(arcs))
+            memo[at.node_id, i] = got
+        return got  # built last: variant k of node
 
     def strategies(self, node_id: str, positions: Iterable[int]) -> tuple[Strategy, ...]:
         """The variants at *positions* of the subtree at *node_id*, as

@@ -595,6 +595,131 @@ def test_check_reads_every_verdict_off_one_filtered_pass(monkeypatch, build, cho
         assert alone.local_solution == v.local_solution
 
 
+THRESHOLD = ("maximin", "gamma_maximin", "gamma_maximax", "interval_dominance")
+
+
+def full_table_verdicts(tree, choice, model):
+    table = strategy_table(tree, None, solver_module._column_members(choice, model))
+    return solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "factored", "hierarchical:2", None])
+def test_threshold_verdicts_equal_the_full_table_verdicts(sampler):
+    # The threshold pass is called directly, so trees below the row count
+    # at which check takes it are covered too.
+    if sampler is None:
+        problems = [build_alternating(seed=s) for s in (21, 22, 23)]
+    else:
+        cfg = FuzzConfig(seed=9, tree_count=40, max_depth=4, model_sampler=sampler)
+        problems = [gen_random_tree(cfg, i) for i in range(cfg.tree_count)]
+    compared = failing = 0
+    for tree, model in problems:
+        for kind in THRESHOLD:
+            choice = ChoiceFunction(kind)
+            table = solver_module._threshold_table(tree, choice, model)
+            try:
+                full = full_table_verdicts(tree, choice, model)
+            except ModeUnsupported:
+                assert table is None, kind  # the model does not suit the rule
+                continue
+            read = solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
+            assert verdict_tuples(read) == verdict_tuples(full), (sampler, kind)
+            compared += 1
+            failing += not all_hold(read)
+    credal = sampler in (None, "credal:2", "hierarchical:2")
+    assert compared == len(problems) * (4 if credal else 1)
+    assert failing >= (5 if sampler else 2)
+
+
+@pytest.mark.parametrize("kind", THRESHOLD)
+def test_check_reads_the_threshold_verdicts_off_one_filtered_pass(monkeypatch, kind):
+    # The five-level tree takes the threshold pass, for check and for
+    # check-node alike, and builds no unfiltered table.
+    tree, model = build_alternating(seed=23)
+    choice = ChoiceFunction(kind)
+    full = full_table_verdicts(tree, choice, model)
+    real_table = solver_module.strategy_table
+    builds = []
+
+    def table_spy(t, keep=None, members=()):
+        builds.append("filtered" if keep is not None else "unfiltered")
+        return real_table(t, keep, members)
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    verdicts = check_subtree_perfect(tree, choice, model)
+    assert builds == ["filtered"]
+    assert verdict_tuples(verdicts) == verdict_tuples(full)
+    for v in verdicts:
+        builds.clear()
+        alone = check_subtree_perfect_at(tree, choice, model, v.node_id)
+        assert builds == ["filtered"]
+        assert verdict_tuples([alone]) == verdict_tuples([v])
+
+
+def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatch):
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    assert count_strategies(tree) == 14_348_907
+    real_table = solver_module.strategy_table
+    real_choose = ChoiceFunction.choose
+    kept, options = [], []
+
+    def table_spy(t, keep=None, members=()):
+        assert keep is not None, "unfiltered table"
+        table = real_table(t, keep, members)
+        kept.append(sum(map(len, table.values())))
+        return table
+
+    def counting(self, xs, *args):
+        options.append(len(xs))
+        return real_choose(self, xs, *args)
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    monkeypatch.setattr(ChoiceFunction, "choose", counting)
+    for kind in THRESHOLD:
+        kept.clear()
+        options.clear()
+        verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
+        assert len(verdicts) == 1036
+        assert verdicts[0].outcome is Outcome.HOLD
+        posed = sum(v.outcome is not Outcome.VACUOUS_HOLD for v in verdicts)
+        # rows kept over all nodes, and one choice per posed non-leaf node
+        assert len(kept) == 1 and kept[0] < 6000, kind
+        assert len(options) <= posed and sum(options) < 2000, kind
+
+
+def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
+    tree, model = build_alternating(seed=23)
+    sp = tree.space
+    # a member that gives every scope without w0 probability zero
+    point = MassFunction(sp, (Fraction(1),) + (Fraction(0),) * (len(sp) - 1))
+    zero = CredalModel(CredalSet(model.credal.members[:2] + (point,)))
+    labelled = relabel(tree, lambda v: f"r{v}")
+    real_table = solver_module.strategy_table
+    builds = []
+
+    def table_spy(t, keep=None, members=()):
+        builds.append("filtered" if keep is not None else "unfiltered")
+        return real_table(t, keep, members)
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    for kind in THRESHOLD[1:]:
+        choice = ChoiceFunction(kind)
+        assert solver_module._threshold_table(tree, choice, zero) is None
+        builds.clear()
+        verdicts = check_subtree_perfect(tree, choice, zero)
+        assert builds == ["unfiltered"], kind
+        errors = [v for v in verdicts if v.outcome is Outcome.ERROR]
+        assert errors and all("probability zero" in v.detail for v in errors), kind
+        assert verdict_tuples(verdicts) == verdict_tuples(full_table_verdicts(tree, choice, zero))
+    for kind in THRESHOLD:
+        choice = ChoiceFunction(kind)
+        assert solver_module._threshold_table(labelled, choice, model) is None
+        builds.clear()
+        with pytest.raises(ValueError, match="numeric"):
+            check_subtree_perfect(labelled, choice, model)
+        assert builds == ["unfiltered"], kind
+
+
 def test_hull_e_admissibility_solves_and_checks_the_five_level_tree():
     # Seed 23 separates the three rules, and its solve and check both need
     # hull LPs, feasible and infeasible ones.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credaltrees import (
+    ChoiceFunction,
     DecisionNode,
     DecisionTree,
     DuplicateArcLabel,
@@ -18,15 +19,19 @@ from credaltrees import (
     Gamble,
     GambleLeaf,
     IncompletePartition,
+    JointModel,
     Leaf,
+    MassFunction,
     OverlappingEvents,
     PossibilitySpace,
     ScopeMismatch,
     Strategy,
     TooManyStrategies,
     UnknownNode,
+    all_hold,
     bounded_strategy_count,
     chance,
+    check_subtree_perfect,
     count_strategies,
     decision,
     difference_on,
@@ -394,6 +399,21 @@ def test_a_2000_deep_chain_built_through_the_api_is_walked_without_recursion():
     assert table["D0"][:3] == [(0,), (1,), (2,)]
     arcs = kept_arcs(strategy_at(tree, 5))
     assert arcs == {**{f"D{i}": "go" for i in range(5)}, "D5": "stop"}
+
+
+def test_a_2000_deep_chain_is_decoded_and_checked_without_recursion():
+    # Going on at every level decodes 2000 nested decision nodes, and the
+    # one eu and maximin solution goes on to D1999 and stops there.
+    tree = validate_tree(go_stop_chain(2000))
+    assert kept_arcs(strategy_at(tree, 2000)) == {f"D{i}": "go" for i in range(2000)}
+    best = {**{f"D{i}": "go" for i in range(1999)}, "D1999": "stop"}
+    model = JointModel(MassFunction(tree.space, (Fraction(1),)))
+    for kind in ("eu", "maximin"):
+        verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
+        assert all_hold(verdicts), kind
+        root = verdicts[0]
+        assert [kept_arcs(s) for s in root.local_solution] == [best], kind
+        assert root.restricted_solution == root.local_solution, kind
 
 
 @pytest.mark.parametrize("mode", ["reject", "auto_prune"])

@@ -23,15 +23,7 @@ from .choice import (
     KINDS,
     ChoiceFunction,
     choose_by_preorder,
-    choose_e_admissible,
-    choose_eu,
-    choose_gamma_maximax,
-    choose_gamma_maximin,
-    choose_interval_dominance,
     choose_imprecise_utility,
-    choose_maximality,
-    choose_maximin,
-    choose_pointwise_dominance,
 )
 from .dot import export_dot
 from .errors import (
@@ -95,13 +87,11 @@ from .trees import (
     chance,
     count_strategies,
     decision,
-    difference_on,
     enumerate_strategies,
     gamble_of,
     kept_arcs,
     kept_children,
     leaf,
-    path_event,
     strategy_at,
     strategy_table,
     subtree_at,

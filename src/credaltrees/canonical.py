@@ -29,12 +29,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .choice import RULES, ChoiceFunction, OptionTable
-from .errors import InstanceInvalid, ModeUnsupported, ZeroProbabilityCondition
+from .errors import InstanceInvalid, ZeroProbabilityCondition
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
     DecisionTree,
@@ -47,7 +47,7 @@ from .trees import (
     scaled,
     validate_tree,
 )
-from .uncertainty import MassFunction, UncertaintyModel
+from .uncertainty import UncertaintyModel
 
 # --- instances ---------------------------------------------------------------
 
@@ -468,12 +468,7 @@ class _Checker:
         # the members the rule reads: none for a model-free rule, so that no
         # event of zero mass under an unused model is skipped; None where
         # the pipeline decides, which reports a model that does not suit
-        self.members: Optional[Sequence[MassFunction]] = None
-        if choice.takes_rows(model):
-            try:
-                self.members = choice.members(model)
-            except ModeUnsupported:
-                pass
+        self.members = choice.row_members(model)
         self.fast = self.members is not None and all(g.is_numeric for g in self.pool)
         if self.fast:
             self.denominator = math.lcm(

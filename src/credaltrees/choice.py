@@ -1,9 +1,9 @@
 """Choice functions: rules that pick the acceptable gambles out of a set.
 
-Every ``choose_*`` function takes the options in order, an uncertainty
-model and a nonempty conditioning event, and returns a nonempty subset of
-the options in their original order.  Options are compared only through
-their values on the conditioning event, which the numeric rules read as
+`ChoiceFunction.choose` takes the options in order, an uncertainty model
+and a nonempty conditioning event, and returns a nonempty subset of the
+options in their original order.  Options are compared only through their
+values on the conditioning event, which the rules of `RULES` read as
 integers over one denominator (`OptionRows`).
 """
 
@@ -35,21 +35,6 @@ from .uncertainty import (
     precise_gamble_value,
     utility_values,
 )
-
-KINDS = (
-    "eu",
-    "maximin",
-    "gamma_maximin",
-    "gamma_maximax",
-    "maximality",
-    "e_admissible",
-    "e_admissible_hull",
-    "interval_dominance",
-    "pointwise_dominance",
-    "imprecise_utility",
-    "by_preorder",
-)
-
 
 class OptionRows(tuple):
     """Options given by their values on the conditioning event, as integers.
@@ -92,19 +77,6 @@ def _guard(xs: "Sequence[Gamble] | OptionRows", b: Event, numeric: bool = True) 
             )
         if numeric and not x.is_numeric:
             raise ValueError("this choice function needs numeric gambles")
-
-
-def _members(model: UncertaintyModel, kind: str) -> tuple[MassFunction, ...]:
-    """The mass functions rule *kind* reads: none for a model-free rule."""
-    if kind in MODEL_FREE:
-        return ()
-    if kind == "eu":
-        if not isinstance(model, JointModel):
-            raise ModeUnsupported("expected utility needs a joint or factored model")
-        return (model.p,)
-    if not isinstance(model, CredalModel):
-        raise ModeUnsupported(f"{kind} needs a credal model")
-    return model.credal.members
 
 
 # --- the option table and the rules over it -----------------------------------
@@ -350,114 +322,38 @@ def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
     return [j for j in idx if j in winners]
 
 
-# The numeric rules by kind; the canonical scan evaluates these on its own
-# tables.  The model-free ones read only the rows.
-MODEL_FREE = ("maximin", "pointwise_dominance")
+# The numeric rules by kind; `ChoiceFunction.choose` and the canonical scan
+# evaluate these on their tables.
 RULES = {
+    # all options of maximal conditional expected utility
     "eu": _eu_rule,
+    # all options whose worst outcome on b is maximal
     "maximin": _maximin_rule,
+    # all options of maximal lower expectation
     "gamma_maximin": _gamma_maximin_rule,
+    # all options of maximal upper expectation
     "gamma_maximax": _gamma_maximax_rule,
+    # all options not strictly dominated in lower expectation: y dominates x
+    # when the lower expectation of y - x given b is strictly positive, i.e.
+    # when every member of the credal set strictly prefers y
     "maximality": _maximality_rule,
+    # all options optimal under some member of the credal set
     "e_admissible": partial(_e_admissible, hull=False),
+    # ... or under some finite mixture of the members, decided exactly by a
+    # phase-1 simplex; the mixture condition weights each member's
+    # conditional comparison by its probability of b, which is what
+    # conditioning a mixture on b does (on the whole space the weights are
+    # all 1 and the two readings coincide)
     "e_admissible_hull": partial(_e_admissible, hull=True),
+    # all options whose upper expectation reaches the best lower expectation
     "interval_dominance": _interval_dominance_rule,
+    # all options not strictly dominated pointwise on b: y dominates x when
+    # y is everywhere at least x on b and somewhere strictly more
     "pointwise_dominance": _pointwise_dominance_rule,
 }
-
-
-def _choose(
-    xs: "Sequence[Gamble] | OptionRows",
-    model: Optional[UncertaintyModel],
-    b: Event,
-    kind: str,
-) -> tuple:
-    """Guard, integer rows, table, rule: the kept options in their original
-    order."""
-    _guard(xs, b)
-    rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
-    table = OptionTable.on(b, rows, _members(model, kind), rows.sums)
-    return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
-
-
-def choose_eu(
-    xs: "Sequence[Gamble] | OptionRows", model: UncertaintyModel, b: Event
-) -> tuple:
-    """All options of maximal conditional expected utility."""
-    if isinstance(model, FactoredModel):
-        # a factored model values each option, a gamble, on the tree's assessment
-        _guard(xs, b)
-        values = [precise_gamble_value(model, x, b) for x in xs]
-        return tuple(xs[j] for j in _argmax(values, range(len(xs))))
-    return _choose(xs, model, b, "eu")
-
-
-def choose_maximin(
-    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
-) -> tuple[Gamble, ...]:
-    """All options whose worst outcome on the conditioning event is maximal.
-
-    No probabilities are involved; any model passed in is ignored.
-    """
-    return _choose(xs, model, b, "maximin")
-
-
-def choose_gamma_maximin(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options of maximal lower expectation."""
-    return _choose(xs, model, b, "gamma_maximin")
-
-
-def choose_gamma_maximax(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options of maximal upper expectation."""
-    return _choose(xs, model, b, "gamma_maximax")
-
-
-def choose_maximality(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options not strictly dominated in lower expectation.
-
-    y dominates x when the lower expectation of y - x given b is strictly
-    positive, i.e. when every member of the credal set strictly prefers y.
-    """
-    return _choose(xs, model, b, "maximality")
-
-
-def choose_e_admissible(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event, hull: bool = False
-) -> tuple[Gamble, ...]:
-    """All options optimal under some member of the credal set.
-
-    With ``hull=True`` optimality under some finite mixture of the members
-    counts as well; that feasibility question is decided exactly by a
-    phase-1 simplex.  The mixture condition weights each member's
-    conditional comparison by its probability of the conditioning event,
-    which is what conditioning a mixture on b actually does; on the whole
-    space the weights are all 1 and the two readings coincide.
-    """
-    return _choose(xs, model, b, "e_admissible_hull" if hull else "e_admissible")
-
-
-def choose_interval_dominance(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options whose upper expectation reaches the best lower expectation."""
-    return _choose(xs, model, b, "interval_dominance")
-
-
-def choose_pointwise_dominance(
-    xs: Sequence[Gamble], model: Optional[UncertaintyModel], b: Event
-) -> tuple[Gamble, ...]:
-    """All options not strictly dominated pointwise on the conditioning event.
-
-    Model-free: y dominates x when y is everywhere at least x on b and
-    somewhere strictly more.
-    """
-    return _choose(xs, model, b, "pointwise_dominance")
+# The rules that read no model: any model passed in is ignored.
+MODEL_FREE = ("maximin", "pointwise_dominance")
+KINDS = (*RULES, "imprecise_utility", "by_preorder")
 
 
 def choose_imprecise_utility(
@@ -482,20 +378,6 @@ def choose_imprecise_utility(
     for values in zip(*(utility_values(model, x, b) for x in xs)):
         winners.update(_argmax(values, range(len(xs))))
     return tuple(x for j, x in enumerate(xs) if j in winners)
-
-
-_CHOOSERS = {
-    "eu": choose_eu,
-    "maximin": choose_maximin,
-    "gamma_maximin": choose_gamma_maximin,
-    "gamma_maximax": choose_gamma_maximax,
-    "maximality": choose_maximality,
-    "e_admissible": choose_e_admissible,
-    "e_admissible_hull": partial(choose_e_admissible, hull=True),
-    "interval_dominance": choose_interval_dominance,
-    "pointwise_dominance": choose_pointwise_dominance,
-    "imprecise_utility": choose_imprecise_utility,
-}
 
 
 Preorder = Callable[[Gamble, Gamble, UncertaintyModel | None, Event], bool]
@@ -540,7 +422,8 @@ def choose_by_preorder(
 
 @dataclass(frozen=True, eq=False)
 class ChoiceFunction:
-    """A named choice rule, dispatching to the matching ``choose_*``."""
+    """A named choice rule: `choose` applies it, `row_members` says what it
+    reads."""
 
     kind: str
     preorder: Optional[Preorder] = None
@@ -559,27 +442,46 @@ class ChoiceFunction:
     ) -> tuple:
         """The options the rule keeps, in their order.
 
-        *xs* are gambles, or, where `takes_rows` allows, `OptionRows`.
+        *xs* are gambles, or, where `row_members` is not None, `OptionRows`.
         """
-        if self.kind == "by_preorder":
+        kind = self.kind
+        if kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
-        return _CHOOSERS[self.kind](xs, model, b)
+        if kind == "imprecise_utility":
+            return choose_imprecise_utility(xs, model, b)
+        _guard(xs, b)
+        if kind == "eu" and isinstance(model, FactoredModel):
+            # a factored model values each option, a gamble, on the tree's assessment
+            values = [precise_gamble_value(model, x, b) for x in xs]
+            return tuple(xs[j] for j in _argmax(values, range(len(xs))))
+        members = self.row_members(model)
+        if members is None:
+            raise ModeUnsupported(
+                "expected utility needs a joint or factored model"
+                if kind == "eu"
+                else f"{kind} needs a credal model"
+            )
+        rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
+        table = OptionTable.on(b, rows, members, rows.sums)
+        return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
 
-    def takes_rows(self, model: Optional[UncertaintyModel]) -> bool:
-        """Can `choose` take the options as `OptionRows` under *model*?
-
-        Every rule of `RULES` can, except expected utility under a factored
-        model, which values whole gambles on the assessed tree.
-        """
-        return self.kind in RULES and not (
-            self.kind == "eu" and isinstance(model, FactoredModel)
-        )
-
-    def members(self, model: Optional[UncertaintyModel]) -> tuple[MassFunction, ...]:
-        """The mass functions a rule of `RULES` reads under *model*: none for
-        a model-free rule.  Raises `ModeUnsupported` where the model does
-        not suit the rule."""
-        return _members(model, self.kind)
+    def row_members(
+        self, model: Optional[UncertaintyModel]
+    ) -> Optional[tuple[MassFunction, ...]]:
+        """The mass functions the rule reads from integer rows under *model*:
+        none for a model-free rule.  None where `choose` takes gambles only:
+        `by_preorder`, `imprecise_utility`, expected utility under a
+        factored model (which values whole gambles on the assessed tree),
+        and a model that does not suit the rule, for which `choose` raises
+        `ModeUnsupported`."""
+        kind = self.kind
+        if kind in MODEL_FREE:
+            return ()
+        if kind == "eu":
+            return (model.p,) if isinstance(model, JointModel) else None
+        if kind in RULES and isinstance(model, CredalModel):
+            return model.credal.members
+        return None
 
     @property
     def is_separable(self) -> bool:

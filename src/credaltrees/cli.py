@@ -557,10 +557,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder, formats._node_from, strategy decoding
-        # (trees.Decoder.node) and the DOT and text renderers
-        # recurse, so a deep enough input ends here rather than in exit 1,
-        # which means "not subtree perfect".
+        # The JSON decoder, formats._node_from and the DOT and text
+        # renderers recurse, so a deep enough input ends here rather than in
+        # exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .choice import ChoiceFunction, OptionRows
-from .errors import (
-    ModeUnsupported,
-    ScopeMismatch,
-    UnknownNode,
-    ZeroProbabilityCondition,
-)
+from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
 from .trees import (
     ChanceNode,
     DecisionNode,
@@ -40,15 +35,13 @@ from .trees import (
     Reward,
     Strategy,
     StrategyTable,
-    _count,
-    _reward_denominator,
     scaled,
     strategy_table,
     # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
     gamble_of,
 )
-from .uncertainty import MassFunction, UncertaintyModel
+from .uncertainty import UncertaintyModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +74,7 @@ def normal_form_solution(
     scope = tree.root_scope
     b = scope if b is None else b
     root = tree.root.node_id
-    table = strategy_table(tree, None, _column_members(choice, model) if b == scope else ())
+    table = strategy_table(tree, None, (choice.row_members(model) or ()) if b == scope else ())
     kept = _chosen(choice, model, table, scope, table[root], table.sums.get(root), b)
     return _solution(tree, choice, table, kept, b)
 
@@ -113,19 +106,6 @@ def _solution(
     values = tuple(table.rewards(table[root][j]) for j in kept)
     strategies = table.decoder(tree).strategies(root, indices)
     return NormalFormSolution(tree, strategies, b, choice, indices, values, table)
-
-
-def _column_members(
-    choice: ChoiceFunction, model: Optional[UncertaintyModel]
-) -> Sequence[MassFunction]:
-    """The mass functions whose sums *choice* reads from a row, under
-    *model*: the members of the strategy table's column for it."""
-    if not choice.takes_rows(model):
-        return ()
-    try:
-        return choice.members(model)
-    except ModeUnsupported:
-        return ()  # the rule raises it when it is asked to choose
 
 
 def _chosen(
@@ -162,7 +142,7 @@ def _chosen(
     for i, c in enumerate(class_of):
         first.setdefault(c, i)
 
-    if table.numeric and choice.takes_rows(model):
+    if table.numeric and choice.row_members(model) is not None:
         options = OptionRows(classes)
         if sums:
             # rows equal on the scope have equal sums
@@ -297,24 +277,13 @@ def _filtered_table(
     `eu` under a factored model (which values whole gambles) and trees with
     label rewards, the normal form decides, with its `error` verdicts.
     """
-    if not (choice.is_separable and choice.takes_rows(model)):
-        return None
-    try:
-        members = choice.members(model)
-    except ModeUnsupported:
+    members = choice.row_members(model)
+    if not choice.is_separable or members is None or "label" in tree._reward_denominator[1]:
         return None
     positive = all(p.is_strictly_positive for p in members)
     for node, scope in tree.nodes():
-        if isinstance(node, Leaf):
-            rewards: Iterable = (node.reward,)
-        elif isinstance(node, GambleLeaf):
-            rewards = node.gamble.values
-        else:
-            continue
-        if (
-            scope.is_empty
-            or not positive and any(p.prob(scope) == 0 for p in members)
-            or any(isinstance(v, str) for v in rewards)
+        if isinstance(node, (Leaf, GambleLeaf)) and (
+            scope.is_empty or not positive and any(p.prob(scope) == 0 for p in members)
         ):
             return None
     try:
@@ -389,7 +358,7 @@ def _threshold_table(
     test = _THRESHOLD_TESTS.get(choice.kind)
     if test is None:
         return None
-    denominator, kinds = _reward_denominator(tree)
+    denominator, kinds = tree._reward_denominator
     if "label" in kinds or any(scope.is_empty for _, scope in tree.nodes()):
         return None
     if choice.kind == "maximin":
@@ -399,11 +368,8 @@ def _threshold_table(
                 j for j, row in enumerate(rows) if min(row) >= t
             ]
         )
-    try:
-        members = choice.members(model)
-    except ModeUnsupported:
-        return None
-    if any(p.space != tree.space for p in members):
+    members = choice.row_members(model)
+    if members is None or any(p.space != tree.space for p in members):
         return None
     weights = [p._integers[1] for p in members]
     thresholds = _member_thresholds(tree, denominator, weights, choice.kind == "gamma_maximax")
@@ -580,11 +546,11 @@ def _verdicts(
     `_ROWS_PER_NODE` rows per node), or the full table."""
     table = _filtered_table(tree, choice, model)
     if table is None and choice.kind in _THRESHOLD_TESTS:
-        counts = _count(tree)
+        counts = tree._counts
         if sum(counts.values()) >= _ROWS_PER_NODE * len(counts):
             table = _threshold_table(tree, choice, model)
     if table is None:
-        table = strategy_table(tree, None, _column_members(choice, model))
+        table = strategy_table(tree, None, choice.row_members(model) or ())
     return _read_verdicts(tree, choice, model, node_ids, table)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -252,13 +252,6 @@ def _as_reward(value: "int | str | Fraction") -> Reward:
     return as_rational(value)
 
 
-def difference_on(x: Gamble, y: Gamble, event: Event) -> Gamble:
-    """The numeric gamble x - y on *event*."""
-    xs = x.values_on(event)
-    ys = y.values_on(event)
-    return Gamble(event, tuple(a - b for a, b in zip(xs, ys)))
-
-
 # --- tree structure ---------------------------------------------------------
 
 
@@ -342,6 +335,40 @@ class DecisionTree:
                 raise DuplicateNodeId(f"node id {node.node_id!r} occurs twice")
             index[node.node_id] = (node, scope)
         return index
+
+    @cached_property
+    def _counts(self) -> dict[str, int]:
+        """The number of strategy variants of each node, the length of its
+        `strategy_table` rows, children before parents."""
+        counts: dict[str, int] = {}
+        for node, _ in reversed(self._index.values()):
+            if isinstance(node, DecisionNode):
+                n = sum(counts[a.child.node_id] for a in node.arcs)
+            elif isinstance(node, ChanceNode):
+                n = math.prod(counts[a.child.node_id] for a in node.arcs)
+            else:
+                n = 1
+            counts[node.node_id] = n
+        return counts
+
+    @cached_property
+    def _reward_denominator(self) -> tuple[int, frozenset[str]]:
+        """The least common multiple of the denominators of the tree's
+        numeric rewards, and the reward kinds the tree holds."""
+        denominators, kinds = set(), set()
+        for node, _ in self._index.values():
+            if isinstance(node, Leaf):
+                rewards: Iterable[Reward] = (node.reward,)
+            elif isinstance(node, GambleLeaf):
+                rewards = node.gamble.values
+            else:
+                continue
+            for v in rewards:
+                kind = _reward_kind(v)
+                kinds.add(kind)
+                if kind == "numeric":
+                    denominators.add(v.denominator)
+        return math.lcm(*denominators), frozenset(kinds)
 
     def node_ids(self) -> tuple[str, ...]:
         """All node ids in preorder (root first, arcs left to right)."""
@@ -498,11 +525,6 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
     return type(tree)(tree.space, built.pop(), tree.root_scope)
 
 
-def path_event(tree: DecisionTree, node_id: str) -> Event:
-    """The event known to obtain when *node_id* is reached."""
-    return tree.scope_of(node_id)
-
-
 def subtree_at(tree: DecisionTree, node_id: str) -> DecisionTree:
     """The tree rooted at *node_id*, conditioned on its path event.
 
@@ -599,10 +621,10 @@ def strategy_table(
     them in the product order of its rows, and a filter keeps each entry
     with its row.  No sum is computed from a row.
     """
-    denominator, kinds = _reward_denominator(tree)
+    denominator, kinds = tree._reward_denominator
     table = StrategyTable(denominator, "label" not in kinds)
     if keep is not None:
-        table.counts = _count(tree)
+        table.counts = tree._counts
     weights = [p._integers[1] for p in members] if table.numeric else []
     position = tree.space.position
     column = table.sums
@@ -667,25 +689,6 @@ def strategy_table(
     return table
 
 
-def _reward_denominator(tree: DecisionTree) -> tuple[int, set[str]]:
-    """The least common multiple of the denominators of the tree's numeric
-    rewards, and the reward kinds the tree holds."""
-    denominators, kinds = set(), set()
-    for node, _ in tree.nodes():
-        if isinstance(node, Leaf):
-            rewards: Iterable[Reward] = (node.reward,)
-        elif isinstance(node, GambleLeaf):
-            rewards = node.gamble.values
-        else:
-            continue
-        for v in rewards:
-            kind = _reward_kind(v)
-            kinds.add(kind)
-            if kind == "numeric":
-                denominators.add(v.denominator)
-    return math.lcm(*denominators), kinds
-
-
 def _merge_plan(scope: Event, scopes: list[Event]):
     """How a chance node's values come from its children's concatenated ones.
 
@@ -730,7 +733,7 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
 def strategy_at(tree: DecisionTree, k: int) -> Strategy:
     """``enumerate_strategies(tree)[k]`` for ``0 <= k < count_strategies(tree)``,
     decoded from *k* without enumerating or valuing any strategy."""
-    count = _count(tree).__getitem__
+    count = tree._counts.__getitem__
     if not 0 <= k < count(tree.root.node_id):
         raise IndexError(f"strategy {k} out of range")
     return Decoder(tree, count).strategy(tree.root.node_id, k)
@@ -738,7 +741,7 @@ def strategy_at(tree: DecisionTree, k: int) -> Strategy:
 
 def count_strategies(tree: DecisionTree) -> int:
     """``len(enumerate_strategies(tree))``, without enumerating."""
-    return _count(tree)[tree.root.node_id]
+    return tree._counts[tree.root.node_id]
 
 
 def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
@@ -750,21 +753,6 @@ def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
             f"the tree has {count} strategies, more than the limit of {limit}"
         )
     return count
-
-
-def _count(tree: DecisionTree) -> dict[str, int]:
-    """The number of strategy variants of each node, the length of its
-    `strategy_table` rows, children before parents."""
-    counts: dict[str, int] = {}
-    for node, _ in reversed(tree._index.values()):
-        if isinstance(node, DecisionNode):
-            n = sum(counts[a.child.node_id] for a in node.arcs)
-        elif isinstance(node, ChanceNode):
-            n = math.prod(counts[a.child.node_id] for a in node.arcs)
-        else:
-            n = 1
-        counts[node.node_id] = n
-    return counts
 
 
 def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:

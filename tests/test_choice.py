@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,21 +11,23 @@ from credaltrees import (
     ChoiceFunction,
     CredalModel,
     CredalSet,
+    DecisionTree,
+    FactoredModel,
     Gamble,
     JointModel,
     MassFunction,
     ModeUnsupported,
     PossibilitySpace,
+    TreeFactoredAssessment,
     UtilityModel,
     UtilityFunctionSet,
     ZeroProbabilityCondition,
+    chance,
     choose_by_preorder,
-    choose_e_admissible,
-    choose_maximality,
-    choose_pointwise_dominance,
+    leaf,
     ratlp,
 )
-from credaltrees.choice import RULES, OptionRows, OptionTable, choose_eu
+from credaltrees.choice import RULES, OptionRows, OptionTable
 from credaltrees.trees import scaled
 
 from conftest import dominance_pools
@@ -45,7 +48,8 @@ def g(sp, *values):
 
 
 def test_kind_catalogue_is_closed():
-    assert set(KINDS) == {
+    # the CLI lists the kinds in this order
+    assert KINDS == (
         "eu",
         "maximin",
         "gamma_maximin",
@@ -57,7 +61,7 @@ def test_kind_catalogue_is_closed():
         "pointwise_dominance",
         "imprecise_utility",
         "by_preorder",
-    }
+    )
     with pytest.raises(ValueError):
         ChoiceFunction("nonsense")
 
@@ -285,9 +289,9 @@ def test_inclusion_chain_random(data):
     sp, credal, pool = data
     model = CredalModel(credal)
     om = sp.omega()
-    vertex = set(choose_e_admissible(pool, model, om))
-    hull = set(choose_e_admissible(pool, model, om, hull=True))
-    maximal = set(choose_maximality(pool, model, om))
+    vertex = set(ChoiceFunction("e_admissible").choose(pool, model, om))
+    hull = set(ChoiceFunction("e_admissible_hull").choose(pool, model, om))
+    maximal = set(ChoiceFunction("maximality").choose(pool, model, om))
     interval = set(ChoiceFunction("interval_dominance").choose(pool, model, om))
     assert vertex <= hull <= maximal <= interval
 
@@ -358,7 +362,7 @@ def reference_hull(credal, xs, b):
 @settings(max_examples=200, deadline=None)
 def test_maximality_matches_the_all_pairs_reference(data):
     credal, pool, b = data
-    got = choose_maximality(pool, CredalModel(credal), b)
+    got = ChoiceFunction("maximality").choose(pool, CredalModel(credal), b)
     assert got == reference_maximality(credal, pool, b)
 
 
@@ -366,7 +370,7 @@ def test_maximality_matches_the_all_pairs_reference(data):
 @settings(max_examples=200, deadline=None)
 def test_pointwise_dominance_matches_the_all_pairs_reference(data):
     credal, pool, b = data
-    got = choose_pointwise_dominance(pool, None, b)
+    got = ChoiceFunction("pointwise_dominance").choose(pool, None, b)
     assert got == reference_pointwise(pool, b)
 
 
@@ -374,7 +378,7 @@ def test_pointwise_dominance_matches_the_all_pairs_reference(data):
 @settings(max_examples=150, deadline=None)
 def test_hull_e_admissibility_matches_the_unpruned_lp(data):
     credal, pool, b = data
-    got = choose_e_admissible(pool, CredalModel(credal), b, hull=True)
+    got = ChoiceFunction("e_admissible_hull").choose(pool, CredalModel(credal), b)
     assert got == reference_hull(credal, pool, b)
 
 
@@ -411,8 +415,8 @@ def test_hull_constraints_include_undominated_non_winners(w2):
     credal = CredalModel(CredalSet((p1, p2)))
     w1, w0, y, z = g(sp, -50, 150), g(sp, 150, -50), g(sp, 60, 60), g(sp, 41, 73)
     pool = [z, w1, y, w0]
-    assert choose_maximality(pool, credal, sp.omega()) == (z, w1, y, w0)
-    assert choose_e_admissible(pool, credal, sp.omega(), hull=True) == (w1, y, w0)
+    assert ChoiceFunction("maximality").choose(pool, credal, sp.omega()) == (z, w1, y, w0)
+    assert ChoiceFunction("e_admissible_hull").choose(pool, credal, sp.omega()) == (w1, y, w0)
 
 
 # --- the exact integer kernel -----------------------------------------------------
@@ -462,7 +466,7 @@ def test_eu_under_a_joint_model_keeps_its_zero_probability_message():
     with pytest.raises(
         ZeroProbabilityCondition, match=r"conditioning event .* has probability zero"
     ):
-        choose_eu([g(sp, 1, 2)], JointModel(p), sp.event(["w2"]))
+        ChoiceFunction("eu").choose([g(sp, 1, 2)], JointModel(p), sp.event(["w2"]))
 
 
 # --- partial zero mass --------------------------------------------------------------
@@ -502,3 +506,55 @@ def test_model_free_rules_ignore_zero_mass_members(w2, kind):
     model = CredalModel(CredalSet((p1, p0)))
     x, y = g(sp, 1, 2), g(sp, 0, 3)
     assert ChoiceFunction(kind).choose([x, y], model, sp.event(["w2"])) == (y,)
+
+
+# --- which members a rule reads -----------------------------------------------
+
+_CREDAL = ("p1", "p2")
+_EVERY_MODEL = ("none", "joint", "factored", "credal", "utilities")
+# kind -> model -> the members `row_members` returns; an absent model is None
+_ROW_MEMBERS = {
+    "eu": {"joint": ("p1",)},
+    "maximin": dict.fromkeys(_EVERY_MODEL, ()),
+    "gamma_maximin": {"credal": _CREDAL},
+    "gamma_maximax": {"credal": _CREDAL},
+    "maximality": {"credal": _CREDAL},
+    "e_admissible": {"credal": _CREDAL},
+    "e_admissible_hull": {"credal": _CREDAL},
+    "interval_dominance": {"credal": _CREDAL},
+    "pointwise_dominance": dict.fromkeys(_EVERY_MODEL, ()),
+    "imprecise_utility": {},
+    "by_preorder": {},
+}
+
+
+@pytest.mark.parametrize("name", _EVERY_MODEL)
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_members_names_what_each_rule_reads(w2, kind, name):
+    sp, p1, p2 = w2
+    tree = DecisionTree(
+        sp, chance("C", [(sp.event(["w1"]), leaf("L1", 1)), (sp.event(["w2"]), leaf("L2", 0))])
+    )
+    model = {
+        "none": None,
+        "joint": JointModel(p1),
+        "factored": FactoredModel(
+            TreeFactoredAssessment(tree, {"C": (Fraction(1, 4), Fraction(3, 4))})
+        ),
+        "credal": CredalModel(CredalSet((p1, p2))),
+        "utilities": UtilityModel(UtilityFunctionSet.from_tables([{"r": 1}]), None),
+    }[name]
+    cf = ChoiceFunction(kind, preorder=(lambda *_: True) if kind == "by_preorder" else None)
+    expected = _ROW_MEMBERS[kind].get(name)
+    members = {"p1": p1, "p2": p2}
+    got = cf.row_members(model)
+    assert got == (None if expected is None else tuple(members[m] for m in expected))
+    if got is None and kind in RULES and not (kind == "eu" and name == "factored"):
+        # a model that does not suit the rule
+        message = (
+            "expected utility needs a joint or factored model"
+            if kind == "eu"
+            else f"{kind} needs a credal model"
+        )
+        with pytest.raises(ModeUnsupported, match=f"^{re.escape(message)}$"):
+            cf.choose([g(sp, 1, 0), g(sp, 0, 1)], model, sp.omega())

@@ -599,7 +599,7 @@ THRESHOLD = ("maximin", "gamma_maximin", "gamma_maximax", "interval_dominance")
 
 
 def full_table_verdicts(tree, choice, model):
-    table = strategy_table(tree, None, solver_module._column_members(choice, model))
+    table = strategy_table(tree, None, choice.row_members(model) or ())
     return solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
 
 
@@ -654,6 +654,23 @@ def test_check_reads_the_threshold_verdicts_off_one_filtered_pass(monkeypatch, k
         alone = check_subtree_perfect_at(tree, choice, model, v.node_id)
         assert builds == ["filtered"]
         assert verdict_tuples([alone]) == verdict_tuples([v])
+
+
+def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
+    # The variant counts and the reward denominator are cached on the tree,
+    # so the threshold pass and its table share one walk of each.
+    tree, model = build_alternating(seed=23)
+    walks = []
+    for name in ("_counts", "_reward_denominator"):
+        prop = DecisionTree.__dict__[name]
+
+        def counted(t, name=name, walk=prop.func):
+            walks.append(name)
+            return walk(t)
+
+        monkeypatch.setattr(prop, "func", counted)
+    check_subtree_perfect(tree, ChoiceFunction("gamma_maximin"), model)
+    assert sorted(walks) == ["_counts", "_reward_denominator"]
 
 
 def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatch):
@@ -1066,7 +1083,7 @@ def test_the_member_sum_column_gives_each_node_the_table_of_its_rows(tree, model
     # error.  The credal rules share their members, so their column.
     kinds_of: dict = {}
     for kind in MEMBER_RULES:
-        members = solver_module._column_members(ChoiceFunction(kind), model)
+        members = ChoiceFunction(kind).row_members(model) or ()
         kinds_of.setdefault(members, []).append(kind)
     for members, kinds in kinds_of.items():
         table = strategy_table(tree, None, members)

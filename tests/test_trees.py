@@ -34,13 +34,11 @@ from credaltrees import (
     check_subtree_perfect,
     count_strategies,
     decision,
-    difference_on,
     enumerate_strategies,
     gamble_of,
     kept_arcs,
     kept_children,
     leaf,
-    path_event,
     strategy_at,
     strategy_table,
     subtree_at,
@@ -115,14 +113,6 @@ def test_constant_gamble():
     sp = PossibilitySpace(("a", "b"))
     g = Gamble.constant(sp.omega(), Fraction(5))
     assert g.constant_value_on(sp.omega()) == Fraction(5)
-
-
-def test_difference_on():
-    sp = PossibilitySpace(("a", "b"))
-    x = Gamble.from_mapping(sp.omega(), {"a": 3, "b": 1})
-    y = Gamble.from_mapping(sp.omega(), {"a": 1, "b": 1})
-    d = difference_on(x, y, sp.event(["a"]))
-    assert dict(d.items()) == {"a": Fraction(2)}
 
 
 def test_validate_rejects_duplicate_node_ids():
@@ -226,9 +216,10 @@ def test_lake_option_strategy_gamble():
 
 def test_path_event_conjunction():
     tree = build_lake()
-    assert path_event(tree, "NS1").ordered == ("s1e1", "s1e2")
-    assert path_event(tree, "NS1c1a").ordered == ("s1e1",)
-    assert path_event(tree, "N1").ordered == tuple(tree.space.atoms)
+    # a node's scope is the event known to obtain when it is reached
+    assert tree.scope_of("NS1").ordered == ("s1e1", "s1e2")
+    assert tree.scope_of("NS1c1a").ordered == ("s1e1",)
+    assert tree.scope_of("N1").ordered == tuple(tree.space.atoms)
 
 
 def test_subtree_extraction_sets_scope():

@@ -16,6 +16,7 @@ mode emits key-sorted JSON with rationals as ``"p/q"`` strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,6 @@ from .trees import (
     Event,
     GambleLeaf,
     Leaf,
-    Node,
     Strategy,
     bounded_strategy_count,
     count_strategies,
@@ -80,7 +80,11 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and reused: each
+    `parse_args` returns a new namespace, and help and usage are formatted
+    when printed, so no state carries from one `run` to the next."""
     top = argparse.ArgumentParser(
         prog="credaltrees",
         description="Solve decision trees under imprecise probability and "
@@ -274,28 +278,35 @@ def render_strategy(tree: DecisionTree, strategy: Strategy) -> str:
     """One-line rendering of a strategy against its tree; deleted arcs keep
     their label with a ∥ suffix and their subtree is not expanded."""
     kept = kept_arcs(strategy)
-
-    def walk(node: Node) -> str:
-        if isinstance(node, Leaf):
-            return str(node.reward)
-        if isinstance(node, GambleLeaf):
+    out: list[str] = []
+    # the pieces still to write, last first: text, or a node to expand in
+    # place; a stack, as in `trees._walk`, so deep chains need no recursion
+    stack: list = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Leaf):
+            out.append(str(node.reward))
+        elif isinstance(node, GambleLeaf):
             cells = ", ".join(f"{a}: {v}" for a, v in node.gamble.items())
-            return "{" + cells + "}"
-        if isinstance(node, DecisionNode):
-            parts = []
-            for arc in node.arcs:
+            out.append("{" + cells + "}")
+        elif isinstance(node, DecisionNode):
+            pieces: list = [node.node_id + "["]
+            for k, arc in enumerate(node.arcs):
+                sep = ", " if k else ""
                 if arc.label == kept.get(node.node_id):
-                    parts.append(f"{arc.label}: {walk(arc.child)}")
+                    pieces += [f"{sep}{arc.label}: ", arc.child]
                 else:
-                    parts.append(arc.label + "∥")
-            return node.node_id + "[" + ", ".join(parts) + "]"
-        parts = [
-            "{" + ",".join(arc.event.ordered) + "}: " + walk(arc.child)
-            for arc in node.arcs
-        ]
-        return node.node_id + "(" + ", ".join(parts) + ")"
-
-    return walk(tree.root)
+                    pieces.append(f"{sep}{arc.label}∥")
+            stack += reversed(pieces + ["]"])
+        else:
+            pieces = [node.node_id + "("]
+            for k, arc in enumerate(node.arcs):
+                sep = ", " if k else ""
+                pieces += [sep + "{" + ",".join(arc.event.ordered) + "}: ", arc.child]
+            stack += reversed(pieces + [")"])
+    return "".join(out)
 
 
 def _emit_strategies(args, tree: DecisionTree, doc: dict, header: str, listed) -> None:
@@ -557,9 +568,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder, formats._node_from and the DOT and text
-        # renderers recurse, so a deep enough input ends here rather than in
-        # exit 1, which means "not subtree perfect".
+        # The JSON decoder and formats._node_from recurse (the decoder stops
+        # first, at about 330 nested decision nodes), so a deep enough input
+        # ends here rather than in exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -48,11 +48,19 @@ def export_dot(tree: DecisionTree, strategy: Optional[Strategy] = None) -> str:
 
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 
-    def emit(node: Node) -> None:
+    # lines still to write, last first, and nodes to expand in their place;
+    # a stack, as in `trees._walk`, so deep chains need no recursion
+    stack: list = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            lines.append(node)
+            continue
         lines.append(
             f"  {_quote(node.node_id)} [shape={_shape(node)},"
             f" label={_quote(_node_label(node))}];"
         )
+        pieces: list = []
         if isinstance(node, DecisionNode):
             for arc in node.arcs:
                 style = ""
@@ -60,20 +68,20 @@ def export_dot(tree: DecisionTree, strategy: Optional[Strategy] = None) -> str:
                 if node.node_id in kept and arc.label != kept[node.node_id]:
                     style = ", style=dashed"
                     label += "∥"
-                lines.append(
+                pieces += [
                     f"  {_quote(node.node_id)} -> {_quote(arc.child.node_id)}"
-                    f" [label={_quote(label)}{style}];"
-                )
-                emit(arc.child)
+                    f" [label={_quote(label)}{style}];",
+                    arc.child,
+                ]
         elif isinstance(node, ChanceNode):
             for arc in node.arcs:
                 label = "{" + ",".join(arc.event.ordered) + "}"
-                lines.append(
+                pieces += [
                     f"  {_quote(node.node_id)} -> {_quote(arc.child.node_id)}"
-                    f" [label={_quote(label)}];"
-                )
-                emit(arc.child)
+                    f" [label={_quote(label)}];",
+                    arc.child,
+                ]
+        stack += reversed(pieces)
 
-    emit(tree.root)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -246,33 +246,31 @@ def parse_problem(doc) -> ParsedProblem:
 def serialize_problem(problem: ParsedProblem) -> dict:
     tree = problem.tree
 
-    def node_doc(node: Node) -> dict:
+    # each node's document is filled in place, its children's later, from a
+    # stack, as in `trees._walk`, so deep chains need no recursion
+    root: dict = {}
+    stack = [(tree.root, root)]
+    while stack:
+        node, out = stack.pop()
+        out["id"] = node.node_id
         if isinstance(node, Leaf):
-            return {"id": node.node_id, "kind": "leaf", "reward": render_reward(node.reward)}
-        if isinstance(node, GambleLeaf):
-            return {
-                "id": node.node_id,
-                "kind": "gamble",
-                "gamble": {a: render_reward(v) for a, v in node.gamble.items()},
-            }
-        if isinstance(node, DecisionNode):
-            return {
-                "id": node.node_id,
-                "kind": "decision",
-                "arcs": [
-                    {"label": a.label, "child": node_doc(a.child)} for a in node.arcs
-                ],
-            }
-        return {
-            "id": node.node_id,
-            "kind": "chance",
-            "arcs": [
-                {"event": list(a.event.ordered), "child": node_doc(a.child)}
-                for a in node.arcs
-            ],
-        }
+            out.update(kind="leaf", reward=render_reward(node.reward))
+        elif isinstance(node, GambleLeaf):
+            out.update(
+                kind="gamble",
+                gamble={a: render_reward(v) for a, v in node.gamble.items()},
+            )
+        else:
+            if isinstance(node, DecisionNode):
+                kind = "decision"
+                arcs = [{"label": a.label, "child": {}} for a in node.arcs]
+            else:
+                kind = "chance"
+                arcs = [{"event": list(a.event.ordered), "child": {}} for a in node.arcs]
+            out.update(kind=kind, arcs=arcs)
+            stack += ((a.child, d["child"]) for a, d in zip(node.arcs, arcs))
 
-    doc = {"atoms": list(tree.space.atoms), "tree": node_doc(tree.root)}
+    doc = {"atoms": list(tree.space.atoms), "tree": root}
     if problem.events:
         doc["events"] = {
             name: list(ev.ordered) for name, ev in sorted(problem.events.items())

@@ -1,8 +1,14 @@
+import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -858,3 +864,98 @@ def test_imprecise_utility_with_a_factored_chance_part(tmp_path, capsys):
         assert [entry["kept"] for entry in doc["strategies"]] == kept
         assert run(["check", *argv]) == 0
         capsys.readouterr()
+
+
+# --- the parser, built once per process -------------------------------------------
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def corpus_argv(entry):
+    return manifest_args(entry) + ["--format", "structured"]
+
+
+def test_python_m_runs_the_command_line_in_a_fresh_interpreter():
+    # A fresh interpreter builds the parser cold, which in-process runs
+    # stop seeing after their first call.
+    entry = next(e for e in MANIFEST if e["name"] == "gamma-maximin-failure")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(
+        [sys.executable, "-m", "credaltrees", *corpus_argv(entry)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.stderr == b""
+    assert done.stdout.decode("utf-8") == (PROBLEMS / entry["golden"]).read_text("utf-8")
+    assert done.returncode == entry["exit_code"] == 1
+
+
+def test_the_shared_parser_carries_nothing_between_runs(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+
+    def corpus_pass(entries):
+        for entry in entries:
+            golden = (PROBLEMS / entry["golden"]).read_text("utf-8")
+            code, out, _ = run_captured(corpus_argv(entry))
+            assert (code, out) == (entry["exit_code"], golden), entry["name"]
+
+    cli_module._parser.cache_clear()
+    corpus_pass(MANIFEST)
+    # the top-level parser and one per command, each built once
+    assert len(built) == 1 + len(cli_module._COMMANDS)
+
+    built.clear()
+    assert run_captured(["solve", "--tree", "x.json"])[0] == 2
+    assert run_captured(["not-a-command"])[0] == 2
+    code, out, _ = run_captured(["--help"])
+    assert code == 0 and out.startswith("usage: credaltrees")
+    # --condition on one run is unset on the next: the plain solve that
+    # follows keeps its golden, unconditioned output
+    eu1 = next(e for e in MANIFEST if e["name"] == "eu-example-1")
+    code, out, _ = run_captured(corpus_argv(eu1) + ["--condition", "e1"])
+    assert code == 0 and json.loads(out)["condition"] == ["e1"]
+    corpus_pass([eu1] + MANIFEST[::-1])
+    assert built == []
+
+
+@pytest.mark.parametrize("command", [None, *cli_module._COMMANDS])
+def test_help_is_that_of_a_freshly_built_parser(command):
+    fresh = cli_module._parser.__wrapped__()
+    argv = ["--help"]
+    if command is not None:
+        sub = next(a for a in fresh._actions if isinstance(a, argparse._SubParsersAction))
+        fresh = sub.choices[command]
+        argv = [command, "--help"]
+    # the second run reads the parser the first one built
+    for _ in range(2):
+        assert run_captured(argv) == (0, fresh.format_help(), "")
+
+
+def test_repeated_runs_hold_no_growing_memory():
+    traced = {}
+    tracemalloc.start()
+    try:
+        for n in range(1, 26):
+            for entry in MANIFEST:
+                run_captured(corpus_argv(entry))
+            if n in (5, 25):
+                gc.collect()
+                traced[n] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced[25] - traced[5] < 256 * 1024, traced

@@ -44,6 +44,9 @@ from credaltrees import (
     subtree_at,
     validate_tree,
 )
+from credaltrees.cli import render_strategy
+from credaltrees.dot import export_dot
+from credaltrees.formats import ParsedProblem, serialize_problem
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
 
 from conftest import (
@@ -421,6 +424,30 @@ def test_validate_tree_walks_a_2000_deep_chain_without_recursion(mode):
     assert count_strategies(valid) == 2001
     above = ("C",) if mode == "auto_prune" else ()
     assert valid.node_ids() == above + chain.node_ids()
+
+
+
+def test_a_2000_deep_chain_is_rendered_without_recursion():
+    tree = validate_tree(go_stop_chain(2000))
+    every_go = strategy_at(tree, 2000)
+    text = render_strategy(tree, every_go)
+    assert text == "".join(f"D{i}[stop∥, go: " for i in range(2000)) + "0" + "]" * 2000
+
+    lines = export_dot(tree, every_go).splitlines()
+    assert len(lines) == 3 + 4001 + 4000
+    assert lines[2:6] == [
+        '  "D0" [shape=box, label="D0"];',
+        '  "D0" -> "S0" [label="stop∥", style=dashed];',
+        '  "S0" [shape=plaintext, label="S0\\\\n0"];',
+        '  "D0" -> "D1" [label="go"];',
+    ]
+    assert lines[-2:] == ['  "end" [shape=plaintext, label="end\\\\n0"];', "}"]
+
+    doc = serialize_problem(ParsedProblem(tree, {}))["tree"]
+    for i in range(2000):
+        assert doc["id"] == f"D{i}" and doc["arcs"][0]["child"]["id"] == f"S{i}"
+        doc = doc["arcs"][1]["child"]
+    assert doc == {"id": "end", "kind": "leaf", "reward": 0}
 
 
 def _two_faults():

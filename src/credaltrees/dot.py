@@ -17,15 +17,18 @@ from .trees import (
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """*text* as a DOT string: backslashes and quotes escaped, and each line
+    break written as DOT's ``\\n``."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return '"' + escaped + '"'
 
 
 def _node_label(node: Node) -> str:
     if isinstance(node, Leaf):
-        return f"{node.node_id}\\n{node.reward}"
+        return f"{node.node_id}\n{node.reward}"
     if isinstance(node, GambleLeaf):
         cells = ", ".join(f"{a}: {v}" for a, v in node.gamble.items())
-        return f"{node.node_id}\\n{cells}"
+        return f"{node.node_id}\n{cells}"
     return node.node_id
 
 

@@ -29,7 +29,6 @@ from .trees import (
     DecisionTree,
     Event,
     Gamble,
-    GambleLeaf,
     Leaf,
     Node,
     Reward,
@@ -160,7 +159,25 @@ def _choice_filter(
     choice: ChoiceFunction, model: Optional[UncertaintyModel]
 ) -> Callable[..., list[int]]:
     """Backward induction's row filter: at each node, the rows *choice*
-    chooses on the node's scope."""
+    chooses on the node's scope.
+
+    For a separable rule (`ChoiceFunction.is_separable`), where
+    `_filters_apply`, the rows the filter keeps at a node N are N's local
+    normal form solution (Huntley & Troffaes, Ann. Oper. Res. 195, 2012).
+    By induction from the leaves, which have one row, N's choice lies among
+    the rows formed from its children's choices:
+
+    - At a chance node, whose arcs all have positive mass, a product row
+      with a component its arc's child did not choose is not chosen: the
+      child's better component, put in its place, gives a row that beats it
+      on the arc's event by a positive multiple and ties it elsewhere.
+    - At a decision node, whose arcs keep its scope, a row its child did not
+      choose is beaten within the child's rows, so among N's rows as well.
+
+    These rules are path independent: dropping rows they do not choose
+    leaves their choice unchanged.  So the filter, choosing among the rows
+    formed from the children's choices, makes N's choice.
+    """
     return lambda table, node_id, scope, rows, sums: _chosen(choice, model, table, scope, rows)
 
 
@@ -246,50 +263,19 @@ def _verdict_at(
     )
 
 
-def _filtered_table(
-    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
-) -> Optional[StrategyTable]:
-    """`backward_solution`'s filtered table, or None where it may not hold
-    every node's local normal form solution; the first of the three tables
-    `_verdicts` tries, before `_threshold_table` and the full table.
-
-    For a separable rule (`ChoiceFunction.is_separable`) whose members all
-    give every node's scope positive probability, the rows the filter keeps
-    at a node N are N's local normal form solution (Huntley & Troffaes,
-    Ann. Oper. Res. 195, 2012).  By induction from the leaves, which have
-    one row, N's choice lies among the rows formed from its children's
-    choices:
-
-    - At a chance node, whose arcs all have positive mass, a product row
-      with a component its arc's child did not choose is not chosen: the
-      child's better component, put in its place, gives a row that beats it
-      on the arc's event by a positive multiple and ties it elsewhere.
-    - At a decision node, whose arcs keep its scope, a row its child did not
-      choose is beaten within the child's rows, so among N's rows as well.
-
-    These rules are path independent: dropping rows they do not choose
-    leaves their choice unchanged.  So the filter, choosing among the rows
-    formed from the children's choices, makes N's choice.
-
-    The filter raises `ZeroProbabilityCondition` at a decision or chance
-    node whose scope a member gives probability zero, and the leaves are
-    checked here, since the filter never runs at them; either way, and for
-    `eu` under a factored model (which values whole gambles) and trees with
-    label rewards, the normal form decides, with its `error` verdicts.
+def _filters_apply(tree: DecisionTree, members: Sequence) -> bool:
+    """The premise under which both filtered tables, backward induction's
+    (`_choice_filter`) and the threshold filter's (`_threshold_table`),
+    hold every local solution they are read for: the tree holds no label
+    reward, the mass functions *members* live on the tree's space, and no
+    node's scope is empty or has mass zero under a member.
     """
-    members = choice.row_members(model)
-    if not choice.is_separable or members is None or "label" in tree._reward_denominator[1]:
-        return None
-    positive = all(p.is_strictly_positive for p in members)
-    for node, scope in tree.nodes():
-        if isinstance(node, (Leaf, GambleLeaf)) and (
-            scope.is_empty or not positive and any(p.prob(scope) == 0 for p in members)
-        ):
-            return None
-    try:
-        return strategy_table(tree, _choice_filter(choice, model))
-    except ZeroProbabilityCondition:
-        return None
+    if "label" in tree._reward_denominator[1] or any(p.space != tree.space for p in members):
+        return False
+    scopes = {scope.members for _, scope in tree.nodes()}
+    # a scope has mass zero under a member when it lies in the member's null atoms
+    null = [frozenset(a for a, m in zip(tree.space.atoms, p.masses) if not m) for p in members]
+    return frozenset() not in scopes and not any(s <= z for z in null if z for s in scopes)
 
 
 #: The rules `_threshold_table` filters, each with the test a row's values
@@ -309,12 +295,13 @@ _ROWS_PER_NODE = 16
 
 
 def _threshold_table(
-    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
-) -> Optional[StrategyTable]:
+    tree: DecisionTree, choice: ChoiceFunction, members: Sequence
+) -> StrategyTable:
     """A filtered table whose kept rows at every node that the full solution
     reaches include that node's local normal form solution, under maximin,
-    Γ-maximin, Γ-maximax or interval dominance; or None where the full
-    table decides.
+    Γ-maximin, Γ-maximax or interval dominance, where
+    `_filters_apply(tree, members)`; *members* are the rule's
+    (`ChoiceFunction.row_members`).
 
     The filter keeps a row when its values (maximin) or its member sums
     (the others, from the table's column) reach the node's thresholds, all
@@ -349,18 +336,8 @@ def _threshold_table(
       rows.  Building a node's local solution from its children's rows is
       normal form backward induction's step (Huntley & Troffaes, Ann. Oper.
       Res. 195, 2012).
-
-    Trees with label rewards or an empty scope take the full table; so do
-    the member rules where the model is not credal or a member gives some
-    leaf's scope, and so some node's, probability zero, whose `error`
-    verdicts only the full table gives.
     """
-    test = _THRESHOLD_TESTS.get(choice.kind)
-    if test is None:
-        return None
-    denominator, kinds = tree._reward_denominator
-    if "label" in kinds or any(scope.is_empty for _, scope in tree.nodes()):
-        return None
+    denominator = tree._reward_denominator[0]
     if choice.kind == "maximin":
         t = _best_worst_case(tree, denominator)
         return strategy_table(
@@ -368,13 +345,9 @@ def _threshold_table(
                 j for j, row in enumerate(rows) if min(row) >= t
             ]
         )
-    members = choice.row_members(model)
-    if members is None or any(p.space != tree.space for p in members):
-        return None
+    test = _THRESHOLD_TESTS[choice.kind]
     weights = [p._integers[1] for p in members]
     thresholds = _member_thresholds(tree, denominator, weights, choice.kind == "gamma_maximax")
-    if thresholds is None:
-        return None
 
     def keep(table: StrategyTable, node_id: str, scope: Event, rows: list, sums: list) -> list[int]:
         theta = thresholds[node_id]
@@ -406,12 +379,12 @@ def _member_thresholds(
     denominator: int,
     weights: Sequence[Sequence[int]],
     upper: bool,
-) -> Optional[dict[str, list[int]]]:
+) -> dict[str, list[int]]:
     """θ_m(N) of `_threshold_table`, by decision and chance node id, for
-    integer member weights *weights* (one per atom of the space) and leaf
-    values scaled by *denominator*, with λ_N the Γ-maximax value where
-    *upper* and a lower bound on the Γ-maximin value otherwise; None if a
-    member gives some leaf's scope mass zero.
+    integer member weights *weights* (one per atom of the space, each
+    giving every leaf's scope positive mass) and leaf values scaled by
+    *denominator*, with λ_N the Γ-maximax value where *upper* and a lower
+    bound on the Γ-maximin value otherwise.
 
     One bottom-up walk gives per node N and member m: P_m(N), N's scope's
     mass; best_m(N), N's largest member-m sum (max over a decision node's
@@ -452,8 +425,6 @@ def _member_thresholds(
             if p is None:
                 at = [position(a) for a in scope.ordered]
                 p = scope_mass[scope.members] = [sum(w[i] for i in at) for w in weights]
-                if 0 in p:
-                    return None
             if isinstance(node, Leaf):
                 value = scaled(node.reward, denominator)
                 sums = [value * q for q in p]
@@ -505,17 +476,20 @@ def _read_verdicts(
     node_ids: Iterable[str],
     table: StrategyTable,
 ) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, read off *table*, one of three:
+    """The verdicts at *node_ids*, read off *table*, one of the three
+    `_verdicts` picks:
 
-    - `_filtered_table`, for a separable rule: its kept positions at each
-      node are the node's local solution, and the root's the full one;
+    - backward induction's filtered table, for a separable rule: its kept
+      positions at each node are the node's local solution, and the root's
+      the full one;
     - `_threshold_table`: each posed node's kept rows are solved once;
     - the full `strategy_table`: each posed node's rows are solved once.
 
-    A node's rows are solved from its member-sum column, where the table
-    has one, and the root's give the full solution.  The strategies of all
-    verdicts come from one decoder, so each is built once."""
-    if table.counts is not None and choice.is_separable:
+    Of these, only the first two have ``positions``.  A node's rows are
+    solved from its member-sum column, where the table has one, and the
+    root's give the full solution.  The strategies of all verdicts come
+    from one decoder, so each is built once."""
+    if table.positions and choice.is_separable:
         local: Callable[[str], Sequence[int]] = table.positions.__getitem__
     else:
         solved: dict[str, list[int]] = {}
@@ -540,17 +514,34 @@ def _verdicts(
     model: Optional[UncertaintyModel],
     node_ids: tuple[str, ...],
 ) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, read off the first table that serves:
-    backward induction's filtered table (`_filtered_table`), the threshold
-    filter (`_threshold_table`, where the full table would hold at least
-    `_ROWS_PER_NODE` rows per node), or the full table."""
-    table = _filtered_table(tree, choice, model)
-    if table is None and choice.kind in _THRESHOLD_TESTS:
-        counts = tree._counts
-        if sum(counts.values()) >= _ROWS_PER_NODE * len(counts):
-            table = _threshold_table(tree, choice, model)
-    if table is None:
-        table = strategy_table(tree, None, choice.row_members(model) or ())
+    """The verdicts at *node_ids*, read off the one table picked here.
+
+    Where `_filters_apply` to the members the rule reads, a separable rule
+    takes backward induction's filtered table, and maximin, Γ-maximin,
+    Γ-maximax and interval dominance the threshold filter
+    (`_threshold_table`) where the full table would hold at least
+    `_ROWS_PER_NODE` rows per node.  Everything else takes the full table:
+    the rules that read whole gambles, small trees under the threshold
+    rules, trees with label rewards or a scope of probability zero (whose
+    `error` verdicts only the full table gives), and members on another
+    space (which `strategy_table` refuses).
+    """
+    members = choice.row_members(model)
+    counts = tree._counts
+    threshold = (
+        choice.kind in _THRESHOLD_TESTS and sum(counts.values()) >= _ROWS_PER_NODE * len(counts)
+    )
+    filtered = (
+        members is not None
+        and (choice.is_separable or threshold)
+        and _filters_apply(tree, members)
+    )
+    if not filtered:
+        table = strategy_table(tree, None, members or ())
+    elif choice.is_separable:
+        table = strategy_table(tree, _choice_filter(choice, model))
+    else:
+        table = _threshold_table(tree, choice, members)
     return _read_verdicts(tree, choice, model, node_ids, table)
 
 
@@ -577,16 +568,18 @@ def check_subtree_perfect(
     each node's variants, and every verdict is read off one strategy table,
     one of three:
 
-    - for the separable rules, on trees where every node's scope has
-      positive probability, the table `backward_solution` filters, whose
-      kept rows are each node's local solution (`_filtered_table`);
+    - for the separable rules, the table `backward_solution` filters, whose
+      kept rows are each node's local solution (`_choice_filter`);
     - for maximin, Γ-maximin, Γ-maximax and interval dominance, on trees
       whose full table would hold at least `_ROWS_PER_NODE` rows per node,
       a table filtered by per-node thresholds, whose kept rows hold each
       reached node's local solution (`_threshold_table`);
     - otherwise the full table.
 
-    Under the last two, each posed node's kept rows are solved once.
+    The filtered tables are taken only under one premise
+    (`_filters_apply`): a numeric tree, members on the tree's space, and
+    every node's scope of positive mass.  Under the last two tables, each
+    posed node's kept rows are solved once.
     """
     return _verdicts(tree, choice, model, tree.node_ids())
 

@@ -542,10 +542,11 @@ class StrategyTable(dict):
     position alone, and `reached` and `decoder` decode it from there only
     when it is needed.
 
-    A table built with a row filter holds only the kept rows, and
-    ``positions[node_id][j]`` is the position of row j among all
-    ``counts[node_id]`` variants of the node, which `reached` and `decoder`
-    decode.
+    ``counts[node_id]`` is the number of variants of the node, the tree's
+    `DecisionTree._counts`, which `reached` and `decoder` decode positions
+    with.  A table built with a row filter holds only the kept rows, and
+    ``positions[node_id][j]`` is the position of row j among the node's
+    variants; a table built without one has no ``positions``.
 
     Each numeric reward in a row is an int: the reward times ``denominator``,
     the least common multiple of the denominators of the tree's numeric
@@ -564,7 +565,7 @@ class StrategyTable(dict):
         super().__init__()
         self.denominator = denominator
         self.numeric = numeric
-        self.counts: Optional[dict[str, int]] = None
+        self.counts: dict[str, int] = {}
         self.positions: dict[str, list[int]] = {}
         self.sums: dict[str, list[list[int]]] = {}
 
@@ -574,19 +575,16 @@ class StrategyTable(dict):
         d = self.denominator
         return tuple(v if isinstance(v, str) else Fraction(v, d) for v in values)
 
-    def _size(self, node_id: str) -> int:
-        return len(self[node_id]) if self.counts is None else self.counts[node_id]
-
     def reached(self, node: Node, k: int) -> dict[str, int]:
         """The position, in this table, of the variant that variant *k* of
         *node* reaches at each node at and below *node*, in preorder; nodes
         below an arc that the variant does not keep are absent."""
-        return _reached(node, k, self._size)
+        return _reached(node, k, self.counts.__getitem__)
 
     def decoder(self, tree: "DecisionTree") -> "Decoder":
         """A decoder of this table's positions of *tree*'s variants, with a
         memo of its own."""
-        return Decoder(tree, self._size)
+        return Decoder(tree, self.counts.__getitem__)
 
 
 def strategy_table(
@@ -619,12 +617,14 @@ def strategy_table(
     recursion as the rows: a leaf gives Σ W_m(a)·v(a) over its scope, a
     decision node concatenates its children's entries, a chance node adds
     them in the product order of its rows, and a filter keeps each entry
-    with its row.  No sum is computed from a row.
+    with its row.  No sum is computed from a row.  Raises `ValueError` for
+    a member on another space.
     """
+    if any(p.space != tree.space for p in members):
+        raise ValueError("event lives in a different possibility space")
     denominator, kinds = tree._reward_denominator
     table = StrategyTable(denominator, "label" not in kinds)
-    if keep is not None:
-        table.counts = tree._counts
+    table.counts = tree._counts
     weights = [p._integers[1] for p in members] if table.numeric else []
     position = tree.space.position
     column = table.sums
@@ -756,40 +756,50 @@ def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
 
 
 def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
-    """The decoder of strategy positions.
-
-    Variant *k* of *node*, where ``count(node_id)`` is the number of
-    variants of a node (its `strategy_table` rows), is found from k alone:
-    at a decision node, k falls into the range of one arc, after the
-    variants of the earlier arcs; at a chance node, k is a mixed-radix
-    number over the children's counts, the last arc's digit varying fastest.
-    Returns the position reached at every node at and below *node* that the
-    variant keeps, in preorder.
-    """
+    """The position reached by variant *k* of *node* at every node at and
+    below *node* that the variant keeps, in preorder, decoded by `_step`."""
     reached: dict[str, int] = {}
     stack = [(node, k)]
     while stack:
         node, k = stack.pop()
         reached[node.node_id] = k
-        if isinstance(node, DecisionNode):
-            for arc in node.arcs:
-                n = count(arc.child.node_id)
-                if k < n:
-                    stack.append((arc.child, k))
-                    break
-                k -= n
-        elif isinstance(node, ChanceNode):
-            # pushed last arc first, so that the first arc is visited first
-            for arc in reversed(node.arcs):
-                k, digit = divmod(k, count(arc.child.node_id))
-                stack.append((arc.child, digit))
+        # pushed last arc first, so that the first arc is visited first
+        for arc, j in reversed(_step(node, k, count)):
+            stack.append((arc.child, j))
     return reached
+
+
+def _step(
+    node: Node, k: int, count: Callable[[str], int]
+) -> list[tuple[DecisionArc | ChanceArc, int]]:
+    """The decoder of strategy positions: the arcs variant *k* of *node*
+    keeps, in order, each with the position of its child's variant.
+
+    ``count(node_id)`` is the number of variants of a node (its
+    `strategy_table` rows).  At a decision node, k falls into the range of
+    one arc, after the variants of the earlier arcs; at a chance node, k is
+    a mixed-radix number over the children's counts, the last arc's digit
+    varying fastest.  A leaf keeps no arc.  `_positions` encodes.
+    """
+    kept: list[tuple[DecisionArc | ChanceArc, int]] = []
+    if isinstance(node, DecisionNode):
+        for arc in node.arcs:
+            n = count(arc.child.node_id)
+            if k < n:
+                return [(arc, k)]
+            k -= n
+    elif isinstance(node, ChanceNode):
+        for arc in reversed(node.arcs):
+            k, digit = divmod(k, count(arc.child.node_id))
+            kept.append((arc, digit))
+        kept.reverse()
+    return kept
 
 
 def _positions(node: Node, table: StrategyTable) -> list[int]:
     """The positions among *node*'s variants of the rows `strategy_table`
     forms from its children's kept rows in a filtered *table*: the encoding
-    that `_reached` decodes."""
+    that `_step` decodes."""
     counts, kept = table.counts, table.positions
     out = [0]
     if isinstance(node, DecisionNode):
@@ -808,7 +818,7 @@ class Decoder:
     """Strategy positions of one tree decoded into nodes, each once.
 
     ``count(node_id)`` is the number of variants of a node, as in
-    `_reached`.  Variant k of a node is kept in a memo under (node id, k)
+    `_step`.  Variant k of a node is kept in a memo under (node id, k)
     and built from its children's memoised variants, so the variants of a
     parent and of its children share their nodes, and each strategy is
     built, and validated, once per decoder.  A node with a single variant
@@ -830,49 +840,28 @@ class Decoder:
         got = memo.get((node.node_id, k))
         if got is not None:
             return got
-        # the variants still to build, each before the variants it keeps:
-        # a decision node's with its kept arc and that child's variant, a
-        # chance node's with each child's variant
+        # the variants still to build, each before the variants it keeps,
+        # with the arcs it keeps and each child's position (`_step`)
         todo: list[tuple] = []
         stack = [(node, k)]
         while stack:
             at, i = stack.pop()
-            if isinstance(at, DecisionNode):
-                j = i
-                for arc in at.arcs:
-                    n = count(arc.child.node_id)
-                    if j < n:
-                        break
-                    j -= n
-                todo.append((at, i, arc, j))
-                if n != 1 and (arc.child.node_id, j) not in memo:
+            kept = _step(at, i, count)
+            todo.append((at, i, kept))
+            for arc, j in kept:
+                if count(arc.child.node_id) != 1 and (arc.child.node_id, j) not in memo:
                     stack.append((arc.child, j))
-            else:
-                digits = []
-                j = i
-                for arc in reversed(at.arcs):
-                    n = count(arc.child.node_id)
-                    j, digit = divmod(j, n)
-                    digits.append(digit)
-                    if n != 1 and (arc.child.node_id, digit) not in memo:
-                        stack.append((arc.child, digit))
-                digits.reverse()
-                todo.append((at, i, None, digits))
-        for at, i, arc, d in reversed(todo):
-            if arc is not None:
+        for at, i, kept in reversed(todo):
+            arcs = []
+            for arc, j in kept:
                 child = arc.child
                 if count(child.node_id) != 1:
-                    child = memo[child.node_id, d]
-                got = DecisionNode(at.node_id, (DecisionArc(arc.label, child),))
-            else:
-                arcs = []
-                for arc, digit in zip(at.arcs, d):
-                    child = arc.child
-                    if count(child.node_id) != 1:
-                        child = memo[child.node_id, digit]
+                    child = memo[child.node_id, j]
+                if isinstance(at, DecisionNode):
+                    arcs.append(DecisionArc(arc.label, child))
+                else:
                     arcs.append(ChanceArc(arc.event, child))
-                got = ChanceNode(at.node_id, tuple(arcs))
-            memo[at.node_id, i] = got
+            memo[at.node_id, i] = got = type(at)(at.node_id, tuple(arcs))
         return got  # built last: variant k of node
 
     def strategies(self, node_id: str, positions: Iterable[int]) -> tuple[Strategy, ...]:

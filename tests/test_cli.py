@@ -388,6 +388,43 @@ def test_check_reports_a_leaf_of_probability_zero(tmp_path, capsys, choice, code
     assert ("L2: hold" in out) == (code == 0)
 
 
+def split_on_a(nid):
+    """A chance node paying 1 on a1 and 0 on a2."""
+    return {"id": nid, "kind": "chance", "arcs": [
+        {"event": [x], "child": {"id": nid + x, "kind": "leaf", "reward": r}}
+        for x, r in (("a1", 1), ("a2", 0))
+    ]}
+
+
+def test_check_exits_two_where_the_assessment_values_one_gamble_twice(tmp_path, capsys):
+    # M and N induce the same gamble on {a1, a2}, valued 1/2 and 1/3: the
+    # rows of the strategy table that induce it disagree.
+    branches = [
+        {"label": label, "child": {"id": nid, "kind": "chance", "arcs": [
+            {"event": ["a1", "a2"], "child": split_on_a(inner)},
+            {"event": ["c"], "child": {"id": nid + "c", "kind": "leaf", "reward": value}},
+        ]}}
+        for label, nid, inner, value in (("d1", "C1", "M", 5), ("d2", "C2", "N", 7))
+    ]
+    tree = tmp_path / "twice.tree.json"
+    tree.write_text(json.dumps({"atoms": ["a1", "a2", "c"], "tree": {
+        "id": "D", "kind": "decision", "arcs": branches}}))
+    model = tmp_path / "twice.model.json"
+    model.write_text(json.dumps({"mode": "factored", "arcs": {
+        "C1": ["1/2", "1/2"], "C2": ["1/2", "1/2"], "M": ["1/2", "1/2"], "N": ["1/3", "2/3"]}}))
+    files = ["--tree", str(tree), "--model", str(model), "--choice", "eu"]
+    for argv in (["check"], ["check-node", "--node", "N"], ["solve", "--method", "backward"]):
+        assert run(argv + files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the assessment values the same gamble on Event({a1, a2})"
+            " differently at nodes ['M', 'N']\n"
+        )
+    assert run(["solve"] + files) == 0  # D's rows differ on c
+    assert "chosen 1 of 2 strategies" in capsys.readouterr().out
+
+
 def test_exit_two_on_duplicate_decision_arc_labels(tmp_path, capsys):
     doc = json.loads((PROBLEMS / "maximin-failure.tree.json").read_text())
     for arc in doc["tree"]["arcs"][0]["child"]["arcs"]:
@@ -694,17 +731,25 @@ def test_canonical_text_prints_the_instance_in_exact_rationals(tmp_path, capsys)
 EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
+def canonical_argv(problem, rule, model):
+    return [
+        "canonical",
+        "--tree", str(PROBLEMS / f"{problem}.tree.json"),
+        "--model", str(PROBLEMS / model),
+        "--choice", rule,
+        "--format", "structured",
+    ]
+
+
+FUZZ_ARGV = ["fuzz", "--choice", "maximality", "--seed", "11", "--trees", "60"]
+
+
 @pytest.mark.parametrize(
     "name, argv, exit_code",
     [
         (
             f"canonical-maximin-failure-{rule}.json",
-            [
-                "canonical",
-                "--tree", str(PROBLEMS / "maximin-failure.tree.json"),
-                "--model", str(PROBLEMS / model),
-                "--choice", rule,
-            ],
+            canonical_argv("maximin-failure", rule, model),
             exit_code,
         )
         for rule, model, exit_code in [
@@ -714,17 +759,21 @@ EXPECTED = Path(__file__).resolve().parent / "expected"
         ]
     ]
     + [
+        ("fuzz-maximality-seed11-trees60.json", FUZZ_ARGV + ["--format", "structured"], 1),
+        # a scan whose first failure has shape (b)
         (
-            "fuzz-maximality-seed11-trees60.json",
-            ["fuzz", "--choice", "maximality", "--seed", "11", "--trees", "60"],
+            "canonical-eadmissible-failure-e-admissible.json",
+            canonical_argv("eadmissible-failure", "e-admissible", "eadmissible-failure.model.json"),
             1,
-        )
+        ),
+        # the text report lists the failing trees
+        ("fuzz-maximality-seed11-trees60.txt", FUZZ_ARGV, 1),
     ],
 )
 def test_canonical_and_fuzz_outputs_are_pinned(capsys, name, argv, exit_code):
     # Recorded before the scan grouped its instances by key; the grouped
     # scan must reproduce every field, byte for byte.
-    code = run(argv + ["--format", "structured"])
+    code = run(argv)
     assert capsys.readouterr().out == (EXPECTED / name).read_text()
     assert code == exit_code
 

@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and some module
+reads each private name a module defines."""
 
 import ast
 from pathlib import Path
@@ -37,16 +38,21 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _read(tree: ast.Module) -> set[str]:
-    """The names the module's code loads, those inside string annotations
-    included."""
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """The names inside the module's string annotations."""
+    names = set()
     for annotation in filter(None, _annotations(tree)):
         for n in ast.walk(annotation):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
                 parsed = ast.parse(n.value, mode="eval")
                 names.update(m.id for m in ast.walk(parsed) if isinstance(m, ast.Name))
     return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """The names the module's code loads, those inside string annotations
+    included."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
 
 
 # __init__ imports only to re-export: its imports are the package's names.
@@ -62,3 +68,39 @@ def test_every_imported_name_is_read(path):
         if (path.stem, name) not in KEEP_ALIVE
     }
     assert not unread, f"{path.name} imports names it never reads: {sorted(unread)}"
+
+
+def _defined_private(tree: ast.Module) -> set[str]:
+    """The private names the module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """The names the module's code loads, as a name, an attribute or an
+    import, those inside string annotations included."""
+    names = _annotation_names(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_private_module_name_is_read_somewhere():
+    # A helper a simplification leaves without callers is dead code.
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    read = set().union(*map(_loaded, trees.values()))
+    unread = sorted(
+        f"{stem}.{name}" for stem, tree in trees.items() for name in _defined_private(tree) - read
+    )
+    assert not unread, f"private names no module reads: {unread}"

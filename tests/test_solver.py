@@ -19,6 +19,7 @@ from credaltrees import (
     DecisionTree,
     Gamble,
     GambleLeaf,
+    InconsistentAssessment,
     JointModel,
     MassFunction,
     MixedRewardKinds,
@@ -413,10 +414,12 @@ def test_one_pass_verdicts_equal_the_normal_form_verdicts(seed):
                     continue  # the model does not suit the rule
                 checked = check_subtree_perfect(tree, choice, model)
                 assert verdict_tuples(checked) == verdict_tuples(normal), (sampler, index, kind)
-                filtered = solver_module._filtered_table(tree, choice, model)
+                members = choice.row_members(model)
                 if kind == "eu" and sampler == "factored":
-                    assert filtered is None
+                    assert members is None  # whole gambles: the full table
                     continue
+                assert solver_module._filters_apply(tree, members)
+                filtered = strategy_table(tree, solver_module._choice_filter(choice, model))
                 read = solver_module._read_verdicts(tree, choice, model, node_ids, filtered)
                 assert verdict_tuples(read) == verdict_tuples(normal), (sampler, index, kind)
                 one_pass += 1
@@ -444,7 +447,7 @@ def test_a_leaf_of_probability_zero_takes_the_normal_form_and_errs(kind, model):
     # hold; the normal form cannot pose L2's problem and says error.
     tree, q = zero_mass_leaf_tree()
     choice, model = ChoiceFunction(kind), model(q)
-    assert solver_module._filtered_table(tree, choice, model) is None
+    assert not solver_module._filters_apply(tree, choice.row_members(model))
     verdicts = {v.node_id: v for v in check_subtree_perfect(tree, choice, model)}
     assert verdicts["L2"].outcome is Outcome.ERROR
     assert "probability zero" in verdicts["L2"].detail
@@ -456,12 +459,75 @@ def test_a_leaf_of_probability_zero_holds_under_pointwise_dominance():
     # pointwise dominance reads no member, so no scope is out of its reach
     tree, q = zero_mass_leaf_tree()
     choice, model = ChoiceFunction("pointwise_dominance"), JointModel(q)
-    filtered = solver_module._filtered_table(tree, choice, model)
+    assert solver_module._filters_apply(tree, choice.row_members(model))
+    filtered = strategy_table(tree, solver_module._choice_filter(choice, model))
     read = solver_module._read_verdicts(tree, choice, model, tree.node_ids(), filtered)
     verdicts = check_subtree_perfect(tree, choice, model)
     assert verdict_tuples(read) == verdict_tuples(verdicts)
     assert {v.node_id: v.outcome for v in verdicts}["L2"] is Outcome.HOLD
     assert all_hold(verdicts)
+
+
+MEMBER_RULES = SEPARABLE[:-1] + ("gamma_maximin", "gamma_maximax", "interval_dominance")
+
+
+@pytest.mark.parametrize("kind", MEMBER_RULES)
+def test_members_on_a_smaller_space_are_refused_as_a_value_error(kind):
+    # The member-sum column would index a two-atom member's weights by the
+    # positions of a three-atom tree's atoms.
+    sp, small = PossibilitySpace(("w1", "w2", "w3")), PossibilitySpace(("w1", "w2"))
+    c = chance("C", [(sp.event(["w1"]), leaf("L1", 1)), (sp.event(["w2", "w3"]), leaf("L2", 2))])
+    tree = validate_tree(DecisionTree(sp, decision("D", [("stay", leaf("L0", 0)), ("go", c)])))
+    p = MassFunction(small, (Fraction(1, 2),) * 2)
+    q = MassFunction(small, (Fraction(1, 3), Fraction(2, 3)))
+    model = JointModel(p) if kind == "eu" else CredalModel(CredalSet((p, q)))
+    choice = ChoiceFunction(kind)
+    for solve in (
+        functools.partial(check_subtree_perfect, tree, choice, model),
+        functools.partial(check_subtree_perfect_at, tree, choice, model, "C"),
+        functools.partial(normal_form_solution, tree, choice, model),
+        functools.partial(backward_solution, tree, choice, model),
+    ):
+        with pytest.raises(ValueError, match="different possibility space"):
+            solve()
+
+
+def inconsistent_assessment_problem():
+    """D chooses between C1 and C2, which send A = {a1, a2} to M and N and
+    c to 5 and 7.  M and N induce the same gamble on A, (1, 0), but the
+    factored model values it 1/2 at M and 1/3 at N; D's rows differ on c."""
+    sp = PossibilitySpace(("a1", "a2", "c"))
+    a, c = sp.event(["a1", "a2"]), sp.event(["c"])
+
+    def branch(nid, inner, value):
+        split = [(sp.event([x]), leaf(inner + x, r)) for x, r in (("a1", 1), ("a2", 0))]
+        return chance(nid, [(a, chance(inner, split)), (c, leaf(nid + "c", value))])
+
+    root = decision("D", [("d1", branch("C1", "M", 5)), ("d2", branch("C2", "N", 7))])
+    tree = validate_tree(DecisionTree(sp, root))
+    half = (Fraction(1, 2),) * 2
+    rows = {"C1": half, "C2": half, "M": half, "N": (Fraction(1, 3), Fraction(2, 3))}
+    return tree, FactoredModel(TreeFactoredAssessment(tree, rows))
+
+
+def test_a_gamble_two_nodes_value_differently_is_refused_where_it_is_valued():
+    # The full solution takes d2 and so reaches N, whose local problem
+    # values (1, 0) on A, as does backward induction below D.  The normal
+    # form values D's rows only, and those differ on c.
+    tree, model = inconsistent_assessment_problem()
+    eu = ChoiceFunction("eu")
+    for solve in (
+        functools.partial(check_subtree_perfect, tree, eu, model),
+        functools.partial(check_subtree_perfect_at, tree, eu, model, "N"),
+        functools.partial(backward_solution, tree, eu, model),
+    ):
+        with pytest.raises(InconsistentAssessment, match=r"differently at nodes \['M', 'N'\]"):
+            solve()
+    assert check_subtree_perfect_at(tree, eu, model, "D").outcome is Outcome.HOLD
+    assert check_subtree_perfect_at(tree, eu, model, "M").outcome is Outcome.VACUOUS_HOLD
+    assert [kept_arcs(s) for s in normal_form_solution(tree, eu, model).strategies] == [
+        {"D": "d2"}
+    ]
 
 
 def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
@@ -616,12 +682,14 @@ def test_threshold_verdicts_equal_the_full_table_verdicts(sampler):
     for tree, model in problems:
         for kind in THRESHOLD:
             choice = ChoiceFunction(kind)
-            table = solver_module._threshold_table(tree, choice, model)
+            members = choice.row_members(model)
             try:
                 full = full_table_verdicts(tree, choice, model)
             except ModeUnsupported:
-                assert table is None, kind  # the model does not suit the rule
+                assert members is None, kind  # the model does not suit the rule
                 continue
+            assert solver_module._filters_apply(tree, members)
+            table = solver_module._threshold_table(tree, choice, members)
             read = solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
             assert verdict_tuples(read) == verdict_tuples(full), (sampler, kind)
             compared += 1
@@ -721,7 +789,7 @@ def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
     monkeypatch.setattr(solver_module, "strategy_table", table_spy)
     for kind in THRESHOLD[1:]:
         choice = ChoiceFunction(kind)
-        assert solver_module._threshold_table(tree, choice, zero) is None
+        assert not solver_module._filters_apply(tree, choice.row_members(zero))
         builds.clear()
         verdicts = check_subtree_perfect(tree, choice, zero)
         assert builds == ["unfiltered"], kind
@@ -730,7 +798,7 @@ def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
         assert verdict_tuples(verdicts) == verdict_tuples(full_table_verdicts(tree, choice, zero))
     for kind in THRESHOLD:
         choice = ChoiceFunction(kind)
-        assert solver_module._threshold_table(labelled, choice, model) is None
+        assert not solver_module._filters_apply(labelled, choice.row_members(model))
         builds.clear()
         with pytest.raises(ValueError, match="numeric"):
             check_subtree_perfect(labelled, choice, model)

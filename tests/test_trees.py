@@ -438,16 +438,27 @@ def test_a_2000_deep_chain_is_rendered_without_recursion():
     assert lines[2:6] == [
         '  "D0" [shape=box, label="D0"];',
         '  "D0" -> "S0" [label="stop∥", style=dashed];',
-        '  "S0" [shape=plaintext, label="S0\\\\n0"];',
+        '  "S0" [shape=plaintext, label="S0\\n0"];',
         '  "D0" -> "D1" [label="go"];',
     ]
-    assert lines[-2:] == ['  "end" [shape=plaintext, label="end\\\\n0"];', "}"]
+    assert lines[-2:] == ['  "end" [shape=plaintext, label="end\\n0"];', "}"]
 
     doc = serialize_problem(ParsedProblem(tree, {}))["tree"]
     for i in range(2000):
         assert doc["id"] == f"D{i}" and doc["arcs"][0]["child"]["id"] == f"S{i}"
         doc = doc["arcs"][1]["child"]
     assert doc == {"id": "end", "kind": "leaf", "reward": 0}
+
+
+def test_dot_labels_break_lines_with_one_backslash():
+    # A label's line break is DOT's two-character escape \n; a backslash in
+    # a node id is still doubled, so it stays a literal backslash.
+    sp = PossibilitySpace(("a", "b"))
+    gamble = GambleLeaf("G", Gamble.from_mapping(sp.event(["b"]), {"b": Fraction(1, 2)}))
+    root = chance("C", [(sp.event(["a"]), leaf("x\\y", 3)), (sp.event(["b"]), gamble)])
+    lines = export_dot(validate_tree(DecisionTree(sp, root))).splitlines()
+    assert '  "x\\\\y" [shape=plaintext, label="x\\\\y\\n3"];' in lines
+    assert '  "G" [shape=plaintext, label="G\\nb: 1/2"];' in lines
 
 
 def _two_faults():

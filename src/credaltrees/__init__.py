@@ -23,7 +23,6 @@ from .choice import (
     KINDS,
     ChoiceFunction,
     choose_by_preorder,
-    choose_imprecise_utility,
 )
 from .dot import export_dot
 from .errors import (

@@ -3,8 +3,8 @@
 `ChoiceFunction.choose` takes the options in order, an uncertainty model
 and a nonempty conditioning event, and returns a nonempty subset of the
 options in their original order.  Options are compared only through their
-values on the conditioning event, which the rules of `RULES` read as
-integers over one denominator (`OptionRows`).
+values on the conditioning event: the rules of `RULES` read them as integers
+over one denominator (`OptionRows`), or read a model's expectations of them.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class OptionTable:
     neither.  Everything the rules read beyond that (member sums,
     envelopes, row minima) is computed on first use, in integers, and kept,
     unless *sums* gives the member sums already.
+
+    A table of values alone (a factored model's expectations, or a utility
+    model's, one column per function) has no rows, only *sums*.
     """
 
     def __init__(
@@ -299,10 +302,7 @@ def _interval_dominance_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
 
 def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
     sums = t.sums
-    winners: set[int] = set()
-    for s in sums:
-        top = max(s[j] for j in idx)
-        winners.update(j for j in idx if s[j] == top)
+    winners = set().union(*(_argmax(s, idx) for s in sums))
     if hull:
         # A dominated option is never a best response to a mixture, and its
         # constraint is implied by its dominator's: only maxima matter.
@@ -354,30 +354,6 @@ RULES = {
 # The rules that read no model: any model passed in is ignored.
 MODEL_FREE = ("maximin", "pointwise_dominance")
 KINDS = (*RULES, "imprecise_utility", "by_preorder")
-
-
-def choose_imprecise_utility(
-    xs: Sequence[Gamble], model: UncertaintyModel, b: Event
-) -> tuple[Gamble, ...]:
-    """All options optimal under some candidate utility function.
-
-    The options carry reward labels; each utility function turns them into
-    numeric gambles, which are compared by conditional expectation under
-    the model's chance part (joint or factored), or directly when there is
-    none (in which case the relabelled options must be constant on the
-    conditioning event).
-    """
-    _guard(xs, b, numeric=False)
-    if not isinstance(model, UtilityModel):
-        raise ModeUnsupported("imprecise_utility needs a utility model")
-    for x in xs:
-        if x.is_numeric:
-            raise ValueError("imprecise_utility expects label gambles")
-
-    winners: set[int] = set()
-    for values in zip(*(utility_values(model, x, b) for x in xs)):
-        winners.update(_argmax(values, range(len(xs))))
-    return tuple(x for j, x in enumerate(xs) if j in winners)
 
 
 Preorder = Callable[[Gamble, Gamble, UncertaintyModel | None, Event], bool]
@@ -443,26 +419,33 @@ class ChoiceFunction:
         """The options the rule keeps, in their order.
 
         *xs* are gambles, or, where `row_members` is not None, `OptionRows`.
+        Every kind but ``by_preorder`` ends in one `RULES` function on one
+        `OptionTable`.
         """
         kind = self.kind
         if kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
-        if kind == "imprecise_utility":
-            return choose_imprecise_utility(xs, model, b)
-        _guard(xs, b)
-        if kind == "eu" and isinstance(model, FactoredModel):
-            # a factored model values each option, a gamble, on the tree's assessment
-            values = [precise_gamble_value(model, x, b) for x in xs]
-            return tuple(xs[j] for j in _argmax(values, range(len(xs))))
+        _guard(xs, b, numeric=kind != "imprecise_utility")
         members = self.row_members(model)
-        if members is None:
+        if members is not None:
+            rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
+            table = OptionTable.on(b, rows, members, rows.sums)
+        elif kind == "eu" and isinstance(model, FactoredModel):
+            # a factored model values each option, a gamble, on the tree's assessment
+            table = OptionTable((), sums=[[precise_gamble_value(model, x, b) for x in xs]])
+        elif kind == "imprecise_utility" and isinstance(model, UtilityModel):
+            if any(x.is_numeric for x in xs):
+                raise ValueError("imprecise_utility expects label gambles")
+            # one column per utility function: the options optimal under some
+            # function are E-admissibility's union of per-column argmaxes
+            table = OptionTable((), sums=list(zip(*(utility_values(model, x, b) for x in xs))))
+            kind = "e_admissible"
+        else:
             raise ModeUnsupported(
-                "expected utility needs a joint or factored model"
-                if kind == "eu"
+                "expected utility needs a joint or factored model" if kind == "eu"
+                else "imprecise_utility needs a utility model" if kind == "imprecise_utility"
                 else f"{kind} needs a credal model"
             )
-        rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
-        table = OptionTable.on(b, rows, members, rows.sums)
         return tuple(xs[j] for j in RULES[kind](table, range(len(xs))))
 
     def row_members(

@@ -89,10 +89,16 @@ class FuzzConfig:
         self.sampler_parts()  # validate eagerly
 
     def sampler_parts(self) -> tuple[str, int]:
-        name, _, arg = self.model_sampler.partition(":")
+        name, colon, arg = self.model_sampler.partition(":")
         if name not in _SAMPLERS:
             raise ValueError(f"unknown model sampler {self.model_sampler!r}")
-        k = int(arg) if arg else (2 if name in ("credal", "hierarchical") else 1)
+        counted = name in ("credal", "hierarchical")
+        if colon and not (counted and arg.isascii() and arg.isdigit()):
+            raise ValueError(
+                f"model sampler {self.model_sampler!r}: only credal and"
+                " hierarchical take a member count, written in digits"
+            )
+        k = int(arg) if arg else (2 if counted else 1)
         if k < 1:
             raise ValueError("sampler member count must be positive")
         return name, k

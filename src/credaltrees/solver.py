@@ -72,6 +72,8 @@ def normal_form_solution(
     """Solve *tree* in normal form, conditional on *b* (root scope by default)."""
     scope = tree.root_scope
     b = scope if b is None else b
+    if not b <= scope:
+        raise ScopeMismatch(f"conditioning event {b!r} is not inside the root scope {scope!r}")
     root = tree.root.node_id
     table = strategy_table(tree, None, (choice.row_members(model) or ()) if b == scope else ())
     kept = _chosen(choice, model, table, scope, table[root], table.sums.get(root), b)
@@ -117,13 +119,12 @@ def _chosen(
     b: Optional[Event] = None,
 ) -> list[int]:
     """The indices, in order, of the *rows* (one node's rows of *table*, on
-    *scope*) whose gambles *choice* chooses on *b* (*scope* by default);
-    rows equal on b are one option.  *sums* is the node's entry of the
-    table's member-sum column, read where b is the scope."""
+    *scope*) whose gambles *choice* chooses on *b* (*scope* by default, or
+    an event inside it); rows equal on b are one option.  *sums* is the
+    node's entry of the table's member-sum column, read where b is the
+    scope."""
     b = scope if b is None else b
     if rows and b != scope:
-        if not b <= scope:
-            raise ScopeMismatch("event is not contained in the gamble's scope")
         at = {a: i for i, a in enumerate(scope.ordered)}
         pick = operator.itemgetter(*(at[a] for a in b.ordered))
         keys = [pick(values) for values in rows]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -112,14 +112,9 @@ def expectation(p: MassFunction, x: Gamble, b: Event) -> Fraction:
 
 @dataclass(frozen=True)
 class CredalSet:
-    """A finite list of mass functions over a common possibility space.
-
-    ``positivity_checked`` records, at construction time, whether every
-    member gives every atom strictly positive mass.
-    """
+    """A finite list of mass functions over a common possibility space."""
 
     members: tuple[MassFunction, ...]
-    positivity_checked: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -128,15 +123,6 @@ class CredalSet:
         for m in self.members:
             if m.space != sp:
                 raise ValueError("members live in different possibility spaces")
-        object.__setattr__(
-            self,
-            "positivity_checked",
-            all(m.is_strictly_positive for m in self.members),
-        )
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.members[0].space
 
 
 def lower_expectation(m: CredalSet, x: Gamble, b: Event) -> Fraction:
@@ -257,17 +243,6 @@ class TreeFactoredAssessment:
             raise UnknownNode(
                 f"arc probabilities given for unknown chance nodes {sorted(unknown)}"
             )
-
-    @classmethod
-    def from_mapping(
-        cls,
-        tree: DecisionTree,
-        table: Mapping[str, Sequence["int | str | Fraction"]],
-    ) -> "TreeFactoredAssessment":
-        return cls(
-            tree,
-            {nid: tuple(as_rational(v) for v in row) for nid, row in table.items()},
-        )
 
     @cached_property
     def _index(self) -> RowIndex:
@@ -409,26 +384,22 @@ class UtilityFunctionSet:
 @dataclass(frozen=True, eq=False)
 class JointModel:
     p: MassFunction
-    mode: str = field(default="joint", init=False)
 
 
 @dataclass(frozen=True, eq=False)
 class FactoredModel:
     assessment: TreeFactoredAssessment
-    mode: str = field(default="factored", init=False)
 
 
 @dataclass(frozen=True, eq=False)
 class CredalModel:
     credal: CredalSet
-    mode: str = field(default="credal", init=False)
 
 
 @dataclass(frozen=True, eq=False)
 class UtilityModel:
     utilities: UtilityFunctionSet
     chance: Optional[Union[JointModel, FactoredModel]] = None
-    mode: str = field(default="utilities", init=False)
 
     @cached_property
     def _index(self) -> RowIndex:

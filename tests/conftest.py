@@ -36,12 +36,14 @@ from credaltrees import (
     ZeroProbabilityCondition,
     chance,
     decision,
+    enumerate_strategies,
     gamble_of,
     leaf,
     subtree_at,
     validate_tree,
 )
 from credaltrees import canonical
+from credaltrees.uncertainty import utility_values
 
 
 def F(n, d=1):
@@ -507,6 +509,70 @@ def dominance_pools(draw):
     keep = set(atoms[:2]) if front else set()
     b = sp.event(keep | draw(st.sets(st.sampled_from(atoms), min_size=1)))
     return credal, pool, b
+
+
+@st.composite
+def label_pools(draw, chance_part):
+    """A utility model, label options with repeats and ties, and a
+    conditioning event, under *chance_part*: None, "joint" or "factored".
+
+    The options are the gambles of the strategies of a decision root over
+    label leaves and, given a chance part, chance nodes that split the space
+    in two.  Utilities are small integers, so functions tie often.  Without
+    a chance part every option is constant.  A factored part values options
+    on the root scope, where its tree induces them, and gives every chance
+    node the same arc probabilities (0 among them), so that it values a
+    gamble the same wherever the tree induces it.
+    """
+    atoms = ("w1", "w2", "w3")
+    sp = PossibilitySpace(atoms)
+    labels = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
+    utilities = UtilityFunctionSet(
+        tuple(
+            {r: F(draw(st.integers(-2, 2))) for r in labels}
+            for _ in range(draw(st.integers(1, 3)))
+        )
+    )
+    halves = (sp.event(atoms[:1]), sp.event(atoms[1:]))
+    label = st.sampled_from(labels)
+    arcs = []
+    for i in range(draw(st.integers(1, 5))):
+        if chance_part and draw(st.booleans()):
+            child = chance(
+                f"C{i}", [(e, leaf(f"C{i}{k}", draw(label))) for k, e in enumerate(halves)]
+            )
+        else:
+            child = leaf(f"L{i}", draw(label))
+        arcs.append((f"a{i}", child))
+    tree = DecisionTree(sp, decision("D", arcs))
+    b = sp.event(draw(st.sets(st.sampled_from(atoms), min_size=1)))
+    if chance_part == "joint":
+        weights = [draw(st.integers(1, 3)) for _ in atoms]
+        chance_model = JointModel(
+            MassFunction.from_mapping(sp, {a: F(w, sum(weights)) for a, w in zip(atoms, weights)})
+        )
+    elif chance_part == "factored":
+        p = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+        probs = {n.node_id: (p, 1 - p) for n, _ in tree.nodes() if isinstance(n, ChanceNode)}
+        chance_model = FactoredModel(TreeFactoredAssessment(tree, probs))
+        b = tree.root_scope
+    else:
+        chance_model = None
+    pool = [gamble_of(s) for s in enumerate_strategies(tree)]
+    pool += draw(st.lists(st.sampled_from(pool), max_size=3))
+    return UtilityModel(utilities, chance_model), draw(st.permutations(pool)), b
+
+
+def reference_imprecise_utility(xs, model, b):
+    """The options of maximal expected utility under some utility function:
+    the union over the functions of the argmax of `utility_values`, in the
+    options' order."""
+    values = [utility_values(model, x, b) for x in xs]
+    kept = set()
+    for i in range(len(model.utilities.functions)):
+        top = max(v[i] for v in values)
+        kept.update(j for j, v in enumerate(values) if v[i] == top)
+    return [x for j, x in enumerate(xs) if j in kept]
 
 
 # --- references for the strategy table ------------------------------------------

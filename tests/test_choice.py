@@ -30,7 +30,7 @@ from credaltrees import (
 from credaltrees.choice import RULES, OptionRows, OptionTable
 from credaltrees.trees import scaled
 
-from conftest import dominance_pools
+from conftest import dominance_pools, label_pools, reference_imprecise_utility
 
 
 @pytest.fixture
@@ -217,6 +217,29 @@ def test_imprecise_utility_keeps_unanimity_undominated():
     kept = set(cf.choose([r1, r2, r3], model, sp.omega()))
     assert kept == {r1, r3}
     assert set(cf.choose([r1, r2], model, sp.omega())) == {r1, r2}
+
+
+@pytest.mark.parametrize("chance_part", (None, "joint", "factored"))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_imprecise_utility_keeps_the_union_of_per_function_argmaxes(chance_part, data):
+    model, pool, b = data.draw(label_pools(chance_part))
+    kept = ChoiceFunction("imprecise_utility").choose(pool, model, b)
+    want = reference_imprecise_utility(pool, model, b)
+    assert list(map(id, kept)) == list(map(id, want))
+
+
+def test_imprecise_utility_guards_keep_their_errors():
+    sp = PossibilitySpace(("w",))
+    label = Gamble.from_mapping(sp.omega(), {"w": "r"})
+    number = Gamble.from_mapping(sp.omega(), {"w": 1})
+    utility = UtilityModel(UtilityFunctionSet.from_tables([{"r": 1}]), None)
+    joint = JointModel(MassFunction.from_mapping(sp, {"w": 1}))
+    cf = ChoiceFunction("imprecise_utility")
+    with pytest.raises(ValueError, match="^imprecise_utility expects label gambles$"):
+        cf.choose([label, number], utility, sp.omega())
+    with pytest.raises(ModeUnsupported, match="^imprecise_utility needs a utility model$"):
+        cf.choose([label], joint, sp.omega())
 
 
 def test_duplicate_gambles_do_not_change_the_choice(w2):

@@ -195,6 +195,39 @@ def test_exit_two_on_bad_condition(capsys):
     assert code == 2
 
 
+def test_solve_condition_outside_the_root_scope_exits_two(tmp_path):
+    tree = {
+        "atoms": ["a", "b", "c"],
+        "root_scope": ["a", "b"],
+        "tree": {"id": "D", "kind": "decision", "arcs": [
+            {"label": "x", "child": {"id": "X", "kind": "leaf", "reward": 1}},
+            {"label": "y", "child": {"id": "Y", "kind": "leaf", "reward": 2}},
+        ]},
+    }
+    model = {"mode": "joint", "mass": {"a": "1/3", "b": "1/3", "c": "1/3"}}
+    (tmp_path / "t.json").write_text(json.dumps(tree))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    code, out, err = run_captured(
+        ["solve", "--tree", str(tmp_path / "t.json"), "--model", str(tmp_path / "m.json"),
+         "--choice", "eu", "--condition", "c"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: conditioning event Event({c}) is not inside the root scope Event({a, b})\n"
+    )
+
+
+@pytest.mark.parametrize("sampler", ["factored:3", "joint:3", "credal:abc"])
+def test_fuzz_rejects_a_member_count_where_none_applies(sampler):
+    code, out, err = run_captured(
+        ["fuzz", "--choice", "eu", "--seed", "1", "--trees", "1", "--model-sampler", sampler]
+    )
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"model sampler {sampler!r}" in lines[0]
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["solve", "--tree", "x.json"]) == 2  # missing required flags
     assert run(["not-a-command"]) == 2

@@ -10,6 +10,8 @@ from credaltrees import (
     FileFormatError,
     GambleLeaf,
     JointModel,
+    MassFunction,
+    UtilityFunctionSet,
     UtilityModel,
     dumps_structured,
     load_json,
@@ -205,3 +207,28 @@ def test_corpus_round_trip_is_identity(name, tree_path, model_path):
             load_json(dumps_structured(mdoc)), problem.space, problem.tree
         )
         assert serialize_model(again_m) == mdoc
+
+
+@pytest.mark.parametrize("chance_mode", ["joint", "factored"])
+def test_utility_model_with_a_chance_part_round_trips(chance_mode):
+    problem = parse_problem(load_json((PROBLEMS / "eu-example-3.tree.json").read_text()))
+    sp, tree = problem.space, problem.tree
+    if chance_mode == "joint":
+        masses = {"a1e1": "1/4", "a1e2": "1/4", "a2e1": "1/6", "a2e2": "1/3"}
+        chance = JointModel(MassFunction.from_mapping(sp, masses))
+    else:
+        doc = load_json((PROBLEMS / "eu-example-3.model.json").read_text())
+        chance = parse_model(doc, sp, tree)
+        assert isinstance(chance, FactoredModel)
+    u = UtilityFunctionSet.from_tables([{"r1": 3, "r2": "1/2"}, {"r1": -1, "r2": 0}])
+    doc = serialize_model(UtilityModel(u, chance))
+    assert doc["chance"] == serialize_model(chance)
+    assert doc["chance"]["mode"] == chance_mode
+    again = parse_model(load_json(dumps_structured(doc)), sp, tree)
+    assert isinstance(again, UtilityModel)
+    assert again.utilities.functions == u.functions
+    if chance_mode == "joint":
+        assert again.chance.p == chance.p
+    else:
+        assert again.chance.assessment.arc_probs == chance.assessment.arc_probs
+    assert serialize_model(again) == doc

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,26 @@ def test_harvest_collects_local_gambles_and_events():
 def test_invalid_sampler_is_rejected():
     with pytest.raises(ValueError):
         fuzz_equivalence(MAXIMALITY, "bogus:sampler", cfg(tree_count=1))
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    ["factored:3", "joint:3", "joint:", "credal:abc", "credal:", "credal: 2", "hierarchical:-1"],
+)
+def test_a_member_count_follows_only_credal_or_hierarchical_in_digits(sampler):
+    with pytest.raises(ValueError, match=f"^model sampler {re.escape(repr(sampler))}: "):
+        cfg(model_sampler=sampler)
+
+
+def test_the_benchmark_samplers_keep_their_parts():
+    for sampler, parts in (
+        ("factored", ("factored", 1)),
+        ("joint", ("joint", 1)),
+        ("credal", ("credal", 2)),
+        ("credal:2", ("credal", 2)),
+        ("credal:3", ("credal", 3)),
+        ("hierarchical:2", ("hierarchical", 2)),
+    ):
+        assert cfg(model_sampler=sampler).sampler_parts() == parts
+    with pytest.raises(ValueError, match="^sampler member count must be positive$"):
+        cfg(model_sampler="credal:0")

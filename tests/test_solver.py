@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1245,3 +1246,17 @@ def test_check_builds_each_strategy_it_returns_once(monkeypatch):
         }
         assert returned
         assert len(built) <= len(returned), kind
+
+
+def test_a_condition_outside_the_root_scope_names_both_events():
+    sp = PossibilitySpace(("a", "b", "c"))
+    root = decision("D", [("x", leaf("X", 1)), ("y", leaf("Y", 2))])
+    tree = DecisionTree(sp, root, sp.event(["a", "b"]))
+    model = JointModel(MassFunction.from_mapping(sp, {"a": "1/3", "b": "1/3", "c": "1/3"}))
+    for atoms in (["c"], ["b", "c"]):
+        b = sp.event(atoms)
+        message = f"conditioning event {b!r} is not inside the root scope Event({{a, b}})"
+        with pytest.raises(ScopeMismatch, match=f"^{re.escape(message)}$"):
+            normal_form_solution(tree, ChoiceFunction("eu"), model, b)
+    inside = normal_form_solution(tree, ChoiceFunction("eu"), model, sp.event(["a"]))
+    assert len(inside.strategies) == 1

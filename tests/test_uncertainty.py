@@ -191,6 +191,26 @@ def test_factored_expectation_survives_zero_probability_arcs():
     assert sub_vals == [Fraction(1), Fraction(6, 5)]
 
 
+def test_factored_value_of_a_constant_gamble_leaf_is_that_of_a_leaf():
+    sp = PossibilitySpace(("e1", "e2"))
+    e1, e2 = sp.event(["e1"]), sp.event(["e2"])
+
+    def tree_with(reward_node):
+        go = chance("C", [(e1, reward_node), (e2, leaf("Z", 0))])
+        tree = DecisionTree(sp, decision("D", [("go", go), ("stay", leaf("S", 1))]))
+        return tree, TreeFactoredAssessment(tree, {"C": (Fraction(1, 2), Fraction(1, 2))})
+
+    values = []
+    for reward_node in (GambleLeaf("G", Gamble.from_mapping(e1, {"e1": 3})), leaf("G", 3)):
+        tree, a = tree_with(reward_node)
+        strats = enumerate_strategies(tree)
+        values.append(
+            [factored_expectation(a, s) for s in strats]
+            + [factored_expectation(a, s, node_id="C") for s in strats if s.contains("C")]
+        )
+    assert values[0] == values[1] == [Fraction(3, 2), Fraction(1), Fraction(3, 2)]
+
+
 def test_precise_gamble_value_agrees_across_model_kinds():
     tree, joint = build_eu2()
     _, factored = build_eu3()

@@ -4,7 +4,7 @@
 and a nonempty conditioning event, and returns a nonempty subset of the
 options in their original order.  Options are compared only through their
 values on the conditioning event: the rules of `RULES` read them as integers
-over one denominator (`OptionRows`), or read a model's expectations of them.
+over one denominator (`OptionTable`), or read a model's expectations of them.
 """
 
 from __future__ import annotations
@@ -36,38 +36,13 @@ from .uncertainty import (
     utility_values,
 )
 
-class OptionRows(tuple):
-    """Options given by their values on the conditioning event, as integers.
-
-    Each row holds an option's values on b, in ``b.ordered``, all multiplied
-    by one positive factor common to every row.  The rules never need that
-    factor: each rule of `RULES` keeps the same options when every row is
-    scaled by a positive constant.  `ChoiceFunction.choose` takes these in
-    place of gambles and then returns the rows it keeps.
-
-    ``sums``, where set, holds ``sums[m][j]``, member m's sum of row j over
-    b with the weights `OptionTable.on` gives it, for the members the rule
-    reads; the rule then reads those and computes none.
-    """
-
-    sums: Optional[list[list[int]]] = None
-
-    @classmethod
-    def of(cls, xs: Sequence[Gamble], b: Event) -> "OptionRows":
-        """Numeric gambles' values on b, scaled by the least common multiple
-        of their denominators."""
-        values = [x.values if x.scope == b else x.values_on(b) for x in xs]
-        d = math.lcm(*{v.denominator for row in values for v in row})
-        return cls(tuple(scaled(v, d) for v in row) for row in values)
-
-
-def _guard(xs: "Sequence[Gamble] | OptionRows", b: Event, numeric: bool = True) -> None:
+def _guard(xs: "Sequence[Gamble] | OptionTable", b: Event, numeric: bool = True) -> None:
     if not xs:
         raise EmptyInput("no options to choose from")
     if b.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
-    if isinstance(xs, OptionRows):
-        if set(map(len, xs)) != {len(b)}:
+    if isinstance(xs, OptionTable):
+        if set(map(len, xs.rows)) != {len(b)}:
             raise ScopeMismatch("an option row does not cover the conditioning event")
         return
     for x in xs:
@@ -85,11 +60,12 @@ def _guard(xs: "Sequence[Gamble] | OptionRows", b: Event, numeric: bool = True) 
 class OptionTable:
     """The options of one choice, compared on one conditioning event b.
 
-    ``rows[j]`` holds option j's values on b as integers, scaled as in
-    `OptionRows`.  Under a model, ``weights[m]`` holds member m's atom
-    masses on b (in ``b.ordered``), times a positive factor of the member's
-    own, and ``mass[m]`` its probability of b; a model-free table has
-    neither.  Everything the rules read beyond that (member sums,
+    ``rows[j]`` holds option j's values on b, in ``b.ordered``, as integers
+    times one positive factor common to every row, which no rule of `RULES`
+    needs: each keeps the same options when every row is scaled.  Under a
+    model, ``weights[m]`` holds member m's atom masses on b, times a
+    positive factor of the member's own, and ``mass[m]`` its probability of
+    b; a model-free table has neither.  Everything the rules read beyond that (member sums,
     envelopes, row minima) is computed on first use, in integers, and kept,
     unless *sums* gives the member sums already.
 
@@ -109,6 +85,19 @@ class OptionTable:
         self.mass = mass
         if sums is not None:
             self.sums = sums
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def of(
+        cls, xs: Sequence[Gamble], b: Event, members: Sequence[MassFunction] = ()
+    ) -> "OptionTable":
+        """The table `on` b of numeric gambles' values on b, scaled by the
+        least common multiple of their denominators."""
+        values = [x.values if x.scope == b else x.values_on(b) for x in xs]
+        d = math.lcm(*{v.denominator for row in values for v in row})
+        return cls.on(b, [tuple(scaled(v, d) for v in row) for row in values], members)
 
     @classmethod
     def on(
@@ -412,24 +401,26 @@ class ChoiceFunction:
 
     def choose(
         self,
-        xs: "Sequence[Gamble] | OptionRows",
+        xs: "Sequence[Gamble] | OptionTable",
         model: Optional[UncertaintyModel],
         b: Event,
     ) -> tuple:
         """The options the rule keeps, in their order.
 
-        *xs* are gambles, or, where `row_members` is not None, `OptionRows`.
-        Every kind but ``by_preorder`` ends in one `RULES` function on one
-        `OptionTable`.
+        *xs* are gambles, or, where `row_members` is not None, an
+        `OptionTable` on b under those members, whose kept rows are then
+        returned.  Every kind but ``by_preorder`` ends in one `RULES`
+        function on one `OptionTable`.
         """
         kind = self.kind
         if kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
         _guard(xs, b, numeric=kind != "imprecise_utility")
         members = self.row_members(model)
-        if members is not None:
-            rows = xs if isinstance(xs, OptionRows) else OptionRows.of(xs, b)
-            table = OptionTable.on(b, rows, members, rows.sums)
+        if isinstance(xs, OptionTable):
+            table, xs = xs, xs.rows
+        elif members is not None:
+            table = OptionTable.of(xs, b, members)
         elif kind == "eu" and isinstance(model, FactoredModel):
             # a factored model values each option, a gamble, on the tree's assessment
             table = OptionTable((), sums=[[precise_gamble_value(model, x, b) for x in xs]])

@@ -49,6 +49,7 @@ from .trees import (
     ChanceNode,
     DecisionNode,
     DecisionTree,
+    Decoder,
     Event,
     GambleLeaf,
     Leaf,
@@ -341,7 +342,7 @@ def _verdict_json(v: PerfectnessVerdict, tree: DecisionTree) -> dict:
     return out
 
 
-def _verdict_lines(verdicts, tree) -> list[str]:
+def _verdict_lines(verdicts) -> list[str]:
     lines = []
     for v in verdicts:
         line = f"{v.node_id}: {v.outcome}"
@@ -371,7 +372,7 @@ def _cmd_strategies(args) -> int:
     tree = problem.tree
     table = strategy_table(tree)
     rows = table[tree.root.node_id]
-    decode = table.decoder(tree)
+    decode = Decoder(tree)
     listed = [
         (i, decode.strategy(tree.root.node_id, i), table.rewards(values))
         for i, values in enumerate(rows)
@@ -424,7 +425,7 @@ def _cmd_check(args) -> int:
         }
         _emit(args, dumps_structured(doc))
     else:
-        lines = _verdict_lines(verdicts, problem.tree)
+        lines = _verdict_lines(verdicts)
         lines.append(f"subtree perfect: {'yes' if perfect else 'no'}")
         _emit(args, "\n".join(lines) + "\n")
     return _exit_of(verdicts)
@@ -443,7 +444,7 @@ def _cmd_check_node(args) -> int:
         }
         _emit(args, dumps_structured(doc))
     else:
-        _emit(args, "\n".join(_verdict_lines([verdict], problem.tree)) + "\n")
+        _emit(args, "\n".join(_verdict_lines([verdict])) + "\n")
     return _exit_of([verdict])
 
 
@@ -568,9 +569,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder and formats._node_from recurse (the decoder stops
-        # first, at about 330 nested decision nodes), so a deep enough input
-        # ends here rather than in exit 1, which means "not subtree perfect".
+        # The JSON decoder recurses (it stops at about 330 nested decision
+        # nodes), so a deep enough input ends here rather than in exit 1,
+        # which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -148,48 +148,61 @@ def event_from(value, space: PossibilitySpace, named: Mapping[str, Event], where
 
 
 def _node_from(doc, space: PossibilitySpace, named: Mapping[str, Event]) -> Node:
-    if not isinstance(doc, dict):
-        raise FileFormatError("tree nodes must be JSON objects")
-    nid = _require(doc, "id", "tree node")
-    if not isinstance(nid, str):
-        raise FileFormatError("node ids must be strings")
-    kind = _require(doc, "kind", f"node {nid!r}")
-    where = f"node {nid!r}"
-    if kind == "leaf":
-        return Leaf(nid, _reward_from(_require(doc, "reward", where), where))
-    if kind == "gamble":
-        table = _require(doc, "gamble", where)
-        if not isinstance(table, dict) or not table:
-            raise FileFormatError(f"{where}: gamble must map atoms to rewards")
-        scope = event_from(sorted(table, key=_atom_key(space, where)), space, named, where)
-        return GambleLeaf(
-            nid,
-            Gamble(
-                scope,
-                tuple(_reward_from(table[a], f"{where} atom {a!r}") for a in scope.ordered),
-            ),
-        )
-    if kind == "decision":
-        arcs = _arcs_of(doc, where)
-        out = []
-        for i, arc in enumerate(arcs):
-            label = _require(arc, "label", f"{where} arc {i}")
-            if not isinstance(label, str):
-                raise FileFormatError(f"{where} arc {i}: labels are strings")
-            out.append(
-                DecisionArc(label, _node_from(_require(arc, "child", f"{where} arc {i}"), space, named))
-            )
-        return DecisionNode(nid, tuple(out))
-    if kind == "chance":
-        arcs = _arcs_of(doc, where)
-        out = []
-        for i, arc in enumerate(arcs):
-            ev = event_from(_require(arc, "event", f"{where} arc {i}"), space, named, f"{where} arc {i}")
-            out.append(
-                ChanceArc(ev, _node_from(_require(arc, "child", f"{where} arc {i}"), space, named))
-            )
-        return ChanceNode(nid, tuple(out))
-    raise FileFormatError(f"{where}: unknown kind {kind!r}")
+    # The document is read in preorder from a stack, as `trees._walk` walks a
+    # tree, so deep chains need no recursion and the first error in document
+    # order is the one raised: each arc's label or event is read just before
+    # its child.  The nodes are then built children first.
+    read: list = []  # in preorder: each leaf, and each inner node's (kind, id, arc heads)
+    stack: list = [(doc, None, 0)]
+    while stack:
+        doc, inner, i = stack.pop()
+        if inner is not None:
+            # arc i of an inner node: its label or event, then its child
+            kind, nid, heads = inner
+            where = f"node {nid!r} arc {i}"
+            if kind == "decision":
+                label = _require(doc, "label", where)
+                if not isinstance(label, str):
+                    raise FileFormatError(f"{where}: labels are strings")
+                heads.append(label)
+            else:
+                heads.append(event_from(_require(doc, "event", where), space, named, where))
+            stack.append((_require(doc, "child", where), None, 0))
+            continue
+        if not isinstance(doc, dict):
+            raise FileFormatError("tree nodes must be JSON objects")
+        nid = _require(doc, "id", "tree node")
+        if not isinstance(nid, str):
+            raise FileFormatError("node ids must be strings")
+        kind = _require(doc, "kind", f"node {nid!r}")
+        where = f"node {nid!r}"
+        if kind == "leaf":
+            read.append(Leaf(nid, _reward_from(_require(doc, "reward", where), where)))
+        elif kind == "gamble":
+            table = _require(doc, "gamble", where)
+            if not isinstance(table, dict) or not table:
+                raise FileFormatError(f"{where}: gamble must map atoms to rewards")
+            scope = event_from(sorted(table, key=_atom_key(space, where)), space, named, where)
+            values = tuple(_reward_from(table[a], f"{where} atom {a!r}") for a in scope.ordered)
+            read.append(GambleLeaf(nid, Gamble(scope, values)))
+        elif kind in ("decision", "chance"):
+            arcs = _arcs_of(doc, where)
+            inner = (kind, nid, [])
+            read.append(inner)
+            stack += [(arc, inner, i) for i, arc in enumerate(arcs)][::-1]
+        else:
+            raise FileFormatError(f"{where}: unknown kind {kind!r}")
+    built: list[Node] = []
+    for item in reversed(read):
+        if isinstance(item, tuple):
+            kind, nid, heads = item
+            children = [built.pop() for _ in heads]  # the first arc's is on top
+            if kind == "decision":
+                item = DecisionNode(nid, tuple(map(DecisionArc, heads, children)))
+            else:
+                item = ChanceNode(nid, tuple(map(ChanceArc, heads, children)))
+        built.append(item)
+    return built[0]
 
 
 def _atom_key(space: PossibilitySpace, where: str):

@@ -52,6 +52,10 @@ from .uncertainty import (
 )
 
 _SAMPLERS = ("joint", "credal", "factored", "hierarchical")
+#: How many harvested gambles and events a reduction scans at most.
+_POOL_CAP, _EVENT_CAP = 24, 10
+#: The instance budget of each reduction.
+_REDUCTION_BUDGET = 40000
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,7 @@ def _parents(tree: DecisionTree) -> dict[str, Optional[str]]:
 
 
 def harvest(
-    tree: DecisionTree, failing_node: str, pool_cap: int = 24, event_cap: int = 10
+    tree: DecisionTree, failing_node: str
 ) -> tuple[tuple[Gamble, ...], tuple[Event, ...], bool]:
     """Gather reduction material from a failing tree.
 
@@ -347,7 +351,8 @@ def harvest(
     its ancestors (the competitors the theorem's construction uses), then
     everything else.  Events are the path events and their pairwise
     intersections, the failing node's own path event first.  Returns the
-    pool, the events and whether either cap truncated the material.
+    pool, the events and whether either cap (`_POOL_CAP`, `_EVENT_CAP`)
+    truncated the material.
     Raises ``UnknownNode`` when *failing_node* is not a node of *tree*.
     """
     parents = _parents(tree)
@@ -384,8 +389,8 @@ def harvest(
     for nid in tree.node_ids():
         add(nid)
 
-    truncated = len(ordered) > pool_cap
-    pool = tuple(ordered[:pool_cap])
+    truncated = len(ordered) > _POOL_CAP
+    pool = tuple(ordered[:_POOL_CAP])
 
     path_events: list[Event] = []
     ev_seen: set[frozenset] = set()
@@ -402,8 +407,8 @@ def harvest(
     for e1, e2 in itertools.combinations(base, 2):
         add_event(e1 & e2)
 
-    truncated = truncated or len(path_events) > event_cap
-    events = tuple(path_events[:event_cap])
+    truncated = truncated or len(path_events) > _EVENT_CAP
+    events = tuple(path_events[:_EVENT_CAP])
     return pool, events, truncated
 
 
@@ -521,7 +526,6 @@ def fuzz_equivalence(
     choice: ChoiceFunction,
     model_sampler: Optional[str],
     cfg: FuzzConfig,
-    reduction_budget: int = 40000,
 ) -> FuzzReport:
     """Scan random trees for perfectness failures and reduce each failure.
 
@@ -553,14 +557,11 @@ def fuzz_equivalence(
             shapes=("b", "a"),
             events_a=events,
             events_b=events,
-            max_instances=reduction_budget,
+            max_instances=_REDUCTION_BUDGET,
             verify_sample=4,
         )
         report = check_canonical(choice, model, tree.space, pool, limits)
-        exhaustive = (
-            not truncated
-            and report.instances_total <= reduction_budget
-        )
+        exhaustive = not truncated and report.instances_total <= _REDUCTION_BUDGET
         if report.passed and exhaustive:
             inconsistent.append(index)
         records.append(

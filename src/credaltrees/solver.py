@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .choice import ChoiceFunction, OptionRows
+from .choice import ChoiceFunction, OptionTable
 from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
 from .trees import (
     ChanceNode,
@@ -105,7 +105,7 @@ def _solution(
     at = table.positions.get(root)
     indices = tuple(kept if at is None else (at[j] for j in kept))
     values = tuple(table.rewards(table[root][j]) for j in kept)
-    strategies = table.decoder(tree).strategies(root, indices)
+    strategies = Decoder(tree).strategies(root, indices)
     return NormalFormSolution(tree, strategies, b, choice, indices, values, table)
 
 
@@ -142,11 +142,12 @@ def _chosen(
     for i, c in enumerate(class_of):
         first.setdefault(c, i)
 
-    if table.numeric and choice.row_members(model) is not None:
-        options = OptionRows(classes)
+    members = choice.row_members(model)
+    if table.numeric and members is not None:
         if sums:
             # rows equal on the scope have equal sums
-            options.sums = [[entry[i] for i in first.values()] for entry in sums]
+            sums = [[entry[i] for i in first.values()] for entry in sums]
+        options = OptionTable.on(b, list(classes), members, sums)
         chosen = {classes[row] for row in choice.choose(options, model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
@@ -194,7 +195,7 @@ def restrict_solution(
     """
     tree = sol.tree_ref
     reached = _reached_positions(sol.table, tree.root, sol.indices).get(node_id, {})
-    return sol.table.decoder(tree).strategies(node_id, reached)
+    return Decoder(tree).strategies(node_id, reached)
 
 
 def _reached_positions(
@@ -489,7 +490,7 @@ def _read_verdicts(
     Of these, only the first two have ``positions``.  A node's rows are
     solved from its member-sum column, where the table has one, and the
     root's give the full solution.  The strategies of all verdicts come
-    from one decoder, so each is built once."""
+    from one decoder, so they share their nodes."""
     if table.positions and choice.is_separable:
         local: Callable[[str], Sequence[int]] = table.positions.__getitem__
     else:
@@ -505,7 +506,7 @@ def _read_verdicts(
             return solved[node_id]
 
     reached = _reached_positions(table, tree.root, local(tree.root.node_id))
-    decode = table.decoder(tree)
+    decode = Decoder(tree)
     return tuple(_verdict_at(decode, reached, nid, local) for nid in node_ids)
 
 

@@ -203,9 +203,6 @@ class Gamble:
     def items(self) -> Iterator[tuple[str, Reward]]:
         return zip(self.scope.ordered, self.values)
 
-    def as_mapping(self) -> dict[str, Reward]:
-        return dict(self.items())
-
     @property
     def is_numeric(self) -> bool:
         return not any(isinstance(v, str) for v in self.values)
@@ -224,9 +221,6 @@ class Gamble:
         if len(vals) != 1:
             raise ValueError("gamble is not constant on the event")
         return vals.pop()
-
-    def map_values(self, fn) -> "Gamble":
-        return Gamble(self.scope, tuple(fn(v) for v in self.values))
 
 
 def _reward_kind(value: Reward) -> str:
@@ -539,11 +533,11 @@ class StrategyTable(dict):
 
     ``table[node_id][k]`` is the row of variant k of the subtree at
     *node_id*: a tuple of values, nothing else.  The variant is told by its
-    position alone, and `reached` and `decoder` decode it from there only
+    position alone, and `reached` and `Decoder` decode it from there only
     when it is needed.
 
     ``counts[node_id]`` is the number of variants of the node, the tree's
-    `DecisionTree._counts`, which `reached` and `decoder` decode positions
+    `DecisionTree._counts`, which `reached` and `Decoder` decode positions
     with.  A table built with a row filter holds only the kept rows, and
     ``positions[node_id][j]`` is the position of row j among the node's
     variants; a table built without one has no ``positions``.
@@ -581,11 +575,6 @@ class StrategyTable(dict):
         below an arc that the variant does not keep are absent."""
         return _reached(node, k, self.counts.__getitem__)
 
-    def decoder(self, tree: "DecisionTree") -> "Decoder":
-        """A decoder of this table's positions of *tree*'s variants, with a
-        memo of its own."""
-        return Decoder(tree, self.counts.__getitem__)
-
 
 def strategy_table(
     tree: DecisionTree,
@@ -603,8 +592,8 @@ def strategy_table(
     decision node concatenates its children's rows, arc by arc, and a
     chance node takes the product of its children's rows, the last arc
     varying fastest as in `itertools.product`, and merges their value
-    tuples.  No node is built: ``table.decoder`` decodes one from its
-    position.  Raises what `gamble_of` raises on some strategy of the tree.
+    tuples.  No node is built: `Decoder` decodes one from its position.
+    Raises what `gamble_of` raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
     only the rows at the indices ``keep(table, node_id, scope, rows, sums)``
@@ -727,16 +716,15 @@ def enumerate_strategies(tree: DecisionTree) -> tuple[Strategy, ...]:
     """
     table = strategy_table(tree)
     root = tree.root.node_id
-    return table.decoder(tree).strategies(root, range(len(table[root])))
+    return Decoder(tree).strategies(root, range(len(table[root])))
 
 
 def strategy_at(tree: DecisionTree, k: int) -> Strategy:
     """``enumerate_strategies(tree)[k]`` for ``0 <= k < count_strategies(tree)``,
     decoded from *k* without enumerating or valuing any strategy."""
-    count = tree._counts.__getitem__
-    if not 0 <= k < count(tree.root.node_id):
+    if not 0 <= k < count_strategies(tree):
         raise IndexError(f"strategy {k} out of range")
-    return Decoder(tree, count).strategy(tree.root.node_id, k)
+    return Decoder(tree).strategy(tree.root.node_id, k)
 
 
 def count_strategies(tree: DecisionTree) -> int:
@@ -817,20 +805,19 @@ def _positions(node: Node, table: StrategyTable) -> list[int]:
 class Decoder:
     """Strategy positions of one tree decoded into nodes, each once.
 
-    ``count(node_id)`` is the number of variants of a node, as in
-    `_step`.  Variant k of a node is kept in a memo under (node id, k)
-    and built from its children's memoised variants, so the variants of a
-    parent and of its children share their nodes, and each strategy is
-    built, and validated, once per decoder.  A node with a single variant
-    is that variant, so it is returned as it is.  Decoding walks down with
-    a stack and builds bottom-up, so deep chains need no recursion.
+    Positions are decoded by `_step` with the tree's variant counts
+    (`DecisionTree._counts`).  Variant k of a node is kept in a memo under
+    (node id, k) and built from its children's memoised variants, so the
+    variants of a parent and of its children share their nodes.  A node
+    with a single variant is that variant, so it is returned as it is.
+    Decoding walks down with a stack and builds bottom-up, so deep chains
+    need no recursion.
     """
 
-    def __init__(self, tree: DecisionTree, count: Callable[[str], int]):
+    def __init__(self, tree: DecisionTree):
         self.tree = tree
-        self._count = count
+        self._count = tree._counts.__getitem__
         self._nodes: dict[tuple[str, int], Node] = {}
-        self._strategies: dict[tuple[str, int], Strategy] = {}
 
     def node(self, node: Node, k: int) -> Node:
         """Variant *k* of *node*: the root node of the matching strategy."""
@@ -866,16 +853,16 @@ class Decoder:
 
     def strategies(self, node_id: str, positions: Iterable[int]) -> tuple[Strategy, ...]:
         """The variants at *positions* of the subtree at *node_id*, as
-        strategies; raises `UnknownNode` for a node not in the tree."""
+        strategies, valid as built (`_step` keeps one arc per decision node),
+        so `Strategy`'s check is skipped; raises `UnknownNode` for a node not
+        in the tree."""
         tree = self.tree
         node, scope = tree.find(node_id), tree.scope_of(node_id)
-        memo = self._strategies
         out = []
         for k in positions:
-            got = memo.get((node_id, k))
-            if got is None:
-                got = memo[node_id, k] = Strategy(tree.space, self.node(node, k), scope)
-            out.append(got)
+            strategy = object.__new__(Strategy)
+            strategy.__dict__.update(space=tree.space, root=self.node(node, k), root_scope=scope)
+            out.append(strategy)
         return tuple(out)
 
     def strategy(self, node_id: str, k: int) -> Strategy:

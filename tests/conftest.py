@@ -690,7 +690,8 @@ def relabel(tree, fn):
         if isinstance(node, Leaf):
             return Leaf(node.node_id, fn(node.reward))
         if isinstance(node, GambleLeaf):
-            return GambleLeaf(node.node_id, node.gamble.map_values(fn))
+            g = node.gamble
+            return GambleLeaf(node.node_id, Gamble(g.scope, tuple(map(fn, g.values))))
         if isinstance(node, DecisionNode):
             return DecisionNode(
                 node.node_id,

@@ -111,7 +111,7 @@ def test_04_sequential_tree_strategy_count_and_plan_gamble(lake):
     plan = strategies[1]
     assert kept_arcs(plan) == {"N1": "dS", "NS1": "d1", "NS2": "d2"}
     g = gamble_of(plan)
-    assert g.as_mapping() == {
+    assert dict(g.items()) == {
         "s1e1": F(9),
         "s1e2": F(14),
         "s2e1": F(4),

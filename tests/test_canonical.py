@@ -142,6 +142,20 @@ def test_scan_finds_the_maximality_counterexample(w2):
     assert "confirmed" in report.note
 
 
+@pytest.mark.parametrize("kind", ["maximality", "interval_dominance"])
+def test_a_shape_b_scan_fails_at_n1_where_xs_are_wider_than_ys(w2, kind):
+    # X = {(1, 0), (2, -1)} keeps both options alone, but beside Y = {(1, 1)}
+    # only (2, -1): the restriction at N1 loses an option of N1's own choice.
+    sp, model = w2
+    pool = [g(sp, 1, 0), g(sp, 2, -1), g(sp, 1, 1)]
+    limits = CanonicalLimits(shapes=("b",), max_xs=2, max_ys=1)
+    report = check_canonical(ChoiceFunction(kind), model, sp, pool, limits)
+    assert not report.passed and report.shape == "b"
+    assert report.failing_nodes == ("N1",)
+    assert report.instance.xs == (pool[0], pool[1]) and report.instance.ys == (pool[2],)
+    assert "confirmed" in report.note
+
+
 def test_scan_finds_the_worst_case_shape_a_counterexample():
     sp = PossibilitySpace(("a1", "a2"))
     pool = [g(sp, 2, 0), g(sp, 1, 0), g(sp, 0, 0)]

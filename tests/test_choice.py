@@ -12,12 +12,14 @@ from credaltrees import (
     CredalModel,
     CredalSet,
     DecisionTree,
+    EmptyInput,
     FactoredModel,
     Gamble,
     JointModel,
     MassFunction,
     ModeUnsupported,
     PossibilitySpace,
+    ScopeMismatch,
     TreeFactoredAssessment,
     UtilityModel,
     UtilityFunctionSet,
@@ -27,7 +29,7 @@ from credaltrees import (
     leaf,
     ratlp,
 )
-from credaltrees.choice import RULES, OptionRows, OptionTable
+from credaltrees.choice import RULES, OptionTable
 from credaltrees.trees import scaled
 
 from conftest import dominance_pools, label_pools, reference_imprecise_utility
@@ -414,15 +416,14 @@ def test_rules_are_invariant_under_positive_row_and_member_scaling(data, k, draw
     # What lets the solver hand every rule integer rows over a tree-wide
     # denominator, and the table scale each member's weights on its own.
     credal, pool, b = data
-    rows = OptionRows.of(pool, b)
-    table = OptionTable.on(b, rows, credal.members)
+    table = OptionTable.of(pool, b, credal.members)
     factors = [draw.draw(positive_scales, label="member factor") for _ in table.weights]
     scaled_table = OptionTable(
-        [tuple(k * v for v in row) for row in rows],
+        [tuple(k * v for v in row) for row in table.rows],
         [[c * w for w in ws] for c, ws in zip(factors, table.weights)],
         [c * m for c, m in zip(factors, table.mass)],
     )
-    every = range(len(rows))
+    every = range(len(table))
     some = sorted(draw.draw(st.sets(st.sampled_from(every), min_size=1), label="subset"))
     for kind, rule in RULES.items():
         for idx in (every, some):
@@ -490,6 +491,32 @@ def test_eu_under_a_joint_model_keeps_its_zero_probability_message():
         ZeroProbabilityCondition, match=r"conditioning event .* has probability zero"
     ):
         ChoiceFunction("eu").choose([g(sp, 1, 2)], JointModel(p), sp.event(["w2"]))
+
+
+def test_choose_refuses_no_options_an_empty_event_and_a_scope_that_misses_it(w2):
+    sp, p1, p2 = w2
+    model = CredalModel(CredalSet((p1, p2)))
+    w1 = sp.event(["w1"])
+    for kind in ("maximality", "maximin"):
+        choice = ChoiceFunction(kind)
+        with pytest.raises(EmptyInput, match="no options to choose from"):
+            choice.choose([], model, sp.omega())
+        with pytest.raises(ZeroProbabilityCondition, match="conditioning event is empty"):
+            choice.choose([g(sp, 1, 0)], model, sp.event([]))
+        with pytest.raises(ScopeMismatch, match="a gamble's scope does not cover"):
+            choice.choose([g(sp, 1, 0), Gamble.from_mapping(w1, {"w1": 1})], model, sp.omega())
+        table = OptionTable.on(sp.omega(), [(1,)], choice.row_members(model))
+        with pytest.raises(ScopeMismatch, match="an option row does not cover"):
+            choice.choose(table, model, sp.omega())
+
+
+def test_choose_returns_a_table_s_kept_rows(w2):
+    sp, p1, p2 = w2
+    model = CredalModel(CredalSet((p1, p2)))
+    pool = [g(sp, 1, 0), g(sp, 0, 1), g(sp, 0, 0)]
+    table = OptionTable.of(pool, sp.omega(), model.credal.members)
+    assert len(table) == 3
+    assert ChoiceFunction("maximality").choose(table, model, sp.omega()) == ((1, 0), (0, 1))
 
 
 # --- partial zero mass --------------------------------------------------------------

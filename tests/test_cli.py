@@ -421,6 +421,25 @@ def test_check_reports_a_leaf_of_probability_zero(tmp_path, capsys, choice, code
     assert ("L2: hold" in out) == (code == 0)
 
 
+def test_structured_check_carries_an_error_verdict_s_detail(tmp_path, capsys):
+    # One member gives C's {w2, w3} mass zero, the other positive mass: C's
+    # local problem cannot be posed, and the reason reaches the document.
+    tree = tmp_path / "leaf.tree.json"
+    tree.write_text(json.dumps(ZERO_MASS_LEAF))
+    model = tmp_path / "q.model.json"
+    model.write_text(json.dumps({"mode": "credal", "members": [
+        {"w1": "1/2", "w2": "1/4", "w3": "1/4"}, {"w1": 1, "w2": 0, "w3": 0}]}))
+    argv = ["check", "--tree", str(tree), "--model", str(model), "--choice", "maximality"]
+    assert run(argv + ["--format", "structured"]) == 2
+    verdicts = {v["node"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+    assert verdicts["L2"] == {
+        "node": "L2",
+        "outcome": "error",
+        "detail": "a credal member gives the conditioning event Event({w2, w3}) probability zero",
+    }
+    assert verdicts["D"] == {"node": "D", "outcome": "hold"}
+
+
 def split_on_a(nid):
     """A chance node paying 1 on a1 and 0 on a2."""
     return {"id": nid, "kind": "chance", "arcs": [

@@ -57,6 +57,7 @@ from credaltrees import (
     validate_tree,
 )
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
+from credaltrees.trees import Decoder
 
 from conftest import (
     build_alternating,
@@ -1095,7 +1096,7 @@ def fractional_problem(seed, sampler):
 def test_fractional_rewards_solve_and_check_as_the_reference(seed, sampler, data):
     tree, model = fractional_problem(seed, sampler)
     table = strategy_table(tree)
-    decode = table.decoder(tree)
+    decode = Decoder(tree)
     assert table.denominator > 1
     for nid in tree.node_ids():
         assert all(type(v) is int for values in table[nid] for v in values)

@@ -1,5 +1,6 @@
 import operator
 import os
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -46,8 +47,10 @@ from credaltrees import (
 )
 from credaltrees.cli import render_strategy
 from credaltrees.dot import export_dot
-from credaltrees.formats import ParsedProblem, serialize_problem
+from credaltrees import trees
+from credaltrees.formats import ParsedProblem, parse_problem, serialize_problem
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
+from credaltrees.trees import Decoder
 
 from conftest import (
     build_alternating,
@@ -292,7 +295,7 @@ def assert_table_matches_the_reference(tree):
     its root, and to the reference position of its restriction at every
     node it keeps, in preorder."""
     table = strategy_table(tree)
-    decode = table.decoder(tree)
+    decode = Decoder(tree)
     assert set(table) == set(tree.node_ids())
     references = {nid: reference_strategies(subtree_at(tree, nid)) for nid in table}
     position = {
@@ -410,6 +413,46 @@ def test_a_2000_deep_chain_is_decoded_and_checked_without_recursion():
         assert root.restricted_solution == root.local_solution, kind
 
 
+def test_checking_a_go_stop_chain_takes_work_linear_in_its_depth(monkeypatch):
+    # Counted, not timed.  Every verdict returns a strategy as deep as the
+    # rest of the chain, so walking each one again (`trees._decisions`, which
+    # `Strategy`'s check runs) made the check quadratic in the depth; the
+    # decoder's steps (`trees._step`) stay linear.
+    calls = Counter()
+    decisions, step = trees._decisions, trees._step
+
+    def visiting(node):
+        for n in decisions(node):
+            calls["_decisions"] += 1
+            yield n
+
+    def stepping(*args):
+        calls["_step"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(trees, "_decisions", visiting)
+    monkeypatch.setattr(trees, "_step", stepping)
+    for kind in ("eu", "maximin"):
+        steps = {}
+        for depth in (2000, 8000):
+            tree = validate_tree(go_stop_chain(depth))
+            model = JointModel(MassFunction(tree.space, (Fraction(1),)))
+            calls.clear()
+            verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
+            assert calls["_decisions"] == 0, kind
+            assert all_hold(verdicts) and len(verdicts) == 2 * depth + 1, kind
+            steps[depth] = calls["_step"]
+        assert steps[8000] <= 4 * steps[2000], (kind, steps)
+
+    tree = validate_tree(go_stop_chain(20_000))
+    model = JointModel(MassFunction(tree.space, (Fraction(1),)))
+    best = {**{f"D{i}": "go" for i in range(19_999)}, "D19999": "stop"}
+    for kind in ("eu", "maximin"):
+        verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
+        assert all_hold(verdicts), kind
+        assert [kept_arcs(s) for s in verdicts[0].local_solution] == [best], kind
+
+
 @pytest.mark.parametrize("mode", ["reject", "auto_prune"])
 def test_validate_tree_walks_a_2000_deep_chain_without_recursion(mode):
     # Under auto_prune the chain hangs below a chance node whose second arc
@@ -448,6 +491,32 @@ def test_a_2000_deep_chain_is_rendered_without_recursion():
         assert doc["id"] == f"D{i}" and doc["arcs"][0]["child"]["id"] == f"S{i}"
         doc = doc["arcs"][1]["child"]
     assert doc == {"id": "end", "kind": "leaf", "reward": 0}
+
+
+def test_a_2000_deep_chain_round_trips_through_the_document_reader():
+    # Nodes are compared through their ids and the rendered tree, since the
+    # equality of nested nodes recurses.
+    tree = validate_tree(go_stop_chain(2000))
+    back = parse_problem(serialize_problem(ParsedProblem(tree, {}))).tree
+    assert back.node_ids() == tree.node_ids()
+    assert back.root_scope == tree.root_scope
+    every_go = render_strategy(tree, strategy_at(tree, 2000))
+    assert render_strategy(back, strategy_at(back, 2000)) == every_go
+
+
+def test_a_gamble_leaf_is_rendered_and_round_trips():
+    sp = PossibilitySpace(("a", "b"))
+    gamble = GambleLeaf("G", Gamble.from_mapping(sp.event(["b"]), {"b": Fraction(1, 2)}))
+    inner = chance("C", [(sp.event(["a"]), leaf("L", 3)), (sp.event(["b"]), gamble)])
+    tree = validate_tree(DecisionTree(sp, decision("D", [("x", inner), ("y", leaf("Y", 0))])))
+    assert render_strategy(tree, strategy_at(tree, 0)) == "D[x: C({a}: 3, {b}: {b: 1/2}), y∥]"
+    doc = serialize_problem(ParsedProblem(tree, {}))
+    assert doc["tree"]["arcs"][0]["child"]["arcs"][1]["child"] == {
+        "id": "G",
+        "kind": "gamble",
+        "gamble": {"b": "1/2"},
+    }
+    assert parse_problem(doc).tree == tree
 
 
 def test_dot_labels_break_lines_with_one_backslash():
@@ -496,6 +565,32 @@ def test_validate_tree_reports_the_first_fault_in_preorder(mode):
     for root, error, message in _two_faults():
         with pytest.raises(error, match=message):
             validate_tree(DecisionTree(sp, root), mode)
+
+
+def test_a_strategy_refuses_a_decision_node_that_keeps_two_arcs():
+    # The decoder skips this check for the strategies it builds; a direct
+    # call keeps it, below the root as well.
+    sp = PossibilitySpace(("w",))
+    two = decision("D", [("x", leaf("X", 0)), ("y", leaf("Y", 1))])
+    with pytest.raises(ValueError, match="decision node 'D' keeps 2 arcs; a strategy keeps exactly one"):
+        Strategy(sp, chance("C", [(sp.omega(), two)]))
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "factored", "hierarchical:2"])
+def test_decoded_strategies_pass_the_strategy_check(sampler):
+    # The decoder builds its strategies without `Strategy`'s check, because
+    # `_step` keeps one arc per decision node.  Each one rebuilt through the
+    # check passes it and equals the decoded one, at every node of the tree.
+    for seed in range(8):
+        cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=4, model_sampler=sampler)
+        tree, _ = gen_random_tree(cfg, 0)
+        decode = Decoder(tree)
+        for nid, count in tree._counts.items():
+            for s in decode.strategies(nid, range(count)):
+                rebuilt = Strategy(s.space, s.root, s.root_scope)
+                assert type(s) is Strategy
+                assert rebuilt == s and hash(rebuilt) == hash(s)
+                assert s.root_scope == tree.scope_of(nid)
 
 
 def test_gamble_of_walks_a_2000_deep_strategy_without_recursion():

@@ -43,6 +43,7 @@ from credaltrees import (
     utility_expectations,
     validate_tree,
 )
+from credaltrees.trees import Decoder
 from credaltrees.uncertainty import _numeric, _row_values
 
 from conftest import (
@@ -261,7 +262,7 @@ def label_utilities(tree):
 
 def assert_rows_match_the_walkers(tree, a):
     table = strategy_table(tree)
-    decode = table.decoder(tree)
+    decode = Decoder(tree)
     numeric = _row_values(a, table, _numeric)
     labelled = relabel(tree, str)
     la = TreeFactoredAssessment(labelled, a.arc_probs)
@@ -456,6 +457,6 @@ def test_lower_never_exceeds_upper(data):
 @settings(max_examples=80, deadline=None)
 def test_envelopes_are_affine_in_constants(data, c):
     sp, m, x = data
-    shifted = x.map_values(lambda v: v + c)
+    shifted = Gamble(x.scope, tuple(v + c for v in x.values))
     assert lower_expectation(m, shifted, sp.omega()) == lower_expectation(m, x, sp.omega()) + c
     assert upper_expectation(m, shifted, sp.omega()) == upper_expectation(m, x, sp.omega()) + c

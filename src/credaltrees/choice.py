@@ -42,7 +42,7 @@ def _guard(xs: "Sequence[Gamble] | OptionTable", b: Event, numeric: bool = True)
     if b.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
     if isinstance(xs, OptionTable):
-        if set(map(len, xs.rows)) != {len(b)}:
+        if xs.rows and set(map(len, xs.rows)) != {len(b)}:
             raise ScopeMismatch("an option row does not cover the conditioning event")
         return
     for x in xs:
@@ -70,7 +70,13 @@ class OptionTable:
     unless *sums* gives the member sums already.
 
     A table of values alone (a factored model's expectations, or a utility
-    model's, one column per function) has no rows, only *sums*.
+    model's, one column per function) has no rows, only *sums*.  So has a
+    table of member sums alone (a strategy table that forms no value rows
+    gives them): its options are its ``columns``, and
+    `ChoiceFunction.choose` returns the kept ones.  Only the rules that read
+    options through ``sums``, ``columns``, ``lower`` and ``upper`` apply to
+    it, and ``lower``, ``upper`` and ``scale`` read *totals*, the members'
+    integer weight totals on b, where there are no weights.
     """
 
     def __init__(
@@ -79,15 +85,22 @@ class OptionTable:
         weights: Sequence[Sequence[Fraction | int]] = (),
         mass: Sequence[Fraction] = (),
         sums: Optional[list[list[int]]] = None,
+        totals: Optional[Sequence[int]] = None,
     ):
         self.rows = rows
         self.weights = weights
         self.mass = mass
         if sums is not None:
             self.sums = sums
+        if totals is not None:
+            self._totals = totals
 
     def __len__(self) -> int:
-        return len(self.rows)
+        """The number of options: rows, or entries of the sums where there
+        are no rows."""
+        if self.rows or not self.sums:
+            return len(self.rows)
+        return len(self.sums[0])
 
     @classmethod
     def of(
@@ -175,8 +188,8 @@ class OptionTable:
         return list(zip(*self.sums))
 
     @cached_property
-    def _totals(self) -> list[int]:
-        """Each member's integer weight total on b."""
+    def _totals(self) -> Sequence[int]:
+        """Each member's integer weight total on b, unless given."""
         return [sum(w) for w in self._integer_weights]
 
     @cached_property
@@ -409,7 +422,8 @@ class ChoiceFunction:
 
         *xs* are gambles, or, where `row_members` is not None, an
         `OptionTable` on b under those members, whose kept rows are then
-        returned.  Every kind but ``by_preorder`` ends in one `RULES`
+        returned, or its kept ``columns`` (member-sum vectors) where it has
+        no rows.  Every kind but ``by_preorder`` ends in one `RULES`
         function on one `OptionTable`.
         """
         kind = self.kind
@@ -418,7 +432,7 @@ class ChoiceFunction:
         _guard(xs, b, numeric=kind != "imprecise_utility")
         members = self.row_members(model)
         if isinstance(xs, OptionTable):
-            table, xs = xs, xs.rows
+            table, xs = xs, xs.rows or xs.columns
         elif members is not None:
             table = OptionTable.of(xs, b, members)
         elif kind == "eu" and isinstance(model, FactoredModel):

@@ -10,7 +10,9 @@ restriction of the full solution with the solution computed locally in the
 subtree, as sets of positions among the node's variants.  For the separable
 rules both are read off the one table that backward induction filters; for
 maximin, Γ-maximin, Γ-maximax and interval dominance, off a table filtered
-by per-node thresholds.
+by per-node thresholds.  Under a rule that reads options only through their
+member sums, either filtered table holds each variant's member-sum vector
+in place of its row, and options are deduplicated on those vectors.
 """
 
 from __future__ import annotations
@@ -122,8 +124,29 @@ def _chosen(
     *scope*) whose gambles *choice* chooses on *b* (*scope* by default, or
     an event inside it); rows equal on b are one option.  *sums* is the
     node's entry of the table's member-sum column, read where b is the
-    scope."""
+    scope.
+
+    In a table of member sums alone (``table.sums_only``, built only where
+    `_filters_apply`, so every scope has positive mass, and read on the
+    scope), the rows are the member-sum vectors, and entries with equal
+    vectors are one option.  That is exact for every rule that reads
+    options through their member sums alone (`ChoiceFunction.row_members`
+    with members: `eu` under a joint model, Γ-maximin, Γ-maximax,
+    maximality, both E-admissibilities and interval dominance): such a rule
+    keeps or drops options with equal vectors together, and a second copy
+    of a vector changes none of its comparisons (a tie, a dominance, a best
+    lower expectation, a hull constraint satisfied by zero), so merging
+    them changes no kept position.
+    """
     b = scope if b is None else b
+    if b.is_empty:
+        raise ZeroProbabilityCondition("conditioning event is empty")
+    if table.sums_only:
+        distinct = list(dict.fromkeys(rows))
+        options = OptionTable((), sums=list(zip(*distinct)), totals=table.masses[scope.members])
+        # the kept options are member-sum vectors
+        kept = set(choice.choose(options, model, b))
+        return [i for i, vector in enumerate(rows) if vector in kept]
     if rows and b != scope:
         at = {a: i for i, a in enumerate(scope.ordered)}
         pick = operator.itemgetter(*(at[a] for a in b.ordered))
@@ -147,7 +170,7 @@ def _chosen(
         if sums:
             # rows equal on the scope have equal sums
             sums = [[entry[i] for i in first.values()] for entry in sums]
-        options = OptionTable.on(b, list(classes), members, sums)
+        options = OptionTable.on(b, list(classes), members, sums or None)
         chosen = {classes[row] for row in choice.choose(options, model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
@@ -179,8 +202,12 @@ def _choice_filter(
     These rules are path independent: dropping rows they do not choose
     leaves their choice unchanged.  So the filter, choosing among the rows
     formed from the children's choices, makes N's choice.
+
+    In a table built with the rule's members (`check`'s), the rows are
+    member-sum vectors, so the filter keeps positions without any value
+    row (`_chosen`).
     """
-    return lambda table, node_id, scope, rows, sums: _chosen(choice, model, table, scope, rows)
+    return lambda table, node_id, scope, rows: _chosen(choice, model, table, scope, rows)
 
 
 def restrict_solution(
@@ -343,7 +370,7 @@ def _threshold_table(
     if choice.kind == "maximin":
         t = _best_worst_case(tree, denominator)
         return strategy_table(
-            tree, lambda table, node_id, scope, rows, sums: [
+            tree, lambda table, node_id, scope, rows: [
                 j for j, row in enumerate(rows) if min(row) >= t
             ]
         )
@@ -351,9 +378,10 @@ def _threshold_table(
     weights = [p._integers[1] for p in members]
     thresholds = _member_thresholds(tree, denominator, weights, choice.kind == "gamma_maximax")
 
-    def keep(table: StrategyTable, node_id: str, scope: Event, rows: list, sums: list) -> list[int]:
+    def keep(table: StrategyTable, node_id: str, scope: Event, rows: list) -> list[int]:
+        # a table built with members: each row is a member-sum vector
         theta = thresholds[node_id]
-        return [j for j, col in enumerate(zip(*sums)) if test(map(operator.ge, col, theta))]
+        return [j for j, col in enumerate(rows) if test(map(operator.ge, col, theta))]
 
     return strategy_table(tree, keep, members)
 
@@ -488,9 +516,10 @@ def _read_verdicts(
     - the full `strategy_table`: each posed node's rows are solved once.
 
     Of these, only the first two have ``positions``.  A node's rows are
-    solved from its member-sum column, where the table has one, and the
-    root's give the full solution.  The strategies of all verdicts come
-    from one decoder, so they share their nodes."""
+    solved from its member-sum column, where the full table has one, or
+    are member-sum vectors already, in a threshold table built with
+    members; the root's give the full solution.  The strategies of all
+    verdicts come from one decoder, so they share their nodes."""
     if table.positions and choice.is_separable:
         local: Callable[[str], Sequence[int]] = table.positions.__getitem__
     else:
@@ -541,7 +570,7 @@ def _verdicts(
     if not filtered:
         table = strategy_table(tree, None, members or ())
     elif choice.is_separable:
-        table = strategy_table(tree, _choice_filter(choice, model))
+        table = strategy_table(tree, _choice_filter(choice, model), members)
     else:
         table = _threshold_table(tree, choice, members)
     return _read_verdicts(tree, choice, model, node_ids, table)

@@ -273,16 +273,68 @@ class ChanceArc:
     child: "Node"
 
 
+def _same_tree(node: "DecisionNode | ChanceNode", other: object) -> bool:
+    """Structural equality of two nodes and everything below them, as the
+    dataclasses compare it, walked with a stack so that deep trees need no
+    recursion; a node shared by both sides is equal at once."""
+    if other.__class__ is not node.__class__:
+        return NotImplemented
+    stack = [(node, other)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if not isinstance(x, (DecisionNode, ChanceNode)):
+            if x != y:  # a leaf: its id and reward or gamble
+                return False
+            continue
+        if x.node_id != y.node_id or len(x.arcs) != len(y.arcs):
+            return False
+        for a, c in zip(x.arcs, y.arcs):
+            if a.__class__ is not c.__class__ or _arc_tag(a) != _arc_tag(c):
+                return False
+            stack.append((a.child, c.child))
+    return True
+
+
+def _tree_hash(node: "DecisionNode | ChanceNode") -> int:
+    """A hash consistent with `_same_tree`: of the node ids, arc labels or
+    events and leaves below *node*, in preorder, walked with a stack."""
+    items: list = []
+    stack = [node]
+    while stack:
+        at = stack.pop()
+        if isinstance(at, (DecisionNode, ChanceNode)):
+            items.append((at.node_id, len(at.arcs)))
+            items.extend(map(_arc_tag, at.arcs))
+            stack.extend(arc.child for arc in reversed(at.arcs))
+        else:
+            items.append(at)
+    return hash(tuple(items))
+
+
+def _arc_tag(arc: "DecisionArc | ChanceArc") -> "str | Event":
+    return arc.label if isinstance(arc, DecisionArc) else arc.event
+
+
 @dataclass(frozen=True)
 class DecisionNode:
     node_id: str
     arcs: tuple[DecisionArc, ...]
+
+    __eq__ = _same_tree
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True)
 class ChanceNode:
     node_id: str
     arcs: tuple[ChanceArc, ...]
+
+    __eq__ = _same_tree
+    __hash__ = _tree_hash
 
 
 # Module-level aliases are written with `|`: typing caches `Union[...]`, and
@@ -551,17 +603,25 @@ class StrategyTable(dict):
     a numeric tree has a member-sum column: ``sums[node_id][m][j]`` is
     Σ W_m(a)·v(a) over the node's scope, where v is row j and W_m member m's
     masses times their least common denominator (`MassFunction._integers`),
-    one integer weight per atom for the whole space.  Otherwise ``sums`` is
-    empty.
+    one integer weight per atom for the whole space; and
+    ``masses[scope.members][m]`` is Σ W_m(a) over a node's scope, for every
+    node.  Otherwise ``sums`` and ``masses`` are empty.
+
+    A filtered table built for members on a numeric tree forms no value
+    rows (``sums_only``): its ``table[node_id][j]`` is the member-sum vector
+    of variant j, one Σ W_m(a)·v(a) per member, its ``sums`` is empty, and
+    its rows say nothing else of a variant's values.
     """
 
-    def __init__(self, denominator: int, numeric: bool):
+    def __init__(self, denominator: int, numeric: bool, sums_only: bool = False):
         super().__init__()
         self.denominator = denominator
         self.numeric = numeric
+        self.sums_only = sums_only
         self.counts: dict[str, int] = {}
         self.positions: dict[str, list[int]] = {}
         self.sums: dict[str, list[list[int]]] = {}
+        self.masses: dict[frozenset, list[int]] = {}
 
     def rewards(self, values: Iterable["Reward | int"]) -> tuple[Reward, ...]:
         """A row's values as rewards: each int over the denominator as a
@@ -596,68 +656,89 @@ def strategy_table(
     Raises what `gamble_of` raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
-    only the rows at the indices ``keep(table, node_id, scope, rows, sums)``
+    only the rows at the indices ``keep(table, node_id, scope, rows)``
     returns, in order, stay, so a parent's rows come from its children's
-    kept rows alone; *sums* is the node's member-sum entry (empty without
-    *members*).
+    kept rows alone.
 
     With *members*, mass functions on the tree's space, a numeric tree's
-    pass also fills the member-sum column ``table.sums``, from the same
-    recursion as the rows: a leaf gives Σ W_m(a)·v(a) over its scope, a
-    decision node concatenates its children's entries, a chance node adds
-    them in the product order of its rows, and a filter keeps each entry
-    with its row.  No sum is computed from a row.  Raises `ValueError` for
-    a member on another space.
+    pass also records each node's scope masses (``table.masses``) and
+    fills the member-sum column ``table.sums``, from the same recursion as
+    the rows: a leaf gives Σ W_m(a)·v(a) over its scope, a decision node
+    concatenates its children's entries, and a chance node adds them in
+    the product order of its rows.  No sum is computed from a row.  Raises
+    `ValueError` for a member on another space.
+
+    With both *keep* and *members*, a numeric tree's pass forms no value
+    rows at all (`StrategyTable` ``sums_only``): each node's rows, those
+    *keep* is given and those the table keeps, are its variants' member-sum
+    vectors, from the same recursion, and there is no separate column.
+    That is all a rule that reads options only through their member sums
+    needs.
     """
     if any(p.space != tree.space for p in members):
         raise ValueError("event lives in a different possibility space")
     denominator, kinds = tree._reward_denominator
-    table = StrategyTable(denominator, "label" not in kinds)
+    numeric = "label" not in kinds
+    weights = [p._integers[1] for p in members] if numeric else []
+    sums_only = keep is not None and bool(weights)
+    table = StrategyTable(denominator, numeric, sums_only)
     table.counts = tree._counts
-    weights = [p._integers[1] for p in members] if table.numeric else []
     position = tree.space.position
-    column = table.sums
+    column, masses = table.sums, table.masses
+    summed = bool(weights) and keep is None  # fill the member-major column
     index = tree._index
     mixed = len(kinds) > 1
-    masses: dict[frozenset, list[int]] = {}  # each leaf scope's, once
     for node, scope in reversed(index.values()):
         sums: list[list[int]] = []
+        if weights and scope.members not in masses:
+            at = [position(a) for a in scope.ordered]
+            masses[scope.members] = [sum(map(w.__getitem__, at)) for w in weights]
         if isinstance(node, Leaf):
             value = scaled(node.reward, denominator)
-            rows = [(value,) * len(scope)]
-            if weights:
-                mass = masses.get(scope.members)
-                if mass is None:
-                    at = [position(a) for a in scope.ordered]
-                    mass = masses[scope.members] = [sum(w[i] for i in at) for w in weights]
-                sums = [[value * q] for q in mass]
+            if sums_only:
+                rows = [tuple(map(value.__mul__, masses[scope.members]))]
+            else:
+                rows = [(value,) * len(scope)]
+                if summed:
+                    sums = [[value * q] for q in masses[scope.members]]
         elif isinstance(node, GambleLeaf):
             rows = [tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)]
             if weights:
                 at = [position(a) for a in scope.ordered]
                 sums = [[sum(map(operator.mul, (w[i] for i in at), rows[0]))] for w in weights]
+                if sums_only:
+                    rows, sums = list(zip(*sums)), []
         elif isinstance(node, DecisionNode):
+            # value rows, or member-sum vectors where sums_only
             rows = [row for arc in node.arcs for row in table[arc.child.node_id]]
-            if weights:
+            if summed:
                 entries = [column[arc.child.node_id] for arc in node.arcs]
                 sums = [[x for e in entries for x in e[m]] for m in range(len(weights))]
         elif isinstance(node, ChanceNode):
             children = [table[arc.child.node_id] for arc in node.arcs]
             rows = []
-            sums = [[] for _ in weights]
+            sums = [[] for _ in weights] if summed else []
             if all(children):
+                # raises where the arcs leave an atom of the scope without a
+                # reward, for member-sum vectors as for rows
                 merge = _merge_plan(scope, [index[a.child.node_id][1] for a in node.arcs])
-                rows = [()]
-                for child_rows in children:
-                    rows = [r + c for r in rows for c in child_rows]
-                if merge is not None:
-                    rows = list(map(merge, rows))
+                if sums_only:
+                    add = operator.add
+                    rows, *rest = children
+                    for child_rows in rest:
+                        rows = [tuple(map(add, r, c)) for r in rows for c in child_rows]
+                else:
+                    rows = [()]
+                    for child_rows in children:
+                        rows = [r + c for r in rows for c in child_rows]
+                    if merge is not None:
+                        rows = list(map(merge, rows))
                 # only a product can put both kinds into one row
                 if mixed:
                     for values in rows:
                         if len(set(map(_reward_kind, values))) > 1:
                             raise MixedRewardKinds("a gamble cannot mix numbers and labels")
-                for m in range(len(weights)):
+                for m in range(len(sums)):
                     entry = [0]
                     for arc in node.arcs:
                         entry = [x + y for x in entry for y in column[arc.child.node_id][m]]
@@ -665,15 +746,16 @@ def strategy_table(
         else:
             raise TypeError(f"unknown node type {type(node).__name__}")
         if keep is not None:
-            positions = _positions(node, table)
-            if not isinstance(node, (Leaf, GambleLeaf)):
-                kept = keep(table, node.node_id, scope, rows, sums)
+            if isinstance(node, (Leaf, GambleLeaf)):
+                positions = [0]
+            else:
+                kept = keep(table, node.node_id, scope, rows)
                 rows = [rows[i] for i in kept]
+                positions = _positions(node, table)
                 positions = [positions[i] for i in kept]
-                sums = [[entry[i] for i in kept] for entry in sums]
             table.positions[node.node_id] = positions
         table[node.node_id] = rows
-        if weights:
+        if summed:
             column[node.node_id] = sums
     return table
 

@@ -217,6 +217,33 @@ def test_solve_condition_outside_the_root_scope_exits_two(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "choice, model",
+    [
+        ("eu", {"mode": "joint", "mass": {"a": "1/3", "b": "2/3"}}),
+        ("maximin", {"mode": "joint", "mass": {"a": "1/3", "b": "2/3"}}),
+        ("maximality", {"mode": "credal", "members": [
+            {"a": "1/3", "b": "2/3"}, {"a": "1/2", "b": "1/2"}]}),
+    ],
+)
+def test_solve_conditioned_on_an_empty_event_exits_two(tmp_path, choice, model):
+    tree = {
+        "atoms": ["a", "b"],
+        "events": {"none": []},
+        "tree": {"id": "D", "kind": "decision", "arcs": [
+            {"label": "x", "child": {"id": "X", "kind": "leaf", "reward": 1}},
+            {"label": "y", "child": {"id": "Y", "kind": "leaf", "reward": 2}},
+        ]},
+    }
+    (tmp_path / "t.json").write_text(json.dumps(tree))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    code, out, err = run_captured(
+        ["solve", "--tree", str(tmp_path / "t.json"), "--model", str(tmp_path / "m.json"),
+         "--choice", choice, "--condition", "none"]
+    )
+    assert (code, out, err) == (2, "", "error: conditioning event is empty\n")
+
+
 @pytest.mark.parametrize("sampler", ["factored:3", "joint:3", "credal:abc"])
 def test_fuzz_rejects_a_member_count_where_none_applies(sampler):
     code, out, err = run_captured(

@@ -636,9 +636,9 @@ def test_check_reads_every_verdict_off_one_filtered_pass(monkeypatch, build, cho
     real_table = solver_module.strategy_table
     builds, solves = [], []
 
-    def table_spy(t, keep=None):
+    def table_spy(t, keep=None, members=()):
         builds.append("filtered" if keep is not None else "unfiltered")
-        return real_table(t, keep)
+        return real_table(t, keep, members)
 
     def solve_spy(*args, **kwargs):
         solves.append(args[0].root.node_id)
@@ -772,6 +772,133 @@ def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatc
         # rows kept over all nodes, and one choice per posed non-leaf node
         assert len(kept) == 1 and kept[0] < 6000, kind
         assert len(options) <= posed and sum(options) < 2000, kind
+
+
+#: The rules that read an option only through its member sums: under the
+#: filters' premise, check takes their filtered pass as a table of member
+#: sums alone.
+SUM_RULES = (
+    "eu",
+    "gamma_maximin",
+    "gamma_maximax",
+    "maximality",
+    "e_admissible",
+    "e_admissible_hull",
+    "interval_dominance",
+)
+
+
+def column_pass(tree, choice, model):
+    """The filtered table check takes for a sum-reading rule, whatever the
+    tree's size: backward induction's, or the threshold filter's."""
+    members = choice.row_members(model)
+    if choice.is_separable:
+        return strategy_table(tree, solver_module._choice_filter(choice, model), members)
+    return solver_module._threshold_table(tree, choice, members)
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "credal:3", "hierarchical:2", None])
+def test_column_pass_verdicts_equal_the_full_table_verdicts(sampler):
+    # credal:3 draws three members, for the hull rule
+    if sampler is None:
+        problems = [build_alternating(seed=s) for s in (21, 22)]
+    else:
+        count = 12 if sampler == "credal:3" else 40
+        cfg = FuzzConfig(seed=9, tree_count=count, max_depth=4, model_sampler=sampler)
+        problems = [gen_random_tree(cfg, i) for i in range(cfg.tree_count)]
+    rules = SUM_RULES if sampler != "credal:3" else ("e_admissible_hull",)
+    compared = failing = 0
+    for tree, model in problems:
+        for kind in rules:
+            choice = ChoiceFunction(kind)
+            m = JointModel(model.credal.members[0]) if sampler is None and kind == "eu" else model
+            members = choice.row_members(m)
+            if members is None:
+                with pytest.raises(ModeUnsupported):
+                    full_table_verdicts(tree, choice, m)
+                continue
+            full = full_table_verdicts(tree, choice, m)
+            assert solver_module._filters_apply(tree, members)
+            table = column_pass(tree, choice, m)
+            assert table.sums_only and not table.sums, (sampler, kind)
+            read = solver_module._read_verdicts(tree, choice, m, tree.node_ids(), table)
+            assert verdict_tuples(read) == verdict_tuples(full), (sampler, kind)
+            compared += 1
+            failing += not all_hold(read)
+    # under joint only eu applies, and under the credal samplers every rule but eu
+    per_tree = {"joint": 1, "credal:3": 1, None: len(SUM_RULES)}.get(sampler, len(SUM_RULES) - 1)
+    assert compared == len(problems) * per_tree
+    if sampler == "joint":
+        assert failing == 0  # eu is subtree perfect where every scope has positive mass
+    else:
+        assert failing >= {"credal:3": 1, None: 5}.get(sampler, 20)
+
+
+def test_strategies_with_equal_member_sums_are_one_option():
+    # At D, X and Y pay (1, 2, 3) and (3, 2, 1): different rows with the
+    # same sums under both members, so the column passes merge them into
+    # one option, and keep both strategies as the full table does.
+    sp = PossibilitySpace(("a", "b", "c"))
+    ev = [sp.event([x]) for x in sp.atoms]
+    x = chance("X", [(e, leaf(f"X{k}", k + 1)) for k, e in enumerate(ev)])
+    y = chance("Y", [(e, leaf(f"Y{k}", 3 - k)) for k, e in enumerate(ev)])
+    d = decision("D", [("x", x), ("w", leaf("W", 1)), ("y", y)])
+    tree = validate_tree(DecisionTree(sp, decision("R", [("d", d), ("e", leaf("E", 0))])))
+    p = MassFunction(sp, (Fraction(1, 3),) * 3)
+    q = MassFunction(sp, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+    assert strategy_table(tree)["D"] == [(1, 2, 3), (1, 1, 1), (3, 2, 1)]
+    best = [{"R": "d", "D": "x"}, {"R": "d", "D": "y"}]
+    for kind in SUM_RULES:
+        choice = ChoiceFunction(kind)
+        model = JointModel(p) if kind == "eu" else CredalModel(CredalSet((p, q)))
+        table = column_pass(tree, choice, model)
+        k = len(choice.row_members(model))
+        assert len(set(table["D"])) == 1 and len(table["D"]) == 2, kind
+        assert len(table["D"][0]) == k, kind
+        assert table.positions["D"] == [0, 2], kind
+        read = solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
+        assert verdict_tuples(read) == verdict_tuples(full_table_verdicts(tree, choice, model))
+        verdicts = check_subtree_perfect(tree, choice, model)
+        assert verdict_tuples(verdicts) == verdict_tuples(read), kind
+        assert [kept_arcs(s) for s in verdicts[0].local_solution] == best, kind
+        assert [kept_arcs(s) for s in normal_form_solution(tree, choice, model).strategies] == best
+
+
+def member_sums(strategy, members, denominator):
+    """The member-sum vector of a strategy's gamble, as the column holds it."""
+    g = gamble_of(strategy)
+    position = strategy.space.position
+    return tuple(
+        sum(p._integers[1][position(a)] * v * denominator for a, v in g.items())
+        for p in members
+    )
+
+
+def test_check_forms_no_value_row_under_the_sum_reading_rules(monkeypatch):
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    joint = JointModel(model.credal.members[0])
+    real_table = solver_module.strategy_table
+    tables = []
+
+    def table_spy(t, keep=None, members=()):
+        tables.append(real_table(t, keep, members))
+        return tables[-1]
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    decode = Decoder(tree)
+    for kind in SUM_RULES:
+        m = joint if kind == "eu" else model
+        members = ChoiceFunction(kind).row_members(m)
+        tables.clear()
+        check_subtree_perfect(tree, ChoiceFunction(kind), m)
+        [table] = tables
+        assert table.sums_only and not table.sums, kind
+        for nid in tree.node_ids():
+            entries = table[nid]
+            assert entries, (kind, nid)
+            for vector, k in zip(entries, table.positions[nid]):
+                sums = member_sums(decode.strategy(nid, k), members, table.denominator)
+                assert vector == sums, (kind, nid)
 
 
 def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):

@@ -494,14 +494,36 @@ def test_a_2000_deep_chain_is_rendered_without_recursion():
 
 
 def test_a_2000_deep_chain_round_trips_through_the_document_reader():
-    # Nodes are compared through their ids and the rendered tree, since the
-    # equality of nested nodes recurses.
+    # Nodes compare and hash with a stack, so deep trees need no recursion.
     tree = validate_tree(go_stop_chain(2000))
     back = parse_problem(serialize_problem(ParsedProblem(tree, {}))).tree
+    assert back == tree
+    assert tree == validate_tree(go_stop_chain(2000))
+    assert back != validate_tree(go_stop_chain(1999))
+    assert hash(back) == hash(tree)
+    assert hash(strategy_at(back, 2000)) == hash(strategy_at(tree, 2000))
     assert back.node_ids() == tree.node_ids()
     assert back.root_scope == tree.root_scope
     every_go = render_strategy(tree, strategy_at(tree, 2000))
     assert render_strategy(back, strategy_at(back, 2000)) == every_go
+
+
+def test_nodes_compare_and_hash_as_their_fields():
+    sp = PossibilitySpace(("a", "b"))
+    ea, eb = sp.event(["a"]), sp.event(["b"])
+
+    def build(reward=1, label="x", event=ea, nid="C"):
+        c = chance(nid, [(event, leaf("L1", reward)), (sp.event(["b"]), leaf("L2", 2))])
+        return decision("D", [(label, c), ("y", leaf("L3", 0))])
+
+    same = build()
+    assert same == build() and hash(same) == hash(build())
+    assert same.arcs[0] == build().arcs[0] and hash(same.arcs[0]) == hash(build().arcs[0])
+    for other in (build(reward=3), build(label="z"), build(event=eb), build(nid="E")):
+        assert same != other
+    # the same fields under another node class are another node
+    assert chance("D", []) != decision("D", []) and decision("D", []) == decision("D", [])
+    assert same != "D" and same.__eq__("D") is NotImplemented
 
 
 def test_a_gamble_leaf_is_rendered_and_round_trips():

@@ -36,7 +36,6 @@ from .trees import (
     Reward,
     Strategy,
     StrategyTable,
-    scaled,
     strategy_table,
     # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
@@ -301,7 +300,7 @@ def _filters_apply(tree: DecisionTree, members: Sequence) -> bool:
     """
     if "label" in tree._reward_denominator[1] or any(p.space != tree.space for p in members):
         return False
-    scopes = {scope.members for _, scope in tree.nodes()}
+    scopes = tree._plan.scopes
     # a scope has mass zero under a member when it lies in the member's null atoms
     null = [frozenset(a for a, m in zip(tree.space.atoms, p.masses) if not m) for p in members]
     return frozenset() not in scopes and not any(s <= z for z in null if z for s in scopes)
@@ -317,11 +316,6 @@ _THRESHOLD_TESTS = {
     "interval_dominance": any,
 }
 
-#: The threshold pass pays fixed costs per node (positions, one filter call,
-#: the threshold walks), so it takes over from the full table only where
-#: that would hold at least this many rows per node on average.
-_ROWS_PER_NODE = 16
-
 
 def _threshold_table(
     tree: DecisionTree, choice: ChoiceFunction, members: Sequence
@@ -333,9 +327,13 @@ def _threshold_table(
     (`ChoiceFunction.row_members`).
 
     The filter keeps a row when its values (maximin) or its member sums
-    (the others, from the table's column) reach the node's thresholds, all
-    of them or some of them (`_THRESHOLD_TESTS`).  This is exact because
-    the thresholds are set so that:
+    (the others, whose table holds member-sum vectors as rows) reach the
+    node's thresholds, all of them or some of them (`_THRESHOLD_TESTS`).
+    Both threshold walks read the tree's node plan; the member thresholds
+    are set at the filter's first call from the table's scope masses
+    (`StrategyTable.masses`), which the pass totals before it begins, so a
+    check totals them once.  This is exact because the thresholds are set
+    so that:
 
     - Each node keeps exactly its rows that pass its thresholds.  Each
       component of a row of A that passes A's thresholds passes the ones
@@ -366,9 +364,8 @@ def _threshold_table(
       normal form backward induction's step (Huntley & Troffaes, Ann. Oper.
       Res. 195, 2012).
     """
-    denominator = tree._reward_denominator[0]
     if choice.kind == "maximin":
-        t = _best_worst_case(tree, denominator)
+        t = _best_worst_case(tree)
         return strategy_table(
             tree, lambda table, node_id, scope, rows: [
                 j for j, row in enumerate(rows) if min(row) >= t
@@ -376,9 +373,14 @@ def _threshold_table(
         )
     test = _THRESHOLD_TESTS[choice.kind]
     weights = [p._integers[1] for p in members]
-    thresholds = _member_thresholds(tree, denominator, weights, choice.kind == "gamma_maximax")
+    thresholds: dict[str, list[int]] = {}
 
     def keep(table: StrategyTable, node_id: str, scope: Event, rows: list) -> list[int]:
+        if not thresholds:
+            # the first call: the table's scope masses are all in
+            thresholds.update(
+                _member_thresholds(tree, table.masses, weights, choice.kind == "gamma_maximax")
+            )
         # a table built with members: each row is a member-sum vector
         theta = thresholds[node_id]
         return [j for j, col in enumerate(rows) if test(map(operator.ge, col, theta))]
@@ -386,91 +388,79 @@ def _threshold_table(
     return strategy_table(tree, keep, members)
 
 
-def _best_worst_case(tree: DecisionTree, denominator: int) -> int:
+def _best_worst_case(tree: DecisionTree) -> int:
     """The root's best worst case, scaled as in `StrategyTable`: a leaf's
     least value, the max over a decision node's children, the min over a
     chance node's."""
     top: dict[str, int] = {}
-    for node, scope in reversed(tree._index.values()):
-        nid = node.node_id
-        if isinstance(node, DecisionNode):
-            top[nid] = max(top[arc.child.node_id] for arc in node.arcs)
-        elif isinstance(node, ChanceNode):
-            top[nid] = min(top[arc.child.node_id] for arc in node.arcs)
-        elif isinstance(node, Leaf):
-            top[nid] = scaled(node.reward, denominator)
+    for nid, kind, _, children, data, error in tree._plan.nodes:
+        if kind is DecisionNode:
+            top[nid] = max(map(top.__getitem__, children))
+        elif kind is ChanceNode:
+            top[nid] = min(map(top.__getitem__, children))
+        elif error:
+            raise ScopeMismatch(error)
         else:
-            top[nid] = min(scaled(node.gamble[a], denominator) for a in scope.ordered)
+            top[nid] = data if kind is Leaf else min(data)
     return top[tree.root.node_id]
 
 
 def _member_thresholds(
     tree: DecisionTree,
-    denominator: int,
+    masses: dict[frozenset, list[int]],
     weights: Sequence[Sequence[int]],
     upper: bool,
 ) -> dict[str, list[int]]:
     """θ_m(N) of `_threshold_table`, by decision and chance node id, for
     integer member weights *weights* (one per atom of the space, each
-    giving every leaf's scope positive mass) and leaf values scaled by
-    *denominator*, with λ_N the Γ-maximax value where *upper* and a lower
-    bound on the Γ-maximin value otherwise.
+    giving every leaf's scope positive mass), *masses* their totals over
+    each node's scope (the table's `StrategyTable.masses`) and leaf values
+    scaled as in `StrategyTable`, with λ_N the Γ-maximax value where
+    *upper* and a lower bound on the Γ-maximin value otherwise.
 
-    One bottom-up walk gives per node N and member m: P_m(N), N's scope's
-    mass; best_m(N), N's largest member-m sum (max over a decision node's
+    A bottom-up walk of the tree's plan gives per node N and member m:
+    best_m(N), N's largest member-m sum (max over a decision node's
     children, sum over a chance node's); and vec_m(N), the member sums of
     one row whose member-m sum is best_m(N) (the best child's at a decision
-    node, the children's added at a chance node).  That row's lower
-    expectation, min over k of vec_m(N)[k]/P_k(N), is at most N's Γ-maximin
-    value, and λ_N is the largest over m; under Γ-maximax, λ_N is the
-    largest best_m(N)/P_m(N).  A top-down walk then sets the thresholds.
-    Ratios are compared as integer cross products.
+    node, the children's added at a chance node).  With P_m(N), N's scope's
+    mass, that row's lower expectation, min over k of vec_m(N)[k]/P_k(N),
+    is at most N's Γ-maximin value, and λ_N is the largest over m; under
+    Γ-maximax, λ_N is the largest best_m(N)/P_m(N).  A top-down walk of the
+    plan then sets the thresholds.  Ratios are compared as integer cross
+    products.
     """
-    index = tree._index
-    position = tree.space.position
+    plan = tree._plan
     members = range(len(weights))
-    mass: dict[str, list[int]] = {}
     best: dict[str, list[int]] = {}
     vec: dict[str, list[list[int]]] = {}
-    scope_mass: dict[frozenset, list[int]] = {}  # leaves share their scopes
-    for node, scope in reversed(index.values()):
-        nid = node.node_id
-        if isinstance(node, DecisionNode):
-            children = [arc.child.node_id for arc in node.arcs]
+    for nid, kind, scope, children, data, error in plan.nodes:
+        if kind is DecisionNode:
             first = children[0]
-            mass[nid] = mass[first]
             b, v = best[first][:], vec[first][:]
             for c in children[1:]:
                 for m, x in enumerate(best[c]):
                     if x > b[m]:
                         b[m], v[m] = x, vec[c][m]
             best[nid], vec[nid] = b, v
-        elif isinstance(node, ChanceNode):
-            children = [arc.child.node_id for arc in node.arcs]
-            mass[nid] = list(map(sum, zip(*[mass[c] for c in children])))
+        elif kind is ChanceNode:
             best[nid] = list(map(sum, zip(*[best[c] for c in children])))
             vec[nid] = [list(map(sum, zip(*[vec[c][m] for c in children]))) for m in members]
         else:
-            p = scope_mass.get(scope.members)
-            if p is None:
-                at = [position(a) for a in scope.ordered]
-                p = scope_mass[scope.members] = [sum(w[i] for i in at) for w in weights]
-            if isinstance(node, Leaf):
-                value = scaled(node.reward, denominator)
-                sums = [value * q for q in p]
+            if error:
+                raise ScopeMismatch(error)
+            if kind is Leaf:
+                sums = [data * q for q in masses[scope.members]]
             else:
-                at = [position(a) for a in scope.ordered]
-                values = [scaled(node.gamble[a], denominator) for a in scope.ordered]
-                sums = [sum(map(operator.mul, (w[i] for i in at), values)) for w in weights]
-            mass[nid], best[nid], vec[nid] = p, sums, [sums] * len(weights)
+                at = plan.scopes[scope.members]
+                sums = [sum(map(operator.mul, map(w.__getitem__, at), data)) for w in weights]
+            best[nid], vec[nid] = sums, [sums] * len(weights)
 
     thresholds: dict[str, list[int]] = {}
     inherited: dict[str, list[int]] = {}
-    for node, _ in index.values():  # preorder: parents first
-        if not isinstance(node, (DecisionNode, ChanceNode)):
+    for nid, kind, scope, children, _, _ in reversed(plan.nodes):  # parents first
+        if kind is not DecisionNode and kind is not ChanceNode:
             continue
-        nid = node.node_id
-        p, b = mass[nid], best[nid]
+        p, b = masses[scope.members], best[nid]
         # λ_N as num/den: the largest of the candidate ratios
         if upper:
             candidates: Iterable[tuple[int, int]] = zip(b, p)
@@ -490,9 +480,8 @@ def _member_thresholds(
         if nid in inherited:
             theta = list(map(min, theta, inherited[nid]))
         thresholds[nid] = theta
-        for arc in node.arcs:
-            c = arc.child.node_id
-            if isinstance(node, DecisionNode):
+        for c in children:
+            if kind is DecisionNode:
                 inherited[c] = theta
             else:
                 inherited[c] = [t - (x - y) for t, x, y in zip(theta, b, best[c])]
@@ -515,7 +504,10 @@ def _read_verdicts(
     - `_threshold_table`: each posed node's kept rows are solved once;
     - the full `strategy_table`: each posed node's rows are solved once.
 
-    Of these, only the first two have ``positions``.  A node's rows are
+    Of these, only the first two have ``positions``, and `_verdicts`
+    builds them only where `_filters_apply`, so every scope has positive
+    mass there and the rule, which keeps a nonempty subset of its options,
+    keeps a single kept row: such a node is not solved.  A node's rows are
     solved from its member-sum column, where the full table has one, or
     are member-sum vectors already, in a threshold table built with
     members; the root's give the full solution.  The strategies of all
@@ -527,11 +519,13 @@ def _read_verdicts(
 
         def local(node_id: str) -> list[int]:
             if node_id not in solved:
-                scope = tree.scope_of(node_id)
-                rows, sums = table[node_id], table.sums.get(node_id)
-                kept = _chosen(choice, model, table, scope, rows, sums)
-                at = table.positions.get(node_id)
-                solved[node_id] = kept if at is None else [at[j] for j in kept]
+                rows, at = table[node_id], table.positions.get(node_id)
+                if at is not None and len(rows) == 1:
+                    solved[node_id] = at  # a filtered table's single row
+                else:
+                    scope = tree.scope_of(node_id)
+                    kept = _chosen(choice, model, table, scope, rows, table.sums.get(node_id))
+                    solved[node_id] = kept if at is None else [at[j] for j in kept]
             return solved[node_id]
 
     reached = _reached_positions(table, tree.root, local(tree.root.node_id))
@@ -550,27 +544,34 @@ def _verdicts(
     Where `_filters_apply` to the members the rule reads, a separable rule
     takes backward induction's filtered table, and maximin, Γ-maximin,
     Γ-maximax and interval dominance the threshold filter
-    (`_threshold_table`) where the full table would hold at least
-    `_ROWS_PER_NODE` rows per node.  Everything else takes the full table:
-    the rules that read whole gambles, small trees under the threshold
-    rules, trees with label rewards or a scope of probability zero (whose
-    `error` verdicts only the full table gives), and members on another
-    space (which `strategy_table` refuses).
+    (`_threshold_table`), on a tree of any size.  Everything else takes
+    the full table: the rules that read whole gambles, trees with label
+    rewards or a scope of probability zero (whose `error` verdicts only the
+    full table gives), and members on another space (which
+    `strategy_table` refuses).
+
+    In either filtered pass, a node with a single row keeps it without a
+    call to the rule: under the premise the rule keeps a nonempty subset
+    of its options.  `backward_solution` and the full table still ask the
+    rule at every node, where a scope of probability zero raises.
     """
     members = choice.row_members(model)
-    counts = tree._counts
-    threshold = (
-        choice.kind in _THRESHOLD_TESTS and sum(counts.values()) >= _ROWS_PER_NODE * len(counts)
-    )
     filtered = (
         members is not None
-        and (choice.is_separable or threshold)
+        and (choice.is_separable or choice.kind in _THRESHOLD_TESTS)
         and _filters_apply(tree, members)
     )
     if not filtered:
         table = strategy_table(tree, None, members or ())
     elif choice.is_separable:
-        table = strategy_table(tree, _choice_filter(choice, model), members)
+        rule = _choice_filter(choice, model)
+        table = strategy_table(
+            tree,
+            lambda table, node_id, scope, rows: rule(table, node_id, scope, rows)
+            if len(rows) > 1
+            else [0],
+            members,
+        )
     else:
         table = _threshold_table(tree, choice, members)
     return _read_verdicts(tree, choice, model, node_ids, table)
@@ -601,16 +602,16 @@ def check_subtree_perfect(
 
     - for the separable rules, the table `backward_solution` filters, whose
       kept rows are each node's local solution (`_choice_filter`);
-    - for maximin, Γ-maximin, Γ-maximax and interval dominance, on trees
-      whose full table would hold at least `_ROWS_PER_NODE` rows per node,
-      a table filtered by per-node thresholds, whose kept rows hold each
-      reached node's local solution (`_threshold_table`);
+    - for maximin, Γ-maximin, Γ-maximax and interval dominance, a table
+      filtered by per-node thresholds, whose kept rows hold each reached
+      node's local solution (`_threshold_table`);
     - otherwise the full table.
 
     The filtered tables are taken only under one premise
     (`_filters_apply`): a numeric tree, members on the tree's space, and
     every node's scope of positive mass.  Under the last two tables, each
-    posed node's kept rows are solved once.
+    posed node's kept rows are solved once, except that a filtered node
+    with a single row keeps it unasked.
     """
     return _verdicts(tree, choice, model, tree.node_ids())
 

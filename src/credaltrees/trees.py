@@ -10,13 +10,14 @@ when a strategy is returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DuplicateArcLabel,
@@ -416,6 +417,37 @@ class DecisionTree:
                     denominators.add(v.denominator)
         return math.lcm(*denominators), frozenset(kinds)
 
+    @cached_property
+    def _plan(self) -> "Plan":
+        """The tree's structure as `strategy_table` and the threshold walks
+        read it, built once per tree (`Plan`)."""
+        denominator, counts, index = self._reward_denominator[0], self._counts, self._index
+        position = self.space.position
+        nodes: list[tuple] = []
+        scopes: dict[frozenset, tuple[int, ...]] = {}
+        for node, scope in reversed(index.values()):
+            if scope.members not in scopes:
+                scopes[scope.members] = tuple(map(position, scope.ordered))
+            children, data, error = (), None, ""
+            if isinstance(node, Leaf):
+                data = scaled(node.reward, denominator)
+            elif isinstance(node, DecisionNode):
+                children = tuple([arc.child.node_id for arc in node.arcs])
+                data = tuple(itertools.accumulate([counts[c] for c in children[:-1]], initial=0))
+            elif isinstance(node, ChanceNode):
+                children = tuple([arc.child.node_id for arc in node.arcs])
+                try:
+                    data = _merge_plan(scope, [index[c][1] for c in children])
+                except ScopeMismatch as exc:
+                    error = str(exc)
+            elif isinstance(node, GambleLeaf):
+                try:
+                    data = tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)
+                except ScopeMismatch as exc:
+                    error = str(exc)
+            nodes.append((node.node_id, type(node), scope, children, data, error))
+        return Plan(tuple(nodes), scopes)
+
     def node_ids(self) -> tuple[str, ...]:
         """All node ids in preorder (root first, arcs left to right)."""
         return tuple(self._index)
@@ -438,6 +470,32 @@ class DecisionTree:
             return self._index[node_id][1]
         except KeyError:
             raise UnknownNode(f"no node with id {node_id!r}") from None
+
+
+class Plan(NamedTuple):
+    """A tree's structure as the passes over it read it, built once per
+    tree (`DecisionTree._plan`).
+
+    ``nodes`` lists the tree's nodes children first (reverse preorder),
+    each as a tuple ``(node_id, kind, scope, children, data, error)``:
+    *kind* is the node's class and *children* the ids of its arcs'
+    children, in arc order; *data* is a leaf's reward (Leaf) or values on
+    its scope (GambleLeaf), scaled as in `StrategyTable`, a decision node's
+    arc offsets (each arc's first position among the node's variants) or a
+    chance node's `_merge_plan`; *error* is the message of the
+    `ScopeMismatch` that a pass raises at a gamble leaf or chance node that
+    leaves an atom of its scope without a reward, or empty.  ``scopes``
+    gives, by a node scope's members, the positions of its atoms in the
+    space.
+    """
+
+    nodes: tuple[tuple, ...]
+    scopes: dict[frozenset, tuple[int, ...]]
+
+    def masses(self, weights: Sequence[Sequence[int]]) -> dict[frozenset, list[int]]:
+        """Each node scope's total of each of *weights* (one integer per
+        atom of the space), by the scope's members."""
+        return {s: [sum(map(w.__getitem__, at)) for w in weights] for s, at in self.scopes.items()}
 
 
 @dataclass(frozen=True)
@@ -605,7 +663,8 @@ class StrategyTable(dict):
     masses times their least common denominator (`MassFunction._integers`),
     one integer weight per atom for the whole space; and
     ``masses[scope.members][m]`` is Σ W_m(a) over a node's scope, for every
-    node.  Otherwise ``sums`` and ``masses`` are empty.
+    node, set before the pass begins, so that a row filter may read any
+    node's.  Otherwise ``sums`` and ``masses`` are empty.
 
     A filtered table built for members on a numeric tree forms no value
     rows (``sums_only``): its ``table[node_id][j]`` is the member-sum vector
@@ -647,26 +706,28 @@ def strategy_table(
     *node_id*, in `enumerate_strategies` order: the values of `gamble_of`
     on the matching strategy of ``subtree_at(tree, node_id)``, scaled as
     `StrategyTable` says (``table.rewards`` turns them back).  The pass
-    runs over the tree's nodes in reverse preorder, which puts every child
-    before its parent, and so are the keys: a leaf gives one row, a
-    decision node concatenates its children's rows, arc by arc, and a
-    chance node takes the product of its children's rows, the last arc
-    varying fastest as in `itertools.product`, and merges their value
-    tuples.  No node is built: `Decoder` decodes one from its position.
-    Raises what `gamble_of` raises on some strategy of the tree.
+    reads the tree's node plan (`DecisionTree._plan`), children first, and
+    so are the keys: a leaf gives one row, a decision node concatenates its
+    children's rows, arc by arc, and a chance node takes the product of its
+    children's rows, the last arc varying fastest as in
+    `itertools.product`, and merges their value tuples.  No node is built:
+    `Decoder` decodes one from its position.  Raises what `gamble_of`
+    raises on some strategy of the tree.
 
     With *keep*, the pass also filters: after each decision and chance node
     only the rows at the indices ``keep(table, node_id, scope, rows)``
     returns, in order, stay, so a parent's rows come from its children's
-    kept rows alone.
+    kept rows alone, and their positions from the children's kept
+    positions (the encoding `_step` decodes).
 
     With *members*, mass functions on the tree's space, a numeric tree's
-    pass also records each node's scope masses (``table.masses``) and
-    fills the member-sum column ``table.sums``, from the same recursion as
-    the rows: a leaf gives Σ W_m(a)·v(a) over its scope, a decision node
-    concatenates its children's entries, and a chance node adds them in
-    the product order of its rows.  No sum is computed from a row.  Raises
-    `ValueError` for a member on another space.
+    pass first totals their weights over every node scope
+    (``table.masses``) and then fills the member-sum column ``table.sums``,
+    from the same recursion as the rows: a leaf gives Σ W_m(a)·v(a) over
+    its scope, a decision node concatenates its children's entries, and a
+    chance node adds them in the product order of its rows.  No sum is
+    computed from a row.  Raises `ValueError` for a member on another
+    space.
 
     With both *keep* and *members*, a numeric tree's pass forms no value
     rows at all (`StrategyTable` ``sums_only``): each node's rows, those
@@ -682,57 +743,53 @@ def strategy_table(
     weights = [p._integers[1] for p in members] if numeric else []
     sums_only = keep is not None and bool(weights)
     table = StrategyTable(denominator, numeric, sums_only)
-    table.counts = tree._counts
-    position = tree.space.position
-    column, masses = table.sums, table.masses
+    table.counts = counts = tree._counts
+    plan = tree._plan
+    if weights:
+        table.masses = masses = plan.masses(weights)
+    column, kept_at = table.sums, table.positions
     summed = bool(weights) and keep is None  # fill the member-major column
-    index = tree._index
     mixed = len(kinds) > 1
-    for node, scope in reversed(index.values()):
+    for nid, kind, scope, children, data, error in plan.nodes:
+        if error and (kind is GambleLeaf or all(table[c] for c in children)):
+            # where the arcs or a gamble leaf leave an atom of the scope
+            # without a reward, for member-sum vectors as for rows
+            raise ScopeMismatch(error)
         sums: list[list[int]] = []
-        if weights and scope.members not in masses:
-            at = [position(a) for a in scope.ordered]
-            masses[scope.members] = [sum(map(w.__getitem__, at)) for w in weights]
-        if isinstance(node, Leaf):
-            value = scaled(node.reward, denominator)
+        if kind is Leaf:
             if sums_only:
-                rows = [tuple(map(value.__mul__, masses[scope.members]))]
+                rows = [tuple(map(data.__mul__, masses[scope.members]))]
             else:
-                rows = [(value,) * len(scope)]
+                rows = [(data,) * len(scope)]
                 if summed:
-                    sums = [[value * q] for q in masses[scope.members]]
-        elif isinstance(node, GambleLeaf):
-            rows = [tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)]
+                    sums = [[data * q] for q in masses[scope.members]]
+        elif kind is GambleLeaf:
+            rows = [data]
             if weights:
-                at = [position(a) for a in scope.ordered]
-                sums = [[sum(map(operator.mul, (w[i] for i in at), rows[0]))] for w in weights]
+                at = plan.scopes[scope.members]
+                sums = [[sum(map(operator.mul, map(w.__getitem__, at), data))] for w in weights]
                 if sums_only:
                     rows, sums = list(zip(*sums)), []
-        elif isinstance(node, DecisionNode):
+        elif kind is DecisionNode:
             # value rows, or member-sum vectors where sums_only
-            rows = [row for arc in node.arcs for row in table[arc.child.node_id]]
+            rows = [row for c in children for row in table[c]]
             if summed:
-                entries = [column[arc.child.node_id] for arc in node.arcs]
+                entries = [column[c] for c in children]
                 sums = [[x for e in entries for x in e[m]] for m in range(len(weights))]
-        elif isinstance(node, ChanceNode):
-            children = [table[arc.child.node_id] for arc in node.arcs]
+        elif kind is ChanceNode:
             rows = []
             sums = [[] for _ in weights] if summed else []
-            if all(children):
-                # raises where the arcs leave an atom of the scope without a
-                # reward, for member-sum vectors as for rows
-                merge = _merge_plan(scope, [index[a.child.node_id][1] for a in node.arcs])
+            if all(table[c] for c in children):
+                rows, *rest = [table[c] for c in children] or [[()]]
                 if sums_only:
                     add = operator.add
-                    rows, *rest = children
                     for child_rows in rest:
                         rows = [tuple(map(add, r, c)) for r in rows for c in child_rows]
                 else:
-                    rows = [()]
-                    for child_rows in children:
+                    for child_rows in rest:
                         rows = [r + c for r in rows for c in child_rows]
-                    if merge is not None:
-                        rows = list(map(merge, rows))
+                    if data is not None:
+                        rows = list(map(data, rows))
                 # only a product can put both kinds into one row
                 if mixed:
                     for values in rows:
@@ -740,23 +797,29 @@ def strategy_table(
                             raise MixedRewardKinds("a gamble cannot mix numbers and labels")
                 for m in range(len(sums)):
                     entry = [0]
-                    for arc in node.arcs:
-                        entry = [x + y for x in entry for y in column[arc.child.node_id][m]]
+                    for c in children:
+                        entry = [x + y for x in entry for y in column[c][m]]
                     sums[m] = entry
         else:
-            raise TypeError(f"unknown node type {type(node).__name__}")
-        if keep is not None:
-            if isinstance(node, (Leaf, GambleLeaf)):
-                positions = [0]
+            raise TypeError(f"unknown node type {kind.__name__}")
+        if keep is not None and (kind is Leaf or kind is GambleLeaf):
+            kept_at[nid] = [0]
+        elif keep is not None:
+            kept = keep(table, nid, scope, rows)
+            rows = [rows[i] for i in kept]
+            # the positions among the node's variants of the rows formed
+            # from its children's kept rows: the encoding `_step` decodes
+            if kind is DecisionNode:
+                formed = [o + p for o, c in zip(data, children) for p in kept_at[c]]
             else:
-                kept = keep(table, node.node_id, scope, rows)
-                rows = [rows[i] for i in kept]
-                positions = _positions(node, table)
-                positions = [positions[i] for i in kept]
-            table.positions[node.node_id] = positions
-        table[node.node_id] = rows
+                formed = [0]
+                for c in children:
+                    n = counts[c]
+                    formed = [p * n + q for p in formed for q in kept_at[c]]
+            kept_at[nid] = [formed[i] for i in kept]
+        table[nid] = rows
         if summed:
-            column[node.node_id] = sums
+            column[nid] = sums
     return table
 
 
@@ -782,7 +845,7 @@ def _merge_plan(scope: Event, scopes: list[Event]):
     if plan == list(range(start)):
         return None
     if len(plan) == 1:
-        return lambda values, p=plan[0]: (values[p],)
+        return operator.itemgetter(slice(plan[0], plan[0] + 1))
     return operator.itemgetter(*plan)
 
 
@@ -849,7 +912,8 @@ def _step(
     `strategy_table` rows).  At a decision node, k falls into the range of
     one arc, after the variants of the earlier arcs; at a chance node, k is
     a mixed-radix number over the children's counts, the last arc's digit
-    varying fastest.  A leaf keeps no arc.  `_positions` encodes.
+    varying fastest.  A leaf keeps no arc.  A filtered `strategy_table`
+    encodes positions.
     """
     kept: list[tuple[DecisionArc | ChanceArc, int]] = []
     if isinstance(node, DecisionNode):
@@ -864,24 +928,6 @@ def _step(
             kept.append((arc, digit))
         kept.reverse()
     return kept
-
-
-def _positions(node: Node, table: StrategyTable) -> list[int]:
-    """The positions among *node*'s variants of the rows `strategy_table`
-    forms from its children's kept rows in a filtered *table*: the encoding
-    that `_step` decodes."""
-    counts, kept = table.counts, table.positions
-    out = [0]
-    if isinstance(node, DecisionNode):
-        out, offset = [], 0
-        for arc in node.arcs:
-            out += [offset + p for p in kept[arc.child.node_id]]
-            offset += counts[arc.child.node_id]
-    elif isinstance(node, ChanceNode):
-        for arc in node.arcs:
-            n = counts[arc.child.node_id]
-            out = [p * n + q for p in out for q in kept[arc.child.node_id]]
-    return out
 
 
 class Decoder:

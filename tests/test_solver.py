@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import credaltrees.choice as choice_module
 import credaltrees.solver as solver_module
+import credaltrees.trees as trees_module
 from credaltrees import (
     KINDS,
     ChoiceFunction,
@@ -304,6 +305,39 @@ def test_zero_mass_branch_under_a_joint_model_reports_error():
     assert not all_hold(verdicts.values())
 
 
+@pytest.mark.parametrize("shape", ["decision", "chance"])
+@pytest.mark.parametrize("kind", ["eu", "maximality"])
+def test_a_single_variant_node_of_probability_zero_is_still_posed(shape, kind):
+    # N has one variant and a scope of mass zero.  check's filtered passes
+    # keep a single row without asking the rule only under their premise,
+    # which this tree breaks: backward induction still poses the choice at
+    # N and raises, and check gives N its error verdict.
+    sp = PossibilitySpace(("w1", "w2", "w3"))
+    if shape == "decision":
+        inner = decision("N", [("only", leaf("L1", 1))])
+    else:
+        inner = chance("N", [(sp.event(["w2"]), leaf("L1", 1)), (sp.event(["w3"]), leaf("L2", 2))])
+    root = decision(
+        "D",
+        [
+            ("stay", leaf("L0", 0)),
+            ("go", chance("C", [(sp.event(["w1"]), leaf("L3", 3)), (sp.event(["w2", "w3"]), inner)])),
+        ],
+    )
+    tree = validate_tree(DecisionTree(sp, root))
+    assert count_strategies(subtree_at(tree, "N")) == 1
+    p = MassFunction(sp, (Fraction(1), Fraction(0), Fraction(0)))
+    model = JointModel(p) if kind == "eu" else CredalModel(CredalSet((p,)))
+    choice = ChoiceFunction(kind)
+    verdicts = {v.node_id: v for v in check_subtree_perfect(tree, choice, model)}
+    assert verdicts["N"].outcome is Outcome.ERROR
+    assert "probability zero" in verdicts["N"].detail
+    assert verdicts["C"].outcome is Outcome.HOLD
+    with pytest.raises(ZeroProbabilityCondition) as raised:
+        backward_solution(tree, choice, model)
+    assert str(raised.value) == verdicts["N"].detail
+
+
 def test_backward_induction_agrees_with_the_normal_form(eu1, eu2):
     for tree, model in (eu1, eu2):
         nf = normal_form_solution(tree, EU, model)
@@ -542,17 +576,31 @@ def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
         options.append(len(xs))
         return real(self, xs, *args)
 
+    real_table = solver_module.strategy_table
+    formed = []  # the number of rows the filtered pass forms at each node it filters
+
+    def table_spy(t, keep=None, members=()):
+        def counted(table, node_id, scope, rows):
+            formed.append(len(rows))
+            return keep(table, node_id, scope, rows)
+
+        return real_table(t, counted, members)
+
     monkeypatch.setattr(ChoiceFunction, "choose", counting)
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
     joint = JointModel(model.credal.members[0])
     for kind in SEPARABLE:
         choice = ChoiceFunction(kind)
         m = joint if kind == "eu" else model
         options.clear()
+        formed.clear()
         verdicts = check_subtree_perfect(tree, choice, m)
         assert len(verdicts) == 1036
         assert verdicts[0].outcome is Outcome.HOLD
-        # one choice per decision and chance node
-        assert len(options) == 388, kind
+        # one choice per decision and chance node that forms more than one
+        # row; the rule keeps the one row of every other
+        assert len(formed) == 388, kind
+        assert len(options) == sum(n > 1 for n in formed) < 388, kind
         assert sum(options) < 2000, kind
         for v in verdicts:
             if v.outcome is Outcome.FAIL:
@@ -583,25 +631,38 @@ def test_conditioned_solving_restricts_the_comparison(eu1):
 def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     monkeypatch, build, choice
 ):
-    # These rules take the full table: one local solve per posed node.
+    # One local solve per posed node of the one table check reads: the full
+    # table under imprecise utility, the threshold-filtered table under the
+    # threshold rules, whatever the tree's size; a filtered node with a
+    # single kept row keeps it unsolved.
     tree, model = build()
-    real = solver_module._chosen
-    solved = []
+    real, real_table = solver_module._chosen, solver_module.strategy_table
+    solved, tables = [], []
 
     def counting(choice, model, table, scope, rows, *args):
         solved.append(rows)
         return real(choice, model, table, scope, rows, *args)
 
+    def table_spy(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    def solves(table, node_ids):
+        return [table[nid] for nid in node_ids if not table.positions or len(table[nid]) > 1]
+
     monkeypatch.setattr(solver_module, "_chosen", counting)
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
     verdicts = check_subtree_perfect(tree, choice, model)
-    table = strategy_table(tree)
+    [table] = tables
+    assert bool(table.positions) == (choice.kind in solver_module._THRESHOLD_TESTS)
     root_id = tree.root.node_id
     posed = [
         v.node_id
         for v in verdicts
         if v.outcome is not Outcome.VACUOUS_HOLD and v.node_id != root_id
     ]
-    assert solved == [table[nid] for nid in [root_id] + posed]
+    assert solved == solves(table, [root_id] + posed)
+    assert solved
 
     root = verdicts[0]
     assert root.node_id == root_id
@@ -610,8 +671,9 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     assert root.restricted_solution == root.local_solution == full.strategies
 
     solved.clear()
+    tables.clear()
     alone = check_subtree_perfect_at(tree, choice, model, root_id)
-    assert solved == [table[root_id]]
+    assert solved == solves(tables[0], [root_id])
     assert alone.outcome is root.outcome
     assert alone.restricted_solution == root.restricted_solution
     assert alone.local_solution == root.local_solution
@@ -727,11 +789,15 @@ def test_check_reads_the_threshold_verdicts_off_one_filtered_pass(monkeypatch, k
 
 
 def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
-    # The variant counts and the reward denominator are cached on the tree,
-    # so the threshold pass and its table share one walk of each.
+    # The variant counts, the reward denominator and the node plan are
+    # cached on the tree, so every pass of every rule shares one walk of
+    # each, and each chance node's merge plan is made once in all.  Each
+    # check totals the scope masses once, and the threshold walk reads the
+    # table's.
     tree, model = build_alternating(seed=23)
+    joint = JointModel(model.credal.members[0])
     walks = []
-    for name in ("_counts", "_reward_denominator"):
+    for name in ("_counts", "_reward_denominator", "_plan"):
         prop = DecisionTree.__dict__[name]
 
         def counted(t, name=name, walk=prop.func):
@@ -739,8 +805,52 @@ def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
             return walk(t)
 
         monkeypatch.setattr(prop, "func", counted)
-    check_subtree_perfect(tree, ChoiceFunction("gamma_maximin"), model)
-    assert sorted(walks) == ["_counts", "_reward_denominator"]
+    merges, masses, thresholds, tables = [], [], [], []
+    real_merge, real_masses = trees_module._merge_plan, trees_module.Plan.masses
+    real_thresholds, real_table = solver_module._member_thresholds, solver_module.strategy_table
+
+    def merge_spy(*args):
+        merges.append(args)
+        return real_merge(*args)
+
+    def masses_spy(plan, weights):
+        masses.append(real_masses(plan, weights))
+        return masses[-1]
+
+    def thresholds_spy(t, scope_masses, *args):
+        thresholds.append(scope_masses)
+        return real_thresholds(t, scope_masses, *args)
+
+    def table_spy(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(trees_module, "_merge_plan", merge_spy)
+    monkeypatch.setattr(trees_module.Plan, "masses", masses_spy)
+    monkeypatch.setattr(solver_module, "_member_thresholds", thresholds_spy)
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    for kind in (
+        "eu",
+        "maximin",
+        "gamma_maximin",
+        "maximality",
+        "e_admissible",
+        "interval_dominance",
+        "pointwise_dominance",
+    ):
+        masses.clear()
+        thresholds.clear()
+        tables.clear()
+        choice, m = ChoiceFunction(kind), joint if kind == "eu" else model
+        check_subtree_perfect(tree, choice, m)
+        [table] = tables
+        assert masses == ([table.masses] if choice.row_members(m) else []), kind
+        if kind in ("gamma_maximin", "interval_dominance"):
+            assert len(thresholds) == 1 and thresholds[0] is table.masses, kind
+    backward_solution(tree, ChoiceFunction("maximality"), model)
+    assert sorted(walks) == ["_counts", "_plan", "_reward_denominator"]
+    chance_nodes = [n for n, _ in tree.nodes() if isinstance(n, ChanceNode)]
+    assert len(merges) == len(chance_nodes) == 21
 
 
 def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatch):

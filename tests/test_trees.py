@@ -1,5 +1,6 @@
 import operator
 import os
+import pickle
 from collections import Counter
 import subprocess
 import sys
@@ -358,6 +359,18 @@ def test_strategy_table_reads_overlapping_arcs_like_gamble_of():
     rows = strategy_table(tree)["N"]
     assert rows == [gamble_of(s).values for s in reference_strategies(tree)]
     assert rows == [(Fraction(3), Fraction(3), Fraction(1)), (Fraction(3), Fraction(3), Fraction(2))]
+
+
+def test_a_tree_pickles_with_its_node_plan():
+    # The node plan is cached on the tree, so it must pickle with it: here
+    # with the merge plan of a one-atom chance node whose arcs overlap.
+    sp = PossibilitySpace(("a", "b"))
+    a = sp.event(["a"])
+    tree = DecisionTree(sp, chance("C", [(a, leaf("L1", 1)), (a, leaf("L2", 2))]), a)
+    assert strategy_table(tree)["C"] == [(Fraction(2),)]
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree
+    assert strategy_table(back)["C"] == [(Fraction(2),)]
 
 
 def test_bounded_strategy_count_refuses_without_enumerating():

@@ -430,10 +430,9 @@ class ChoiceFunction:
         if kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
         _guard(xs, b, numeric=kind != "imprecise_utility")
-        members = self.row_members(model)
         if isinstance(xs, OptionTable):
             table, xs = xs, xs.rows or xs.columns
-        elif members is not None:
+        elif (members := self.row_members(model)) is not None:
             table = OptionTable.of(xs, b, members)
         elif kind == "eu" and isinstance(model, FactoredModel):
             # a factored model values each option, a gamble, on the tree's assessment

@@ -36,6 +36,7 @@ from .trees import (
     Reward,
     Strategy,
     StrategyTable,
+    _step,
     strategy_table,
     # Unused here, but perfbench/spans.py wraps these module attributes.
     enumerate_strategies,
@@ -227,12 +228,25 @@ def restrict_solution(
 def _reached_positions(
     table: StrategyTable, root: Node, indices: Iterable[int]
 ) -> dict[str, dict[int, None]]:
-    """Per node id, the positions among the node's variants that the
-    variants *indices* of *root* reach, in order of first appearance."""
-    at: dict[str, dict[int, None]] = {}
-    for i in indices:
-        for nid, k in table.reached(root, i).items():
-            at.setdefault(nid, {})[k] = None
+    """Per node id at and below *root*, the positions among the node's
+    variants that the variants *indices* of *root* reach, in order of first
+    appearance; nodes that no such variant keeps are absent.
+
+    One top-down walk steps each reached (node, position) pair once
+    (`trees._step`), so variants that share a subtree do not step it again.
+    A child's position is a function of its parent's, so the child's
+    positions, met in the order of its parent's, are in their order of
+    first appearance over *indices*."""
+    count = table.counts.__getitem__
+    at = {root.node_id: dict.fromkeys(indices)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for k in at[node.node_id]:
+            for arc, j in _step(node, k, count):
+                at.setdefault(arc.child.node_id, {})[j] = None
+        if isinstance(node, (DecisionNode, ChanceNode)):
+            stack.extend(arc.child for arc in node.arcs if arc.child.node_id in at)
     return at
 
 
@@ -246,7 +260,7 @@ class Outcome(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class PerfectnessVerdict:
     """What happened at one node of the subtree perfectness scan.
 
@@ -254,7 +268,8 @@ class PerfectnessVerdict:
     case the local problem is not even posed.  ``error`` means the local
     problem could not be solved because its conditioning event has
     probability zero under the model; that is reported rather than folded
-    into hold or fail.
+    into hold or fail.  A check builds one record per node, so the record
+    is a plain slotted one: it is not frozen, and compares by identity.
     """
 
     node_id: str
@@ -262,33 +277,6 @@ class PerfectnessVerdict:
     restricted_solution: tuple[Strategy, ...]
     local_solution: tuple[Strategy, ...]
     detail: str = ""
-
-
-def _verdict_at(
-    decode: Decoder,
-    reached: dict[str, dict[int, None]],
-    node_id: str,
-    local: Callable[[str], Sequence[int]],
-) -> PerfectnessVerdict:
-    """The verdict at *node_id*, where *reached* is `_reached_positions` of
-    the full solution and ``local(node_id)`` gives the positions of the
-    node's local solution among its variants; *decode* builds the
-    strategies the verdict returns."""
-    positions = reached.get(node_id)
-    if not positions:
-        return PerfectnessVerdict(node_id, Outcome.VACUOUS_HOLD, (), ())
-    try:
-        indices = local(node_id)
-    except ZeroProbabilityCondition as exc:
-        restricted = decode.strategies(node_id, positions)
-        return PerfectnessVerdict(node_id, Outcome.ERROR, restricted, (), str(exc))
-    outcome = Outcome.HOLD if positions.keys() == set(indices) else Outcome.FAIL
-    return PerfectnessVerdict(
-        node_id,
-        outcome,
-        decode.strategies(node_id, positions),
-        decode.strategies(node_id, indices),
-    )
 
 
 def _filters_apply(tree: DecisionTree, members: Sequence) -> bool:
@@ -510,8 +498,15 @@ def _read_verdicts(
     keeps a single kept row: such a node is not solved.  A node's rows are
     solved from its member-sum column, where the full table has one, or
     are member-sum vectors already, in a threshold table built with
-    members; the root's give the full solution.  The strategies of all
-    verdicts come from one decoder, so they share their nodes."""
+    members; the root's give the full solution.
+
+    The restriction at every node comes from one top-down walk from the
+    root's local solution (`_reached_positions`).  A node that no solution
+    strategy reaches gets a vacuous verdict at once, unsolved and
+    undecoded.  A posed node decodes its restriction once; on a hold, the
+    local solution is those same strategies in local order, and only a fail
+    decodes its local solution as well.  All decoding goes through one
+    decoder, so the verdicts' strategies share their nodes."""
     if table.positions and choice.is_separable:
         local: Callable[[str], Sequence[int]] = table.positions.__getitem__
     else:
@@ -530,7 +525,25 @@ def _read_verdicts(
 
     reached = _reached_positions(table, tree.root, local(tree.root.node_id))
     decode = Decoder(tree)
-    return tuple(_verdict_at(decode, reached, nid, local) for nid in node_ids)
+    verdicts = []
+    for nid in node_ids:
+        positions = reached.get(nid)
+        if not positions:
+            verdicts.append(PerfectnessVerdict(nid, Outcome.VACUOUS_HOLD, (), ()))
+            continue
+        restricted = decode.strategies(nid, positions)
+        try:
+            indices = local(nid)
+        except ZeroProbabilityCondition as exc:
+            verdicts.append(PerfectnessVerdict(nid, Outcome.ERROR, restricted, (), str(exc)))
+            continue
+        if positions.keys() == set(indices):
+            by_position = dict(zip(positions, restricted))
+            outcome, solution = Outcome.HOLD, tuple(map(by_position.__getitem__, indices))
+        else:
+            outcome, solution = Outcome.FAIL, decode.strategies(nid, indices)
+        verdicts.append(PerfectnessVerdict(nid, outcome, restricted, solution))
+    return tuple(verdicts)
 
 
 def _verdicts(

@@ -643,11 +643,11 @@ class StrategyTable(dict):
 
     ``table[node_id][k]`` is the row of variant k of the subtree at
     *node_id*: a tuple of values, nothing else.  The variant is told by its
-    position alone, and `reached` and `Decoder` decode it from there only
+    position alone, and `_step` and `Decoder` decode it from there only
     when it is needed.
 
     ``counts[node_id]`` is the number of variants of the node, the tree's
-    `DecisionTree._counts`, which `reached` and `Decoder` decode positions
+    `DecisionTree._counts`, which `_step` and `Decoder` decode positions
     with.  A table built with a row filter holds only the kept rows, and
     ``positions[node_id][j]`` is the position of row j among the node's
     variants; a table built without one has no ``positions``.
@@ -687,12 +687,6 @@ class StrategyTable(dict):
         Fraction, labels as they are."""
         d = self.denominator
         return tuple(v if isinstance(v, str) else Fraction(v, d) for v in values)
-
-    def reached(self, node: Node, k: int) -> dict[str, int]:
-        """The position, in this table, of the variant that variant *k* of
-        *node* reaches at each node at and below *node*, in preorder; nodes
-        below an arc that the variant does not keep are absent."""
-        return _reached(node, k, self.counts.__getitem__)
 
 
 def strategy_table(
@@ -886,20 +880,6 @@ def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
             f"the tree has {count} strategies, more than the limit of {limit}"
         )
     return count
-
-
-def _reached(node: Node, k: int, count: Callable[[str], int]) -> dict[str, int]:
-    """The position reached by variant *k* of *node* at every node at and
-    below *node* that the variant keeps, in preorder, decoded by `_step`."""
-    reached: dict[str, int] = {}
-    stack = [(node, k)]
-    while stack:
-        node, k = stack.pop()
-        reached[node.node_id] = k
-        # pushed last arc first, so that the first arc is visited first
-        for arc, j in reversed(_step(node, k, count)):
-            stack.append((arc.child, j))
-    return reached
 
 
 def _step(

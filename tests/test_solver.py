@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -679,6 +680,51 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     assert alone.local_solution == root.local_solution
 
 
+#: The seven rules of the benchmark's check-synth workload.
+CHECK_SYNTH_RULES = (
+    "eu",
+    "maximin",
+    "gamma_maximin",
+    "maximality",
+    "e_admissible",
+    "interval_dominance",
+    "pointwise_dominance",
+)
+
+
+def test_check_decodes_each_posed_node_once_and_a_failing_one_twice(monkeypatch):
+    # A vacuous verdict decodes nothing.  A hold or an error decodes its
+    # restriction alone, and a hold's local solution is the same strategies
+    # in local order; only a fail decodes its local solution as well.  A
+    # joint model null on half the atoms gives error verdicts.
+    tree, model = build_alternating(seed=23)
+    joint = JointModel(model.credal.members[0])
+    half = tuple(Fraction(1, 4) if i < 4 else Fraction(0) for i in range(8))
+    runs = [(kind, joint if kind == "eu" else model) for kind in CHECK_SYNTH_RULES]
+    runs.append(("eu", JointModel(MassFunction(tree.space, half))))
+    real = trees_module.Decoder.strategies
+    decoded = []
+
+    def spy(self, node_id, positions):
+        decoded.append(node_id)
+        return real(self, node_id, positions)
+
+    monkeypatch.setattr(trees_module.Decoder, "strategies", spy)
+    calls = {Outcome.VACUOUS_HOLD: 0, Outcome.HOLD: 1, Outcome.ERROR: 1, Outcome.FAIL: 2}
+    seen = set()
+    for kind, m in runs:
+        decoded.clear()
+        verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), m)
+        per_node = Counter(decoded)
+        for v in verdicts:
+            assert per_node[v.node_id] == calls[v.outcome], (kind, v.node_id)
+            if v.outcome is Outcome.HOLD:
+                assert {id(s) for s in v.local_solution} == {id(s) for s in v.restricted_solution}
+        assert len(decoded) == sum(calls[v.outcome] for v in verdicts)
+        seen.update(v.outcome for v in verdicts)
+    assert seen == set(Outcome)
+
+
 @pytest.mark.parametrize(
     "build, choice",
     [
@@ -829,15 +875,7 @@ def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
     monkeypatch.setattr(trees_module.Plan, "masses", masses_spy)
     monkeypatch.setattr(solver_module, "_member_thresholds", thresholds_spy)
     monkeypatch.setattr(solver_module, "strategy_table", table_spy)
-    for kind in (
-        "eu",
-        "maximin",
-        "gamma_maximin",
-        "maximality",
-        "e_admissible",
-        "interval_dominance",
-        "pointwise_dominance",
-    ):
+    for kind in CHECK_SYNTH_RULES:
         masses.clear()
         thresholds.clear()
         tables.clear()
@@ -1202,7 +1240,19 @@ def portable(strategies):
 @given(
     st.integers(0, 10**6),
     st.sampled_from(("joint", "credal:2", "factored", "hierarchical:2")),
-    st.sampled_from(("eu", "maximin", "gamma_maximin", "maximality", "e_admissible")),
+    st.sampled_from(
+        (
+            "eu",
+            "maximin",
+            "gamma_maximin",
+            "gamma_maximax",
+            "maximality",
+            "e_admissible",
+            "e_admissible_hull",
+            "interval_dominance",
+            "pointwise_dominance",
+        )
+    ),
 )
 @settings(max_examples=40, deadline=None)
 def test_verdicts_match_a_structural_reference_on_random_trees(seed, sampler, kind):

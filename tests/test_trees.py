@@ -48,7 +48,7 @@ from credaltrees import (
 )
 from credaltrees.cli import render_strategy
 from credaltrees.dot import export_dot
-from credaltrees import trees
+from credaltrees import solver, trees
 from credaltrees.formats import ParsedProblem, parse_problem, serialize_problem
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
 from credaltrees.trees import Decoder
@@ -293,8 +293,9 @@ def test_strategy_count_multiplies_over_arcs(tree):
 def assert_table_matches_the_reference(tree):
     """Row k of every node holds the gamble of strategy k of the reference
     enumeration of its subtree, and position k decodes to that strategy: to
-    its root, and to the reference position of its restriction at every
-    node it keeps, in preorder."""
+    its root, and, through the verdict reader's reach walk, to the
+    reference position of its restriction at every node it keeps, and at
+    no other node."""
     table = strategy_table(tree)
     decode = Decoder(tree)
     assert set(table) == set(tree.node_ids())
@@ -310,10 +311,11 @@ def assert_table_matches_the_reference(tree):
         ]
         for k, s in enumerate(reference):
             assert decode.node(node, k) == s.root
-            reached = table.reached(node, k)
-            assert list(reached.items()) == [
-                (n.node_id, position[n.node_id][kept_children(n)]) for n, _ in s.nodes()
-            ]
+            reached = solver._reached_positions(table, node, [k])
+            kept = {n.node_id: position[n.node_id][kept_children(n)] for n, _ in s.nodes()}
+            assert reached.keys() == kept.keys()
+            for nid, at in kept.items():
+                assert list(reached[nid]) == [at], nid
     assert enumerate_strategies(tree) == tuple(references[tree.root.node_id])
     assert [strategy_at(tree, k) for k in range(count_strategies(tree))] == references[
         tree.root.node_id
@@ -430,7 +432,8 @@ def test_checking_a_go_stop_chain_takes_work_linear_in_its_depth(monkeypatch):
     # Counted, not timed.  Every verdict returns a strategy as deep as the
     # rest of the chain, so walking each one again (`trees._decisions`, which
     # `Strategy`'s check runs) made the check quadratic in the depth; the
-    # decoder's steps (`trees._step`) stay linear.
+    # decode steps (`trees._step`) of the reach walk and the decoder stay
+    # linear.
     calls = Counter()
     decisions, step = trees._decisions, trees._step
 
@@ -445,6 +448,7 @@ def test_checking_a_go_stop_chain_takes_work_linear_in_its_depth(monkeypatch):
 
     monkeypatch.setattr(trees, "_decisions", visiting)
     monkeypatch.setattr(trees, "_step", stepping)
+    monkeypatch.setattr(solver, "_step", stepping)
     for kind in ("eu", "maximin"):
         steps = {}
         for depth in (2000, 8000):

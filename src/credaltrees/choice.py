@@ -57,6 +57,18 @@ def _guard(xs: "Sequence[Gamble] | OptionTable", b: Event, numeric: bool = True)
 # --- the option table and the rules over it -----------------------------------
 
 
+def _require_positive_mass(b: Event, mass: Sequence) -> None:
+    """Raise ``ZeroProbabilityCondition`` unless each member's probability
+    of b in *mass* (or its weight total on b) is positive: conditioning on
+    b is undefined for the whole rule if any member gives b zero."""
+    if 0 in mass:
+        if any(mass):
+            raise ZeroProbabilityCondition(
+                f"a credal member gives the conditioning event {b!r} probability zero"
+            )
+        raise ZeroProbabilityCondition(f"conditioning event {b!r} has probability zero")
+
+
 class OptionTable:
     """The options of one choice, compared on one conditioning event b.
 
@@ -66,13 +78,12 @@ class OptionTable:
     model, ``weights[m]`` holds member m's atom masses on b, times a
     positive factor of the member's own, and ``mass[m]`` its probability of
     b; a model-free table has neither.  Everything the rules read beyond that (member sums,
-    envelopes, row minima) is computed on first use, in integers, and kept,
-    unless *sums* gives the member sums already.
+    envelopes, row minima) is computed on first use, in integers, and kept.
 
     A table of values alone (a factored model's expectations, or a utility
     model's, one column per function) has no rows, only *sums*.  So has a
-    table of member sums alone (a strategy table that forms no value rows
-    gives them): its options are its ``columns``, and
+    table of member sums alone (a strategy table built with members holds
+    them): its options are its ``columns``, and
     `ChoiceFunction.choose` returns the kept ones.  Only the rules that read
     options through ``sums``, ``columns``, ``lower`` and ``upper`` apply to
     it, and ``lower``, ``upper`` and ``scale`` read *totals*, the members'
@@ -118,19 +129,13 @@ class OptionTable:
         b: Event,
         rows: Sequence[Sequence[int]],
         members: Sequence[MassFunction] = (),
-        sums: Optional[list[list[int]]] = None,
     ) -> "OptionTable":
         """The table of *rows* on b under *members*.
 
         Each member's weights are its masses on b times their least common
         denominator over the whole space (`MassFunction._integers`), so
-        they are integers already; *sums*, if given, must be the rows' sums
-        with those weights.
-
-        Conditioning needs every member to give b positive probability; if
-        any gives it zero, the rule as a whole is undefined and this raises
-        ``ZeroProbabilityCondition``, whether or not other members give b
-        positive probability.
+        they are integers already.  Raises as `_require_positive_mass` does
+        where a member gives b probability zero.
         """
         weights, mass = [], []
         if members:
@@ -143,15 +148,8 @@ class OptionTable:
                 w = [masses[i] for i in at]
                 weights.append(w)
                 mass.append(Fraction(sum(w), d))
-        if any(m == 0 for m in mass):
-            if all(m == 0 for m in mass):
-                raise ZeroProbabilityCondition(
-                    f"conditioning event {b!r} has probability zero"
-                )
-            raise ZeroProbabilityCondition(
-                f"a credal member gives the conditioning event {b!r} probability zero"
-            )
-        table = cls(rows, weights, mass, sums)
+        _require_positive_mass(b, mass)
+        table = cls(rows, weights, mass)
         table._integer_weights = weights
         return table
 
@@ -173,9 +171,7 @@ class OptionTable:
         The rules compare sums only within one member, so those factors
         never change a choice; nor do they change whether a hull LP is
         feasible, since scaling an LP column by a positive constant keeps
-        its nonnegative solutions.  A table given its sums (from the
-        strategy table's member-sum column, whose weights `on` uses) never
-        computes them from its rows.
+        its nonnegative solutions.
         """
         rows = self.rows
         return [

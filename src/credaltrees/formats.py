@@ -1,7 +1,7 @@
 """JSON problem and model files, parsed to exact rationals.
 
 Decimal literals in the files never pass through binary floating point:
-``loads`` hands the raw literal text to ``Fraction``, so ``0.6`` means
+``loads`` hands the raw literal text to `rational_from`, so ``0.6`` means
 exactly 3/5.  Rationals may also be written as strings like ``"3/4"``.
 On output, integral values render as JSON numbers and everything else as
 a ``"p/q"`` string.
@@ -51,6 +51,7 @@ from .trees import (
     Node,
     PossibilitySpace,
     Reward,
+    _parse_rational,
 )
 from .uncertainty import (
     CredalModel,
@@ -70,7 +71,7 @@ def load_json(text: str):
     try:
         return json.loads(
             text,
-            parse_float=Fraction,
+            parse_float=lambda literal: rational_from(literal, "JSON number"),
             parse_constant=_reject_constant,
         )
     except json.JSONDecodeError as exc:
@@ -88,11 +89,9 @@ def rational_from(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise FileFormatError(
-                f"{where}: {value!r} is not a rational; write 3, \"3/4\" or 0.75"
-            ) from None
+            return _parse_rational(value)
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}; write 3, \"3/4\" or 0.75") from None
     raise FileFormatError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -134,6 +133,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _refuse_unknown(doc: dict, known: Sequence[str], where: str) -> None:
+    """Fail closed: a key the format does not define, misspelt or not, is an error."""
+    extra = doc.keys() - known
+    if extra:
+        raise FileFormatError(f"{where}: unknown keys {sorted(extra)}")
+
+
+#: besides "id" and "kind", the key of each node kind; and a model's keys by mode
+_NODE_BODY = {"leaf": "reward", "gamble": "gamble", "decision": "arcs", "chance": "arcs"}
+_MODEL_KEYS = {"joint": ("mass",), "credal": ("members",), "factored": ("arcs",),
+               "utilities": ("functions", "chance")}
+
+
 def event_from(value, space: PossibilitySpace, named: Mapping[str, Event], where: str) -> Event:
     if isinstance(value, str):
         if value not in named:
@@ -160,6 +172,7 @@ def _node_from(doc, space: PossibilitySpace, named: Mapping[str, Event]) -> Node
             # arc i of an inner node: its label or event, then its child
             kind, nid, heads = inner
             where = f"node {nid!r} arc {i}"
+            _refuse_unknown(doc, ("label" if kind == "decision" else "event", "child"), where)
             if kind == "decision":
                 label = _require(doc, "label", where)
                 if not isinstance(label, str):
@@ -176,6 +189,8 @@ def _node_from(doc, space: PossibilitySpace, named: Mapping[str, Event]) -> Node
             raise FileFormatError("node ids must be strings")
         kind = _require(doc, "kind", f"node {nid!r}")
         where = f"node {nid!r}"
+        if isinstance(kind, str) and kind in _NODE_BODY:
+            _refuse_unknown(doc, ("id", "kind", _NODE_BODY[kind]), where)
         if kind == "leaf":
             read.append(Leaf(nid, _reward_from(_require(doc, "reward", where), where)))
         elif kind == "gamble":
@@ -250,9 +265,7 @@ def parse_problem(doc) -> ParsedProblem:
     scope = None
     if "root_scope" in doc:
         scope = event_from(doc["root_scope"], space, named, "root_scope")
-    extra = set(doc) - {"atoms", "events", "root_scope", "tree"}
-    if extra:
-        raise FileFormatError(f"problem: unknown keys {sorted(extra)}")
+    _refuse_unknown(doc, ("atoms", "events", "root_scope", "tree"), "problem")
     return ParsedProblem(DecisionTree(space, root, scope), named)
 
 
@@ -330,6 +343,8 @@ def parse_model(
     scope, and are dropped.
     """
     mode = _require(doc, "mode", "model")
+    if isinstance(mode, str) and mode in _MODEL_KEYS:
+        _refuse_unknown(doc, ("mode", *_MODEL_KEYS[mode]), "model")
     if mode == "joint":
         return JointModel(_mass_table(_require(doc, "mass", "model"), space, "mass"))
     if mode == "credal":

@@ -22,7 +22,7 @@ def feasible(
     Coefficients may be ints or Fractions; feasibility is decided exactly.
     """
     # sense: 0 equality (artificial), +1 ">=" (surplus + artificial),
-    # -1 "<=" after flipping a negative-rhs ">=" (slack, no artificial)
+    # -1 "<=" after flipping a ">=" of rhs <= 0 (slack, basic from the start)
     prepared: list[tuple[list[Fraction], Fraction, int]] = []
     for coeffs, r in eqs:
         row = [Fraction(c) for c in coeffs]
@@ -37,7 +37,7 @@ def feasible(
         r = Fraction(r)
         if len(row) != n_vars:
             raise ValueError("coefficient row length does not match n_vars")
-        if r < 0:
+        if r <= 0:
             prepared.append(([-c for c in row], -r, -1))
         else:
             prepared.append((row, r, +1))

@@ -11,8 +11,9 @@ subtree, as sets of positions among the node's variants.  For the separable
 rules both are read off the one table that backward induction filters; for
 maximin, Γ-maximin, Γ-maximax and interval dominance, off a table filtered
 by per-node thresholds.  Under a rule that reads options only through their
-member sums, either filtered table holds each variant's member-sum vector
-in place of its row, and options are deduplicated on those vectors.
+member sums, the table a check reads holds each variant's member-sum vector
+in place of its row, and options are deduplicated on those vectors; a
+solve reads value rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .choice import ChoiceFunction, OptionTable
+from .choice import ChoiceFunction, OptionTable, _require_positive_mass
 from .errors import ScopeMismatch, UnknownNode, ZeroProbabilityCondition
 from .trees import (
     ChanceNode,
@@ -76,9 +77,8 @@ def normal_form_solution(
     b = scope if b is None else b
     if not b <= scope:
         raise ScopeMismatch(f"conditioning event {b!r} is not inside the root scope {scope!r}")
-    root = tree.root.node_id
-    table = strategy_table(tree, None, (choice.row_members(model) or ()) if b == scope else ())
-    kept = _chosen(choice, model, table, scope, table[root], table.sums.get(root), b)
+    table = strategy_table(tree)
+    kept = _chosen(choice, model, table, scope, table[tree.root.node_id], b)
     return _solution(tree, choice, table, kept, b)
 
 
@@ -117,19 +117,17 @@ def _chosen(
     table: StrategyTable,
     scope: Event,
     rows: list,
-    sums: Optional[list[list[int]]] = None,
     b: Optional[Event] = None,
 ) -> list[int]:
     """The indices, in order, of the *rows* (one node's rows of *table*, on
     *scope*) whose gambles *choice* chooses on *b* (*scope* by default, or
-    an event inside it); rows equal on b are one option.  *sums* is the
-    node's entry of the table's member-sum column, read where b is the
-    scope.
+    an event inside it); rows equal on b are one option.
 
-    In a table of member sums alone (``table.sums_only``, built only where
-    `_filters_apply`, so every scope has positive mass, and read on the
-    scope), the rows are the member-sum vectors, and entries with equal
-    vectors are one option.  That is exact for every rule that reads
+    In a table built with members (`strategy_table`; it has ``masses``),
+    read on the scope only, the rows are the member-sum vectors, and
+    entries with equal vectors are one option.  A scope to which a member
+    gives mass zero raises as `OptionTable.on` does, from the table's
+    scope masses.  Merging equal vectors is exact for every rule that reads
     options through their member sums alone (`ChoiceFunction.row_members`
     with members: `eu` under a joint model, Γ-maximin, Γ-maximax,
     maximality, both E-admissibilities and interval dominance): such a rule
@@ -141,9 +139,11 @@ def _chosen(
     b = scope if b is None else b
     if b.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
-    if table.sums_only:
+    if table.masses:
+        totals = table.masses[scope.members]
+        _require_positive_mass(b, totals)
         distinct = list(dict.fromkeys(rows))
-        options = OptionTable((), sums=list(zip(*distinct)), totals=table.masses[scope.members])
+        options = OptionTable((), sums=list(zip(*distinct)), totals=totals)
         # the kept options are member-sum vectors
         kept = set(choice.choose(options, model, b))
         return [i for i, vector in enumerate(rows) if vector in kept]
@@ -153,7 +153,6 @@ def _chosen(
         keys = [pick(values) for values in rows]
         if len(b) == 1:
             keys = [(k,) for k in keys]
-        sums = None
     else:
         keys = rows
 
@@ -167,10 +166,7 @@ def _chosen(
 
     members = choice.row_members(model)
     if table.numeric and members is not None:
-        if sums:
-            # rows equal on the scope have equal sums
-            sums = [[entry[i] for i in first.values()] for entry in sums]
-        options = OptionTable.on(b, list(classes), members, sums or None)
+        options = OptionTable.on(b, list(classes), members)
         chosen = {classes[row] for row in choice.choose(options, model, b)}
     else:
         # Gambles on the whole scope, for the rules that value whole gambles.
@@ -436,11 +432,7 @@ def _member_thresholds(
         else:
             if error:
                 raise ScopeMismatch(error)
-            if kind is Leaf:
-                sums = [data * q for q in masses[scope.members]]
-            else:
-                at = plan.scopes[scope.members]
-                sums = [sum(map(operator.mul, map(w.__getitem__, at), data)) for w in weights]
+            sums = list(plan.leaf_sums(kind, scope, data, weights, masses))
             best[nid], vec[nid] = sums, [sums] * len(weights)
 
     thresholds: dict[str, list[int]] = {}
@@ -495,10 +487,9 @@ def _read_verdicts(
     Of these, only the first two have ``positions``, and `_verdicts`
     builds them only where `_filters_apply`, so every scope has positive
     mass there and the rule, which keeps a nonempty subset of its options,
-    keeps a single kept row: such a node is not solved.  A node's rows are
-    solved from its member-sum column, where the full table has one, or
-    are member-sum vectors already, in a threshold table built with
-    members; the root's give the full solution.
+    keeps a single kept row: such a node is not solved.  In any of them
+    built with the rule's members, a node's rows are member-sum vectors;
+    the root's give the full solution.
 
     The restriction at every node comes from one top-down walk from the
     root's local solution (`_reached_positions`).  A node that no solution
@@ -519,7 +510,7 @@ def _read_verdicts(
                     solved[node_id] = at  # a filtered table's single row
                 else:
                     scope = tree.scope_of(node_id)
-                    kept = _chosen(choice, model, table, scope, rows, table.sums.get(node_id))
+                    kept = _chosen(choice, model, table, scope, rows)
                     solved[node_id] = kept if at is None else [at[j] for j in kept]
             return solved[node_id]
 
@@ -561,7 +552,8 @@ def _verdicts(
     the full table: the rules that read whole gambles, trees with label
     rewards or a scope of probability zero (whose `error` verdicts only the
     full table gives), and members on another space (which
-    `strategy_table` refuses).
+    `strategy_table` refuses).  On a numeric tree, the full table holds the
+    rule's member-sum vectors too (`_chosen`).
 
     In either filtered pass, a node with a single row keeps it without a
     call to the rule: under the premise the rule keeps a nonempty subset

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +41,9 @@ Reward = Fraction | str
 def as_rational(value: "int | str | Fraction") -> Fraction:
     """Coerce *value* to an exact Fraction.
 
-    Accepts ints, Fractions and strings ("3", "2/5", "0.6"); the decimal
-    string form is exact, so "0.6" becomes 3/5.  Floats are rejected to keep
-    binary rounding out of the pipeline.
+    Accepts ints, Fractions and strings ("3", "2/5", "0.6"; `_parse_rational`);
+    the decimal string form is exact, so "0.6" becomes 3/5.  Floats are
+    rejected to keep binary rounding out of the pipeline.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,14 +52,36 @@ def as_rational(value: "int | str | Fraction") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational from {value!r}") from exc
+        return _parse_rational(value)
     raise TypeError(
         f"expected int, str or Fraction, got {type(value).__name__};"
         " floats are not accepted because they are inexact"
     )
+
+
+#: a sign, then ASCII digits as p/q, or as a decimal with an exponent of
+#: at most nine digits; the groups are the decimal's digits and exponent
+_RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(\d+\.?\d*|\.\d+)(?:[eE]([-+]?\d{1,9}))?)", re.ASCII)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """The exact rational *text* spells in `_RATIONAL`'s grammar ("3",
+    "-2/5", "0.6", "1e-3"), the same on every Python, where `Fraction` takes
+    spaces, underscores or non-ASCII digits on some only.  A decimal whose
+    digits and exponent pass the limit on integer strings
+    (`sys.get_int_max_str_digits`, or 4300) is refused before `Fraction`
+    expands it, which takes seconds at 1e10000000.  Raises `ValueError`."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a rational")
+    digits, exponent = match.groups()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if digits and len(digits) - ("." in digits) + abs(int(exponent or 0)) > limit:
+        raise ValueError(f"{text!r} is not a rational within the {limit}-digit limit")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a rational") from None
 
 
 @dataclass(frozen=True)
@@ -497,6 +521,14 @@ class Plan(NamedTuple):
         atom of the space), by the scope's members."""
         return {s: [sum(map(w.__getitem__, at)) for w in weights] for s, at in self.scopes.items()}
 
+    def leaf_sums(self, kind: type, scope: Event, data, weights: Sequence, masses: dict) -> tuple:
+        """A leaf's member-sum vector (*kind*, *scope*, *data* as in ``nodes``):
+        Σ W_m(a)·v(a) over its scope for each W_m of *weights*, totalled in *masses*."""
+        if kind is Leaf:
+            return tuple(map(data.__mul__, masses[scope.members]))
+        at = self.scopes[scope.members]
+        return tuple(sum(map(operator.mul, map(w.__getitem__, at), data)) for w in weights)
+
 
 @dataclass(frozen=True)
 class Strategy(DecisionTree):
@@ -658,28 +690,21 @@ class StrategyTable(dict):
     they are; ``numeric`` says whether the tree holds no label.
 
     A table built for mass functions (the *members* of `strategy_table`) on
-    a numeric tree has a member-sum column: ``sums[node_id][m][j]`` is
-    Σ W_m(a)·v(a) over the node's scope, where v is row j and W_m member m's
-    masses times their least common denominator (`MassFunction._integers`),
-    one integer weight per atom for the whole space; and
-    ``masses[scope.members][m]`` is Σ W_m(a) over a node's scope, for every
-    node, set before the pass begins, so that a row filter may read any
-    node's.  Otherwise ``sums`` and ``masses`` are empty.
-
-    A filtered table built for members on a numeric tree forms no value
-    rows (``sums_only``): its ``table[node_id][j]`` is the member-sum vector
-    of variant j, one Σ W_m(a)·v(a) per member, its ``sums`` is empty, and
-    its rows say nothing else of a variant's values.
+    a numeric tree forms no value rows: ``table[node_id][j]`` is variant j's
+    member-sum vector, one Σ W_m(a)·v(a) over the node's scope per member,
+    with W_m member m's masses times their least common denominator
+    (`MassFunction._integers`), one integer weight per atom of the space.
+    Only such a table has ``masses``: ``masses[scope.members][m]`` is
+    Σ W_m(a) over a node's scope, for every node, set before the pass
+    begins, so that a row filter may read any node's.
     """
 
-    def __init__(self, denominator: int, numeric: bool, sums_only: bool = False):
+    def __init__(self, denominator: int, numeric: bool):
         super().__init__()
         self.denominator = denominator
         self.numeric = numeric
-        self.sums_only = sums_only
         self.counts: dict[str, int] = {}
         self.positions: dict[str, list[int]] = {}
-        self.sums: dict[str, list[list[int]]] = {}
         self.masses: dict[frozenset, list[int]] = {}
 
     def rewards(self, values: Iterable["Reward | int"]) -> tuple[Reward, ...]:
@@ -716,66 +741,44 @@ def strategy_table(
 
     With *members*, mass functions on the tree's space, a numeric tree's
     pass first totals their weights over every node scope
-    (``table.masses``) and then fills the member-sum column ``table.sums``,
-    from the same recursion as the rows: a leaf gives Σ W_m(a)·v(a) over
-    its scope, a decision node concatenates its children's entries, and a
-    chance node adds them in the product order of its rows.  No sum is
-    computed from a row.  Raises `ValueError` for a member on another
-    space.
-
-    With both *keep* and *members*, a numeric tree's pass forms no value
-    rows at all (`StrategyTable` ``sums_only``): each node's rows, those
-    *keep* is given and those the table keeps, are its variants' member-sum
-    vectors, from the same recursion, and there is no separate column.
-    That is all a rule that reads options only through their member sums
-    needs.
+    (``table.masses``) and then forms no value rows at all: each node's
+    rows, those *keep* is given and those the table keeps, are its
+    variants' member-sum vectors, from the same recursion (a leaf sums its
+    values, a chance node adds its children's vectors).  That is all a
+    rule that reads options only through their member sums needs.  Raises
+    `ValueError` for a member on another space.
     """
     if any(p.space != tree.space for p in members):
         raise ValueError("event lives in a different possibility space")
     denominator, kinds = tree._reward_denominator
     numeric = "label" not in kinds
     weights = [p._integers[1] for p in members] if numeric else []
-    sums_only = keep is not None and bool(weights)
-    table = StrategyTable(denominator, numeric, sums_only)
+    table = StrategyTable(denominator, numeric)
     table.counts = counts = tree._counts
     plan = tree._plan
     if weights:
         table.masses = masses = plan.masses(weights)
-    column, kept_at = table.sums, table.positions
-    summed = bool(weights) and keep is None  # fill the member-major column
+    kept_at = table.positions
     mixed = len(kinds) > 1
     for nid, kind, scope, children, data, error in plan.nodes:
         if error and (kind is GambleLeaf or all(table[c] for c in children)):
             # where the arcs or a gamble leaf leave an atom of the scope
             # without a reward, for member-sum vectors as for rows
             raise ScopeMismatch(error)
-        sums: list[list[int]] = []
-        if kind is Leaf:
-            if sums_only:
-                rows = [tuple(map(data.__mul__, masses[scope.members]))]
-            else:
-                rows = [(data,) * len(scope)]
-                if summed:
-                    sums = [[data * q] for q in masses[scope.members]]
+        if weights and (kind is Leaf or kind is GambleLeaf):
+            rows = [plan.leaf_sums(kind, scope, data, weights, masses)]
+        elif kind is Leaf:
+            rows = [(data,) * len(scope)]
         elif kind is GambleLeaf:
             rows = [data]
-            if weights:
-                at = plan.scopes[scope.members]
-                sums = [[sum(map(operator.mul, map(w.__getitem__, at), data))] for w in weights]
-                if sums_only:
-                    rows, sums = list(zip(*sums)), []
         elif kind is DecisionNode:
-            # value rows, or member-sum vectors where sums_only
+            # value rows, or member-sum vectors
             rows = [row for c in children for row in table[c]]
-            if summed:
-                entries = [column[c] for c in children]
-                sums = [[x for e in entries for x in e[m]] for m in range(len(weights))]
         elif kind is ChanceNode:
             rows = []
-            sums = [[] for _ in weights] if summed else []
             if all(table[c] for c in children):
                 rows, *rest = [table[c] for c in children] or [[()]]
-                if sums_only:
+                if weights:
                     add = operator.add
                     for child_rows in rest:
                         rows = [tuple(map(add, r, c)) for r in rows for c in child_rows]
@@ -789,11 +792,6 @@ def strategy_table(
                     for values in rows:
                         if len(set(map(_reward_kind, values))) > 1:
                             raise MixedRewardKinds("a gamble cannot mix numbers and labels")
-                for m in range(len(sums)):
-                    entry = [0]
-                    for c in children:
-                        entry = [x + y for x in entry for y in column[c][m]]
-                    sums[m] = entry
         else:
             raise TypeError(f"unknown node type {kind.__name__}")
         if keep is not None and (kind is Leaf or kind is GambleLeaf):
@@ -812,8 +810,6 @@ def strategy_table(
                     formed = [p * n + q for p in formed for q in kept_at[c]]
             kept_at[nid] = [formed[i] for i in kept]
         table[nid] = rows
-        if summed:
-            column[nid] = sums
     return table
 
 

@@ -383,6 +383,27 @@ def reference_hull(credal, xs, b):
     return tuple(out)
 
 
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=k, max_size=k), st.integers(-1, 1)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_inequality_rows_decide_as_equalities_with_surplus_variables(ges):
+    # A x >= b read directly, where a row of b <= 0 starts on its own slack,
+    # and as A x - s = b with s >= 0, where every row starts on an
+    # artificial, over the mixture weights x of the hull LPs
+    k, m = len(ges[0][0]), len(ges)
+    direct = ratlp.feasible(k, eqs=[([1] * k, 1)], ges=ges)
+    surplus = [(a + [-(i == j) for j in range(m)], b) for i, (a, b) in enumerate(ges)]
+    lifted = ratlp.feasible(k + m, eqs=[([1] * k + [0] * m, 1)] + surplus)
+    assert direct == lifted
+
+
 @given(dominance_pools())
 @settings(max_examples=200, deadline=None)
 def test_maximality_matches_the_all_pairs_reference(data):

@@ -99,6 +99,65 @@ def test_corrupted_documents_exit_two_with_one_error_line(case):
     assert "Traceback" not in err.getvalue()
 
 
+def two_leaves(reward):
+    """A problem document: a choice between *reward* and 0."""
+    return {"atoms": ["a"], "tree": {"id": "D", "kind": "decision", "arcs": [
+        {"label": "x", "child": {"id": "L1", "kind": "leaf", "reward": reward}},
+        {"label": "y", "child": {"id": "L2", "kind": "leaf", "reward": 0}},
+    ]}}
+
+
+def with_arc_event(doc):
+    doc["tree"]["arcs"][0]["event"] = ["a"]
+    return doc
+
+
+#: documents that every supported Python must refuse at once: an exponent
+#: past the digit limit (a string, or a JSON number, which Fraction would
+#: expand for minutes), Fraction's version-dependent spellings, and keys no
+#: reader defines
+HOSTILE = {
+    "exponent-string": (json.dumps(two_leaves("1e100000000")), None, "digit limit"),
+    "exponent-number": (
+        json.dumps(two_leaves("X")).replace('"X"', "1e100000000"), None, "digit limit"
+    ),
+    "underscore": (json.dumps(two_leaves("1_000")), None, "'1_000' is not a rational"),
+    "spaced-slash": (json.dumps(two_leaves("1 / 2")), None, "'1 / 2' is not a rational"),
+    "arabic-digits": (json.dumps(two_leaves("\u0661/\u0662")), None, "is not a rational"),
+    "leaf-key": (
+        json.dumps(two_leaves(1)).replace('"reward": 1', '"rewrd": 1'), None, "['rewrd']"
+    ),
+    "decision-arc-event": (json.dumps(with_arc_event(two_leaves(1))), None, "['event']"),
+    "joint-with-members": (
+        json.dumps(two_leaves(1)),
+        json.dumps({"mode": "joint", "mass": {"a": 1}, "members": [{"a": 1}]}),
+        "model: unknown keys ['members']",
+    ),
+}
+
+
+def hostile_argv(tmp_path, name):
+    """argv of the command that reads ``HOSTILE[name]``, written to
+    *tmp_path*; CI runs the same commands through the installed script."""
+    tree, model, _ = HOSTILE[name]
+    (tmp_path / f"{name}.tree.json").write_text(tree)
+    argv = ["strategies", "--tree", str(tmp_path / f"{name}.tree.json")]
+    if model is not None:
+        (tmp_path / f"{name}.model.json").write_text(model)
+        argv = ["check", "--tree", argv[-1], "--model", str(tmp_path / f"{name}.model.json")]
+        argv += ["--choice", "eu"]
+    return argv
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_documents_exit_two_with_one_error_line(tmp_path, capsys, name):
+    code = run(hostile_argv(tmp_path, name))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert HOSTILE[name][2] in err, err
+
+
 def test_exit_zero_when_every_node_holds(capsys):
     code = run(
         [

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from credaltrees import (
     MassFunction,
     UtilityFunctionSet,
     UtilityModel,
+    as_rational,
     dumps_structured,
     load_json,
     parse_model,
@@ -48,9 +51,40 @@ def test_rational_parsing_and_rendering():
     assert rational_from(2, "t") == Fraction(2)
     assert render_rational(Fraction(3, 4)) == "3/4"
     assert render_rational(Fraction(8, 4)) == 2
-    for bad in (True, "abc", "1/0", None):
+    for bad in (True, None):
         with pytest.raises(FileFormatError):
             rational_from(bad, "t")
+    # One grammar on every Python: Fraction takes "1_000" from 3.11, "1 / 2"
+    # from 3.12 and non-ASCII digits on all of them.
+    good = {"3": 3, "-2/5": Fraction(-2, 5), "+0.6": Fraction(3, 5), ".5": Fraction(1, 2),
+            "3.": 3, "1e-3": Fraction(1, 1000), "2.5E2": 250, "007": 7}
+    for text, value in good.items():
+        assert rational_from(text, "t") == value == as_rational(text), text
+    for bad in ("abc", "1/0", "1_000", "1 / 2", " 3", "3 ", "١/٢", "٣", "1.5/2", "1e3/2",
+                "1/-2", "e3", ".", "", "0x10", "inf", "nan", "1e", "½"):
+        with pytest.raises(FileFormatError, match="is not a rational"):
+            rational_from(bad, "t")
+        with pytest.raises(ValueError, match="is not a rational"):
+            as_rational(bad)
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_at_once():
+    # Fraction("1e10000000") alone takes seconds, and the time grows with
+    # the exponent; one digit and an exponent of the limit still parse.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert rational_from(f"1e{limit - 1}", "t") == 10 ** (limit - 1)
+    assert rational_from(f"1e-{limit - 1}", "t") == Fraction(1, 10 ** (limit - 1))
+    for bad in (f"1e{limit}", f"1.5e{limit - 1}", "1e100000000", "-1e-100000000",
+                "0." + "0" * limit + "1"):
+        with pytest.raises(FileFormatError, match=f"within the {limit}-digit limit"):
+            rational_from(bad, "t")
+        with pytest.raises(ValueError, match=f"within the {limit}-digit limit"):
+            as_rational(bad)
+    # an exponent of ten digits or more is outside the grammar
+    with pytest.raises(FileFormatError, match="'1e9{5000}' is not a rational;"):
+        rational_from("1e" + "9" * 5000, "t")
+    with pytest.raises(FileFormatError, match="JSON number: '1e100000000'"):
+        load_json('{"x": 1e100000000}')
 
 
 def test_parse_problem_named_events_and_scope():
@@ -76,12 +110,23 @@ def test_parse_problem_named_events_and_scope():
 
 
 def test_parse_problem_rejects_unknown_keys_and_duplicate_atoms():
-    base = {
-        "atoms": ["w1"],
-        "tree": {"id": "L", "kind": "leaf", "reward": 0},
-    }
-    with pytest.raises(FileFormatError):
-        parse_problem({**base, "extra": 1})
+    leaf = {"id": "L", "kind": "leaf", "reward": 0}
+    base = {"atoms": ["w1"], "tree": leaf}
+    # an unknown key at the top, in a node of each kind or in an arc of each kind
+    for doc, key in [
+        ({**base, "extra": 1}, "extra"),
+        ({**base, "tree": {**leaf, "rewrd": 1}}, "rewrd"),
+        ({**base, "tree": {"id": "G", "kind": "gamble", "gamble": {"w1": 0}, "reward": 1}},
+         "reward"),
+        ({**base, "tree": {"id": "D", "kind": "decision", "arcs": [
+            {"label": "x", "event": ["w1"], "child": leaf}]}}, "event"),
+        ({**base, "tree": {"id": "C", "kind": "chance", "arcs": [
+            {"event": ["w1"], "label": "x", "child": leaf}]}}, "label"),
+        ({**base, "tree": {"id": "C", "kind": "chance", "note": "", "arcs": [
+            {"event": ["w1"], "child": leaf}]}}, "note"),
+    ]:
+        with pytest.raises(FileFormatError, match=re.escape(f"unknown keys [{key!r}]")):
+            parse_problem(doc)
     with pytest.raises(FileFormatError):
         parse_problem({"atoms": ["w1", "w1"], "tree": base["tree"]})
 
@@ -157,6 +202,18 @@ def test_model_errors():
         parse_model({"mode": "joint", "mass": {"w1": "1/2", "w2": "1/3"}}, sp)  # sums short
     with pytest.raises(FileFormatError):
         parse_model({"mode": "factored", "arcs": {}}, sp)  # needs the tree
+    mass = {"w1": "1/2", "w2": "1/2"}
+    # a key another mode reads, or none reads, is refused rather than dropped
+    for doc, key in [
+        ({"mode": "joint", "mass": mass, "members": [mass]}, "members"),
+        ({"mode": "credal", "members": [mass], "mass": mass}, "mass"),
+        ({"mode": "factored", "arcs": {}, "chance": None}, "chance"),
+        ({"mode": "utilities", "functions": [{"r1": 1}], "mass": mass}, "mass"),
+        ({"mode": "utilities", "functions": [{"r1": 1}],
+          "chance": {"mode": "joint", "mass": mass, "x": 0}}, "x"),
+    ]:
+        with pytest.raises(FileFormatError, match=re.escape(f"unknown keys [{key!r}]")):
+            parse_model(doc, sp)
     with pytest.raises(FileFormatError):
         parse_model(
             {

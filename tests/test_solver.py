@@ -775,7 +775,9 @@ THRESHOLD = ("maximin", "gamma_maximin", "gamma_maximax", "interval_dominance")
 
 
 def full_table_verdicts(tree, choice, model):
-    table = strategy_table(tree, None, choice.row_members(model) or ())
+    """The verdicts read off the tree's table of value rows: a reference
+    that forms no member-sum vector of the strategy table's own."""
+    table = strategy_table(tree)
     return solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
 
 
@@ -968,7 +970,7 @@ def test_column_pass_verdicts_equal_the_full_table_verdicts(sampler):
             full = full_table_verdicts(tree, choice, m)
             assert solver_module._filters_apply(tree, members)
             table = column_pass(tree, choice, m)
-            assert table.sums_only and not table.sums, (sampler, kind)
+            assert table.masses, (sampler, kind)  # member-sum vectors
             read = solver_module._read_verdicts(tree, choice, m, tree.node_ids(), table)
             assert verdict_tuples(read) == verdict_tuples(full), (sampler, kind)
             compared += 1
@@ -1040,7 +1042,7 @@ def test_check_forms_no_value_row_under_the_sum_reading_rules(monkeypatch):
         tables.clear()
         check_subtree_perfect(tree, ChoiceFunction(kind), m)
         [table] = tables
-        assert table.sums_only and not table.sums, kind
+        assert table.masses, kind  # member-sum vectors
         for nid in tree.node_ids():
             entries = table[nid]
             assert entries, (kind, nid)
@@ -1049,12 +1051,17 @@ def test_check_forms_no_value_row_under_the_sum_reading_rules(monkeypatch):
                 assert vector == sums, (kind, nid)
 
 
-def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
+def zero_mass_problem():
+    """An alternating tree with a member that gives every scope without w0
+    probability zero: the point mass, and a credal set that holds it."""
     tree, model = build_alternating(seed=23)
     sp = tree.space
-    # a member that gives every scope without w0 probability zero
     point = MassFunction(sp, (Fraction(1),) + (Fraction(0),) * (len(sp) - 1))
-    zero = CredalModel(CredalSet(model.credal.members[:2] + (point,)))
+    return tree, model, point, CredalModel(CredalSet(model.credal.members[:2] + (point,)))
+
+
+def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
+    tree, model, point, zero = zero_mass_problem()
     labelled = relabel(tree, lambda v: f"r{v}")
     real_table = solver_module.strategy_table
     builds = []
@@ -1064,15 +1071,21 @@ def test_zero_probability_and_label_trees_take_the_full_table(monkeypatch):
         return real_table(t, keep, members)
 
     monkeypatch.setattr(solver_module, "strategy_table", table_spy)
-    for kind in THRESHOLD[1:]:
+    # the full table of member-sum vectors raises, from its scope masses,
+    # what the value-row reference's OptionTable.on raises
+    for kind in SUM_RULES:
         choice = ChoiceFunction(kind)
-        assert not solver_module._filters_apply(tree, choice.row_members(zero))
+        m = JointModel(point) if kind == "eu" else zero
+        assert not solver_module._filters_apply(tree, choice.row_members(m))
         builds.clear()
-        verdicts = check_subtree_perfect(tree, choice, zero)
+        verdicts = check_subtree_perfect(tree, choice, m)
         assert builds == ["unfiltered"], kind
         errors = [v for v in verdicts if v.outcome is Outcome.ERROR]
-        assert errors and all("probability zero" in v.detail for v in errors), kind
-        assert verdict_tuples(verdicts) == verdict_tuples(full_table_verdicts(tree, choice, zero))
+        message = "has probability zero" if kind == "eu" else "a credal member gives"
+        assert errors and all(message in v.detail for v in errors), kind
+        assert verdict_tuples(verdicts) == verdict_tuples(
+            full_table_verdicts(tree, choice, m)
+        )
     for kind in THRESHOLD:
         choice = ChoiceFunction(kind)
         assert not solver_module._filters_apply(labelled, choice.row_members(model))
@@ -1434,45 +1447,47 @@ column_cases = pytest.mark.parametrize(
 
 @column_cases
 def test_the_member_sum_column_gives_each_node_the_table_of_its_rows(tree, model):
-    # At every node, the column-fed table has the sums OptionTable.on computes
-    # from the rows, the conditional envelopes of exact Fraction arithmetic,
-    # and the same choice under every rule, or raises the same zero-probability
-    # error.  The credal rules share their members, so their column.
+    # At every node, a table built with members holds the member-sum vectors
+    # OptionTable.on computes from the value rows; the vectors give the
+    # conditional envelopes of exact Fraction arithmetic and the same choice
+    # under every rule, or raise the same zero-probability error.  The
+    # credal rules share their members, so their table.
     kinds_of: dict = {}
     for kind in MEMBER_RULES:
         members = ChoiceFunction(kind).row_members(model) or ()
         kinds_of.setdefault(members, []).append(kind)
+    values = strategy_table(tree)
     for members, kinds in kinds_of.items():
         table = strategy_table(tree, None, members)
         if not (members and table.numeric):
-            assert table.sums == {}
+            assert not table.masses and table == values
             continue
-        assert list(table.sums) == list(table)
+        assert list(table) == list(values)
         for node, scope in tree.nodes():
             nid = node.node_id
-            rows = table[nid]
-            distinct = list(dict.fromkeys(rows))
-            first = [rows.index(row) for row in distinct]
-            sums = [[entry[i] for i in first] for entry in table.sums[nid]]
-            assert [len(entry) for entry in table.sums[nid]] == [len(rows)] * len(members)
+            rows = values[nid]
+            totals = table.masses[scope.members]
             try:
-                plain = choice_module.OptionTable.on(scope, distinct, members)
-            except ZeroProbabilityCondition:
-                with pytest.raises(ZeroProbabilityCondition):
-                    choice_module.OptionTable.on(scope, distinct, members, sums)
+                plain = choice_module.OptionTable.on(scope, rows, members)
+            except ZeroProbabilityCondition as exc:
+                for kind in kinds:
+                    choice = ChoiceFunction(kind)
+                    with pytest.raises(ZeroProbabilityCondition, match=re.escape(str(exc))):
+                        solver_module._chosen(choice, model, table, scope, table[nid])
                 continue
-            fed = choice_module.OptionTable.on(scope, distinct, members, sums)
-            assert fed.sums == plain.sums, nid
-            gambles = [Gamble(scope, table.rewards(row)) for row in distinct]
-            exact = [[expectation(p, x, scope) for p in members] for x in gambles]
-            for t in (fed, plain):
+            assert table[nid] == plain.columns, nid
+            vectors = choice_module.OptionTable((), sums=list(zip(*table[nid])), totals=totals)
+            exact = [[expectation(p, Gamble(scope, values.rewards(row)), scope) for p in members]
+                     for row in rows]
+            for t in (vectors, plain):
                 unit = t.scale * table.denominator
                 assert [Fraction(v, unit) for v in t.lower] == list(map(min, exact))
                 assert [Fraction(v, unit) for v in t.upper] == list(map(max, exact))
-            every = range(len(distinct))
             for kind in kinds:
-                rule = choice_module.RULES[kind]
-                assert rule(fed, every) == rule(plain, every), (kind, nid)
+                choice = ChoiceFunction(kind)
+                assert solver_module._chosen(choice, model, table, scope, table[nid]) == (
+                    solver_module._chosen(choice, model, values, scope, rows)
+                ), (kind, nid)
 
 
 @column_cases
@@ -1504,14 +1519,12 @@ def test_gamma_maximin_computes_no_sum_from_rows_on_a_node_scope(monkeypatch):
     spy.__set_name__(choice_module.OptionTable, "sums")
     monkeypatch.setattr(choice_module.OptionTable, "sums", spy)
     verdicts = check_subtree_perfect(tree, choice, model)
-    sol = normal_form_solution(tree, choice, model, tree.root_scope)
     assert computed == []
     assert sum(v.outcome is Outcome.FAIL for v in verdicts) > 0
-    # conditioning on a smaller event sums the rows on it
+    # a solve reads value rows: conditioning on a smaller event sums the rows on it
     _, inner = next((n, s) for n, s in tree.nodes() if s != tree.root_scope)
     assert normal_form_solution(tree, choice, model, inner).strategies
     assert computed
-    assert sol.strategies == normal_form_solution(tree, choice, model).strategies
 
 
 def test_check_builds_each_strategy_it_returns_once(monkeypatch):

@@ -334,13 +334,14 @@ def _chosen_classes(ev: _EventData, kind: str, classes: Sequence[int]) -> frozen
 
 
 def _composite(ev1: _EventData, ev2: _EventData, zc: int) -> OptionTable:
-    """The table, on e1 | e2, of every e1 class followed by e2 class zc."""
+    """The table, on e1 | e2, of every e1 class followed by e2 class zc:
+    both tables weigh a member by the same integers, so the sums add."""
     t1, t2 = ev1.table, ev2.table
     z = ev2.rows[zc]
     return OptionTable(
         [row + z for row in ev1.rows],
-        [w1 + w2 for w1, w2 in zip(t1.weights, t2.weights)],
-        [m1 + m2 for m1, m2 in zip(t1.mass, t2.mass)],
+        [[s + s2[zc] for s in s1] for s1, s2 in zip(t1.sums, t2.sums)],
+        [m1 + m2 for m1, m2 in zip(t1.totals, t2.totals)],
     )
 
 
@@ -576,10 +577,11 @@ class _Checker:
             return [Fraction(v, t.scale) for v in getattr(t, side)]
 
         c2 = Fraction(getattr(t2, side)[zc], t2.scale)
-        masses = list(zip(t1.mass, t2.mass))
+        # a member's totals on e1 and e2 share its factor, which cancels
+        totals = list(zip(t1.totals, t2.totals))
         return [
             composite
-            == pick((c1 * m1 + c2 * m2) / (m1 + m2) for m1, m2 in masses)
+            == pick((c1 * m1 + c2 * m2) / (m1 + m2) for m1, m2 in totals)
             for c1, composite in zip(envelope(t1), envelope(full))
         ]
 

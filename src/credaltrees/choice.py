@@ -57,12 +57,12 @@ def _guard(xs: "Sequence[Gamble] | OptionTable", b: Event, numeric: bool = True)
 # --- the option table and the rules over it -----------------------------------
 
 
-def _require_positive_mass(b: Event, mass: Sequence) -> None:
-    """Raise ``ZeroProbabilityCondition`` unless each member's probability
-    of b in *mass* (or its weight total on b) is positive: conditioning on
-    b is undefined for the whole rule if any member gives b zero."""
-    if 0 in mass:
-        if any(mass):
+def _require_positive_mass(b: Event, totals: Sequence[int]) -> None:
+    """Raise ``ZeroProbabilityCondition`` unless each member's integer weight
+    total on b in *totals* is positive: conditioning on b is undefined for
+    the whole rule if any member gives b zero."""
+    if 0 in totals:
+        if any(totals):
             raise ZeroProbabilityCondition(
                 f"a credal member gives the conditioning event {b!r} probability zero"
             )
@@ -74,37 +74,30 @@ class OptionTable:
 
     ``rows[j]`` holds option j's values on b, in ``b.ordered``, as integers
     times one positive factor common to every row, which no rule of `RULES`
-    needs: each keeps the same options when every row is scaled.  Under a
-    model, ``weights[m]`` holds member m's atom masses on b, times a
-    positive factor of the member's own, and ``mass[m]`` its probability of
-    b; a model-free table has neither.  Everything the rules read beyond that (member sums,
-    envelopes, row minima) is computed on first use, in integers, and kept.
+    needs: each keeps the same options when every row is scaled.  The
+    model-free rules read only the rows.  ``sums[m][j]`` holds member m's
+    mass-weighted sum of option j over b, and ``totals[m]`` its mass of b,
+    both times a positive factor of the member's own, which changes no
+    choice (the rules compare sums within one member) and no hull LP's
+    feasibility (it scales an LP column).  Envelopes and row minima are
+    computed from these on first use, in integers, and kept.
 
-    A table of values alone (a factored model's expectations, or a utility
-    model's, one column per function) has no rows, only *sums*.  So has a
-    table of member sums alone (a strategy table built with members holds
-    them): its options are its ``columns``, and
-    `ChoiceFunction.choose` returns the kept ones.  Only the rules that read
-    options through ``sums``, ``columns``, ``lower`` and ``upper`` apply to
-    it, and ``lower``, ``upper`` and ``scale`` read *totals*, the members'
-    integer weight totals on b, where there are no weights.
+    A table of member sums alone (a strategy table's vectors) has no rows:
+    its options are its ``columns``, and `ChoiceFunction.choose` returns
+    the kept ones.  So has a table of values alone (a factored model's
+    expectations, or a utility model's, one column per function), which
+    has no totals either: only ``eu`` and ``e_admissible`` apply to it.
     """
 
     def __init__(
         self,
         rows: Sequence[Sequence[int]],
-        weights: Sequence[Sequence[Fraction | int]] = (),
-        mass: Sequence[Fraction] = (),
-        sums: Optional[list[list[int]]] = None,
-        totals: Optional[Sequence[int]] = None,
+        sums: Sequence[Sequence] = (),
+        totals: Sequence[int] = (),
     ):
         self.rows = rows
-        self.weights = weights
-        self.mass = mass
-        if sums is not None:
-            self.sums = sums
-        if totals is not None:
-            self._totals = totals
+        self.sums = sums
+        self.totals = totals
 
     def __len__(self) -> int:
         """The number of options: rows, or entries of the sums where there
@@ -137,46 +130,19 @@ class OptionTable:
         they are integers already.  Raises as `_require_positive_mass` does
         where a member gives b probability zero.
         """
-        weights, mass = [], []
+        weights = []
         if members:
             position = b.space.position
             at = [position(a) for a in b.ordered]
             for p in members:
                 if p.space is not b.space and p.space != b.space:
                     raise ValueError("event lives in a different possibility space")
-                d, masses = p._integers
-                w = [masses[i] for i in at]
-                weights.append(w)
-                mass.append(Fraction(sum(w), d))
-        _require_positive_mass(b, mass)
-        table = cls(rows, weights, mass)
-        table._integer_weights = weights
-        return table
-
-    @cached_property
-    def _integer_weights(self) -> list[list[int]]:
-        """Each member's weights times the least common multiple of their
-        denominators (`on` gives integers, and sets these to its weights)."""
-        out = []
-        for w in self.weights:
-            d = math.lcm(*{x.denominator for x in w})
-            out.append([scaled(x, d) for x in w])
-        return out
-
-    @cached_property
-    def sums(self) -> list[list[int]]:
-        """sums[m][j]: member m's unnormalised sum of option j over b, times
-        a positive factor of member m's own.
-
-        The rules compare sums only within one member, so those factors
-        never change a choice; nor do they change whether a hull LP is
-        feasible, since scaling an LP column by a positive constant keeps
-        its nonnegative solutions.
-        """
-        rows = self.rows
-        return [
-            [sum(map(operator.mul, w, r)) for r in rows] for w in self._integer_weights
-        ]
+                masses = p._integers[1]
+                weights.append([masses[i] for i in at])
+        totals = [sum(w) for w in weights]
+        _require_positive_mass(b, totals)
+        sums = [[sum(map(operator.mul, w, r)) for r in rows] for w in weights]
+        return cls(rows, sums, totals)
 
     @cached_property
     def columns(self) -> list[tuple[int, ...]]:
@@ -184,16 +150,11 @@ class OptionTable:
         return list(zip(*self.sums))
 
     @cached_property
-    def _totals(self) -> Sequence[int]:
-        """Each member's integer weight total on b, unless given."""
-        return [sum(w) for w in self._integer_weights]
-
-    @cached_property
     def scale(self) -> int:
         """The factor by which ``lower`` and ``upper`` exceed the
         conditional expectations of the rows: the least common multiple of
         the members' integer weight totals."""
-        return math.lcm(*self._totals)
+        return math.lcm(*self.totals)
 
     @cached_property
     def _conditional(self) -> list[tuple[int, ...]]:
@@ -202,7 +163,7 @@ class OptionTable:
         s = self.scale
         by_member = [
             [x * f for x in sums]
-            for f, sums in zip([s // t for t in self._totals], self.sums)
+            for f, sums in zip([s // t for t in self.totals], self.sums)
         ]
         return list(zip(*by_member))
 
@@ -432,13 +393,13 @@ class ChoiceFunction:
             table = OptionTable.of(xs, b, members)
         elif kind == "eu" and isinstance(model, FactoredModel):
             # a factored model values each option, a gamble, on the tree's assessment
-            table = OptionTable((), sums=[[precise_gamble_value(model, x, b) for x in xs]])
+            table = OptionTable((), [[precise_gamble_value(model, x, b) for x in xs]])
         elif kind == "imprecise_utility" and isinstance(model, UtilityModel):
             if any(x.is_numeric for x in xs):
                 raise ValueError("imprecise_utility expects label gambles")
             # one column per utility function: the options optimal under some
             # function are E-admissibility's union of per-column argmaxes
-            table = OptionTable((), sums=list(zip(*(utility_values(model, x, b) for x in xs))))
+            table = OptionTable((), list(zip(*(utility_values(model, x, b) for x in xs))))
             kind = "e_admissible"
         else:
             raise ModeUnsupported(

@@ -569,9 +569,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The JSON decoder recurses (it stops at about 330 nested decision
-        # nodes), so a deep enough input ends here rather than in exit 1,
-        # which means "not subtree perfect".
+        # A backstop behind `load_json`'s depth limit, for a caller that
+        # decodes from deep in its own stack on 3.10 and 3.11, so it ends
+        # here rather than in exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:

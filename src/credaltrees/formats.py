@@ -32,7 +32,9 @@ optional.  A model file carries a ``mode`` key; see ``parse_model``.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -51,6 +53,7 @@ from .trees import (
     Node,
     PossibilitySpace,
     Reward,
+    _digit_limit,
     _parse_rational,
 )
 from .uncertainty import (
@@ -66,16 +69,39 @@ from .uncertainty import (
 )
 
 
+#: the deepest JSON nesting `load_json` decodes (a 319-deep chain): the decoder
+#: recurses once per level, and 3.10 and 3.11 bound that a little deeper
+_MAX_DEPTH = 960
+#: a string (one left open runs to the end, so the scan is linear) or a bracket
+_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|[][{}]', re.S)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def load_json(text: str):
-    """Parse JSON with decimal literals kept exact."""
+    """Parse JSON with decimal literals kept exact.  Refuses a document
+    nested deeper than `_MAX_DEPTH`, counted outside strings, and an integer
+    past the digit limit."""
+    if text.count("[") + text.count("{") > _MAX_DEPTH:
+        steps = (_DEPTH_STEP.get(token, 0) for token in _STRING_OR_BRACKET.findall(text))
+        if max(itertools.accumulate(steps)) > _MAX_DEPTH:
+            raise FileFormatError(f"input nested too deeply: more than {_MAX_DEPTH} levels")
     try:
         return json.loads(
             text,
             parse_float=lambda literal: rational_from(literal, "JSON number"),
+            parse_int=_parse_int,
             parse_constant=_reject_constant,
         )
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
+
+
+def _parse_int(literal: str) -> int:
+    """A JSON integer, refused past `_digit_limit` as `_parse_rational` refuses a decimal."""
+    digits, limit = len(literal.lstrip("-")), _digit_limit()
+    if digits > limit:
+        raise FileFormatError(f"JSON number: {digits} digits, past the {limit}-digit limit")
+    return int(literal)
 
 
 def _reject_constant(name: str):

@@ -143,7 +143,7 @@ def _chosen(
         totals = table.masses[scope.members]
         _require_positive_mass(b, totals)
         distinct = list(dict.fromkeys(rows))
-        options = OptionTable((), sums=list(zip(*distinct)), totals=totals)
+        options = OptionTable((), list(zip(*distinct)), totals)
         # the kept options are member-sum vectors
         kept = set(choice.choose(options, model, b))
         return [i for i, vector in enumerate(rows) if vector in kept]

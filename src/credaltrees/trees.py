@@ -64,18 +64,24 @@ def as_rational(value: "int | str | Fraction") -> Fraction:
 _RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(\d+\.?\d*|\.\d+)(?:[eE]([-+]?\d{1,9}))?)", re.ASCII)
 
 
+def _digit_limit() -> int:
+    """The limit on integer strings: `sys.get_int_max_str_digits`, or 4300
+    where Python has none or it is off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _parse_rational(text: str) -> Fraction:
     """The exact rational *text* spells in `_RATIONAL`'s grammar ("3",
     "-2/5", "0.6", "1e-3"), the same on every Python, where `Fraction` takes
     spaces, underscores or non-ASCII digits on some only.  A decimal whose
-    digits and exponent pass the limit on integer strings
-    (`sys.get_int_max_str_digits`, or 4300) is refused before `Fraction`
-    expands it, which takes seconds at 1e10000000.  Raises `ValueError`."""
+    digits and exponent pass the limit on integer strings (`_digit_limit`)
+    is refused before `Fraction` expands it, which takes seconds at
+    1e10000000.  Raises `ValueError`."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"{text!r} is not a rational")
     digits, exponent = match.groups()
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _digit_limit()
     if digits and len(digits) - ("." in digits) + abs(int(exponent or 0)) > limit:
         raise ValueError(f"{text!r} is not a rational within the {limit}-digit limit")
     try:

@@ -24,9 +24,11 @@ from credaltrees import (
     PossibilitySpace,
     check_canonical,
     check_subtree_perfect,
+    lower_expectation,
     make_canonical_a,
     make_canonical_b,
     product_credal,
+    upper_expectation,
 )
 
 from credaltrees import canonical
@@ -34,10 +36,11 @@ from credaltrees.canonical import (
     _Checker,
     _chosen_classes,
     _Combos,
+    _composite,
     _pair_at,
     all_events,
 )
-from credaltrees.choice import RULES
+from credaltrees.choice import RULES, OptionTable
 from credaltrees.fuzz import FuzzConfig, fuzz_equivalence, gen_random_tree, harvest
 
 from conftest import (
@@ -621,6 +624,86 @@ def test_scan_hull_constraints_include_undominated_non_winners(w2):
     cf = ChoiceFunction("e_admissible_hull")
     ev = _Checker(cf, credal, sp, pool, CanonicalLimits()).event_data(sp.omega())
     assert _chosen_classes(ev, cf.kind, (0, 1, 2, 3)) == {1, 2, 3}
+
+
+@st.composite
+def composite_splits(draw):
+    """A pool of two to five integer gambles on a 2- to 4-atom space, a
+    credal set whose members leave atoms without mass in some draws, and
+    events A and B that split B on both sides of A."""
+    atoms = tuple(f"w{i}" for i in range(draw(st.integers(2, 4))))
+    sp = PossibilitySpace(atoms)
+    least = draw(st.sampled_from((0, 1, 1)))
+
+    def member():
+        weights = draw(
+            st.lists(st.integers(least, 9), min_size=len(atoms), max_size=len(atoms))
+            .filter(any)
+        )
+        return MassFunction.from_mapping(
+            sp, {a: Fraction(w, sum(weights)) for a, w in zip(atoms, weights)}
+        )
+
+    credal = CredalSet(tuple(member() for _ in range(draw(st.integers(1, 3)))))
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(-4, 8) for _ in atoms]), min_size=2, max_size=5)
+    )
+    a = draw(st.sets(st.sampled_from(atoms), min_size=1, max_size=len(atoms) - 1))
+    inside = draw(st.sampled_from(sorted(a)))
+    outside = draw(st.sampled_from(sorted(set(atoms) - a)))
+    b = {inside, outside} | draw(st.sets(st.sampled_from(atoms)))
+    return sp, credal, [g(sp, *row) for row in rows], sp.event(a), sp.event(b)
+
+
+@given(composite_splits())
+@settings(max_examples=150, deadline=None)
+def test_the_composite_table_is_the_table_of_the_composite_gambles(problem):
+    # Shape (a) adds each member's sums and totals on A & B and ~A & B; the
+    # rules must keep on it what they keep on a table built from the
+    # composite gambles' values, and the two-stage decomposition test must
+    # be the one recomputed in Fractions from the conditional envelopes.
+    sp, credal, pool, a, b = problem
+    e1, e2 = a & b, a.complement() & b
+    for kind, rule in RULES.items():
+        model = JointModel(credal.members[0]) if kind == "eu" else CredalModel(credal)
+        checker = _Checker(ChoiceFunction(kind), model, sp, pool, CanonicalLimits())
+        ev1, ev2 = checker.event_data(e1), checker.event_data(e2)
+        if ev1.table is None or ev2.table is None:
+            continue
+        members = checker.members or credal.members
+        if kind == "gamma_maximax":
+            side, pick = upper_expectation, max
+        else:
+            side, pick = lower_expectation, min
+        for zc, z in enumerate(ev2.reps):
+            composite = _composite(ev1, ev2, zc)
+            gambles = [
+                Gamble.from_mapping(
+                    e1 | e2,
+                    {**dict(zip(e1.ordered, pool[i].values_on(e1))),
+                     **dict(zip(e2.ordered, pool[z].values_on(e2)))},
+                )
+                for i in ev1.reps
+            ]
+            reference = OptionTable.of(gambles, e1 | e2, checker.members)
+            every = range(len(gambles))
+            for size in every:
+                for c in itertools.combinations(every, size + 1):
+                    assert rule(composite, c) == rule(reference, c), (kind, c)
+            if kind not in ("gamma_maximin", "gamma_maximax"):
+                continue
+            c2 = side(CredalSet(members), pool[z], e2)
+            expected = [
+                side(CredalSet(members), h, e1 | e2)
+                == pick(
+                    (c1 * p.prob(e1) + c2 * p.prob(e2)) / (p.prob(e1) + p.prob(e2))
+                    for p in members
+                )
+                for h, c1 in zip(
+                    gambles, (side(CredalSet(members), pool[i], e1) for i in ev1.reps)
+                )
+            ]
+            assert checker._me_row(ev1, ev2, composite, zc) == expected, kind
 
 
 # --- the grouped scan against the per-instance reference ---------------------------

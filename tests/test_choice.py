@@ -428,21 +428,19 @@ def test_hull_e_admissibility_matches_the_unpruned_lp(data):
     assert got == reference_hull(credal, pool, b)
 
 
-positive_scales = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
-
-
 @given(dominance_pools(), st.integers(1, 60), st.data())
 @settings(max_examples=150, deadline=None)
 def test_rules_are_invariant_under_positive_row_and_member_scaling(data, k, draw):
     # What lets the solver hand every rule integer rows over a tree-wide
-    # denominator, and the table scale each member's weights on its own.
+    # denominator, and each member's sums and total carry a factor of the
+    # member's own.
     credal, pool, b = data
     table = OptionTable.of(pool, b, credal.members)
-    factors = [draw.draw(positive_scales, label="member factor") for _ in table.weights]
+    factors = [draw.draw(st.integers(1, 60), label="member factor") for _ in table.totals]
     scaled_table = OptionTable(
         [tuple(k * v for v in row) for row in table.rows],
-        [[c * w for w in ws] for c, ws in zip(factors, table.weights)],
-        [c * m for c, m in zip(factors, table.mass)],
+        [[k * c * s for s in sums] for c, sums in zip(factors, table.sums)],
+        [c * t for c, t in zip(factors, table.totals)],
     )
     every = range(len(table))
     some = sorted(draw.draw(st.sets(st.sampled_from(every), min_size=1), label="subset"))
@@ -471,36 +469,46 @@ masses = st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=40))
 
 
 @st.composite
-def weights_and_rows(draw):
-    # One atom is a one-atom event; masses may be zero and need not sum to 1.
-    n = draw(st.integers(1, 5))
-    weights = draw(st.lists(st.lists(masses, min_size=n, max_size=n), min_size=1, max_size=4))
-    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=6))
-    return weights, rows
+def members_event_and_rows(draw):
+    # Masses may be zero, so a member may give the event probability zero.
+    atoms = tuple(f"w{i}" for i in range(draw(st.integers(1, 5))))
+    sp = PossibilitySpace(atoms)
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        ws = draw(st.lists(masses, min_size=len(atoms), max_size=len(atoms)))
+        if not sum(ws):
+            ws[draw(st.sampled_from(range(len(atoms))))] = Fraction(1)
+        members.append(MassFunction(sp, tuple(w / sum(ws) for w in ws)))
+    b = sp.event(draw(st.sets(st.sampled_from(atoms), min_size=1)))
+    rows = draw(st.lists(st.lists(values, min_size=len(b), max_size=len(b)), max_size=6))
+    return members, b, rows
 
 
-@given(weights_and_rows())
-@settings(max_examples=150, deadline=None)
+@given(members_event_and_rows())
+@settings(max_examples=200, deadline=None)
 def test_integer_sums_match_fraction_sums(data):
-    weights, rows = data
+    members, b, rows = data
     d = math.lcm(*{v.denominator for row in rows for v in row})
     int_rows = [tuple(scaled(v, d) for v in row) for row in rows]
+    probs = [p.prob(b) for p in members]
+    if 0 in probs:
+        message = "a credal member gives" if any(probs) else "has probability zero"
+        with pytest.raises(ZeroProbabilityCondition, match=message):
+            OptionTable.on(b, int_rows, members)
+        return
+    t = OptionTable.on(b, int_rows, members)
+    assert all(type(x) is int for x in (*t.totals, *(x for s in t.sums for x in s)))
     exact = [
-        [sum((w * v for w, v in zip(ws, row)), Fraction(0)) for row in rows]
-        for ws in weights
+        [sum((p.mass(a) * v for a, v in zip(b.ordered, row)), Fraction(0)) for row in rows]
+        for p in members
     ]
-    sums = OptionTable(int_rows, weights).sums
-    assert all(type(x) is int for s in sums for x in s)
-    # each member's sums carry d and the lcm of that member's denominators
-    assert sums == [
-        [d * math.lcm(*{w.denominator for w in ws}) * e for e in member]
-        for ws, member in zip(weights, exact)
-    ]
-    positive = [ws for ws in weights if sum(ws)]
-    t = OptionTable(int_rows, positive)
-    conditional = list(
-        zip(*([e / sum(ws) for e in member] for ws, member in zip(weights, exact) if sum(ws)))
-    )
+    # each member's sums and total carry d and one positive integer factor
+    # of that member's own
+    for total, sums, pb, member in zip(t.totals, t.sums, probs, exact):
+        factor = total / pb
+        assert factor.denominator == 1 and factor > 0
+        assert sums == [d * factor * e for e in member]
+    conditional = list(zip(*([e / pb for e in member] for pb, member in zip(probs, exact))))
     assert [Fraction(x, d * t.scale) for x in t.lower] == [min(c) for c in conditional]
     assert [Fraction(x, d * t.scale) for x in t.upper] == [max(c) for c in conditional]
 

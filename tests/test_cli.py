@@ -114,13 +114,19 @@ def with_arc_event(doc):
 
 #: documents that every supported Python must refuse at once: an exponent
 #: past the digit limit (a string, or a JSON number, which Fraction would
-#: expand for minutes), Fraction's version-dependent spellings, and keys no
+#: expand for minutes), an integer past it, deep nesting before a string left
+#: open (about 1 MB, which a depth scan that retried every quote would take
+#: quadratic time on), Fraction's version-dependent spellings, and keys no
 #: reader defines
 HOSTILE = {
     "exponent-string": (json.dumps(two_leaves("1e100000000")), None, "digit limit"),
     "exponent-number": (
         json.dumps(two_leaves("X")).replace('"X"', "1e100000000"), None, "digit limit"
     ),
+    "integer-digits": (
+        json.dumps(two_leaves("X")).replace('"X"', "1" * 5000), None, "JSON number: 5000 digits"
+    ),
+    "open-string": ("{" * 1001 + '"' + '\\"' * 500_000, None, "nested too deeply"),
     "underscore": (json.dumps(two_leaves("1_000")), None, "'1_000' is not a rational"),
     "spaced-slash": (json.dumps(two_leaves("1 / 2")), None, "'1 / 2' is not a rational"),
     "arabic-digits": (json.dumps(two_leaves("\u0661/\u0662")), None, "is not a rational"),
@@ -1012,12 +1018,24 @@ def test_a_300_deep_chain_is_checked(tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", [600])
 def test_exit_two_on_deeply_nested_input(tmp_path, capsys, depth):
-    # 600 levels overflow the JSON decoder.
+    # A 600-deep chain nests about 1800 JSON levels, past load_json's limit.
     code = run(chain_check(tmp_path, depth))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert err.startswith("error: input nested too deeply") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_deep_input_is_refused_under_a_raised_recursion_limit(tmp_path, capsys):
+    # A raised recursion limit lets the decoder of 3.10 and 3.11 recurse as
+    # far as the C guard of 3.12 and later does: the 600-deep chain, which
+    # would then decode and be checked, is refused before decoding.
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        test_exit_two_on_deeply_nested_input(tmp_path, capsys, 600)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_imprecise_utility_with_a_factored_chance_part(tmp_path, capsys):

@@ -23,6 +23,7 @@ from credaltrees import (
     serialize_model,
     serialize_problem,
 )
+from credaltrees import formats
 from credaltrees.formats import rational_from, render_rational
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -85,6 +86,29 @@ def test_an_exponent_past_the_digit_limit_is_refused_at_once():
         rational_from("1e" + "9" * 5000, "t")
     with pytest.raises(FileFormatError, match="JSON number: '1e100000000'"):
         load_json('{"x": 1e100000000}')
+
+
+def test_an_integer_past_the_digit_limit_is_refused_with_its_digit_count():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert load_json(f'{{"x": -{"9" * limit}}}')["x"] == -(10**limit - 1)
+    for literal in ("1" * (limit + 1), "-" + "1" * (limit + 1)):
+        message = f"JSON number: {limit + 1} digits, past the {limit}-digit limit"
+        with pytest.raises(FileFormatError, match=f"^{message}$"):
+            load_json(f'{{"x": {literal}}}')
+
+
+def test_load_json_counts_nesting_outside_strings():
+    limit = formats._MAX_DEPTH
+    with pytest.raises(FileFormatError, match=f"more than {limit} levels"):
+        load_json("[" * (limit + 1) + "]" * (limit + 1))
+    with pytest.raises(FileFormatError, match=f"more than {limit} levels"):
+        load_json('{"a": ' * (limit + 1) + "1" + "}" * (limit + 1))
+    # many brackets, in strings or side by side, nest no deeper
+    shallow = {"s": "[{" * limit, "t": ['\\"[', "]\\"], "u": [[]] * limit, "v": {}}
+    assert load_json(json.dumps(shallow)) == shallow
+    # a string left open runs to the end: its brackets do not count
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        load_json('["' + "[" * (limit + 1))
 
 
 def test_parse_problem_named_events_and_scope():

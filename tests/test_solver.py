@@ -1476,7 +1476,7 @@ def test_the_member_sum_column_gives_each_node_the_table_of_its_rows(tree, model
                         solver_module._chosen(choice, model, table, scope, table[nid])
                 continue
             assert table[nid] == plain.columns, nid
-            vectors = choice_module.OptionTable((), sums=list(zip(*table[nid])), totals=totals)
+            vectors = choice_module.OptionTable((), list(zip(*table[nid])), totals)
             exact = [[expectation(p, Gamble(scope, values.rewards(row)), scope) for p in members]
                      for row in rows]
             for t in (vectors, plain):
@@ -1506,25 +1506,24 @@ def test_verdicts_read_off_the_column_equal_the_per_node_reference(tree, model):
 
 
 def test_gamma_maximin_computes_no_sum_from_rows_on_a_node_scope(monkeypatch):
+    # OptionTable.on is the one place member sums are formed from rows.
     tree, model = build_alternating(seed=23)
     choice = ChoiceFunction("gamma_maximin")
-    real = choice_module.OptionTable.sums.func
+    real = choice_module.OptionTable.on.__func__
     computed = []
 
-    def counting(self):
-        computed.append(len(self.rows))
-        return real(self)
+    def counting(cls, b, rows, members=()):
+        computed.append(len(rows))
+        return real(cls, b, rows, members)
 
-    spy = functools.cached_property(counting)
-    spy.__set_name__(choice_module.OptionTable, "sums")
-    monkeypatch.setattr(choice_module.OptionTable, "sums", spy)
+    monkeypatch.setattr(choice_module.OptionTable, "on", classmethod(counting))
     verdicts = check_subtree_perfect(tree, choice, model)
     assert computed == []
     assert sum(v.outcome is Outcome.FAIL for v in verdicts) > 0
     # a solve reads value rows: conditioning on a smaller event sums the rows on it
     _, inner = next((n, s) for n, s in tree.nodes() if s != tree.root_scope)
     assert normal_form_solution(tree, choice, model, inner).strategies
-    assert computed
+    assert len(computed) == 1
 
 
 def test_check_builds_each_strategy_it_returns_once(monkeypatch):

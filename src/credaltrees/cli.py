@@ -222,7 +222,7 @@ def _load_problem(args) -> tuple[ParsedProblem, dict[str, tuple[int, ...]]]:
     mode = "auto_prune" if getattr(args, "prune", False) else "reject"
     tree = validate_tree(problem.tree, mode=mode)
     pruned = {}
-    if mode == "auto_prune":
+    if tree is not problem.tree:  # auto_prune deleted arcs
         for node, scope in tree.nodes():
             if not isinstance(node, ChanceNode):
                 continue
@@ -569,9 +569,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # A backstop behind `load_json`'s depth limit, for a caller that
-        # decodes from deep in its own stack on 3.10 and 3.11, so it ends
-        # here rather than in exit 1, which means "not subtree perfect".
+        # A backstop behind `load_json`, which refuses input too deep for
+        # its decoder itself, so that deep input ends here rather than in
+        # exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -79,8 +79,8 @@ _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 def load_json(text: str):
     """Parse JSON with decimal literals kept exact.  Refuses a document
-    nested deeper than `_MAX_DEPTH`, counted outside strings, and an integer
-    past the digit limit."""
+    nested deeper than `_MAX_DEPTH`, counted outside strings, one the
+    decoder runs out of stack on, and an integer past the digit limit."""
     if text.count("[") + text.count("{") > _MAX_DEPTH:
         steps = (_DEPTH_STEP.get(token, 0) for token in _STRING_OR_BRACKET.findall(text))
         if max(itertools.accumulate(steps)) > _MAX_DEPTH:
@@ -94,6 +94,10 @@ def load_json(text: str):
         )
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        # 3.10 and 3.11 decode on the caller's stack: called from deep in it,
+        # a document below `_MAX_DEPTH` can still run out of frames
+        raise FileFormatError("input nested too deeply for the stack it is read on") from None
 
 
 def _parse_int(literal: str) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 
 from .canonical import CanonicalLimits, CanonicalReport, check_canonical
 from .choice import ChoiceFunction
-from .errors import UnknownNode
+from .errors import TooManyStrategies, UnknownNode
 from .solver import Outcome, check_subtree_perfect
 from .trees import (
     ChanceNode,
@@ -67,8 +68,10 @@ class FuzzConfig:
     of the space, makes every chance node split along it, and builds the
     credal set as all chain-rule combinations of k candidate weight vectors
     per split, so the marginal extension property holds at every chance
-    node by construction.  Atom masses are multiples of 1/100 and at least
-    1/100, so every generated model is strictly positive.
+    node by construction, which needs ``max_depth >= 2``.  Atom masses are
+    multiples of 1/100 and at least 1/100, so every generated model is
+    strictly positive.  A tree has at most ``max_strategies`` strategies,
+    at least 2, since it holds a decision node.
     """
 
     seed: int
@@ -90,7 +93,13 @@ class FuzzConfig:
             raise ValueError("need max_depth >= 1 and max_branching >= 2")
         if self.reward_low >= self.reward_high:
             raise ValueError("reward_low must be below reward_high")
-        self.sampler_parts()  # validate eagerly
+        if self.max_strategies < 2:
+            raise ValueError("max_strategies must be at least 2, a decision node's least count")
+        if self.sampler_parts()[0] == "hierarchical" and self.max_depth < 2:
+            raise ValueError(
+                "the hierarchical sampler needs max_depth >= 2, for both a decision"
+                " and a chance node"
+            )
 
     def sampler_parts(self) -> tuple[str, int]:
         name, colon, arg = self.model_sampler.partition(":")
@@ -187,7 +196,11 @@ class _TreeSampler:
 
         return split
 
-    def build(self, atoms: list[str], depth: int) -> Node:
+    def build(self, atoms: list[str], depth: int) -> tuple[Node, int]:
+        """A random subtree over *atoms* and its number of strategies.  Raises
+        `TooManyStrategies` at the first count past ``max_strategies``: the
+        tree's count is at least any subtree's (a decision node's count is
+        the sum of its children's, a chance node's their product)."""
         rng = self.rng
         kinds = ["leaf"]
         weights = [1]
@@ -201,24 +214,23 @@ class _TreeSampler:
                 weights.append(self.chance_weight)
         kind = rng.choices(kinds, weights)[0]
         if kind == "leaf":
-            return self.make_leaf(atoms)
+            return self.make_leaf(atoms), 1
         nid = self.next_id()
         if kind == "decision":
             arity = rng.randint(2, self.cfg.max_branching)
-            return decision(
-                nid,
-                [
-                    (f"d{i + 1}", self.build(atoms, depth + 1))
-                    for i in range(arity)
-                ],
-            )
-        return chance(
-            nid,
-            [
-                (self.space.event(part), self.build(part, depth + 1))
-                for part in split()
-            ],
-        )
+            arcs = [(f"d{i + 1}", atoms) for i in range(arity)]
+            make, combine = decision, sum
+        else:
+            arcs = [(self.space.event(part), part) for part in split()]
+            make, combine = chance, math.prod
+        children, counts = [], []
+        for tag, part in arcs:
+            child, count = self.build(part, depth + 1)
+            children.append((tag, child))
+            counts.append(count)
+            if combine(counts) > self.cfg.max_strategies:
+                raise TooManyStrategies(f"more than {self.cfg.max_strategies} strategies")
+        return make(nid, children), combine(counts)
 
 
 class _HierarchicalSampler(_TreeSampler):
@@ -226,16 +238,10 @@ class _HierarchicalSampler(_TreeSampler):
 
     chance_weight = 4
 
-    def __init__(
-        self,
-        cfg: FuzzConfig,
-        rng: random.Random,
-        space: PossibilitySpace,
-        gamble_leaves: bool = True,
-    ):
-        super().__init__(cfg, rng, space, gamble_leaves)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.children: dict[frozenset, list[list[str]]] = {}
-        self._laminate(list(space.atoms))
+        self._laminate(list(self.space.atoms))
 
     def _laminate(self, atoms: list[str]) -> None:
         if len(atoms) == 1:
@@ -294,13 +300,14 @@ def gen_random_tree(
             sampler: _TreeSampler = _HierarchicalSampler(cfg, rng, space, gamble_leaves)
         else:
             sampler = _TreeSampler(cfg, rng, space, gamble_leaves)
-        raw = DecisionTree(space, sampler.build(list(space.atoms), 0))
+        try:
+            raw = DecisionTree(space, sampler.build(list(space.atoms), 0)[0])
+        except TooManyStrategies:
+            continue  # abandoned at the first subtree past the cap
         kinds = {type(node) for node, _ in raw.nodes()}
         if DecisionNode not in kinds:
             continue
         if name == "hierarchical" and ChanceNode not in kinds:
-            continue
-        if count_strategies(raw) > cfg.max_strategies:
             continue
         tree = validate_tree(raw)
         if name == "joint":
@@ -325,8 +332,9 @@ def gen_random_tree(
         else:
             model = sampler.credal_model(k)  # type: ignore[union-attr]
         return tree, model
-    raise RuntimeError(
-        f"no acceptable random tree for seed {cfg.seed} index {index}"
+    raise ValueError(
+        f"no acceptable random tree for seed {cfg.seed} index {index} in {attempt + 1} attempts"
+        f" (max_depth {cfg.max_depth}, max_strategies {cfg.max_strategies})"
     )
 
 

@@ -282,9 +282,10 @@ def _filters_apply(tree: DecisionTree, members: Sequence) -> bool:
     reward, the mass functions *members* live on the tree's space, and no
     node's scope is empty or has mass zero under a member.
     """
-    if "label" in tree._reward_denominator[1] or any(p.space != tree.space for p in members):
+    plan = tree._plan
+    if "label" in plan.kinds or any(p.space != tree.space for p in members):
         return False
-    scopes = tree._plan.scopes
+    scopes = plan.scopes
     # a scope has mass zero under a member when it lies in the member's null atoms
     null = [frozenset(a for a, m in zip(tree.space.atoms, p.masses) if not m) for p in members]
     return frozenset() not in scopes and not any(s <= z for z in null if z for s in scopes)

@@ -414,69 +414,52 @@ class DecisionTree:
         return index
 
     @cached_property
-    def _counts(self) -> dict[str, int]:
-        """The number of strategy variants of each node, the length of its
-        `strategy_table` rows, children before parents."""
+    def _plan(self) -> "Plan":
+        """The tree's structure as `strategy_table`, the decoder and the
+        threshold walks read it, built in one walk of the node index (`Plan`)."""
+        index, position = self._index, self.space.position
+        nodes: list[tuple] = []
+        scopes: dict[frozenset, tuple[int, ...]] = {}
         counts: dict[str, int] = {}
-        for node, _ in reversed(self._index.values()):
-            if isinstance(node, DecisionNode):
-                n = sum(counts[a.child.node_id] for a in node.arcs)
-            elif isinstance(node, ChanceNode):
-                n = math.prod(counts[a.child.node_id] for a in node.arcs)
-            else:
-                n = 1
-            counts[node.node_id] = n
-        return counts
-
-    @cached_property
-    def _reward_denominator(self) -> tuple[int, frozenset[str]]:
-        """The least common multiple of the denominators of the tree's
-        numeric rewards, and the reward kinds the tree holds."""
         denominators, kinds = set(), set()
-        for node, _ in self._index.values():
+        for node, scope in reversed(index.values()):
+            if scope.members not in scopes:
+                scopes[scope.members] = tuple(map(position, scope.ordered))
+            children, data, error, count, rewards = (), None, "", 1, ()
             if isinstance(node, Leaf):
-                rewards: Iterable[Reward] = (node.reward,)
+                rewards = data = (node.reward,)
             elif isinstance(node, GambleLeaf):
                 rewards = node.gamble.values
-            else:
-                continue
+                try:
+                    data = tuple(map(node.gamble.__getitem__, scope.ordered))
+                except ScopeMismatch as exc:
+                    error = str(exc)
+            elif isinstance(node, DecisionNode):
+                children = tuple([arc.child.node_id for arc in node.arcs])
+                sizes = [counts[c] for c in children]
+                data = tuple(itertools.accumulate(sizes[:-1], initial=0))
+                count = sum(sizes)
+            elif isinstance(node, ChanceNode):
+                children = tuple([arc.child.node_id for arc in node.arcs])
+                count = math.prod(counts[c] for c in children)
+                try:
+                    data = _merge_plan(scope, [index[c][1] for c in children])
+                except ScopeMismatch as exc:
+                    error = str(exc)
             for v in rewards:
                 kind = _reward_kind(v)
                 kinds.add(kind)
                 if kind == "numeric":
                     denominators.add(v.denominator)
-        return math.lcm(*denominators), frozenset(kinds)
-
-    @cached_property
-    def _plan(self) -> "Plan":
-        """The tree's structure as `strategy_table` and the threshold walks
-        read it, built once per tree (`Plan`)."""
-        denominator, counts, index = self._reward_denominator[0], self._counts, self._index
-        position = self.space.position
-        nodes: list[tuple] = []
-        scopes: dict[frozenset, tuple[int, ...]] = {}
-        for node, scope in reversed(index.values()):
-            if scope.members not in scopes:
-                scopes[scope.members] = tuple(map(position, scope.ordered))
-            children, data, error = (), None, ""
-            if isinstance(node, Leaf):
-                data = scaled(node.reward, denominator)
-            elif isinstance(node, DecisionNode):
-                children = tuple([arc.child.node_id for arc in node.arcs])
-                data = tuple(itertools.accumulate([counts[c] for c in children[:-1]], initial=0))
-            elif isinstance(node, ChanceNode):
-                children = tuple([arc.child.node_id for arc in node.arcs])
-                try:
-                    data = _merge_plan(scope, [index[c][1] for c in children])
-                except ScopeMismatch as exc:
-                    error = str(exc)
-            elif isinstance(node, GambleLeaf):
-                try:
-                    data = tuple(scaled(node.gamble[a], denominator) for a in scope.ordered)
-                except ScopeMismatch as exc:
-                    error = str(exc)
+            counts[node.node_id] = count
             nodes.append((node.node_id, type(node), scope, children, data, error))
-        return Plan(tuple(nodes), scopes)
+        denominator = math.lcm(*denominators)
+        # a leaf's values are scaled once the denominator is known
+        for i, (nid, kind, scope, _, values, error) in enumerate(nodes):
+            if (kind is Leaf or kind is GambleLeaf) and not error:
+                values = [scaled(v, denominator) for v in values]
+                nodes[i] = (nid, kind, scope, (), values[0] if kind is Leaf else tuple(values), "")
+        return Plan(tuple(nodes), scopes, counts, denominator, frozenset(kinds))
 
     def node_ids(self) -> tuple[str, ...]:
         """All node ids in preorder (root first, arcs left to right)."""
@@ -506,6 +489,10 @@ class Plan(NamedTuple):
     """A tree's structure as the passes over it read it, built once per
     tree (`DecisionTree._plan`).
 
+    ``counts[node_id]`` is the number of strategy variants of a node, the
+    length of its `strategy_table` rows; ``denominator`` is the least common
+    multiple of the denominators of the tree's numeric rewards, and
+    ``kinds`` the reward kinds ("numeric", "label") the tree holds.
     ``nodes`` lists the tree's nodes children first (reverse preorder),
     each as a tuple ``(node_id, kind, scope, children, data, error)``:
     *kind* is the node's class and *children* the ids of its arcs'
@@ -521,6 +508,9 @@ class Plan(NamedTuple):
 
     nodes: tuple[tuple, ...]
     scopes: dict[frozenset, tuple[int, ...]]
+    counts: dict[str, int]
+    denominator: int
+    kinds: frozenset[str]
 
     def masses(self, weights: Sequence[Sequence[int]]) -> dict[frozenset, list[int]]:
         """Each node scope's total of each of *weights* (one integer per
@@ -567,35 +557,32 @@ def _walk(node: Node, scope: Event) -> Iterator[tuple[Node, Event]]:
 
 
 def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
-    """Check structural invariants, returning a validated tree.
+    """Check structural invariants, returning *tree* itself, or a rebuilt
+    tree where ``auto_prune`` drops an arc.
 
     In ``reject`` mode any chance arc whose event misses the node's scope is
     an error (`EmptyScope`); in ``auto_prune`` mode such arcs are deleted and
     the partition invariant is re-checked on what remains.  Either way the
     arcs kept at a chance node must partition the node's scope, node ids must
-    be unique, the arc labels of a decision node must be distinct (they name
-    the kept arc in `kept_arcs`), gamble leaves must carry their node's
-    scope, and the whole tree must stick to a single reward kind.
+    be unique (below a deleted arc as well), the arc labels of a decision
+    node must be distinct (they name the kept arc in `kept_arcs`), gamble
+    leaves must carry their node's scope, and the whole tree must stick to a
+    single reward kind.  The nodes are read from the tree's node index, which
+    refuses a repeated node id before any other fault is looked for.
     """
     if mode not in ("reject", "auto_prune"):
         raise ValueError(f"unknown validation mode {mode!r}")
 
-    seen: set[str] = set()
     kinds: set[str] = set()
-    # every node in preorder with the arcs it keeps; deep chains are
-    # walked with a stack, as in `_walk`, so that they need no recursion
-    order: list[tuple[Node, Sequence]] = []
-    stack = [(tree.root, tree.root_scope)]
-    while stack:
-        node, scope = stack.pop()
-        if node.node_id in seen:
-            raise DuplicateNodeId(f"node id {node.node_id!r} occurs twice")
-        seen.add(node.node_id)
+    # the arcs a chance node keeps, where auto_prune deletes some
+    pruned: dict[str, list[ChanceArc]] = {}
+    for node, scope in tree._index.values():
         if scope.is_empty:
+            if node is not tree.root:
+                continue  # below an arc that auto_prune deletes
             raise EmptyScope(f"node {node.node_id!r} has empty scope")
         if isinstance(node, Leaf):
             kinds.add(_reward_kind(node.reward))
-            order.append((node, ()))
         elif isinstance(node, GambleLeaf):
             if node.gamble.scope != scope:
                 raise ScopeMismatch(
@@ -603,7 +590,6 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
                     f" {node.gamble.scope!r} but sits at scope {scope!r}"
                 )
             kinds.update(_reward_kind(v) for v in node.gamble.values)
-            order.append((node, ()))
         elif isinstance(node, DecisionNode):
             if not node.arcs:
                 raise IncompletePartition(
@@ -615,9 +601,6 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
                 raise DuplicateArcLabel(
                     f"decision node {node.node_id!r} has two arcs labelled {twice!r}"
                 )
-            order.append((node, node.arcs))
-            # pushed last arc first, so that the first arc is visited first
-            stack.extend((arc.child, scope) for arc in reversed(node.arcs))
         elif isinstance(node, ChanceNode):
             kept: list[tuple[ChanceArc, Event]] = []
             for i, arc in enumerate(node.arcs):
@@ -644,25 +627,29 @@ def validate_tree(tree: DecisionTree, mode: str = "reject") -> DecisionTree:
                 raise IncompletePartition(
                     f"chance node {node.node_id!r} leaves atoms {missing} uncovered"
                 )
-            order.append((node, [arc for arc, _ in kept]))
-            stack.extend((arc.child, effective) for arc, effective in reversed(kept))
+            if len(kept) < len(node.arcs):
+                pruned[node.node_id] = [arc for arc, _ in kept]
         else:
             raise TypeError(f"unknown node type {type(node).__name__}")
 
     if len(kinds) > 1:
         raise MixedRewardKinds("tree mixes numeric rewards with reward labels")
-    # rebuild in reverse preorder: a node's rebuilt children are then on top
-    # of the stack, its first arc's child topmost
+    if not pruned:
+        return tree
+    # rebuild in reverse preorder, skipping the nodes below deleted arcs: a
+    # node's rebuilt children are then on top of the stack, its first arc's
+    # child topmost
     built: list[Node] = []
-    for node, arcs in reversed(order):
+    for node, scope in reversed(tree._index.values()):
+        if scope.is_empty:
+            continue
         if isinstance(node, DecisionNode):
             node = DecisionNode(
-                node.node_id, tuple(DecisionArc(a.label, built.pop()) for a in arcs)
+                node.node_id, tuple(DecisionArc(a.label, built.pop()) for a in node.arcs)
             )
         elif isinstance(node, ChanceNode):
-            node = ChanceNode(
-                node.node_id, tuple(ChanceArc(a.event, built.pop()) for a in arcs)
-            )
+            arcs = pruned.get(node.node_id, node.arcs)
+            node = ChanceNode(node.node_id, tuple(ChanceArc(a.event, built.pop()) for a in arcs))
         built.append(node)
     return type(tree)(tree.space, built.pop(), tree.root_scope)
 
@@ -685,8 +672,8 @@ class StrategyTable(dict):
     when it is needed.
 
     ``counts[node_id]`` is the number of variants of the node, the tree's
-    `DecisionTree._counts`, which `_step` and `Decoder` decode positions
-    with.  A table built with a row filter holds only the kept rows, and
+    `Plan.counts`, which `_step` and `Decoder` decode positions with.  A
+    table built with a row filter holds only the kept rows, and
     ``positions[node_id][j]`` is the position of row j among the node's
     variants; a table built without one has no ``positions``.
 
@@ -756,16 +743,15 @@ def strategy_table(
     """
     if any(p.space != tree.space for p in members):
         raise ValueError("event lives in a different possibility space")
-    denominator, kinds = tree._reward_denominator
-    numeric = "label" not in kinds
-    weights = [p._integers[1] for p in members] if numeric else []
-    table = StrategyTable(denominator, numeric)
-    table.counts = counts = tree._counts
     plan = tree._plan
+    numeric = "label" not in plan.kinds
+    weights = [p._integers[1] for p in members] if numeric else []
+    table = StrategyTable(plan.denominator, numeric)
+    table.counts = counts = plan.counts
     if weights:
         table.masses = masses = plan.masses(weights)
     kept_at = table.positions
-    mixed = len(kinds) > 1
+    mixed = len(plan.kinds) > 1
     for nid, kind, scope, children, data, error in plan.nodes:
         if error and (kind is GambleLeaf or all(table[c] for c in children)):
             # where the arcs or a gamble leaf leave an atom of the scope
@@ -870,7 +856,7 @@ def strategy_at(tree: DecisionTree, k: int) -> Strategy:
 
 def count_strategies(tree: DecisionTree) -> int:
     """``len(enumerate_strategies(tree))``, without enumerating."""
-    return tree._counts[tree.root.node_id]
+    return tree._plan.counts[tree.root.node_id]
 
 
 def bounded_strategy_count(tree: DecisionTree, limit: int) -> int:
@@ -916,7 +902,7 @@ class Decoder:
     """Strategy positions of one tree decoded into nodes, each once.
 
     Positions are decoded by `_step` with the tree's variant counts
-    (`DecisionTree._counts`).  Variant k of a node is kept in a memo under
+    (`Plan.counts`).  Variant k of a node is kept in a memo under
     (node id, k) and built from its children's memoised variants, so the
     variants of a parent and of its children share their nodes.  A node
     with a single variant is that variant, so it is returned as it is.
@@ -926,7 +912,7 @@ class Decoder:
 
     def __init__(self, tree: DecisionTree):
         self.tree = tree
-        self._count = tree._counts.__getitem__
+        self._count = tree._plan.counts.__getitem__
         self._nodes: dict[tuple[str, int], Node] = {}
 
     def node(self, node: Node, k: int) -> Node:

@@ -214,8 +214,10 @@ class TreeFactoredAssessment:
     arc_probs: Mapping[str, tuple[Fraction, ...]]
 
     def __post_init__(self) -> None:
+        chance_ids = set()
         for node, _ in self.tree.nodes():
             if isinstance(node, ChanceNode):
+                chance_ids.add(node.node_id)
                 if node.node_id not in self.arc_probs:
                     raise MissingArcProbability(
                         f"no arc probabilities for chance node {node.node_id!r}"
@@ -236,9 +238,7 @@ class TreeFactoredAssessment:
                     raise ValueError(
                         f"arc probabilities at {node.node_id!r} must sum to 1"
                     )
-        unknown = set(self.arc_probs) - {
-            n.node_id for n, _ in self.tree.nodes() if isinstance(n, ChanceNode)
-        }
+        unknown = set(self.arc_probs) - chance_ids
         if unknown:
             raise UnknownNode(
                 f"arc probabilities given for unknown chance nodes {sorted(unknown)}"

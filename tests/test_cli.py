@@ -164,6 +164,38 @@ def test_hostile_documents_exit_two_with_one_error_line(tmp_path, capsys, name):
     assert HOSTILE[name][2] in err, err
 
 
+#: fuzz command lines that every supported Python must end at once, each
+#: with its exit code and the start of its one stderr line, or None for an
+#: empty stderr: a deep --max-depth (each attempt is abandoned at the
+#: strategy cap), a depth the hierarchical sampler cannot fill, and a seed
+#: whose second tree no attempt draws under the cap.  CI runs them through
+#: the installed script under `timeout 20`.
+HOSTILE_FUZZ = {
+    "depth-30": (
+        ["fuzz", "--choice", "eu", "--seed", "1", "--trees", "3", "--max-depth", "30"], 0, None
+    ),
+    "hierarchical-depth-1": (
+        ["fuzz", "--choice", "gamma-maximin", "--seed", "1", "--trees", "1", "--max-depth", "1"],
+        2,
+        "error: the hierarchical sampler needs max_depth >= 2",
+    ),
+    "attempts-exhausted": (
+        ["fuzz", "--choice", "eu", "--seed", "2", "--trees", "2", "--max-depth", "30"],
+        2,
+        "error: no acceptable random tree for seed 2 index 1 in 200 attempts",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_FUZZ)
+def test_hostile_fuzz_arguments_end_with_their_exit_code(name):
+    argv, exit_code, start = HOSTILE_FUZZ[name]
+    code, _, err = run_captured(argv)
+    lines = err.splitlines()
+    assert code == exit_code, err
+    assert lines == [] if start is None else len(lines) == 1 and lines[0].startswith(start), err
+
+
 def test_exit_zero_when_every_node_holds(capsys):
     code = run(
         [

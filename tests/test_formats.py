@@ -111,6 +111,36 @@ def test_load_json_counts_nesting_outside_strings():
         load_json('["' + "[" * (limit + 1))
 
 
+def _frames():
+    """The number of frames on the stack below the caller."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("spare", [30, 100, 300, 600, 900])
+def test_load_json_read_deep_in_the_stack_decodes_or_refuses(spare):
+    # A 900-level document read with *spare* frames left below the recursion
+    # limit: decoded, or refused as a format error where the decoder runs on
+    # the caller's stack (3.10, 3.11), never a bare RecursionError.
+    text = "[" * 900 + "1" + "]" * 900
+
+    def read(n):
+        if n > 0:
+            return read(n - 1)
+        try:
+            doc = load_json(text)
+        except FileFormatError as exc:
+            return str(exc)
+        for _ in range(900):
+            (doc,) = doc
+        return doc
+
+    got = read(sys.getrecursionlimit() - _frames() - spare)
+    assert got == 1 or got == "input nested too deeply for the stack it is read on"
+
+
 def test_parse_problem_named_events_and_scope():
     doc = load_json(
         """

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from credaltrees import ChoiceFunction, validate_tree
+from credaltrees import ChoiceFunction, count_strategies, validate_tree
+from credaltrees import fuzz
 from credaltrees.fuzz import FuzzConfig, FuzzReport, fuzz_equivalence, gen_random_tree, harvest
 
 from conftest import build_lake
@@ -24,6 +25,59 @@ def test_generated_trees_validate_and_models_match():
         tree, model = gen_random_tree(c, i)
         validate_tree(tree)  # raises on malformed structure
         assert tree.space.atoms == tuple(f"w{k + 1}" for k in range(c.omega_size))
+
+
+def test_an_attempt_is_abandoned_at_the_strategy_cap(monkeypatch):
+    # Counts only grow upward, so an attempt stops at the first subtree
+    # past max_strategies, and the nodes drawn stay bounded however deep
+    # max_depth is: 10,246 for seed 1's three trees at depth 30, where a
+    # draw of every attempt's whole tree takes minutes.
+    drawn = []
+    real = fuzz._TreeSampler.next_id
+
+    def counted(sampler):
+        drawn.append(None)
+        assert len(drawn) <= 20_000, "the sampler drew past its bound"
+        return real(sampler)
+
+    monkeypatch.setattr(fuzz._TreeSampler, "next_id", counted)
+    c = cfg(seed=1, tree_count=3, max_depth=30, model_sampler="joint")
+    for i in range(c.tree_count):
+        tree, _ = gen_random_tree(c, i)
+        assert 2 <= count_strategies(tree) <= c.max_strategies
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"model_sampler": "hierarchical:2", "max_depth": 1}, "needs max_depth >= 2"),
+        ({"max_strategies": 1}, "max_strategies must be at least 2"),
+        ({"max_strategies": 0}, "max_strategies must be at least 2"),
+    ],
+)
+def test_config_refuses_what_no_tree_can_satisfy(args, message):
+    # a hierarchical tree needs a decision and a chance node, so two levels,
+    # and a decision node has two strategies at least
+    with pytest.raises(ValueError, match=message):
+        cfg(**args)
+
+
+def test_the_least_depth_and_cap_the_config_takes_give_trees():
+    tree, _ = gen_random_tree(cfg(model_sampler="hierarchical:2", max_depth=2), 0)
+    assert {"DecisionNode", "ChanceNode"} <= {type(n).__name__ for n, _ in tree.nodes()}
+    tree, _ = gen_random_tree(cfg(max_strategies=2), 0)
+    assert count_strategies(tree) == 2
+
+
+def test_exhausted_attempts_end_in_a_value_error(monkeypatch):
+    # every attempt draws a single leaf, which holds no decision node
+    def leaf_only(sampler, atoms, depth):
+        return sampler.make_leaf(atoms), 1
+
+    monkeypatch.setattr(fuzz._TreeSampler, "build", leaf_only)
+    message = "no acceptable random tree for seed 11 index 0 in 200 attempts"
+    with pytest.raises(ValueError, match=message):
+        gen_random_tree(cfg(), 0)
 
 
 def test_credal_members_stay_strictly_positive():

@@ -837,15 +837,15 @@ def test_check_reads_the_threshold_verdicts_off_one_filtered_pass(monkeypatch, k
 
 
 def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
-    # The variant counts, the reward denominator and the node plan are
-    # cached on the tree, so every pass of every rule shares one walk of
-    # each, and each chance node's merge plan is made once in all.  Each
-    # check totals the scope masses once, and the threshold walk reads the
-    # table's.
+    # The node plan, with the variant counts, the reward denominator and
+    # the reward kinds, is cached on the tree, so every pass of every rule
+    # shares its one walk, and each chance node's merge plan is made once
+    # in all.  Each check totals the scope masses once, and the threshold
+    # walk reads the table's.
     tree, model = build_alternating(seed=23)
     joint = JointModel(model.credal.members[0])
     walks = []
-    for name in ("_counts", "_reward_denominator", "_plan"):
+    for name in ("_plan",):
         prop = DecisionTree.__dict__[name]
 
         def counted(t, name=name, walk=prop.func):
@@ -888,7 +888,8 @@ def test_check_walks_the_tree_once_for_its_counts_and_reward_kinds(monkeypatch):
         if kind in ("gamma_maximin", "interval_dominance"):
             assert len(thresholds) == 1 and thresholds[0] is table.masses, kind
     backward_solution(tree, ChoiceFunction("maximality"), model)
-    assert sorted(walks) == ["_counts", "_plan", "_reward_denominator"]
+    assert walks == ["_plan"]
+    assert not hasattr(tree, "_counts") and not hasattr(tree, "_reward_denominator")
     chance_nodes = [n for n, _ in tree.nodes() if isinstance(n, ChanceNode)]
     assert len(merges) == len(chance_nodes) == 21
 

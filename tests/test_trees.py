@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credaltrees import (
+    ChanceNode,
     ChoiceFunction,
     DecisionNode,
     DecisionTree,
@@ -171,6 +172,48 @@ def test_validate_rejects_empty_scope_and_prunes_on_request():
         validate_tree(tree, mode="reject")
     pruned = validate_tree(tree, mode="auto_prune")
     assert [a.child.node_id for a in pruned.root.arcs] == ["L1"]
+
+
+def _spy_on_inner_nodes(monkeypatch):
+    """The ids of the decision and chance nodes built from now on."""
+    built = []
+    for cls in (DecisionNode, ChanceNode):
+
+        def spy(self, node_id, arcs, real=cls.__init__):
+            built.append(node_id)
+            real(self, node_id, arcs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["reject", "auto_prune"])
+def test_validate_tree_returns_its_argument_when_it_prunes_nothing(monkeypatch, mode):
+    # Nothing is rebuilt: the tree given is the tree returned, with the node
+    # index it was validated on.
+    trees_given = [t for _, t, _ in example_problems()] + [go_stop_chain(2000)]
+    sp = PossibilitySpace(("a", "b"))
+    a, b = sp.event(["a"]), sp.event(["b"])
+    tree = DecisionTree(sp, chance("N", [(a, leaf("L1", 1)), (b, leaf("L2", 2))]), a)
+    built = _spy_on_inner_nodes(monkeypatch)
+    for given_tree in trees_given:
+        assert validate_tree(given_tree, mode) is given_tree
+    assert built == []
+    # the spy sees the rebuild of a tree that auto_prune deletes an arc of
+    pruned = validate_tree(tree, "auto_prune")
+    assert pruned is not tree and built == ["N"]
+    assert validate_tree(pruned, "auto_prune") is pruned
+
+
+def test_auto_prune_refuses_a_repeated_id_below_a_deleted_arc():
+    # The node index holds every node, those below a deleted arc as well.
+    sp = PossibilitySpace(("a", "b"))
+    a, b = sp.event(["a"]), sp.event(["b"])
+    below = decision("D", [("x", leaf("L1", 1)), ("y", leaf("L3", 3))])
+    tree = DecisionTree(sp, chance("N", [(a, leaf("L1", 1)), (b, below)]), a)
+    for mode in ("reject", "auto_prune"):
+        with pytest.raises(DuplicateNodeId, match="node id 'L1' occurs twice"):
+            validate_tree(tree, mode)
 
 
 def test_enumerate_counts_and_order():
@@ -624,7 +667,7 @@ def test_decoded_strategies_pass_the_strategy_check(sampler):
         cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=4, model_sampler=sampler)
         tree, _ = gen_random_tree(cfg, 0)
         decode = Decoder(tree)
-        for nid, count in tree._counts.items():
+        for nid, count in tree._plan.counts.items():
             for s in decode.strategies(nid, range(count)):
                 rebuilt = Strategy(s.space, s.root, s.root_scope)
                 assert type(s) is Strategy

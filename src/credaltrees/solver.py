@@ -1,19 +1,21 @@
 """Normal form solutions of decision trees and the subtree perfectness check.
 
 A tree is solved by reading its strategies' rows from the strategy table
-(the gambles they induce on the conditioning event, as integer rows),
-deduplicating them, applying a choice function to the distinct ones and
-keeping every strategy whose gamble was chosen.  Strategies are handled by
+of the tree re-rooted on the conditioning event, deduplicating them,
+applying a choice function to the distinct ones and keeping every strategy
+whose row was chosen.  Strategies are handled by
 their positions in the table; only the ones a solution or a verdict returns
 are decoded into nodes.  Subtree perfectness at a node compares the
 restriction of the full solution with the solution computed locally in the
 subtree, as sets of positions among the node's variants.  For the separable
 rules both are read off the one table that backward induction filters; for
 maximin, Γ-maximin, Γ-maximax and interval dominance, off a table filtered
-by per-node thresholds.  Under a rule that reads options only through their
-member sums, the table a check reads holds each variant's member-sum vector
-in place of its row, and options are deduplicated on those vectors; a
-solve reads value rows.
+by per-node thresholds.  A rule reads the same form of option in every
+command: under a rule that reads options only through their member sums,
+the table holds each variant's member-sum vector in place of its row, and
+options are deduplicated on those vectors; maximin, pointwise dominance and
+label trees read value rows; the rules that value whole gambles read
+gambles (`_chosen`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .choice import ChoiceFunction, OptionTable, _require_positive_mass
@@ -38,23 +41,21 @@ from .trees import (
     Strategy,
     StrategyTable,
     _step,
-    strategy_table,
-    # Unused here, but perfbench/spans.py wraps these module attributes.
-    enumerate_strategies,
     gamble_of,
+    strategy_table,
+    # Unused here, but perfbench/spans.py wraps this module attribute.
+    enumerate_strategies,
 )
 from .uncertainty import UncertaintyModel
 
 
 @dataclass(frozen=True, eq=False)
 class NormalFormSolution:
-    """The strategies a choice function keeps, with the data that produced them.
+    """The strategies a choice function keeps.
 
     ``indices[k]`` is the position of ``strategies[k]`` in
-    `enumerate_strategies` order of the solved tree, and ``values[k]`` the
-    values of its gamble on the tree's root scope, read from its row of
-    ``table``: the tree's `strategy_table`, or the table `backward_solution`
-    filtered.
+    `enumerate_strategies` order of the solved tree.  The solution keeps no
+    strategy table: the one a solve reads is freed when it returns.
     """
 
     tree_ref: DecisionTree
@@ -62,8 +63,12 @@ class NormalFormSolution:
     conditioning: Event
     choice: ChoiceFunction
     indices: tuple[int, ...]
-    values: tuple[tuple[Reward, ...], ...]
-    table: StrategyTable
+
+    @cached_property
+    def values(self) -> tuple[tuple[Reward, ...], ...]:
+        """``values[k]``: the values of ``strategies[k]``'s gamble on the
+        tree's root scope (`gamble_of`), computed on first read."""
+        return tuple(gamble_of(s).values for s in self.strategies)
 
 
 def normal_form_solution(
@@ -72,14 +77,20 @@ def normal_form_solution(
     model: Optional[UncertaintyModel],
     b: Optional[Event] = None,
 ) -> NormalFormSolution:
-    """Solve *tree* in normal form, conditional on *b* (root scope by default)."""
+    """Solve *tree* in normal form, conditional on *b* (root scope by default).
+
+    A condition b re-roots the tree on b: the re-rooted tree has the same
+    variants at the same positions, every node's scope is intersected with
+    b, and its root's rows are the strategies' gambles on b.
+    """
     scope = tree.root_scope
     b = scope if b is None else b
     if not b <= scope:
         raise ScopeMismatch(f"conditioning event {b!r} is not inside the root scope {scope!r}")
-    table = strategy_table(tree)
-    kept = _chosen(choice, model, table, scope, table[tree.root.node_id], b)
-    return _solution(tree, choice, table, kept, b)
+    on_b = tree if b == scope else DecisionTree(tree.space, tree.root, b)
+    table = strategy_table(on_b, None, choice.row_members(model) or ())
+    kept = _chosen(choice, model, table, b, table[tree.root.node_id])
+    return _solution(tree, choice, kept, b)
 
 
 def backward_solution(
@@ -94,21 +105,18 @@ def backward_solution(
     raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
     a factored model never divides an arc value, so it raises nothing there.
     """
-    table = strategy_table(tree, _choice_filter(choice, model))
-    kept = range(len(table[tree.root.node_id]))
-    return _solution(tree, choice, table, kept, tree.root_scope)
+    members = choice.row_members(model) or ()
+    table = strategy_table(tree, _choice_filter(choice, model), members)
+    return _solution(tree, choice, table.positions[tree.root.node_id], tree.root_scope)
 
 
 def _solution(
-    tree: DecisionTree, choice: ChoiceFunction, table: StrategyTable, kept: Sequence[int], b: Event
+    tree: DecisionTree, choice: ChoiceFunction, indices: Iterable[int], b: Event
 ) -> NormalFormSolution:
-    """The solution that keeps the root's rows *kept* of *table*."""
-    root = tree.root.node_id
-    at = table.positions.get(root)
-    indices = tuple(kept if at is None else (at[j] for j in kept))
-    values = tuple(table.rewards(table[root][j]) for j in kept)
-    strategies = Decoder(tree).strategies(root, indices)
-    return NormalFormSolution(tree, strategies, b, choice, indices, values, table)
+    """The solution on *b* that keeps the root's variants at *indices*."""
+    indices = tuple(indices)
+    strategies = Decoder(tree).strategies(tree.root.node_id, indices)
+    return NormalFormSolution(tree, strategies, b, choice, indices)
 
 
 def _chosen(
@@ -117,63 +125,43 @@ def _chosen(
     table: StrategyTable,
     scope: Event,
     rows: list,
-    b: Optional[Event] = None,
 ) -> list[int]:
-    """The indices, in order, of the *rows* (one node's rows of *table*, on
-    *scope*) whose gambles *choice* chooses on *b* (*scope* by default, or
-    an event inside it); rows equal on b are one option.
+    """The indices, in order, of the *rows* (one node's rows of *table*)
+    whose options *choice* chooses on the node's *scope*; equal rows are
+    one option.  A conditioned solve reads the table of the tree re-rooted
+    on its event, so *scope* is always the event the options are compared
+    on.  The rule reads the options in one of three forms:
 
-    In a table built with members (`strategy_table`; it has ``masses``),
-    read on the scope only, the rows are the member-sum vectors, and
-    entries with equal vectors are one option.  A scope to which a member
-    gives mass zero raises as `OptionTable.on` does, from the table's
-    scope masses.  Merging equal vectors is exact for every rule that reads
-    options through their member sums alone (`ChoiceFunction.row_members`
-    with members: `eu` under a joint model, Γ-maximin, Γ-maximax,
-    maximality, both E-admissibilities and interval dominance): such a rule
-    keeps or drops options with equal vectors together, and a second copy
-    of a vector changes none of its comparisons (a tie, a dominance, a best
-    lower expectation, a hull constraint satisfied by zero), so merging
-    them changes no kept position.
+    - In a table built with members (`strategy_table`; it has ``masses``),
+      the rows are member-sum vectors, and entries with equal vectors are
+      one option.  A scope to which a member gives mass zero raises as
+      `OptionTable.on` does, from the table's scope masses.  Merging equal
+      vectors is exact for every rule that reads options through their
+      member sums alone (`ChoiceFunction.row_members` with members: `eu`
+      under a joint model, Γ-maximin, Γ-maximax, maximality, both
+      E-admissibilities and interval dominance): such a rule keeps or drops
+      options with equal vectors together, and a second copy of a vector
+      changes none of its comparisons (a tie, a dominance, a best lower
+      expectation, a hull constraint satisfied by zero), so merging them
+      changes no kept position.
+    - Under a model-free rule on a numeric tree, the value rows.
+    - Otherwise, gambles on *scope*, for the rules that value whole
+      gambles, and for every rule on a tree with labels.
     """
-    b = scope if b is None else b
-    if b.is_empty:
+    if scope.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
+    distinct = list(dict.fromkeys(rows))
     if table.masses:
         totals = table.masses[scope.members]
-        _require_positive_mass(b, totals)
-        distinct = list(dict.fromkeys(rows))
-        options = OptionTable((), list(zip(*distinct)), totals)
+        _require_positive_mass(scope, totals)
         # the kept options are member-sum vectors
-        kept = set(choice.choose(options, model, b))
-        return [i for i, vector in enumerate(rows) if vector in kept]
-    if rows and b != scope:
-        at = {a: i for i, a in enumerate(scope.ordered)}
-        pick = operator.itemgetter(*(at[a] for a in b.ordered))
-        keys = [pick(values) for values in rows]
-        if len(b) == 1:
-            keys = [(k,) for k in keys]
+        kept = set(choice.choose(OptionTable((), list(zip(*distinct)), totals), model, scope))
+    elif table.numeric and choice.row_members(model) == ():
+        kept = set(choice.choose(OptionTable(distinct), model, scope))
     else:
-        keys = rows
-
-    # One class per distinct row on b, numbered in order of first appearance;
-    # the rows' integers hash cheaply.
-    classes: dict[tuple, int] = {}
-    class_of = [classes.setdefault(k, len(classes)) for k in keys]
-    first: dict[int, int] = {}  # each class's first row
-    for i, c in enumerate(class_of):
-        first.setdefault(c, i)
-
-    members = choice.row_members(model)
-    if table.numeric and members is not None:
-        options = OptionTable.on(b, list(classes), members)
-        chosen = {classes[row] for row in choice.choose(options, model, b)}
-    else:
-        # Gambles on the whole scope, for the rules that value whole gambles.
-        distinct = [Gamble(scope, table.rewards(rows[i])) for i in first.values()]
-        on_b = {g.values_on(b) for g in choice.choose(distinct, model, b)}
-        chosen = {c for c, g in enumerate(distinct) if g.values_on(b) in on_b}
-    return [i for i, c in enumerate(class_of) if c in chosen]
+        gambles = {Gamble(scope, table.rewards(row)): row for row in distinct}
+        kept = {gambles[g] for g in choice.choose(list(gambles), model, scope)}
+    return [i for i, row in enumerate(rows) if row in kept]
 
 
 def _choice_filter(
@@ -199,9 +187,9 @@ def _choice_filter(
     leaves their choice unchanged.  So the filter, choosing among the rows
     formed from the children's choices, makes N's choice.
 
-    In a table built with the rule's members (`check`'s), the rows are
-    member-sum vectors, so the filter keeps positions without any value
-    row (`_chosen`).
+    In a table built with the rule's members (as `backward_solution` and
+    `check` build theirs), the rows are member-sum vectors, so the filter
+    keeps positions without any value row (`_chosen`).
     """
     return lambda table, node_id, scope, rows: _chosen(choice, model, table, scope, rows)
 
@@ -213,27 +201,30 @@ def restrict_solution(
 
     Strategies that do not reach the node contribute nothing; restrictions
     that keep the same arcs are reported once, in order of first appearance.
-    They are decoded from the solution's own table, so restricting a
-    `backward_solution` enumerates no strategy.
+    They are decoded from the solution's positions with the tree's variant
+    counts, so restricting a solution enumerates no strategy and reads no
+    table.
     """
     tree = sol.tree_ref
-    reached = _reached_positions(sol.table, tree.root, sol.indices).get(node_id, {})
+    reached = _reached_positions(tree, tree.root, sol.indices).get(node_id, {})
     return Decoder(tree).strategies(node_id, reached)
 
 
 def _reached_positions(
-    table: StrategyTable, root: Node, indices: Iterable[int]
+    tree: DecisionTree, root: Node, indices: Iterable[int]
 ) -> dict[str, dict[int, None]]:
-    """Per node id at and below *root*, the positions among the node's
-    variants that the variants *indices* of *root* reach, in order of first
-    appearance; nodes that no such variant keeps are absent.
+    """Per node id at and below *root*, a node of *tree*, the positions
+    among the node's variants that the variants *indices* of *root* reach,
+    in order of first appearance; nodes that no such variant keeps are
+    absent.
 
     One top-down walk steps each reached (node, position) pair once
-    (`trees._step`), so variants that share a subtree do not step it again.
+    (`trees._step`, with the tree's variant counts, `Plan.counts`), so
+    variants that share a subtree do not step it again.
     A child's position is a function of its parent's, so the child's
     positions, met in the order of its parent's, are in their order of
     first appearance over *indices*."""
-    count = table.counts.__getitem__
+    count = tree._plan.counts.__getitem__
     at = {root.node_id: dict.fromkeys(indices)}
     stack = [root]
     while stack:
@@ -515,7 +506,7 @@ def _read_verdicts(
                     solved[node_id] = kept if at is None else [at[j] for j in kept]
             return solved[node_id]
 
-    reached = _reached_positions(table, tree.root, local(tree.root.node_id))
+    reached = _reached_positions(tree, tree.root, local(tree.root.node_id))
     decode = Decoder(tree)
     verdicts = []
     for nid in node_ids:

@@ -671,9 +671,9 @@ class StrategyTable(dict):
     position alone, and `_step` and `Decoder` decode it from there only
     when it is needed.
 
-    ``counts[node_id]`` is the number of variants of the node, the tree's
-    `Plan.counts`, which `_step` and `Decoder` decode positions with.  A
-    table built with a row filter holds only the kept rows, and
+    A node's variants number the tree's ``Plan.counts[node_id]``, which
+    `_step` and `Decoder` decode positions with.  A table built with a row
+    filter holds only the kept rows, and
     ``positions[node_id][j]`` is the position of row j among the node's
     variants; a table built without one has no ``positions``.
 
@@ -696,7 +696,6 @@ class StrategyTable(dict):
         super().__init__()
         self.denominator = denominator
         self.numeric = numeric
-        self.counts: dict[str, int] = {}
         self.positions: dict[str, list[int]] = {}
         self.masses: dict[frozenset, list[int]] = {}
 
@@ -747,7 +746,7 @@ def strategy_table(
     numeric = "label" not in plan.kinds
     weights = [p._integers[1] for p in members] if numeric else []
     table = StrategyTable(plan.denominator, numeric)
-    table.counts = counts = plan.counts
+    counts = plan.counts
     if weights:
         table.masses = masses = plan.masses(weights)
     kept_at = table.positions

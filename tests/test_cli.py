@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from credaltrees.cli import run
 from credaltrees.formats import load_json, parse_model, parse_problem, render_reward
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+EXPECTED = Path(__file__).resolve().parent / "expected"
 MANIFEST = json.loads((PROBLEMS / "manifest.json").read_text())["problems"]
 
 
@@ -47,6 +49,55 @@ def test_corpus_pinned_structured_outputs(entry, capsys):
     golden = (PROBLEMS / entry["golden"]).read_text()
     assert out == golden
     assert code == entry["exit_code"]
+
+
+# --- every solve of the corpus, pinned -----------------------------------------
+
+
+def solve_variants():
+    """Every solve of a manifest problem that has a model, by name: under
+    each rule the command line takes, by default, with ``--method
+    backward``, and conditioned on each distinct node scope other than the
+    root's, given as an atom list.  ``tests/expected/solve-variants.json`` holds
+    each one's `solve_record`; CI runs the same table through the installed
+    script."""
+    variants = {}
+    for entry in MANIFEST:
+        if not entry["model"]:
+            continue
+        tree = parse_problem(load_json((PROBLEMS / entry["tree"]).read_text("utf-8"))).tree
+        scopes = (s for _, s in tree.nodes() if s != tree.root_scope)
+        atoms = dict.fromkeys(",".join(s.ordered) for s in scopes)
+        base = ["solve", "--tree", str(PROBLEMS / entry["tree"])]
+        base += ["--model", str(PROBLEMS / entry["model"]), "--format", "structured"]
+        for kind in cli_module._CLI_KINDS:
+            rule = kind.replace("_", "-")
+            name, argv = f"{entry['name']}/{rule}", base + ["--choice", rule]
+            variants[f"{name}/normal"] = argv
+            variants[f"{name}/backward"] = argv + ["--method", "backward"]
+            for b in atoms:
+                variants[f"{name}/condition={b}"] = argv + ["--condition", b]
+    return variants
+
+
+SOLVE_VARIANTS = solve_variants()
+
+
+def solve_record(code, out, err):
+    """What the solve-variant table pins of one run: its exit code, the
+    sha256 of its stdout and its stderr, as text."""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return {"exit": code, "stdout_sha256": digest, "stderr": err}
+
+
+def test_every_solve_variant_keeps_its_pinned_answer():
+    pinned = json.loads((EXPECTED / "solve-variants.json").read_text())
+    assert list(pinned) == list(SOLVE_VARIANTS)
+    wrong = [
+        name for name, argv in SOLVE_VARIANTS.items()
+        if solve_record(*run_captured(argv)) != pinned[name]
+    ]
+    assert wrong == []
 
 
 # --- malformed documents -------------------------------------------------------
@@ -902,9 +953,6 @@ def test_canonical_text_prints_the_instance_in_exact_rationals(tmp_path, capsys)
         'instance: {"a": ["a1"], "b": ["a1", "a2"], "xs": [{"a1": "5/2", "a2": "0"},'
         ' {"a1": "1/3", "a2": "0"}], "z": {"a1": "5/2", "a2": "0"}}'
     )
-
-
-EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 def canonical_argv(problem, rule, model):

@@ -1,6 +1,8 @@
 import functools
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -1507,7 +1509,9 @@ def test_verdicts_read_off_the_column_equal_the_per_node_reference(tree, model):
 
 
 def test_gamma_maximin_computes_no_sum_from_rows_on_a_node_scope(monkeypatch):
-    # OptionTable.on is the one place member sums are formed from rows.
+    # OptionTable.on is the one place member sums are formed from rows; a
+    # check, a conditioned solve and backward induction all read member-sum
+    # vectors instead.
     tree, model = build_alternating(seed=23)
     choice = ChoiceFunction("gamma_maximin")
     real = choice_module.OptionTable.on.__func__
@@ -1521,10 +1525,57 @@ def test_gamma_maximin_computes_no_sum_from_rows_on_a_node_scope(monkeypatch):
     verdicts = check_subtree_perfect(tree, choice, model)
     assert computed == []
     assert sum(v.outcome is Outcome.FAIL for v in verdicts) > 0
-    # a solve reads value rows: conditioning on a smaller event sums the rows on it
+    # conditioning on a smaller event re-roots the tree on it: its vectors
+    # are sums on that event
     _, inner = next((n, s) for n, s in tree.nodes() if s != tree.root_scope)
     assert normal_form_solution(tree, choice, model, inner).strategies
-    assert len(computed) == 1
+    assert backward_solution(tree, choice, model).strategies
+    assert computed == []
+
+
+def test_a_solution_keeps_no_strategy_table(monkeypatch):
+    # The table a solve reads is freed when it returns; the solution's
+    # values come from its strategies.
+    tree, model = build_alternating(seed=23, levels=4)
+    inner = [s for _, s in tree.nodes() if s != tree.root_scope][0]
+    choice = ChoiceFunction("maximality")
+    real = solver_module.strategy_table
+    tables = []
+
+    def spy(*args, **kwargs):
+        table = real(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(solver_module, "strategy_table", spy)
+    for solve in (
+        lambda: normal_form_solution(tree, choice, model),
+        lambda: normal_form_solution(tree, choice, model, inner),
+        lambda: backward_solution(tree, choice, model),
+    ):
+        tables.clear()
+        sol = solve()
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None
+        assert sol.values == tuple(gamble_of(s).values for s in sol.strategies)
+
+
+def test_a_preorder_compares_gambles_on_the_conditioning_event():
+    tree, model = build_alternating(seed=23, levels=4)
+    scopes = []
+
+    def geq(x, y, model, b):
+        scopes.extend((x.scope, y.scope))
+        return lower_expectation(model.credal, x, b) >= lower_expectation(model.credal, y, b)
+
+    choice = ChoiceFunction("by_preorder", preorder=geq)
+    inner = dict.fromkeys(s for _, s in tree.nodes() if s != tree.root_scope)
+    for b in inner:
+        expected = reference_solution(tree, choice, model, b)
+        scopes.clear()
+        sol = normal_form_solution(tree, choice, model, b)
+        assert scopes and set(scopes) == {b}
+        assert sol.strategies == expected
 
 
 def test_check_builds_each_strategy_it_returns_once(monkeypatch):

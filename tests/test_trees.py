@@ -354,7 +354,7 @@ def assert_table_matches_the_reference(tree):
         ]
         for k, s in enumerate(reference):
             assert decode.node(node, k) == s.root
-            reached = solver._reached_positions(table, node, [k])
+            reached = solver._reached_positions(tree, node, [k])
             kept = {n.node_id: position[n.node_id][kept_children(n)] for n, _ in s.nodes()}
             assert reached.keys() == kept.keys()
             for nid, at in kept.items():

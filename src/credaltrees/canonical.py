@@ -337,10 +337,10 @@ def _composite(ev1: _EventData, ev2: _EventData, zc: int) -> OptionTable:
     """The table, on e1 | e2, of every e1 class followed by e2 class zc:
     both tables weigh a member by the same integers, so the sums add."""
     t1, t2 = ev1.table, ev2.table
-    z = ev2.rows[zc]
+    z, zv = ev2.rows[zc], t2.vectors[zc]
     return OptionTable(
         [row + z for row in ev1.rows],
-        [[s + s2[zc] for s in s1] for s1, s2 in zip(t1.sums, t2.sums)],
+        [tuple(map(operator.add, v, zv)) for v in t1.vectors],
         [m1 + m2 for m1, m2 in zip(t1.totals, t2.totals)],
     )
 

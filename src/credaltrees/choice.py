@@ -75,36 +75,34 @@ class OptionTable:
     ``rows[j]`` holds option j's values on b, in ``b.ordered``, as integers
     times one positive factor common to every row, which no rule of `RULES`
     needs: each keeps the same options when every row is scaled.  The
-    model-free rules read only the rows.  ``sums[m][j]`` holds member m's
-    mass-weighted sum of option j over b, and ``totals[m]`` its mass of b,
-    both times a positive factor of the member's own, which changes no
-    choice (the rules compare sums within one member) and no hull LP's
-    feasibility (it scales an LP column).  Envelopes and row minima are
-    computed from these on first use, in integers, and kept.
+    model-free rules read only the rows.  ``vectors[j]`` holds option j's
+    member-sum vector, member m's mass-weighted sum of the option over b,
+    and ``totals[m]`` member m's mass of b, both times a positive factor of
+    the member's own, which changes no choice (the rules compare sums within
+    one member) and no hull LP's feasibility (it scales an LP column).
+    Envelopes and row minima are computed from these on first use, in
+    integers, and kept.
 
-    A table of member sums alone (a strategy table's vectors) has no rows:
-    its options are its ``columns``, and `ChoiceFunction.choose` returns
-    the kept ones.  So has a table of values alone (a factored model's
-    expectations, or a utility model's, one column per function), which
-    has no totals either: only ``eu`` and ``e_admissible`` apply to it.
+    A table of vectors alone (a strategy table's) has no rows: its options
+    are its vectors, and `ChoiceFunction.choose` returns the kept ones.  So
+    has a table of values alone (a factored model's expectation of each
+    option, or a utility model's, one per function), which has no totals
+    either: only ``eu`` and ``e_admissible`` apply to it.
     """
 
     def __init__(
         self,
         rows: Sequence[Sequence[int]],
-        sums: Sequence[Sequence] = (),
+        vectors: Sequence[Sequence] = (),
         totals: Sequence[int] = (),
     ):
         self.rows = rows
-        self.sums = sums
+        self.vectors = vectors
         self.totals = totals
 
     def __len__(self) -> int:
-        """The number of options: rows, or entries of the sums where there
-        are no rows."""
-        if self.rows or not self.sums:
-            return len(self.rows)
-        return len(self.sums[0])
+        """The number of options."""
+        return len(self.rows or self.vectors)
 
     @classmethod
     def of(
@@ -141,13 +139,8 @@ class OptionTable:
                 weights.append([masses[i] for i in at])
         totals = [sum(w) for w in weights]
         _require_positive_mass(b, totals)
-        sums = [[sum(map(operator.mul, w, r)) for r in rows] for w in weights]
-        return cls(rows, sums, totals)
-
-    @cached_property
-    def columns(self) -> list[tuple[int, ...]]:
-        """columns[j]: option j's member sums, one per member."""
-        return list(zip(*self.sums))
+        vectors = [tuple(sum(map(operator.mul, w, r)) for w in weights) for r in rows]
+        return cls(rows, vectors, totals)
 
     @cached_property
     def scale(self) -> int:
@@ -161,11 +154,8 @@ class OptionTable:
         """Option j's conditional expectation under each member, by j, times
         ``scale``."""
         s = self.scale
-        by_member = [
-            [x * f for x in sums]
-            for f, sums in zip([s // t for t in self.totals], self.sums)
-        ]
-        return list(zip(*by_member))
+        factors = [s // t for t in self.totals]
+        return [tuple(map(operator.mul, v, factors)) for v in self.vectors]
 
     @cached_property
     def lower(self) -> list[int]:
@@ -189,9 +179,12 @@ class OptionTable:
 # keeps, in the given order.
 
 
-def _argmax(values: Sequence[Fraction], idx: Sequence[int]) -> list[int]:
-    top = max(values[j] for j in idx)
-    return [j for j in idx if values[j] == top]
+def _argmax(
+    values: Sequence, idx: Sequence[int], key: Optional[Callable] = None
+) -> list[int]:
+    vals = [values[j] if key is None else key(values[j]) for j in idx]
+    top = max(vals)
+    return [j for j, v in zip(idx, vals) if v == top]
 
 
 def _undominated(
@@ -224,7 +217,7 @@ def _pointwise_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
 
 def _eu_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
     # Unnormalised sums have the argmax of the conditional expectations.
-    return _argmax(t.sums[0], idx)
+    return _argmax(t.vectors, idx, operator.itemgetter(0))
 
 
 def _maximin_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
@@ -240,9 +233,9 @@ def _gamma_maximax_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
 
 
 def _maximality_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
-    cols = t.columns
+    vectors = t.vectors
     kept = _undominated(
-        [cols[j] for j in idx], _member_dominates, operator.itemgetter(0)
+        [vectors[j] for j in idx], _member_dominates, operator.itemgetter(0)
     )
     return [idx[p] for p in kept]
 
@@ -260,19 +253,21 @@ def _interval_dominance_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
 
 
 def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
-    sums = t.sums
-    winners = set().union(*(_argmax(s, idx) for s in sums))
+    vectors = t.vectors
+    # each member's best sum: an option that reaches one is a member's winner
+    tops = [max(s) for s in zip(*(vectors[j] for j in idx))]
+    winners = {j for j in idx if any(map(operator.eq, vectors[j], tops))}
     if hull:
         # A dominated option is never a best response to a mixture, and its
         # constraint is implied by its dominator's: only maxima matter.
         maxima = _maximality_rule(t, idx)
-        k = len(sums)
+        k = len(tops)
         ones = [Fraction(1)] * k
         for j in maxima:
             if j in winners:
                 continue
             rows = [
-                ([s[j] - s[jj] for s in sums], Fraction(0))
+                (list(map(operator.sub, vectors[j], vectors[jj])), Fraction(0))
                 for jj in maxima
                 if jj != j
             ]
@@ -379,27 +374,27 @@ class ChoiceFunction:
 
         *xs* are gambles, or, where `row_members` is not None, an
         `OptionTable` on b under those members, whose kept rows are then
-        returned, or its kept ``columns`` (member-sum vectors) where it has
-        no rows.  Every kind but ``by_preorder`` ends in one `RULES`
-        function on one `OptionTable`.
+        returned, or its kept ``vectors`` where it has no rows.  Every kind
+        but ``by_preorder`` ends in one `RULES` function on one
+        `OptionTable`.
         """
         kind = self.kind
         if kind == "by_preorder":
             return choose_by_preorder(xs, self.preorder, model, b)
         _guard(xs, b, numeric=kind != "imprecise_utility")
         if isinstance(xs, OptionTable):
-            table, xs = xs, xs.rows or xs.columns
+            table, xs = xs, xs.rows or xs.vectors
         elif (members := self.row_members(model)) is not None:
             table = OptionTable.of(xs, b, members)
         elif kind == "eu" and isinstance(model, FactoredModel):
             # a factored model values each option, a gamble, on the tree's assessment
-            table = OptionTable((), [[precise_gamble_value(model, x, b) for x in xs]])
+            table = OptionTable((), [(precise_gamble_value(model, x, b),) for x in xs])
         elif kind == "imprecise_utility" and isinstance(model, UtilityModel):
             if any(x.is_numeric for x in xs):
                 raise ValueError("imprecise_utility expects label gambles")
-            # one column per utility function: the options optimal under some
-            # function are E-admissibility's union of per-column argmaxes
-            table = OptionTable((), list(zip(*(utility_values(model, x, b) for x in xs))))
+            # one value per utility function: the options optimal under some
+            # function are E-admissibility's union of per-function argmaxes
+            table = OptionTable((), [utility_values(model, x, b) for x in xs])
             kind = "e_admissible"
         else:
             raise ModeUnsupported(

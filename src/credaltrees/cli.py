@@ -3,9 +3,9 @@
 Commands: ``strategies``, ``solve``, ``check``, ``check-node``, ``canonical``,
 ``fuzz`` and ``export-dot``.  Exit codes: 0 on success (or when every node
 holds), 1 when a subtree perfectness failure is found (check, check-node,
-canonical, fuzz), 2 on usage or validation errors, which are reported as a
-single diagnostic line on stderr, and 3 on an unexpected exception, a bug,
-reported as one ``internal error:`` line.
+canonical, fuzz), 2 on usage or validation errors or a resource overrun,
+which are reported as a single diagnostic line on stderr, and 3 on an
+unexpected exception, a bug, reported as one ``internal error:`` line.
 
 Text mode renders each strategy against its tree: decision nodes as
 ``id[arc: subtree, other∥]`` with a ``∥`` suffix marking deleted arcs, chance
@@ -573,6 +573,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # its decoder itself, so that deep input ends here rather than in
         # exit 1, which means "not subtree perfect".
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # A resource overrun is refused input, not a verdict or a bug.
+        print("error: out of memory; the input is too large to process", file=sys.stderr)
         return 2
     except Exception as exc:
         # A bug, not a verdict: scripts read exit 1 as "not subtree perfect".

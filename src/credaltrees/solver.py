@@ -134,19 +134,27 @@ def _chosen(
 
     - In a table built with members (`strategy_table`; it has ``masses``),
       the rows are member-sum vectors, and entries with equal vectors are
-      one option.  A scope to which a member gives mass zero raises as
-      `OptionTable.on` does, from the table's scope masses.  Merging equal
-      vectors is exact for every rule that reads options through their
-      member sums alone (`ChoiceFunction.row_members` with members: `eu`
-      under a joint model, Γ-maximin, Γ-maximax, maximality, both
-      E-admissibilities and interval dominance): such a rule keeps or drops
-      options with equal vectors together, and a second copy of a vector
-      changes none of its comparisons (a tie, a dominance, a best lower
-      expectation, a hull constraint satisfied by zero), so merging them
-      changes no kept position.
+      one option, passed on as the table's ``vectors``.  A scope to which a
+      member gives mass zero raises as `OptionTable.on` does, from the
+      table's scope masses.  Merging equal vectors is exact for every rule
+      that reads options through their member sums alone
+      (`ChoiceFunction.row_members` with members: `eu` under a joint model,
+      Γ-maximin, Γ-maximax, maximality, both E-admissibilities and interval
+      dominance): such a rule keeps or drops options with equal vectors
+      together, and a second copy of a vector changes none of its
+      comparisons (a tie, a dominance, a best lower expectation, a hull
+      constraint satisfied by zero), so merging them changes no kept
+      position.
     - Under a model-free rule on a numeric tree, the value rows.
     - Otherwise, gambles on *scope*, for the rules that value whole
       gambles, and for every rule on a tree with labels.
+
+    In the first two forms, rows that hold one distinct option are all
+    kept without a call to the rule, which keeps a nonempty subset of its
+    options: after the empty-scope and member-mass checks, so a scope of
+    probability zero raises here whatever its number of options.  The
+    rules that value whole gambles are always asked, so their own guards
+    raise.
     """
     if scope.is_empty:
         raise ZeroProbabilityCondition("conditioning event is empty")
@@ -154,13 +162,16 @@ def _chosen(
     if table.masses:
         totals = table.masses[scope.members]
         _require_positive_mass(scope, totals)
-        # the kept options are member-sum vectors
-        kept = set(choice.choose(OptionTable((), list(zip(*distinct)), totals), model, scope))
+        options = OptionTable((), distinct, totals)
     elif table.numeric and choice.row_members(model) == ():
-        kept = set(choice.choose(OptionTable(distinct), model, scope))
+        options = OptionTable(distinct)
     else:
         gambles = {Gamble(scope, table.rewards(row)): row for row in distinct}
         kept = {gambles[g] for g in choice.choose(list(gambles), model, scope)}
+        return [i for i, row in enumerate(rows) if row in kept]
+    if len(distinct) == 1:
+        return list(range(len(rows)))
+    kept = set(choice.choose(options, model, scope))
     return [i for i, row in enumerate(rows) if row in kept]
 
 
@@ -189,7 +200,8 @@ def _choice_filter(
 
     In a table built with the rule's members (as `backward_solution` and
     `check` build theirs), the rows are member-sum vectors, so the filter
-    keeps positions without any value row (`_chosen`).
+    keeps positions without any value row, and a node whose rows hold one
+    distinct option keeps them unasked (`_chosen`).
     """
     return lambda table, node_id, scope, rows: _chosen(choice, model, table, scope, rows)
 
@@ -369,13 +381,11 @@ def _best_worst_case(tree: DecisionTree) -> int:
     least value, the max over a decision node's children, the min over a
     chance node's."""
     top: dict[str, int] = {}
-    for nid, kind, _, children, data, error in tree._plan.nodes:
+    for nid, kind, _, children, data in tree._plan.nodes:
         if kind is DecisionNode:
             top[nid] = max(map(top.__getitem__, children))
         elif kind is ChanceNode:
             top[nid] = min(map(top.__getitem__, children))
-        elif error:
-            raise ScopeMismatch(error)
         else:
             top[nid] = data if kind is Leaf else min(data)
     return top[tree.root.node_id]
@@ -409,7 +419,7 @@ def _member_thresholds(
     members = range(len(weights))
     best: dict[str, list[int]] = {}
     vec: dict[str, list[list[int]]] = {}
-    for nid, kind, scope, children, data, error in plan.nodes:
+    for nid, kind, scope, children, data in plan.nodes:
         if kind is DecisionNode:
             first = children[0]
             b, v = best[first][:], vec[first][:]
@@ -422,14 +432,12 @@ def _member_thresholds(
             best[nid] = list(map(sum, zip(*[best[c] for c in children])))
             vec[nid] = [list(map(sum, zip(*[vec[c][m] for c in children]))) for m in members]
         else:
-            if error:
-                raise ScopeMismatch(error)
             sums = list(plan.leaf_sums(kind, scope, data, weights, masses))
             best[nid], vec[nid] = sums, [sums] * len(weights)
 
     thresholds: dict[str, list[int]] = {}
     inherited: dict[str, list[int]] = {}
-    for nid, kind, scope, children, _, _ in reversed(plan.nodes):  # parents first
+    for nid, kind, scope, children, _ in reversed(plan.nodes):  # parents first
         if kind is not DecisionNode and kind is not ChanceNode:
             continue
         p, b = masses[scope.members], best[nid]
@@ -476,12 +484,11 @@ def _read_verdicts(
     - `_threshold_table`: each posed node's kept rows are solved once;
     - the full `strategy_table`: each posed node's rows are solved once.
 
-    Of these, only the first two have ``positions``, and `_verdicts`
-    builds them only where `_filters_apply`, so every scope has positive
-    mass there and the rule, which keeps a nonempty subset of its options,
-    keeps a single kept row: such a node is not solved.  In any of them
-    built with the rule's members, a node's rows are member-sum vectors;
-    the root's give the full solution.
+    Only the first two have ``positions``, which map a kept row to its
+    variant.  A node is solved by `_chosen`, as in every pass, so its rows
+    holding one distinct option are kept without asking the rule.  In any
+    table built with the rule's members, a node's rows are member-sum
+    vectors; the root's give the full solution.
 
     The restriction at every node comes from one top-down walk from the
     root's local solution (`_reached_positions`).  A node that no solution
@@ -497,13 +504,9 @@ def _read_verdicts(
 
         def local(node_id: str) -> list[int]:
             if node_id not in solved:
-                rows, at = table[node_id], table.positions.get(node_id)
-                if at is not None and len(rows) == 1:
-                    solved[node_id] = at  # a filtered table's single row
-                else:
-                    scope = tree.scope_of(node_id)
-                    kept = _chosen(choice, model, table, scope, rows)
-                    solved[node_id] = kept if at is None else [at[j] for j in kept]
+                at = table.positions.get(node_id)
+                kept = _chosen(choice, model, table, tree.scope_of(node_id), table[node_id])
+                solved[node_id] = kept if at is None else [at[j] for j in kept]
             return solved[node_id]
 
     reached = _reached_positions(tree, tree.root, local(tree.root.node_id))
@@ -547,10 +550,10 @@ def _verdicts(
     `strategy_table` refuses).  On a numeric tree, the full table holds the
     rule's member-sum vectors too (`_chosen`).
 
-    In either filtered pass, a node with a single row keeps it without a
-    call to the rule: under the premise the rule keeps a nonempty subset
-    of its options.  `backward_solution` and the full table still ask the
-    rule at every node, where a scope of probability zero raises.
+    Every pass, filtered or full, and `backward_solution` too, solves a
+    node through `_chosen`, so they make the same rule calls: none where a
+    node's rows hold one distinct option, after the checks that raise on a
+    scope of probability zero.
     """
     members = choice.row_members(model)
     filtered = (
@@ -561,14 +564,7 @@ def _verdicts(
     if not filtered:
         table = strategy_table(tree, None, members or ())
     elif choice.is_separable:
-        rule = _choice_filter(choice, model)
-        table = strategy_table(
-            tree,
-            lambda table, node_id, scope, rows: rule(table, node_id, scope, rows)
-            if len(rows) > 1
-            else [0],
-            members,
-        )
+        table = strategy_table(tree, _choice_filter(choice, model), members)
     else:
         table = _threshold_table(tree, choice, members)
     return _read_verdicts(tree, choice, model, node_ids, table)
@@ -607,8 +603,8 @@ def check_subtree_perfect(
     The filtered tables are taken only under one premise
     (`_filters_apply`): a numeric tree, members on the tree's space, and
     every node's scope of positive mass.  Under the last two tables, each
-    posed node's kept rows are solved once, except that a filtered node
-    with a single row keeps it unasked.
+    posed node's kept rows are solved once; in every table, rows that hold
+    one distinct option are kept unasked (`_chosen`).
     """
     return _verdicts(tree, choice, model, tree.node_ids())
 

@@ -416,7 +416,11 @@ class DecisionTree:
     @cached_property
     def _plan(self) -> "Plan":
         """The tree's structure as `strategy_table`, the decoder and the
-        threshold walks read it, built in one walk of the node index (`Plan`)."""
+        threshold walks read it, built in one walk of the node index (`Plan`).
+
+        Raises `ScopeMismatch` at once where a gamble leaf or a chance node
+        leaves an atom of its scope without a reward, as `gamble_of` does on
+        a strategy through it: no pass over such a tree begins."""
         index, position = self._index, self.space.position
         nodes: list[tuple] = []
         scopes: dict[frozenset, tuple[int, ...]] = {}
@@ -425,15 +429,12 @@ class DecisionTree:
         for node, scope in reversed(index.values()):
             if scope.members not in scopes:
                 scopes[scope.members] = tuple(map(position, scope.ordered))
-            children, data, error, count, rewards = (), None, "", 1, ()
+            children, data, count, rewards = (), None, 1, ()
             if isinstance(node, Leaf):
                 rewards = data = (node.reward,)
             elif isinstance(node, GambleLeaf):
                 rewards = node.gamble.values
-                try:
-                    data = tuple(map(node.gamble.__getitem__, scope.ordered))
-                except ScopeMismatch as exc:
-                    error = str(exc)
+                data = tuple(map(node.gamble.__getitem__, scope.ordered))
             elif isinstance(node, DecisionNode):
                 children = tuple([arc.child.node_id for arc in node.arcs])
                 sizes = [counts[c] for c in children]
@@ -442,23 +443,20 @@ class DecisionTree:
             elif isinstance(node, ChanceNode):
                 children = tuple([arc.child.node_id for arc in node.arcs])
                 count = math.prod(counts[c] for c in children)
-                try:
-                    data = _merge_plan(scope, [index[c][1] for c in children])
-                except ScopeMismatch as exc:
-                    error = str(exc)
+                data = _merge_plan(scope, [index[c][1] for c in children])
             for v in rewards:
                 kind = _reward_kind(v)
                 kinds.add(kind)
                 if kind == "numeric":
                     denominators.add(v.denominator)
             counts[node.node_id] = count
-            nodes.append((node.node_id, type(node), scope, children, data, error))
+            nodes.append((node.node_id, type(node), scope, children, data))
         denominator = math.lcm(*denominators)
         # a leaf's values are scaled once the denominator is known
-        for i, (nid, kind, scope, _, values, error) in enumerate(nodes):
-            if (kind is Leaf or kind is GambleLeaf) and not error:
+        for i, (nid, kind, scope, _, values) in enumerate(nodes):
+            if kind is Leaf or kind is GambleLeaf:
                 values = [scaled(v, denominator) for v in values]
-                nodes[i] = (nid, kind, scope, (), values[0] if kind is Leaf else tuple(values), "")
+                nodes[i] = (nid, kind, scope, (), values[0] if kind is Leaf else tuple(values))
         return Plan(tuple(nodes), scopes, counts, denominator, frozenset(kinds))
 
     def node_ids(self) -> tuple[str, ...]:
@@ -494,14 +492,13 @@ class Plan(NamedTuple):
     multiple of the denominators of the tree's numeric rewards, and
     ``kinds`` the reward kinds ("numeric", "label") the tree holds.
     ``nodes`` lists the tree's nodes children first (reverse preorder),
-    each as a tuple ``(node_id, kind, scope, children, data, error)``:
-    *kind* is the node's class and *children* the ids of its arcs'
-    children, in arc order; *data* is a leaf's reward (Leaf) or values on
-    its scope (GambleLeaf), scaled as in `StrategyTable`, a decision node's
-    arc offsets (each arc's first position among the node's variants) or a
-    chance node's `_merge_plan`; *error* is the message of the
-    `ScopeMismatch` that a pass raises at a gamble leaf or chance node that
-    leaves an atom of its scope without a reward, or empty.  ``scopes``
+    each as a tuple ``(node_id, kind, scope, children, data)``: *kind* is
+    the node's class and *children* the ids of its arcs' children, in arc
+    order; *data* is a leaf's reward (Leaf) or values on its scope
+    (GambleLeaf), scaled as in `StrategyTable`, a decision node's arc
+    offsets (each arc's first position among the node's variants) or a
+    chance node's `_merge_plan`.  A plan exists only for a tree whose every
+    scope atom has a reward: building it raises otherwise.  ``scopes``
     gives, by a node scope's members, the positions of its atoms in the
     space.
     """
@@ -723,7 +720,9 @@ def strategy_table(
     children's rows, the last arc varying fastest as in
     `itertools.product`, and merges their value tuples.  No node is built:
     `Decoder` decodes one from its position.  Raises what `gamble_of`
-    raises on some strategy of the tree.
+    raises on some strategy of the tree: a scope atom without a reward as
+    the plan is built, before the pass begins, and a product that mixes
+    numbers and labels where the pass forms it.
 
     With *keep*, the pass also filters: after each decision and chance node
     only the rows at the indices ``keep(table, node_id, scope, rows)``
@@ -751,11 +750,7 @@ def strategy_table(
         table.masses = masses = plan.masses(weights)
     kept_at = table.positions
     mixed = len(plan.kinds) > 1
-    for nid, kind, scope, children, data, error in plan.nodes:
-        if error and (kind is GambleLeaf or all(table[c] for c in children)):
-            # where the arcs or a gamble leaf leave an atom of the scope
-            # without a reward, for member-sum vectors as for rows
-            raise ScopeMismatch(error)
+    for nid, kind, scope, children, data in plan.nodes:
         if weights and (kind is Leaf or kind is GambleLeaf):
             rows = [plan.leaf_sums(kind, scope, data, weights, masses)]
         elif kind is Leaf:

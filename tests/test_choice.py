@@ -29,7 +29,7 @@ from credaltrees import (
     leaf,
     ratlp,
 )
-from credaltrees.choice import RULES, OptionTable
+from credaltrees.choice import MODEL_FREE, RULES, OptionTable
 from credaltrees.trees import scaled
 
 from conftest import dominance_pools, label_pools, reference_imprecise_utility
@@ -439,7 +439,7 @@ def test_rules_are_invariant_under_positive_row_and_member_scaling(data, k, draw
     factors = [draw.draw(st.integers(1, 60), label="member factor") for _ in table.totals]
     scaled_table = OptionTable(
         [tuple(k * v for v in row) for row in table.rows],
-        [[k * c * s for s in sums] for c, sums in zip(factors, table.sums)],
+        [tuple(k * c * x for c, x in zip(factors, v)) for v in table.vectors],
         [c * t for c, t in zip(factors, table.totals)],
     )
     every = range(len(table))
@@ -460,6 +460,72 @@ def test_hull_constraints_include_undominated_non_winners(w2):
     pool = [z, w1, y, w0]
     assert ChoiceFunction("maximality").choose(pool, credal, sp.omega()) == (z, w1, y, w0)
     assert ChoiceFunction("e_admissible_hull").choose(pool, credal, sp.omega()) == (w1, y, w0)
+
+
+# --- what the one-option shortcut and the backward filter rest on ----------------
+
+
+@st.composite
+def option_tables(draw):
+    """A random event b, 1-8 integer rows on it, and the members of a joint
+    model (one), a credal one (two or three) or none (model-free), each
+    giving b positive mass."""
+    atoms = tuple(f"w{i}" for i in range(draw(st.integers(1, 4))))
+    sp = PossibilitySpace(atoms)
+    b = sp.event(draw(st.sets(st.sampled_from(atoms), min_size=1)))
+    members = []
+    for _ in range(draw(st.integers(0, 3))):
+        ws = draw(st.lists(st.integers(0, 4), min_size=len(atoms), max_size=len(atoms)))
+        ws[sp.position(b.ordered[0])] += 1
+        members.append(MassFunction(sp, tuple(Fraction(w, sum(ws)) for w in ws)))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * len(b)), min_size=n, max_size=n))
+    return b, rows, tuple(members)
+
+
+def rules_for(members):
+    """The kinds of `RULES` that apply to a table under *members*."""
+    return [
+        kind for kind in RULES
+        if kind in MODEL_FREE or len(members) == 1 or (members and kind != "eu")
+    ]
+
+
+@given(option_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_rule_keeps_a_nonempty_subset_in_order(data, draw):
+    # `_chosen` keeps the rows of a node that holds one distinct option
+    # without asking the rule: every rule would keep that option.
+    b, rows, members = data
+    table = OptionTable.on(b, rows, members)
+    every = range(len(table))
+    some = sorted(draw.draw(st.sets(st.sampled_from(every), min_size=1), label="subset"))
+    one = OptionTable.on(b, rows[:1], members)
+    for kind in rules_for(members):
+        rule = RULES[kind]
+        for idx in (every, some):
+            kept = rule(table, idx)
+            assert kept and kept == [j for j in idx if j in set(kept)], kind
+        assert rule(one, range(1)) == [0], kind
+        assert all(rule(table, [j]) == [j] for j in every), kind
+
+
+@given(option_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_separable_rules_are_path_independent(data, draw):
+    # Dropping options a separable rule does not choose changes none of its
+    # choice (Plott, Econometrica 41, 1973): what lets backward induction
+    # choose among the rows formed from its children's choices.
+    b, rows, members = data
+    table = OptionTable.on(b, rows, members)
+    every = range(len(table))
+    for kind in rules_for(members):
+        if not ChoiceFunction(kind).is_separable:
+            continue
+        chosen = RULES[kind](table, every)
+        rest = [j for j in every if j not in chosen]
+        dropped = draw.draw(st.sets(st.sampled_from(rest)), label=kind) if rest else set()
+        assert RULES[kind](table, [j for j in every if j not in dropped]) == chosen, kind
 
 
 # --- the exact integer kernel -----------------------------------------------------
@@ -497,17 +563,18 @@ def test_integer_sums_match_fraction_sums(data):
             OptionTable.on(b, int_rows, members)
         return
     t = OptionTable.on(b, int_rows, members)
-    assert all(type(x) is int for x in (*t.totals, *(x for s in t.sums for x in s)))
+    assert all(type(x) is int for x in (*t.totals, *(x for v in t.vectors for x in v)))
     exact = [
         [sum((p.mass(a) * v for a, v in zip(b.ordered, row)), Fraction(0)) for row in rows]
         for p in members
     ]
     # each member's sums and total carry d and one positive integer factor
     # of that member's own
-    for total, sums, pb, member in zip(t.totals, t.sums, probs, exact):
-        factor = total / pb
-        assert factor.denominator == 1 and factor > 0
-        assert sums == [d * factor * e for e in member]
+    factors = [total / pb for total, pb in zip(t.totals, probs)]
+    assert all(f.denominator == 1 and f > 0 for f in factors)
+    assert t.vectors == [
+        tuple(d * f * member[j] for f, member in zip(factors, exact)) for j in range(len(rows))
+    ]
     conditional = list(zip(*([e / pb for e in member] for pb, member in zip(probs, exact))))
     assert [Fraction(x, d * t.scale) for x in t.lower] == [min(c) for c in conditional]
     assert [Fraction(x, d * t.scale) for x in t.upper] == [max(c) for c in conditional]

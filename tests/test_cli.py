@@ -776,6 +776,20 @@ def test_unexpected_exceptions_exit_three(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_a_resource_overrun_exits_two_with_one_line(monkeypatch, capsys):
+    # Running out of memory is refused input, like input nested too
+    # deeply: exit 2, not 3 (a bug) or 1 (not subtree perfect).
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli_module._COMMANDS, "strategies", exhausted)
+    code = run(["strategies", "--tree", str(PROBLEMS / "eu-example-1.tree.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_condition_accepts_comma_separated_atoms(capsys):
     code = run(
         [

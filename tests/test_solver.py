@@ -395,15 +395,63 @@ def test_backward_induction_solves_the_seven_level_tree_with_few_options(monkeyp
         options.append(len(xs))
         return real(self, xs, *args)
 
+    real_table = solver_module.strategy_table
+    distinct = []  # the distinct options among the rows formed at each node filtered
+
+    def table_spy(t, keep=None, members=()):
+        def counted(table, node_id, scope, rows):
+            distinct.append(len(set(rows)))
+            return keep(table, node_id, scope, rows)
+
+        return real_table(t, counted, members)
+
     monkeypatch.setattr(ChoiceFunction, "choose", counting)
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
     joint = JointModel(model.credal.members[0])
     for kind in ("eu", "maximality", "pointwise_dominance"):
         sol = backward_solution(tree, ChoiceFunction(kind), joint if kind == "eu" else model)
         assert sol.indices == tuple(sorted(set(sol.indices)))
         assert sol.strategies == tuple(strategy_at(tree, i) for i in sol.indices)
-    # one choice per decision and chance node and rule
-    assert len(options) == 3 * 388
+    # every decision and chance node is filtered under each rule; the rule is
+    # asked once at each whose rows hold more than one distinct option
+    assert len(distinct) == 3 * 388
+    assert options == [n for n in distinct if n > 1]
+    assert len(options) == 814
     assert sum(options) < 10**4
+
+
+@pytest.mark.parametrize("sampler", ["joint", "credal:2", "credal:3"])
+def test_every_pass_asks_the_rule_once_per_node_with_more_than_one_option(monkeypatch, sampler):
+    # check, backward induction and the normal form solve all solve a node
+    # through _chosen: a rule that reads rows or member sums is asked there
+    # once, exactly where the node's rows hold more than one distinct option.
+    real_chosen, real_choose = solver_module._chosen, ChoiceFunction.choose
+    solves, asked = [], []
+
+    def chosen_spy(choice, model, table, scope, rows):
+        kept = real_chosen(choice, model, table, scope, rows)
+        solves.append(len(set(rows)))
+        return kept
+
+    def choose_spy(self, xs, *args):
+        asked.append(len(xs))
+        return real_choose(self, xs, *args)
+
+    monkeypatch.setattr(solver_module, "_chosen", chosen_spy)
+    monkeypatch.setattr(ChoiceFunction, "choose", choose_spy)
+    cfg = FuzzConfig(seed=13, tree_count=8, max_depth=4, model_sampler=sampler)
+    for index in range(cfg.tree_count):
+        tree, model = gen_random_tree(cfg, index)
+        for kind in RULES:
+            choice = ChoiceFunction(kind)
+            if choice.row_members(model) is None:
+                continue
+            for solve in (check_subtree_perfect, backward_solution, normal_form_solution):
+                solves.clear()
+                asked.clear()
+                solved(lambda: solve(tree, choice, model))
+                assert solves, (index, kind, solve.__name__)
+                assert asked == [n for n in solves if n > 1], (index, kind, solve.__name__)
 
 
 def test_restricting_the_seven_level_backward_solution_builds_no_table(monkeypatch):
@@ -580,11 +628,11 @@ def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
         return real(self, xs, *args)
 
     real_table = solver_module.strategy_table
-    formed = []  # the number of rows the filtered pass forms at each node it filters
+    formed = []  # the distinct options among the rows formed at each node filtered
 
     def table_spy(t, keep=None, members=()):
         def counted(table, node_id, scope, rows):
-            formed.append(len(rows))
+            formed.append(len(set(rows)))
             return keep(table, node_id, scope, rows)
 
         return real_table(t, counted, members)
@@ -592,6 +640,14 @@ def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
     monkeypatch.setattr(ChoiceFunction, "choose", counting)
     monkeypatch.setattr(solver_module, "strategy_table", table_spy)
     joint = JointModel(model.credal.members[0])
+    # the nodes whose rows hold more than one distinct option, by rule
+    asked = {
+        "eu": 259,
+        "maximality": 276,
+        "e_admissible": 276,
+        "e_admissible_hull": 276,
+        "pointwise_dominance": 279,
+    }
     for kind in SEPARABLE:
         choice = ChoiceFunction(kind)
         m = joint if kind == "eu" else model
@@ -600,10 +656,11 @@ def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
         verdicts = check_subtree_perfect(tree, choice, m)
         assert len(verdicts) == 1036
         assert verdicts[0].outcome is Outcome.HOLD
-        # one choice per decision and chance node that forms more than one
-        # row; the rule keeps the one row of every other
+        # one choice per decision and chance node whose rows hold more than
+        # one distinct option; every other keeps its rows unasked
         assert len(formed) == 388, kind
-        assert len(options) == sum(n > 1 for n in formed) < 388, kind
+        assert options == [n for n in formed if n > 1], kind
+        assert len(options) == asked[kind] < 388
         assert sum(options) < 2000, kind
         for v in verdicts:
             if v.outcome is Outcome.FAIL:
@@ -636,11 +693,13 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
 ):
     # One local solve per posed node of the one table check reads: the full
     # table under imprecise utility, the threshold-filtered table under the
-    # threshold rules, whatever the tree's size; a filtered node with a
-    # single kept row keeps it unsolved.
+    # threshold rules, whatever the tree's size.  A rule that reads rows or
+    # member sums is asked only where the rows hold more than one distinct
+    # option; one that values whole gambles is asked at every solve.
     tree, model = build()
     real, real_table = solver_module._chosen, solver_module.strategy_table
-    solved, tables = [], []
+    real_choose = ChoiceFunction.choose
+    solved, tables, asked = [], [], []
 
     def counting(choice, model, table, scope, rows, *args):
         solved.append(rows)
@@ -650,11 +709,16 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
         tables.append(real_table(*args))
         return tables[-1]
 
+    def choose_spy(self, xs, *args):
+        asked.append(len(xs))
+        return real_choose(self, xs, *args)
+
     def solves(table, node_ids):
-        return [table[nid] for nid in node_ids if not table.positions or len(table[nid]) > 1]
+        return [table[nid] for nid in node_ids]
 
     monkeypatch.setattr(solver_module, "_chosen", counting)
     monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    monkeypatch.setattr(ChoiceFunction, "choose", choose_spy)
     verdicts = check_subtree_perfect(tree, choice, model)
     [table] = tables
     assert bool(table.positions) == (choice.kind in solver_module._THRESHOLD_TESTS)
@@ -666,6 +730,9 @@ def test_check_solves_the_full_tree_once_and_each_reached_node_once(
     ]
     assert solved == solves(table, [root_id] + posed)
     assert solved
+    options = [len(set(rows)) for rows in solved]
+    whole_gambles = choice.row_members(model) is None
+    assert asked == (options if whole_gambles else [n for n in options if n > 1])
 
     root = verdicts[0]
     assert root.node_id == root_id
@@ -906,7 +973,7 @@ def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatc
     def table_spy(t, keep=None, members=()):
         assert keep is not None, "unfiltered table"
         table = real_table(t, keep, members)
-        kept.append(sum(map(len, table.values())))
+        kept.append(table)
         return table
 
     def counting(self, xs, *args):
@@ -921,10 +988,13 @@ def test_check_decides_the_seven_level_tree_under_the_threshold_rules(monkeypatc
         verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), model)
         assert len(verdicts) == 1036
         assert verdicts[0].outcome is Outcome.HOLD
-        posed = sum(v.outcome is not Outcome.VACUOUS_HOLD for v in verdicts)
-        # rows kept over all nodes, and one choice per posed non-leaf node
-        assert len(kept) == 1 and kept[0] < 6000, kind
-        assert len(options) <= posed and sum(options) < 2000, kind
+        posed = [v.node_id for v in verdicts if v.outcome is not Outcome.VACUOUS_HOLD]
+        # rows kept over all nodes, and one choice per posed node whose kept
+        # rows hold more than one distinct option
+        [table] = kept
+        assert sum(map(len, table.values())) < 6000, kind
+        assert options == [n for n in (len(set(table[nid])) for nid in posed) if n > 1], kind
+        assert sum(options) < 2000, kind
 
 
 #: The rules that read an option only through its member sums: under the
@@ -1246,6 +1316,32 @@ def test_unvalidated_trees_fail_as_gamble_of_does(case, error):
     assert solved(lambda: normal_form_solution(tree, maximin, None)) is error
 
 
+@pytest.mark.parametrize("case", ["uncovered atom", "gamble leaf misses an atom"])
+@pytest.mark.parametrize("kind", ["maximin", "eu"])
+def test_a_scope_gap_fails_as_the_plan_is_built(monkeypatch, case, kind):
+    # The node plan refuses a tree with an atom of a scope left without a
+    # reward, so every pass that reads the plan raises gamble_of's message
+    # before it builds any table.
+    tree = unvalidated_tree(case)
+    strategy = next(s for s in reference_strategies(tree) if "y" in kept_arcs(s).values())
+    with pytest.raises(ScopeMismatch) as expected:
+        gamble_of(strategy)
+    message = f"^{re.escape(str(expected.value))}$"
+
+    def spy(*args, **kwargs):
+        raise AssertionError("strategy_table called")
+
+    monkeypatch.setattr(solver_module, "strategy_table", spy)
+    model = JointModel(MassFunction(tree.space, (Fraction(1, 2), Fraction(1, 2))))
+    for fails in (
+        lambda: count_strategies(tree),
+        lambda: Decoder(tree),
+        lambda: check_subtree_perfect(tree, ChoiceFunction(kind), model),
+    ):
+        with pytest.raises(ScopeMismatch, match=message):
+            fails()
+
+
 # --- strategies compared by their kept arcs ---------------------------------------
 
 
@@ -1478,8 +1574,8 @@ def test_the_member_sum_column_gives_each_node_the_table_of_its_rows(tree, model
                     with pytest.raises(ZeroProbabilityCondition, match=re.escape(str(exc))):
                         solver_module._chosen(choice, model, table, scope, table[nid])
                 continue
-            assert table[nid] == plain.columns, nid
-            vectors = choice_module.OptionTable((), list(zip(*table[nid])), totals)
+            assert table[nid] == plain.vectors, nid
+            vectors = choice_module.OptionTable((), table[nid], totals)
             exact = [[expectation(p, Gamble(scope, values.rewards(row)), scope) for p in members]
                      for row in rows]
             for t in (vectors, plain):

@@ -1,21 +1,16 @@
 """Normal form solutions of decision trees and the subtree perfectness check.
 
-A tree is solved by reading its strategies' rows from the strategy table
-of the tree re-rooted on the conditioning event, deduplicating them,
-applying a choice function to the distinct ones and keeping every strategy
-whose row was chosen.  Strategies are handled by
-their positions in the table; only the ones a solution or a verdict returns
-are decoded into nodes.  Subtree perfectness at a node compares the
-restriction of the full solution with the solution computed locally in the
-subtree, as sets of positions among the node's variants.  For the separable
-rules both are read off the one table that backward induction filters; for
-maximin, Γ-maximin, Γ-maximax and interval dominance, off a table filtered
-by per-node thresholds.  A rule reads the same form of option in every
-command: under a rule that reads options only through their member sums,
-the table holds each variant's member-sum vector in place of its row, and
-options are deduplicated on those vectors; maximin, pointwise dominance and
-label trees read value rows; the rules that value whole gambles read
-gambles (`_chosen`).
+Every command reads a node's local solution, the positions among its
+variants that a choice function keeps, off one strategy table: the one
+`_picked_table` picks (full, or filtered by backward induction or by
+per-node thresholds), read by `_local_solutions`.  A tree is solved by
+reading its root's local solution off the table of the tree re-rooted on
+the conditioning event.  Strategies are handled by their positions in the
+table; only the ones a solution or a verdict returns are decoded into
+nodes.  Subtree perfectness at a node compares the restriction of the
+full solution with the node's local solution, as sets of positions.  A
+rule reads the same form of option in every command: member-sum vectors,
+value rows or gambles (`_chosen`).
 """
 
 from __future__ import annotations
@@ -81,16 +76,17 @@ def normal_form_solution(
 
     A condition b re-roots the tree on b: the re-rooted tree has the same
     variants at the same positions, every node's scope is intersected with
-    b, and its root's rows are the strategies' gambles on b.
+    b, and its root's rows are the strategies' gambles on b.  The root's
+    local solution is read off the re-rooted tree's table as `check` reads
+    it (`_picked_table`).
     """
     scope = tree.root_scope
     b = scope if b is None else b
     if not b <= scope:
         raise ScopeMismatch(f"conditioning event {b!r} is not inside the root scope {scope!r}")
     on_b = tree if b == scope else DecisionTree(tree.space, tree.root, b)
-    table = strategy_table(on_b, None, choice.row_members(model) or ())
-    kept = _chosen(choice, model, table, b, table[tree.root.node_id])
-    return _solution(tree, choice, kept, b)
+    local = _local_solutions(on_b, choice, model, _picked_table(on_b, choice, model))
+    return _solution(tree, choice, local(tree.root.node_id), b)
 
 
 def backward_solution(
@@ -105,8 +101,7 @@ def backward_solution(
     raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
     a factored model never divides an arc value, so it raises nothing there.
     """
-    members = choice.row_members(model) or ()
-    table = strategy_table(tree, _choice_filter(choice, model), members)
+    table = _backward_table(tree, choice, model)
     return _solution(tree, choice, table.positions[tree.root.node_id], tree.root_scope)
 
 
@@ -198,12 +193,20 @@ def _choice_filter(
     leaves their choice unchanged.  So the filter, choosing among the rows
     formed from the children's choices, makes N's choice.
 
-    In a table built with the rule's members (as `backward_solution` and
-    `check` build theirs), the rows are member-sum vectors, so the filter
-    keeps positions without any value row, and a node whose rows hold one
-    distinct option keeps them unasked (`_chosen`).
+    In a table built with the rule's members (`_backward_table`), the rows
+    are member-sum vectors, so the filter keeps positions without any value
+    row, and a node whose rows hold one distinct option keeps them unasked
+    (`_chosen`).
     """
     return lambda table, node_id, scope, rows: _chosen(choice, model, table, scope, rows)
+
+
+def _backward_table(
+    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> StrategyTable:
+    """Backward induction's table: *tree*'s, built with the rule's members
+    and filtered by `_choice_filter`."""
+    return strategy_table(tree, _choice_filter(choice, model), choice.row_members(model) or ())
 
 
 def restrict_solution(
@@ -468,6 +471,72 @@ def _member_thresholds(
     return thresholds
 
 
+def _picked_table(
+    tree: DecisionTree, choice: ChoiceFunction, model: Optional[UncertaintyModel]
+) -> StrategyTable:
+    """The one strategy table of *tree* that every command reads its local
+    solutions off (`_local_solutions`): `check`, `check-node` and `solve`,
+    which picks for the tree re-rooted on its condition.  It is one of
+    three, with the same local solutions at every node the full solution
+    reaches:
+
+    - backward induction's (`_backward_table`), for a separable rule: its
+      kept positions at each node are the node's local solution, and the
+      root's the full one (`_choice_filter`);
+    - the threshold filter's (`_threshold_table`), for maximin, Γ-maximin,
+      Γ-maximax and interval dominance: the rule's choice among a reached
+      node's kept rows is its local solution;
+    - the full `strategy_table` otherwise: the rules that read whole
+      gambles, trees with label rewards or a scope of probability zero
+      (whose `error` verdicts only the full table gives), and members on
+      another space (which `strategy_table` refuses).
+
+    The filtered tables are taken on a tree of any size, wherever
+    `_filters_apply` to the members the rule reads.  Every table is built
+    with those members, so on a numeric tree its rows are member-sum
+    vectors under a rule that reads them.  Every table solves a node
+    through `_chosen`, so all make the same rule calls: none where a node's
+    rows hold one distinct option, after the checks that raise on a scope
+    of probability zero.
+    """
+    members = choice.row_members(model)
+    if (
+        members is None
+        or not (choice.is_separable or choice.kind in _THRESHOLD_TESTS)
+        or not _filters_apply(tree, members)
+    ):
+        return strategy_table(tree, None, members or ())
+    if choice.is_separable:
+        return _backward_table(tree, choice, model)
+    return _threshold_table(tree, choice, members)
+
+
+def _local_solutions(
+    tree: DecisionTree,
+    choice: ChoiceFunction,
+    model: Optional[UncertaintyModel],
+    table: StrategyTable,
+) -> Callable[[str], Sequence[int]]:
+    """Per node id, the node's local solution as positions among its
+    variants, read off *table* (`_picked_table`): a separable rule's kept
+    positions in backward induction's table, or else the rule's choice
+    among the node's rows (`_chosen`), made once per node and, in the
+    threshold filter's table, mapped to variants through ``positions``,
+    which only the filtered tables have."""
+    if table.positions and choice.is_separable:
+        return table.positions.__getitem__
+    solved: dict[str, list[int]] = {}
+
+    def local(node_id: str) -> list[int]:
+        if node_id not in solved:
+            at = table.positions.get(node_id)
+            kept = _chosen(choice, model, table, tree.scope_of(node_id), table[node_id])
+            solved[node_id] = kept if at is None else [at[j] for j in kept]
+        return solved[node_id]
+
+    return local
+
+
 def _read_verdicts(
     tree: DecisionTree,
     choice: ChoiceFunction,
@@ -475,20 +544,8 @@ def _read_verdicts(
     node_ids: Iterable[str],
     table: StrategyTable,
 ) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, read off *table*, one of the three
-    `_verdicts` picks:
-
-    - backward induction's filtered table, for a separable rule: its kept
-      positions at each node are the node's local solution, and the root's
-      the full one;
-    - `_threshold_table`: each posed node's kept rows are solved once;
-    - the full `strategy_table`: each posed node's rows are solved once.
-
-    Only the first two have ``positions``, which map a kept row to its
-    variant.  A node is solved by `_chosen`, as in every pass, so its rows
-    holding one distinct option are kept without asking the rule.  In any
-    table built with the rule's members, a node's rows are member-sum
-    vectors; the root's give the full solution.
+    """The verdicts at *node_ids*, read off *table*, one of the three that
+    `_picked_table` explains, through `_local_solutions`.
 
     The restriction at every node comes from one top-down walk from the
     root's local solution (`_reached_positions`).  A node that no solution
@@ -497,18 +554,7 @@ def _read_verdicts(
     local solution is those same strategies in local order, and only a fail
     decodes its local solution as well.  All decoding goes through one
     decoder, so the verdicts' strategies share their nodes."""
-    if table.positions and choice.is_separable:
-        local: Callable[[str], Sequence[int]] = table.positions.__getitem__
-    else:
-        solved: dict[str, list[int]] = {}
-
-        def local(node_id: str) -> list[int]:
-            if node_id not in solved:
-                at = table.positions.get(node_id)
-                kept = _chosen(choice, model, table, tree.scope_of(node_id), table[node_id])
-                solved[node_id] = kept if at is None else [at[j] for j in kept]
-            return solved[node_id]
-
+    local = _local_solutions(tree, choice, model, table)
     reached = _reached_positions(tree, tree.root, local(tree.root.node_id))
     decode = Decoder(tree)
     verdicts = []
@@ -532,44 +578,6 @@ def _read_verdicts(
     return tuple(verdicts)
 
 
-def _verdicts(
-    tree: DecisionTree,
-    choice: ChoiceFunction,
-    model: Optional[UncertaintyModel],
-    node_ids: tuple[str, ...],
-) -> tuple[PerfectnessVerdict, ...]:
-    """The verdicts at *node_ids*, read off the one table picked here.
-
-    Where `_filters_apply` to the members the rule reads, a separable rule
-    takes backward induction's filtered table, and maximin, Γ-maximin,
-    Γ-maximax and interval dominance the threshold filter
-    (`_threshold_table`), on a tree of any size.  Everything else takes
-    the full table: the rules that read whole gambles, trees with label
-    rewards or a scope of probability zero (whose `error` verdicts only the
-    full table gives), and members on another space (which
-    `strategy_table` refuses).  On a numeric tree, the full table holds the
-    rule's member-sum vectors too (`_chosen`).
-
-    Every pass, filtered or full, and `backward_solution` too, solves a
-    node through `_chosen`, so they make the same rule calls: none where a
-    node's rows hold one distinct option, after the checks that raise on a
-    scope of probability zero.
-    """
-    members = choice.row_members(model)
-    filtered = (
-        members is not None
-        and (choice.is_separable or choice.kind in _THRESHOLD_TESTS)
-        and _filters_apply(tree, members)
-    )
-    if not filtered:
-        table = strategy_table(tree, None, members or ())
-    elif choice.is_separable:
-        table = strategy_table(tree, _choice_filter(choice, model), members)
-    else:
-        table = _threshold_table(tree, choice, members)
-    return _read_verdicts(tree, choice, model, node_ids, table)
-
-
 def check_subtree_perfect_at(
     tree: DecisionTree,
     choice: ChoiceFunction,
@@ -579,7 +587,7 @@ def check_subtree_perfect_at(
     """Compare the full solution restricted to *node_id* with the local solution."""
     if not tree.contains(node_id):
         raise UnknownNode(f"no node with id {node_id!r}")
-    return _verdicts(tree, choice, model, (node_id,))[0]
+    return _read_verdicts(tree, choice, model, (node_id,), _picked_table(tree, choice, model))[0]
 
 
 def check_subtree_perfect(
@@ -590,23 +598,11 @@ def check_subtree_perfect(
     """One verdict per node, in preorder.
 
     Restricted and local solutions are compared by their positions among
-    each node's variants, and every verdict is read off one strategy table,
-    one of three:
-
-    - for the separable rules, the table `backward_solution` filters, whose
-      kept rows are each node's local solution (`_choice_filter`);
-    - for maximin, Γ-maximin, Γ-maximax and interval dominance, a table
-      filtered by per-node thresholds, whose kept rows hold each reached
-      node's local solution (`_threshold_table`);
-    - otherwise the full table.
-
-    The filtered tables are taken only under one premise
-    (`_filters_apply`): a numeric tree, members on the tree's space, and
-    every node's scope of positive mass.  Under the last two tables, each
-    posed node's kept rows are solved once; in every table, rows that hold
-    one distinct option are kept unasked (`_chosen`).
+    each node's variants, and every verdict is read off the one strategy
+    table `_picked_table` picks (the full table, or one filtered by backward
+    induction or by per-node thresholds).
     """
-    return _verdicts(tree, choice, model, tree.node_ids())
+    return _read_verdicts(tree, choice, model, tree.node_ids(), _picked_table(tree, choice, model))
 
 
 def all_hold(verdicts: tuple[PerfectnessVerdict, ...]) -> bool:

@@ -39,10 +39,11 @@ from credaltrees import (
     enumerate_strategies,
     gamble_of,
     leaf,
+    strategy_table,
     subtree_at,
     validate_tree,
 )
-from credaltrees import canonical
+from credaltrees import canonical, solver
 from credaltrees.uncertainty import utility_values
 
 
@@ -650,6 +651,15 @@ def reference_verdicts(tree, choice, model):
     return tuple(
         (nid, *reference_verdict(tree, choice, model, full, nid)) for nid in tree.node_ids()
     )
+
+
+def full_table_solution(tree, choice, model, b):
+    """The positions a solve conditioned on *b* keeps, chosen among the
+    root's entries of the full strategy table of *tree* re-rooted on *b*: a
+    reference for the filtered tables `normal_form_solution` may read."""
+    on_b = tree if b == tree.root_scope else DecisionTree(tree.space, tree.root, b)
+    table = strategy_table(on_b, None, choice.row_members(model) or ())
+    return tuple(solver._chosen(choice, model, table, b, table[tree.root.node_id]))
 
 
 # --- references for the factored row values -------------------------------------

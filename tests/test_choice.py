@@ -528,6 +528,73 @@ def test_separable_rules_are_path_independent(data, draw):
         assert RULES[kind](table, [j for j in every if j not in dropped]) == chosen, kind
 
 
+def breaks_arrows_axiom(rule, table, y, x):
+    """Does *rule* break Arrow's choice axiom (Arrow, Economica 26, 1959)
+    on the options *x* ⊆ *y* of *table*, both in order: is opt(Y) ∩ X
+    nonempty and unequal to opt(X)?"""
+    meet = [j for j in rule(table, y) if j in x]
+    return bool(meet) and meet != rule(table, x)
+
+
+@given(option_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_value_based_rules_hold_arrows_choice_axiom(data, draw):
+    # What lets the canonical scan settle a value-based rule's shape (b)
+    # blocks, a decision node below another decision node's arc, in bulk.
+    b, rows, members = data
+    table = OptionTable.on(b, rows, members)
+    y = sorted(draw.draw(st.sets(st.sampled_from(range(len(table))), min_size=1), label="Y"))
+    x = sorted(draw.draw(st.sets(st.sampled_from(y), min_size=1), label="X"))
+    for kind in rules_for(members):
+        if ChoiceFunction(kind).is_value_based:
+            assert not breaks_arrows_axiom(RULES[kind], table, y, x), kind
+
+
+#: Rows on a two-atom space, each its own member-sum vector under the two
+#: point masses, on which Y = every option and X = options 1 and 2 break
+#: Arrow's choice axiom under some rule: the counterexample each unflagged
+#: kind must have, which the random test, checking flagged kinds alone,
+#: never looks for.
+ARROW_POOL = (
+    # (10, 0) beats (9, -1) under both members and (0, 10) beats neither:
+    # maximality, both E-admissibilities and pointwise dominance drop
+    # (9, -1) from Y but keep it in X
+    ((10, 0), (0, 10), (9, -1)),
+    # (5, 5)'s lower expectation is above (4, 4)'s upper one: interval
+    # dominance drops (4, 4) from Y but keeps it in X
+    ((5, 5), (4, 4), (0, 10)),
+)
+
+
+def arrow_flag_mismatches():
+    """The kinds of `RULES` whose `is_value_based` flag `ARROW_POOL`
+    contradicts: flagged yet broken on some table of the pool, or unflagged
+    and broken on none, under both point masses or the first alone."""
+    sp = PossibilitySpace(("w0", "w1"))
+    points = tuple(MassFunction(sp, tuple(map(Fraction, w))) for w in ((1, 0), (0, 1)))
+    broken = set()
+    for rows in ARROW_POOL:
+        for members in (points, points[:1]):
+            table = OptionTable.on(sp.event(sp.atoms), rows, members)
+            for kind in rules_for(members):
+                if breaks_arrows_axiom(RULES[kind], table, range(len(rows)), [1, 2]):
+                    broken.add(kind)
+    return {kind for kind in RULES if ChoiceFunction(kind).is_value_based == (kind in broken)}
+
+
+def test_the_pool_breaks_arrows_choice_axiom_exactly_where_no_flag_is_set():
+    assert arrow_flag_mismatches() == set()
+
+
+@pytest.mark.parametrize("kind", RULES)
+def test_a_wrong_value_based_flag_contradicts_the_pool(monkeypatch, kind):
+    # The mutation check: flipping one rule's flag is caught by the pool.
+    real = ChoiceFunction.is_value_based.fget
+    flipped = property(lambda self: real(self) != (self.kind == kind))
+    monkeypatch.setattr(ChoiceFunction, "is_value_based", flipped)
+    assert arrow_flag_mismatches() == {kind}
+
+
 # --- the exact integer kernel -----------------------------------------------------
 
 values = st.fractions(min_value=-30, max_value=30, max_denominator=12)

@@ -75,6 +75,7 @@ from conftest import (
     build_imprecise_utility,
     build_maximin_failure,
     example_problems,
+    full_table_solution,
     reference_restriction,
     reference_solution,
     reference_strategies,
@@ -666,6 +667,79 @@ def test_check_decides_the_seven_level_tree_with_few_options(monkeypatch):
             if v.outcome is Outcome.FAIL:
                 alone = check_subtree_perfect_at(tree, choice, m, v.node_id)
                 assert verdict_tuples([alone]) == verdict_tuples([v])
+
+
+#: The strategies a solve of the seven-level tree keeps under each rule, on
+#: the root scope and conditioned on every atom but w0.
+SEVEN_LEVEL_KEPT = {
+    "eu": (1, 1),
+    "maximin": (6, 6),
+    "gamma_maximin": (1, 1),
+    "gamma_maximax": (1, 1),
+    "maximality": (3, 5),
+    "e_admissible": (2, 3),
+    "e_admissible_hull": (2, 4),
+    "interval_dominance": (79, 202),
+    "pointwise_dominance": (401, 286),
+}
+
+
+def test_solving_the_seven_level_tree_builds_no_unfiltered_table(monkeypatch):
+    # solve reads the table check picks, plain or conditioned, so it never
+    # forms the 14,348,907 root entries; under a separable rule it makes
+    # check's rule calls and keeps backward induction's strategies.
+    tree, model = build_alternating(seed=23, levels=7, atoms=16)
+    joint = JointModel(model.credal.members[0])
+    rest = tree.space.event(tree.space.atoms[1:])
+    real_table, real_choose = solver_module.strategy_table, ChoiceFunction.choose
+    filters, asked = [], []
+
+    def table_spy(t, keep=None, members=()):
+        filters.append(keep)
+        return real_table(t, keep, members)
+
+    def choose_spy(self, xs, *args):
+        asked.append(len(xs))
+        return real_choose(self, xs, *args)
+
+    monkeypatch.setattr(solver_module, "strategy_table", table_spy)
+    monkeypatch.setattr(ChoiceFunction, "choose", choose_spy)
+    assert list(SEVEN_LEVEL_KEPT) == list(choice_module.RULES)
+    for kind, kept in SEVEN_LEVEL_KEPT.items():
+        choice = ChoiceFunction(kind)
+        m = joint if kind == "eu" else model
+        filters.clear()
+        asked.clear()
+        sol = normal_form_solution(tree, choice, m)
+        solve_asked = len(asked)
+        conditioned = normal_form_solution(tree, choice, m, rest)
+        assert len(filters) == 2 and None not in filters, kind
+        assert (len(sol.indices), len(conditioned.indices)) == kept, kind
+        if choice.is_separable:
+            assert sol.indices == backward_solution(tree, choice, m).indices, kind
+            asked.clear()
+            check_subtree_perfect(tree, choice, m)
+            assert solve_asked == len(asked), kind
+
+
+def test_a_picked_solve_equals_the_full_table_solve():
+    # Under every rule, on the root scope, on every atom but w0 and on every
+    # node scope, a solve keeps what the full table of the tree re-rooted on
+    # the event keeps.
+    tree, model = build_alternating(seed=7, levels=5, atoms=8)
+    joint = JointModel(model.credal.members[0])
+    space = tree.space
+    events = dict.fromkeys(
+        [tree.root_scope, space.event(space.atoms[1:])]
+        + [tree.scope_of(nid) for nid in tree.node_ids()]
+    )
+    assert len(events) == 29
+    for kind in choice_module.RULES:
+        choice = ChoiceFunction(kind)
+        m = joint if kind == "eu" else model
+        for b in events:
+            expected = full_table_solution(tree, choice, m, b)
+            assert normal_form_solution(tree, choice, m, b).indices == expected, (kind, b)
 
 
 def test_conditioned_solving_restricts_the_comparison(eu1):

@@ -608,16 +608,17 @@ class _Checker:
         with binomials, and no option set is built until the scan reads it.
         """
         lim = self.limits
+        omega = self.space.omega()
+        # the loops below compare atom sets, which carry no space
+        for e in (*(lim.events_a or ()), *(lim.events_b or ())):
+            omega._check_space(e)
         events = all_events(self.space)
         bs = lim.events_b if lim.events_b is not None else events
-        as_ = (
-            lim.events_a
-            if lim.events_a is not None
-            else tuple(e for e in events if e != self.space.omega())
-        )
-
-        def eligible(e: Event) -> list[int]:
-            return [i for i, g in enumerate(self.pool) if e <= g.scope]
+        # every event but omega, which comes last
+        as_ = lim.events_a if lim.events_a is not None else events[:-1]
+        scopes = [g.scope.members for g in self.pool]
+        # atom set -> the pool indices whose gamble's scope holds it
+        eligible = _Memo(lambda e: [i for i, s in enumerate(scopes) if e <= s])
 
         blocks = []
         total = 0
@@ -626,7 +627,7 @@ class _Checker:
                 for b in bs:
                     if b.is_empty:
                         continue
-                    elig = eligible(b)
+                    elig = eligible[b.members]
                     xcombos = _Combos(elig, lim.max_xs)
                     unordered = lim.max_xs == lim.max_ys
                     if unordered:
@@ -640,15 +641,16 @@ class _Checker:
                         total += n
             else:
                 for a in as_:
-                    if a.is_empty or a == self.space.omega():
+                    if a.is_empty or a == omega:
                         continue
+                    rest = omega.members - a.members
                     for b in bs:
-                        e1 = a & b
-                        e2 = a.complement() & b
-                        if e1.is_empty or e2.is_empty:
+                        e1 = a.members & b.members
+                        e2 = rest & b.members
+                        if not e1 or not e2:
                             continue
-                        combos = _Combos(eligible(e1), lim.max_xs)
-                        eligz = eligible(e2)
+                        combos = _Combos(eligible[e1], lim.max_xs)
+                        eligz = eligible[e2]
                         n = len(combos) * len(eligz)
                         if n:
                             blocks.append(("a", a, b, combos, eligz, False, n))
@@ -694,26 +696,33 @@ class _Checker:
     def _windows(row_keys, col_keys, verdict, ny: int, unordered: bool, count: int):
         """A block's first *count* instances in plan order, judged by key.
 
-        Each row's columns are read in windows, the first ``_WINDOW`` wide
-        and each next one twice as wide, so column keys are built only as
-        far as the scan reaches.  In a window, the distinct column keys are
-        judged in the order of their first position, each key pair once per
-        block, up to the first key that fails: its first position is the
-        first failing instance in plan order.  Yields, per window, (row,
-        positions of the passing columns, number of skipped columns,
-        (column, verdict) of the failure or None), and stops after a
-        failure.
+        Each row's columns are read in windows: the first holds every column
+        key built so far, and at least ``_WINDOW`` columns, and each next one
+        is twice as wide, so column keys are built only as far as the scan
+        reaches.  In a window, the distinct column keys are judged in the
+        order of their first position, each key pair once per block, up to
+        the first key that fails: its first position is the first failing
+        instance in plan order.  A row whose key already passed a whole row
+        with no skip holds a subset of that row's columns, so it passes
+        without reading a column key.  Yields, per window, (row, positions
+        of the passing columns, number of skipped columns, (column,
+        verdict) of the failure or None), and stops after a failure.
         """
         verdicts = _Memo(lambda key: verdict(*key))
+        clean = set()  # row keys that passed a whole row with no skip
         ci = 0
         while count:
             lo = ci if unordered else 0
             end = lo + min(ny - lo, count)
             count -= end - lo
             rk = row_keys.upto(ci + 1)[ci]
-            s, width = lo, _WINDOW
+            if rk in clean:
+                yield ci, range(lo, end), 0, None
+                ci += 1
+                continue
+            s, width, dirty = lo, _WINDOW, False
             while s < end:
-                e = min(end, s + width)
+                e = min(end, s + max(width, len(col_keys) - s))
                 seg = col_keys.upto(e)[s:e]
                 skips = set()
                 fail = None
@@ -732,7 +741,9 @@ class _Checker:
                 yield ci, passed, e - s - len(passed), fail
                 if fail:
                     return
-                s, width = e, 2 * width
+                s, width, dirty = e, 2 * width, dirty or bool(skips)
+            if not dirty:
+                clean.add(rk)
             ci += 1
 
     def run(self) -> CanonicalReport:

@@ -452,6 +452,22 @@ def test_budget_must_be_positive(budget):
         CanonicalLimits(max_instances=budget)
 
 
+@pytest.mark.parametrize("shape, listed", [("b", "b"), ("a", "a"), ("a", "b")])
+def test_events_of_another_space_are_refused_beyond_the_budget(w2, shape, listed):
+    # The first listed event holds more instances than the budget of one,
+    # so the foreign event after it would never be reached; it is refused
+    # all the same, before any instance runs.
+    sp, model = w2
+    foreign = PossibilitySpace(("w1", "w2", "w3")).event(["w2"])
+    events = {"a": (sp.event(["w1"]),), "b": (sp.omega(),)}
+    events[listed] += (foreign,)
+    limits = CanonicalLimits(shapes=(shape,), events_a=events["a"], events_b=events["b"],
+                             max_instances=1)
+    pool = [g(sp, 1, 0), g(sp, 0, 1)]
+    with pytest.raises(ValueError, match="events live in different possibility spaces"):
+        check_canonical(ChoiceFunction("maximality"), model, sp, pool, limits)
+
+
 def test_report_serialization_round_trip(w2):
     sp, model = w2
     pool = [g(sp, 1, 0), g(sp, 0, 1)]
@@ -827,6 +843,23 @@ def test_grouped_scan_matches_the_reference_at_every_budget(
         assert _fields(check_canonical, choice, model, sp, pool, limits) == want
 
 
+def test_a_row_key_that_skips_past_its_first_window_is_judged_again():
+    # In this harvest a shape (a) block of 19 columns opens with a row that
+    # skips columns past its first window of 16 only, and the next row has
+    # the same key.  Only a whole row without a skip settles a key, so the
+    # next row's skips are counted again.
+    (sp, model, pool, events), = _harvested("hierarchical:2", seed=68, count=1)
+    limits = CanonicalLimits(max_xs=1, shapes=("a",), events_a=events, events_b=events,
+                             verify_sample=4, require_marginal_extension=True)
+    skipped = 0
+    for kind in RULES:
+        choice = ChoiceFunction(kind)
+        want = _fields(reference_scan, choice, model, sp, pool, limits)
+        assert _fields(check_canonical, choice, model, sp, pool, limits) == want, kind
+        skipped += len(want) > 2 and want[4]
+    assert skipped
+
+
 @pytest.mark.parametrize("case", [_maximin_case, _maximality_case])
 def test_a_failure_on_a_verification_position_is_verified_once(case):
     # With the stride chosen so that the failing instance's examined
@@ -881,3 +914,29 @@ def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
     assert reduction.instances_examined == 40000
     assert calls and max(calls.values()) == 1
     assert len(calls) < reduction.instances_examined // 10
+
+
+def test_a_passing_scan_reads_columns_once_per_row_key(monkeypatch):
+    # The same reduction examines its 40,000 instances in the first 28 rows
+    # of one block of 1,470 columns, and those rows hold 14 distinct keys.
+    # A row whose key has passed a whole row already passes without reading
+    # a column key, so the scan reads at most 14 * 1,470 of them.
+    read = []
+    row_keys = set()
+
+    class Counting(canonical._Prefix):
+        def __getitem__(self, k):
+            out = super().__getitem__(k)
+            if isinstance(k, slice):
+                read.append(len(out))
+            else:
+                row_keys.add(out)
+            return out
+
+    monkeypatch.setattr(canonical, "_Prefix", Counting)
+    cfg = FuzzConfig(seed=4, tree_count=1, model_sampler="credal:2")
+    report = fuzz_equivalence(ChoiceFunction("interval_dominance"), None, cfg)
+    reduction = report.records[0].reduction
+    assert reduction.passed and reduction.instances_examined == 40000
+    assert len(row_keys) == 14
+    assert sum(read) <= len(row_keys) * 1470

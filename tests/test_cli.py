@@ -980,6 +980,8 @@ def canonical_argv(problem, rule, model):
 
 
 FUZZ_ARGV = ["fuzz", "--choice", "maximality", "--seed", "11", "--trees", "60"]
+FUZZ_BUDGET_ARGV = ["fuzz", "--choice", "interval-dominance", "--seed", "4", "--trees", "20",
+                    "--format", "structured"]
 
 
 @pytest.mark.parametrize(
@@ -1006,6 +1008,8 @@ FUZZ_ARGV = ["fuzz", "--choice", "maximality", "--seed", "11", "--trees", "60"]
         ),
         # the text report lists the failing trees
         ("fuzz-maximality-seed11-trees60.txt", FUZZ_ARGV, 1),
+        # five of its eight reductions pass their whole 40,000-instance budget
+        ("fuzz-interval-dominance-seed4-trees20.json", FUZZ_BUDGET_ARGV, 1),
     ],
 )
 def test_canonical_and_fuzz_outputs_are_pinned(capsys, name, argv, exit_code):

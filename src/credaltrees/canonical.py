@@ -475,14 +475,8 @@ class _Checker:
             self.denominator = math.lcm(
                 *{v.denominator for g in self.pool for v in g.values}
             )
-        self._events: dict[Event, _EventData] = {}
-
-    def event_data(self, event: Event) -> _EventData:
-        ev = self._events.get(event)
-        if ev is None:
-            ev = _EventData(self, event)
-            self._events[event] = ev
-        return ev
+        # the pool's classes and their table on an event, built once per event
+        self.event_data = _Memo(functools.partial(_EventData, self)).__getitem__
 
     # -- judges: keys and a verdict per key pair, or a block settled in bulk --
 

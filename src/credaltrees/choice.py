@@ -179,10 +179,8 @@ class OptionTable:
 # keeps, in the given order.
 
 
-def _argmax(
-    values: Sequence, idx: Sequence[int], key: Optional[Callable] = None
-) -> list[int]:
-    vals = [values[j] if key is None else key(values[j]) for j in idx]
+def _argmax(values: Sequence, idx: Sequence[int]) -> list[int]:
+    vals = [values[j] for j in idx]
     top = max(vals)
     return [j for j, v in zip(idx, vals) if v == top]
 
@@ -213,11 +211,6 @@ def _member_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
 def _pointwise_dominates(y: Sequence[Fraction], x: Sequence[Fraction]) -> bool:
     """Is y everywhere at least x and somewhere strictly more?"""
     return y != x and all(a >= c for a, c in zip(y, x))
-
-
-def _eu_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
-    # Unnormalised sums have the argmax of the conditional expectations.
-    return _argmax(t.vectors, idx, operator.itemgetter(0))
 
 
 def _maximin_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
@@ -252,7 +245,7 @@ def _interval_dominance_rule(t: OptionTable, idx: Sequence[int]) -> list[int]:
     return [j for j in idx if upper[j] >= threshold]
 
 
-def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
+def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool = False) -> list[int]:
     vectors = t.vectors
     # each member's best sum: an option that reaches one is a member's winner
     tops = [max(s) for s in zip(*(vectors[j] for j in idx))]
@@ -279,8 +272,9 @@ def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool) -> list[int]:
 # The numeric rules by kind; `ChoiceFunction.choose` and the canonical scan
 # evaluate these on their tables.
 RULES = {
-    # all options of maximal conditional expected utility
-    "eu": _eu_rule,
+    # all options of maximal conditional expected utility: E-admissibility
+    # under the one member (Levi, The Enterprise of Knowledge, 1980)
+    "eu": _e_admissible,
     # all options whose worst outcome on b is maximal
     "maximin": _maximin_rule,
     # all options of maximal lower expectation
@@ -292,7 +286,7 @@ RULES = {
     # when every member of the credal set strictly prefers y
     "maximality": _maximality_rule,
     # all options optimal under some member of the credal set
-    "e_admissible": partial(_e_admissible, hull=False),
+    "e_admissible": _e_admissible,
     # ... or under some finite mixture of the members, decided exactly by a
     # phase-1 simplex; the mixture condition weights each member's
     # conditional comparison by its probability of b, which is what
@@ -432,6 +426,11 @@ class ChoiceFunction:
         not choose leaves its choice unchanged.  Backward induction solves
         these rules exactly (`solver.check_subtree_perfect`), and the
         canonical scan settles their shape (a) blocks without judging them.
+
+        The claim holds only under a model the rule reads through member
+        sums, so read the flag only where `row_members` is not None: under a
+        factored model expected utility values gambles on the assessed tree,
+        and is not subtree perfect (``problems/eu-example-3`` fails `check`).
         """
         return self.kind in (
             "eu",

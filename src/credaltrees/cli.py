@@ -223,13 +223,13 @@ def _load_problem(args) -> tuple[ParsedProblem, dict[str, tuple[int, ...]]]:
     tree = validate_tree(problem.tree, mode=mode)
     pruned = {}
     if tree is not problem.tree:  # auto_prune deleted arcs
-        for node, scope in tree.nodes():
+        for node, _ in tree.nodes():
             if not isinstance(node, ChanceNode):
                 continue
             arcs = problem.tree.find(node.node_id).arcs
             if len(arcs) != len(node.arcs):
                 pruned[node.node_id] = tuple(
-                    i for i, arc in enumerate(arcs) if not (scope & arc.event)
+                    i for i, arc in enumerate(arcs) if not tree.contains(arc.child.node_id)
                 )
     if getattr(args, "max_strategies", None) is not None:
         bounded_strategy_count(tree, args.max_strategies)

@@ -79,8 +79,8 @@ _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 def load_json(text: str):
     """Parse JSON with decimal literals kept exact.  Refuses a document
-    nested deeper than `_MAX_DEPTH`, counted outside strings, one the
-    decoder runs out of stack on, and an integer past the digit limit."""
+    nested deeper than `_MAX_DEPTH`, counted outside strings, one the decoder
+    runs out of stack on, an integer past the digit limit and a repeated key."""
     if text.count("[") + text.count("{") > _MAX_DEPTH:
         steps = (_DEPTH_STEP.get(token, 0) for token in _STRING_OR_BRACKET.findall(text))
         if max(itertools.accumulate(steps)) > _MAX_DEPTH:
@@ -91,6 +91,7 @@ def load_json(text: str):
             parse_float=lambda literal: rational_from(literal, "JSON number"),
             parse_int=_parse_int,
             parse_constant=_reject_constant,
+            object_pairs_hook=_unique_keys,
         )
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
@@ -106,6 +107,15 @@ def _parse_int(literal: str) -> int:
     if digits > limit:
         raise FileFormatError(f"JSON number: {digits} digits, past the {limit}-digit limit")
     return int(literal)
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        twice = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FileFormatError(f"JSON object names {twice!r} twice")
+    return doc
 
 
 def _reject_constant(name: str):

@@ -57,6 +57,8 @@ _SAMPLERS = ("joint", "credal", "factored", "hierarchical")
 _POOL_CAP, _EVENT_CAP = 24, 10
 #: The instance budget of each reduction.
 _REDUCTION_BUDGET = 40000
+#: The most arcs a generated node has, and the range of its integer rewards.
+_MAX_BRANCHING, _REWARD_RANGE = 3, (-10, 20)
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,7 @@ class FuzzConfig:
     seed: int
     tree_count: int
     max_depth: int = 3
-    max_branching: int = 3
     omega_size: int = 4
-    reward_low: int = -10
-    reward_high: int = 20
     model_sampler: str = "credal:2"
     max_strategies: int = 48
 
@@ -89,10 +88,8 @@ class FuzzConfig:
             raise ValueError("omega_size must be between 2 and 6")
         if self.tree_count < 1:
             raise ValueError("tree_count must be positive")
-        if self.max_depth < 1 or self.max_branching < 2:
-            raise ValueError("need max_depth >= 1 and max_branching >= 2")
-        if self.reward_low >= self.reward_high:
-            raise ValueError("reward_low must be below reward_high")
+        if self.max_depth < 1:
+            raise ValueError("need max_depth >= 1")
         if self.max_strategies < 2:
             raise ValueError("max_strategies must be at least 2, a decision node's least count")
         if self.sampler_parts()[0] == "hierarchical" and self.max_depth < 2:
@@ -173,7 +170,7 @@ class _TreeSampler:
         return f"n{self.counter - 1}"
 
     def reward(self) -> Fraction:
-        return Fraction(self.rng.randint(self.cfg.reward_low, self.cfg.reward_high))
+        return Fraction(self.rng.randint(*_REWARD_RANGE))
 
     def make_leaf(self, atoms: list[str]) -> Node:
         nid = self.next_id()
@@ -191,7 +188,7 @@ class _TreeSampler:
             return None
 
         def split() -> list[list[str]]:
-            cells = self.rng.randint(2, min(len(atoms), self.cfg.max_branching))
+            cells = self.rng.randint(2, min(len(atoms), _MAX_BRANCHING))
             return _split_atoms(self.rng, atoms, cells)
 
         return split
@@ -217,7 +214,7 @@ class _TreeSampler:
             return self.make_leaf(atoms), 1
         nid = self.next_id()
         if kind == "decision":
-            arity = rng.randint(2, self.cfg.max_branching)
+            arity = rng.randint(2, _MAX_BRANCHING)
             arcs = [(f"d{i + 1}", atoms) for i in range(arity)]
             make, combine = decision, sum
         else:
@@ -500,9 +497,9 @@ class FuzzReport:
                 "seed": self.config.seed,
                 "tree_count": self.config.tree_count,
                 "max_depth": self.config.max_depth,
-                "max_branching": self.config.max_branching,
+                "max_branching": _MAX_BRANCHING,
                 "omega_size": self.config.omega_size,
-                "reward_range": [self.config.reward_low, self.config.reward_high],
+                "reward_range": list(_REWARD_RANGE),
                 "model_sampler": self.config.model_sampler,
                 "max_strategies": self.config.max_strategies,
             },

@@ -500,11 +500,7 @@ def _picked_table(
     of probability zero.
     """
     members = choice.row_members(model)
-    if (
-        members is None
-        or not (choice.is_separable or choice.kind in _THRESHOLD_TESTS)
-        or not _filters_apply(tree, members)
-    ):
+    if members is None or not _filters_apply(tree, members):
         return strategy_table(tree, None, members or ())
     if choice.is_separable:
         return _backward_table(tree, choice, model)

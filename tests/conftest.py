@@ -564,6 +564,15 @@ def label_pools(draw, chance_part):
     return UtilityModel(utilities, chance_model), draw(st.permutations(pool)), b
 
 
+def reference_eu(table, idx):
+    """Expected utility's choice among the options *idx* of an `OptionTable`
+    of one member's sums, or of one value per option: the argmax of each
+    option's first entry, computed without E-admissibility's member loop."""
+    vals = [table.vectors[j][0] for j in idx]
+    top = max(vals)
+    return [j for j, v in zip(idx, vals) if v == top]
+
+
 def reference_imprecise_utility(xs, model, b):
     """The options of maximal expected utility under some utility function:
     the union over the functions of the argmax of `utility_values`, in the

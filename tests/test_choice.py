@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from credaltrees import (
 from credaltrees.choice import MODEL_FREE, RULES, OptionTable
 from credaltrees.trees import scaled
 
-from conftest import dominance_pools, label_pools, reference_imprecise_utility
+from conftest import dominance_pools, label_pools, reference_eu, reference_imprecise_utility
 
 
 @pytest.fixture
@@ -593,6 +594,132 @@ def test_a_wrong_value_based_flag_contradicts_the_pool(monkeypatch, kind):
     flipped = property(lambda self: real(self) != (self.kind == kind))
     monkeypatch.setattr(ChoiceFunction, "is_value_based", flipped)
     assert arrow_flag_mismatches() == {kind}
+
+
+# --- shape (a): a rule that splits over events ------------------------------------
+
+
+def composite(t1, t2, z):
+    """The table, on e1 | e2, of each option of *t1* (on e1) followed by
+    option *z* of *t2* (on e2), made as `canonical._composite` makes it:
+    both tables weigh a member by the same integers, so the sums add."""
+    return OptionTable(
+        [row + t2.rows[z] for row in t1.rows],
+        [tuple(map(operator.add, v, t2.vectors[z])) for v in t1.vectors],
+        list(map(operator.add, t1.totals, t2.totals)),
+    )
+
+
+def breaks_conditioning(rule, t1, t2, idx):
+    """Does *rule* choose differently among the options *idx* of *t1* on e1
+    alone and among them each followed by *t2*'s first option on e2?  The
+    paper's shape (a): a gamble z off e1 = A ∩ B, shared by every option,
+    must not change the choice made on e1."""
+    return rule(composite(t1, t2, 0), idx) != rule(t1, idx)
+
+
+@st.composite
+def split_tables(draw):
+    """Disjoint nonempty events e1 and e2, 1-6 integer rows on e1, one row on
+    e2, and the members of a joint model (one), a credal one (two or three)
+    or none (model-free), each giving both events positive mass."""
+    atoms = tuple(f"w{i}" for i in range(draw(st.integers(2, 5))))
+    sp = PossibilitySpace(atoms)
+    one = draw(st.sets(st.sampled_from(atoms), min_size=1, max_size=len(atoms) - 1))
+    e1 = sp.event(one)
+    e2 = sp.event(draw(st.sets(st.sampled_from([a for a in atoms if a not in one]), min_size=1)))
+    members = []
+    for _ in range(draw(st.integers(0, 3))):
+        ws = draw(st.lists(st.integers(0, 4), min_size=len(atoms), max_size=len(atoms)))
+        ws[sp.position(e1.ordered[0])] += 1
+        ws[sp.position(e2.ordered[0])] += 1
+        members.append(MassFunction(sp, tuple(Fraction(w, sum(ws)) for w in ws)))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * len(e1)), min_size=n, max_size=n))
+    z = draw(st.tuples(*[st.integers(-4, 4)] * len(e2)))
+    members = tuple(members)
+    return OptionTable.on(e1, rows, members), OptionTable.on(e2, [z], members), members
+
+
+@given(split_tables(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_separable_rules_choose_on_e1_alone(data, draw):
+    # What lets backward induction solve a separable rule, and the canonical
+    # scan pass its shape (a) blocks without judging them.
+    t1, t2, members = data
+    idx = sorted(draw.draw(st.sets(st.sampled_from(range(len(t1))), min_size=1), label="idx"))
+    for kind in rules_for(members):
+        if ChoiceFunction(kind).is_separable:
+            assert not breaks_conditioning(RULES[kind], t1, t2, idx), kind
+
+
+#: Cases on the space w0..wk, with e1 = w0..w(k-1) and e2 = wk: the rows
+#: of the options on e1, z's value on e2, and the members as integer
+#: weights on the atoms.  Each unflagged kind breaks shape (a) on some case,
+#: which the random test, checking flagged kinds alone, never looks for.
+SPLIT_POOL = (
+    # maximin: (0) and (3) followed by z = 0 both have worst value 0, but
+    # on e1 alone (3) is better
+    (((0,), (3,)), 0, ()),
+    # interval dominance: followed by z = -3 the upper expectations all
+    # reach (3)'s lower one, -1, but on e1 alone (3) is best for certain
+    (((3,), (1,), (2,)), -3, ((1, 2), (3, 1))),
+    # Γ-maximin: on e1 both options have lower expectation 0, but followed
+    # by z = 1 (0, 1)'s is 2/3 and (0, 0)'s 1/2
+    (((0, 0), (0, 1)), 1, ((0, 1, 1), (1, 0, 2))),
+    # Γ-maximax: on e1 both options have upper expectation 1, but followed
+    # by z = 0 (0, 1)'s is 1/2 and (1, 0)'s 1/3
+    (((0, 1), (1, 0)), 0, ((0, 1, 1), (1, 0, 2))),
+)
+
+
+def split_flag_mismatches():
+    """The kinds of `RULES` whose `is_separable` flag `SPLIT_POOL`
+    contradicts: flagged yet broken on some case, or unflagged and broken
+    on none."""
+    broken = set()
+    for rows, z, weights in SPLIT_POOL:
+        k = len(rows[0])
+        sp = PossibilitySpace(tuple(f"w{i}" for i in range(k + 1)))
+        members = tuple(MassFunction(sp, tuple(Fraction(w, sum(ws)) for w in ws)) for ws in weights)
+        t1 = OptionTable.on(sp.event(sp.atoms[:k]), rows, members)
+        t2 = OptionTable.on(sp.event(sp.atoms[k:]), [(z,)], members)
+        for kind in rules_for(members):
+            if breaks_conditioning(RULES[kind], t1, t2, range(len(rows))):
+                broken.add(kind)
+    return {kind for kind in RULES if ChoiceFunction(kind).is_separable == (kind in broken)}
+
+
+def test_the_pool_breaks_shape_a_exactly_where_no_flag_is_set():
+    assert split_flag_mismatches() == set()
+
+
+@pytest.mark.parametrize("kind", RULES)
+def test_a_wrong_separable_flag_contradicts_the_pool(monkeypatch, kind):
+    # The mutation check: flipping one rule's flag is caught by the pool.
+    real = ChoiceFunction.is_separable.fget
+    flipped = property(lambda self: real(self) != (self.kind == kind))
+    monkeypatch.setattr(ChoiceFunction, "is_separable", flipped)
+    assert split_flag_mismatches() == {kind}
+
+
+@given(
+    option_tables(),
+    st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=8),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_eu_keeps_the_argmax_of_its_one_member_s_sums(data, factored, draw):
+    # Expected utility is E-admissibility under one member, on a table of
+    # one member's sums and on a factored model's table of one value per
+    # option alike.
+    b, rows, members = data
+    tables = [OptionTable((), [(v,) for v in factored])]
+    if members:
+        tables.append(OptionTable.on(b, rows, members[:1]))
+    for table in tables:
+        idx = sorted(draw.draw(st.sets(st.sampled_from(range(len(table))), min_size=1)))
+        assert RULES["eu"](table, idx) == reference_eu(table, idx)
 
 
 # --- the exact integer kernel -----------------------------------------------------

@@ -167,8 +167,9 @@ def with_arc_event(doc):
 #: past the digit limit (a string, or a JSON number, which Fraction would
 #: expand for minutes), an integer past it, deep nesting before a string left
 #: open (about 1 MB, which a depth scan that retried every quote would take
-#: quadratic time on), Fraction's version-dependent spellings, and keys no
-#: reader defines
+#: quadratic time on), Fraction's version-dependent spellings, keys no
+#: reader defines, and a key named twice in one object, which a plain JSON
+#: decoder would read as its last value
 HOSTILE = {
     "exponent-string": (json.dumps(two_leaves("1e100000000")), None, "digit limit"),
     "exponent-number": (
@@ -189,6 +190,18 @@ HOSTILE = {
         json.dumps(two_leaves(1)),
         json.dumps({"mode": "joint", "mass": {"a": 1}, "members": [{"a": 1}]}),
         "model: unknown keys ['members']",
+    ),
+    "gamble-atom-twice": (
+        json.dumps(two_leaves(1)).replace(
+            '"kind": "leaf", "reward": 1', '"kind": "gamble", "gamble": {"a": 1, "a": 5}'
+        ),
+        None,
+        "JSON object names 'a' twice",
+    ),
+    "mass-atom-twice": (
+        json.dumps(two_leaves(1)),
+        '{"mode": "joint", "mass": {"a": 0, "a": 1}}',
+        "JSON object names 'a' twice",
     ),
 }
 
@@ -984,34 +997,36 @@ FUZZ_BUDGET_ARGV = ["fuzz", "--choice", "interval-dominance", "--seed", "4", "--
                     "--format", "structured"]
 
 
-@pytest.mark.parametrize(
-    "name, argv, exit_code",
-    [
-        (
-            f"canonical-maximin-failure-{rule}.json",
-            canonical_argv("maximin-failure", rule, model),
-            exit_code,
-        )
-        for rule, model, exit_code in [
-            ("maximin", "maximin-failure.model.json", 1),
-            ("interval-dominance", "eadmissible-failure.model.json", 1),
-            ("maximality", "eadmissible-failure.model.json", 0),
-        ]
+#: The canonical and fuzz outputs pinned in ``tests/expected``: file name,
+#: command line and exit code.  CI runs the same table through the installed
+#: script under two string hash seeds.
+PINNED = [
+    (
+        f"canonical-maximin-failure-{rule}.json",
+        canonical_argv("maximin-failure", rule, model),
+        exit_code,
+    )
+    for rule, model, exit_code in [
+        ("maximin", "maximin-failure.model.json", 1),
+        ("interval-dominance", "eadmissible-failure.model.json", 1),
+        ("maximality", "eadmissible-failure.model.json", 0),
     ]
-    + [
-        ("fuzz-maximality-seed11-trees60.json", FUZZ_ARGV + ["--format", "structured"], 1),
-        # a scan whose first failure has shape (b)
-        (
-            "canonical-eadmissible-failure-e-admissible.json",
-            canonical_argv("eadmissible-failure", "e-admissible", "eadmissible-failure.model.json"),
-            1,
-        ),
-        # the text report lists the failing trees
-        ("fuzz-maximality-seed11-trees60.txt", FUZZ_ARGV, 1),
-        # five of its eight reductions pass their whole 40,000-instance budget
-        ("fuzz-interval-dominance-seed4-trees20.json", FUZZ_BUDGET_ARGV, 1),
-    ],
-)
+] + [
+    ("fuzz-maximality-seed11-trees60.json", FUZZ_ARGV + ["--format", "structured"], 1),
+    # a scan whose first failure has shape (b)
+    (
+        "canonical-eadmissible-failure-e-admissible.json",
+        canonical_argv("eadmissible-failure", "e-admissible", "eadmissible-failure.model.json"),
+        1,
+    ),
+    # the text report lists the failing trees
+    ("fuzz-maximality-seed11-trees60.txt", FUZZ_ARGV, 1),
+    # five of its eight reductions pass their whole 40,000-instance budget
+    ("fuzz-interval-dominance-seed4-trees20.json", FUZZ_BUDGET_ARGV, 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, exit_code", PINNED)
 def test_canonical_and_fuzz_outputs_are_pinned(capsys, name, argv, exit_code):
     # Recorded before the scan grouped its instances by key; the grouped
     # scan must reproduce every field, byte for byte.

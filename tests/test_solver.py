@@ -924,6 +924,14 @@ def full_table_verdicts(tree, choice, model):
     return solver_module._read_verdicts(tree, choice, model, tree.node_ids(), table)
 
 
+def test_every_rule_takes_one_filtered_table():
+    # `_picked_table` filters every kind that `row_members` serves: each is
+    # separable (backward induction) or a threshold rule, and never both.
+    for kind in choice_module.RULES:
+        separable = ChoiceFunction(kind).is_separable
+        assert separable != (kind in solver_module._THRESHOLD_TESTS), kind
+
+
 @pytest.mark.parametrize("sampler", ["joint", "credal:2", "factored", "hierarchical:2", None])
 def test_threshold_verdicts_equal_the_full_table_verdicts(sampler):
     # The threshold pass is called directly, so trees below the row count

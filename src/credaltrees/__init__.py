@@ -107,12 +107,10 @@ from .uncertainty import (
     UtilityFunctionSet,
     UtilityModel,
     expectation,
-    factored_expectation,
     lower_expectation,
     precise_gamble_value,
     product_credal,
     upper_expectation,
-    utility_expectations,
 )
 
 __version__ = "0.1.0"

@@ -167,10 +167,11 @@ def make_canonical_b(inst: CanonicalInstanceB) -> DecisionTree:
 class CanonicalLimits:
     """Bounds on the instance enumeration.
 
-    ``max_instances`` of None means exhaustive; otherwise the scan stops
-    after the first ``max_instances`` instances in plan order (shapes in
-    the given order, then events, then options), which suits pools and
-    events ordered by relevance.
+    ``max_options`` bounds the size of each offered option set: xs in both
+    shapes, and ys in shape (b).  ``max_instances`` of None means
+    exhaustive; otherwise the scan stops after the first ``max_instances``
+    instances in plan order (shapes in the given order, then events, then
+    options), which suits pools and events ordered by relevance.
     ``require_marginal_extension`` skips shape (a) instances on which the
     model's lower expectation fails the two-stage decomposition identity;
     that is the hypothesis under which the one-value rules are expected to
@@ -178,8 +179,7 @@ class CanonicalLimits:
     pointwise dominance) are not filtered.
     """
 
-    max_xs: int = 4
-    max_ys: int = 4
+    max_options: int = 4
     shapes: tuple[str, ...] = ("a", "b")
     events_a: Optional[tuple[Event, ...]] = None
     events_b: Optional[tuple[Event, ...]] = None
@@ -191,8 +191,8 @@ class CanonicalLimits:
         for s in self.shapes:
             if s not in ("a", "b"):
                 raise ValueError(f"unknown shape {s!r}")
-        if self.max_xs < 1 or self.max_ys < 1:
-            raise ValueError("option count bounds must be at least 1")
+        if self.max_options < 1:
+            raise ValueError("the option count bound must be at least 1")
         if self.max_instances is not None and self.max_instances < 1:
             raise ValueError("the instance budget must be at least 1")
 
@@ -365,8 +365,8 @@ class _Combos:
 
     The entries are the combinations of 1 to *bound* of the eligible pool
     indices, by size and then in ``itertools.combinations`` order.  Their
-    number is a sum of binomials; iterating generates them in order, and
-    indexing unranks one entry without building those before it.
+    number is a sum of binomials, and indexing unranks one entry without
+    building those before it.
     """
 
     def __init__(self, elig: list[int], bound: int):
@@ -376,10 +376,6 @@ class _Combos:
 
     def __len__(self) -> int:
         return self.count
-
-    def __iter__(self):
-        for size in self.sizes:
-            yield from itertools.combinations(self.elig, size)
 
     def __getitem__(self, k: int) -> tuple[int, ...]:
         if not 0 <= k < self.count:
@@ -480,7 +476,7 @@ class _Checker:
 
     # -- judges: keys and a verdict per key pair, or a block settled in bulk --
 
-    def _judge_b(self, b: Event, xcombos, ycombos, unordered: bool):
+    def _judge_b(self, b: Event, combos):
         """Shape (b): the rule over the union of both offers against each alone.
 
         A one-value rule keeps either all of argmax(X) or nothing of X from
@@ -495,8 +491,7 @@ class _Checker:
         if self.choice.is_value_based:
             return "pass"
         kind = self.choice.kind
-        xmasks = _Prefix(ev.masks(xcombos))
-        ymasks = xmasks if unordered else _Prefix(ev.masks(ycombos))
+        masks = _Prefix(ev.masks(combos))
         # class mask -> the classes the rule keeps of them
         keep = _Memo(lambda m: _mask(_chosen_classes(ev, kind, _mask_classes(m))))
 
@@ -511,7 +506,7 @@ class _Checker:
                 fails += ("N2",)
             return ("fail", fails) if fails else _PASS
 
-        return xmasks, ymasks, verdict
+        return masks, masks, verdict
 
     def _judge_a(self, a: Event, b: Event, combos, eligz):
         """Shape (a): the rule on the composite gambles against xs alone.
@@ -595,9 +590,10 @@ class _Checker:
         A block is (shape, A or None, B, rows, columns, unordered, size): its
         instances are the (row, column) pairs in the order of ``_pair_at``,
         row by row, each row from its own index (unordered) or from column
-        0 on.  Shape (b) rows
-        and columns are ``_Combos`` of pool indices; shape (a) rows are
-        ``_Combos`` and columns the eligible pool indices of the z gamble.
+        0 on.  Shape (b) is symmetric in its two offers, so its rows and
+        columns are one ``_Combos`` of pool indices, unordered; shape (a)
+        rows are ``_Combos`` and columns the eligible pool indices of the z
+        gamble, ordered.
         Only the eligible indices are gathered here; the sizes are counted
         with binomials, and no option set is built until the scan reads it.
         """
@@ -621,17 +617,10 @@ class _Checker:
                 for b in bs:
                     if b.is_empty:
                         continue
-                    elig = eligible[b.members]
-                    xcombos = _Combos(elig, lim.max_xs)
-                    unordered = lim.max_xs == lim.max_ys
-                    if unordered:
-                        ycombos = xcombos
-                        n = len(xcombos) * (len(xcombos) + 1) // 2
-                    else:
-                        ycombos = _Combos(elig, lim.max_ys)
-                        n = len(xcombos) * len(ycombos)
+                    combos = _Combos(eligible[b.members], lim.max_options)
+                    n = len(combos) * (len(combos) + 1) // 2
                     if n:
-                        blocks.append(("b", None, b, xcombos, ycombos, unordered, n))
+                        blocks.append(("b", None, b, combos, combos, True, n))
                         total += n
             else:
                 for a in as_:
@@ -643,7 +632,7 @@ class _Checker:
                         e2 = rest & b.members
                         if not e1 or not e2:
                             continue
-                        combos = _Combos(eligible[e1], lim.max_xs)
+                        combos = _Combos(eligible[e1], lim.max_options)
                         eligz = eligible[e2]
                         n = len(combos) * len(eligz)
                         if n:
@@ -651,7 +640,7 @@ class _Checker:
                             total += n
         return blocks, total
 
-    def _block(self, shape: str, a, b: Event, rows, cols, unordered: bool):
+    def _block(self, shape: str, a, b: Event, rows, cols):
         """(judge, build) for one block.
 
         build(ci, cj) makes the instance.  judge is "skip" or "pass" when
@@ -683,7 +672,7 @@ class _Checker:
                 lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj)),
             ), build
         if shape == "b":
-            return self._judge_b(b, rows, cols, unordered), build
+            return self._judge_b(b, rows), build
         return self._judge_a(a, b, rows, cols), build
 
     @staticmethod
@@ -759,7 +748,7 @@ class _Checker:
                 break
             count = min(n, budget - base)
             base += n
-            judge, build = self._block(shape, a, b, rows, cols, unordered)
+            judge, build = self._block(shape, a, b, rows, cols)
             if judge == "skip":
                 skipped += count
             elif judge == "pass":

@@ -455,11 +455,8 @@ def _cmd_canonical(args) -> int:
     choice = _choice_of(args)
     center = args.node if args.node is not None else tree.root.node_id
     pool, events, _ = harvest(tree, center)
-    if not pool:
-        raise _UsageError("the tree yields no gambles to scan")
     limits = CanonicalLimits(
-        max_xs=args.max_options,
-        max_ys=args.max_options,
+        max_options=args.max_options,
         events_a=events,
         events_b=events,
         max_instances=args.max_instances,

@@ -293,7 +293,7 @@ def parse_problem(doc) -> ParsedProblem:
     if len(set(atoms)) != len(atoms):
         raise FileFormatError("problem: atoms must be distinct")
     space = PossibilitySpace(atoms)
-    events = doc.get("events") or {}
+    events = doc.get("events", {})
     if not isinstance(events, dict):
         raise FileFormatError("problem: events must map names to atom lists")
     named: dict[str, Event] = {}

@@ -96,10 +96,12 @@ def backward_solution(
     Ann. Oper. Res. 195, 2012): the strategy table is built keeping, after
     each decision and chance node, only the rows *choice* chooses on the
     node's scope.  Equals `normal_form_solution` wherever *choice* is
-    subtree perfect on *tree*.  Under a model that conditions on each
-    node's scope (joint, credal), a node whose scope has probability zero
-    raises `ZeroProbabilityCondition`, where `check` gives an error verdict;
-    a factored model never divides an arc value, so it raises nothing there.
+    subtree perfect on *tree* and this raises nothing.  Under a model that
+    conditions on each node's scope (joint, credal), a decision or chance
+    node whose scope has probability zero raises `ZeroProbabilityCondition`,
+    reached or not: `check` gives it an error verdict only where a solution
+    strategy reaches it.  A factored model never divides an arc value, so it
+    raises nothing there.
     """
     table = _backward_table(tree, choice, model)
     return _solution(tree, choice, table.positions[tree.root.node_id], tree.root_scope)

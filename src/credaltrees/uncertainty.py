@@ -34,12 +34,9 @@ from .trees import (
     Leaf,
     PossibilitySpace,
     Reward,
-    Strategy,
     StrategyTable,
     as_rational,
-    gamble_of,
     strategy_table,
-    subtree_at,
 )
 
 
@@ -307,16 +304,12 @@ def _row_index(a: TreeFactoredAssessment, reward_map: RewardMap) -> RowIndex:
     return index
 
 
-def _factored_gamble_value(
-    index: RowIndex, x: Gamble, b: Event, node_id: Optional[str] = None
-) -> tuple[Fraction, ...]:
+def _factored_gamble_value(index: RowIndex, x: Gamble, b: Event) -> tuple[Fraction, ...]:
     """The common value of the rows that induce *x* on *b*, at the nodes of
-    scope *b* (at *node_id* only, if given): an assessment only assigns
-    probabilities along its own tree, so that is how it values a gamble.
+    scope *b*: an assessment only assigns probabilities along its own tree,
+    so that is how it values a gamble.
     """
     found = index.get((b, x.values if x.scope == b else x.values_on(b)), {})
-    if node_id is not None:
-        found = {v: ids for v, ids in found.items() if node_id in ids}
     if not found:
         raise UnrepresentableGamble(
             f"no strategy of the assessed tree induces this gamble on {b!r}"
@@ -328,19 +321,6 @@ def _factored_gamble_value(
             f" at nodes {where}"
         )
     return next(iter(found))
-
-
-def factored_expectation(
-    a: TreeFactoredAssessment, s: DecisionTree, node_id: Optional[str] = None
-) -> Fraction:
-    """The expected reward of strategy *s* rooted at *node_id*, read from
-    the node's rows that induce the same gamble (see `_row_values`), so it
-    never divides and is immune to conditioning events of probability zero.
-    """
-    sub = s if node_id is None else subtree_at(s, node_id)
-    return _factored_gamble_value(
-        a._index, gamble_of(sub), sub.root_scope, sub.root.node_id
-    )[0]
 
 
 # --- utility function sets ---------------------------------------------------
@@ -444,12 +424,3 @@ def utility_values(model: UtilityModel, x: Gamble, b: Event) -> tuple[Fraction, 
     if isinstance(chance, JointModel):
         return tuple(expectation(chance.p, Gamble(b, v), b) for v in relabelled)
     raise ModeUnsupported("the chance part of a utility model must be joint or factored")
-
-
-def utility_expectations(
-    u: UtilityFunctionSet,
-    chance: Optional[Union[JointModel, FactoredModel]],
-    s: Strategy,
-) -> tuple[Fraction, ...]:
-    """The strategy's expected utility under each candidate utility function."""
-    return utility_values(UtilityModel(u, chance), gamble_of(s), s.root_scope)

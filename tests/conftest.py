@@ -38,6 +38,7 @@ from credaltrees import (
     decision,
     enumerate_strategies,
     gamble_of,
+    kept_arcs,
     leaf,
     strategy_table,
     subtree_at,
@@ -662,6 +663,20 @@ def reference_verdicts(tree, choice, model):
     )
 
 
+def verdict_tuples(verdicts):
+    """Verdicts in full: node, outcome, both solutions by kept arcs, detail."""
+    return tuple(
+        (
+            v.node_id,
+            v.outcome,
+            tuple(map(kept_arcs, v.restricted_solution)),
+            tuple(map(kept_arcs, v.local_solution)),
+            v.detail,
+        )
+        for v in verdicts
+    )
+
+
 def full_table_solution(tree, choice, model, b):
     """The positions a solve conditioned on *b* keeps, chosen among the
     root's entries of the full strategy table of *tree* re-rooted on *b*: a
@@ -786,7 +801,7 @@ def reference_scan(choice, model, space, pool, limits=None):
             break
         count = min(n, budget - base)
         base += n
-        judge, build = checker._block(shape, a, b, rows, cols, unordered)
+        judge, build = checker._block(shape, a, b, rows, cols)
         if judge == "skip":
             skipped += count
         elif judge == "pass":

@@ -39,8 +39,8 @@ from credaltrees.uncertainty import (
     JointModel,
     MassFunction,
     expectation,
-    factored_expectation,
     lower_expectation,
+    precise_gamble_value,
     product_credal,
 )
 
@@ -93,7 +93,7 @@ def test_02_chance_root_eu_holds_with_exact_local_values(eu2):
 def test_03_zero_probability_arc_breaks_eu_perfectness(eu3):
     tree, model = eu3
     strategies = enumerate_strategies(tree)
-    values = {factored_expectation(model.assessment, s) for s in strategies}
+    values = {precise_gamble_value(model, gamble_of(s), s.root_scope) for s in strategies}
     assert values == {F(6, 5)}
     verdict = check_subtree_perfect_at(tree, ChoiceFunction("eu"), model, "N1")
     assert verdict.outcome is Outcome.FAIL
@@ -306,7 +306,7 @@ def test_12_canonical_scan_finds_no_counterexamples_where_none_exist():
     credal = CredalModel(CredalSet(members))
     joint = JointModel(members[0])
 
-    two_decision = CanonicalLimits(max_xs=3, max_ys=3, shapes=("b",))
+    two_decision = CanonicalLimits(max_options=3, shapes=("b",))
     for kind, model in (
         ("eu", joint),
         ("maximin", None),
@@ -317,7 +317,7 @@ def test_12_canonical_scan_finds_no_counterexamples_where_none_exist():
         examined += report.instances_examined
         assert report.passed, f"{kind}: failure at {report.failing_nodes}"
 
-    chance_root = CanonicalLimits(max_xs=3, max_ys=3, shapes=("a",))
+    chance_root = CanonicalLimits(max_options=3, shapes=("a",))
     for kind in ("maximality", "e_admissible"):
         report = check_canonical(ChoiceFunction(kind), credal, space, pool, chance_root)
         examined += report.instances_examined
@@ -338,8 +338,7 @@ def test_12_canonical_scan_finds_no_counterexamples_where_none_exist():
         ]
         model = CredalModel(product_credal(space, cells, marginals, conditionals))
         limits = CanonicalLimits(
-            max_xs=3,
-            max_ys=3,
+            max_options=3,
             shapes=("a",),
             events_a=(split,),
             require_marginal_extension=True,

@@ -168,8 +168,9 @@ def with_arc_event(doc):
 #: expand for minutes), an integer past it, deep nesting before a string left
 #: open (about 1 MB, which a depth scan that retried every quote would take
 #: quadratic time on), Fraction's version-dependent spellings, keys no
-#: reader defines, and a key named twice in one object, which a plain JSON
-#: decoder would read as its last value
+#: reader defines, a key named twice in one object, which a plain JSON
+#: decoder would read as its last value, and an events value that is not an
+#: object, which a falsy default would read as no events
 HOSTILE = {
     "exponent-string": (json.dumps(two_leaves("1e100000000")), None, "digit limit"),
     "exponent-number": (
@@ -202,6 +203,12 @@ HOSTILE = {
         json.dumps(two_leaves(1)),
         '{"mode": "joint", "mass": {"a": 0, "a": 1}}',
         "JSON object names 'a' twice",
+    ),
+    "events-list": (
+        json.dumps({**two_leaves(1), "events": []}), None, "events must map names to atom lists"
+    ),
+    "events-null": (
+        json.dumps({**two_leaves(1), "events": None}), None, "events must map names to atom lists"
     ),
 }
 

@@ -82,6 +82,7 @@ from conftest import (
     reference_verdict,
     reference_verdicts,
     relabel,
+    verdict_tuples,
 )
 
 
@@ -468,20 +469,6 @@ def test_restricting_the_seven_level_backward_solution_builds_no_table(monkeypat
 
 
 SEPARABLE = ("eu", "maximality", "e_admissible", "e_admissible_hull", "pointwise_dominance")
-
-
-def verdict_tuples(verdicts):
-    """Verdicts in full: node, outcome, both solutions by kept arcs, detail."""
-    return tuple(
-        (
-            v.node_id,
-            v.outcome,
-            tuple(map(kept_arcs, v.restricted_solution)),
-            tuple(map(kept_arcs, v.local_solution)),
-            v.detail,
-        )
-        for v in verdicts
-    )
 
 
 @pytest.mark.parametrize("seed", [5, 9])

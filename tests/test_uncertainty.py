@@ -28,7 +28,6 @@ from credaltrees import (
     check_subtree_perfect,
     decision,
     expectation,
-    factored_expectation,
     gamble_of,
     enumerate_strategies,
     gen_random_tree,
@@ -39,12 +38,12 @@ from credaltrees import (
     precise_gamble_value,
     product_credal,
     strategy_table,
+    subtree_at,
     upper_expectation,
-    utility_expectations,
     validate_tree,
 )
 from credaltrees.trees import Decoder
-from credaltrees.uncertainty import _numeric, _row_values
+from credaltrees.uncertainty import _numeric, _row_values, utility_values
 
 from conftest import (
     build_eu2,
@@ -163,6 +162,18 @@ def test_gambles_no_strategy_induces_are_rejected():
         precise_gamble_value(model, x, sp.omega())
 
 
+def factored_value(a, s, node_id=None):
+    """Strategy *s*'s expected reward from *node_id* on under assessment *a*,
+    through the gamble it induces there."""
+    sub = s if node_id is None else subtree_at(s, node_id)
+    return precise_gamble_value(FactoredModel(a), gamble_of(sub), sub.root_scope)
+
+
+def utility_of(u, chance_part, s):
+    """Strategy *s*'s expected utility under each function of *u*."""
+    return utility_values(UtilityModel(u, chance_part), gamble_of(s), s.root_scope)
+
+
 def test_factored_expectation_multiplies_along_paths():
     tree, _ = build_eu2()
     a = TreeFactoredAssessment(
@@ -176,19 +187,17 @@ def test_factored_expectation_multiplies_along_paths():
     )
     strats = enumerate_strategies(tree)
     # both strategies agree with the joint-model expectations 6/5 and 11/10
-    vals = sorted(factored_expectation(a, s) for s in strats)
+    vals = sorted(factored_value(a, s) for s in strats)
     assert vals == [Fraction(11, 10), Fraction(6, 5)]
 
 
 def test_factored_expectation_survives_zero_probability_arcs():
     tree, model = build_eu3()
     strats = enumerate_strategies(tree)
-    vals = {factored_expectation(model.assessment, s) for s in strats}
+    vals = {factored_value(model.assessment, s) for s in strats}
     assert vals == {Fraction(6, 5)}
     # under the zero-mass branch, the local value is still defined per node
-    sub_vals = sorted(
-        factored_expectation(model.assessment, s, node_id="N1") for s in strats
-    )
+    sub_vals = sorted(factored_value(model.assessment, s, node_id="N1") for s in strats)
     assert sub_vals == [Fraction(1), Fraction(6, 5)]
 
 
@@ -206,8 +215,8 @@ def test_factored_value_of_a_constant_gamble_leaf_is_that_of_a_leaf():
         tree, a = tree_with(reward_node)
         strats = enumerate_strategies(tree)
         values.append(
-            [factored_expectation(a, s) for s in strats]
-            + [factored_expectation(a, s, node_id="C") for s in strats if s.contains("C")]
+            [factored_value(a, s) for s in strats]
+            + [factored_value(a, s, node_id="C") for s in strats if s.contains("C")]
         )
     assert values[0] == values[1] == [Fraction(3, 2), Fraction(1), Fraction(3, 2)]
 
@@ -226,8 +235,8 @@ def test_utility_function_sets_score_labelled_gambles():
     tree, model = build_imprecise_utility()
     strats = enumerate_strategies(tree)
     by_label = {gamble_of(s).values_on(tree.root_scope)[0]: s for s in strats}
-    r1 = utility_expectations(model.utilities, model.chance, by_label["r1"])
-    r3 = utility_expectations(model.utilities, model.chance, by_label["r3"])
+    r1 = utility_of(model.utilities, model.chance, by_label["r1"])
+    r3 = utility_of(model.utilities, model.chance, by_label["r3"])
     assert r1 == (Fraction(3), Fraction(-3))
     assert r3 == (Fraction(2), Fraction(2))
 
@@ -240,7 +249,7 @@ def test_unknown_reward_label_is_an_error():
         s for s in strats if gamble_of(s).values_on(tree.root_scope)[0] == "r3"
     )
     with pytest.raises(UnknownLabel):
-        utility_expectations(bad, None, victim)
+        utility_of(bad, None, victim)
 
 
 # --- the row values against the per-strategy walkers ----------------------------
@@ -361,11 +370,11 @@ def test_utility_expectations_take_a_factored_chance_part():
         [{"r1": 4, "r2": 0, "r3": 1}, {"r1": 0, "r2": 0, "r3": 1}]
     )
     risky, safe = enumerate_strategies(tree)
-    assert utility_expectations(u, chance_part, risky) == (Fraction(2), Fraction(0))
-    assert utility_expectations(u, chance_part, safe) == (Fraction(1), Fraction(1))
+    assert utility_of(u, chance_part, risky) == (Fraction(2), Fraction(0))
+    assert utility_of(u, chance_part, safe) == (Fraction(1), Fraction(1))
     partial_u = UtilityFunctionSet.from_tables([{"r1": 4, "r2": 0}])
     with pytest.raises(UnknownLabel):
-        utility_expectations(partial_u, chance_part, safe)
+        utility_of(partial_u, chance_part, safe)
 
 
 def test_product_credal_combines_families():

@@ -18,9 +18,12 @@ So that millions of instances stay affordable, the scan applies the choice
 rules of ``choice`` to per-event tables of the distinct pool gambles instead
 of building trees, judges the instances that share a key (their classes of
 distinct gambles) once, and settles whole blocks of instances at once where
-the algebra decides them.  A deterministic sample of instances, bulk-settled
-ones included, and every reported counterexample are re-run through the
-actual tree pipeline, and any disagreement raises immediately.
+the algebra decides them.  A block's distinct column keys are ranked by the
+position where each first occurs, without building the others, so a row
+whose key passes every ranked key passes whole.  A deterministic sample of
+instances, bulk-settled ones included, and every reported counterexample
+are re-run through the actual tree pipeline, and any disagreement raises
+immediately.
 """
 
 from __future__ import annotations
@@ -327,6 +330,33 @@ class _EventData:
         for size in combos.sizes:
             yield from map(_or_all, itertools.combinations(bits, size))
 
+    def ranked(self, combos: "_Combos"):
+        """(first position, mask) of each distinct class mask of *combos*'
+        option sets, in the order of their first positions.
+
+        The masks are the sets of 1 to *bound* classes.  A set of k classes
+        first occurs among the k-element option sets, at the one that takes
+        each class's first eligible index, so the sets of k classes, taken
+        in combination order over the classes ordered by first index, are
+        in order of their first positions.  A position is the count of the
+        smaller sizes' sets plus the lexicographic rank of those indices,
+        which inverts `_Combos.__getitem__`: indices p_1 < .. < p_k of n
+        rank comb(n, k) - 1 - sum over i of comb(n - 1 - p_i, k - i + 1).
+        """
+        first: dict[int, int] = {}  # class -> its first eligible index
+        for p, i in enumerate(combos.elig):
+            first.setdefault(self.cls_of[i], p)
+        n = len(combos.elig)
+        bits = [1 << c for c in first]
+        offset = 0
+        for size in combos.sizes[: len(bits)]:
+            offset += math.comb(n, size)
+            # terms[i][c]: class c's summand as the (i + 1)-th class of a set
+            terms = [[math.comb(n - 1 - p, size - i) for p in first.values()] for i in range(size)]
+            for cs in itertools.combinations(range(len(bits)), size):
+                position = offset - 1 - sum(map(list.__getitem__, terms, cs))
+                yield position, _or_all(map(bits.__getitem__, cs))
+
 
 def _chosen_classes(ev: _EventData, kind: str, classes: Sequence[int]) -> frozenset:
     """The classes rule *kind* keeps out of *classes* on ev's event."""
@@ -424,6 +454,15 @@ class _Prefix(list):
         return self
 
 
+def _first_occurrences(keys):
+    """(position, key) of each distinct key of *keys* where it first occurs."""
+    seen = set()
+    for p, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            yield p, key
+
+
 #: the columns a row's first window holds; each further window is twice
 #: as wide, so a scan that fails early builds few column keys
 _WINDOW = 16
@@ -441,6 +480,25 @@ def _pair_at(k: int, ny: int, unordered: bool) -> tuple[int, int]:
         k -= ny - ci
         ci += 1
     return ci, ci + k
+
+
+def _by_rank(ranked: _Prefix, verdicts: _Memo, rk, lo: int, end: int):
+    """Row key *rk* over the columns lo..end - 1, judged against the
+    *ranked* column keys (first position, key) first seen before *end*:
+    True if all pass, (position, verdict) if the first that does not pass
+    fails and is first seen at lo or after, and None where the ranked keys
+    cannot tell (a skip, or a failure first seen before lo)."""
+    k = 0
+    while True:
+        if k == len(ranked) and k == len(ranked.upto(2 * k + 1)):
+            return True
+        p, ck = ranked[k]
+        if p >= end:
+            return True
+        v = verdicts[rk, ck]
+        if v[0] != "pass":
+            return (p, v) if v[0] == "fail" and p >= lo else None
+        k += 1
 
 
 class _Checker:
@@ -483,7 +541,9 @@ class _Checker:
         X | Y, so the whole block passes.  Otherwise an instance's verdict
         depends only on the class masks of its two offers, which are its row
         and column keys, and the rule runs once per class mask, an offer's
-        or a union's, as the scan reaches them.
+        or a union's, as the scan reaches them.  The distinct column keys
+        are ranked by their first positions without building the others
+        (`_EventData.ranked`).
         """
         ev = self.event_data(b)
         if ev.table is None:
@@ -506,7 +566,7 @@ class _Checker:
                 fails += ("N2",)
             return ("fail", fails) if fails else _PASS
 
-        return masks, masks, verdict
+        return masks, masks, verdict, _Prefix(ev.ranked(combos))
 
     def _judge_a(self, a: Event, b: Event, combos, eligz):
         """Shape (a): the rule on the composite gambles against xs alone.
@@ -517,7 +577,8 @@ class _Checker:
         only on the class mask of xs and the class of z, which are its row
         and column keys.  The local choice on xs is made once per class
         mask, and the composite table once per z class, as the scan reaches
-        them.
+        them.  The distinct column keys, the z classes, are ranked by
+        one pass over *eligz*.
         """
         ev1 = self.event_data(a & b)
         ev2 = self.event_data(a.complement() & b)
@@ -543,7 +604,8 @@ class _Checker:
             return _FAIL_N1
 
         zclasses = _Prefix(ev2.cls_of[i] for i in eligz)
-        return _Prefix(ev1.masks(combos)), zclasses, verdict
+        ranked = _Prefix(_first_occurrences(ev2.cls_of[i] for i in eligz))
+        return _Prefix(ev1.masks(combos)), zclasses, verdict, ranked
 
     def _me_row(
         self, ev1: _EventData, ev2: _EventData, full: OptionTable, zc: int
@@ -645,8 +707,12 @@ class _Checker:
 
         build(ci, cj) makes the instance.  judge is "skip" or "pass" when
         the whole block is settled at once, and otherwise (row keys, column
-        keys, verdict): an instance's verdict is verdict(row key, column
-        key).  The pipeline keys its instances by position.
+        keys, verdict, ranked): an instance's verdict is verdict(row key,
+        column key), and ranked holds (first position, key) of each distinct
+        column key in the order of those positions.  The pipeline keys its
+        instances by position, so it ranks nothing (ranked is None): ranked
+        positions would have a row judge, by building trees, the columns
+        before its start, none of which it holds.
         """
         pool = self.pool
         if shape == "b":
@@ -670,26 +736,32 @@ class _Checker:
                 _Prefix(range(len(rows))),
                 _Prefix(range(len(cols))),
                 lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj)),
+                None,
             ), build
         if shape == "b":
             return self._judge_b(b, rows), build
         return self._judge_a(a, b, rows, cols), build
 
     @staticmethod
-    def _windows(row_keys, col_keys, verdict, ny: int, unordered: bool, count: int):
+    def _windows(row_keys, col_keys, verdict, ranked, ny: int, unordered: bool, count: int):
         """A block's first *count* instances in plan order, judged by key.
 
-        Each row's columns are read in windows: the first holds every column
-        key built so far, and at least ``_WINDOW`` columns, and each next one
-        is twice as wide, so column keys are built only as far as the scan
-        reaches.  In a window, the distinct column keys are judged in the
-        order of their first position, each key pair once per block, up to
-        the first key that fails: its first position is the first failing
-        instance in plan order.  A row whose key already passed a whole row
-        with no skip holds a subset of that row's columns, so it passes
-        without reading a column key.  Yields, per window, (row, positions
-        of the passing columns, number of skipped columns, (column,
-        verdict) of the failure or None), and stops after a failure.
+        A row's key is judged against the ranked column keys, in the order
+        of their first positions, up to the row's end, each key pair once
+        per block.  If all pass, the row passes whole without reading a
+        column key; the first key that fails at or after the row's start
+        is first seen at the row's first failing instance in plan order.
+        A row whose key already passed a whole row with no skip holds a
+        subset of that row's columns, so it passes without judging again.
+        Where the ranked keys cannot tell (none are ranked, a key skips, or
+        a key first seen before the row's start fails), the row's columns
+        are read in windows: the first holds every column key built so
+        far, and at least ``_WINDOW`` columns, and each next one is twice as
+        wide.  In a window, the distinct column keys are judged in the order
+        of their first position, up to the first key that fails.  Yields,
+        per row or window, (row, positions of the passing columns, number of
+        skipped columns, (column, verdict) of the failure or None), and
+        stops after a failure.
         """
         verdicts = _Memo(lambda key: verdict(*key))
         clean = set()  # row keys that passed a whole row with no skip
@@ -699,8 +771,13 @@ class _Checker:
             end = lo + min(ny - lo, count)
             count -= end - lo
             rk = row_keys.upto(ci + 1)[ci]
-            if rk in clean:
-                yield ci, range(lo, end), 0, None
+            settled = rk in clean or ranked is not None and _by_rank(ranked, verdicts, rk, lo, end)
+            if settled:
+                fail = None if settled is True else settled
+                yield ci, range(lo, fail[0] if fail else end), 0, fail
+                if fail:
+                    return
+                clean.add(rk)
                 ci += 1
                 continue
             s, width, dirty = lo, _WINDOW, False

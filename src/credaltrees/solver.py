@@ -6,11 +6,11 @@ variants that a choice function keeps, off one strategy table: the one
 per-node thresholds), read by `_local_solutions`.  A tree is solved by
 reading its root's local solution off the table of the tree re-rooted on
 the conditioning event.  Strategies are handled by their positions in the
-table; only the ones a solution or a verdict returns are decoded into
-nodes.  Subtree perfectness at a node compares the restriction of the
-full solution with the node's local solution, as sets of positions.  A
-rule reads the same form of option in every command: member-sum vectors,
-value rows or gambles (`_chosen`).
+table; only the ones a solution returns, or a verdict's reader reads, are
+decoded into nodes.  Subtree perfectness at a node compares the
+restriction of the full solution with the node's local solution, as sets
+of positions.  A rule reads the same form of option in every command:
+member-sum vectors, value rows or gambles (`_chosen`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .choice import ChoiceFunction, OptionTable, _require_positive_mass
@@ -264,7 +264,6 @@ class Outcome(str, enum.Enum):
         return self.value
 
 
-@dataclass(eq=False, slots=True)
 class PerfectnessVerdict:
     """What happened at one node of the subtree perfectness scan.
 
@@ -274,13 +273,42 @@ class PerfectnessVerdict:
     probability zero under the model; that is reported rather than folded
     into hold or fail.  A check builds one record per node, so the record
     is a plain slotted one: it is not frozen, and compares by identity.
+
+    Each solution is a tuple of strategies, or a callable that decodes it:
+    a check passes callables (`_read_verdicts`), so a verdict whose
+    solutions nobody reads decodes nothing, and a solution is decoded at
+    its first read and kept.
     """
 
-    node_id: str
-    outcome: Outcome
-    restricted_solution: tuple[Strategy, ...]
-    local_solution: tuple[Strategy, ...]
-    detail: str = ""
+    __slots__ = ("node_id", "outcome", "_restricted", "_local", "detail")
+
+    def __init__(
+        self,
+        node_id: str,
+        outcome: Outcome,
+        restricted_solution: tuple[Strategy, ...] | Callable[[], tuple[Strategy, ...]],
+        local_solution: tuple[Strategy, ...] | Callable[[], tuple[Strategy, ...]],
+        detail: str = "",
+    ):
+        self.node_id = node_id
+        self.outcome = outcome
+        self._restricted = restricted_solution
+        self._local = local_solution
+        self.detail = detail
+
+    @property
+    def restricted_solution(self) -> tuple[Strategy, ...]:
+        """The distinct subtrees at the node of the full solution's strategies."""
+        if callable(self._restricted):
+            self._restricted = self._restricted()
+        return self._restricted
+
+    @property
+    def local_solution(self) -> tuple[Strategy, ...]:
+        """The solution of the subtree at the node, on the node's scope."""
+        if callable(self._local):
+            self._local = self._local()
+        return self._local
 
 
 def _filters_apply(tree: DecisionTree, members: Sequence) -> bool:
@@ -548,10 +576,12 @@ def _read_verdicts(
     The restriction at every node comes from one top-down walk from the
     root's local solution (`_reached_positions`).  A node that no solution
     strategy reaches gets a vacuous verdict at once, unsolved and
-    undecoded.  A posed node decodes its restriction once; on a hold, the
-    local solution is those same strategies in local order, and only a fail
-    decodes its local solution as well.  All decoding goes through one
-    decoder, so the verdicts' strategies share their nodes."""
+    undecoded.  The verdicts compare positions, and decode a solution only
+    when it is read (`PerfectnessVerdict`): a posed node's restriction
+    once; on a hold, the local solution is those same strategies in local
+    order, and only a fail decodes its local solution as well.  All
+    decoding goes through one decoder, so the verdicts' strategies share
+    their nodes."""
     local = _local_solutions(tree, choice, model, table)
     reached = _reached_positions(tree, tree.root, local(tree.root.node_id))
     decode = Decoder(tree)
@@ -561,19 +591,41 @@ def _read_verdicts(
         if not positions:
             verdicts.append(PerfectnessVerdict(nid, Outcome.VACUOUS_HOLD, (), ()))
             continue
-        restricted = decode.strategies(nid, positions)
+        restricted = _once(partial(decode.strategies, nid, positions))
         try:
             indices = local(nid)
         except ZeroProbabilityCondition as exc:
             verdicts.append(PerfectnessVerdict(nid, Outcome.ERROR, restricted, (), str(exc)))
             continue
         if positions.keys() == set(indices):
-            by_position = dict(zip(positions, restricted))
-            outcome, solution = Outcome.HOLD, tuple(map(by_position.__getitem__, indices))
+            outcome = Outcome.HOLD
+            solution = partial(_in_local_order, restricted, positions, indices)
         else:
-            outcome, solution = Outcome.FAIL, decode.strategies(nid, indices)
+            outcome, solution = Outcome.FAIL, partial(decode.strategies, nid, indices)
         verdicts.append(PerfectnessVerdict(nid, outcome, restricted, solution))
     return tuple(verdicts)
+
+
+def _once(f: Callable[[], tuple[Strategy, ...]]) -> Callable[[], tuple[Strategy, ...]]:
+    """*f*, called at the first call only: every call returns that value."""
+    kept = []
+
+    def once() -> tuple[Strategy, ...]:
+        if not kept:
+            kept.append(f())
+        return kept[0]
+
+    return once
+
+
+def _in_local_order(
+    restricted: Callable[[], tuple[Strategy, ...]],
+    positions: Iterable[int],
+    indices: Sequence[int],
+) -> tuple[Strategy, ...]:
+    """A hold's local solution: the strategies *restricted* decodes at
+    *positions*, taken at *indices*, the same positions in local order."""
+    return tuple(map(dict(zip(positions, restricted())).__getitem__, indices))
 
 
 def check_subtree_perfect_at(

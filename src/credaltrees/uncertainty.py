@@ -265,11 +265,12 @@ def _row_values(
 ) -> dict[str, list[tuple[Fraction, ...]]]:
     """``out[node_id][k]`` values ``table[node_id][k]``, where *table* is the
     assessed tree's `strategy_table`, whose keys put every child before its
-    parent, so one pass meets every child first.  A leaf gives its reward through
-    *reward_map* (a gamble leaf must be constant), a decision row its
-    child's value, and a chance row the arc-probability-weighted sum of its
-    children's values, in the table's product order.  Nothing is divided,
-    so conditioning events of probability zero do no harm.
+    parent, so one pass meets every child first.  A leaf gives its reward
+    through *reward_map* (a gamble leaf must be constant, or this raises
+    `ModeUnsupported`), a decision row its child's value, and a chance row
+    the arc-probability-weighted sum of its children's values, in the
+    table's product order.  Nothing is divided, so conditioning events of
+    probability zero do no harm.
     """
     out: dict[str, list[tuple[Fraction, ...]]] = {}
     for nid in table:
@@ -277,7 +278,14 @@ def _row_values(
         if isinstance(node, Leaf):
             out[nid] = [reward_map(node.reward)]
         elif isinstance(node, GambleLeaf):
-            out[nid] = [reward_map(node.gamble.constant_value_on(node.gamble.scope))]
+            try:
+                value = node.gamble.constant_value_on(node.gamble.scope)
+            except ValueError:
+                raise ModeUnsupported(
+                    f"gamble leaf {nid!r} is not constant on its scope: a factored"
+                    " assessment values constant leaves only"
+                ) from None
+            out[nid] = [reward_map(value)]
         elif isinstance(node, DecisionNode):
             out[nid] = [v for arc in node.arcs for v in out[arc.child.node_id]]
         else:

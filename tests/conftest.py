@@ -7,6 +7,7 @@ problem files (N1, N2, d1, A1, ...) so failures read naturally.
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from credaltrees import (
     validate_tree,
 )
 from credaltrees import canonical, solver
-from credaltrees.uncertainty import utility_values
+from credaltrees.uncertainty import expectation, utility_values
 
 
 def F(n, d=1):
@@ -572,6 +573,81 @@ def reference_eu(table, idx):
     vals = [table.vectors[j][0] for j in idx]
     top = max(vals)
     return [j for j, v in zip(idx, vals) if v == top]
+
+
+# --- references for the rules, from the gambles' expectations ---------------------
+
+
+def _expectations(xs, members, b):
+    """``out[j][m]``: option j's conditional expectation given b under member m."""
+    return [[expectation(p, x, b) for p in members] for x in xs]
+
+
+def _argmax_of(xs, values):
+    """The options whose value is the largest, in order, ties all kept."""
+    top = max(values)
+    return tuple(x for x, v in zip(xs, values) if v == top)
+
+
+def reference_maximin(xs, members, b):
+    """The options whose worst value on b is largest."""
+    return _argmax_of(xs, [min(x.values_on(b)) for x in xs])
+
+
+def reference_gamma_maximin(xs, members, b):
+    """The options whose lower expectation given b is largest."""
+    return _argmax_of(xs, [min(e) for e in _expectations(xs, members, b)])
+
+
+def reference_gamma_maximax(xs, members, b):
+    """The options whose upper expectation given b is largest."""
+    return _argmax_of(xs, [max(e) for e in _expectations(xs, members, b)])
+
+
+def reference_interval_dominance(xs, members, b):
+    """The options whose upper expectation reaches the largest lower one."""
+    e = _expectations(xs, members, b)
+    best = max(min(r) for r in e)
+    return tuple(x for x, r in zip(xs, e) if max(r) >= best)
+
+
+def reference_maximality(xs, members, b):
+    """The options that no option beats in expectation under every member."""
+    e = _expectations(xs, members, b)
+    return tuple(
+        x for x, r in zip(xs, e) if not any(all(map(operator.gt, s, r)) for s in e)
+    )
+
+
+def reference_pointwise_dominance(xs, members, b):
+    """The options that no option weakly beats everywhere on b, and strictly
+    somewhere."""
+    rows = [x.values_on(b) for x in xs]
+    return tuple(
+        x
+        for x, r in zip(xs, rows)
+        if not any(s != r and all(map(operator.ge, s, r)) for s in rows)
+    )
+
+
+def reference_e_admissible(xs, members, b):
+    """The options of largest expectation under some one member."""
+    e = _expectations(xs, members, b)
+    tops = [max(col) for col in zip(*e)]
+    return tuple(x for x, r in zip(xs, e) if any(map(operator.eq, r, tops)))
+
+
+#: rule kind -> its reference, (options, members, b) -> kept options; not
+#: hull E-admissibility, whose reference is an LP
+REFERENCE_RULES = {
+    "maximin": reference_maximin,
+    "gamma_maximin": reference_gamma_maximin,
+    "gamma_maximax": reference_gamma_maximax,
+    "interval_dominance": reference_interval_dominance,
+    "maximality": reference_maximality,
+    "pointwise_dominance": reference_pointwise_dominance,
+    "e_admissible": reference_e_admissible,
+}
 
 
 def reference_imprecise_utility(xs, model, b):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from credaltrees import (
 )
 
 from credaltrees import canonical
+from credaltrees import trees as trees_module
 from credaltrees.canonical import (
     _Checker,
     _chosen_classes,
@@ -41,7 +43,13 @@ from credaltrees.canonical import (
     all_events,
 )
 from credaltrees.choice import RULES, OptionTable
-from credaltrees.fuzz import FuzzConfig, fuzz_equivalence, gen_random_tree, harvest
+from credaltrees.fuzz import (
+    _REDUCTION_BUDGET,
+    FuzzConfig,
+    fuzz_equivalence,
+    gen_random_tree,
+    harvest,
+)
 
 from conftest import (
     build_maximin_failure,
@@ -321,6 +329,33 @@ def test_option_sets_unrank_in_plan_order():
                 combos[len(eager)]
 
 
+def _class_layouts(n):
+    """Every numbering of n eligible indices into classes, each class
+    numbered in order of its first index, as `_EventData` numbers them."""
+    if n == 0:
+        yield ()
+        return
+    for head in _class_layouts(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield (*head, c)
+
+
+def test_ranked_keys_are_the_first_occurrences_of_the_masks():
+    # A block's ranked column keys, each with its first position, are its
+    # distinct class masks in the order the option sets first give them.
+    for n in range(8):
+        elig = list(range(10, 10 + n))
+        for layout in _class_layouts(n):
+            ev = object.__new__(canonical._EventData)
+            ev.cls_of = dict(zip(elig, layout))
+            for bound in range(1, n + 2):
+                combos = _Combos(elig, bound)
+                first = {}
+                for p, mask in enumerate(ev.masks(combos)):
+                    first.setdefault(mask, p)
+                assert list(ev.ranked(combos)) == [(p, m) for m, p in first.items()]
+
+
 def _enumerated_total(sp, pool, limits) -> int:
     """The plan's instance count, with every option set built as a list."""
 
@@ -533,6 +568,54 @@ def test_bulk_verification_indexes_the_pairs_in_plan_order():
             for unordered in (False, True) if nx == ny else (False,):
                 pairs = list(pairs_in_plan_order(nx, ny, unordered))
                 assert pairs == [_pair_at(k, ny, unordered) for k in range(len(pairs))]
+
+
+def test_windows_judge_as_the_instances_do_one_by_one():
+    # _windows on synthetic blocks, against judging each instance in plan
+    # order: random keys, and a random verdict per key pair, skips included.
+    # The verdicts need not be symmetric, as a shape (b) block's are, so a
+    # later row's key can fail against a key first seen before the row's
+    # start; with no ranked keys, every row is read in windows.
+    rng = random.Random(0)
+    outcomes = {"pass": canonical._PASS, "skip": canonical._SKIP, "fail": canonical._FAIL_N1}
+    for _ in range(3000):
+        ny = rng.randint(1, 40)
+        unordered = rng.random() < 0.5
+        nx = ny if unordered else rng.randint(1, 6)
+        keys = range(rng.randint(1, 5))
+        rows = [rng.choice(keys) for _ in range(nx)]
+        cols = rows if unordered else [rng.choice(keys) for _ in range(ny)]
+        weights = (40, rng.randint(0, 2), rng.randint(0, 3))
+        table = {
+            pair: outcomes[rng.choices(("pass", "fail", "skip"), weights)[0]]
+            for pair in itertools.product(keys, keys)
+        }
+        pairs = list(pairs_in_plan_order(nx, ny, unordered))
+        count = rng.randint(1, len(pairs))
+        want_passed, want_skipped, want_fail = [], 0, None
+        for ci, cj in pairs[:count]:
+            v = table[rows[ci], cols[cj]]
+            if v[0] == "fail":
+                want_fail = (ci, cj)
+                break
+            if v[0] == "skip":
+                want_skipped += 1
+            else:
+                want_passed.append((ci, cj))
+        ranked = list(canonical._first_occurrences(cols))
+        for by_rank in (canonical._Prefix(ranked), None):
+            got_passed, got_skipped, got_fail = [], 0, None
+            windows = _Checker._windows(
+                canonical._Prefix(rows), canonical._Prefix(cols),
+                lambda rk, ck: table[rk, ck], by_rank, ny, unordered, count,
+            )
+            for ci, passed, nskip, fail in windows:
+                got_passed += [(ci, cj) for cj in passed]
+                got_skipped += nskip
+                if fail:
+                    got_fail = (ci, fail[0])
+                    assert fail[1] == canonical._FAIL_N1
+            assert (got_passed, got_skipped, got_fail) == (want_passed, want_skipped, want_fail)
 
 
 def test_bulk_passes_verify_each_instance_once(monkeypatch, w2):
@@ -797,6 +880,49 @@ def test_grouped_scan_matches_the_per_instance_reference(sampler):
         assert "skips between verifications" in seen, seen
 
 
+def reduction_scan_check(seeds, samplers=("credal:2", "hierarchical:2")):
+    """(scans, differences) of `check_canonical` against `reference_scan`
+    on fuzz reductions: every failing tree of ``FuzzConfig(seed,
+    tree_count=4)`` for each of *seeds* and *samplers*, under every rule but
+    ``eu``, harvested at its first failing node and limited as
+    `fuzz_equivalence` reduces it, with the marginal extension filter off
+    and on.  A difference is (sampler, seed, rule, filter, got, want)."""
+    scans, differences = 0, []
+    for sampler in samplers:
+        for seed in seeds:
+            cfg = FuzzConfig(seed=seed, tree_count=4, model_sampler=sampler)
+            trees = [gen_random_tree(cfg, index) for index in range(cfg.tree_count)]
+            for kind in RULES:
+                if kind == "eu":
+                    continue
+                choice = ChoiceFunction(kind)
+                for tree, model in trees:
+                    verdicts = check_subtree_perfect(tree, choice, model)
+                    fails = [v.node_id for v in verdicts if v.outcome is Outcome.FAIL]
+                    if not fails:
+                        continue
+                    pool, events, _ = harvest(tree, fails[0])
+                    for filtered in (False, True):
+                        limits = CanonicalLimits(
+                            shapes=("b", "a"), events_a=events, events_b=events,
+                            max_instances=_REDUCTION_BUDGET, verify_sample=4,
+                            require_marginal_extension=filtered,
+                        )
+                        args = (choice, model, tree.space, pool, limits)
+                        want = _fields(reference_scan, *args)
+                        got = _fields(check_canonical, *args)
+                        scans += 1
+                        if got != want:
+                            differences.append((sampler, seed, kind, filtered, got, want))
+    return scans, differences
+
+
+def test_fuzz_reductions_match_the_per_instance_reference():
+    # Two seeds here; the CI workflow runs seeds 0 to 9.
+    scans, differences = reduction_scan_check(range(2))
+    assert scans and not differences
+
+
 @pytest.mark.parametrize(
     "seed, kind, shapes, marginal_extension",
     [
@@ -879,14 +1005,14 @@ def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
             out = judge(self, *args)
             if not isinstance(out, tuple):
                 return out
-            rows, cols, verdict = out
+            rows, cols, verdict, ranked = out
             block = object()
 
             def counted(rk, ck):
                 calls[block, rk, ck] += 1
                 return verdict(rk, ck)
 
-            return rows, cols, counted
+            return rows, cols, counted, ranked
 
         return wrapped
 
@@ -904,24 +1030,53 @@ def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
 def test_a_passing_scan_reads_columns_once_per_row_key(monkeypatch):
     # The same reduction examines its 40,000 instances in the first 28 rows
     # of one block of 1,470 columns, and those rows hold 14 distinct keys.
-    # A row whose key has passed a whole row already passes without reading
-    # a column key, so the scan reads at most 14 * 1,470 of them.
+    # A new row key is judged against the block's ranked column keys and
+    # passes whole, and a row whose key has passed a whole row already
+    # passes unjudged, so no column key is read: the only class masks built
+    # are the keys of the rows read.
     read = []
     row_keys = set()
+    built = []
+    masks = canonical._EventData.masks
+
+    def counting_masks(self, combos):
+        for mask in masks(self, combos):
+            built.append(mask)
+            yield mask
 
     class Counting(canonical._Prefix):
         def __getitem__(self, k):
             out = super().__getitem__(k)
             if isinstance(k, slice):
                 read.append(len(out))
-            else:
+            elif isinstance(out, int):  # not a ranked (position, key) pair
                 row_keys.add(out)
             return out
 
+    monkeypatch.setattr(canonical._EventData, "masks", counting_masks)
     monkeypatch.setattr(canonical, "_Prefix", Counting)
     cfg = FuzzConfig(seed=4, tree_count=1, model_sampler="credal:2")
     report = fuzz_equivalence(ChoiceFunction("interval_dominance"), None, cfg)
     reduction = report.records[0].reduction
     assert reduction.passed and reduction.instances_examined == 40000
     assert len(row_keys) == 14
-    assert sum(read) <= len(row_keys) * 1470
+    assert not read
+    assert len(built) <= 28
+
+
+def test_a_failing_fuzz_run_decodes_no_strategy(monkeypatch):
+    # fuzz_equivalence and the pipeline verifications of its reduction read
+    # only each verdict's node id and outcome, so no strategy is decoded.
+    decoded = []
+    real = trees_module.Decoder.strategies
+
+    def spy(self, node_id, positions):
+        decoded.append(node_id)
+        return real(self, node_id, positions)
+
+    monkeypatch.setattr(trees_module.Decoder, "strategies", spy)
+    cfg = FuzzConfig(seed=3, tree_count=1, model_sampler="credal:2")
+    report = fuzz_equivalence(ChoiceFunction("interval_dominance"), None, cfg)
+    reduction = report.records[0].reduction
+    assert not reduction.passed and reduction.instances_verified
+    assert decoded == []

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 import re
 from fractions import Fraction
 
@@ -33,7 +34,14 @@ from credaltrees import (
 from credaltrees.choice import MODEL_FREE, RULES, OptionTable
 from credaltrees.trees import scaled
 
-from conftest import dominance_pools, label_pools, reference_eu, reference_imprecise_utility
+from conftest import (
+    REFERENCE_RULES,
+    dominance_pools,
+    label_pools,
+    reference_e_admissible,
+    reference_eu,
+    reference_imprecise_utility,
+)
 
 
 @pytest.fixture
@@ -403,6 +411,49 @@ def test_inequality_rows_decide_as_equalities_with_surplus_variables(ges):
     surplus = [(a + [-(i == j) for j in range(m)], b) for i, (a, b) in enumerate(ges)]
     lifted = ratlp.feasible(k + m, eqs=[([1] * k + [0] * m, 1)] + surplus)
     assert direct == lifted
+
+
+def random_choices(seed):
+    """(options, b, members) drawn from *seed*: 2 to 4 atoms, values in -2..2
+    so that ties are common, some options repeated, and 2 or 3 members with
+    positive masses."""
+    rng = random.Random(seed)
+    sp = PossibilitySpace(tuple(f"w{i}" for i in range(rng.randint(2, 4))))
+    b = sp.event(a for a in sp.atoms if rng.random() < 0.7)
+    if b.is_empty:
+        b = sp.omega()
+    xs = []
+    for _ in range(rng.randint(1, 6)):
+        if xs and rng.random() < 0.25:
+            xs.append(rng.choice(xs))
+        else:
+            xs.append(g(sp, *(rng.randint(-2, 2) for _ in sp.atoms)))
+
+    def member():
+        weights = [rng.randint(1, 3) for _ in sp.atoms]
+        return MassFunction(sp, tuple(Fraction(w, sum(weights)) for w in weights))
+
+    return xs, b, [member() for _ in range(rng.randint(2, 3))]
+
+
+def test_rules_match_their_references_from_expectations():
+    # Each rule against its definition over the options' conditional
+    # expectations (conftest's REFERENCE_RULES), ties and equal options
+    # included: under a credal model of the drawn members, and under the
+    # joint model of the first for the rules that accept one, where
+    # expected utility is E-admissibility under that one member.
+    for seed in range(400):
+        xs, b, members = random_choices(seed)
+        credal = CredalModel(CredalSet(tuple(members)))
+        for kind, reference in REFERENCE_RULES.items():
+            got = ChoiceFunction(kind).choose(xs, credal, b)
+            assert got == reference(xs, members, b), (seed, kind)
+        joint = JointModel(members[0])
+        for kind in MODEL_FREE:
+            got = ChoiceFunction(kind).choose(xs, joint, b)
+            assert got == REFERENCE_RULES[kind](xs, (), b), (seed, kind)
+        got = ChoiceFunction("eu").choose(xs, joint, b)
+        assert got == reference_e_admissible(xs, members[:1], b), (seed, "eu")
 
 
 @given(dominance_pools())

@@ -374,7 +374,8 @@ FILE_REFUSALS = {
     ),
     "factored-non-constant-gamble": (
         gamble_doc({"w1": 1, "w2": 0}), factored({}), "eu",
-        "error: gamble is not constant on the event",
+        "error: gamble leaf 'G' is not constant on its scope: a factored assessment"
+        " values constant leaves only",
     ),
     "utilities-without-chance-part": (
         chance_doc({"label": "r1"}, {"label": "r2"}),

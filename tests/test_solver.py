@@ -823,10 +823,11 @@ CHECK_SYNTH_RULES = (
 
 
 def test_check_decodes_each_posed_node_once_and_a_failing_one_twice(monkeypatch):
-    # A vacuous verdict decodes nothing.  A hold or an error decodes its
-    # restriction alone, and a hold's local solution is the same strategies
-    # in local order; only a fail decodes its local solution as well.  A
-    # joint model null on half the atoms gives error verdicts.
+    # A check decodes nothing until a solution is read.  Then a vacuous
+    # verdict decodes nothing, a hold or an error decodes its restriction
+    # alone, and a hold's local solution is the same strategies in local
+    # order; only a fail decodes its local solution as well.  A joint model
+    # null on half the atoms gives error verdicts.
     tree, model = build_alternating(seed=23)
     joint = JointModel(model.credal.members[0])
     half = tuple(Fraction(1, 4) if i < 4 else Fraction(0) for i in range(8))
@@ -845,11 +846,14 @@ def test_check_decodes_each_posed_node_once_and_a_failing_one_twice(monkeypatch)
     for kind, m in runs:
         decoded.clear()
         verdicts = check_subtree_perfect(tree, ChoiceFunction(kind), m)
+        assert not decoded, kind
+        solutions = [(v.restricted_solution, v.local_solution) for v in verdicts]
         per_node = Counter(decoded)
-        for v in verdicts:
+        for v, (restricted, local) in zip(verdicts, solutions):
             assert per_node[v.node_id] == calls[v.outcome], (kind, v.node_id)
             if v.outcome is Outcome.HOLD:
-                assert {id(s) for s in v.local_solution} == {id(s) for s in v.restricted_solution}
+                assert {id(s) for s in local} == {id(s) for s in restricted}
+            assert v.restricted_solution is restricted and v.local_solution is local
         assert len(decoded) == sum(calls[v.outcome] for v in verdicts)
         seen.update(v.outcome for v in verdicts)
     assert seen == set(Outcome)

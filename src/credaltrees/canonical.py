@@ -19,11 +19,12 @@ rules of ``choice`` to per-event tables of the distinct pool gambles instead
 of building trees, judges the instances that share a key (their classes of
 distinct gambles) once, and settles whole blocks of instances at once where
 the algebra decides them.  A block's distinct column keys are ranked by the
-position where each first occurs, without building the others, so a row
-whose key passes every ranked key passes whole.  A deterministic sample of
-instances, bulk-settled ones included, and every reported counterexample
-are re-run through the actual tree pipeline, and any disagreement raises
-immediately.
+position where each first occurs, without building the others, and every
+row is judged by its key against them, once per block: a row whose key
+passes every ranked key passes whole, and only a row where some key skips
+reads its column keys.  A deterministic sample of instances, bulk-settled
+ones included, and every reported counterexample are re-run through the
+actual tree pipeline, and any disagreement raises immediately.
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ class CanonicalLimits:
     exhaustive; otherwise the scan stops after the first ``max_instances``
     instances in plan order (shapes in the given order, then events, then
     options), which suits pools and events ordered by relevance.
+    ``shapes`` names each scanned shape once.  About ``verify_sample``
+    examined instances, evenly spaced, are re-run through the tree pipeline.
     ``require_marginal_extension`` skips shape (a) instances on which the
     model's lower expectation fails the two-stage decomposition identity;
     that is the hypothesis under which the one-value rules are expected to
@@ -194,10 +197,14 @@ class CanonicalLimits:
         for s in self.shapes:
             if s not in ("a", "b"):
                 raise ValueError(f"unknown shape {s!r}")
+        if not self.shapes or len(set(self.shapes)) < len(self.shapes):
+            raise ValueError("the shapes must be one or both of 'a' and 'b', each once")
         if self.max_options < 1:
             raise ValueError("the option count bound must be at least 1")
         if self.max_instances is not None and self.max_instances < 1:
             raise ValueError("the instance budget must be at least 1")
+        if self.verify_sample < 1:
+            raise ValueError("the verification sample must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,11 +470,6 @@ def _first_occurrences(keys):
             yield p, key
 
 
-#: the columns a row's first window holds; each further window is twice
-#: as wide, so a scan that fails early builds few column keys
-_WINDOW = 16
-
-
 def _pair_at(k: int, ny: int, unordered: bool) -> tuple[int, int]:
     """A block's k-th (row, column) pair in plan order.
 
@@ -482,23 +484,41 @@ def _pair_at(k: int, ny: int, unordered: bool) -> tuple[int, int]:
     return ci, ci + k
 
 
-def _by_rank(ranked: _Prefix, verdicts: _Memo, rk, lo: int, end: int):
-    """Row key *rk* over the columns lo..end - 1, judged against the
-    *ranked* column keys (first position, key) first seen before *end*:
-    True if all pass, (position, verdict) if the first that does not pass
-    fails and is first seen at lo or after, and None where the ranked keys
-    cannot tell (a skip, or a failure first seen before lo)."""
-    k = 0
-    while True:
-        if k == len(ranked) and k == len(ranked.upto(2 * k + 1)):
-            return True
+def _by_rank(ranked: _Prefix, verdict, rk, k: int, end: int):
+    """Row key *rk* judged against the *ranked* column keys (first position,
+    key), from the k-th up to the first one first seen at *end* or after:
+    (the keys that skip, (position, verdict) of the first key that fails or
+    None).
+
+    The caller passes as k the count of keys first seen before the row's
+    start, 0 in an ordered block.  A row of an unordered block may hold
+    such keys too, and they pass:
+
+    * the pipeline keys an instance by its positions, so the row holds
+      none of them;
+    * shape (b)'s verdict fails for (X, Y) exactly when it fails for
+      (Y, X), with N1 and N2 swapped, and never skips (`_Checker._judge_b`).
+      Its rows and columns are the same option sets, so a key Y first seen
+      at q, before the start of row X, is the key of row q, which holds the
+      column of row X.  Row q was scanned whole and passed, (Y, X) among
+      its instances, so (X, Y) passes.
+
+    So every key that can fail in the row is ranked from the k-th on, and
+    the first ranked key that fails is first seen at the row's first
+    failing instance.
+    """
+    skips = set()
+    while k < len(ranked) or k < len(ranked.upto(2 * k + 1)):
         p, ck = ranked[k]
         if p >= end:
-            return True
-        v = verdicts[rk, ck]
-        if v[0] != "pass":
-            return (p, v) if v[0] == "fail" and p >= lo else None
+            break
+        v = verdict(rk, ck)
+        if v[0] == "fail":
+            return skips, (p, v)
+        if v[0] == "skip":
+            skips.add(ck)
         k += 1
+    return skips, None
 
 
 class _Checker:
@@ -710,9 +730,7 @@ class _Checker:
         keys, verdict, ranked): an instance's verdict is verdict(row key,
         column key), and ranked holds (first position, key) of each distinct
         column key in the order of those positions.  The pipeline keys its
-        instances by position, so it ranks nothing (ranked is None): ranked
-        positions would have a row judge, by building trees, the columns
-        before its start, none of which it holds.
+        instances by their positions, each its own first position.
         """
         pool = self.pool
         if shape == "b":
@@ -736,74 +754,46 @@ class _Checker:
                 _Prefix(range(len(rows))),
                 _Prefix(range(len(cols))),
                 lambda ci, cj: _pipeline_verdict(self.choice, self.model, build(ci, cj)),
-                None,
+                _Prefix(enumerate(range(len(cols)))),
             ), build
         if shape == "b":
             return self._judge_b(b, rows), build
         return self._judge_a(a, b, rows, cols), build
 
     @staticmethod
-    def _windows(row_keys, col_keys, verdict, ranked, ny: int, unordered: bool, count: int):
+    def _rows(row_keys, col_keys, verdict, ranked, ny: int, unordered: bool, count: int):
         """A block's first *count* instances in plan order, judged by key.
 
-        A row's key is judged against the ranked column keys, in the order
-        of their first positions, up to the row's end, each key pair once
-        per block.  If all pass, the row passes whole without reading a
-        column key; the first key that fails at or after the row's start
-        is first seen at the row's first failing instance in plan order.
-        A row whose key already passed a whole row with no skip holds a
-        subset of that row's columns, so it passes without judging again.
-        Where the ranked keys cannot tell (none are ranked, a key skips, or
-        a key first seen before the row's start fails), the row's columns
-        are read in windows: the first holds every column key built so
-        far, and at least ``_WINDOW`` columns, and each next one is twice as
-        wide.  In a window, the distinct column keys are judged in the order
-        of their first position, up to the first key that fails.  Yields,
-        per row or window, (row, positions of the passing columns, number of
-        skipped columns, (column, verdict) of the failure or None), and
-        stops after a failure.
+        Each row key is judged once per block, against the ranked column
+        keys first seen from the row's start up to its end (`_by_rank`).
+        A later row with the same key holds a subset of that row's columns,
+        so it is settled by the keys that skipped there.  Only a row where
+        some key skips reads its column keys, to list the passing positions.  Yields, per row, (row, positions of the passing
+        columns, number of skipped columns, (column, verdict) of the failure
+        or None), and stops after a failure.
         """
-        verdicts = _Memo(lambda key: verdict(*key))
-        clean = set()  # row keys that passed a whole row with no skip
-        ci = 0
+        skipping = {}  # row key that did not fail -> its column keys that skip
+        ci = k = 0  # k: the ranked keys first seen before row ci's start
         while count:
             lo = ci if unordered else 0
             end = lo + min(ny - lo, count)
             count -= end - lo
             rk = row_keys.upto(ci + 1)[ci]
-            settled = rk in clean or ranked is not None and _by_rank(ranked, verdicts, rk, lo, end)
-            if settled:
-                fail = None if settled is True else settled
-                yield ci, range(lo, fail[0] if fail else end), 0, fail
-                if fail:
-                    return
-                clean.add(rk)
-                ci += 1
-                continue
-            s, width, dirty = lo, _WINDOW, False
-            while s < end:
-                e = min(end, s + max(width, len(col_keys) - s))
-                seg = col_keys.upto(e)[s:e]
-                skips = set()
-                fail = None
-                for ck in dict.fromkeys(seg):
-                    v = verdicts[rk, ck]
-                    if v[0] == "fail":
-                        e = s + seg.index(ck)
-                        fail = (e, v)
-                        break
-                    if v[0] == "skip":
-                        skips.add(ck)
-                if skips:
-                    passed = [p for p, ck in enumerate(seg[: e - s], s) if ck not in skips]
-                else:
-                    passed = range(s, e)
-                yield ci, passed, e - s - len(passed), fail
-                if fail:
-                    return
-                s, width, dirty = e, 2 * width, dirty or bool(skips)
-            if not dirty:
-                clean.add(rk)
+            fail = None
+            if rk not in skipping:
+                while k < len(ranked.upto(k + 1)) and ranked[k][0] < lo:
+                    k += 1
+                skipping[rk], fail = _by_rank(ranked, verdict, rk, k, end)
+            stop = fail[0] if fail else end
+            skips = skipping[rk]
+            if skips:
+                keys = col_keys.upto(stop)[lo:stop]
+                passed = [p for p, ck in enumerate(keys, lo) if ck not in skips]
+            else:
+                passed = range(lo, stop)
+            yield ci, passed, stop - lo - len(passed), fail
+            if fail:
+                return
             ci += 1
 
     def run(self) -> CanonicalReport:
@@ -813,7 +803,7 @@ class _Checker:
         budget = total if lim.max_instances is None else min(total, lim.max_instances)
         # fast verdicts are re-run through the pipeline at this cadence, and
         # every fast counterexample before it is reported
-        vstride = max(1, budget // max(1, lim.verify_sample))
+        vstride = max(1, budget // lim.verify_sample)
 
         examined = skipped = verified = 0
         next_verify = 1  # examined-counts at which a pipeline check runs
@@ -837,8 +827,7 @@ class _Checker:
                     verified += 1
                     next_verify += vstride
             else:
-                windows = self._windows(*judge, len(cols), unordered, count)
-                for ci, passed, nskip, fail in windows:
+                for ci, passed, nskip, fail in self._rows(*judge, len(cols), unordered, count):
                     skipped += nskip
                     start = examined
                     examined += len(passed)

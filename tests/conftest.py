@@ -849,7 +849,7 @@ def reference_scan(choice, model, space, pool, limits=None):
     lim = checker.limits
     blocks, total = checker._plan()
     budget = total if lim.max_instances is None else min(total, lim.max_instances)
-    vstride = max(1, budget // max(1, lim.verify_sample))
+    vstride = max(1, budget // lim.verify_sample)
 
     def key_of(ev, combo):
         return canonical._mask(ev.cls_of[i] for i in combo)

@@ -570,52 +570,138 @@ def test_bulk_verification_indexes_the_pairs_in_plan_order():
                 assert pairs == [_pair_at(k, ny, unordered) for k in range(len(pairs))]
 
 
-def test_windows_judge_as_the_instances_do_one_by_one():
-    # _windows on synthetic blocks, against judging each instance in plan
-    # order: random keys, and a random verdict per key pair, skips included.
-    # The verdicts need not be symmetric, as a shape (b) block's are, so a
-    # later row's key can fail against a key first seen before the row's
-    # start; with no ranked keys, every row is read in windows.
-    rng = random.Random(0)
-    outcomes = {"pass": canonical._PASS, "skip": canonical._SKIP, "fail": canonical._FAIL_N1}
-    for _ in range(3000):
-        ny = rng.randint(1, 40)
-        unordered = rng.random() < 0.5
-        nx = ny if unordered else rng.randint(1, 6)
+_SWAP = {"N1": "N2", "N2": "N1"}
+
+
+def _swapped(verdict):
+    """A verdict with its failing nodes N1 and N2 exchanged."""
+    return verdict[0], tuple(sorted(_SWAP[n] for n in verdict[1]))
+
+
+def _synthetic_block(rng, kind):
+    """(row keys, column keys, verdict table, unordered) of a random block of
+    one of the three kinds a scan judges by key: "ordered" (shape (a)), with
+    any verdicts, skips included; "symmetric" (shape (b)), unordered with
+    repeated keys and verdicts that fail for (X, Y) exactly when they fail
+    for (Y, X), N1 and N2 swapped, and never skip; "positions" (the
+    pipeline's), unordered with each instance keyed by its positions, with
+    any verdicts."""
+    ny = rng.randint(1, 40)
+    if kind == "positions":
+        rows = cols = range(ny)
+    else:
         keys = range(rng.randint(1, 5))
-        rows = [rng.choice(keys) for _ in range(nx)]
-        cols = rows if unordered else [rng.choice(keys) for _ in range(ny)]
-        weights = (40, rng.randint(0, 2), rng.randint(0, 3))
-        table = {
-            pair: outcomes[rng.choices(("pass", "fail", "skip"), weights)[0]]
-            for pair in itertools.product(keys, keys)
-        }
-        pairs = list(pairs_in_plan_order(nx, ny, unordered))
+        rows = [rng.choice(keys) for _ in range(ny if kind == "symmetric" else rng.randint(1, 6))]
+        cols = rows if kind == "symmetric" else [rng.choice(keys) for _ in range(ny)]
+    keys = sorted({*rows, *cols})
+    fail = 0 if rng.random() < 0.3 else rng.randint(1, 2)
+    skip = 0 if kind == "symmetric" else rng.randint(0, 3)
+    fails = (canonical._FAIL_N1, ("fail", ("N2",)), ("fail", ("N1", "N2")))
+    table = {}
+    for x, y in itertools.product(keys, keys):
+        outcome = rng.choices(("pass", "fail", "skip"), (40, fail, skip))[0]
+        table[x, y] = {"pass": canonical._PASS, "skip": canonical._SKIP}.get(outcome) or rng.choice(fails)
+    if kind == "symmetric":
+        for x, y in itertools.combinations_with_replacement(keys, 2):
+            if x == y and table[x, x][0] == "fail":
+                table[x, x] = ("fail", ("N1", "N2"))
+            table[y, x] = _swapped(table[x, y])
+    return rows, cols, table, kind != "ordered"
+
+
+def test_rows_judge_as_the_instances_do_one_by_one():
+    # _rows on synthetic blocks of each kind, against judging each instance
+    # in plan order, and each key pair judged at most once.  An unordered
+    # block with repeated keys and asymmetric verdicts is left out: a scan
+    # never meets one, and a row that starts judging at its own start can
+    # miss a key of such a block that fails against a key seen before.
+    rng = random.Random(0)
+    for trial in range(3000):
+        rows, cols, table, unordered = _synthetic_block(
+            rng, ("ordered", "symmetric", "positions")[trial % 3]
+        )
+        pairs = list(pairs_in_plan_order(len(rows), len(cols), unordered))
         count = rng.randint(1, len(pairs))
         want_passed, want_skipped, want_fail = [], 0, None
         for ci, cj in pairs[:count]:
             v = table[rows[ci], cols[cj]]
             if v[0] == "fail":
-                want_fail = (ci, cj)
+                want_fail = (ci, cj, v)
                 break
             if v[0] == "skip":
                 want_skipped += 1
             else:
                 want_passed.append((ci, cj))
-        ranked = list(canonical._first_occurrences(cols))
-        for by_rank in (canonical._Prefix(ranked), None):
-            got_passed, got_skipped, got_fail = [], 0, None
-            windows = _Checker._windows(
-                canonical._Prefix(rows), canonical._Prefix(cols),
-                lambda rk, ck: table[rk, ck], by_rank, ny, unordered, count,
+        judged = collections.Counter()
+
+        def verdict(rk, ck):
+            judged[rk, ck] += 1
+            return table[rk, ck]
+
+        got_passed, got_skipped, got_fail = [], 0, None
+        for ci, passed, nskip, fail in _Checker._rows(
+            canonical._Prefix(rows), canonical._Prefix(cols), verdict,
+            canonical._Prefix(canonical._first_occurrences(cols)), len(cols), unordered, count,
+        ):
+            got_passed += [(ci, cj) for cj in passed]
+            got_skipped += nskip
+            if fail:
+                got_fail = (ci, *fail)
+        assert (got_passed, got_skipped, got_fail) == (want_passed, want_skipped, want_fail)
+        assert max(judged.values()) == 1
+
+
+def _synthetic_pools(count):
+    """(space, credal model, pool, events) of *count* seeded problems: a 2- or
+    3-atom space, two or three members, four or five small integer gambles."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(count):
+        sp = PossibilitySpace(tuple(f"w{i}" for i in range(rng.randint(2, 3))))
+
+        def member():
+            weights = [rng.randint(1, 9) for _ in sp.atoms]
+            return MassFunction.from_mapping(
+                sp, {a: Fraction(w, sum(weights)) for a, w in zip(sp.atoms, weights)}
             )
-            for ci, passed, nskip, fail in windows:
-                got_passed += [(ci, cj) for cj in passed]
-                got_skipped += nskip
-                if fail:
-                    got_fail = (ci, fail[0])
-                    assert fail[1] == canonical._FAIL_N1
-            assert (got_passed, got_skipped, got_fail) == (want_passed, want_skipped, want_fail)
+
+        credal = CredalSet(tuple(member() for _ in range(rng.randint(2, 3))))
+        pool = [g(sp, *(rng.randint(-4, 8) for _ in sp.atoms)) for _ in range(rng.randint(4, 5))]
+        out.append((sp, CredalModel(credal), pool, all_events(sp)))
+    return out
+
+
+def test_shape_b_verdicts_are_symmetric_and_never_skip():
+    # The argument by which a row of a shape (b) block skips the keys first
+    # seen before its start (`canonical._by_rank`): for every rule that is
+    # not value-based, the verdict of (X, Y) is that of (Y, X) with N1 and
+    # N2 swapped, and never a skip.  Checked on every key pair of every
+    # shape (b) block of seeded pools (up to three options) and of the fuzz
+    # harvests (up to two, which bounds their keys to a few hundred).  A
+    # `_judge_b` that drops its N2 test fails this.
+    problems = [(3, p) for p in _synthetic_pools(12)]
+    problems += [(2, h) for sampler in _SAMPLERS for h in _harvested(sampler, seed=5, count=2)]
+    seen = collections.Counter()
+    for bound, (sp, model, pool, events) in problems:
+        limits = CanonicalLimits(max_options=bound, shapes=("b",), events_b=events)
+        for kind in RULES:
+            checker = _Checker(ChoiceFunction(kind), model, sp, pool, limits)
+            if checker.choice.is_value_based or not checker.fast:
+                continue
+            for _, _, b, rows, _, _, _ in checker._plan()[0]:
+                judge = checker._judge_b(b, rows)
+                if judge == "skip":
+                    continue
+                verdict = judge[2]
+                keys = [key for _, key in judge[3].upto(len(rows))]
+                for x, y in itertools.combinations_with_replacement(keys, 2):
+                    xy = verdict(x, y)
+                    assert xy[0] != "skip" and xy == _swapped(verdict(y, x)), (kind, x, y)
+                    seen[kind, xy] += 1
+    for kind in RULES:
+        if not ChoiceFunction(kind).is_value_based:
+            assert seen[kind, canonical._PASS], kind
+    assert {v for _, v in seen} >= {("fail", ("N1",)), ("fail", ("N2",))}
 
 
 def test_bulk_passes_verify_each_instance_once(monkeypatch, w2):
@@ -832,7 +918,7 @@ _SAMPLERS = ("joint", "credal:2", "factored", "hierarchical:2")
 def _limit_sets(events):
     """The fuzz reduction's limits and variants: smaller option bounds,
     shape (a) first, the marginal extension filter, and budgets that stop
-    inside a row's first and later windows."""
+    inside a block's first and later rows."""
     return (
         CanonicalLimits(shapes=("b", "a"), events_a=events, events_b=events,
                         max_instances=3000, verify_sample=4),
@@ -931,16 +1017,16 @@ def test_fuzz_reductions_match_the_per_instance_reference():
         (5, "interval_dominance", ("b", "a"), False),  # passes
         (3, "interval_dominance", ("a", "b"), True),  # fails at instance 200
         (3, "gamma_maximin", ("a", "b"), True),  # passes, skipping 3 in 4
-        # fails at instance 55, in a window where a higher class mask
-        # fails first
+        # fails at instance 55, in a row where a higher class mask fails
+        # first
         (7, "pointwise_dominance", ("b", "a"), False),
     ],
 )
 def test_grouped_scan_matches_the_reference_at_every_budget(
     seed, kind, shapes, marginal_extension
 ):
-    # Budgets from 1 up cut the first row at every column, inside and at
-    # the edges of its first windows, and then later rows and blocks.
+    # Budgets from 1 up cut the first row at every column, and then later
+    # rows and blocks, inside and at their edges.
     (sp, model, pool, events), = _harvested("credal:2", seed=seed, count=1)
     choice = ChoiceFunction(kind)
     budgets = [*range(1, 36), 47, 48, 49, 111, 112, 113, 199, 200, 201, 241, 1009]
@@ -954,14 +1040,33 @@ def test_grouped_scan_matches_the_reference_at_every_budget(
         assert _fields(check_canonical, choice, model, sp, pool, limits) == want
 
 
-def test_a_row_key_that_skips_past_its_first_window_is_judged_again():
+def test_a_row_key_that_skips_is_judged_once_per_block(monkeypatch):
     # In this harvest a shape (a) block of 19 columns opens with a row that
-    # skips columns past its first window of 16 only, and the next row has
-    # the same key.  Only a whole row without a skip settles a key, so the
-    # next row's skips are counted again.
+    # skips some of its columns, and later rows have the same key.  Each
+    # (block, row key) reaches `_by_rank` once; the later rows are settled
+    # by the column keys that skipped there, and count the same skips.
     (sp, model, pool, events), = _harvested("hierarchical:2", seed=68, count=1)
     limits = CanonicalLimits(max_options=1, shapes=("a",), events_a=events, events_b=events,
                              verify_sample=4, require_marginal_extension=True)
+    judged = collections.Counter()
+    blocks = {}  # id -> ranked keys of a block, held so that no id is reused
+    by_rank, rows = canonical._by_rank, _Checker._rows
+    skipping = {"judged": 0, "rows": 0}
+
+    def spy(ranked, verdict, rk, k, end):
+        blocks[id(ranked)] = ranked
+        judged[id(ranked), rk] += 1
+        out = by_rank(ranked, verdict, rk, k, end)
+        skipping["judged"] += bool(out[0])
+        return out
+
+    def counted_rows(*args):
+        for row in rows(*args):
+            skipping["rows"] += row[2] > 0
+            yield row
+
+    monkeypatch.setattr(canonical, "_by_rank", spy)
+    monkeypatch.setattr(_Checker, "_rows", staticmethod(counted_rows))
     skipped = 0
     for kind in RULES:
         choice = ChoiceFunction(kind)
@@ -969,6 +1074,8 @@ def test_a_row_key_that_skips_past_its_first_window_is_judged_again():
         assert _fields(check_canonical, choice, model, sp, pool, limits) == want, kind
         skipped += len(want) > 2 and want[4]
     assert skipped
+    assert judged and max(judged.values()) == 1
+    assert skipping["rows"] > skipping["judged"] > 0
 
 
 @pytest.mark.parametrize("case", [_maximin_case, _maximality_case])
@@ -994,10 +1101,8 @@ def test_a_failure_on_a_verification_position_is_verified_once(case):
         assert verified == len(range(1, ordinal, budget // sample)) + 1
 
 
-def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
-    # The fuzz reduction of seed 4's interval dominance tree passes its whole
-    # 40,000-instance budget; the grouped loop asks each block's verdict
-    # about each distinct (row key, column key) pair at most once.
+def _count_key_pairs(monkeypatch) -> collections.Counter:
+    """Counts of each block's verdict calls per (block, row key, column key)."""
     calls = collections.Counter()
 
     def spying(judge):
@@ -1018,6 +1123,14 @@ def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
 
     monkeypatch.setattr(_Checker, "_judge_a", spying(_Checker._judge_a))
     monkeypatch.setattr(_Checker, "_judge_b", spying(_Checker._judge_b))
+    return calls
+
+
+def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
+    # The fuzz reduction of seed 4's interval dominance tree passes its whole
+    # 40,000-instance budget; the grouped loop asks each block's verdict
+    # about each distinct (row key, column key) pair at most once.
+    calls = _count_key_pairs(monkeypatch)
     cfg = FuzzConfig(seed=4, tree_count=1, model_sampler="credal:2")
     report = fuzz_equivalence(ChoiceFunction("interval_dominance"), None, cfg)
     reduction = report.records[0].reduction
@@ -1025,6 +1138,22 @@ def test_a_passing_scan_judges_each_key_pair_once(monkeypatch):
     assert reduction.instances_examined == 40000
     assert calls and max(calls.values()) == 1
     assert len(calls) < reduction.instances_examined // 10
+
+
+def test_a_passing_filtered_scan_judges_each_key_pair_once(monkeypatch):
+    # Under the marginal extension filter, seed 3's Γ-maximin harvest passes
+    # the reduction's 40,000-instance budget in shape (a) blocks, skipping
+    # some of it; each key pair is still judged at most once per block.
+    calls = _count_key_pairs(monkeypatch)
+    (sp, model, pool, events), = _harvested("credal:2", seed=3, count=1)
+    limits = CanonicalLimits(shapes=("a", "b"), events_a=events, events_b=events,
+                             max_instances=_REDUCTION_BUDGET, verify_sample=4,
+                             require_marginal_extension=True)
+    report = check_canonical(ChoiceFunction("gamma_maximin"), model, sp, pool, limits)
+    assert report.passed and report.instances_skipped
+    assert report.instances_examined + report.instances_skipped == 40000
+    assert calls and max(calls.values()) == 1
+    assert len(calls) < 40000 // 7
 
 
 def test_a_passing_scan_reads_columns_once_per_row_key(monkeypatch):

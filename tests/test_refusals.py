@@ -105,9 +105,25 @@ REFUSALS = {
     "limits-shape": (
         lambda: CanonicalLimits(shapes=("c",)), ValueError, "unknown shape 'c'",
     ),
+    "limits-no-shapes": (
+        lambda: CanonicalLimits(shapes=()),
+        ValueError, "the shapes must be one or both of 'a' and 'b', each once",
+    ),
+    "limits-repeated-shape": (
+        lambda: CanonicalLimits(shapes=("b", "a", "b")),
+        ValueError, "the shapes must be one or both of 'a' and 'b', each once",
+    ),
     "limits-options": (
         lambda: CanonicalLimits(max_options=0),
         ValueError, "the option count bound must be at least 1",
+    ),
+    "limits-no-verification": (
+        lambda: CanonicalLimits(verify_sample=0),
+        ValueError, "the verification sample must be at least 1",
+    ),
+    "limits-negative-verification": (
+        lambda: CanonicalLimits(verify_sample=-1),
+        ValueError, "the verification sample must be at least 1",
     ),
     "scan-empty-pool": (
         lambda: check_canonical(ChoiceFunction("maximin"), None, SP, []),

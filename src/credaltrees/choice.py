@@ -254,17 +254,13 @@ def _e_admissible(t: OptionTable, idx: Sequence[int], hull: bool = False) -> lis
         # A dominated option is never a best response to a mixture, and its
         # constraint is implied by its dominator's: only maxima matter.
         maxima = _maximality_rule(t, idx)
-        k = len(tops)
-        ones = [Fraction(1)] * k
         for j in maxima:
             if j in winners:
                 continue
-            rows = [
-                (list(map(operator.sub, vectors[j], vectors[jj])), Fraction(0))
-                for jj in maxima
-                if jj != j
-            ]
-            if ratlp.feasible(k, eqs=[(ones, Fraction(1))], ges=rows):
+            # is j a best response to some mixture: do some weights give
+            # every difference v_j - v_jj a nonnegative total?
+            rows = [list(map(operator.sub, vectors[j], vectors[jj])) for jj in maxima if jj != j]
+            if ratlp.feasible(len(tops), ges=rows):
                 winners.add(j)
     return [j for j in idx if j in winners]
 
@@ -287,9 +283,10 @@ RULES = {
     "maximality": _maximality_rule,
     # all options optimal under some member of the credal set
     "e_admissible": _e_admissible,
-    # ... or under some finite mixture of the members, decided exactly by a
-    # phase-1 simplex; the mixture condition weights each member's
-    # conditional comparison by its probability of b, which is what
+    # ... or under some finite mixture of the members: x_j is kept when some
+    # w >= 0 with sum 1 gives sum_m w_m P_m(b) (E_m[x_j|b] - E_m[x|b]) >= 0
+    # for every option x, decided exactly by `ratlp.feasible`.  Weighting
+    # each member's conditional comparison by its probability of b is what
     # conditioning a mixture on b does (on the whole space the weights are
     # all 1 and the two readings coincide)
     "e_admissible_hull": partial(_e_admissible, hull=True),

@@ -494,14 +494,9 @@ class FuzzReport:
         return {
             "choice": self.choice_kind,
             "config": {
-                "seed": self.config.seed,
-                "tree_count": self.config.tree_count,
-                "max_depth": self.config.max_depth,
+                **dataclasses.asdict(self.config),
                 "max_branching": _MAX_BRANCHING,
-                "omega_size": self.config.omega_size,
                 "reward_range": list(_REWARD_RANGE),
-                "model_sampler": self.config.model_sampler,
-                "max_strategies": self.config.max_strategies,
             },
             "trees_run": len(self.records),
             "failing_trees": len(self.failing),

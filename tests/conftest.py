@@ -637,8 +637,56 @@ def reference_e_admissible(xs, members, b):
     return tuple(x for x, r in zip(xs, e) if any(map(operator.eq, r, tops)))
 
 
-#: rule kind -> its reference, (options, members, b) -> kept options; not
-#: hull E-admissibility, whose reference is an LP
+def _solve(rows, rhs):
+    """The one x with ``rows x = rhs`` for a square system, exactly; None
+    when the rows are singular."""
+    n = len(rows)
+    m = [[Fraction(c) for c in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / m[col][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def mixture_feasible_by_vertices(k, rows):
+    """Is there w >= 0 with sum(w) = 1 and a . w >= 0 for every row a, decided
+    without an LP?  That set lies in the simplex, so it is empty or has a
+    vertex: a point where k - 1 of the inequalities w_m >= 0 and a . w >= 0
+    hold with equality beside sum(w) = 1.  Solve each choice of k - 1 and
+    test its solution against every inequality."""
+    constraints = [[int(i == m) for i in range(k)] for m in range(k)]
+    constraints += [list(a) for a in rows]
+    for active in itertools.combinations(constraints, k - 1):
+        w = _solve([[1] * k, *active], [1] + [0] * (k - 1))
+        if w is not None and all(
+            sum(map(operator.mul, a, w)) >= 0 for a in constraints
+        ):
+            return True
+    return False
+
+
+def reference_e_admissible_hull(xs, members, b):
+    """The options of largest expectation under some mixture of the members:
+    x_j is kept when some w in the simplex gives sum_m w_m (E_m[x_j|b] -
+    E_m[x|b]) >= 0 for every option x.  The rule also weights member m by
+    P_m(b), which keeps the same options while every P_m(b) > 0."""
+    e = _expectations(xs, members, b)
+    return tuple(
+        x
+        for x, r in zip(xs, e)
+        if mixture_feasible_by_vertices(
+            len(members), [list(map(operator.sub, r, s)) for s in e]
+        )
+    )
+
+
+#: rule kind -> its reference, (options, members, b) -> kept options
 REFERENCE_RULES = {
     "maximin": reference_maximin,
     "gamma_maximin": reference_gamma_maximin,
@@ -647,6 +695,7 @@ REFERENCE_RULES = {
     "maximality": reference_maximality,
     "pointwise_dominance": reference_pointwise_dominance,
     "e_admissible": reference_e_admissible,
+    "e_admissible_hull": reference_e_admissible_hull,
 }
 
 

@@ -38,6 +38,7 @@ from conftest import (
     REFERENCE_RULES,
     dominance_pools,
     label_pools,
+    mixture_feasible_by_vertices,
     reference_e_admissible,
     reference_eu,
     reference_imprecise_utility,
@@ -384,33 +385,46 @@ def reference_hull(credal, xs, b):
     out = []
     for j, x in enumerate(xs):
         if any(r[j] == max(r) for r in s) or ratlp.feasible(
-            k,
-            eqs=[([1] * k, 1)],
-            ges=[([r[j] - r[jj] for r in s], 0) for jj in range(len(xs))],
+            k, ges=[[r[j] - r[jj] for r in s] for jj in range(len(xs))]
         ):
             out.append(x)
     return tuple(out)
 
 
-@given(
-    st.integers(1, 3).flatmap(
-        lambda k: st.lists(
-            st.tuples(st.lists(st.integers(-3, 3), min_size=k, max_size=k), st.integers(-1, 1)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_inequality_rows_decide_as_equalities_with_surplus_variables(ges):
-    # A x >= b read directly, where a row of b <= 0 starts on its own slack,
-    # and as A x - s = b with s >= 0, where every row starts on an
-    # artificial, over the mixture weights x of the hull LPs
-    k, m = len(ges[0][0]), len(ges)
-    direct = ratlp.feasible(k, eqs=[([1] * k, 1)], ges=ges)
-    surplus = [(a + [-(i == j) for j in range(m)], b) for i, (a, b) in enumerate(ges)]
-    lifted = ratlp.feasible(k + m, eqs=[([1] * k + [0] * m, 1)] + surplus)
-    assert direct == lifted
+def mixture_system(seed):
+    """The mixture system of *seed*: 1 to 4 weights and 0 to 8 integer rows
+    with coefficients in -3..3, some of them repeated and some all zero."""
+    rng = random.Random(seed)
+    k, rows = rng.randint(1, 4), []
+    for _ in range(rng.randint(0, 8)):
+        draw = rng.random()
+        if rows and draw < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif draw < 0.25:
+            rows.append([0] * k)
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(k)])
+    return k, rows
+
+
+def lp_vertex_check(seeds):
+    """(systems, feasible, disagreements) of `ratlp.feasible` against
+    `mixture_feasible_by_vertices` on the `mixture_system` of each seed; a
+    disagreement is (seed, k, rows, lp, vertices)."""
+    feasible, disagreements = 0, []
+    for seed in seeds:
+        k, rows = mixture_system(seed)
+        lp = ratlp.feasible(k, ges=rows)
+        vertices = mixture_feasible_by_vertices(k, rows)
+        feasible += lp
+        if lp != vertices:
+            disagreements.append((seed, k, rows, lp, vertices))
+    return len(seeds), feasible, disagreements
+
+
+def test_mixture_lp_matches_vertex_enumeration():
+    # 400 systems here, 197 of them feasible; the CI workflow runs 10,000.
+    assert lp_vertex_check(range(400)) == (400, 197, [])
 
 
 def random_choices(seed):

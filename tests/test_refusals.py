@@ -160,12 +160,8 @@ REFUSALS = {
     "serialize-unknown-model": (
         lambda: serialize_model(CredalSet((P,))), TypeError, "cannot serialize CredalSet",
     ),
-    "lp-equality-row-length": (
-        lambda: feasible(2, eqs=[((1,), 1)]),
-        ValueError, "coefficient row length does not match n_vars",
-    ),
     "lp-inequality-row-length": (
-        lambda: feasible(2, ges=[((1, 1, 1), 1)]),
+        lambda: feasible(2, ges=[(1, 1, 1)]),
         ValueError, "coefficient row length does not match n_vars",
     ),
     "rational-bool": (lambda: as_rational(True), TypeError, "bool is not a reward value"),

@@ -45,46 +45,32 @@ def export_dot(tree: DecisionTree, strategy: Optional[Strategy] = None) -> str:
 
     With a strategy, each decision arc the strategy discards is drawn
     dashed, so the kept plan stands out against the full tree.  The
-    strategy must use the same node ids as the tree.
+    strategy must use the same node ids as the tree.  A repeated node id
+    raises `DuplicateNodeId`, as the tree's node index refuses it.
     """
     kept = {} if strategy is None else kept_arcs(strategy)
 
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
-
-    # lines still to write, last first, and nodes to expand in their place;
-    # a stack, as in `trees._walk`, so deep chains need no recursion
-    stack: list = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            lines.append(node)
-            continue
+    into: dict[str, tuple] = {}  # a child's id -> (its parent, the arc into it)
+    for node, _ in tree.nodes():
+        if node is not tree.root:
+            parent, arc = into.pop(node.node_id)
+            if isinstance(parent, ChanceNode):
+                label, style = "{" + ",".join(arc.event.ordered) + "}", ""
+            elif kept.get(parent.node_id, arc.label) == arc.label:
+                label, style = arc.label, ""
+            else:
+                label, style = arc.label + "∥", ", style=dashed"
+            lines.append(
+                f"  {_quote(parent.node_id)} -> {_quote(node.node_id)}"
+                f" [label={_quote(label)}{style}];"
+            )
         lines.append(
             f"  {_quote(node.node_id)} [shape={_shape(node)},"
             f" label={_quote(_node_label(node))}];"
         )
-        pieces: list = []
-        if isinstance(node, DecisionNode):
-            for arc in node.arcs:
-                style = ""
-                label = arc.label
-                if node.node_id in kept and arc.label != kept[node.node_id]:
-                    style = ", style=dashed"
-                    label += "∥"
-                pieces += [
-                    f"  {_quote(node.node_id)} -> {_quote(arc.child.node_id)}"
-                    f" [label={_quote(label)}{style}];",
-                    arc.child,
-                ]
-        elif isinstance(node, ChanceNode):
-            for arc in node.arcs:
-                label = "{" + ",".join(arc.event.ordered) + "}"
-                pieces += [
-                    f"  {_quote(node.node_id)} -> {_quote(arc.child.node_id)}"
-                    f" [label={_quote(label)}];",
-                    arc.child,
-                ]
-        stack += reversed(pieces)
+        if isinstance(node, (DecisionNode, ChanceNode)):
+            into.update((arc.child.node_id, (node, arc)) for arc in node.arcs)
 
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -312,31 +312,27 @@ def parse_problem(doc) -> ParsedProblem:
 def serialize_problem(problem: ParsedProblem) -> dict:
     tree = problem.tree
 
-    # each node's document is filled in place, its children's later, from a
-    # stack, as in `trees._walk`, so deep chains need no recursion
-    root: dict = {}
-    stack = [(tree.root, root)]
-    while stack:
-        node, out = stack.pop()
-        out["id"] = node.node_id
+    # each node's document, built children first from the tree's node index
+    # (which refuses a repeated node id), so deep chains need no recursion
+    docs: dict[str, dict] = {}
+    for node, _ in reversed(tree.nodes()):
+        out = docs[node.node_id] = {"id": node.node_id}
         if isinstance(node, Leaf):
             out.update(kind="leaf", reward=render_reward(node.reward))
         elif isinstance(node, GambleLeaf):
-            out.update(
-                kind="gamble",
-                gamble={a: render_reward(v) for a, v in node.gamble.items()},
-            )
+            gamble = {a: render_reward(v) for a, v in node.gamble.items()}
+            out.update(kind="gamble", gamble=gamble)
+        elif isinstance(node, DecisionNode):
+            arcs = [{"label": a.label, "child": docs[a.child.node_id]} for a in node.arcs]
+            out.update(kind="decision", arcs=arcs)
         else:
-            if isinstance(node, DecisionNode):
-                kind = "decision"
-                arcs = [{"label": a.label, "child": {}} for a in node.arcs]
-            else:
-                kind = "chance"
-                arcs = [{"event": list(a.event.ordered), "child": {}} for a in node.arcs]
-            out.update(kind=kind, arcs=arcs)
-            stack += ((a.child, d["child"]) for a, d in zip(node.arcs, arcs))
+            arcs = [
+                {"event": list(a.event.ordered), "child": docs[a.child.node_id]}
+                for a in node.arcs
+            ]
+            out.update(kind="chance", arcs=arcs)
 
-    doc = {"atoms": list(tree.space.atoms), "tree": root}
+    doc = {"atoms": list(tree.space.atoms), "tree": docs[tree.root.node_id]}
     if problem.events:
         doc["events"] = {
             name: list(ev.ordered) for name, ev in sorted(problem.events.items())

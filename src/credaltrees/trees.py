@@ -15,7 +15,7 @@ import math
 import operator
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -306,44 +306,26 @@ class ChanceArc:
 
 def _same_tree(node: "DecisionNode | ChanceNode", other: object) -> bool:
     """Structural equality of two nodes and everything below them, as the
-    dataclasses compare it, walked with a stack so that deep trees need no
-    recursion; a node shared by both sides is equal at once."""
+    dataclasses compare it: equal `_tree_key`s."""
     if other.__class__ is not node.__class__:
         return NotImplemented
-    stack = [(node, other)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if x.__class__ is not y.__class__:
-            return False
-        if not isinstance(x, (DecisionNode, ChanceNode)):
-            if x != y:  # a leaf: its id and reward or gamble
-                return False
-            continue
-        if x.node_id != y.node_id or len(x.arcs) != len(y.arcs):
-            return False
-        for a, c in zip(x.arcs, y.arcs):
-            if a.__class__ is not c.__class__ or _arc_tag(a) != _arc_tag(c):
-                return False
-            stack.append((a.child, c.child))
-    return True
+    return node is other or _tree_key(node) == _tree_key(other)
 
 
 def _tree_hash(node: "DecisionNode | ChanceNode") -> int:
-    """A hash consistent with `_same_tree`: of the node ids, arc labels or
-    events and leaves below *node*, in preorder, walked with a stack."""
-    items: list = []
-    stack = [node]
-    while stack:
-        at = stack.pop()
-        if isinstance(at, (DecisionNode, ChanceNode)):
-            items.append((at.node_id, len(at.arcs)))
-            items.extend(map(_arc_tag, at.arcs))
-            stack.extend(arc.child for arc in reversed(at.arcs))
-        else:
-            items.append(at)
-    return hash(tuple(items))
+    return hash(_tree_key(node))
+
+
+def _tree_key(node: "Node") -> tuple:
+    """*node* and everything below it in preorder (`_walk`, so deep trees
+    need no recursion): an inner node as its class, id and arc labels or
+    events, whose count fixes its arity, and a leaf as itself."""
+    return tuple(
+        (at.__class__, at.node_id, tuple(map(_arc_tag, at.arcs)))
+        if isinstance(at, (DecisionNode, ChanceNode))
+        else at
+        for at, _ in _walk(node)
+    )
 
 
 def _arc_tag(arc: "DecisionArc | ChanceArc") -> "str | Event":
@@ -463,9 +445,9 @@ class DecisionTree:
         """All node ids in preorder (root first, arcs left to right)."""
         return tuple(self._index)
 
-    def nodes(self) -> Iterator[tuple[Node, Event]]:
-        """Every node with its scope, in preorder."""
-        return iter(self._index.values())
+    def nodes(self) -> ValuesView[tuple[Node, Event]]:
+        """Every node with its scope, in preorder; reversed, children first."""
+        return self._index.values()
 
     def contains(self, node_id: str) -> bool:
         return node_id in self._index
@@ -537,8 +519,9 @@ class Strategy(DecisionTree):
                 )
 
 
-def _walk(node: Node, scope: Event) -> Iterator[tuple[Node, Event]]:
-    """*node* and every node below it with its scope, in preorder."""
+def _walk(node: Node, scope: Optional[Event] = None) -> Iterator[tuple[Node, Optional[Event]]]:
+    """*node* and every node below it with its scope, in preorder, from a
+    stack; without a *scope*, every scope is None and no event is intersected."""
     stack = [(node, scope)]
     while stack:
         node, scope = stack.pop()
@@ -547,7 +530,8 @@ def _walk(node: Node, scope: Event) -> Iterator[tuple[Node, Event]]:
         if isinstance(node, DecisionNode):
             stack.extend((arc.child, scope) for arc in reversed(node.arcs))
         elif isinstance(node, ChanceNode):
-            stack.extend((arc.child, scope & arc.event) for arc in reversed(node.arcs))
+            for arc in reversed(node.arcs):
+                stack.append((arc.child, None if scope is None else scope & arc.event))
 
 
 # --- operations -------------------------------------------------------------
@@ -962,13 +946,7 @@ class Decoder:
 
 def _decisions(node: Node) -> Iterator[DecisionNode]:
     """The decision nodes at and below *node*, in preorder."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, DecisionNode):
-            yield node
-        if isinstance(node, (DecisionNode, ChanceNode)):
-            stack.extend(arc.child for arc in reversed(node.arcs))
+    return (at for at, _ in _walk(node) if isinstance(at, DecisionNode))
 
 
 def kept_arcs(strategy: DecisionTree) -> dict[str, str]:

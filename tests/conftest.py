@@ -738,6 +738,25 @@ def reference_strategies(tree):
     return [Strategy(tree.space, v, tree.root_scope) for v in variants(tree.root)]
 
 
+def reference_same_tree(x, y):
+    """Structural equality of two nodes by a plain recursive comparison of
+    their fields: the same class and id; for a leaf the same reward or
+    gamble, and for an inner node arcs of the same classes, labels or
+    events, whose children are equal in turn."""
+    if type(x) is not type(y) or x.node_id != y.node_id:
+        return False
+    if isinstance(x, Leaf):
+        return x.reward == y.reward
+    if isinstance(x, GambleLeaf):
+        return x.gamble == y.gamble
+    return len(x.arcs) == len(y.arcs) and all(
+        type(a) is type(c)
+        and (a.label == c.label if isinstance(a, DecisionArc) else a.event == c.event)
+        and reference_same_tree(a.child, c.child)
+        for a, c in zip(x.arcs, y.arcs)
+    )
+
+
 def reference_solution(tree, choice, model, b=None):
     """The normal form solution by enumeration, `gamble_of` and dedup on b."""
     b = tree.root_scope if b is None else b

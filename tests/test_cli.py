@@ -1004,9 +1004,9 @@ FUZZ_BUDGET_ARGV = ["fuzz", "--choice", "interval-dominance", "--seed", "4", "--
                     "--format", "structured"]
 
 
-#: The canonical and fuzz outputs pinned in ``tests/expected``: file name,
-#: command line and exit code.  CI runs the same table through the installed
-#: script under two string hash seeds.
+#: The canonical, fuzz and export-dot outputs pinned in ``tests/expected``:
+#: file name, command line and exit code.  CI runs the same table through the
+#: installed script under two string hash seeds.
 PINNED = [
     (
         f"canonical-maximin-failure-{rule}.json",
@@ -1030,13 +1030,30 @@ PINNED = [
     ("fuzz-maximality-seed11-trees60.txt", FUZZ_ARGV, 1),
     # five of its eight reductions pass their whole 40,000-instance budget
     ("fuzz-interval-dominance-seed4-trees20.json", FUZZ_BUDGET_ARGV, 1),
+] + [
+    # whole DOT documents: the tree alone, its first and last strategy,
+    # chance-arc event labels and label rewards
+    (
+        f"export-dot-{problem}{f'-strategy{k}' if k else ''}.dot",
+        ["export-dot", "--tree", str(PROBLEMS / f"{problem}.tree.json")]
+        + (["--strategy", k] if k else []),
+        0,
+    )
+    for problem, k in [
+        ("lake-sequential", None),
+        ("lake-sequential", "0"),
+        ("lake-sequential", "5"),
+        ("eu-example-3", "1"),
+        ("imprecise-utility", "2"),
+    ]
 ]
 
 
 @pytest.mark.parametrize("name, argv, exit_code", PINNED)
 def test_canonical_and_fuzz_outputs_are_pinned(capsys, name, argv, exit_code):
-    # Recorded before the scan grouped its instances by key; the grouped
-    # scan must reproduce every field, byte for byte.
+    # The canonical and fuzz outputs were recorded before the scan grouped
+    # its instances by key, and the DOT documents before `export_dot` read
+    # the tree's node index; each must be reproduced byte for byte.
     code = run(argv)
     assert capsys.readouterr().out == (EXPECTED / name).read_text()
     assert code == exit_code

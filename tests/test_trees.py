@@ -1,3 +1,4 @@
+import itertools
 import operator
 import os
 import pickle
@@ -52,15 +53,19 @@ from credaltrees.dot import export_dot
 from credaltrees import solver, trees
 from credaltrees.formats import ParsedProblem, parse_problem, serialize_problem
 from credaltrees.fuzz import FuzzConfig, gen_random_tree
-from credaltrees.trees import Decoder
+from credaltrees.trees import ChanceArc, Decoder
 
 from conftest import (
     build_alternating,
     build_eu1,
     build_lake,
     example_problems,
+    reference_same_tree,
     reference_strategies,
+    relabel,
 )
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 def test_space_event_algebra():
@@ -584,6 +589,86 @@ def test_nodes_compare_and_hash_as_their_fields():
     # the same fields under another node class are another node
     assert chance("D", []) != decision("D", []) and decision("D", []) == decision("D", [])
     assert same != "D" and same.__eq__("D") is NotImplemented
+
+
+def equality_pool(drawn):
+    """About 40 nodes to compare pairwise: fuzz trees, each built twice so
+    that equal trees are distinct objects; their first and last strategies,
+    from `strategy_at` and from one `Decoder`, whose strategies share their
+    sub-nodes; the *drawn* trees, each with a rebuilt copy and a strategy;
+    and hand-made nodes that differ in one field's kind only."""
+    pool = []
+    for sampler, index in (("joint", 0), ("hierarchical:2", 1), ("credal:2", 5)):
+        cfg = FuzzConfig(seed=2, tree_count=index + 1, model_sampler=sampler)
+        tree = gen_random_tree(cfg, index)[0]
+        last = count_strategies(tree) - 1
+        decode = Decoder(tree)
+        pool += [tree.root, gen_random_tree(cfg, index)[0].root]
+        pool += [strategy_at(tree, k).root for k in (0, last)]
+        pool += [decode.strategy(tree.root.node_id, k).root for k in (0, 1, last)]
+    for tree in drawn:
+        pool += [tree.root, relabel(tree, lambda r: r).root, strategy_at(tree, 0).root]
+    sp = PossibilitySpace(("a", "b"))
+    one = leaf("L", 1)
+    # an event where a label was, as the tag of an arc to the same child
+    mixed = DecisionNode("X", (ChanceArc(sp.omega(), one),))
+    pool += [
+        # one id under either inner node class, at the root and below it
+        decision("X", [("a", one)]),
+        chance("X", [(sp.omega(), one)]),
+        mixed,
+        decision("R", [("r", mixed)]),
+        decision("R", [("r", chance("X", [(sp.omega(), one)]))]),
+        # equal leaves but for their reward's kind: label, int and Fraction
+        one,
+        Leaf("L", 1),
+        leaf("L", "1"),
+        decision("X", [("a", Leaf("L", 1))]),
+        decision("X", [("a", leaf("L", "1"))]),
+    ]
+    return pool
+
+
+@given(st.lists(small_trees(), min_size=2, max_size=2))
+@settings(max_examples=10, deadline=None)
+def test_nodes_compare_and_hash_as_a_recursive_reference(drawn):
+    pool = equality_pool(drawn)
+    equal = 0  # ordered pairs of equal nodes that are distinct objects
+    for x, y in itertools.product(pool, repeat=2):
+        same = reference_same_tree(x, y)
+        assert (x == y) is same and (x != y) is not same, (x, y)
+        if same:
+            assert hash(x) == hash(y), (x, y)
+            equal += x is not y
+    # each fuzz tree gives three such pairs, each drawn tree one, and the
+    # hand-made nodes two
+    assert equal >= 2 * (3 * 3 + 2 + 2), equal
+
+
+def test_dot_and_serialize_problem_refuse_a_repeated_node_id():
+    # Both read the tree's node index, so an unvalidated tree whose two
+    # leaves share an id is refused, where drawing it would merge the two
+    # leaves into one DOT node and writing it would give a document that
+    # `validate_tree` refuses.
+    sp = PossibilitySpace(("w",))
+    tree = DecisionTree(sp, decision("D", [("a", leaf("L", 1)), ("b", leaf("L", 2))]))
+    with pytest.raises(DuplicateNodeId, match="'L' occurs twice"):
+        export_dot(tree)
+    with pytest.raises(DuplicateNodeId, match="'L' occurs twice"):
+        serialize_problem(ParsedProblem(tree, {}))
+
+
+@pytest.mark.parametrize("sampler, index", [("joint", 4), ("credal:2", 9), ("hierarchical:2", 1)])
+def test_dot_documents_of_fuzz_trees_with_gamble_leaves_are_pinned(sampler, index):
+    # No corpus tree holds a gamble leaf, so these fuzz trees pin the gamble
+    # labels of whole DOT documents, with and without the last strategy.
+    cfg = FuzzConfig(seed=1, tree_count=index + 1, model_sampler=sampler)
+    tree, _ = gen_random_tree(cfg, index)
+    assert any(isinstance(node, GambleLeaf) for node, _ in tree.nodes())
+    name = f"dot-fuzz-{sampler.replace(':', '')}-seed1-index{index}"
+    last = strategy_at(tree, count_strategies(tree) - 1)
+    assert export_dot(tree) == (EXPECTED / f"{name}.dot").read_text(encoding="utf-8")
+    assert export_dot(tree, last) == (EXPECTED / f"{name}-last.dot").read_text(encoding="utf-8")
 
 
 def test_a_gamble_leaf_is_rendered_and_round_trips():

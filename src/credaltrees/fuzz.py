@@ -464,25 +464,20 @@ class FuzzReport:
     def failing(self) -> tuple[TreeRecord, ...]:
         return tuple(r for r in self.records if r.failing_nodes)
 
-    @property
-    def reduced_shape_b(self) -> int:
+    def _reduced_to(self, shape: str) -> int:
+        """How many failing trees reduced to a canonical instance of *shape*."""
         return sum(
-            1
-            for r in self.failing
-            if r.reduction is not None
-            and not r.reduction.passed
-            and r.reduction.shape == "b"
+            1 for r in self.failing
+            if r.reduction is not None and not r.reduction.passed and r.reduction.shape == shape
         )
 
     @property
+    def reduced_shape_b(self) -> int:
+        return self._reduced_to("b")
+
+    @property
     def reduced_shape_a(self) -> int:
-        return sum(
-            1
-            for r in self.failing
-            if r.reduction is not None
-            and not r.reduction.passed
-            and r.reduction.shape == "a"
-        )
+        return self._reduced_to("a")
 
     @property
     def missed(self) -> int:

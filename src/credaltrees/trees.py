@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Val
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     DuplicateArcLabel,
@@ -32,6 +32,9 @@ from .errors import (
     TooManyStrategies,
     UnknownNode,
 )
+
+if TYPE_CHECKING:
+    from .uncertainty import _FactoredColumn
 
 #: a reward is either an exact rational or an opaque label resolved later
 #: by a utility function.
@@ -389,10 +392,19 @@ class DecisionTree:
     @cached_property
     def _index(self) -> dict[str, tuple[Node, Event]]:
         index: dict[str, tuple[Node, Event]] = {}
-        for node, scope in _walk(self.root, self.root_scope):
-            if node.node_id in index:
-                raise DuplicateNodeId(f"node id {node.node_id!r} occurs twice")
-            index[node.node_id] = (node, scope)
+        try:
+            for node, scope in _walk(self.root, self.root_scope):
+                if node.node_id in index:
+                    raise DuplicateNodeId(f"node id {node.node_id!r} occurs twice")
+                index[node.node_id] = (node, scope)
+        except ValueError:
+            # the walk intersects scopes only below a chance node, the last
+            # one it gave: an arc event there lives in another space
+            i = next(i for i, arc in enumerate(node.arcs) if arc.event.space != self.space)
+            raise ScopeMismatch(
+                f"arc {i} of chance node {node.node_id!r} has an event in a"
+                " different possibility space"
+            ) from None
         return index
 
     @cached_property
@@ -670,7 +682,8 @@ class StrategyTable(dict):
     (`MassFunction._integers`), one integer weight per atom of the space.
     Only such a table has ``masses``: ``masses[scope.members][m]`` is
     Σ W_m(a) over a node's scope, for every node, set before the pass
-    begins, so that a row filter may read any node's.
+    begins, so that a row filter may read any node's.  A table built for a
+    factored column holds each variant's factored values, as Fractions.
     """
 
     def __init__(self, denominator: int, numeric: bool):
@@ -690,7 +703,7 @@ class StrategyTable(dict):
 def strategy_table(
     tree: DecisionTree,
     keep: Optional[Callable[..., Sequence[int]]] = None,
-    members: Sequence = (),
+    members: Sequence | _FactoredColumn = (),
 ) -> StrategyTable:
     """Every node's strategy variants as rows of values, in one pass.
 
@@ -722,12 +735,18 @@ def strategy_table(
     values, a chance node adds its children's vectors).  That is all a
     rule that reads options only through their member sums needs.  Raises
     `ValueError` for a member on another space.
+
+    With a factored column (`_FactoredColumn`) in place of *members*, the
+    rows are the variants' factored values: a leaf gives ``column.leaf(node)``
+    and a chance node scales each child's rows by its arc's probability in
+    ``column.arc_probs``, then adds them in product order, never dividing.
     """
-    if any(p.space != tree.space for p in members):
+    column = None if isinstance(members, Sequence) else members
+    if column is None and any(p.space != tree.space for p in members):
         raise ValueError("event lives in a different possibility space")
     plan = tree._plan
     numeric = "label" not in plan.kinds
-    weights = [p._integers[1] for p in members] if numeric else []
+    weights = [p._integers[1] for p in members] if numeric and column is None else []
     table = StrategyTable(plan.denominator, numeric)
     counts = plan.counts
     if weights:
@@ -735,20 +754,26 @@ def strategy_table(
     kept_at = table.positions
     mixed = len(plan.kinds) > 1
     for nid, kind, scope, children, data in plan.nodes:
-        if weights and (kind is Leaf or kind is GambleLeaf):
+        if column is not None and (kind is Leaf or kind is GambleLeaf):
+            rows = [column.leaf(tree.find(nid))]
+        elif weights and (kind is Leaf or kind is GambleLeaf):
             rows = [plan.leaf_sums(kind, scope, data, weights, masses)]
         elif kind is Leaf:
             rows = [(data,) * len(scope)]
         elif kind is GambleLeaf:
             rows = [data]
         elif kind is DecisionNode:
-            # value rows, or member-sum vectors
+            # value rows, member-sum vectors or factored values
             rows = [row for c in children for row in table[c]]
         elif kind is ChanceNode:
             rows = []
             if all(table[c] for c in children):
-                rows, *rest = [table[c] for c in children] or [[()]]
-                if weights:
+                parts = [table[c] for c in children]
+                if column is not None:
+                    probs = column.arc_probs[nid]
+                    parts = [[tuple(p * v for v in r) for r in rs] for p, rs in zip(probs, parts)]
+                rows, *rest = parts or [[()]]
+                if weights or column is not None:
                     add = operator.add
                     for child_rows in rest:
                         rows = [tuple(map(add, r, c)) for r in rows for c in child_rows]

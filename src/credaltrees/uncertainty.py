@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .trees import (
     ChanceNode,
-    DecisionNode,
     DecisionTree,
     Event,
     Gamble,
@@ -34,7 +32,6 @@ from .trees import (
     Leaf,
     PossibilitySpace,
     Reward,
-    StrategyTable,
     as_rational,
     strategy_table,
 )
@@ -260,53 +257,34 @@ def _numeric(reward: Reward) -> tuple[Fraction, ...]:
     return (reward,)
 
 
-def _row_values(
-    a: TreeFactoredAssessment, table: StrategyTable, reward_map: RewardMap
-) -> dict[str, list[tuple[Fraction, ...]]]:
-    """``out[node_id][k]`` values ``table[node_id][k]``, where *table* is the
-    assessed tree's `strategy_table`, whose keys put every child before its
-    parent, so one pass meets every child first.  A leaf gives its reward
-    through *reward_map* (a gamble leaf must be constant, or this raises
-    `ModeUnsupported`), a decision row its child's value, and a chance row
-    the arc-probability-weighted sum of its children's values, in the
-    table's product order.  Nothing is divided, so conditioning events of
-    probability zero do no harm.
-    """
-    out: dict[str, list[tuple[Fraction, ...]]] = {}
-    for nid in table:
-        node = a.tree.find(nid)
-        if isinstance(node, Leaf):
-            out[nid] = [reward_map(node.reward)]
-        elif isinstance(node, GambleLeaf):
-            try:
-                value = node.gamble.constant_value_on(node.gamble.scope)
-            except ValueError:
-                raise ModeUnsupported(
-                    f"gamble leaf {nid!r} is not constant on its scope: a factored"
-                    " assessment values constant leaves only"
-                ) from None
-            out[nid] = [reward_map(value)]
-        elif isinstance(node, DecisionNode):
-            out[nid] = [v for arc in node.arcs for v in out[arc.child.node_id]]
-        else:
-            probs = a.arc_probs[nid]
-            combos = itertools.product(*(out[arc.child.node_id] for arc in node.arcs))
-            out[nid] = [
-                tuple(
-                    sum(map(operator.mul, probs, column), Fraction(0))
-                    for column in zip(*combo)
-                )
-                for combo in combos
-            ]
-    return out
+@dataclass(frozen=True)
+class _FactoredColumn:
+    """The third argument of `strategy_table` that makes its rows factored
+    values: a chance node weighs its arcs by ``arc_probs`` and a leaf gives
+    its reward through *reward_map*."""
+
+    arc_probs: Mapping[str, tuple[Fraction, ...]]
+    reward_map: RewardMap
+
+    def leaf(self, node: Leaf | GambleLeaf) -> tuple[Fraction, ...]:
+        """A leaf's values; a gamble leaf must be constant on its scope, or
+        this raises `ModeUnsupported`."""
+        rewards = {node.reward} if isinstance(node, Leaf) else set(node.gamble.values)
+        if len(rewards) != 1:
+            raise ModeUnsupported(
+                f"gamble leaf {node.node_id!r} is not constant on its scope: a factored"
+                " assessment values constant leaves only"
+            )
+        return self.reward_map(rewards.pop())
 
 
 def _row_index(a: TreeFactoredAssessment, reward_map: RewardMap) -> RowIndex:
     table = strategy_table(a.tree)
+    column = strategy_table(a.tree, None, _FactoredColumn(a.arc_probs, reward_map))
     index: RowIndex = {}
-    for nid, values in _row_values(a, table, reward_map).items():
+    for nid, rows in table.items():
         scope = a.tree.scope_of(nid)
-        for row, value in zip(table[nid], values):
+        for row, value in zip(rows, column[nid]):
             key = (scope, table.rewards(row))
             index.setdefault(key, {}).setdefault(value, set()).add(nid)
     return index

@@ -37,6 +37,7 @@ from credaltrees import (
     chance,
     check_canonical,
     choose_by_preorder,
+    count_strategies,
     decision,
     expectation,
     leaf,
@@ -69,6 +70,16 @@ def split(reward1, reward2):
     """A chance node C on {w1} | {w2} with two leaves."""
     return validate_tree(DecisionTree(SP, chance("C", [(W1, leaf("L1", reward1)),
                                                       (W2, leaf("L2", reward2))])))
+
+
+def foreign_chance():
+    """A chance node C over {a, b} whose arc events live on {a, b, c}."""
+    other = PossibilitySpace(("a", "b", "c"))
+    arcs = [(other.event(["a"]), leaf("A", 1)), (other.event(["b"]), leaf("B", 2))]
+    return DecisionTree(PossibilitySpace(("a", "b")), chance("C", arcs))
+
+
+FOREIGN_ARC = "arc 0 of chance node 'C' has an event in a different possibility space"
 
 
 def cyclic(x, y, model, b):
@@ -204,6 +215,15 @@ REFUSALS = {
     "tree-foreign-root-scope": (
         lambda: DecisionTree(SP, leaf("L", 0), OTHER.omega()),
         ValueError, "root scope lives in a different possibility space",
+    ),
+    "tree-foreign-chance-event-validate": (
+        lambda: validate_tree(foreign_chance()), ScopeMismatch, FOREIGN_ARC,
+    ),
+    "tree-foreign-chance-event-nodes": (
+        lambda: foreign_chance().nodes(), ScopeMismatch, FOREIGN_ARC,
+    ),
+    "tree-foreign-chance-event-count": (
+        lambda: count_strategies(foreign_chance()), ScopeMismatch, FOREIGN_ARC,
     ),
     "tree-mixed-rewards": (
         lambda: split(1, "r"), MixedRewardKinds, "tree mixes numeric rewards with reward labels",

@@ -1,10 +1,12 @@
 import functools
 import gc
+import json
 import random
 import re
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1781,3 +1783,32 @@ def test_a_condition_outside_the_root_scope_names_both_events():
             normal_form_solution(tree, ChoiceFunction("eu"), model, b)
     inside = normal_form_solution(tree, ChoiceFunction("eu"), model, sp.event(["a"]))
     assert len(inside.strategies) == 1
+
+
+# --- factored eu conditioned on each inner node scope, pinned -----------------------
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
+
+
+def factored_conditioned_solves():
+    """``normal_form_solution(tree, eu, model, b)`` on the 10 trees of
+    ``FuzzConfig(seed=3, tree_count=10, max_depth=4, model_sampler="factored")``,
+    conditioned on each distinct node scope other than the root's, by name:
+    the kept indices, or the type and message of the package error raised.
+    ``tests/expected/factored-conditioned-solves.json`` holds them."""
+    cfg = FuzzConfig(seed=3, tree_count=10, max_depth=4, model_sampler="factored")
+    records = {}
+    for i in range(cfg.tree_count):
+        tree, model = gen_random_tree(cfg, i)
+        for b in dict.fromkeys(s for _, s in tree.nodes() if s != tree.root_scope):
+            name = f"tree{i}/condition={','.join(b.ordered)}"
+            try:
+                records[name] = {"kept": list(normal_form_solution(tree, EU, model, b).indices)}
+            except CredalTreeError as exc:
+                records[name] = {"error": type(exc).__name__, "message": str(exc)}
+    return records
+
+
+def test_factored_conditioned_solves_keep_their_pinned_answers():
+    pinned = json.loads((EXPECTED / "factored-conditioned-solves.json").read_text())
+    assert factored_conditioned_solves() == pinned

@@ -43,7 +43,7 @@ from credaltrees import (
     validate_tree,
 )
 from credaltrees.trees import Decoder
-from credaltrees.uncertainty import _numeric, _row_values, utility_values
+from credaltrees.uncertainty import _FactoredColumn, _numeric, utility_values
 
 from conftest import (
     build_eu2,
@@ -272,11 +272,11 @@ def label_utilities(tree):
 def assert_rows_match_the_walkers(tree, a):
     table = strategy_table(tree)
     decode = Decoder(tree)
-    numeric = _row_values(a, table, _numeric)
+    numeric = strategy_table(tree, None, _FactoredColumn(a.arc_probs, _numeric))
     labelled = relabel(tree, str)
     la = TreeFactoredAssessment(labelled, a.arc_probs)
     u = label_utilities(tree)
-    columns = _row_values(la, strategy_table(labelled), u.values_of)
+    columns = strategy_table(labelled, None, _FactoredColumn(la.arc_probs, u.values_of))
     for node, scope in tree.nodes():
         nid = node.node_id
         assert len(numeric[nid]) == len(columns[nid]) == len(table[nid])
@@ -288,12 +288,42 @@ def assert_rows_match_the_walkers(tree, a):
             )
 
 
-@given(st.integers(0, 10**6), st.integers(2, 4))
+def zero_arc_variant(a):
+    """Assessment *a* with each chance node's first arc at probability 0,
+    its mass moved to the second arc."""
+    probs = {
+        nid: (Fraction(0), p[0] + p[1], *p[2:]) if len(p) > 1 else p
+        for nid, p in a.arc_probs.items()
+    }
+    return TreeFactoredAssessment(a.tree, probs)
+
+
+def walker_check(seeds, depths=(2, 3, 4)):
+    """`assert_rows_match_the_walkers` on the factored fuzz tree of each seed
+    and depth, under its assessment and under its `zero_arc_variant`:
+    returns the tree count and the mismatches."""
+    trees, mismatches = 0, []
+    for seed in seeds:
+        for depth in depths:
+            cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=depth, model_sampler="factored")
+            tree, model = gen_random_tree(cfg, 0)
+            trees += 1
+            for zero_arc in (False, True):
+                a = zero_arc_variant(model.assessment) if zero_arc else model.assessment
+                try:
+                    assert_rows_match_the_walkers(tree, a)
+                except AssertionError as exc:
+                    mismatches.append((seed, depth, zero_arc, str(exc)[:200]))
+    return trees, mismatches
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_row_values_match_the_walkers_on_factored_fuzz_trees(seed, depth):
+def test_row_values_match_the_walkers_on_factored_fuzz_trees(seed, depth, zero_arc):
     cfg = FuzzConfig(seed=seed, tree_count=1, max_depth=depth, model_sampler="factored")
     tree, model = gen_random_tree(cfg, 0)
-    assert_rows_match_the_walkers(tree, model.assessment)
+    a = zero_arc_variant(model.assessment) if zero_arc else model.assessment
+    assert_rows_match_the_walkers(tree, a)
 
 
 def test_row_values_match_the_walkers_across_a_zero_probability_arc():
